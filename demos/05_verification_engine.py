@@ -22,6 +22,7 @@ def closed_form_patch(case, model, fX, fXu, fXv, u_range, v_range):
         return np.asarray(u, dtype=float)
 
     def at(u, v):
+        u, v = np.broadcast_arrays(u, v)
         return fX(u, v), fXu(u, v), fXv(u, v)
 
     return SurfacePatch(case=case, model=model, u_range=u_range,

@@ -149,17 +149,28 @@ def _cofactor_complement(sig: Signature, mat: np.ndarray) -> np.ndarray:
 
     Uses the generalized cross product: the cofactor expansion is continuous
     in the inputs, which downstream code relies on for orienting normal
-    fields without per-point sign searches.
+    fields without per-point sign searches.  In dimension 4 the signed 3x3
+    minors are expanded along the third row over the 2x2 minors
+    ``p_ij = a_i b_j - a_j b_i`` of the first two rows.
     """
     dim = sig.dim
+    a, b = mat[..., 0, :], mat[..., 1, :]
     if dim == 3:
-        a, b = mat[..., 0, :], mat[..., 1, :]
         w = np.cross(a, b)
     else:
-        cols = np.arange(4)
-        minors = [mat[..., :, cols != j] for j in range(4)]
+        c = mat[..., 2, :]
+        a0, a1, a2, a3 = (a[..., i] for i in range(4))
+        b0, b1, b2, b3 = (b[..., i] for i in range(4))
+        c0, c1, c2, c3 = (c[..., i] for i in range(4))
+        p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
         w = np.stack(
-            [((-1.0) ** j) * np.linalg.det(m) for j, m in enumerate(minors)],
+            [
+                c1 * p23 - c2 * p13 + c3 * p12,
+                -(c0 * p23 - c2 * p03 + c3 * p02),
+                c0 * p13 - c1 * p03 + c3 * p01,
+                -(c0 * p12 - c1 * p02 + c2 * p01),
+            ],
             axis=-1,
         )
     # raise the index so that <w, row> = 0 holds in the stated signature

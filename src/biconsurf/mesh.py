@@ -23,11 +23,15 @@ __all__ = [
     "write_ply",
 ]
 
-_FMT = "{:.17g}"
 
+def _rows(table, row: str) -> str:
+    """The %-template ``row`` applied to every row of ``table`` in one pass.
 
-def _fmt(x: float) -> str:
-    return _FMT.format(float(x))
+    One format call over the whole table instead of one per value; the
+    output is the same as formatting each value with ``"{:.17g}"``.
+    """
+    table = np.asarray(table)
+    return (row * len(table)) % tuple(table.ravel().tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +114,7 @@ def sample_mesh(
         raise UsageError("mesh grids need at least 2 samples per direction")
     u = np.linspace(*patch.u_range, nu)
     v = np.linspace(*patch.v_range, nv)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    X = patch.X(U, V).reshape(nu * nv, -1)
+    X = patch.X(u[:, None], v[None, :]).reshape(nu * nv, -1)
 
     if projection == "auto":
         projection = {
@@ -156,22 +159,19 @@ def sample_mesh(
 def write_obj(mesh: Mesh, path, sidecar=None) -> list:
     """ASCII OBJ with quad faces; channels go to a CSV sidecar file."""
     path = str(path)
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in mesh.vertices]
-    lines += [
-        "f " + " ".join(str(i + 1) for i in quad) for quad in mesh.quads
-    ]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_rows(mesh.vertices, "v" + " %.17g" * 3 + "\n"))
+        fh.write(_rows(mesh.quads + 1, "f" + " %d" * mesh.quads.shape[1] + "\n"))
     written = [path]
     if mesh.channels:
         side = str(sidecar) if sidecar is not None else path + ".channels.csv"
         names = sorted(mesh.channels)
-        rows = ["vertex," + ",".join(names)]
-        cols = [mesh.channels[n] for n in names]
-        for i in range(len(mesh.vertices)):
-            rows.append(str(i) + "," + ",".join(_fmt(c[i]) for c in cols))
+        table = np.column_stack(
+            [np.arange(len(mesh.vertices))] + [mesh.channels[n] for n in names]
+        )
         with open(side, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+            fh.write("vertex," + ",".join(names) + "\n")
+            fh.write(_rows(table, "%d" + ",%.17g" * len(names) + "\n"))
         written.append(side)
     return written
 
@@ -194,12 +194,9 @@ def write_ply(mesh: Mesh, path) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    body = []
-    cols = [mesh.channels[n] for n in names]
-    for i, (x, y, z) in enumerate(mesh.vertices):
-        parts = [_fmt(x), _fmt(y), _fmt(z)] + [_fmt(c[i]) for c in cols]
-        body.append(" ".join(parts))
-    body += ["4 " + " ".join(str(i) for i in quad) for quad in mesh.quads]
+    table = np.column_stack([mesh.vertices] + [mesh.channels[n] for n in names])
     with open(path, "w") as fh:
-        fh.write("\n".join(header + body) + "\n")
+        fh.write("\n".join(header) + "\n")
+        fh.write(_rows(table, " ".join(["%.17g"] * table.shape[1]) + "\n"))
+        fh.write(_rows(mesh.quads, "4" + " %d" * mesh.quads.shape[1] + "\n"))
     return path

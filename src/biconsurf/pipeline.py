@@ -20,7 +20,7 @@ from .errors import UsageError
 from .mesh import sample_mesh, write_obj, write_ply
 from .profile import Branch, reconstruct_profile, revolution_profile
 from .surfaces import build_h3, build_r3_revolution, build_s3
-from .verify import FDScheme, fd_for_patch, verify_patch
+from .verify import fd_for_patch, fd_scheme, verify_patch
 
 __all__ = ["PipelineConfig", "cmd_solve", "cmd_profile", "cmd_surface", "cmd_sweep"]
 
@@ -115,8 +115,10 @@ class PipelineConfig:
             )
 
 
-def _padded_span(cfg: PipelineConfig, fd_reach: float) -> tuple:
-    pad = 1.2 * fd_reach + 0.01
+def _padded_span(cfg: PipelineConfig, case: str, v_range) -> tuple:
+    """Integration span: the requested one padded by the verifier's FD reach."""
+    diag = float(np.hypot(cfg.span[1] - cfg.span[0], v_range[1] - v_range[0]))
+    pad = 1.2 * fd_scheme(case, diag, cfg.fd_step).reach + 0.01
     return (cfg.span[0] - pad, cfg.span[1] + pad)
 
 
@@ -126,14 +128,6 @@ def _default_v_range(cfg: PipelineConfig, branch: Branch | None) -> tuple:
     if branch is Branch.H2_PARABOLIC:
         return defaults.V_PARABOLIC
     return defaults.V_FULL_TURN
-
-
-def _estimate_fd(cfg: PipelineConfig, case: str, v_range) -> FDScheme:
-    du = cfg.span[1] - cfg.span[0] if cfg.model != "r3" else cfg.rho_range[1] - cfg.rho_range[0]
-    diag = float(np.hypot(du, v_range[1] - v_range[0]))
-    inner = cfg.fd_step if cfg.fd_step is not None else defaults.FD_INNER_REL * diag
-    ratio = defaults.FD_OUTER_REL.get(case, defaults.FD_OUTER_REL_DEFAULT) / defaults.FD_INNER_REL
-    return FDScheme(inner_step=float(inner), outer_step=float(ratio * inner))
 
 
 def build_pipeline_patch(cfg: PipelineConfig):
@@ -149,13 +143,12 @@ def build_pipeline_patch(cfg: PipelineConfig):
     case = {"s3": "s3"}.get(cfg.model) or (
         "h3_elliptic" if branch is Branch.H2_ELLIPTIC else "h3_parabolic"
     )
-    fd = _estimate_fd(cfg, case, _default_v_range(cfg, branch))
+    v_range = _default_v_range(cfg, branch)
     sol = solve_curvature(
-        cfg.c, cfg.k0, cfg.kp0, _padded_span(cfg, fd.reach),
+        cfg.c, cfg.k0, cfg.kp0, _padded_span(cfg, case, v_range),
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
     )
     prof = reconstruct_profile(sol, branch)
-    v_range = _default_v_range(cfg, branch)
     patch = build_s3(prof, v_range) if cfg.model == "s3" else build_h3(prof, v_range)
     # declare the requested rectangle; the evaluators keep the padded span
     span = (max(cfg.span[0], prof.span[0]), min(cfg.span[1], prof.span[1]))

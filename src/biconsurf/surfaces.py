@@ -39,6 +39,12 @@ class SurfacePatch:
     evaluators remain valid, which finite-difference consumers may use for
     stencil points.  The v direction is valid everywhere for every built
     patch (trigonometric or exponential dependence).
+
+    Broadcasting contract: ``at(uline(u), v)`` broadcasts the u-line against
+    ``v`` by numpy rules and returns (X, Xu, Xv), each of shape
+    ``broadcast(u, v).shape + (dim,)``.  Callers evaluate a tensor grid by
+    passing u of shape (nu, 1) and v of shape (1, nv), so the u-dependent
+    part (dense output of the profile) runs once per distinct u.
     """
 
     case: str
@@ -55,9 +61,8 @@ class SurfacePatch:
     reference: dict = field(default_factory=dict)
 
     def frame(self, u, v):
-        """(X, Xu, Xv) at broadcast parameter arrays."""
-        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-        return self.at(self.uline(u), v)
+        """(X, Xu, Xv) at parameter arrays that broadcast against each other."""
+        return self.at(self.uline(np.asarray(u, float)), np.asarray(v, float))
 
     def X(self, u, v):
         return self.frame(u, v)[0]
@@ -101,9 +106,9 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     def at(line, v):
         rho, height, uprime = line
         cv, sv = np.cos(v), np.sin(v)
-        X = np.stack([rho * cv, rho * sv, height], axis=-1)
-        Xu = np.stack([cv, sv, uprime], axis=-1)
-        Xv = np.stack([-rho * sv, rho * cv, np.zeros_like(rho)], axis=-1)
+        X = np.stack(np.broadcast_arrays(rho * cv, rho * sv, height), axis=-1)
+        Xu = np.stack(np.broadcast_arrays(cv, sv, uprime), axis=-1)
+        Xv = np.stack(np.broadcast_arrays(-rho * sv, rho * cv, np.zeros_like(rho)), axis=-1)
         return X, Xu, Xv
 
     def f_ref(u, v):
@@ -227,8 +232,7 @@ def killing_tangency_check(patch: SurfacePatch, nu: int = 33, nv: int = 33) -> f
     inner = patch.model.inner
     u = np.linspace(*patch.u_range, nu)
     v = np.linspace(*patch.v_range, nv)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    X, Xu, Xv = patch.frame(U, V)
+    X, Xu, Xv = patch.frame(u[:, None], v[None, :])
     T = (
         inner(X, patch.C2)[..., None] * patch.C1
         - inner(X, patch.C1)[..., None] * patch.C2

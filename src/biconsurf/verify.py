@@ -40,6 +40,7 @@ from .surfaces import SurfacePatch
 
 __all__ = [
     "FDScheme",
+    "fd_scheme",
     "fd_for_patch",
     "PointGeometry",
     "fundamental_forms",
@@ -83,12 +84,22 @@ class FDScheme:
         }
 
 
+def fd_scheme(case: str, diagonal: float, inner_step=None) -> FDScheme:
+    """Default steps for a patch family on a rectangle with the given diagonal.
+
+    ``inner_step`` overrides the inner step; the outer step keeps its
+    per-family ratio to it.
+    """
+    inner = inner_step if inner_step is not None else FD_INNER_REL * diagonal
+    ratio = FD_OUTER_REL.get(case, FD_OUTER_REL_DEFAULT) / FD_INNER_REL
+    return FDScheme(inner_step=float(inner), outer_step=float(ratio * inner))
+
+
 def fd_for_patch(patch: SurfacePatch, inner_step=None, outer_step=None) -> FDScheme:
-    diag = patch.rect_diagonal
-    ratio = FD_OUTER_REL.get(patch.case, FD_OUTER_REL_DEFAULT) / FD_INNER_REL
-    inner = inner_step if inner_step is not None else FD_INNER_REL * diag
-    outer = outer_step if outer_step is not None else ratio * inner
-    return FDScheme(inner_step=float(inner), outer_step=float(outer))
+    fd = fd_scheme(patch.case, patch.rect_diagonal, inner_step)
+    if outer_step is None:
+        return fd
+    return FDScheme(inner_step=fd.inner_step, outer_step=float(outer_step))
 
 
 # ---------------------------------------------------------------------------
@@ -97,22 +108,43 @@ def fd_for_patch(patch: SurfacePatch, inner_step=None, outer_step=None) -> FDSch
 
 
 class _Probe:
-    """Evaluation helper that caches u-lines and frames per offset."""
+    """Tensor-grid evaluation with the u-lines cached per u offset.
 
-    def __init__(self, patch: SurfacePatch, U: np.ndarray, V: np.ndarray):
+    ``uline`` runs once per distinct u (shape (nu, 1)); ``at`` broadcasts it
+    against a v-row (shape (1, nv)), and frames come back flattened to
+    (nu * nv, dim) in u-major order, the layout of the verifier's grids.
+    """
+
+    def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray):
         self.patch = patch
-        self.U = U
-        self.V = V
+        self.u = np.asarray(ugrid, dtype=float)[:, None]
+        self.v = np.asarray(vgrid, dtype=float)[None, :]
+        self.shape = (self.u.shape[0], self.v.shape[1])
         self._lines: dict = {}
 
     def line(self, du: float):
         key = float(du)
         if key not in self._lines:
-            self._lines[key] = self.patch.uline(self.U + key)
+            self._lines[key] = self.patch.uline(self.u + key)
         return self._lines[key]
 
     def frame(self, du: float, dv: float):
-        return self.patch.at(self.line(du), self.V + dv)
+        line = self.line(du)
+        try:
+            out = self.patch.at(line, self.v + dv)
+        except ValueError as exc:
+            raise self._contract_error(f"numpy said: {exc}") from exc
+        if any(np.shape(a)[:-1] != self.shape for a in out):
+            raise self._contract_error(f"got shapes {[np.shape(a) for a in out]}")
+        n = self.shape[0] * self.shape[1]
+        return tuple(a.reshape(n, a.shape[-1]) for a in out)
+
+    def _contract_error(self, detail: str) -> UsageError:
+        return UsageError(
+            f"patch '{self.patch.case}' breaks the SurfacePatch broadcasting "
+            "contract: at(uline(u), v) must broadcast a (nu, 1) u-line against "
+            f"a (1, nv) v-row to {self.shape} + (dim,); {detail}"
+        )
 
 
 def _rich1(f, h: float, richardson: bool):
@@ -153,13 +185,14 @@ def _unit_normal(model: SpaceForm, X, Xu, Xv):
     return n / np.sqrt(np.abs(n2))[..., None]
 
 
-def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float) -> dict:
+def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float,
+           frames: dict | None = None) -> dict:
+    """Shape data at offset (du, dv); ``frames`` collects the stencil frames."""
     model = pr.patch.model
     inner = model.inner
     c = model.c
     h = fd.inner_step
-
-    frames = {}
+    frames = {} if frames is None else frames
 
     def frame(a, b):
         key = (float(a), float(b))
@@ -177,10 +210,14 @@ def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float) -> dict:
 
     g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
     det = g11 * g22 - g12**2
+    if not np.all(np.isfinite(det)):
+        raise ConditioningError("metric determinant is not finite on the grid")
     if np.any(det <= 1e-12 * np.maximum(np.abs(g11 * g22), 1e-300)):
         raise ConditioningError("metric is numerically degenerate on the grid")
 
     eta = sign * _unit_normal(model, X, Xu, Xv)
+    if not np.all(np.isfinite(eta)):
+        raise ConditioningError("unit normal is not finite on the grid")
 
     if c != 0:
         s11 = Xuu + c * g11[..., None] * X
@@ -235,9 +272,28 @@ def _eig_direction(sh, lam):
 
 def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
     """Center-point shape data plus derivatives of the f-field."""
-    sh = _shape(pr, 0.0, 0.0, fd, sign)
+    frames: dict = {}
+    sh = _shape(pr, 0.0, 0.0, fd, sign, frames)
     H = fd.outer_step
     rich = fd.richardson
+
+    # flux coefficients sqrt(g) g^{ij} from first partials only, on the
+    # inner-step stencil frames the center shape already evaluated
+    inner = pr.patch.model.inner
+
+    def coef(a, b):
+        _, Xu, Xv = frames[(float(a), float(b))]
+        g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
+        det = g11 * g22 - g12**2
+        sg = np.sqrt(det)
+        return np.stack([sg * g22 / det, -sg * g12 / det, sg * g11 / det])
+
+    hg = fd.inner_step
+    d_u = _rich1(lambda s: coef(s, 0.0), hg, rich)
+    d_v = _rich1(lambda s: coef(0.0, s), hg, rich)
+    t1, t2 = d_u[0], d_u[1]
+    t3, t4 = d_v[1], d_v[2]
+    frames.clear()
 
     cache: dict = {(0.0, 0.0): sh["f"]}
 
@@ -253,22 +309,6 @@ def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
     Fuu = _rich2(F0, lambda s: F(s, 0.0), H, rich)
     Fvv = _rich2(F0, lambda s: F(0.0, s), H, rich)
     Fuv = _rich_cross(F, H, rich)
-
-    # flux coefficients sqrt(g) g^{ij} from first partials only
-    inner = pr.patch.model.inner
-
-    def coef(a, b):
-        _, Xu, Xv = pr.frame(a, b)
-        g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
-        det = g11 * g22 - g12**2
-        sg = np.sqrt(det)
-        return np.stack([sg * g22 / det, -sg * g12 / det, sg * g11 / det])
-
-    hg = fd.inner_step
-    d_u = _rich1(lambda s: coef(s, 0.0), hg, rich)
-    d_v = _rich1(lambda s: coef(0.0, s), hg, rich)
-    t1, t2 = d_u[0], d_u[1]
-    t3, t4 = d_v[1], d_v[2]
 
     det, g11, g12, g22 = sh["det"], sh["g11"], sh["g12"], sh["g22"]
     sg = np.sqrt(det)
@@ -556,7 +596,7 @@ def verify_patch(
     U, V = UU.ravel(), VV.ravel()
 
     sign = normal_sign(patch, fd)
-    pr = _Probe(patch, U, V)
+    pr = _Probe(patch, ugrid, vgrid)
     sh = _field_bundle(pr, fd, sign)
     model = patch.model
     inner = model.inner
@@ -571,12 +611,18 @@ def verify_patch(
     eig_ok = np.abs(lam2 - lam1) > EIGEN_DEGENERACY * (1.0 + np.abs(f))
 
     residuals: dict = {}
+    nonfinite: dict = {}
+
+    def record(name, values, mask=None):
+        residuals[name] = _summary(values, U, V, mask)
+        bad = ~np.isfinite(values)
+        nonfinite[name] = int(np.count_nonzero(bad if mask is None else bad & mask))
 
     # membership and normal well-definedness
     X, Xu, Xv, eta = sh["X"], sh["Xu"], sh["Xv"], sh["eta"]
     if c != 0:
         member = inner(X, X) - model.quadric_target
-        residuals["model_membership"] = _summary(member, U, V)
+        record("model_membership", member)
         if c == -1 and np.any(X[..., 3] <= 0):
             notes.append("points with nonpositive x4 found")
     north = np.maximum(
@@ -585,7 +631,7 @@ def verify_patch(
     )
     if c != 0:
         north = np.maximum(north, np.abs(inner(eta, X)))
-    residuals["normal_orthogonality"] = _summary(north, U, V)
+    record("normal_orthogonality", north)
 
     # biconservative equation
     Gu, Gv = sh["grad_u"], sh["grad_v"]
@@ -594,31 +640,31 @@ def verify_patch(
     wnorm = np.sqrt(
         np.maximum(sh["g11"] * w1**2 + 2 * sh["g12"] * w1 * w2 + sh["g22"] * w2**2, 0.0)
     )
-    residuals["biconservative"] = _summary(wnorm / (1.0 + np.abs(f) * grad_norm), U, V)
+    record("biconservative", wnorm / (1.0 + np.abs(f) * grad_norm))
 
     # curvature identities
-    residuals["gauss_identity"] = _summary(K + 0.75 * f**2 - c, U, V)
-    residuals["shape_operator_norm"] = _summary(A2 - 2.5 * f**2, U, V)
+    record("gauss_identity", K + 0.75 * f**2 - c)
+    record("shape_operator_norm", A2 - 2.5 * f**2)
     r_eig = np.maximum(np.abs(lam1 + 0.5 * f), np.abs(lam2 - 1.5 * f))
-    residuals["principal_values"] = _summary(r_eig, U, V, mask=noncmc)
+    record("principal_values", r_eig, mask=noncmc)
 
     # df along the second principal direction
     d2u, d2v = _eig_direction(sh, lam2)
     x2f = np.abs(sh["Fu"] * d2u + sh["Fv"] * d2v)
-    residuals["x2f"] = _summary(x2f, U, V, mask=noncmc & eig_ok)
+    record("x2f", x2f, mask=noncmc & eig_ok)
 
     # second-order PDE for f
     pde = f * lap + sh["grad2"] - (16.0 / 9.0) * K * (K - c)
-    residuals["pde"] = _summary(pde, U, V, mask=noncmc)
+    record("pde", pde, mask=noncmc)
 
     # comparisons against builder-declared data
     if isinstance(patch.profile, ProfileCurve):
-        ksol = patch.profile.k(U)
-        residuals["f_vs_profile"] = _summary(f - 2.0 * ksol, U, V)
+        ksol = np.repeat(patch.profile.k(ugrid), nv)
+        record("f_vs_profile", f - 2.0 * ksol)
     for name, ref in patch.reference.items():
         if name not in sh:
             raise UsageError(f"no verifier field named '{name}' to compare against")
-        residuals[f"{name}_vs_reference"] = _summary(sh[name] - ref(U, V), U, V)
+        record(f"{name}_vs_reference", sh[name] - ref(U, V))
 
     # normal part of the bitension field (should NOT vanish for non-CMC)
     bit = lap - f * A2 + 2.0 * c * f
@@ -642,8 +688,19 @@ def verify_patch(
             if gates["non_cmc_points"] > gates["total_points"] // 2:
                 passed &= bitension["min_abs"] > tol * bitension["max_abs"]
             continue
+        # fail closed: a required residual must be evaluated, and finite
+        # wherever its mask does not exclude the point
         entry = residuals.get(name)
-        if entry is None or entry["max"] is None:
+        if entry is None or entry["count"] == 0:
+            passed = False
+            notes.append(f"required residual '{name}' was not evaluated")
+            continue
+        if nonfinite[name]:
+            passed = False
+            notes.append(
+                f"required residual '{name}' is not finite at "
+                f"{nonfinite[name]} unmasked points"
+            )
             continue
         passed &= entry["max"] <= tol
     if c == -1:

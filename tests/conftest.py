@@ -14,6 +14,7 @@ def analytic_patch(case, model, fX, fXu, fXv, u_range, v_range):
         return np.asarray(u, dtype=float)
 
     def at(u, v):
+        u, v = np.broadcast_arrays(u, v)
         return fX(u, v), fXu(u, v), fXv(u, v)
 
     return SurfacePatch(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import biconsurf as bc
-from biconsurf.ambient import EUCLIDEAN3, EUCLIDEAN4, LORENTZ4
+from biconsurf.ambient import EUCLIDEAN3, EUCLIDEAN4, LORENTZ4, _cofactor_complement
 
 E4 = np.eye(4)
 E3 = np.eye(3)
@@ -135,6 +135,33 @@ class TestComplement:
         n = bc.orthonormal_complement(LORENTZ4, [a, b, c], E4[3])
         assert n.shape == (10, 4)
         assert np.max(np.abs(LORENTZ4.inner(n, a))) < 1e-10
+
+    @pytest.mark.parametrize("sig", [EUCLIDEAN4, LORENTZ4])
+    def test_closed_form_matches_det_minors(self, sig):
+        # reference: the signed 3x3 minors taken by np.linalg.det
+        def reference(mat):
+            cols = np.arange(4)
+            w = np.stack(
+                [(-1.0) ** j * np.linalg.det(mat[..., :, cols != j]) for j in range(4)],
+                axis=-1,
+            )
+            return w * sig.metric
+
+        rng = np.random.default_rng(11)
+        n = 400
+        generic = rng.normal(size=(n, 3, 4)) * 10.0 ** rng.uniform(-3, 3, size=(n, 3, 1))
+        a, b = rng.normal(size=(2, n, 4))
+        mix = rng.normal(size=(n, 2, 1))
+        in_span = mix[:, 0] * a + mix[:, 1] * b + 1e-9 * rng.normal(size=(n, 4))
+        nearly_parallel = a + 1e-10 * rng.normal(size=(n, 4))
+        for mat in (
+            generic,
+            np.stack([a, b, in_span], axis=1),
+            np.stack([a, nearly_parallel, b], axis=1),
+        ):
+            got = _cofactor_complement(sig, mat)
+            tol = 1e-12 * np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
+            assert np.all(np.abs(got - reference(mat)) <= tol[:, None])
 
 
 def test_tangency_of_model_tangents():

@@ -202,3 +202,43 @@ class TestExports:
         body = lines[lines.index("end_header") + 1:]
         assert len(body[0].split()) == 5  # x y z K f
         assert body[12].startswith("4 ")
+
+    def test_writers_match_per_float_reference(self, tmp_path):
+        # the per-value "{:.17g}" writers these replaced, kept as the reference
+        def fmt(x):
+            return "{:.17g}".format(float(x))
+
+        def ref_obj(mesh):
+            lines = [f"v {fmt(x)} {fmt(y)} {fmt(z)}" for x, y, z in mesh.vertices]
+            lines += ["f " + " ".join(str(i + 1) for i in q) for q in mesh.quads]
+            names = sorted(mesh.channels)
+            rows = ["vertex," + ",".join(names)]
+            for i in range(len(mesh.vertices)):
+                rows.append(str(i) + "," + ",".join(fmt(mesh.channels[n][i]) for n in names))
+            return "\n".join(lines) + "\n", "\n".join(rows) + "\n"
+
+        def ref_ply_body(mesh):
+            names = sorted(mesh.channels)
+            body = [
+                " ".join([fmt(x), fmt(y), fmt(z)] + [fmt(mesh.channels[n][i]) for n in names])
+                for i, (x, y, z) in enumerate(mesh.vertices)
+            ]
+            body += ["4 " + " ".join(str(i) for i in q) for q in mesh.quads]
+            return "\n".join(body) + "\n"
+
+        special = [-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1, -1 / 3, 2.0**60]
+        rng = np.random.default_rng(3)
+        verts = rng.normal(size=(12, 3)) * 10.0 ** rng.integers(-300, 300, size=(12, 3))
+        verts.ravel()[: len(special)] = special
+        chan = rng.normal(size=12)
+        chan[:3] = [np.nan, -0.0, 5e-324]
+        quads = np.array([[0, 3, 4, 1], [1, 4, 5, 2], [6, 9, 10, 7], [7, 10, 11, 8]])
+        m = bc.Mesh(vertices=verts, quads=quads,
+                    channels={"f": chan, "K": -chan[::-1].copy()}, grid_shape=(4, 3))
+
+        obj, side = write_obj(m, tmp_path / "m.obj")
+        want_obj, want_side = ref_obj(m)
+        assert open(obj).read() == want_obj
+        assert open(side).read() == want_side
+        ply = open(write_ply(m, tmp_path / "m.ply")).read()
+        assert ply.split("end_header\n", 1)[1] == ref_ply_body(m)

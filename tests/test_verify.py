@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import biconsurf as bc
-from biconsurf.verify import FDScheme, fd_for_patch
+from biconsurf.surfaces import SurfacePatch
+from biconsurf.verify import FDScheme, _Probe, fd_for_patch
 
 from conftest import (
     analytic_patch,
@@ -252,3 +254,82 @@ class TestReportSerialization:
             if entry is not None and entry["max"] is not None:
                 recomputed &= entry["max"] <= tol
         assert recomputed == report.passed
+
+
+class TestTensorGridProbe:
+    @pytest.mark.parametrize(
+        "fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline", "h3p_pipeline"]
+    )
+    def test_frames_equal_flattened_grid(self, fix, request):
+        patch = request.getfixturevalue(fix)[-2]
+        u = np.linspace(*patch.u_range, 7)
+        v = np.linspace(*patch.v_range, 5)
+        U, V = np.meshgrid(u, v, indexing="ij")
+        pr = _Probe(patch, u, v)
+        for du, dv in ((0.0, 0.0), (1e-3, 0.0), (-2e-3, 0.25)):
+            want = patch.frame((U + du).ravel(), (V + dv).ravel())
+            got = pr.frame(du, dv)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_non_broadcasting_at_is_usage_error(self):
+        def stacked(u, v):
+            z = np.zeros_like(u)
+            return (np.stack([u, v, z], -1), np.stack([z + 1, z, z], -1),
+                    np.stack([z, z + 1, z], -1))
+
+        def u_only(u, v):
+            z = np.zeros_like(u)
+            return (np.stack([u, z, z], -1), np.stack([z + 1, z, z], -1),
+                    np.stack([z, z + 1, z], -1))
+
+        for at in (stacked, u_only):
+            patch = SurfacePatch(
+                case="fixture_plane", model=bc.R3, u_range=(-1.0, 1.0),
+                v_range=(-1.0, 1.0), uline=np.asarray, at=at,
+                eval_u_domain=(-1e9, 1e9),
+            )
+            with pytest.raises(bc.UsageError, match="broadcasting contract"):
+                bc.verify_patch(patch, 8, 8)
+
+
+class TestFailClosed:
+    def test_nan_xu_patch_raises(self, r3_pipeline):
+        _, patch, _ = r3_pipeline
+
+        def at(line, v):
+            X, Xu, Xv = patch.at(line, v)
+            return X, np.full_like(Xu, np.nan), Xv
+
+        with pytest.raises(bc.ConditioningError, match="determinant"):
+            bc.verify_patch(dataclasses.replace(patch, at=at), 16, 16)
+
+    def test_nan_position_gives_nonfinite_normal(self, s3_pipeline):
+        _, _, patch, _ = s3_pipeline
+
+        def at(line, v):
+            X, Xu, Xv = patch.at(line, v)
+            return np.full_like(X, np.nan), Xu, Xv
+
+        with pytest.raises(bc.ConditioningError, match="normal"):
+            bc.verify_patch(dataclasses.replace(patch, at=at), 8, 8)
+
+    def test_required_residual_without_points_fails(self):
+        # the cylinder is CMC: the non-CMC mask leaves x2f no points
+        rep = bc.verify_patch(cylinder_patch(), 8, 8, tolerances={"x2f": 1.0})
+        assert rep.residuals["x2f"]["count"] == 0
+        assert not rep.passed
+
+    def test_required_residual_never_computed_fails(self):
+        rep = bc.verify_patch(cylinder_patch(), 8, 8, tolerances={"f_vs_profile": 1.0})
+        assert "f_vs_profile" not in rep.residuals
+        assert not rep.passed
+
+    def test_nonfinite_unmasked_residual_fails(self):
+        ref = {"f": lambda u, v: np.where(u > 3.0, np.nan, 1.0)}
+        patch = dataclasses.replace(cylinder_patch(), reference=ref)
+        tol = {"f_vs_reference": 1e-6}
+        rep = bc.verify_patch(patch, 8, 8, tolerances=tol)
+        entry = rep.residuals["f_vs_reference"]
+        assert 0 < entry["count"] < 64 and entry["max"] <= tol["f_vs_reference"]
+        assert not rep.passed
