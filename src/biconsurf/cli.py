@@ -48,6 +48,32 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", type=str, default=None, help="report JSON path")
 
 
+def _pair(value) -> tuple:
+    pair = tuple(float(x) for x in value)
+    if len(pair) != 2:
+        raise ValueError(f"expected two numbers, got {len(pair)}")
+    return pair
+
+
+# config-file key (the flag's name) -> (PipelineConfig field, conversion);
+# an explicit flag wins over the file, and absent keys keep the defaults
+_CONFIG_KEYS = {
+    "model": ("model", str),
+    "branch": ("branch", str),
+    "k0": ("k0", float),
+    "dk0": ("kp0", float),
+    "C": ("C", float),
+    "rho_range": ("rho_range", _pair),
+    "span": ("span", _pair),
+    "nu": ("nu", int),
+    "nv": ("nv", int),
+    "v_range": ("v_range", _pair),
+    "fd_step": ("fd_step", float),
+    "projection": ("projection", str),
+    "tol_profile": ("tol_profile", str),
+}
+
+
 def _config_from_args(args) -> PipelineConfig:
     file_values = {}
     if args.config:
@@ -57,30 +83,24 @@ def _config_from_args(args) -> PipelineConfig:
             raise UsageError(f"cannot read config file: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError("config file must contain a JSON object")
+    known = f"known keys: {', '.join(_CONFIG_KEYS)}"
+    unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
+    if unknown:
+        raise UsageError(f"unknown config key(s) {', '.join(unknown)}; {known}")
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    cfg = PipelineConfig(
-        model=pick(args.model, "model", "s3"),
-        branch=pick(args.branch, "branch", "auto"),
-        k0=float(pick(args.k0, "k0", 1.0)),
-        kp0=float(pick(args.dk0, "dk0", 1.0)),
-        C=float(pick(args.C, "C", 1.0)),
-        rho_range=tuple(pick(args.rho_range, "rho_range", PipelineConfig.rho_range)),
-        span=tuple(pick(args.span, "span", PipelineConfig.span)),
-        nu=int(pick(args.nu, "nu", PipelineConfig.nu)),
-        nv=int(pick(args.nv, "nv", PipelineConfig.nv)),
-        v_range=pick(args.v_range, "v_range", None),
-        fd_step=pick(args.fd_step, "fd_step", None),
-        projection=pick(args.projection, "projection", "auto"),
-        tol_profile=pick(args.tol_profile, "tol_profile", None),
-    )
-    return cfg.validate()
+    fields = {}
+    for key, (name, convert) in _CONFIG_KEYS.items():
+        flag = getattr(args, key)
+        value = flag if flag is not None else file_values.get(key)
+        if value is None:
+            continue
+        try:
+            fields[name] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(
+                f"config key '{key}' has unusable value {value!r} ({exc}); {known}"
+            )
+    return PipelineConfig(**fields).validate()
 
 
 def _out_path(args, default_name: str) -> str:

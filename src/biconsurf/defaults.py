@@ -12,14 +12,16 @@ its noise floor is set by the interpolation error of the integrator.
 
 Finite differencing
 -------------------
-The verifier uses a two-level scheme.  Second derivatives of the immersion
-are taken with the small ``inner`` step (central differences of the analytic
-first partials, Richardson extrapolated), while derivatives of the mean
-curvature field use the larger ``outer`` step: the field is itself the
-product of finite differencing, so differencing it again amplifies whatever
-noise it carries by 1/step^2, and a larger step keeps that amplification
-below the stated tolerances.  Both steps are fractions of the parameter
-rectangle diagonal.
+The verifier uses a two-level scheme.  The small ``inner`` step takes
+central differences of the analytic first partials (Richardson
+extrapolated): they are the second derivatives of a patch without an
+analytic jet, and for a patch with one they are the cross-check the jet
+must match.  Derivatives of the mean curvature field use the larger
+``outer`` step: the field carries the noise of the profile's dense output
+(and of the inner differences, where those supply it), differencing it
+again amplifies that noise by 1/step^2, and a larger step keeps the
+amplification below the stated tolerances.  Both steps are fractions of
+the parameter rectangle diagonal.
 
 Tolerance profiles
 ------------------
@@ -30,7 +32,12 @@ held to 1e-5 (1e-4 for the second-order PDE residual).  The
 ``normal_bitension_min`` entry is relative: the report demands
 min |bitension| > tol * max |bitension| over the grid, since the attainable
 absolute floor scales with the field (it decays toward the flat family's
-outer radius, for example).
+outer radius, for example).  ``second_partials_fd`` bounds the largest
+Euclidean norm, over Xuu, Xuv and Xvv, of inner-step differences minus the
+patch's analytic jet on the grid: 1e-8 for the flat family, 1e-7 for the
+curved ones, whose jets read the integrated frame.  It is evaluated only
+for patches with a jet, so such a profile fails closed on a patch without
+one.
 """
 from __future__ import annotations
 
@@ -79,6 +86,7 @@ TOL_PROFILES = {
         "f_vs_reference": 1e-8,
         "K_vs_reference": 1e-8,
         "normal_orthogonality": 1e-10,
+        "second_partials_fd": 1e-8,
         "normal_bitension_min": 1e-3,
     },
     "s3": {
@@ -91,6 +99,7 @@ TOL_PROFILES = {
         "f_vs_profile": 1e-5,
         "model_membership": 1e-8,
         "normal_orthogonality": 1e-10,
+        "second_partials_fd": 1e-7,
         "normal_bitension_min": 1e-3,
     },
 }

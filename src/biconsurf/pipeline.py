@@ -86,33 +86,22 @@ class PipelineConfig:
         return {"r3": 0, "s3": 1, "h3": -1}[self.model]
 
     def resolved_branch(self) -> Branch:
+        """The profile branch; an explicit h3 branch must match the sign of C."""
         if self.model == "s3":
             return Branch.S2
         if self.model != "h3":
             raise UsageError("profile branches exist only for s3 and h3")
-        if self.branch == "elliptic":
-            return Branch.H2_ELLIPTIC
-        if self.branch == "parabolic":
-            return Branch.H2_PARABOLIC
         C = float(prime_constant(self.k0, self.kp0, -1))
         if C == 0:
             raise UsageError("degenerate initial data: the constant C vanishes")
-        return Branch.H2_ELLIPTIC if C > 0 else Branch.H2_PARABOLIC
-
-    def check_branch_consistency(self) -> None:
-        if self.model != "h3" or self.branch == "auto":
-            return
-        auto = (
-            Branch.H2_ELLIPTIC
-            if float(prime_constant(self.k0, self.kp0, -1)) > 0
-            else Branch.H2_PARABOLIC
-        )
-        asked = Branch.H2_ELLIPTIC if self.branch == "elliptic" else Branch.H2_PARABOLIC
-        if asked is not auto:
+        auto = Branch.H2_ELLIPTIC if C > 0 else Branch.H2_PARABOLIC
+        asked = {"elliptic": Branch.H2_ELLIPTIC, "parabolic": Branch.H2_PARABOLIC}
+        if self.branch != "auto" and asked[self.branch] is not auto:
             raise UsageError(
                 f"branch '{self.branch}' contradicts the sign of the constant "
                 f"of the supplied initial data (auto-resolves to {auto.value})"
             )
+        return auto
 
 
 def _padded_span(cfg: PipelineConfig, case: str, v_range) -> tuple:
@@ -138,7 +127,6 @@ def build_pipeline_patch(cfg: PipelineConfig):
         rect = (tuple(cfg.rho_range), _default_v_range(cfg, None))
         return build_r3_revolution(prof, rect), None
 
-    cfg.check_branch_consistency()
     branch = cfg.resolved_branch()
     case = {"s3": "s3"}.get(cfg.model) or (
         "h3_elliptic" if branch is Branch.H2_ELLIPTIC else "h3_parabolic"

@@ -1,12 +1,12 @@
 """Explicit ambient parametrizations assembled from profile data.
 
-Each patch exposes X(u, v) together with analytic first partials.  The
-curved-model patches sweep the profile curve sigma(u) along circles (sphere
-and hyperboloid with positive constant) or exponential orbits (hyperboloid
-with negative constant) inside the plane spanned by the constant vectors
-C1, C2.  Evaluation is split into a u-dependent part (``uline``) and a cheap
-v-assembly (``at``) so callers that probe many v values per u can reuse the
-dense-output evaluation.
+Each patch exposes X(u, v) together with analytic first and second
+partials.  The curved-model patches sweep the profile curve sigma(u) along
+circles (sphere and hyperboloid with positive constant) or exponential
+orbits (hyperboloid with negative constant) inside the plane spanned by the
+constant vectors C1, C2.  Evaluation is split into a u-dependent part
+(``uline``) and a cheap v-assembly (``at``, ``jet``) so callers that probe
+many v values per u can reuse the dense-output evaluation.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .ambient import R3, SpaceForm
-from .curvature import kappa2
+from .curvature import kappa2, ode_rhs
 from .defaults import V_FULL_TURN, V_PARABOLIC
 from .errors import DomainError, UsageError
 from .profile import Branch, ProfileCurve, RevolutionProfile
@@ -32,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SurfacePatch:
-    """Evaluable parametrization with analytic first partials.
+    """Evaluable parametrization with analytic first (and optionally second) partials.
 
     ``u_range`` x ``v_range`` is the declared parameter rectangle;
     ``eval_u_domain`` is the (possibly larger) interval on which the
@@ -45,6 +45,13 @@ class SurfacePatch:
     ``broadcast(u, v).shape + (dim,)``.  Callers evaluate a tensor grid by
     passing u of shape (nu, 1) and v of shape (1, nv), so the u-dependent
     part (dense output of the profile) runs once per distinct u.
+
+    ``jet``, when set, follows the same contract: ``jet(uline(u), v)``
+    returns the second partials (Xuu, Xuv, Xvv).  Every built patch has one,
+    and its u-line carries the data the jet needs; the verifier then uses
+    the jet in place of finite differences of the first partials and keeps
+    finite differences only as a cross-check.  Patches without a jet
+    (hand-written fixtures) are differenced numerically throughout.
     """
 
     case: str
@@ -59,6 +66,7 @@ class SurfacePatch:
     C2: np.ndarray | None = None
     profile: object = None
     reference: dict = field(default_factory=dict)
+    jet: Callable[[tuple, np.ndarray], tuple] | None = None
 
     def frame(self, u, v):
         """(X, Xu, Xv) at parameter arrays that broadcast against each other."""
@@ -101,15 +109,27 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
 
     def uline(rho):
         rho = np.asarray(rho, dtype=float)
-        return (rho, prof.u_of_rho(rho), prof.du_drho(rho))
+        uprime = prof.du_drho(rho)
+        # u'' = -(C/3) rho^(-1/3) u'^3, from u' = (C rho^(2/3) - 1)^(-1/2)
+        uprime2 = -(C / 3.0) * rho ** (-1.0 / 3.0) * uprime**3
+        return (rho, prof.u_of_rho(rho), uprime, uprime2)
 
     def at(line, v):
-        rho, height, uprime = line
+        rho, height, uprime, _ = line
         cv, sv = np.cos(v), np.sin(v)
         X = np.stack(np.broadcast_arrays(rho * cv, rho * sv, height), axis=-1)
         Xu = np.stack(np.broadcast_arrays(cv, sv, uprime), axis=-1)
         Xv = np.stack(np.broadcast_arrays(-rho * sv, rho * cv, np.zeros_like(rho)), axis=-1)
         return X, Xu, Xv
+
+    def jet(line, v):
+        rho, _, _, uprime2 = line
+        cv, sv = np.cos(v), np.sin(v)
+        zero = np.zeros(np.broadcast(rho, v).shape)
+        Xuu = np.stack(np.broadcast_arrays(zero, zero, uprime2), axis=-1)
+        Xuv = np.stack(np.broadcast_arrays(-sv, cv, zero), axis=-1)
+        Xvv = np.stack(np.broadcast_arrays(-rho * cv, -rho * sv, zero), axis=-1)
+        return Xuu, Xuv, Xvv
 
     def f_ref(u, v):
         return 2.0 / (3.0 * np.sqrt(C) * np.asarray(u, float) ** (4.0 / 3.0))
@@ -128,22 +148,35 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         C=C,
         profile=prof,
         reference={"f": f_ref, "K": K_ref},
+        jet=jet,
     )
 
 
-def _circle_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
-    C, C1, C2 = prof.C, prof.C1, prof.C2
-    sc = 4.0 / (3.0 * np.sqrt(C))
+def _sweep_uline(prof: ProfileCurve, sc: float):
+    """u-line (sigma, T, a, a', T', a'') of a sweep with amplitude a = sc k^(-3/4).
+
+    T' = k n - c sigma is the frame equation of the unit-speed profile, and
+    a'' follows from k'' = ode_rhs(k, k', c).
+    """
+    c = prof.model.c
 
     def uline(u):
         st = prof.state(u)
         k, kp = st[..., 0], st[..., 1]
         a = sc * k**-0.75
-        ap = -kp / (np.sqrt(C) * k**1.75)
-        return (st[..., 2:6], st[..., 6:10], a, ap)
+        ap = -0.75 * sc * kp * k**-1.75
+        app = -0.75 * sc * (ode_rhs(k, kp, c) * k**-1.75 - 1.75 * kp**2 * k**-2.75)
+        Tp = k[..., None] * st[..., 10:14] - c * st[..., 2:6]
+        return (st[..., 2:6], st[..., 6:10], a, ap, Tp, app)
+
+    return uline
+
+
+def _circle_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
+    C, C1, C2 = prof.C, prof.C1, prof.C2
 
     def at(line, v):
-        sigma, T, a, ap = line
+        sigma, T, a, ap = line[:4]
         cv, sv = np.cos(v), np.sin(v)
         swing = C1 * (cv - 1.0)[..., None] + C2 * sv[..., None]
         X = sigma + a[..., None] * swing
@@ -151,18 +184,28 @@ def _circle_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
         Xv = a[..., None] * (-C1 * sv[..., None] + C2 * cv[..., None])
         return X, Xu, Xv
 
+    def jet(line, v):
+        _, _, a, ap, Tp, app = line
+        cv, sv = np.cos(v), np.sin(v)
+        swing = C1 * (cv - 1.0)[..., None] + C2 * sv[..., None]
+        Xuu = Tp + app[..., None] * swing
+        Xuv = ap[..., None] * (-C1 * sv[..., None] + C2 * cv[..., None])
+        Xvv = -a[..., None] * (swing + C1)
+        return Xuu, Xuv, Xvv
+
     return SurfacePatch(
         case=case,
         model=prof.model,
         u_range=prof.span,
         v_range=(float(v_range[0]), float(v_range[1])),
-        uline=uline,
+        uline=_sweep_uline(prof, 4.0 / (3.0 * np.sqrt(C))),
         at=at,
         eval_u_domain=prof.span,
         C=C,
         C1=C1,
         C2=C2,
         profile=prof,
+        jet=jet,
     )
 
 
@@ -187,17 +230,9 @@ def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
     v_range = v_range or V_PARABOLIC
 
     C, C1, C2 = prof.C, prof.C1, prof.C2
-    sc = 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C))
-
-    def uline(u):
-        st = prof.state(u)
-        k, kp = st[..., 0], st[..., 1]
-        b = sc * k**-0.75
-        bp = -0.75 * sc * kp * k**-1.75
-        return (st[..., 2:6], st[..., 6:10], b, bp)
 
     def at(line, v):
-        sigma, T, b, bp = line
+        sigma, T, b, bp = line[:4]
         ev, emv = np.exp(v), np.exp(-v)
         swing = C1 * (ev - 1.0)[..., None] + C2 * (emv - 1.0)[..., None]
         X = sigma + b[..., None] * swing
@@ -205,18 +240,28 @@ def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
         Xv = b[..., None] * (C1 * ev[..., None] - C2 * emv[..., None])
         return X, Xu, Xv
 
+    def jet(line, v):
+        _, _, b, bp, Tp, bpp = line
+        ev, emv = np.exp(v), np.exp(-v)
+        swing = C1 * (ev - 1.0)[..., None] + C2 * (emv - 1.0)[..., None]
+        Xuu = Tp + bpp[..., None] * swing
+        Xuv = bp[..., None] * (C1 * ev[..., None] - C2 * emv[..., None])
+        Xvv = b[..., None] * (C1 * ev[..., None] + C2 * emv[..., None])
+        return Xuu, Xuv, Xvv
+
     return SurfacePatch(
         case="h3_parabolic",
         model=prof.model,
         u_range=prof.span,
         v_range=(float(v_range[0]), float(v_range[1])),
-        uline=uline,
+        uline=_sweep_uline(prof, 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C))),
         at=at,
         eval_u_domain=prof.span,
         C=C,
         C1=C1,
         C2=C2,
         profile=prof,
+        jet=jet,
     )
 
 

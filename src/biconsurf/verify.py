@@ -1,13 +1,17 @@
 """Coordinate-free numerical verification of surface patches.
 
-Everything here is computed from the patch evaluators alone (position and
-analytic first partials); how the patch was built never enters except when
-comparing against its declared reference channels.  Second derivatives of
-the immersion come from Richardson-extrapolated central differences of the
-first partials.  The mean curvature is then treated as a scalar field on the
-parameter rectangle and differentiated again with a larger outer step: it is
-itself finite-difference data, and the second differencing amplifies its
-noise by 1/step^2, so the two steps are kept apart (see defaults).
+Everything here is computed from the patch evaluators alone (position,
+analytic first partials and, when the patch has a ``jet``, analytic second
+partials); how the patch was built never enters except when comparing
+against its declared reference channels.  A patch without a jet gets its
+second partials from Richardson-extrapolated central differences of the
+first partials.  A patch with a jet is differenced the same way once, on the
+centre grid, and the largest Euclidean distance between the differences and
+the jet is the required ``second_partials_fd`` residual: the jet is never
+trusted unchecked.  The mean curvature is then treated as a scalar field on
+the parameter rectangle and differentiated with a larger outer step; the
+second differencing amplifies whatever noise the field carries by
+1/step^2, so the two steps are kept apart (see defaults).
 
 Sign conventions
 ----------------
@@ -60,7 +64,9 @@ __all__ = [
 class FDScheme:
     """Two-level finite-difference configuration.
 
-    ``inner_step`` differences the analytic first partials of X;
+    ``inner_step`` differences the analytic first partials of X (the
+    second partials of a patch without a jet, the jet cross-check
+    otherwise, and the flux coefficients of the Laplacian);
     ``outer_step`` differences the mean-curvature field built on top of
     them.  Richardson extrapolation (steps h and h/2) is applied to both
     levels unless disabled.
@@ -110,9 +116,10 @@ def fd_for_patch(patch: SurfacePatch, inner_step=None, outer_step=None) -> FDSch
 class _Probe:
     """Tensor-grid evaluation with the u-lines cached per u offset.
 
-    ``uline`` runs once per distinct u (shape (nu, 1)); ``at`` broadcasts it
-    against a v-row (shape (1, nv)), and frames come back flattened to
-    (nu * nv, dim) in u-major order, the layout of the verifier's grids.
+    ``uline`` runs once per distinct u (shape (nu, 1)); ``at`` and ``jet``
+    broadcast it against a v-row (shape (1, nv)), and their triples come
+    back flattened to (nu * nv, dim) in u-major order, the layout of the
+    verifier's grids.
     """
 
     def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray):
@@ -129,21 +136,29 @@ class _Probe:
         return self._lines[key]
 
     def frame(self, du: float, dv: float):
+        """(X, Xu, Xv) at the grid shifted by (du, dv)."""
+        return self._grid_eval("at", du, dv)
+
+    def jet(self, du: float, dv: float):
+        """(Xuu, Xuv, Xvv) at the grid shifted by (du, dv)."""
+        return self._grid_eval("jet", du, dv)
+
+    def _grid_eval(self, name: str, du: float, dv: float):
         line = self.line(du)
         try:
-            out = self.patch.at(line, self.v + dv)
+            out = getattr(self.patch, name)(line, self.v + dv)
         except ValueError as exc:
-            raise self._contract_error(f"numpy said: {exc}") from exc
+            raise self._contract_error(name, f"numpy said: {exc}") from exc
         if any(np.shape(a)[:-1] != self.shape for a in out):
-            raise self._contract_error(f"got shapes {[np.shape(a) for a in out]}")
+            raise self._contract_error(name, f"got shapes {[np.shape(a) for a in out]}")
         n = self.shape[0] * self.shape[1]
         return tuple(a.reshape(n, a.shape[-1]) for a in out)
 
-    def _contract_error(self, detail: str) -> UsageError:
+    def _contract_error(self, name: str, detail: str) -> UsageError:
         return UsageError(
             f"patch '{self.patch.case}' breaks the SurfacePatch broadcasting "
-            "contract: at(uline(u), v) must broadcast a (nu, 1) u-line against "
-            f"a (1, nv) v-row to {self.shape} + (dim,); {detail}"
+            f"contract: {name}(uline(u), v) must broadcast a (nu, 1) u-line "
+            f"against a (1, nv) v-row to {self.shape} + (dim,); {detail}"
         )
 
 
@@ -173,6 +188,30 @@ def _rich_cross(f, h: float, richardson: bool):
     return (4.0 * d(0.5 * h) - d_h) / 3.0
 
 
+def _cached_frame(pr: _Probe, frames: dict):
+    """pr.frame, keeping every frame it computes in ``frames``."""
+
+    def frame(a, b):
+        key = (float(a), float(b))
+        if key not in frames:
+            frames[key] = pr.frame(a, b)
+        return frames[key]
+
+    return frame
+
+
+def _second_partials_fd(frame, du: float, dv: float, fd: FDScheme):
+    """(Xuu, Xuv, Xvv) at offset (du, dv) by differencing the first partials."""
+    h, rich = fd.inner_step, fd.richardson
+    Xuu = _rich1(lambda s: frame(du + s, dv)[1], h, rich)
+    Xvv = _rich1(lambda s: frame(du, dv + s)[2], h, rich)
+    Xuv = 0.5 * (
+        _rich1(lambda s: frame(du, dv + s)[1], h, rich)
+        + _rich1(lambda s: frame(du + s, dv)[2], h, rich)
+    )
+    return Xuu, Xuv, Xvv
+
+
 def _unit_normal(model: SpaceForm, X, Xu, Xv):
     """Raw (continuous, unnormalized-orientation) unit normal field."""
     sig = model.ambient
@@ -186,27 +225,22 @@ def _unit_normal(model: SpaceForm, X, Xu, Xv):
 
 
 def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float,
-           frames: dict | None = None) -> dict:
-    """Shape data at offset (du, dv); ``frames`` collects the stencil frames."""
+           frame=None) -> dict:
+    """Shape data at offset (du, dv), frames taken from ``frame`` if given.
+
+    The second partials come from the patch's jet when it has one and from
+    differences of the first partials otherwise.
+    """
     model = pr.patch.model
     inner = model.inner
     c = model.c
-    h = fd.inner_step
-    frames = {} if frames is None else frames
-
-    def frame(a, b):
-        key = (float(a), float(b))
-        if key not in frames:
-            frames[key] = pr.frame(a, b)
-        return frames[key]
+    frame = frame or _cached_frame(pr, {})
 
     X, Xu, Xv = frame(du, dv)
-    Xuu = _rich1(lambda s: frame(du + s, dv)[1], h, fd.richardson)
-    Xvv = _rich1(lambda s: frame(du, dv + s)[2], h, fd.richardson)
-    Xuv = 0.5 * (
-        _rich1(lambda s: frame(du, dv + s)[1], h, fd.richardson)
-        + _rich1(lambda s: frame(du + s, dv)[2], h, fd.richardson)
-    )
+    if pr.patch.jet is not None:
+        Xuu, Xuv, Xvv = pr.jet(du, dv)
+    else:
+        Xuu, Xuv, Xvv = _second_partials_fd(frame, du, dv, fd)
 
     g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
     det = g11 * g22 - g12**2
@@ -218,6 +252,10 @@ def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float,
     eta = sign * _unit_normal(model, X, Xu, Xv)
     if not np.all(np.isfinite(eta)):
         raise ConditioningError("unit normal is not finite on the grid")
+    if not np.all(np.isfinite(X)):
+        raise ConditioningError("position X is not finite on the grid")
+    if not all(np.all(np.isfinite(a)) for a in (Xuu, Xuv, Xvv)):
+        raise ConditioningError("second partials of X are not finite on the grid")
 
     if c != 0:
         s11 = Xuu + c * g11[..., None] * X
@@ -237,6 +275,7 @@ def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float,
     disc = np.sqrt(np.maximum(f**2 - 4.0 * detA, 0.0))
     return {
         "X": X, "Xu": Xu, "Xv": Xv, "eta": eta,
+        "Xuu": Xuu, "Xuv": Xuv, "Xvv": Xvv,
         "g11": g11, "g12": g12, "g22": g22, "det": det,
         "h11": h11, "h12": h12, "h22": h22,
         "a11": a11, "a12": a12, "a21": a21, "a22": a22,
@@ -271,18 +310,31 @@ def _eig_direction(sh, lam):
 
 
 def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
-    """Center-point shape data plus derivatives of the f-field."""
+    """Center-point shape data plus derivatives of the f-field.
+
+    For a patch with a jet, ``second_partials_fd`` holds the per-point
+    largest Euclidean norm of (differenced - jet) over Xuu, Xuv and Xvv.
+    """
     frames: dict = {}
-    sh = _shape(pr, 0.0, 0.0, fd, sign, frames)
+    frame = _cached_frame(pr, frames)
+    sh = _shape(pr, 0.0, 0.0, fd, sign, frame)
     H = fd.outer_step
     rich = fd.richardson
 
+    if pr.patch.jet is not None:
+        fd2 = _second_partials_fd(frame, 0.0, 0.0, fd)
+        sh["second_partials_fd"] = np.max(
+            [np.linalg.norm(d - sh[name], axis=-1)
+             for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
+            axis=0,
+        )
+
     # flux coefficients sqrt(g) g^{ij} from first partials only, on the
-    # inner-step stencil frames the center shape already evaluated
+    # inner-step stencil frames
     inner = pr.patch.model.inner
 
     def coef(a, b):
-        _, Xu, Xv = frames[(float(a), float(b))]
+        _, Xu, Xv = frame(a, b)
         g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
         det = g11 * g22 - g12**2
         sg = np.sqrt(det)
@@ -658,6 +710,8 @@ def verify_patch(
     record("pde", pde, mask=noncmc)
 
     # comparisons against builder-declared data
+    if "second_partials_fd" in sh:
+        record("second_partials_fd", sh["second_partials_fd"])
     if isinstance(patch.profile, ProfileCurve):
         ksol = np.repeat(patch.profile.k(ugrid), nv)
         record("f_vs_profile", f - 2.0 * ksol)

@@ -36,6 +36,13 @@ class TestSolveCommand:
         assert result["C"] == pytest.approx(-248.0 / 225.0, rel=1e-12)
         assert cfg.resolved_branch().value == "h2_parabolic"
 
+    def test_explicit_branch_checked_against_constant_sign(self):
+        ok = PipelineConfig(model="h3", branch="parabolic", k0=0.25, kp0=0.2)
+        assert ok.resolved_branch() is bc.Branch.H2_PARABOLIC
+        bad = PipelineConfig(model="h3", branch="elliptic", k0=0.25, kp0=0.2)
+        with pytest.raises(bc.UsageError, match="contradicts the sign"):
+            bad.resolved_branch()
+
     def test_drift_column_small(self, tmp_path):
         out = tmp_path / "s.csv"
         run("solve", "--model", "s3", "--out", str(out))
@@ -102,6 +109,21 @@ class TestSurfaceCommand:
         assert code == 0
         report = json.loads((tmp_path / "surface.report.json").read_text())
         assert report["case"] == "r3_revolution"
+
+    def test_config_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "s3", "k_0": 0.6}))
+        assert run("verify", "--config", str(cfgfile), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "k_0" in err and "known keys" in err and "k0" in err
+        assert not (tmp_path / "surface.report.json").exists()
+
+    def test_config_unconvertible_value_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "r3", "nu": "abc"}))
+        assert run("verify", "--config", str(cfgfile), "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "'nu'" in err and "known keys" in err
 
 
 class TestProfileCommand:

@@ -74,8 +74,10 @@ class TestClassicalFixtures:
 
 
 class TestFiniteDifferences:
+    # f is exact on a patch with a jet, so the inner-step order is measured
+    # on the same patch with its second partials differenced
     def test_order_two_without_richardson(self, r3_pipeline):
-        _, patch, _ = r3_pipeline
+        patch = dataclasses.replace(r3_pipeline[1], jet=None)
         u, v = 3.0, 1.0
         f_exact = float(patch.reference["f"](np.array(u), v))
 
@@ -87,7 +89,7 @@ class TestFiniteDifferences:
         assert 3.0 < ratio < 5.5
 
     def test_richardson_beats_plain(self, r3_pipeline):
-        _, patch, _ = r3_pipeline
+        patch = dataclasses.replace(r3_pipeline[1], jet=None)
         u, v = 3.0, 1.0
         f_exact = float(patch.reference["f"](np.array(u), v))
         plain = FDScheme(inner_step=2e-2, outer_step=0.05, richardson=False)
@@ -333,3 +335,83 @@ class TestFailClosed:
         entry = rep.residuals["f_vs_reference"]
         assert 0 < entry["count"] < 64 and entry["max"] <= tol["f_vs_reference"]
         assert not rep.passed
+
+    def test_nan_position_on_r3_raises(self, r3_pipeline):
+        # no r3 residual reads X, so only the position check catches this
+        _, patch, _ = r3_pipeline
+
+        def at(line, v):
+            X, Xu, Xv = patch.at(line, v)
+            return np.full_like(X, np.nan), Xu, Xv
+
+        with pytest.raises(bc.ConditioningError, match="position"):
+            bc.verify_patch(dataclasses.replace(patch, at=at), 16, 16)
+
+    def test_one_nan_second_partial_raises(self, s3_pipeline):
+        _, _, patch, _ = s3_pipeline
+
+        def jet(line, v):
+            # one grid point; the one-point orientation probe stays finite
+            Xuu, Xuv, Xvv = patch.jet(line, v)
+            if Xuu.shape[0] > 1:
+                Xuu = Xuu.copy()
+                Xuu[1, 2, 0] = np.nan
+            return Xuu, Xuv, Xvv
+
+        with pytest.raises(bc.ConditioningError, match="second partials"):
+            bc.verify_patch(dataclasses.replace(patch, jet=jet), 16, 16)
+
+
+def _mutated(patch, index, change):
+    """The patch with u-line entry ``index`` replaced by change(line)."""
+
+    def uline(u):
+        line = list(patch.uline(u))
+        line[index] = change(line)
+        return tuple(line)
+
+    return dataclasses.replace(patch, uline=uline)
+
+
+class TestJetCrossCheck:
+    """A builder bug in the second partials must fail the FD cross-check."""
+
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
+                                     "h3p_pipeline"])
+    def test_jet_matches_differences(self, fix, request):
+        report = request.getfixturevalue(fix)[-1]
+        entry = report.residuals["second_partials_fd"]
+        assert entry["count"] == 64 * 64
+        assert entry["max"] <= report.tolerances["second_partials_fd"]
+
+    def test_patch_without_jet_has_no_cross_check(self):
+        rep = bc.verify_patch(sphere_patch(), 8, 8)
+        assert "second_partials_fd" not in rep.residuals
+
+    @staticmethod
+    def assert_rejected(patch):
+        rep = bc.verify_patch(patch, 24, 24)
+        assert rep.residuals["second_partials_fd"]["max"] > \
+            rep.tolerances["second_partials_fd"]
+        assert not rep.passed
+
+    def test_scaled_sweep_amplitude_second_derivative(self, s3_pipeline):
+        # u-line of a sweep: (sigma, T, a, a', T', a'')
+        patch = s3_pipeline[2]
+        self.assert_rejected(_mutated(patch, 5, lambda line: line[5] * (1 + 1e-3)))
+
+    def test_scaled_parabolic_amplitude_second_derivative(self, h3p_pipeline):
+        patch = h3p_pipeline[2]
+        self.assert_rejected(_mutated(patch, 5, lambda line: line[5] * (1 + 1e-3)))
+
+    @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline"])
+    def test_flipped_model_curvature_in_frame_equation(self, fix, request):
+        # T' = k n - c sigma becomes k n + c sigma
+        patch = request.getfixturevalue(fix)[2]
+        c = patch.model.c
+        self.assert_rejected(_mutated(patch, 4, lambda line: line[4] + 2 * c * line[0]))
+
+    def test_negated_height_second_derivative(self, r3_pipeline):
+        # u-line of the revolution: (rho, height, height', height'')
+        patch = r3_pipeline[1]
+        self.assert_rejected(_mutated(patch, 3, lambda line: -line[3]))
