@@ -64,11 +64,25 @@ class Signature:
                 )
 
     def inner(self, a, b):
-        """Bilinear symmetric product sum(eps_i a_i b_i)."""
+        """Bilinear symmetric product sum(eps_i a_i b_i).
+
+        The coordinate products are added left to right starting from +0.0,
+        the order ``np.sum(a * b * self.metric, axis=-1)`` uses, so the
+        result is bit-identical to that reduction (zero signs included; only
+        NaN payload bits may differ) without its temporaries.
+        """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         self._check(a, b)
-        return np.sum(a * b * self.metric, axis=-1)
+        s = 0.0 + a[..., 0] * b[..., 0]
+        s += a[..., 1] * b[..., 1]
+        s += a[..., 2] * b[..., 2]
+        if self.dim == 4:
+            if self.timelike:
+                s -= a[..., 3] * b[..., 3]
+            else:
+                s += a[..., 3] * b[..., 3]
+        return s
 
     def norm(self, a):
         """sqrt(|<a, a>|); for Lorentz vectors this is the modulus norm."""

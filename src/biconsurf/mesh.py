@@ -4,10 +4,18 @@ The 4-dimensional cases are projected to 3-space for inspection only; all
 verification runs on the unprojected patch.  The sphere uses stereographic
 projection (default pole -e4, configurable); the hyperboloid uses the
 Poincare ball chart (x1, x2, x3)/(1 + x4).
+
+The writers print floats as ``"{:.17g}".format(x)`` would.  A ``Mesh``
+formats each float table (vertices, channels) once, on the first write that
+needs it, and every later OBJ, sidecar or PLY write reuses that text; the
+mesh holds read-only copies of its arrays, so the text cannot go stale.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,30 +42,65 @@ def _rows(table, row: str) -> str:
     return (row * len(table)) % tuple(table.ravel().tolist())
 
 
+def _float_rows(table) -> list:
+    """Each row of a 2-D float table as its ``%.17g`` values joined by spaces."""
+    return _rows(table, " ".join(["%.17g"] * table.shape[1]) + "\n").splitlines()
+
+
+def _read_only(values) -> np.ndarray:
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Grid mesh: projected vertices, quad faces, per-vertex scalar channels."""
+    """Grid mesh: projected vertices, quad faces, per-vertex scalar channels.
+
+    The mesh keeps read-only copies of the arrays it is given and a
+    read-only ``channels`` mapping, so writing into a mesh raises.  That
+    keeps the text the writers cache on it (the ``%.17g`` rows of the
+    vertices and of the channels, formatted once per mesh) equal to the
+    arrays.
+    """
 
     vertices: np.ndarray          # (N, 3)
     quads: np.ndarray             # (M, 4) int indices
-    channels: dict = field(default_factory=dict)
+    channels: Mapping[str, np.ndarray] = field(default_factory=dict)
     grid_shape: tuple[int, int] = (0, 0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", _read_only(self.vertices))
+        object.__setattr__(self, "quads", _read_only(self.quads))
+        object.__setattr__(self, "channels", MappingProxyType(
+            {name: _read_only(values) for name, values in self.channels.items()}
+        ))
 
     def triangles(self) -> np.ndarray:
         q = self.quads
         return np.concatenate([q[:, [0, 1, 2]], q[:, [0, 2, 3]]], axis=0)
+
+    @cached_property
+    def _vertex_rows(self) -> list:
+        return _float_rows(self.vertices)
+
+    @cached_property
+    def _channel_rows(self) -> list:
+        """Channel values per vertex, in sorted channel-name order."""
+        return _float_rows(np.column_stack([self.channels[n] for n in sorted(self.channels)]))
 
 
 def stereographic(points: np.ndarray, pole: np.ndarray | None = None) -> np.ndarray:
     """Stereographic chart of the unit 3-sphere from ``pole``.
 
     The point diametrically opposite the pole maps to the origin.  Points
-    at the pole itself are singular; callers should check beforehand.
+    at the pole itself are singular; callers should check beforehand.  A
+    pole that is not a 4-vector of finite, nonzero length raises
+    ``UsageError``.
     """
     points = np.asarray(points, dtype=float)
-    if pole is None:
-        pole = np.array([0.0, 0.0, 0.0, -1.0])
-    pole = np.asarray(pole, dtype=float) / np.linalg.norm(pole)
+    pole = _pole(pole)
+    pole = pole / np.linalg.norm(pole)
     t = points @ pole
     denom = 1.0 - t
     rest = points - t[..., None] * pole
@@ -65,6 +108,26 @@ def stereographic(points: np.ndarray, pole: np.ndarray | None = None) -> np.ndar
     basis = [e for e in np.eye(4) if abs(e @ pole) < 1 - 1e-12][:3]
     frame = np.stack(_gram_schmidt(basis, pole), axis=0)
     return (rest @ frame.T) / denom[..., None]
+
+
+def _pole(pole) -> np.ndarray:
+    """The stereographic pole as a float 4-vector (default -e4).
+
+    Raises ``UsageError`` unless it is a 4-vector of finite, nonzero length.
+    """
+    if pole is None:
+        return np.array([0.0, 0.0, 0.0, -1.0])
+    try:
+        p = np.asarray(pole, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError(f"projection pole {pole!r} is not a numeric 4-vector") from None
+    if p.shape != (4,):
+        raise UsageError(f"projection pole must be a 4-vector, got shape {p.shape}")
+    with np.errstate(all="ignore"):
+        length = np.linalg.norm(p)
+    if not (np.isfinite(length) and length > 0.0):
+        raise UsageError(f"projection pole {p.tolist()} has no finite, nonzero length")
+    return p
 
 
 def _gram_schmidt(vectors, pole):
@@ -129,7 +192,7 @@ def sample_mesh(
             raise UsageError("identity projection needs 3-dimensional points")
         verts = X
     elif projection == "stereographic":
-        p = pole if pole is not None else np.array([0.0, 0.0, 0.0, -1.0])
+        p = _pole(pole)
         gap = np.min(1.0 - X @ (p / np.linalg.norm(p)))
         if gap < 1e-6:
             raise ProjectionError(
@@ -160,18 +223,15 @@ def write_obj(mesh: Mesh, path, sidecar=None) -> list:
     """ASCII OBJ with quad faces; channels go to a CSV sidecar file."""
     path = str(path)
     with open(path, "w") as fh:
-        fh.write(_rows(mesh.vertices, "v" + " %.17g" * 3 + "\n"))
+        fh.writelines(f"v {row}\n" for row in mesh._vertex_rows)
         fh.write(_rows(mesh.quads + 1, "f" + " %d" * mesh.quads.shape[1] + "\n"))
     written = [path]
     if mesh.channels:
         side = str(sidecar) if sidecar is not None else path + ".channels.csv"
-        names = sorted(mesh.channels)
-        table = np.column_stack(
-            [np.arange(len(mesh.vertices))] + [mesh.channels[n] for n in names]
-        )
+        body = "".join([f"{i} {row}\n" for i, row in enumerate(mesh._channel_rows)])
         with open(side, "w") as fh:
-            fh.write("vertex," + ",".join(names) + "\n")
-            fh.write(_rows(table, "%d" + ",%.17g" * len(names) + "\n"))
+            fh.write("vertex," + ",".join(sorted(mesh.channels)) + "\n")
+            fh.write(body.replace(" ", ","))
         written.append(side)
     return written
 
@@ -194,9 +254,12 @@ def write_ply(mesh: Mesh, path) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    table = np.column_stack([mesh.vertices] + [mesh.channels[n] for n in names])
+    if names:
+        body = (f"{v} {c}\n" for v, c in zip(mesh._vertex_rows, mesh._channel_rows))
+    else:
+        body = (f"{v}\n" for v in mesh._vertex_rows)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        fh.write(_rows(table, " ".join(["%.17g"] * table.shape[1]) + "\n"))
+        fh.writelines(body)
         fh.write(_rows(mesh.quads, "4" + " %d" * mesh.quads.shape[1] + "\n"))
     return path

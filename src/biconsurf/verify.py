@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import SpaceForm, _cofactor_complement
+from .ambient import Signature, SpaceForm, _cofactor_complement
 from .defaults import (
     EIGEN_DEGENERACY,
     FD_INNER_REL,
@@ -323,9 +323,9 @@ def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
 
     if pr.patch.jet is not None:
         fd2 = _second_partials_fd(frame, 0.0, 0.0, fd)
+        euclid = Signature(pr.patch.model.ambient.dim)
         sh["second_partials_fd"] = np.max(
-            [np.linalg.norm(d - sh[name], axis=-1)
-             for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
+            [euclid.norm(d - sh[name]) for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
             axis=0,
         )
 

@@ -45,6 +45,46 @@ class TestInner:
         out = LORENTZ4.inner(pts, pts)
         assert out.shape == (5, 7)
 
+    @pytest.mark.parametrize("sig", [EUCLIDEAN3, EUCLIDEAN4, LORENTZ4])
+    def test_matches_sum_reference(self, sig):
+        # the np.sum reduction the coordinate sum replaced, kept as the
+        # reference: equal values, equal zero signs, equal shapes
+        def reference(a, b):
+            return np.sum(a * b * sig.metric, axis=-1)
+
+        d = sig.dim
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                            1e308, -1e308, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        rand = rng.normal(size=(64, d)) * 10.0 ** rng.integers(-20, 20, size=(64, d))
+        spec_a = rng.choice(special, size=(2000, d))
+        spec_b = rng.choice(special, size=(2000, d))
+        wide = rng.normal(size=(3, 2 * d))
+        pairs = [
+            (rand, rand[::-1]),
+            (spec_a, spec_b),
+            (-np.zeros((4, d)), np.ones(d)),
+            (rand, rng.normal(size=d)),
+            (rand[:5, None, :], rand[None, :7, :]),
+            (np.asfortranarray(rand), rand[::-1]),
+            (wide[:, ::2], wide[:, 1::2]),
+            (rand.T.copy().T, np.broadcast_to(rand[0], rand.shape)),
+            (rand[0], rand[1]),
+            (special[:d], special[-d:]),
+        ]
+        with np.errstate(all="ignore"):
+            for a, b in pairs:
+                got, want = np.asarray(sig.inner(a, b)), np.asarray(reference(a, b))
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got[got == 0]),
+                                      np.signbit(want[want == 0]))
+            if not sig.timelike:
+                # the verifier's second_partials_fd takes Euclidean norms so
+                for a in (rand, spec_a):
+                    assert np.array_equal(sig.norm(a), np.linalg.norm(a, axis=-1),
+                                          equal_nan=True)
+
 
 class TestSpaceForm:
     def test_curvature_to_ambient(self):

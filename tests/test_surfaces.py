@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,15 @@ class TestMesh:
             sample_mesh(patch, 9, 9, projection="stereographic", pole=X0)
         assert "pole=" in str(err.value)
 
+    @pytest.mark.parametrize("pole", [np.zeros(4), [0.0, 0.0, 0.0, np.nan], [0.0, 0.0, 1.0]])
+    def test_malformed_pole_is_usage_error(self, s3_pipeline, pole):
+        _, _, patch, _ = s3_pipeline
+        with pytest.raises(bc.UsageError):
+            sample_mesh(patch, 9, 9, pole=pole)
+        X = patch.X(np.array(patch.u_range[0]), np.array(patch.v_range[0]))
+        with pytest.raises(bc.UsageError):
+            stereographic(X, pole)
+
     def test_grid_validation(self, r3_pipeline):
         _, patch, _ = r3_pipeline
         with pytest.raises(bc.UsageError):
@@ -188,7 +199,7 @@ class TestExports:
         first_face = next(t for t in text if t.startswith("f "))
         assert min(int(s) for s in first_face.split()[1:]) >= 1
         sidecar = [p for p in paths if p.endswith(".csv")]
-        assert sidecar and "vertex,f" in open(sidecar[0]).readline()
+        assert sidecar and Path(sidecar[0]).read_text().startswith("vertex,f\n")
 
     def test_ply_structure(self, r3_pipeline, tmp_path):
         _, patch, _ = r3_pipeline
@@ -233,12 +244,43 @@ class TestExports:
         chan = rng.normal(size=12)
         chan[:3] = [np.nan, -0.0, 5e-324]
         quads = np.array([[0, 3, 4, 1], [1, 4, 5, 2], [6, 9, 10, 7], [7, 10, 11, 8]])
-        m = bc.Mesh(vertices=verts, quads=quads,
-                    channels={"f": chan, "K": -chan[::-1].copy()}, grid_shape=(4, 3))
+        # with and without channels; both writers reuse the text the mesh
+        # caches, so either may run first
+        for with_channels, ply_first in [(True, False), (True, True),
+                                         (False, False), (False, True)]:
+            out = tmp_path / f"{with_channels}-{ply_first}"
+            out.mkdir()
+            channels = {"f": chan, "K": -chan[::-1].copy()} if with_channels else {}
+            m = bc.Mesh(vertices=verts, quads=quads, channels=channels, grid_shape=(4, 3))
+            if ply_first:
+                ply = write_ply(m, out / "m.ply")
+            written = write_obj(m, out / "m.obj")
+            if not ply_first:
+                ply = write_ply(m, out / "m.ply")
+            want_obj, want_side = ref_obj(m)
+            assert Path(written[0]).read_text() == want_obj
+            if with_channels:
+                assert Path(written[1]).read_text() == want_side
+            else:
+                assert written == [str(out / "m.obj")]
+                assert not (out / "m.obj.channels.csv").exists()
+            header, body = Path(ply).read_text().split("end_header\n", 1)
+            assert body == ref_ply_body(m)
+            assert ("property float K" in header) == with_channels
 
-        obj, side = write_obj(m, tmp_path / "m.obj")
-        want_obj, want_side = ref_obj(m)
-        assert open(obj).read() == want_obj
-        assert open(side).read() == want_side
-        ply = open(write_ply(m, tmp_path / "m.ply")).read()
-        assert ply.split("end_header\n", 1)[1] == ref_ply_body(m)
+    def test_mesh_is_read_only(self, tmp_path):
+        # a write caches the formatted floats, so mutating a mesh afterwards
+        # must raise instead of leaving that text behind the arrays
+        verts = np.zeros((4, 3))
+        chan = np.ones(4)
+        m = bc.Mesh(vertices=verts, quads=np.array([[0, 2, 3, 1]]),
+                    channels={"f": chan}, grid_shape=(2, 2))
+        write_obj(m, tmp_path / "m.obj")
+        for array in (m.vertices, m.quads, m.channels["f"]):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        with pytest.raises(TypeError):
+            m.channels["g"] = chan
+        # the mesh holds copies, so the caller's arrays stay writable
+        verts[0, 0] = chan[0] = 7.0
+        assert m.vertices[0, 0] == 0.0 and m.channels["f"][0] == 1.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestReportSerialization:
     def test_save(self, r3_pipeline, tmp_path):
         _, _, report = r3_pipeline
         path = report.save(tmp_path / "r.json")
-        assert json.loads(open(path).read())["pass"] is True
+        assert json.loads(Path(path).read_text())["pass"] is True
 
     def test_skipped_entries_serialize(self):
         rep = bc.verify_patch(cylinder_patch(), 8, 8)
