@@ -14,6 +14,17 @@ so solutions live where P >= 0.  This module integrates the ODE with an
 adaptive embedded Runge-Kutta scheme (dense output, event detection) and
 exposes C, the admissible k-interval, and the derived quantities kappa2 and
 W used by the surface constructions.
+
+The right-hand sides handed to the solvers (here and in the profile frame
+integration) run on plain Python floats: ``ode_rhs`` and ``prime_poly`` take
+a scalar path for floats that is bit-identical to their array formula.
+Squares are ``x * x``, exactly numpy's ``x**2``, and powers are
+``np.power``: numpy's vectorised power loop and the C library's ``pow``
+(behind Python's float ``**``) disagree in the last bit for a few percent of
+inputs, and the drift-limited solves amplify such differences into
+different step sequences.  ``ode_rhs`` checks that k is positive (for floats
+one comparison); inside the solves the right-hand side clamps k at 1e-300
+and the ``k_floor`` event stops the integration first.
 """
 from __future__ import annotations
 
@@ -51,18 +62,27 @@ def _internal_tols(rel_tol: float, abs_tol: float) -> tuple[float, float]:
     return max(rel_tol * _TOL_SAFETY, _RTOL_FLOOR), abs_tol * _TOL_SAFETY
 
 
+_K_POSITIVE = "geodesic curvature k must be positive"
+
+
 def _require_positive_k(k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
-        raise DomainError("geodesic curvature k must be positive")
+        raise DomainError(_K_POSITIVE)
     return k
 
 
 def ode_rhs(k, kp, c: int):
-    """Second derivative k'' = ((7/4) kp^2 + (4c/3) k^2 - 4 k^4) / k."""
-    k = _require_positive_k(k)
-    kp = np.asarray(kp, dtype=float)
-    return (1.75 * kp**2 + (4.0 * c / 3.0) * k**2 - 4.0 * k**4) / k
+    """Second derivative k'' = ((7/4) kp^2 + (4c/3) k^2 - 4 k^4) / k.
+
+    Floats take a scalar path, bit-identical to the array one.
+    """
+    if isinstance(k, float) and isinstance(kp, float):
+        if k <= 0:
+            raise DomainError(_K_POSITIVE)
+    else:
+        k, kp = _require_positive_k(k), np.asarray(kp, dtype=float)
+    return (1.75 * (kp * kp) + (4.0 * c / 3.0) * (k * k) - 4.0 * np.power(k, 4)) / k
 
 
 def prime_constant(k, kp, c: int):
@@ -73,9 +93,13 @@ def prime_constant(k, kp, c: int):
 
 
 def prime_poly(k, C: float, c: int):
-    """P(k) = -(16c/9) k^2 - 16 k^4 + C k^(7/2); equals (k')^2 on solutions."""
-    k = np.asarray(k, dtype=float)
-    return -(16.0 * c / 9.0) * k**2 - 16.0 * k**4 + C * k**3.5
+    """P(k) = -(16c/9) k^2 - 16 k^4 + C k^(7/2); equals (k')^2 on solutions.
+
+    Floats take a scalar path, bit-identical to the array one.
+    """
+    if not isinstance(k, float):
+        k = np.asarray(k, dtype=float)
+    return -(16.0 * c / 9.0) * (k * k) - 16.0 * np.power(k, 4) + C * np.power(k, 3.5)
 
 
 def kappa2(k, C: float):
@@ -176,7 +200,7 @@ class _TwoSidedDense:
         # after clipping, negative u only occurs when a left branch exists
         uu = np.clip(uu, lo, hi)
         some = self._right if self._right is not None else self._left
-        nstate = some.sol(some.t[0]).shape[0]
+        nstate = some.y.shape[0]
         out = np.empty((nstate, uu.size))
         flat = uu.ravel()
         neg = flat < 0.0
@@ -290,7 +314,8 @@ def solve_curvature(
     C = float(prime_constant(k0, kp0, c))
 
     def rhs(u, y):
-        return [y[1], float(ode_rhs(max(y[0], 1e-300), y[1], c))]
+        k, kp = y.tolist()
+        return [kp, ode_rhs(max(k, 1e-300), kp, c)]
 
     rtol_i, atol_i = _internal_tols(rel_tol, abs_tol)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import defaults
 from .curvature import prime_constant, solve_curvature
 from .errors import UsageError
-from .mesh import sample_mesh, write_obj, write_ply
+from .mesh import _rows, sample_mesh, write_obj, write_ply
 from .profile import Branch, reconstruct_profile, revolution_profile
 from .surfaces import build_h3, build_r3_revolution, build_s3
 from .verify import fd_for_patch, fd_scheme, verify_patch
@@ -31,11 +31,22 @@ def _fmt(x) -> str:
     return _FMT.format(float(x))
 
 
-def _write_lines(path, lines) -> str:
+def _write_lines(path, lines, table=None) -> str:
+    """Write ``lines``, then the float ``table`` (if any) as ``%.17g`` CSV rows."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if table is not None:
+        table = np.column_stack(table)
+        text += _rows(table, ",".join(["%.17g"] * table.shape[1]) + "\n")
+    path.write_text(text)
     return str(path)
+
+
+# numeric fields that must hold finite numbers (None where optional)
+_FINITE_FIELDS = (
+    "k0", "kp0", "C", "span", "rho_range", "v_range", "fd_step", "rel_tol", "abs_tol",
+)
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,10 @@ class PipelineConfig:
     n_csv: int = 512
 
     def validate(self) -> "PipelineConfig":
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise UsageError(f"{name} must be finite, got {value!r}")
         if self.model not in ("r3", "s3", "h3"):
             raise UsageError(f"unknown model '{self.model}'")
         if self.branch not in ("auto", "elliptic", "parabolic"):
@@ -165,11 +180,7 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
         f"rel_tol={_fmt(sol.rel_tol)}",
         "u,k,kp,C_drift",
     ]
-    for i, u in enumerate(grid):
-        lines.append(
-            ",".join([_fmt(u), _fmt(st[i, 0]), _fmt(st[i, 1]), _fmt(drift[i])])
-        )
-    path = _write_lines(out, lines)
+    path = _write_lines(out, lines, [grid, st[:, 0], st[:, 1], drift])
     max_drift = float(np.max(np.abs(drift)))
     ok = max_drift <= 100.0 * sol.rel_tol * max(1.0, abs(sol.C))
     return {
@@ -190,8 +201,7 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
         rho = np.linspace(cfg.rho_range[0], cfg.rho_range[1], cfg.n_csv)
         u = prof.u_of_rho(rho)
         lines = [f"# model=r3 C={_fmt(cfg.C)}", "rho,u"]
-        lines += [",".join([_fmt(r), _fmt(h)]) for r, h in zip(rho, u)]
-        return {"csv": _write_lines(out, lines), "ok": True}
+        return {"csv": _write_lines(out, lines, [rho, u]), "ok": True}
 
     patch, sol = build_pipeline_patch(cfg)
     prof = patch.profile
@@ -203,15 +213,8 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
         f"k0={_fmt(cfg.k0)} kp0={_fmt(cfg.kp0)}",
         "u,x1,x2,x3,x4,res_c1,res_c2,res_model,res_speed",
     ]
-    for i, u in enumerate(grid):
-        row = [_fmt(u)] + [_fmt(x) for x in sig[i]]
-        row += [
-            _fmt(res["constraint_c1"][i]),
-            _fmt(res["constraint_c2"][i]),
-            _fmt(res["model_membership"][i]),
-            _fmt(res["unit_speed"][i]),
-        ]
-        lines.append(",".join(row))
+    names = ("constraint_c1", "constraint_c2", "model_membership", "unit_speed")
+    path = _write_lines(out, lines, [grid, sig] + [res[name] for name in names])
     worst = max(float(np.max(np.abs(r))) for r in res.values())
     ok = (
         float(np.max(np.abs(res["constraint_c1"]))) <= defaults.CONSTRAINT_TOL
@@ -219,7 +222,7 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
         and float(np.max(np.abs(res["model_membership"]))) <= defaults.MEMBERSHIP_TOL
         and float(np.max(np.abs(res["unit_speed"]))) <= defaults.MEMBERSHIP_TOL
     )
-    return {"csv": _write_lines(out, lines), "worst_residual": worst, "ok": bool(ok)}
+    return {"csv": path, "worst_residual": worst, "ok": bool(ok)}
 
 
 def cmd_surface(

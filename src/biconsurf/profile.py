@@ -354,13 +354,16 @@ def reconstruct_profile(
 
     c = model.c
 
+    # sigma' = T, T' = k n - c sigma, n' = -k T, one float per component
     def rhs(u, y):
-        k, kp = max(y[0], 1e-300), y[1]
-        sig, T, n = y[2:6], y[6:10], y[10:14]
-        dT = k * n - c * sig
-        return np.concatenate(
-            [[kp, float(ode_rhs(k, kp, c))], T, dT, -k * T]
-        )
+        k, kp, s1, s2, s3, s4, t1, t2, t3, t4, n1, n2, n3, n4 = y.tolist()
+        k = max(k, 1e-300)
+        return [
+            kp, ode_rhs(k, kp, c),
+            t1, t2, t3, t4,
+            k * n1 - c * s1, k * n2 - c * s2, k * n3 - c * s3, k * n4 - c * s4,
+            -k * t1, -k * t2, -k * t3, -k * t4,
+        ]
 
     def floor(u, y):
         return y[0] - K_FLOOR

@@ -126,6 +126,28 @@ class TestSurfaceCommand:
         assert "'nu'" in err and "known keys" in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, field", [
+        (["solve", "--model", "s3", "--k0", "nan"], "k0"),
+        (["solve", "--model", "s3", "--k0", "inf"], "k0"),
+        (["solve", "--model", "h3", "--dk0", "nan"], "kp0"),
+        (["solve", "--model", "s3", "--span", "-1", "nan"], "span"),
+        (["profile", "--model", "r3", "--C", "nan"], "C"),
+        (["profile", "--model", "r3", "--rho-range", "1", "inf"], "rho_range"),
+        (["surface", "--model", "s3", "--v-range", "0", "inf"], "v_range"),
+        (["surface", "--model", "s3", "--fd-step", "nan"], "fd_step"),
+    ])
+    def test_cli_exits_two_naming_the_field(self, tmp_path, capsys, argv, field):
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    def test_tolerances(self, field):
+        with pytest.raises(bc.UsageError, match=f"{field} must be finite"):
+            PipelineConfig(**{field: math.inf}).validate()
+
+
 class TestProfileCommand:
     def test_r3_profile_csv(self, tmp_path):
         out = tmp_path / "p.csv"

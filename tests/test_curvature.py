@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biconsurf as bc
+from biconsurf import curvature, profile
 
 
 class TestRhs:
@@ -18,6 +19,8 @@ class TestRhs:
     def test_positivity_guard(self):
         with pytest.raises(bc.DomainError):
             bc.ode_rhs(0.0, 1.0, 1)
+        with pytest.raises(bc.DomainError):
+            bc.ode_rhs(np.array([1.0, -1.0]), 1.0, 1)
         with pytest.raises(bc.DomainError):
             bc.prime_constant(-1.0, 1.0, 1)
 
@@ -209,3 +212,90 @@ class TestSolve:
         sol = bc.solve_curvature(c, k0, kp0, (-0.5, 0.5))
         assert sol.drift() <= 1e-8 * max(1.0, abs(sol.C))
         assert np.all(sol.k_samples > 0)
+
+
+# The array expressions of ode_rhs and prime_poly before their float paths,
+# kept as the references: the solvers used to evaluate them on 0-d arrays, so
+# float paths that match them bit for bit leave every solve unchanged.
+def reference_kpp(k, kp, c):
+    k = np.asarray(k, dtype=float)
+    kp = np.asarray(kp, dtype=float)
+    return (1.75 * kp**2 + (4.0 * c / 3.0) * k**2 - 4.0 * k**4) / k
+
+
+def reference_prime_poly(k, C, c):
+    k = np.asarray(k, dtype=float)
+    return -(16.0 * c / 9.0) * k**2 - 16.0 * k**4 + C * k**3.5
+
+
+def reference_rhs(c, size):
+    """The solvers' old right-hand sides: curvature (2) or profile frame (14)."""
+    if size == 2:
+        def rhs(u, y):
+            return [y[1], float(reference_kpp(max(y[0], 1e-300), y[1], c))]
+    else:
+        def rhs(u, y):
+            k, kp = max(y[0], 1e-300), y[1]
+            sig, T, n = y[2:6], y[6:10], y[10:14]
+            return np.concatenate(
+                [[kp, float(reference_kpp(k, kp, c))], T, k * n - c * sig, -k * T]
+            )
+    return rhs
+
+
+class TestFloatPaths:
+    rng = np.random.default_rng(11)
+    k = 10.0 ** rng.uniform(-26.0, 2.0, 4000)
+    kp = rng.normal(size=4000) * 10.0 ** rng.uniform(-3.0, 3.0, 4000)
+    C = rng.normal(size=4000) * 10.0 ** rng.uniform(-2.0, 3.0, 4000)
+
+    @pytest.mark.parametrize("c", [-1, 0, 1])
+    def test_ode_rhs_matches_reference(self, c):
+        k, kp = self.k, self.kp
+        want = reference_kpp(k, kp, c)
+        assert np.array_equal(bc.ode_rhs(k, kp, c), want)
+        assert np.array_equal(bc.ode_rhs(k[:, None], kp[None, :40], c),
+                              reference_kpp(k[:, None], kp[None, :40], c))
+        floats = [bc.ode_rhs(a, b, c) for a, b in zip(k.tolist(), kp.tolist())]
+        zero_d = [bc.ode_rhs(np.asarray(a), np.asarray(b), c) for a, b in zip(k, kp)]
+        assert np.array_equal(floats, want)
+        assert np.array_equal(zero_d, want)
+
+    @pytest.mark.parametrize("c", [-1, 0, 1])
+    def test_prime_poly_matches_reference(self, c):
+        k, C = self.k, self.C
+        want = reference_prime_poly(k, C, c)
+        assert np.array_equal(bc.prime_poly(k, C, c), want)
+        assert np.array_equal(bc.prime_poly(k[:, None], C[None, :40], c),
+                              reference_prime_poly(k[:, None], C[None, :40], c))
+        # the solvers' inadmissible event passes numpy float64 scalars
+        for ks in (k.tolist(), list(k), [np.asarray(a) for a in k]):
+            got = [bc.prime_poly(a, b, c) for a, b in zip(ks, C.tolist())]
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("c, k0, kp0, branch", [
+        (1, 1.0, 1.0, bc.Branch.S2),
+        (-1, 1.0, 1.0, bc.Branch.H2_ELLIPTIC),
+        (-1, 0.25, 0.2, bc.Branch.H2_PARABOLIC),
+    ])
+    def test_solves_match_reference_rhs(self, monkeypatch, c, k0, kp0, branch):
+        from scipy.integrate import solve_ivp
+
+        def build():
+            sol = bc.solve_curvature(c, k0, kp0, (-3.0, 3.0))
+            return sol, bc.reconstruct_profile(sol, branch)
+
+        def solve_ivp_reference(fun, t_span, y0, **kwargs):
+            return solve_ivp(reference_rhs(c, len(y0)), t_span, y0, **kwargs)
+
+        sol, prof = build()
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "solve_ivp", solve_ivp_reference)
+            m.setattr(profile, "solve_ivp", solve_ivp_reference)
+            ref_sol, ref_prof = build()
+        for got, want in [(sol.u, ref_sol.u), (sol.k_samples, ref_sol.k_samples),
+                          (sol.kp_samples, ref_sol.kp_samples), (prof.u, ref_prof.u)]:
+            assert np.array_equal(got, want)
+        grid = np.unique(np.concatenate([np.linspace(*ref_prof.span, 301), ref_prof.u]))
+        assert np.array_equal(sol.state(grid), ref_sol.state(grid))
+        assert np.array_equal(prof.state(grid), ref_prof.state(grid))
