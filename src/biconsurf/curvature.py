@@ -43,6 +43,8 @@ __all__ = [
     "admissible_interval",
     "kappa2",
     "w_value",
+    "CurvatureProblem",
+    "curvature_problem",
     "CurvatureSolution",
     "solve_curvature",
 ]
@@ -213,12 +215,152 @@ class _TwoSidedDense:
         return result[0] if scalar else result
 
 
+@dataclass(frozen=True)
+class CurvatureProblem:
+    """Validated initial data of the curvature ODE, not yet integrated.
+
+    ``span`` is the target interval around u = 0.  A
+    :class:`CurvatureSolution` has the same fields, with ``span`` the
+    interval actually covered, so either one can seed
+    :func:`~biconsurf.profile.reconstruct_profile`.
+    """
+
+    c: int
+    C: float
+    k0: float
+    kp0: float
+    span: tuple[float, float]
+    rel_tol: float = ODE_RTOL
+    abs_tol: float = ODE_ATOL
+
+
+def _conserved_constant(c: int, k0: float, kp0: float) -> float:
+    """C of the initial data; a non-finite C is a DomainError naming the data."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = float(prime_constant(k0, kp0, c))
+    if not np.isfinite(C):
+        raise DomainError(
+            f"the conserved constant C of k0={k0!r}, kp0={kp0!r} is not finite"
+        )
+    return C
+
+
+def curvature_problem(
+    c: int,
+    k0: float,
+    kp0: float,
+    span: tuple[float, float] = (-1.0, 1.0),
+    rel_tol: float = ODE_RTOL,
+    abs_tol: float = ODE_ATOL,
+) -> CurvatureProblem:
+    """Check initial data and a target span, and compute the constant C.
+
+    k0 must be positive, C finite, and the span a nondegenerate interval
+    containing u = 0; the constant-curvature equilibrium of the sphere is
+    refused, since its solution would be constant.
+    """
+    if k0 <= 0:
+        raise DomainError("k0 must be positive")
+    u_min, u_max = float(span[0]), float(span[1])
+    if not (u_min <= 0.0 <= u_max) or u_min == u_max:
+        raise UsageError("span must be a nondegenerate interval containing 0")
+    if c == 1 and kp0 == 0.0 and abs(k0 - _EQUILIBRIUM_K) < 1e-12:
+        raise UsageError(
+            "initial data sits at the constant-curvature equilibrium; "
+            "the solution would be constant"
+        )
+    return CurvatureProblem(
+        c=c,
+        C=_conserved_constant(c, k0, kp0),
+        k0=float(k0),
+        kp0=float(kp0),
+        span=(u_min, u_max),
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _TwoSidedRun:
+    """Outward integrations from u = 0, merged into one record."""
+
+    u: np.ndarray                 # accepted steps of both sides, sorted
+    y: np.ndarray                 # states at ``u``, one row per component
+    span: tuple[float, float]     # interval actually covered
+    roots: np.ndarray             # sorted roots of the non-terminal events
+    boundary: list                # early stops, left side first
+    dense: _TwoSidedDense
+
+
+def _integrate_two_sided(rhs, y0, span, rel_tol, abs_tol, events) -> _TwoSidedRun:
+    """Integrate from u = 0 out to both ends of ``span``.
+
+    Each side is one order-8 embedded Runge-Kutta run (DOP853) with dense
+    output, stepping below the requested tolerances (``_internal_tols``).
+    A terminal event that fires ends its side early and is recorded in
+    ``boundary`` under the event function's name, as is a step-size
+    underflow (``step_underflow``).
+    """
+    u_min, u_max = span
+    rtol_i, atol_i = _internal_tols(rel_tol, abs_tol)
+
+    def integrate(target):
+        return solve_ivp(
+            rhs,
+            (0.0, target),
+            y0,
+            method="DOP853",
+            dense_output=True,
+            rtol=rtol_i,
+            atol=atol_i,
+            events=events,
+        )
+
+    right = integrate(u_max) if u_max > 0 else None
+    left = integrate(u_min) if u_min < 0 else None
+
+    reached = [u_min, u_max]
+    roots, boundary = [], []
+    for side, res in enumerate((left, right)):
+        if res is None:
+            continue
+        for event, t_event in zip(events, res.t_events):
+            if event.terminal:
+                boundary.extend({"u": float(ue), "kind": event.__name__} for ue in t_event)
+            else:
+                roots.extend(t_event.tolist())
+        if res.status == -1:
+            boundary.append({"u": float(res.t[-1]), "kind": "step_underflow"})
+        reached[side] = float(res.t[-1])
+
+    ts, ys = [], []
+    if left is not None:
+        ts.append(left.t[::-1])
+        ys.append(left.y[:, ::-1])
+    if right is not None:
+        sl = slice(1, None) if left is not None else slice(None)
+        ts.append(right.t[sl])
+        ys.append(right.y[:, sl])
+    covered = (reached[0], reached[1])
+    return _TwoSidedRun(
+        u=np.concatenate(ts),
+        y=np.concatenate(ys, axis=1),
+        span=covered,
+        roots=np.array(sorted(roots)),
+        boundary=boundary,
+        dense=_TwoSidedDense(right, left, covered),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureSolution:
     """Dense-output solution of the curvature ODE with its first integral.
 
-    ``u``, ``k_samples``, ``kp_samples`` hold the accepted integration steps
-    (sorted by u).  ``turning_points`` are the detected roots of k'; the
+    It is a view of one two-sided run: (k, k') are components 0-1 of that
+    run's state, which is the 2-state run of :func:`solve_curvature` or the
+    joint (k, k', frame) run of ``reconstruct_profile``.  ``u``,
+    ``k_samples``, ``kp_samples`` hold the run's accepted steps (sorted by
+    u).  ``turning_points`` are the detected roots of k'; the
     ``boundary_events`` record any early stop (k floor, admissibility exit,
     or step-size underflow), in which case ``truncated`` is set and ``span``
     is the actually covered interval.
@@ -243,7 +385,7 @@ class CurvatureSolution:
 
     def state(self, u):
         """(k, k') at arbitrary u inside the solved span, stacked last."""
-        return self._dense(u)
+        return self._dense(u)[..., :2]
 
     def k(self, u):
         return self.state(u)[..., 0]
@@ -259,18 +401,46 @@ class CurvatureSolution:
         return float(np.max(np.abs(prime_constant(st[..., 0], st[..., 1], self.c) - self.C)))
 
 
+def _curvature_view(problem: CurvatureProblem, run: _TwoSidedRun) -> CurvatureSolution:
+    """The curvature solution held in components 0-1 of ``run``."""
+    try:
+        interval = admissible_interval(problem.C, problem.c)
+    except NoSolutionError:
+        interval = (problem.k0, problem.k0)
+    return CurvatureSolution(
+        c=problem.c,
+        C=problem.C,
+        k0=problem.k0,
+        kp0=problem.kp0,
+        span=run.span,
+        requested_span=problem.span,
+        u=run.u,
+        k_samples=run.y[0],
+        kp_samples=run.y[1],
+        turning_points=run.roots,
+        boundary_events=run.boundary,
+        truncated=bool(run.boundary),
+        k_interval=interval,
+        rel_tol=problem.rel_tol,
+        abs_tol=problem.abs_tol,
+        _dense=run.dense,
+    )
+
+
 def _event_functions(C: float, c: int):
+    """Events of every curvature run; they read only (k, k') = y[0], y[1]."""
+
     def turning(u, y):
         return y[1]
 
     turning.terminal = False
     turning.direction = 0.0
 
-    def floor(u, y):
+    def k_floor(u, y):
         return y[0] - K_FLOOR
 
-    floor.terminal = True
-    floor.direction = -1.0
+    k_floor.terminal = True
+    k_floor.direction = -1.0
 
     def inadmissible(u, y):
         k = max(y[0], K_FLOOR)
@@ -279,7 +449,7 @@ def _event_functions(C: float, c: int):
     inadmissible.terminal = True
     inadmissible.direction = -1.0
 
-    return [turning, floor, inadmissible]
+    return [turning, k_floor, inadmissible]
 
 
 def solve_curvature(
@@ -292,101 +462,23 @@ def solve_curvature(
 ) -> CurvatureSolution:
     """Integrate the curvature ODE from (k(0), k'(0)) = (k0, kp0).
 
-    The span must contain u = 0.  Integration runs outward in both
-    directions with an order-8 embedded Runge-Kutta pair and dense output,
-    stepping below the requested tolerance so the first-integral drift
-    stays within 100 * rel_tol * |C| even where k is small.  It stops early
-    (recorded as a boundary event, not an error) if k falls to the
-    positivity floor or P(k) becomes negative beyond tolerance; the first
-    integral is monitored, never projected.
+    The data are checked by :func:`curvature_problem`.  Integration runs
+    outward in both directions (``_integrate_two_sided``), stepping below
+    the requested tolerance so the first-integral drift stays within
+    100 * rel_tol * |C| even where k is small.  It stops early (recorded as
+    a boundary event, not an error) if k falls to the positivity floor or
+    P(k) becomes negative beyond tolerance; the first integral is
+    monitored, never projected.  A pipeline build does not call this: it
+    integrates (k, k') once, jointly with the profile frame.
     """
-    if k0 <= 0:
-        raise DomainError("k0 must be positive")
-    u_min, u_max = float(span[0]), float(span[1])
-    if not (u_min <= 0.0 <= u_max) or u_min == u_max:
-        raise UsageError("span must be a nondegenerate interval containing 0")
-    if c == 1 and kp0 == 0.0 and abs(k0 - _EQUILIBRIUM_K) < 1e-12:
-        raise UsageError(
-            "initial data sits at the constant-curvature equilibrium; "
-            "the solution would be constant"
-        )
-
-    C = float(prime_constant(k0, kp0, c))
+    problem = curvature_problem(c, k0, kp0, span, rel_tol, abs_tol)
 
     def rhs(u, y):
         k, kp = y.tolist()
         return [kp, ode_rhs(max(k, 1e-300), kp, c)]
 
-    rtol_i, atol_i = _internal_tols(rel_tol, abs_tol)
-
-    def integrate(target):
-        return solve_ivp(
-            rhs,
-            (0.0, target),
-            [k0, kp0],
-            method="DOP853",
-            dense_output=True,
-            rtol=rtol_i,
-            atol=atol_i,
-            events=_event_functions(C, c),
-        )
-
-    right = integrate(u_max) if u_max > 0 else None
-    left = integrate(u_min) if u_min < 0 else None
-
-    boundary = []
-    truncated = False
-    reached = [u_min, u_max]
-    kinds = ("turning", "k_floor", "inadmissible")
-    turning = []
-    for side, res in (("left", left), ("right", right)):
-        if res is None:
-            continue
-        turning.extend(res.t_events[0].tolist())
-        for idx in (1, 2):
-            for ue in res.t_events[idx]:
-                boundary.append({"u": float(ue), "kind": kinds[idx]})
-                truncated = True
-        if res.status == -1:
-            boundary.append({"u": float(res.t[-1]), "kind": "step_underflow"})
-            truncated = True
-        end = float(res.t[-1])
-        if side == "left":
-            reached[0] = end
-        else:
-            reached[1] = end
-
-    ts, ys = [], []
-    if left is not None:
-        ts.append(left.t[::-1])
-        ys.append(left.y[:, ::-1])
-    if right is not None:
-        sl = slice(1, None) if left is not None else slice(None)
-        ts.append(right.t[sl])
-        ys.append(right.y[:, sl])
-    u = np.concatenate(ts)
-    y = np.concatenate(ys, axis=1)
-
-    try:
-        interval = admissible_interval(C, c)
-    except NoSolutionError:
-        interval = (k0, k0)
-
-    return CurvatureSolution(
-        c=c,
-        C=C,
-        k0=float(k0),
-        kp0=float(kp0),
-        span=(reached[0], reached[1]),
-        requested_span=(u_min, u_max),
-        u=u,
-        k_samples=y[0],
-        kp_samples=y[1],
-        turning_points=np.array(sorted(turning)),
-        boundary_events=boundary,
-        truncated=truncated,
-        k_interval=interval,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        _dense=_TwoSidedDense(right, left, (reached[0], reached[1])),
+    run = _integrate_two_sided(
+        rhs, [problem.k0, problem.kp0], problem.span, rel_tol, abs_tol,
+        _event_functions(problem.C, c),
     )
+    return _curvature_view(problem, run)

@@ -4,7 +4,8 @@ Every pipeline is a pure function of its configuration: no clocks, no
 randomness, fixed field orderings and 17-significant-digit floats, so
 repeated runs produce byte-identical outputs.  The curved pipelines pad the
 integration span by the finite-difference reach so the declared parameter
-rectangle stays fully verifiable.
+rectangle stays fully verifiable, and integrate the curvature ODE once per
+build, jointly with the profile frame.
 """
 from __future__ import annotations
 
@@ -15,7 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .curvature import prime_constant, solve_curvature
+from .curvature import (
+    _conserved_constant,
+    curvature_problem,
+    prime_constant,
+    solve_curvature,
+)
 from .errors import UsageError
 from .mesh import _rows, sample_mesh, write_obj, write_ply
 from .profile import Branch, reconstruct_profile, revolution_profile
@@ -89,6 +95,10 @@ class PipelineConfig:
             raise UsageError("the profile constant C must be positive")
         if self.nu < 2 or self.nv < 2:
             raise UsageError("grid must be at least 2 x 2")
+        if self.fd_step is not None and self.fd_step <= 0:
+            raise UsageError(f"fd_step must be positive, got {self.fd_step!r}")
+        if self.v_range is not None and self.v_range[0] == self.v_range[1]:
+            raise UsageError(f"v_range must have nonzero width, got {self.v_range!r}")
         if self.tol_profile is not None and self.tol_profile not in defaults.TOL_PROFILES:
             raise UsageError(
                 f"unknown tolerance profile '{self.tol_profile}' "
@@ -106,7 +116,7 @@ class PipelineConfig:
             return Branch.S2
         if self.model != "h3":
             raise UsageError("profile branches exist only for s3 and h3")
-        C = float(prime_constant(self.k0, self.kp0, -1))
+        C = _conserved_constant(-1, self.k0, self.kp0)
         if C == 0:
             raise UsageError("degenerate initial data: the constant C vanishes")
         auto = Branch.H2_ELLIPTIC if C > 0 else Branch.H2_PARABOLIC
@@ -135,7 +145,12 @@ def _default_v_range(cfg: PipelineConfig, branch: Branch | None) -> tuple:
 
 
 def build_pipeline_patch(cfg: PipelineConfig):
-    """Run initial data through profile reconstruction to a trimmed patch."""
+    """Run initial data through profile reconstruction to a trimmed patch.
+
+    Returns ``(patch, sol)``; ``sol`` is None for r3.  A curved build
+    integrates the ODE once: (k, k') run jointly with the profile frame, and
+    ``sol`` is the curvature view of that run (``patch.profile.curvature``).
+    """
     cfg = cfg.validate()
     if cfg.model == "r3":
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
@@ -147,16 +162,16 @@ def build_pipeline_patch(cfg: PipelineConfig):
         "h3_elliptic" if branch is Branch.H2_ELLIPTIC else "h3_parabolic"
     )
     v_range = _default_v_range(cfg, branch)
-    sol = solve_curvature(
+    problem = curvature_problem(
         cfg.c, cfg.k0, cfg.kp0, _padded_span(cfg, case, v_range),
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
     )
-    prof = reconstruct_profile(sol, branch)
+    prof = reconstruct_profile(problem, branch)
     patch = build_s3(prof, v_range) if cfg.model == "s3" else build_h3(prof, v_range)
     # declare the requested rectangle; the evaluators keep the padded span
     span = (max(cfg.span[0], prof.span[0]), min(cfg.span[1], prof.span[1]))
     patch = dataclasses.replace(patch, u_range=span)
-    return patch, sol
+    return patch, prof.curvature
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +221,9 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
     patch, sol = build_pipeline_patch(cfg)
     prof = patch.profile
     grid = np.linspace(patch.u_range[0], patch.u_range[1], cfg.n_csv)
-    sig = prof.sigma(grid)
-    res = prof.constraint_residuals(grid)
+    st = prof.state(grid)
+    sig = st[..., 2:6]
+    res = prof._constraint_residuals(st)
     lines = [
         f"# model={cfg.model} branch={prof.branch.value} C={_fmt(prof.C)} "
         f"k0={_fmt(cfg.k0)} kp0={_fmt(cfg.kp0)}",

@@ -18,7 +18,10 @@ curvature share one error budget:
     sigma' = T,   T' = k n - c sigma,   n' = -k T,
 
 with c the model curvature (+1 on the sphere, -1 on the hyperboloid, where
-the sign enters through the Gauss formula of the quadric).
+the sign enters through the Gauss formula of the quadric).  That joint run
+is the only integration of a curved profile: it carries the curvature
+solver's events, and the curve's ``curvature`` is a view of its (k, k')
+components.
 """
 from __future__ import annotations
 
@@ -30,13 +33,15 @@ from scipy.integrate import solve_ivp
 
 from .ambient import H3, S3, SpaceForm, orthonormal_complement
 from .curvature import (
+    CurvatureProblem,
     CurvatureSolution,
-    _internal_tols,
+    _curvature_view,
+    _event_functions,
+    _integrate_two_sided,
     _TwoSidedDense,
     ode_rhs,
     prime_poly,
 )
-from .defaults import K_FLOOR
 from .errors import (
     ConstructionError,
     DomainError,
@@ -147,7 +152,11 @@ class RevolutionProfile:
 def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:
     if C <= 0:
         raise DomainError("the profile constant C must be positive")
-    if rho_max <= C ** -1.5:
+    try:
+        waist = float(C) ** -1.5
+    except OverflowError:
+        raise DomainError(f"the waist radius C^(-3/2) is not finite for C={C!r}") from None
+    if rho_max <= waist:
         raise DomainError("rho_max must exceed the waist radius C^(-3/2)")
     return RevolutionProfile(C=float(C), rho_max=float(rho_max))
 
@@ -183,7 +192,9 @@ class ProfileCurve:
 
     ``state(u)`` returns the 14-component joint state
     (k, k', sigma[4], T[4], n[4]); sigma is the curve, T its velocity and n
-    the in-plane unit normal used by the frame equations.
+    the in-plane unit normal used by the frame equations.  ``curvature`` is
+    the :class:`CurvatureSolution` view of the same run, so its steps,
+    span and stops are the curve's.
     """
 
     model: SpaceForm
@@ -222,7 +233,11 @@ class ProfileCurve:
         return 4.0 / (3.0 * np.sqrt(self.C) * k**0.75)
 
     def constraint_residuals(self, u) -> dict:
-        st = self.state(u)
+        """Residuals of the constraint equations, the quadric and unit speed at u."""
+        return self._constraint_residuals(self.state(u))
+
+    def _constraint_residuals(self, st) -> dict:
+        """``constraint_residuals`` from already evaluated joint states."""
         k, sig, vel = st[..., 0], st[..., 2:6], st[..., 6:10]
         target = self.constraint_target(k)
         inner = self.model.inner
@@ -304,11 +319,19 @@ _INITIAL_FRAMES = {
 
 
 def reconstruct_profile(
-    sol: CurvatureSolution,
+    sol: CurvatureProblem | CurvatureSolution,
     branch: Branch | str,
     C: float | None = None,
 ) -> ProfileCurve:
-    """Frame-integrate the profile curve matching a curvature solution.
+    """Frame-integrate the profile curve whose curvature starts at sol's data.
+
+    Only ``(c, C, k0, kp0, span, rel_tol, abs_tol)`` are read from ``sol``:
+    a :class:`CurvatureProblem` (a pipeline build) or a solved
+    :class:`CurvatureSolution`, whose covered span becomes the target.
+    (k, k') are integrated again, jointly with the frame and with the
+    events of :func:`solve_curvature`, so the curve may stop where k reaches
+    its floor or leaves the admissible set; the constant-curvature (CMC)
+    check reads that run's k' samples.
 
     The initial position and velocity are the canonical representative: the
     constrained coordinates are read off the constraint equations at u = 0,
@@ -332,9 +355,6 @@ def reconstruct_profile(
             raise UsageError("the exponential branch requires C < 0")
     elif C <= 0:
         raise UsageError(f"branch {branch.value} requires C > 0")
-    if np.max(np.abs(sol.kp_samples)) < 1e-14 and abs(sol.kp0) < 1e-14:
-        raise UsageError("constant-curvature solution: the surface would be CMC")
-
     k0, kp0 = sol.k0, sol.kp0
     C1, C2 = _BRANCH_CONSTANTS[branch]
     sigma0, T0 = _INITIAL_FRAMES[branch](k0, kp0, C)
@@ -365,41 +385,12 @@ def reconstruct_profile(
             -k * t1, -k * t2, -k * t3, -k * t4,
         ]
 
-    def floor(u, y):
-        return y[0] - K_FLOOR
-
-    floor.terminal = True
-    floor.direction = -1.0
-
     y0 = np.concatenate([[k0, kp0], sigma0, T0, n0])
-    u_min, u_max = sol.span
-    rtol_i, atol_i = _internal_tols(sol.rel_tol, sol.abs_tol)
-
-    def integrate(target):
-        return solve_ivp(
-            rhs,
-            (0.0, target),
-            y0,
-            method="DOP853",
-            dense_output=True,
-            rtol=rtol_i,
-            atol=atol_i,
-            events=[floor],
-        )
-
-    right = integrate(u_max) if u_max > 0 else None
-    left = integrate(u_min) if u_min < 0 else None
-    reached = [
-        float(left.t[-1]) if left is not None else 0.0,
-        float(right.t[-1]) if right is not None else 0.0,
-    ]
-
-    ts = []
-    if left is not None:
-        ts.append(left.t[::-1])
-    if right is not None:
-        ts.append(right.t[1:] if left is not None else right.t)
-    u = np.concatenate(ts)
+    run = _integrate_two_sided(
+        rhs, y0, sol.span, sol.rel_tol, sol.abs_tol, _event_functions(C, c)
+    )
+    if np.max(np.abs(run.y[1])) < 1e-14:
+        raise UsageError("constant-curvature solution: the surface would be CMC")
 
     return ProfileCurve(
         model=model,
@@ -407,10 +398,10 @@ def reconstruct_profile(
         C=C,
         C1=C1.copy(),
         C2=C2.copy(),
-        curvature=sol,
-        span=(reached[0], reached[1]),
-        u=u,
-        _dense=_TwoSidedDense(right, left, (reached[0], reached[1])),
+        curvature=_curvature_view(sol, run),
+        span=run.span,
+        u=run.u,
+        _dense=run.dense,
     )
 
 

@@ -147,6 +147,30 @@ class TestNonFiniteInput:
         with pytest.raises(bc.UsageError, match=f"{field} must be finite"):
             PipelineConfig(**{field: math.inf}).validate()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["surface", "--model", "s3", "--fd-step", "0"], "fd_step must be positive"),
+        (["surface", "--model", "s3", "--fd-step", "-0.001"], "fd_step must be positive"),
+        (["surface", "--model", "s3", "--v-range", "0", "0"], "v_range must have nonzero width"),
+    ])
+    def test_cli_exits_two_on_unusable_value(self, tmp_path, capsys, argv, message):
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestExtremeFiniteInput:
+    @pytest.mark.parametrize("argv, named", [
+        (["surface", "--model", "s3", "--k0", "1e100", "--dk0", "0"], "k0=1e+100"),
+        (["solve", "--model", "h3", "--k0", "1e100", "--dk0", "0"], "k0=1e+100"),
+        (["solve", "--model", "s3", "--dk0", "1e200"], "kp0=1e+200"),
+        (["surface", "--model", "r3", "--C", "1e-300"], "C=1e-300"),
+    ])
+    def test_non_finite_derived_value_is_domain_error(self, tmp_path, capsys, argv, named):
+        assert run(*argv, "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "DomainError" in err and named in err
+        assert "Traceback" not in err
+
 
 class TestProfileCommand:
     def test_r3_profile_csv(self, tmp_path):

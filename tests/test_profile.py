@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import biconsurf as bc
+from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.profile import Branch
 
 
@@ -215,3 +216,97 @@ class TestOracle:
         _, prof, _, _ = h3e_pipeline
         with pytest.raises(bc.UsageError):
             bc.oracle_deviation(prof, 0.0, 0.1)
+
+
+class TestSingleIntegrationBuild:
+    """A curved build integrates once; its curvature solution views that run."""
+
+    CASES = [("s3", 1.0, 1.0), ("h3", 1.0, 1.0), ("h3", 0.25, 0.2)]
+
+    @staticmethod
+    def _recorded_build(monkeypatch, cfg):
+        """Build ``cfg`` while recording every solve_ivp call (fun, y0, events)."""
+        from scipy.integrate import solve_ivp
+
+        from biconsurf import curvature, profile
+
+        calls = []
+
+        def recording(fun, t_span, y0, **kwargs):
+            calls.append((fun, np.array(y0, dtype=float), kwargs.get("events")))
+            return solve_ivp(fun, t_span, y0, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "solve_ivp", recording)
+            m.setattr(profile, "solve_ivp", recording)
+            patch, sol = build_pipeline_patch(cfg)
+        return patch, sol, calls
+
+    @pytest.mark.parametrize("model, k0, kp0", CASES)
+    def test_one_solve_ivp_per_side(self, monkeypatch, model, k0, kp0):
+        cfg = PipelineConfig(model=model, k0=k0, kp0=kp0)
+        patch, sol, calls = self._recorded_build(monkeypatch, cfg)
+        assert len(calls) == 2
+        assert all(len(y0) == 14 for _, y0, _ in calls)
+        assert sol is patch.profile.curvature
+
+    @pytest.mark.parametrize("model, k0, kp0", CASES)
+    def test_matches_two_pass_reference(self, monkeypatch, model, k0, kp0):
+        from scipy.integrate import solve_ivp
+
+        from biconsurf.curvature import _internal_tols, _TwoSidedDense
+        from biconsurf.defaults import K_FLOOR
+
+        cfg = PipelineConfig(model=model, k0=k0, kp0=kp0)
+        patch, sol, calls = self._recorded_build(monkeypatch, cfg)
+        prof = patch.profile
+        assert not sol.truncated
+
+        # two passes: solve the curvature ODE alone, then integrate the
+        # joint state over the span it reached with a k-floor stop only
+        ref_sol = bc.solve_curvature(cfg.c, k0, kp0, sol.requested_span,
+                                     rel_tol=sol.rel_tol, abs_tol=sol.abs_tol)
+        fun, y0, _ = calls[0]
+
+        def floor(u, y):
+            return y[0] - K_FLOOR
+
+        floor.terminal = True
+        floor.direction = -1.0
+        rtol, atol = _internal_tols(sol.rel_tol, sol.abs_tol)
+        right, left = (
+            solve_ivp(fun, (0.0, end), y0, method="DOP853", dense_output=True,
+                      rtol=rtol, atol=atol, events=[floor])
+            for end in (ref_sol.span[1], ref_sol.span[0])
+        )
+        ref_u = np.concatenate([left.t[::-1], right.t[1:]])
+        ref_dense = _TwoSidedDense(right, left, ref_sol.span)
+
+        assert sol.C == ref_sol.C
+        assert prof.span == sol.span == ref_sol.span
+        assert np.array_equal(prof.u, ref_u)
+        assert np.array_equal(sol.u, ref_u)
+        grid = np.unique(np.concatenate([np.linspace(*prof.span, 301), ref_u]))
+        assert np.array_equal(prof.state(grid), ref_dense(grid))
+        assert np.array_equal(sol.state(grid), ref_dense(grid)[:, :2])
+        assert np.array_equal(sol.kp_samples, prof.kp(prof.u))
+        assert len(sol.turning_points) == len(ref_sol.turning_points) > 0
+        assert np.max(np.abs(sol.turning_points - ref_sol.turning_points)) < 1e-9
+
+    def test_truncated_build_has_one_end(self):
+        cfg = PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))
+        patch, sol = build_pipeline_patch(cfg)
+        assert sol.truncated
+        assert sol.span == patch.profile.span
+        assert sol.requested_span[0] < sol.span[0] < sol.span[1] < sol.requested_span[1]
+        assert [e["kind"] for e in sol.boundary_events] == ["k_floor", "k_floor"]
+        assert [e["u"] for e in sol.boundary_events] == list(sol.span)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"model": "s3", "k0": 3.0 ** -0.5, "kp0": 0.0}, "equilibrium"),
+        ({"model": "s3", "span": (5.0, 6.0)}, "containing 0"),
+        ({"model": "h3", "span": (-6.0, -5.0)}, "containing 0"),
+    ])
+    def test_build_keeps_usage_errors(self, fields, match):
+        with pytest.raises(bc.UsageError, match=match):
+            build_pipeline_patch(PipelineConfig(**fields))
