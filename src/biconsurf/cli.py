@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,25 @@ EXIT_PASS = 0
 EXIT_VERIFICATION_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+
+# A negative float literal, exponent, inf and nan included.  argparse's own
+# pattern (``^-\d+$|^-\d*\.\d+$`` on Python 3.10-3.12) takes "-1e-3" for an
+# option name; no option of this program looks like a number.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?$|^-(?:inf|infinity|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every negative float literal as a value.
+
+    Subcommand parsers are built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -108,7 +128,7 @@ def _out_path(args, default_name: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biconsurf",
         description="Construct and verify biconservative surfaces in the "
         "three 3-dimensional space forms.",

@@ -181,38 +181,99 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
     return (0.0, k_hi)
 
 
+class _Dop853Dense:
+    """Dense output of DOP853 runs, stacked into arrays and evaluated in one pass.
+
+    ``sols`` are the ``OdeSolution`` objects of ``solve_ivp(...,
+    method="DOP853", dense_output=True)`` runs.  Their interpolants are
+    stacked once: ``t_old`` and ``h`` of shape (nseg,), ``y_old`` of shape
+    (nseg, n) and ``F`` of shape (7, nseg, n), one table per interpolant
+    row, so an evaluation gathers one (points, n) table at a time.  A point
+    takes the segment ``OdeSolution`` gives it (at a step time, the one of
+    lower index) and is evaluated with the operations of
+    ``Dop853DenseOutput``, in their order, so every value is bit-identical
+    to ``sol(t)``.  Only attributes that scipy 1.10 already has are read:
+    ``ts``, ``interpolants`` and each interpolant's ``t_old``, ``h``,
+    ``y_old`` and ``F``.
+    """
+
+    def __init__(self, sols):
+        pieces, self._runs = [], []
+        for sol in sols:
+            ts = np.asarray(sol.ts, dtype=float)
+            descending = bool(ts[-1] < ts[0])
+            # (inner step times ascending, descending, first segment, segments)
+            inner = ts[-2:0:-1] if descending else ts[1:-1]
+            self._runs.append((inner, descending, len(pieces), len(sol.interpolants)))
+            pieces.extend(sol.interpolants)
+        self.t_old = np.array([p.t_old for p in pieces], dtype=float)
+        self.h = np.array([p.h for p in pieces], dtype=float)
+        self.y_old = np.array([p.y_old for p in pieces], dtype=float)
+        self.F = np.stack([p.F for p in pieces], axis=1, dtype=float)
+        self.nstate = self.y_old.shape[1]
+
+    def segments(self, t, run: int = 0) -> np.ndarray:
+        """Stacked segment index of each point of 1-D ``t`` in run ``run``.
+
+        ``OdeSolution`` searches all step times (side "left" ascending,
+        "right" on the reversed times descending), subtracts 1 and clips to
+        [0, nseg - 1]; searching the inner step times alone gives that index
+        with no clip.  A descending run's index is then mirrored.
+        """
+        inner, descending, first, n = self._runs[run]
+        seg = np.searchsorted(inner, t, side="right" if descending else "left")
+        return first + (n - 1 - seg if descending else seg)
+
+    def at(self, t, seg) -> np.ndarray:
+        """States at 1-D ``t`` on segments ``seg``, one row per point."""
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        one_minus_x = 1 - x
+        y = np.zeros((t.size, self.nstate))
+        for i, row in enumerate(self.F[::-1]):
+            y += row.take(seg, axis=0)
+            y *= x if i % 2 == 0 else one_minus_x
+        y += self.y_old[seg]
+        return y
+
+    def __call__(self, t):
+        """States of the first run at ``t`` of any shape, stacked last."""
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        return self.at(flat, self.segments(flat)).reshape(t.shape + (self.nstate,))
+
+
 class _TwoSidedDense:
-    """Dense evaluator stitched from forward and backward integrations."""
+    """Dense evaluator stitched from forward and backward integrations.
+
+    ``right`` and ``left`` are the ``solve_ivp`` results of the runs from
+    u = 0 to the right and to the left end of ``span`` (either may be None);
+    only their stacked interpolants (:class:`_Dop853Dense`) are kept.  A
+    point with u < 0 is read from the left run, any other from the right
+    one.  A point outside ``span`` (beyond a small slack), NaN included,
+    raises ``DomainError``.
+    """
 
     def __init__(self, right, left, span):
-        self._right = right
-        self._left = left
+        runs = [res.sol for res in (right, left) if res is not None]
+        self._dense = _Dop853Dense(runs)
+        self._two_sided = len(runs) == 2
         self.span = span
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        uu = np.atleast_1d(u).astype(float)
         lo, hi = self.span
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if np.any(uu < lo - slack) or np.any(uu > hi + slack):
+        if not np.all((u >= lo - slack) & (u <= hi + slack)):
             raise DomainError(
                 f"evaluation point outside the solved span [{lo}, {hi}]"
             )
-        # after clipping, negative u only occurs when a left branch exists
-        uu = np.clip(uu, lo, hi)
-        some = self._right if self._right is not None else self._left
-        nstate = some.y.shape[0]
-        out = np.empty((nstate, uu.size))
-        flat = uu.ravel()
-        neg = flat < 0.0
-        if np.any(neg):
-            out[:, neg] = self._left.sol(flat[neg])
-        if np.any(~neg):
-            right = self._right if self._right is not None else self._left
-            out[:, ~neg] = right.sol(flat[~neg])
-        result = out.T.reshape(uu.shape + (nstate,))
-        return result[0] if scalar else result
+        # after clipping, negative u only occurs when a left run exists
+        flat = np.clip(u, lo, hi).ravel()
+        dense = self._dense
+        seg = dense.segments(flat)
+        if self._two_sided:
+            seg = np.where(flat < 0.0, dense.segments(flat, 1), seg)
+        return dense.at(flat, seg).reshape(u.shape + (dense.nstate,))
 
 
 @dataclass(frozen=True)
@@ -384,7 +445,10 @@ class CurvatureSolution:
     _dense: _TwoSidedDense | None = None
 
     def state(self, u):
-        """(k, k') at arbitrary u inside the solved span, stacked last."""
+        """(k, k') at arbitrary u inside the solved span, stacked last.
+
+        A u outside the span, or not finite, raises ``DomainError``.
+        """
         return self._dense(u)[..., :2]
 
     def k(self, u):

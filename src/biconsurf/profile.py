@@ -36,6 +36,7 @@ from .curvature import (
     CurvatureProblem,
     CurvatureSolution,
     _curvature_view,
+    _Dop853Dense,
     _event_functions,
     _integrate_two_sided,
     _TwoSidedDense,
@@ -194,7 +195,10 @@ class ProfileCurve:
     (k, k', sigma[4], T[4], n[4]); sigma is the curve, T its velocity and n
     the in-plane unit normal used by the frame equations.  ``curvature`` is
     the :class:`CurvatureSolution` view of the same run, so its steps,
-    span and stops are the curve's.
+    span and stops are the curve's.  ``state`` reads the run's DOP853 dense
+    output in one vectorized pass over all points, bit-identical to scipy's
+    ``OdeSolution``; a u outside ``span``, or not finite, raises
+    ``DomainError``.
     """
 
     model: SpaceForm
@@ -412,17 +416,22 @@ def reconstruct_profile(
 
 @dataclass(frozen=True, eq=False)
 class OracleCurve:
-    """x(k) from the reduced first-order ODE, with y recovered by the quadric."""
+    """x(k) from the reduced first-order ODE, with y recovered by the quadric.
+
+    ``x`` reads the run's dense output through the same one-pass DOP853
+    evaluator as the profile curves (:class:`~biconsurf.curvature._Dop853Dense`).
+    """
 
     C: float
     sign: int
     y_sign: int
     k_range: tuple[float, float]
-    _sol: object
+    _dense: _Dop853Dense
 
     def x(self, k):
         k = np.asarray(k, dtype=float)
-        return self._sol.sol(k)[0].reshape(k.shape) if k.ndim else float(self._sol.sol(k)[0])
+        x = self._dense(k)[..., 0]
+        return x if k.ndim else float(x)
 
     def y(self, k):
         k = np.asarray(k, dtype=float)
@@ -490,7 +499,9 @@ def profile_oracle_dxdk(
     )
     if not res.success:
         raise InfeasibleError(f"oracle integration failed: {res.message}")
-    return OracleCurve(C=C, sign=sign, y_sign=y_sign, k_range=(k_a, k_b), _sol=res)
+    return OracleCurve(
+        C=C, sign=sign, y_sign=y_sign, k_range=(k_a, k_b), _dense=_Dop853Dense([res.sol])
+    )
 
 
 def oracle_deviation(

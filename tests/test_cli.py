@@ -172,6 +172,31 @@ class TestExtremeFiniteInput:
         assert "Traceback" not in err
 
 
+
+class TestNegativeExponentInput:
+    """Negative numbers in exponent form are values, not option names."""
+
+    def test_dk0(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("solve", "--model", "s3", "--k0", "1", "--dk0", "-1e-3",
+                   "--out", str(out)) == 0
+        cval = float(out.read_text().split("C=")[1].split()[0])
+        assert cval == float(bc.prime_constant(1.0, -1e-3, 1))
+
+    def test_span(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("solve", "--model", "s3", "--span", "-1e-3", "1",
+                   "--out", str(out)) == 0
+        assert "span=-0.001:1 " in out.read_text().splitlines()[0]
+
+    def test_v_range(self, tmp_path):
+        assert run("verify", "--model", "s3", "--v-range", "-1e-1", "1",
+                   "--nu", "12", "--nv", "12", "--out", str(tmp_path),
+                   "--report", str(tmp_path / "r.json")) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["grid"]["v_range"] == [-0.1, 1.0]
+
+
 class TestProfileCommand:
     def test_r3_profile_csv(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -310,3 +310,124 @@ class TestSingleIntegrationBuild:
     def test_build_keeps_usage_errors(self, fields, match):
         with pytest.raises(bc.UsageError, match=match):
             build_pipeline_patch(PipelineConfig(**fields))
+
+
+class TestEvaluationPoints:
+    @pytest.mark.parametrize("u", [
+        np.nan, [0.1, np.nan], [[0.1], [np.nan]], np.inf, -np.inf, [0.1, 1.5],
+    ])
+    def test_point_outside_span_or_not_finite_rejected(self, s3_pipeline, u):
+        sol, prof, _, _ = s3_pipeline
+        for state in (prof.state, sol.state):
+            with pytest.raises(bc.DomainError, match="outside the solved span"):
+                state(u)
+
+
+class TestDenseOutput:
+    """The one-pass DOP853 evaluator against scipy's ``OdeSolution`` (reference)."""
+
+    @staticmethod
+    def _recorded(monkeypatch, build):
+        """``build()`` and the results of the solve_ivp calls it made, in order."""
+        from scipy.integrate import solve_ivp
+
+        from biconsurf import curvature, profile
+
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(solve_ivp(*args, **kwargs))
+            return results[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(curvature, "solve_ivp", recording)
+            m.setattr(profile, "solve_ivp", recording)
+            built = build()
+        return built, results
+
+    @staticmethod
+    def _points(ts):
+        """Every step time, both ends again, and random points between the ends."""
+        rng = np.random.default_rng(11)
+        inside = rng.uniform(min(ts[0], ts[-1]), max(ts[0], ts[-1]), 257)
+        return np.concatenate([ts, [ts[0], ts[-1]], inside])
+
+    def _check_run(self, sol):
+        from biconsurf.curvature import _Dop853Dense
+
+        dense = _Dop853Dense([sol])
+        # at a step time OdeSolution takes the segment of lower index; the
+        # values agree either way (y_old + (y_new - y_old) rounds back to
+        # y_new), so the rule is checked on the indices
+        nseg = len(sol.interpolants)
+        assert np.array_equal(dense.segments(sol.ts), np.r_[0, np.arange(nseg)])
+        t = self._points(sol.ts)
+        assert np.array_equal(dense(t), sol(t).T)
+        for t0 in (sol.ts[0], sol.ts[len(sol.ts) // 2], sol.ts[-1], t[-1]):
+            assert np.array_equal(dense(float(t0)), sol(float(t0)))
+        nstate = sol(t[-1]).shape[0]
+        assert dense(np.array([])).shape == (0, nstate)
+
+    def _check_two_sided(self, state, results, n=None):
+        """``state`` against scipy on both runs (the left one for u < 0).
+
+        ``state`` returns the first ``n`` components of the runs' states.
+        """
+        right, left = (res.sol for res in results)
+        assert right.ts[-1] > 0 > left.ts[-1]
+        for sol in (right, left):
+            self._check_run(sol)
+        u = np.concatenate([self._points(right.ts), self._points(left.ts)])
+        neg = u < 0
+        want = np.empty((u.size, right(0.0).shape[0]))
+        want[neg] = left(u[neg]).T
+        want[~neg] = right(u[~neg]).T
+        want = want[:, :n]
+        assert np.array_equal(state(u), want)
+        assert np.array_equal(state(u.reshape(-1, 1)), want.reshape(-1, 1, want.shape[1]))
+        for u0, sol in [(0.0, right), (right.ts[-1], right), (left.ts[-1], left)]:
+            assert np.array_equal(state(float(u0)), sol(float(u0))[:n])
+        assert state(np.array([])).shape == (0, want.shape[1])
+
+    def test_curvature_run(self, monkeypatch):
+        sol, results = self._recorded(
+            monkeypatch, lambda: bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0)))
+        assert [res.y.shape[0] for res in results] == [2, 2]
+        self._check_two_sided(sol.state, results)
+
+    def test_profile_run(self, monkeypatch):
+        cfg = PipelineConfig(model="s3", k0=1.0, kp0=1.0)
+        (patch, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
+        assert [res.y.shape[0] for res in results] == [14, 14]
+        self._check_two_sided(patch.profile.state, results)
+        self._check_two_sided(sol.state, results, n=2)
+
+    def test_one_step_run(self, monkeypatch):
+        sol, results = self._recorded(
+            monkeypatch, lambda: bc.solve_curvature(1, 1.0, 1.0, (-1e-3, 1e-3)))
+        assert [len(res.t) for res in results] == [2, 2]
+        self._check_two_sided(sol.state, results)
+
+    def test_truncated_build(self, monkeypatch):
+        cfg = PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))
+        (patch, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
+        assert sol.truncated
+        assert [res.status for res in results] == [1, 1]  # both ended by k_floor
+        self._check_two_sided(patch.profile.state, results)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_oracle_run(self, monkeypatch, s3_pipeline, ascending):
+        sol, prof, _, _ = s3_pipeline
+        u_turn = float(sol.turning_points[0])
+        st = prof.state(np.array([0.05, u_turn - 0.03]))
+        a, b = (0, 1) if ascending else (1, 0)
+        oracle, results = self._recorded(
+            monkeypatch,
+            lambda: bc.profile_oracle_dxdk(st[a, 2], (st[a, 0], st[b, 0]), sol.C))
+        (res,) = results
+        assert (res.t[-1] > res.t[0]) == ascending
+        self._check_run(res.sol)
+        k = self._points(res.sol.ts)
+        assert np.array_equal(oracle.x(k), res.sol(k)[0])
+        assert oracle.x(float(k[-1])) == float(res.sol(float(k[-1]))[0])
+
