@@ -241,6 +241,22 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
     return {"csv": path, "worst_residual": worst, "ok": bool(ok)}
 
 
+def _output_dir(path) -> Path:
+    """``path`` as an existing directory, created if needed.
+
+    A path that cannot be a directory (an existing file, say) is a
+    UsageError, raised before any work is done.
+    """
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot use '{out}' as an output directory: {exc.strerror or exc}"
+        ) from exc
+    return out
+
+
 def cmd_surface(
     cfg: PipelineConfig,
     out_dir,
@@ -250,6 +266,9 @@ def cmd_surface(
 ) -> dict:
     """Full pipeline: build, verify, export meshes and the JSON report."""
     cfg = cfg.validate()
+    out_dir = _output_dir(out_dir)
+    target = Path(report_path) if report_path else out_dir / f"{basename}.report.json"
+    _output_dir(target.parent)
     patch, _ = build_pipeline_patch(cfg)
     fd = fd_for_patch(patch, inner_step=cfg.fd_step)
     tolerances = (
@@ -257,8 +276,6 @@ def cmd_surface(
     )
     report = verify_patch(patch, cfg.nu, cfg.nv, fd=fd, tolerances=tolerances)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
     if write_meshes:
         channels = {
@@ -277,8 +294,6 @@ def cmd_surface(
         )
         written["obj"] = write_obj(mesh, out_dir / f"{basename}.obj")
         written["ply"] = write_ply(mesh, out_dir / f"{basename}.ply")
-    target = Path(report_path) if report_path else out_dir / f"{basename}.report.json"
-    target.parent.mkdir(parents=True, exist_ok=True)
     saved = report.save(target)
     return {
         "report": saved,
@@ -302,8 +317,7 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
         raise UsageError("sweep needs a nonempty list of parameter values")
     if parameter == "auto":
         parameter = "C" if cfg.model == "r3" else "k0"
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(out_dir)
 
     rows = []
     results = []

@@ -1,7 +1,7 @@
 """Explicit ambient parametrizations assembled from profile data.
 
-Each patch exposes X(u, v) together with analytic first and second
-partials.  The curved-model patches sweep the profile curve sigma(u) along
+Each patch exposes X(u, v) together with analytic partials of orders one
+to four.  The curved-model patches sweep the profile curve sigma(u) along
 circles (sphere and hyperboloid with positive constant) or exponential
 orbits (hyperboloid with negative constant) inside the plane spanned by the
 constant vectors C1, C2.  Evaluation is split into a u-dependent part
@@ -52,6 +52,14 @@ class SurfacePatch:
     the jet in place of finite differences of the first partials and keeps
     finite differences only as a cross-check.  Patches without a jet
     (hand-written fixtures) are differenced numerically throughout.
+
+    ``jet4``, when set together with ``jet``, follows the same contract and
+    returns the partials of orders 3 and 4, ordered by the number of v
+    derivatives: (Xuuu, Xuuv, Xuvv, Xvvv, Xuuuu, Xuuuv, Xuuvv, Xuvvv,
+    Xvvvv).  Every built patch has one; the verifier then takes the
+    derivatives of the mean curvature in closed form.  It evaluates
+    ``jet4`` in blocks of u-rows by slicing each u-line entry along its
+    first axis, so every entry of such a patch's u-line has u's first axis.
     """
 
     case: str
@@ -67,6 +75,7 @@ class SurfacePatch:
     profile: object = None
     reference: dict = field(default_factory=dict)
     jet: Callable[[tuple, np.ndarray], tuple] | None = None
+    jet4: Callable[[tuple, np.ndarray], tuple] | None = None
 
     def frame(self, u, v):
         """(X, Xu, Xv) at parameter arrays that broadcast against each other."""
@@ -110,12 +119,20 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     def uline(rho):
         rho = np.asarray(rho, dtype=float)
         uprime = prof.du_drho(rho)
-        # u'' = -(C/3) rho^(-1/3) u'^3, from u' = (C rho^(2/3) - 1)^(-1/2)
-        uprime2 = -(C / 3.0) * rho ** (-1.0 / 3.0) * uprime**3
-        return (rho, prof.u_of_rho(rho), uprime, uprime2)
+        # u'' = -(C/3) rho^(-1/3) u'^3, from u' = (C rho^(2/3) - 1)^(-1/2),
+        # and u''', u'''' by differentiating it
+        r13 = rho ** (-1.0 / 3.0)
+        uprime2 = -(C / 3.0) * r13 * uprime**3
+        r43, r73 = rho ** (-4.0 / 3.0), rho ** (-7.0 / 3.0)
+        uprime3 = -(C / 3.0) * (3.0 * r13 * uprime**2 * uprime2 - r43 * uprime**3 / 3.0)
+        uprime4 = -(C / 3.0) * (
+            (4.0 / 9.0) * r73 * uprime**3 - 2.0 * r43 * uprime**2 * uprime2
+            + 6.0 * r13 * uprime * uprime2**2 + 3.0 * r13 * uprime**2 * uprime3
+        )
+        return (rho, prof.u_of_rho(rho), uprime, uprime2, uprime3, uprime4)
 
     def at(line, v):
-        rho, height, uprime, _ = line
+        rho, height, uprime = line[:3]
         cv, sv = np.cos(v), np.sin(v)
         X = np.stack(np.broadcast_arrays(rho * cv, rho * sv, height), axis=-1)
         Xu = np.stack(np.broadcast_arrays(cv, sv, uprime), axis=-1)
@@ -123,13 +140,29 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         return X, Xu, Xv
 
     def jet(line, v):
-        rho, _, _, uprime2 = line
+        rho, uprime2 = line[0], line[3]
         cv, sv = np.cos(v), np.sin(v)
         zero = np.zeros(np.broadcast(rho, v).shape)
         Xuu = np.stack(np.broadcast_arrays(zero, zero, uprime2), axis=-1)
         Xuv = np.stack(np.broadcast_arrays(-sv, cv, zero), axis=-1)
         Xvv = np.stack(np.broadcast_arrays(-rho * cv, -rho * sv, zero), axis=-1)
         return Xuu, Xuv, Xvv
+
+    def jet4(line, v):
+        rho, uprime3, uprime4 = line[0], line[4], line[5]
+        cv, sv = np.cos(v), np.sin(v)
+        zero = np.zeros(np.broadcast(rho, v).shape)
+
+        def vec(x, y, z):
+            return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+        flat = vec(zero, zero, zero)
+        return (
+            vec(zero, zero, uprime3), flat, vec(-cv, -sv, zero),
+            vec(rho * sv, -rho * cv, zero),
+            vec(zero, zero, uprime4), flat, flat, vec(sv, -cv, zero),
+            vec(rho * cv, rho * sv, zero),
+        )
 
     def f_ref(u, v):
         return 2.0 / (3.0 * np.sqrt(C) * np.asarray(u, float) ** (4.0 / 3.0))
@@ -149,27 +182,79 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         profile=prof,
         reference={"f": f_ref, "K": K_ref},
         jet=jet,
+        jet4=jet4,
     )
 
 
-def _sweep_uline(prof: ProfileCurve, sc: float):
-    """u-line (sigma, T, a, a', T', a'') of a sweep with amplitude a = sc k^(-3/4).
+def _curvature_derivatives(k, kp, c: int):
+    """(k'', k''', k'''') of a solution through (k, k').
 
-    T' = k n - c sigma is the frame equation of the unit-speed profile, and
-    a'' follows from k'' = ode_rhs(k, k', c).
+    k'' = ode_rhs = 1.75 k'^2 / k + (4c/3) k - 4 k^3, differentiated twice
+    along the solution.
+    """
+    kpp = ode_rhs(k, kp, c)
+    lin = 4.0 * c / 3.0 - 12.0 * k**2
+    k3 = kp * (lin - 1.75 * kp**2 / k**2) + 3.5 * kp * kpp / k
+    k4 = (
+        3.5 * kp**4 / k**3 - 8.75 * kp**2 * kpp / k**2 + 3.5 * kpp**2 / k
+        + 3.5 * kp * k3 / k + lin * kpp - 24.0 * k * kp**2
+    )
+    return kpp, k3, k4
+
+
+def _sweep_uline(prof: ProfileCurve, sc: float):
+    """u-line of a sweep with amplitude a = sc k^(-3/4).
+
+    The entries are (sigma, T, a, a', T', a'', sigma''', a''', sigma'''',
+    a'''').  With the frame equations sigma' = T, T' = k n - c sigma and
+    n' = -k T of the unit-speed profile,
+
+        sigma''' = k' n - (k^2 + c) T,
+        sigma'''' = (k'' - k^3 - c k) n - 3 k k' T + c (k^2 + c) sigma,
+
+    with k'' to k'''' from ``_curvature_derivatives``; the derivatives of a
+    follow by Faa di Bruno's formula.
     """
     c = prof.model.c
 
     def uline(u):
         st = prof.state(u)
         k, kp = st[..., 0], st[..., 1]
+        sigma, T, n = st[..., 2:6], st[..., 6:10], st[..., 10:14]
+        kpp, k3, k4 = _curvature_derivatives(k, kp, c)
         a = sc * k**-0.75
         ap = -0.75 * sc * kp * k**-1.75
-        app = -0.75 * sc * (ode_rhs(k, kp, c) * k**-1.75 - 1.75 * kp**2 * k**-2.75)
-        Tp = k[..., None] * st[..., 10:14] - c * st[..., 2:6]
-        return (st[..., 2:6], st[..., 6:10], a, ap, Tp, app)
+        app = -0.75 * sc * (kpp * k**-1.75 - 1.75 * kp**2 * k**-2.75)
+        Tp = k[..., None] * n - c * sigma
+        # d^j a / dk^j = sc (-3/4)(-7/4)...(-3/4 - j + 1) k^(-3/4 - j)
+        phi1 = -0.75 * sc * k**-1.75
+        phi2 = 1.3125 * sc * k**-2.75
+        phi3 = -3.609375 * sc * k**-3.75
+        phi4 = 13.53515625 * sc * k**-4.75
+        a3 = phi3 * kp**3 + 3.0 * phi2 * kp * kpp + phi1 * k3
+        a4 = (
+            phi4 * kp**4 + 6.0 * phi3 * kp**2 * kpp
+            + phi2 * (3.0 * kpp**2 + 4.0 * kp * k3) + phi1 * k4
+        )
+        kc, kpc = k[..., None], kp[..., None]
+        sigma3 = kpc * n - (kc**2 + c) * T
+        sigma4 = (
+            (kpp[..., None] - kc**3 - c * kc) * n - 3.0 * kc * kpc * T
+            + c * (kc**2 + c) * sigma
+        )
+        return (sigma, T, a, ap, Tp, app, sigma3, a3, sigma4, a4)
 
     return uline
+
+
+def _sweep_jet4(line, S, S1, S2, S3, S4):
+    """Order 3 and 4 partials of X = sigma(u) + a(u) S(v) from S^(j) = d^j S/dv^j."""
+    a, ap, app, a3, a4 = (line[i][..., None] for i in (2, 3, 5, 7, 9))
+    sigma3, sigma4 = line[6], line[8]
+    return (
+        sigma3 + a3 * S, app * S1, ap * S2, a * S3,
+        sigma4 + a4 * S, a3 * S1, app * S2, ap * S3, a * S4,
+    )
 
 
 def _circle_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
@@ -185,13 +270,19 @@ def _circle_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
         return X, Xu, Xv
 
     def jet(line, v):
-        _, _, a, ap, Tp, app = line
+        _, _, a, ap, Tp, app = line[:6]
         cv, sv = np.cos(v), np.sin(v)
         swing = C1 * (cv - 1.0)[..., None] + C2 * sv[..., None]
         Xuu = Tp + app[..., None] * swing
         Xuv = ap[..., None] * (-C1 * sv[..., None] + C2 * cv[..., None])
         Xvv = -a[..., None] * (swing + C1)
         return Xuu, Xuv, Xvv
+
+    def jet4(line, v):
+        cv, sv = np.cos(v)[..., None], np.sin(v)[..., None]
+        S = C1 * (cv - 1.0) + C2 * sv
+        S1 = -C1 * sv + C2 * cv
+        return _sweep_jet4(line, S, S1, -(S + C1), -S1, S + C1)
 
     return SurfacePatch(
         case=case,
@@ -206,6 +297,7 @@ def _circle_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
         C2=C2,
         profile=prof,
         jet=jet,
+        jet4=jet4,
     )
 
 
@@ -241,13 +333,19 @@ def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
         return X, Xu, Xv
 
     def jet(line, v):
-        _, _, b, bp, Tp, bpp = line
+        _, _, b, bp, Tp, bpp = line[:6]
         ev, emv = np.exp(v), np.exp(-v)
         swing = C1 * (ev - 1.0)[..., None] + C2 * (emv - 1.0)[..., None]
         Xuu = Tp + bpp[..., None] * swing
         Xuv = bp[..., None] * (C1 * ev[..., None] - C2 * emv[..., None])
         Xvv = b[..., None] * (C1 * ev[..., None] + C2 * emv[..., None])
         return Xuu, Xuv, Xvv
+
+    def jet4(line, v):
+        ev, emv = np.exp(v)[..., None], np.exp(-v)[..., None]
+        S = C1 * (ev - 1.0) + C2 * (emv - 1.0)
+        S1, S2 = C1 * ev - C2 * emv, C1 * ev + C2 * emv
+        return _sweep_jet4(line, S, S1, S2, S1, S2)
 
     return SurfacePatch(
         case="h3_parabolic",
@@ -262,6 +360,7 @@ def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
         C2=C2,
         profile=prof,
         jet=jet,
+        jet4=jet4,
     )
 
 

@@ -1,17 +1,26 @@
 """Coordinate-free numerical verification of surface patches.
 
 Everything here is computed from the patch evaluators alone (position,
-analytic first partials and, when the patch has a ``jet``, analytic second
-partials); how the patch was built never enters except when comparing
-against its declared reference channels.  A patch without a jet gets its
-second partials from Richardson-extrapolated central differences of the
-first partials.  A patch with a jet is differenced the same way once, on the
-centre grid, and the largest Euclidean distance between the differences and
-the jet is the required ``second_partials_fd`` residual: the jet is never
-trusted unchecked.  The mean curvature is then treated as a scalar field on
-the parameter rectangle and differentiated with a larger outer step; the
-second differencing amplifies whatever noise the field carries by
-1/step^2, so the two steps are kept apart (see defaults).
+analytic first partials and, when the patch has a ``jet`` and a ``jet4``,
+analytic partials of orders 2 to 4); how the patch was built never enters
+except when comparing against its declared reference channels.  A patch
+without a jet gets its second partials from Richardson-extrapolated central
+differences of the first partials.  A patch with a jet is differenced the
+same way once, on the centre grid, and the largest Euclidean distance
+between the differences and the jet is the required ``second_partials_fd``
+residual: the jet is never trusted unchecked.
+
+The derivatives of the mean curvature f follow in one of two ways.  For a
+patch with ``jet4``, grad f and Delta f are closed-form at each point (from
+the Weingarten equation and the derivatives of the metric and second form,
+see ``_jet_f_derivatives``), and every partial of order 3 or 4 is compared
+with the inner-step difference of the partial one order lower on every
+4th row and column: the required ``higher_partials_fd`` residual.  For any
+other patch f is treated as a scalar field on the parameter rectangle and
+differentiated with a larger outer step; the second differencing amplifies
+whatever noise the field carries by 1/step^2, so the two steps are kept
+apart (see defaults).  The report's ``fd`` block names the route taken
+(``f_derivatives``: ``jet`` or ``outer_fd``).
 
 Sign conventions
 ----------------
@@ -64,12 +73,14 @@ __all__ = [
 class FDScheme:
     """Two-level finite-difference configuration.
 
-    ``inner_step`` differences the analytic first partials of X (the
-    second partials of a patch without a jet, the jet cross-check
-    otherwise, and the flux coefficients of the Laplacian);
-    ``outer_step`` differences the mean-curvature field built on top of
-    them.  Richardson extrapolation (steps h and h/2) is applied to both
-    levels unless disabled.
+    ``inner_step`` differences the analytic partials of X: the first
+    partials give the second partials of a patch without a jet, the jet
+    cross-check otherwise, and (without ``jet4``) the flux coefficients
+    of the Laplacian; the jets give the ``jet4`` cross-check.
+    ``outer_step`` differences the mean-curvature field of a patch
+    without ``jet4`` and, for every patch, sets the stencil reach that
+    keeps the grid inside the evaluable domain.  Richardson extrapolation
+    (steps h and h/2) is applied to both levels unless disabled.
     """
 
     inner_step: float
@@ -112,6 +123,11 @@ def fd_for_patch(patch: SurfacePatch, inner_step=None, outer_step=None) -> FDSch
 # batched geometry
 # ---------------------------------------------------------------------------
 
+# grid points per block of the closed-form f-derivative pass
+_JET_BLOCK_POINTS = 2048
+# every this many rows and columns carry the higher_partials_fd cross-check
+_HIGHER_STRIDE = 4
+
 
 class _Probe:
     """Tensor-grid evaluation with the u-lines cached per u offset.
@@ -143,15 +159,27 @@ class _Probe:
         """(Xuu, Xuv, Xvv) at the grid shifted by (du, dv)."""
         return self._grid_eval("jet", du, dv)
 
-    def _grid_eval(self, name: str, du: float, dv: float):
+    def jet4(self, du: float, dv: float, rows: slice | None = None):
+        """The nine partials of orders 3 and 4 at the shifted grid.
+
+        ``rows`` restricts the evaluation to a block of u-rows; the u-line
+        entries are sliced along their first axis.
+        """
+        return self._grid_eval("jet4", du, dv, rows)
+
+    def _grid_eval(self, name: str, du: float, dv: float, rows: slice | None = None):
         line = self.line(du)
+        shape = self.shape
+        if rows is not None:
+            line = tuple(np.asarray(entry)[rows] for entry in line)
+            shape = (len(range(*rows.indices(shape[0]))), shape[1])
         try:
             out = getattr(self.patch, name)(line, self.v + dv)
         except ValueError as exc:
             raise self._contract_error(name, f"numpy said: {exc}") from exc
-        if any(np.shape(a)[:-1] != self.shape for a in out):
+        if any(np.shape(a)[:-1] != shape for a in out):
             raise self._contract_error(name, f"got shapes {[np.shape(a) for a in out]}")
-        n = self.shape[0] * self.shape[1]
+        n = shape[0] * shape[1]
         return tuple(a.reshape(n, a.shape[-1]) for a in out)
 
     def _contract_error(self, name: str, detail: str) -> UsageError:
@@ -222,6 +250,49 @@ def _unit_normal(model: SpaceForm, X, Xu, Xv):
     n = _cofactor_complement(sig, mat)
     n2 = sig.inner(n, n)
     return n / np.sqrt(np.abs(n2))[..., None]
+
+
+def _higher_partials_fd(patch: SurfacePatch, ugrid, vgrid, fd: FDScheme) -> np.ndarray:
+    """Largest Euclidean norm of jet4 minus differences of the order below.
+
+    Each partial of order 3 or 4 is compared with the inner-step difference
+    of the partial one order lower: Xuuu and Xuuuu in u, every other one in
+    v.  With Richardson extrapolation the difference takes one level more
+    than elsewhere (steps h, h/2 and h/4, sixth order): the truncation error
+    grows with the order of the partials, and at fourth order it alone
+    exceeded the bound on valid surfaces (an r3 rectangle starting near the
+    waist, sharply peaked curvature profiles).  Returns shape (nu, nv).
+    """
+    pr = _Probe(patch, ugrid, vgrid)
+    h = fd.inner_step
+    cache: dict = {}
+
+    def jets(du, dv):
+        # orders 2, 3 and 4 by the number of v's: indices 0-2, 3-6, 7-11
+        key = (float(du), float(dv))
+        if key not in cache:
+            cache[key] = pr.jet(du, dv) + pr.jet4(du, dv)
+        return cache[key]
+
+    def diff(i, along_u):
+        def shifted(s):
+            return jets(s, 0.0)[i] if along_u else jets(0.0, s)[i]
+
+        d_h = _rich1(shifted, h, fd.richardson)
+        if not fd.richardson:
+            return d_h
+        return (16.0 * _rich1(shifted, 0.5 * h, True) - d_h) / 15.0
+
+    # (partial, the partial it differences, direction)
+    pairs = [(3, 0, True), (7, 3, True)]
+    pairs += [(i, i - 4, False) for i in (4, 5, 6)]
+    pairs += [(i, i - 5, False) for i in (8, 9, 10, 11)]
+    exact = jets(0.0, 0.0)
+    euclid = Signature(patch.model.ambient.dim)
+    worst = np.max(
+        [euclid.norm(diff(j, along_u) - exact[i]) for i, j, along_u in pairs], axis=0
+    )
+    return worst.reshape(pr.shape)
 
 
 def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float,
@@ -309,17 +380,75 @@ def _eig_direction(sh, lam):
     return v1 / norm, v2 / norm
 
 
+def _exact_f_field(patch: SurfacePatch) -> bool:
+    """Whether grad f and Delta f come from the patch's jets (else outer FD)."""
+    return patch.jet is not None and patch.jet4 is not None
+
+
+# index sums: the partial X_{i1..ir} is the one with i1 + ... + ir v's
+_SUM2 = np.add.outer([0, 1], [0, 1])
+_SUM3 = np.add.outer(_SUM2, [0, 1])
+_SUM4 = np.add.outer(_SUM3, [0, 1])
+
+
+def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
+    """(F1, F2, laplacian) of the mean curvature at the grid points ``sl``.
+
+    F1[k] = f_k and F2[k, l] = f_kl, indices 0 = u and 1 = v.  From
+    identities that hold for any surface in the space form, with
+    Gam_ij,m = <X_ij, X_m> (X is orthogonal to X_m):
+    the Weingarten equation eta_k = -a^p_k X_p, so
+    h_ij,k = <X_ijk, eta> - a^p_k Gam_ij,p; g_ij,k = Gam_ik,j + Gam_jk,i;
+    a_,l = g^-1 (h_,l - g_,l a), f_l = tr a_,l, and one more derivative,
+    f_kl = tr g^-1 (h_,kl - g_,kl a - g_,l a_,k - g_,k a_,l).  The Laplacian
+    is -g^kl (f_kl - Gam^m_kl f_m), the geometer's sign.
+    """
+    X1 = [sh[name][sl] for name in ("Xu", "Xv")]
+    P2 = [sh[name][sl] for name in ("Xuu", "Xuv", "Xvv")]
+    P3, P4 = line4[:4], line4[4:]
+    eta = [sh["eta"][sl]]
+
+    def table(rows, cols):
+        return np.array([[model.inner(r, c) for c in cols] for r in rows])
+
+    # inner products of the distinct partials, spread over all index tuples
+    gam = table(P2, X1)[_SUM2]                                # <X_ij, X_m>
+    T = table(P3, X1)[_SUM3]                                  # <X_ijk, X_m>
+    Q = table(P2, P2)[_SUM2[:, :, None, None], _SUM2]         # <X_ij, X_kl>
+    E3 = table(P3, eta)[_SUM3][..., 0, :]                     # <X_ijk, eta>
+    E4 = table(P4, eta)[_SUM4][..., 0, :]                     # <X_ijkl, eta>
+    g11, g12, g22, det = (sh[k][sl] for k in ("g11", "g12", "g22", "det"))
+    gi = np.array([[g22, -g12], [-g12, g11]]) / det
+    a = np.array([[sh["a11"][sl], sh["a12"][sl]], [sh["a21"][sl], sh["a22"][sl]]])
+
+    es = np.einsum
+    dg = es("ikjn->ijkn", gam) + es("jkin->ijkn", gam)
+    dh = E3 - es("pkn,ijpn->ijkn", a, gam)
+    da = es("pqn,qkln->pkln", gi, dh - es("qrln,rkn->qkln", dg, a))
+    F1 = es("ppln->ln", da)
+    ddg = (es("ikljn->ijkln", T) + es("jklin->ijkln", T)
+           + es("ikjln->ijkln", Q) + es("iljkn->ijkln", Q))
+    ddh = (E4 - es("pln,ijkpn->ijkln", a, T) - es("pkn,ijlpn->ijkln", a, T)
+           - es("pkln,ijpn->ijkln", da, gam) - es("pkn,ijpln->ijkln", a, Q))
+    F2 = (es("jin,ijkln->kln", gi, ddh) - es("jin,irkln,rjn->kln", gi, ddg, a)
+          - es("jin,irln,rjkn->kln", gi, dg, da) - es("jin,irkn,rjln->kln", gi, dg, da))
+    christoffel = es("mpn,klpn->mkln", gi, gam)
+    lap = -es("kln,kln->n", gi, F2 - es("mkln,mn->kln", christoffel, F1))
+    return F1, F2, lap
+
+
 def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
     """Center-point shape data plus derivatives of the f-field.
 
     For a patch with a jet, ``second_partials_fd`` holds the per-point
     largest Euclidean norm of (differenced - jet) over Xuu, Xuv and Xvv.
+    For a patch with ``jet4`` as well, grad f and Delta f are closed-form
+    (``_jet_f_derivatives``), evaluated in blocks of u-rows; otherwise f is
+    differenced with the outer step and Delta f takes the divergence form.
     """
     frames: dict = {}
     frame = _cached_frame(pr, frames)
     sh = _shape(pr, 0.0, 0.0, fd, sign, frame)
-    H = fd.outer_step
-    rich = fd.richardson
 
     if pr.patch.jet is not None:
         fd2 = _second_partials_fd(frame, 0.0, 0.0, fd)
@@ -328,6 +457,23 @@ def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
             [euclid.norm(d - sh[name]) for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
             axis=0,
         )
+
+    if _exact_f_field(pr.patch):
+        frames.clear()
+        nu, nv = pr.shape
+        n = nu * nv
+        F1, F2, lap = np.empty((2, n)), np.empty((2, 2, n)), np.empty(n)
+        step = max(1, _JET_BLOCK_POINTS // nv)
+        for r0 in range(0, nu, step):
+            rows = slice(r0, min(r0 + step, nu))
+            sl = slice(rows.start * nv, rows.stop * nv)
+            F1[:, sl], F2[:, :, sl], lap[sl] = _jet_f_derivatives(
+                sh, sl, pr.jet4(0.0, 0.0, rows), pr.patch.model
+            )
+        return _with_gradient(sh, F1[0], F1[1], F2[0, 0], F2[0, 1], F2[1, 1], lap)
+
+    H = fd.outer_step
+    rich = fd.richardson
 
     # flux coefficients sqrt(g) g^{ij} from first partials only, on the
     # inner-step stencil frames
@@ -369,7 +515,13 @@ def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
         guu * Fuu + 2.0 * guv * Fuv + gvv * Fvv
         + (t1 * Fu + t2 * Fv + t3 * Fu + t4 * Fv) / sg
     )
+    return _with_gradient(sh, Fu, Fv, Fuu, Fuv, Fvv, -lap_lb)
 
+
+def _with_gradient(sh: dict, Fu, Fv, Fuu, Fuv, Fvv, laplacian) -> dict:
+    """``sh`` with the partials of f, grad f and the (geometric) Laplacian."""
+    det, g11, g12, g22 = sh["det"], sh["g11"], sh["g12"], sh["g22"]
+    guu, guv, gvv = g22 / det, -g12 / det, g11 / det
     Gu = guu * Fu + guv * Fv
     Gv = guv * Fu + gvv * Fv
     grad2 = Fu * Gu + Fv * Gv
@@ -379,7 +531,7 @@ def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
         grad_u=Gu, grad_v=Gv,
         grad2=np.maximum(grad2, 0.0),
         grad_norm=np.sqrt(np.maximum(grad2, 0.0)),
-        laplacian=-lap_lb,
+        laplacian=laplacian,
     )
     return sh
 
@@ -602,12 +754,33 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """The report as JSON; a non-finite value is a ConditioningError naming its key."""
+        data = self.to_dict()
+        key = _nonfinite_key(data)
+        if key is not None:
+            raise ConditioningError(f"report value '{key}' is not finite")
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def save(self, path) -> str:
+        text = self.to_json()
         with open(str(path), "w") as fh:
-            fh.write(self.to_json())
+            fh.write(text)
         return str(path)
+
+
+def _nonfinite_key(obj, path: str = ""):
+    """Dotted key of the first non-finite float in ``obj`` (sorted order), or None."""
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return path if isinstance(obj, float) and not np.isfinite(obj) else None
+    for k, v in items:
+        found = _nonfinite_key(v, f"{path}.{k}" if path else str(k))
+        if found is not None:
+            return found
+    return None
 
 
 def verify_patch(
@@ -712,6 +885,14 @@ def verify_patch(
     # comparisons against builder-declared data
     if "second_partials_fd" in sh:
         record("second_partials_fd", sh["second_partials_fd"])
+    exact_f = _exact_f_field(patch)
+    if exact_f:
+        every = slice(None, None, _HIGHER_STRIDE)
+        sub = np.zeros((nu, nv), dtype=bool)
+        sub[every, every] = True
+        higher = np.full((nu, nv), np.nan)
+        higher[every, every] = _higher_partials_fd(patch, ugrid[every], vgrid[every], fd)
+        record("higher_partials_fd", higher.ravel(), mask=sub.ravel())
     if isinstance(patch.profile, ProfileCurve):
         ksol = np.repeat(patch.profile.k(ugrid), nv)
         record("f_vs_profile", f - 2.0 * ksol)
@@ -776,7 +957,7 @@ def verify_patch(
             "u_range": [float(ugrid[0]), float(ugrid[-1])],
             "v_range": [float(vgrid[0]), float(vgrid[-1])],
         },
-        fd=fd.describe(),
+        fd=dict(fd.describe(), f_derivatives="jet" if exact_f else "outer_fd"),
         tolerances=dict(sorted(tolerances.items())),
         residuals=residuals,
         bitension=bitension,

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from biconsurf import pipeline
 from biconsurf.cli import main
 from biconsurf.pipeline import PipelineConfig, cmd_solve, cmd_surface, cmd_sweep
 
@@ -171,6 +172,37 @@ class TestExtremeFiniteInput:
         assert "DomainError" in err and named in err
         assert "Traceback" not in err
 
+
+
+class TestUnusableOutputDirectory:
+    """--out naming an existing file is a usage error, raised before the build."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = pipeline.build_pipeline_patch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_pipeline_patch", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", [
+        ["surface", "--model", "s3"],
+        ["sweep", "--model", "s3", "--values", "1"],
+    ])
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_exits_two_without_building(self, tmp_path, capsys, builds, command, inside):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if inside else blocker
+        assert run(*command, "--nu", "8", "--nv", "8", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "output directory" in err and "Traceback" not in err
+        assert builds == []
+        assert blocker.read_text() == "not a directory\n"
 
 
 class TestNegativeExponentInput:

@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biconsurf as bc
+from biconsurf import surfaces, verify
+from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.surfaces import SurfacePatch
-from biconsurf.verify import FDScheme, _Probe, fd_for_patch
+from biconsurf.verify import FDScheme, _field_bundle, _Probe, fd_for_patch, normal_sign
 
 from conftest import (
     analytic_patch,
@@ -240,6 +243,23 @@ class TestReportSerialization:
         assert data["residuals"]["x2f"]["max"] is None
         assert data["gates"]["non_cmc_points"] == 0
 
+    @pytest.mark.parametrize("block, key, path", [
+        ("bitension", "min_abs", "bitension.min_abs"),
+        ("residuals", "pde", "residuals.pde.max"),
+    ])
+    def test_nonfinite_value_is_conditioning_error(self, r3_pipeline, tmp_path,
+                                                   block, key, path):
+        report = r3_pipeline[-1]
+        data = dict(getattr(report, block))
+        data[key] = (float("nan") if block == "bitension"
+                     else dict(data[key], max=float("inf")))
+        broken = dataclasses.replace(report, **{block: data})
+        with pytest.raises(bc.ConditioningError, match=re.escape(f"'{path}'")):
+            broken.to_json()
+        with pytest.raises(bc.ConditioningError):
+            broken.save(tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
+
     def test_pass_respects_tolerances(self, r3_pipeline):
         _, patch, _ = r3_pipeline
         strict = {"biconservative": 1e-30}
@@ -416,3 +436,170 @@ class TestJetCrossCheck:
         # u-line of the revolution: (rho, height, height', height'')
         patch = r3_pipeline[1]
         self.assert_rejected(_mutated(patch, 3, lambda line: -line[3]))
+
+
+def _item1_h3():
+    # ROADMAP item 1's traced case: pde 2.7e-3 to 4.2e-3 with outer-step FD
+    cfg = PipelineConfig(model="h3", k0=2.626, kp0=-0.2856)
+    return build_pipeline_patch(cfg)[0]
+
+
+def _f_partials(patch, fd, n=12):
+    u = np.linspace(*patch.u_range, n + 2)[1:-1]
+    v = np.linspace(*patch.v_range, n)
+    sh = _field_bundle(_Probe(patch, u, v), fd, normal_sign(patch, fd))
+    return {name: sh[name] for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv", "laplacian")}, u
+
+
+class TestExactFieldDerivatives:
+    """grad f and Delta f in closed form from the order 3 and 4 partials."""
+
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
+                                     "h3p_pipeline"])
+    def test_matches_outer_differences_at_an_eighth_of_the_step(self, fix, request):
+        patch = request.getfixturevalue(fix)[-2]
+        fd = fd_for_patch(patch)
+        exact, _ = _f_partials(patch, fd)
+        fine = FDScheme(fd.inner_step, fd.outer_step / 8)
+        differenced, _ = _f_partials(dataclasses.replace(patch, jet4=None), fine)
+        for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv"):
+            assert np.max(np.abs(exact[name] - differenced[name])) <= 1e-6, name
+
+    def test_r3_closed_form(self, r3_pipeline):
+        # f = 2 / (3 sqrt(C) rho^(4/3)) with C = 1 depends on rho = u only
+        patch = r3_pipeline[1]
+        got, rho = _f_partials(patch, fd_for_patch(patch))
+        rho = np.repeat(rho, 12)
+        assert np.max(np.abs(got["Fu"] + (8.0 / 9.0) * rho ** (-7.0 / 3.0))) <= 1e-14
+        assert np.max(np.abs(got["Fuu"] - (56.0 / 27.0) * rho ** (-10.0 / 3.0))) <= 1e-14
+        for name in ("Fv", "Fuv", "Fvv"):
+            assert np.max(np.abs(got[name])) <= 1e-14
+
+    @pytest.mark.parametrize("make, n", [
+        (_item1_h3, 20),
+        (lambda: build_pipeline_patch(PipelineConfig(model="s3", k0=0.6, kp0=1.0))[0], 64),
+    ])
+    def test_pde_within_tolerance_where_outer_differences_failed(self, make, n):
+        rep = bc.verify_patch(make(), n, n)
+        assert rep.residuals["pde"]["count"] == n * n
+        assert rep.residuals["pde"]["max"] <= 1e-10 < rep.tolerances["pde"]
+        assert rep.residuals["higher_partials_fd"]["max"] <= \
+            rep.tolerances["higher_partials_fd"]
+
+    def test_item1_case_passes(self):
+        assert bc.verify_patch(_item1_h3(), 20, 20).passed
+
+    def test_fd_block_names_the_route(self, r3_pipeline, s3_pipeline):
+        for report in (r3_pipeline[-1], s3_pipeline[-1]):
+            assert report.fd["f_derivatives"] == "jet"
+            assert report.fd["outer_step"] > 0
+        patch = dataclasses.replace(s3_pipeline[2], jet4=None)
+        assert bc.verify_patch(patch, 8, 8).fd["f_derivatives"] == "outer_fd"
+        assert bc.verify_patch(sphere_patch(), 8, 8).fd["f_derivatives"] == "outer_fd"
+
+    def test_blocks_do_not_change_the_result(self, s3_pipeline, monkeypatch):
+        patch = s3_pipeline[2]
+        whole = bc.verify_patch(patch, 24, 24)
+        monkeypatch.setattr(verify, "_JET_BLOCK_POINTS", 50)  # two rows a block
+        blocked = bc.verify_patch(patch, 24, 24)
+        assert blocked.to_json() == whole.to_json()
+        for name in whole.fields:
+            assert np.array_equal(blocked.fields[name], whole.fields[name])
+
+
+class TestOuterDifferencePath:
+    """Patches without jet4 keep the outer-step path of earlier versions."""
+
+    # recorded with the outer-step verifier before jet4 existed
+    RECORDED = {
+        ("s3", 1.0, 1.0): {
+            "pde": 8.337298176286367e-06, "biconservative": 1.6679368040463588e-09,
+            "x2f": 3.262827042782645e-10, "min_abs": 0.3808322156731525,
+            "max_abs": 18.130920692437414, "mean_abs": 7.938619997673379,
+        },
+        ("h3", 0.25, 0.2): {
+            "pde": 8.237212080763889e-07, "biconservative": 2.1685845349688145e-09,
+            "x2f": 2.1003032107211066e-09, "min_abs": 0.38308868165664217,
+            "max_abs": 0.8437522051471673, "mean_abs": 0.7214375450809969,
+        },
+    }
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_jetless_report_values_unchanged(self, key):
+        model, k0, kp0 = key
+        patch = build_pipeline_patch(PipelineConfig(model=model, k0=k0, kp0=kp0))[0]
+        rep = bc.verify_patch(dataclasses.replace(patch, jet=None, jet4=None), 16, 16)
+        got = {name: rep.residuals[name]["max"] for name in ("pde", "biconservative", "x2f")}
+        got.update(rep.bitension)
+        for name, want in self.RECORDED[key].items():
+            assert got[name] == pytest.approx(want, rel=1e-6), name
+        assert rep.fd["f_derivatives"] == "outer_fd"
+        assert "higher_partials_fd" not in rep.residuals
+
+    def test_jet4_without_jet_is_not_used(self):
+        def refuse(line, v):
+            raise AssertionError("jet4 called on the outer-difference path")
+
+        for patch in (sphere_patch(), cylinder_patch()):
+            rep = bc.verify_patch(dataclasses.replace(patch, jet4=refuse), 8, 8)
+            assert rep.fd["f_derivatives"] == "outer_fd"
+
+
+class TestHigherPartialsCrossCheck:
+    """A builder bug in the order 3 or 4 partials must fail higher_partials_fd."""
+
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
+                                     "h3p_pipeline"])
+    def test_strided_and_within_tolerance(self, fix, request):
+        report = request.getfixturevalue(fix)[-1]
+        entry = report.residuals["higher_partials_fd"]
+        assert entry["count"] == 16 * 16
+        assert entry["max"] <= report.tolerances["higher_partials_fd"]
+        assert report.residuals["second_partials_fd"]["count"] == 64 * 64
+
+    def test_odd_grid_includes_first_row_and_column(self, s3_pipeline):
+        rep = bc.verify_patch(s3_pipeline[2], 9, 13)
+        assert rep.residuals["higher_partials_fd"]["count"] == 3 * 4
+
+    @staticmethod
+    def assert_rejected(patch):
+        rep = bc.verify_patch(patch, 24, 24)
+        assert rep.residuals["higher_partials_fd"]["max"] > \
+            rep.tolerances["higher_partials_fd"]
+        assert not rep.passed
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline"])
+    def test_scaled_curvature_derivative(self, fix, order, request, monkeypatch):
+        # order 1 scales k''', order 2 scales k''''
+        patch = request.getfixturevalue(fix)[2]
+        exact = surfaces._curvature_derivatives
+
+        def scaled(k, kp, c):
+            out = list(exact(k, kp, c))
+            out[order] = out[order] * (1 + 1e-3)
+            return tuple(out)
+
+        monkeypatch.setattr(surfaces, "_curvature_derivatives", scaled)
+        self.assert_rejected(patch)
+
+    @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline"])
+    def test_flipped_model_curvature_in_fourth_derivative(self, fix, request):
+        # sigma'''' with -c for c: + 2c k n - 2c k^2 sigma
+        patch = request.getfixturevalue(fix)[2]
+        c = patch.model.c
+        prof = patch.profile
+
+        def uline(u):
+            line = list(patch.uline(u))
+            st = prof.state(u)
+            k, n, sigma = st[..., :1], st[..., 10:14], st[..., 2:6]
+            line[8] = line[8] + 2 * c * k * n - 2 * c * k**2 * sigma
+            return tuple(line)
+
+        self.assert_rejected(dataclasses.replace(patch, uline=uline))
+
+    def test_negated_height_third_derivative(self, r3_pipeline):
+        # u-line of the revolution: (rho, height, height', ..., height'''')
+        patch = r3_pipeline[1]
+        self.assert_rejected(_mutated(patch, 4, lambda line: -line[4]))
