@@ -438,8 +438,8 @@ class TestJetCrossCheck:
         self.assert_rejected(_mutated(patch, 3, lambda line: -line[3]))
 
 
-def _item1_h3():
-    # ROADMAP item 1's traced case: pde 2.7e-3 to 4.2e-3 with outer-step FD
+def _h3_truncation_case():
+    # pde was 2.7e-3 to 4.2e-3 here with outer-step differences of f
     cfg = PipelineConfig(model="h3", k0=2.626, kp0=-0.2856)
     return build_pipeline_patch(cfg)[0]
 
@@ -462,7 +462,7 @@ class TestExactFieldDerivatives:
         exact, _ = _f_partials(patch, fd)
         fine = FDScheme(fd.inner_step, fd.outer_step / 8)
         differenced, _ = _f_partials(dataclasses.replace(patch, jet4=None), fine)
-        for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv"):
+        for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv", "laplacian"):
             assert np.max(np.abs(exact[name] - differenced[name])) <= 1e-6, name
 
     def test_r3_closed_form(self, r3_pipeline):
@@ -476,9 +476,9 @@ class TestExactFieldDerivatives:
             assert np.max(np.abs(got[name])) <= 1e-14
 
     @pytest.mark.parametrize("make, n", [
-        (_item1_h3, 20),
+        (_h3_truncation_case, 20),
         (lambda: build_pipeline_patch(PipelineConfig(model="s3", k0=0.6, kp0=1.0))[0], 64),
-    ])
+    ], ids=["h3-k0-2.626", "s3-k0-0.6"])
     def test_pde_within_tolerance_where_outer_differences_failed(self, make, n):
         rep = bc.verify_patch(make(), n, n)
         assert rep.residuals["pde"]["count"] == n * n
@@ -486,8 +486,8 @@ class TestExactFieldDerivatives:
         assert rep.residuals["higher_partials_fd"]["max"] <= \
             rep.tolerances["higher_partials_fd"]
 
-    def test_item1_case_passes(self):
-        assert bc.verify_patch(_item1_h3(), 20, 20).passed
+    def test_h3_truncation_case_passes(self):
+        assert bc.verify_patch(_h3_truncation_case(), 20, 20).passed
 
     def test_fd_block_names_the_route(self, r3_pipeline, s3_pipeline):
         for report in (r3_pipeline[-1], s3_pipeline[-1]):
