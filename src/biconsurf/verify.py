@@ -74,9 +74,9 @@ class FDScheme:
     """Two-level finite-difference configuration.
 
     ``inner_step`` differences the analytic partials of X: the first
-    partials give the second partials of a patch without a jet, the jet
-    cross-check otherwise, and (without ``jet4``) the flux coefficients
-    of the Laplacian; the jets give the ``jet4`` cross-check.
+    partials give the second partials (and so the Christoffel symbols) of
+    a patch without a jet and the jet cross-check otherwise; the jets give
+    the ``jet4`` cross-check.
     ``outer_step`` differences the mean-curvature field of a patch
     without ``jet4`` and, for every patch, sets the stencil reach that
     keeps the grid inside the evaluable domain.  Richardson extrapolation
@@ -391,8 +391,27 @@ _SUM3 = np.add.outer(_SUM2, [0, 1])
 _SUM4 = np.add.outer(_SUM3, [0, 1])
 
 
+def _table(model: SpaceForm, rows, cols) -> np.ndarray:
+    """Inner products <row, col> of two lists of vector fields."""
+    return np.array([[model.inner(r, c) for c in cols] for r in rows])
+
+
+def _metric_tables(sh: dict, sl: slice, model: SpaceForm):
+    """(g^-1, Gam[i, j, m] = <X_ij, X_m>) at the grid points ``sl`` of ``sh``."""
+    X1 = [sh[name][sl] for name in ("Xu", "Xv")]
+    P2 = [sh[name][sl] for name in ("Xuu", "Xuv", "Xvv")]
+    g11, g12, g22, det = (sh[k][sl] for k in ("g11", "g12", "g22", "det"))
+    return np.array([[g22, -g12], [-g12, g11]]) / det, _table(model, P2, X1)[_SUM2]
+
+
+def _laplacian(gi, gam, F1, F2) -> np.ndarray:
+    """-g^kl (f_kl - Gam^m_kl f_m), the geometer's sign, from ``_metric_tables``."""
+    christoffel = np.einsum("mpn,klpn->mkln", gi, gam)
+    return -np.einsum("kln,kln->n", gi, F2 - np.einsum("mkln,mn->kln", christoffel, F1))
+
+
 def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
-    """(F1, F2, laplacian) of the mean curvature at the grid points ``sl``.
+    """(F1, F2) of the mean curvature at the grid points ``sl``.
 
     F1[k] = f_k and F2[k, l] = f_kl, indices 0 = u and 1 = v.  From
     identities that hold for any surface in the space form, with
@@ -400,25 +419,19 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
     the Weingarten equation eta_k = -a^p_k X_p, so
     h_ij,k = <X_ijk, eta> - a^p_k Gam_ij,p; g_ij,k = Gam_ik,j + Gam_jk,i;
     a_,l = g^-1 (h_,l - g_,l a), f_l = tr a_,l, and one more derivative,
-    f_kl = tr g^-1 (h_,kl - g_,kl a - g_,l a_,k - g_,k a_,l).  The Laplacian
-    is -g^kl (f_kl - Gam^m_kl f_m), the geometer's sign.
+    f_kl = tr g^-1 (h_,kl - g_,kl a - g_,l a_,k - g_,k a_,l).
     """
     X1 = [sh[name][sl] for name in ("Xu", "Xv")]
     P2 = [sh[name][sl] for name in ("Xuu", "Xuv", "Xvv")]
     P3, P4 = line4[:4], line4[4:]
     eta = [sh["eta"][sl]]
 
-    def table(rows, cols):
-        return np.array([[model.inner(r, c) for c in cols] for r in rows])
-
+    gi, gam = _metric_tables(sh, sl, model)
     # inner products of the distinct partials, spread over all index tuples
-    gam = table(P2, X1)[_SUM2]                                # <X_ij, X_m>
-    T = table(P3, X1)[_SUM3]                                  # <X_ijk, X_m>
-    Q = table(P2, P2)[_SUM2[:, :, None, None], _SUM2]         # <X_ij, X_kl>
-    E3 = table(P3, eta)[_SUM3][..., 0, :]                     # <X_ijk, eta>
-    E4 = table(P4, eta)[_SUM4][..., 0, :]                     # <X_ijkl, eta>
-    g11, g12, g22, det = (sh[k][sl] for k in ("g11", "g12", "g22", "det"))
-    gi = np.array([[g22, -g12], [-g12, g11]]) / det
+    T = _table(model, P3, X1)[_SUM3]                          # <X_ijk, X_m>
+    Q = _table(model, P2, P2)[_SUM2[:, :, None, None], _SUM2]  # <X_ij, X_kl>
+    E3 = _table(model, P3, eta)[_SUM3][..., 0, :]             # <X_ijk, eta>
+    E4 = _table(model, P4, eta)[_SUM4][..., 0, :]             # <X_ijkl, eta>
     a = np.array([[sh["a11"][sl], sh["a12"][sl]], [sh["a21"][sl], sh["a22"][sl]]])
 
     es = np.einsum
@@ -432,9 +445,26 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
            - es("pkln,ijpn->ijkln", da, gam) - es("pkn,ijpln->ijkln", a, Q))
     F2 = (es("jin,ijkln->kln", gi, ddh) - es("jin,irkln,rjn->kln", gi, ddg, a)
           - es("jin,irln,rjkn->kln", gi, dg, da) - es("jin,irkn,rjln->kln", gi, dg, da))
-    christoffel = es("mpn,klpn->mkln", gi, gam)
-    lap = -es("kln,kln->n", gi, F2 - es("mkln,mn->kln", christoffel, F1))
-    return F1, F2, lap
+    return F1, F2
+
+
+def _outer_f_derivatives(pr: _Probe, fd: FDScheme, sign: float, f0):
+    """(F1, F2) of the mean curvature by outer-step differences of f."""
+    H, rich = fd.outer_step, fd.richardson
+    cache: dict = {(0.0, 0.0): f0}
+
+    def F(a, b):
+        key = (float(a), float(b))
+        if key not in cache:
+            cache[key] = _shape(pr, a, b, fd, sign)["f"]
+        return cache[key]
+
+    Fu = _rich1(lambda s: F(s, 0.0), H, rich)
+    Fv = _rich1(lambda s: F(0.0, s), H, rich)
+    Fuu = _rich2(f0, lambda s: F(s, 0.0), H, rich)
+    Fvv = _rich2(f0, lambda s: F(0.0, s), H, rich)
+    Fuv = _rich_cross(F, H, rich)
+    return np.array([Fu, Fv]), np.array([[Fuu, Fuv], [Fuv, Fvv]])
 
 
 def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
@@ -444,7 +474,8 @@ def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
     largest Euclidean norm of (differenced - jet) over Xuu, Xuv and Xvv.
     For a patch with ``jet4`` as well, grad f and Delta f are closed-form
     (``_jet_f_derivatives``), evaluated in blocks of u-rows; otherwise f is
-    differenced with the outer step and Delta f takes the divergence form.
+    differenced with the outer step.  Both routes take Delta f from
+    ``_laplacian``, with the Christoffel symbols of ``sh``'s second partials.
     """
     frames: dict = {}
     frame = _cached_frame(pr, frames)
@@ -457,83 +488,74 @@ def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
             [euclid.norm(d - sh[name]) for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
             axis=0,
         )
+    frames.clear()
 
     if _exact_f_field(pr.patch):
-        frames.clear()
         nu, nv = pr.shape
-        n = nu * nv
-        F1, F2, lap = np.empty((2, n)), np.empty((2, 2, n)), np.empty(n)
+        F1, F2 = np.empty((2, nu * nv)), np.empty((2, 2, nu * nv))
         step = max(1, _JET_BLOCK_POINTS // nv)
         for r0 in range(0, nu, step):
             rows = slice(r0, min(r0 + step, nu))
             sl = slice(rows.start * nv, rows.stop * nv)
-            F1[:, sl], F2[:, :, sl], lap[sl] = _jet_f_derivatives(
+            F1[:, sl], F2[:, :, sl] = _jet_f_derivatives(
                 sh, sl, pr.jet4(0.0, 0.0, rows), pr.patch.model
             )
-        return _with_gradient(sh, F1[0], F1[1], F2[0, 0], F2[0, 1], F2[1, 1], lap)
+    else:
+        F1, F2 = _outer_f_derivatives(pr, fd, sign, sh["f"])
 
-    H = fd.outer_step
-    rich = fd.richardson
-
-    # flux coefficients sqrt(g) g^{ij} from first partials only, on the
-    # inner-step stencil frames
-    inner = pr.patch.model.inner
-
-    def coef(a, b):
-        _, Xu, Xv = frame(a, b)
-        g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
-        det = g11 * g22 - g12**2
-        sg = np.sqrt(det)
-        return np.stack([sg * g22 / det, -sg * g12 / det, sg * g11 / det])
-
-    hg = fd.inner_step
-    d_u = _rich1(lambda s: coef(s, 0.0), hg, rich)
-    d_v = _rich1(lambda s: coef(0.0, s), hg, rich)
-    t1, t2 = d_u[0], d_u[1]
-    t3, t4 = d_v[1], d_v[2]
-    frames.clear()
-
-    cache: dict = {(0.0, 0.0): sh["f"]}
-
-    def F(a, b):
-        key = (float(a), float(b))
-        if key not in cache:
-            cache[key] = _shape(pr, a, b, fd, sign)["f"]
-        return cache[key]
-
-    F0 = sh["f"]
-    Fu = _rich1(lambda s: F(s, 0.0), H, rich)
-    Fv = _rich1(lambda s: F(0.0, s), H, rich)
-    Fuu = _rich2(F0, lambda s: F(s, 0.0), H, rich)
-    Fvv = _rich2(F0, lambda s: F(0.0, s), H, rich)
-    Fuv = _rich_cross(F, H, rich)
-
-    det, g11, g12, g22 = sh["det"], sh["g11"], sh["g12"], sh["g22"]
-    sg = np.sqrt(det)
-    guu, guv, gvv = g22 / det, -g12 / det, g11 / det
-    lap_lb = (
-        guu * Fuu + 2.0 * guv * Fuv + gvv * Fvv
-        + (t1 * Fu + t2 * Fv + t3 * Fu + t4 * Fv) / sg
-    )
-    return _with_gradient(sh, Fu, Fv, Fuu, Fuv, Fvv, -lap_lb)
-
-
-def _with_gradient(sh: dict, Fu, Fv, Fuu, Fuv, Fvv, laplacian) -> dict:
-    """``sh`` with the partials of f, grad f and the (geometric) Laplacian."""
-    det, g11, g12, g22 = sh["det"], sh["g11"], sh["g12"], sh["g22"]
-    guu, guv, gvv = g22 / det, -g12 / det, g11 / det
-    Gu = guu * Fu + guv * Fv
-    Gv = guv * Fu + gvv * Fv
-    grad2 = Fu * Gu + Fv * Gv
-
+    gi, gam = _metric_tables(sh, slice(None), pr.patch.model)
+    G = gi[:, 0] * F1[0] + gi[:, 1] * F1[1]
+    grad2 = F1[0] * G[0] + F1[1] * G[1]
     sh.update(
-        Fu=Fu, Fv=Fv, Fuu=Fuu, Fuv=Fuv, Fvv=Fvv,
-        grad_u=Gu, grad_v=Gv,
+        Fu=F1[0], Fv=F1[1], Fuu=F2[0, 0], Fuv=F2[0, 1], Fvv=F2[1, 1],
+        grad_u=G[0], grad_v=G[1],
         grad2=np.maximum(grad2, 0.0),
         grad_norm=np.sqrt(np.maximum(grad2, 0.0)),
-        laplacian=laplacian,
+        laplacian=_laplacian(gi, gam, F1, F2),
     )
     return sh
+
+
+def _residual_fields(sh: dict, c: int):
+    """(fields, masks): each identity residual and the bitension on ``sh``'s grid.
+
+    The one place these formulas live.  ``masks`` holds the non-CMC gate
+    and, under a residual's name, the points that residual keeps.  Without
+    the f-field (``sh`` from ``_shape`` alone) only the curvature identities
+    are evaluated and every point is gated as CMC.
+    """
+    f, K, A2, lam1, lam2 = (sh[k] for k in ("f", "K", "A2", "lam1", "lam2"))
+    fields = {
+        "gauss_identity": K + 0.75 * f**2 - c,
+        "shape_operator_norm": A2 - 2.5 * f**2,
+        "principal_values": np.maximum(np.abs(lam1 + 0.5 * f), np.abs(lam2 - 1.5 * f)),
+    }
+    non_cmc = np.zeros(f.shape, dtype=bool)
+    if "laplacian" in sh:
+        grad_norm, Gu, Gv, lap = sh["grad_norm"], sh["grad_u"], sh["grad_v"], sh["laplacian"]
+        non_cmc = grad_norm > NONCMC_GATE * (1.0 + np.abs(f))
+        # 2 A(grad f) + f grad f, normalized
+        w1 = 2.0 * (sh["a11"] * Gu + sh["a12"] * Gv) + f * Gu
+        w2 = 2.0 * (sh["a21"] * Gu + sh["a22"] * Gv) + f * Gv
+        wnorm = np.sqrt(np.maximum(
+            sh["g11"] * w1**2 + 2 * sh["g12"] * w1 * w2 + sh["g22"] * w2**2, 0.0
+        ))
+        # df along the second principal direction
+        d2u, d2v = _eig_direction(sh, lam2)
+        fields.update(
+            biconservative=wnorm / (1.0 + np.abs(f) * grad_norm),
+            x2f=np.abs(sh["Fu"] * d2u + sh["Fv"] * d2v),
+            pde=f * lap + sh["grad2"] - (16.0 / 9.0) * K * (K - c),
+            bitension=lap - f * A2 + 2.0 * c * f,
+        )
+    eig_ok = np.abs(lam2 - lam1) > EIGEN_DEGENERACY * (1.0 + np.abs(f))
+    masks = {
+        "non_cmc": non_cmc,
+        "principal_values": non_cmc,
+        "x2f": non_cmc & eig_ok,
+        "pde": non_cmc,
+    }
+    return fields, masks
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +594,8 @@ class PointGeometry:
     laplacian_f: float | None = None
     df_du: float | None = None
     df_dv: float | None = None
+    # the one-point grid the residual helpers evaluate _residual_fields on
+    _shape_data: dict | None = field(default=None, repr=False)
 
 
 def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
@@ -624,6 +648,7 @@ def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
         dir2=np.array([num(d2[0]), num(d2[1])]),
         dir1_ambient=num(d1[0]) * Xu + num(d1[1]) * Xv,
         dir2_ambient=num(d2[0]) * Xu + num(d2[1]) * Xv,
+        _shape_data=sh,
         **kwargs,
     )
 
@@ -639,18 +664,22 @@ def point_geometry(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None 
     return _point(patch, u, v, fd, with_field=True)
 
 
-def _is_cmc_point(pg: PointGeometry) -> bool:
-    return pg.grad_norm is None or pg.grad_norm <= NONCMC_GATE * (1.0 + abs(pg.f))
+def _point_fields(pg: PointGeometry, helper: str | None, c: int | None = None):
+    """``_residual_fields`` at pg's point as (values, kept) dicts of scalars.
+
+    ``helper`` names a caller that needs grad f, which ``fundamental_forms`` omits.
+    """
+    if pg._shape_data is None or (helper and pg.grad_f is None):
+        raise UsageError(f"{helper or 'the residual helpers'} need a PointGeometry "
+                         "from point_geometry")
+    fields, masks = _residual_fields(pg._shape_data, pg.model_c if c is None else c)
+    return ({name: float(a[0]) for name, a in fields.items()},
+            {name: bool(m[0]) for name, m in masks.items()})
 
 
 def biconservative_residual(pg: PointGeometry) -> float:
     """Normalized norm of 2 A(grad f) + f grad f (zero iff biconservative)."""
-    if pg.grad_f is None:
-        raise UsageError("biconservative_residual needs a full PointGeometry")
-    A, g = pg.shape_operator, pg.metric
-    w = 2.0 * A @ pg.grad_f + pg.f * pg.grad_f
-    norm = float(np.sqrt(max(w @ g @ w, 0.0)))
-    return norm / (1.0 + abs(pg.f) * pg.grad_norm)
+    return _point_fields(pg, "biconservative_residual")[0]["biconservative"]
 
 
 def curvature_identity_residuals(pg: PointGeometry):
@@ -659,30 +688,19 @@ def curvature_identity_residuals(pg: PointGeometry):
     r_eig is NaN at CMC-gated points, where the principal-value split
     -f/2, 3f/2 is not forced.
     """
-    c = pg.model_c
-    r_k = abs(pg.K + 0.75 * pg.f**2 - c)
-    r_a2 = abs(pg.shape_norm_sq - 2.5 * pg.f**2)
-    if _is_cmc_point(pg):
-        return r_k, r_a2, float("nan")
-    r_eig = max(abs(pg.lam1 + 0.5 * pg.f), abs(pg.lam2 - 1.5 * pg.f))
-    return r_k, r_a2, r_eig
+    values, kept = _point_fields(pg, None)
+    r_eig = values["principal_values"] if kept["principal_values"] else float("nan")
+    return abs(values["gauss_identity"]), abs(values["shape_operator_norm"]), r_eig
 
 
 def pde_residual(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None = None) -> float:
     """|f Delta f + |grad f|^2 - (16/9) K (K - c)| at an interior point."""
-    pg = point_geometry(patch, u, v, fd)
-    c = pg.model_c
-    return abs(
-        pg.f * pg.laplacian_f + pg.grad_norm**2 - (16.0 / 9.0) * pg.K * (pg.K - c)
-    )
+    return abs(_point_fields(point_geometry(patch, u, v, fd), "pde_residual")[0]["pde"])
 
 
 def normal_bitension_residual(pg: PointGeometry, c: int | None = None) -> float:
     """Delta f - f |A|^2 + 2 c f; zero exactly for biharmonic surfaces."""
-    if pg.laplacian_f is None:
-        raise UsageError("normal_bitension_residual needs a full PointGeometry")
-    c = pg.model_c if c is None else c
-    return pg.laplacian_f - pg.f * pg.shape_norm_sq + 2.0 * c * pg.f
+    return _point_fields(pg, "normal_bitension_residual", c)[0]["bitension"]
 
 
 def x2f_residual(pg: PointGeometry) -> float:
@@ -690,13 +708,8 @@ def x2f_residual(pg: PointGeometry) -> float:
 
     NaN marks skipped points (CMC-gated or eigenvalue-degenerate).
     """
-    if pg.df_du is None:
-        raise UsageError("x2f_residual needs a full PointGeometry")
-    if _is_cmc_point(pg):
-        return float("nan")
-    if abs(pg.lam2 - pg.lam1) < EIGEN_DEGENERACY * (1.0 + abs(pg.f)):
-        return float("nan")
-    return abs(pg.df_du * pg.dir2[0] + pg.df_dv * pg.dir2[1])
+    values, kept = _point_fields(pg, "x2f_residual")
+    return values["x2f"] if kept["x2f"] else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +809,11 @@ def verify_patch(
     domain does not leave room for the finite-difference stencils (recorded
     in the notes).  Residual names follow the tolerance profiles in
     defaults; pass is the conjunction of all thresholds present there.
+    ``nu`` and ``nv`` must be integers >= 2.
     """
+    if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (nu, nv)):
+        raise UsageError(f"the grid needs integers nu, nv >= 2, got {nu!r} x {nv!r}")
+    nu, nv = int(nu), int(nv)
     fd = fd or fd_for_patch(patch)
     if tolerances is None:
         tolerances = TOL_PROFILES.get(patch.case, {})
@@ -827,13 +844,8 @@ def verify_patch(
     inner = model.inner
     c = model.c
 
-    f, K, A2 = sh["f"], sh["K"], sh["A2"]
-    lam1, lam2 = sh["lam1"], sh["lam2"]
-    grad_norm = sh["grad_norm"]
-    lap = sh["laplacian"]
-
-    noncmc = grad_norm > NONCMC_GATE * (1.0 + np.abs(f))
-    eig_ok = np.abs(lam2 - lam1) > EIGEN_DEGENERACY * (1.0 + np.abs(f))
+    f = sh["f"]
+    fields, masks = _residual_fields(sh, c)
 
     residuals: dict = {}
     nonfinite: dict = {}
@@ -858,29 +870,10 @@ def verify_patch(
         north = np.maximum(north, np.abs(inner(eta, X)))
     record("normal_orthogonality", north)
 
-    # biconservative equation
-    Gu, Gv = sh["grad_u"], sh["grad_v"]
-    w1 = 2.0 * (sh["a11"] * Gu + sh["a12"] * Gv) + f * Gu
-    w2 = 2.0 * (sh["a21"] * Gu + sh["a22"] * Gv) + f * Gv
-    wnorm = np.sqrt(
-        np.maximum(sh["g11"] * w1**2 + 2 * sh["g12"] * w1 * w2 + sh["g22"] * w2**2, 0.0)
-    )
-    record("biconservative", wnorm / (1.0 + np.abs(f) * grad_norm))
-
-    # curvature identities
-    record("gauss_identity", K + 0.75 * f**2 - c)
-    record("shape_operator_norm", A2 - 2.5 * f**2)
-    r_eig = np.maximum(np.abs(lam1 + 0.5 * f), np.abs(lam2 - 1.5 * f))
-    record("principal_values", r_eig, mask=noncmc)
-
-    # df along the second principal direction
-    d2u, d2v = _eig_direction(sh, lam2)
-    x2f = np.abs(sh["Fu"] * d2u + sh["Fv"] * d2v)
-    record("x2f", x2f, mask=noncmc & eig_ok)
-
-    # second-order PDE for f
-    pde = f * lap + sh["grad2"] - (16.0 / 9.0) * K * (K - c)
-    record("pde", pde, mask=noncmc)
+    # the paper's identities
+    bit = fields.pop("bitension")
+    for name, values in fields.items():
+        record(name, values, masks.get(name))
 
     # comparisons against builder-declared data
     if "second_partials_fd" in sh:
@@ -902,7 +895,6 @@ def verify_patch(
         record(f"{name}_vs_reference", sh[name] - ref(U, V))
 
     # normal part of the bitension field (should NOT vanish for non-CMC)
-    bit = lap - f * A2 + 2.0 * c * f
     bitension = {
         "min_abs": float(np.min(np.abs(bit))),
         "max_abs": float(np.max(np.abs(bit))),
@@ -911,8 +903,8 @@ def verify_patch(
 
     gates = {
         "total_points": int(f.size),
-        "non_cmc_points": int(np.count_nonzero(noncmc)),
-        "eigen_skipped": int(np.count_nonzero(~(noncmc & eig_ok))),
+        "non_cmc_points": int(np.count_nonzero(masks["non_cmc"])),
+        "eigen_skipped": int(np.count_nonzero(~masks["x2f"])),
     }
 
     passed = True
@@ -941,10 +933,10 @@ def verify_patch(
     if c == -1:
         passed &= bool(np.all(X[..., 3] > 0))
 
-    fields = {
+    sampled = {
         "f": f.reshape(nu, nv),
-        "K": K.reshape(nu, nv),
-        "biconservative": (wnorm / (1.0 + np.abs(f) * grad_norm)).reshape(nu, nv),
+        "K": sh["K"].reshape(nu, nv),
+        "biconservative": fields["biconservative"].reshape(nu, nv),
         "bitension": bit.reshape(nu, nv),
     }
 
@@ -964,7 +956,7 @@ def verify_patch(
         gates=gates,
         passed=bool(passed),
         notes=notes,
-        fields=fields,
+        fields=sampled,
         grid_u=ugrid,
         grid_v=vgrid,
     )

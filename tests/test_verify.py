@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biconsurf as bc
-from biconsurf import surfaces, verify
+from biconsurf import profile, surfaces, verify
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.surfaces import SurfacePatch
 from biconsurf.verify import FDScheme, _field_bundle, _Probe, fd_for_patch, normal_sign
@@ -144,6 +145,43 @@ class TestPointwiseIdentities:
         r_k, r_a2, r_eig = bc.curvature_identity_residuals(pg)
         assert max(r_k, r_a2, r_eig) < 1e-5
         assert abs(bc.normal_bitension_residual(pg)) > 1e-3
+
+
+class TestPointHelpersShareTheGridKernel:
+    """The point helpers evaluate the grid's residual kernel on one point."""
+
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
+                                     "h3p_pipeline", "jetless_sphere"])
+    def test_point_values_equal_grid_fields(self, fix, request):
+        if fix == "jetless_sphere":
+            patch = sphere_patch()
+            report = bc.verify_patch(patch, 9, 9)
+        else:
+            patch, report = request.getfixturevalue(fix)[-2:]
+        nu, nv = report.fields["f"].shape
+        for i in (0, nu // 2, nu - 1):
+            for j in (0, nv // 2, nv - 1):
+                pg = bc.point_geometry(patch, report.grid_u[i], report.grid_v[j])
+                got = {
+                    "f": pg.f,
+                    "K": pg.K,
+                    "biconservative": bc.biconservative_residual(pg),
+                    "bitension": bc.normal_bitension_residual(pg),
+                }
+                for name, value in got.items():
+                    assert value == report.fields[name][i, j], (name, i, j)
+
+    def test_fundamental_forms_have_no_field_residuals(self):
+        pg = bc.fundamental_forms(sphere_patch(), 1.0, 0.5)
+        for helper in (bc.biconservative_residual, bc.normal_bitension_residual,
+                       bc.x2f_residual):
+            with pytest.raises(bc.UsageError, match=helper.__name__):
+                helper(pg)
+        # the gradient-free identities are evaluated, the gated one is skipped
+        r_k, r_a2, r_eig = bc.curvature_identity_residuals(pg)
+        full = bc.curvature_identity_residuals(bc.point_geometry(sphere_patch(), 1.0, 0.5))
+        assert (r_k, r_a2) == full[:2]
+        assert np.isnan(r_eig)
 
 
 class TestRevolutionPipelineReport:
@@ -317,6 +355,16 @@ class TestTensorGridProbe:
 
 
 class TestFailClosed:
+    @pytest.mark.parametrize("nu, nv", [(0, 8), (-3, 8), (1, 8), (8, 1), (8.0, 8),
+                                        (True, 8)])
+    def test_grid_size_below_two_or_not_integer_is_usage_error(self, nu, nv):
+        with pytest.raises(bc.UsageError, match="integers nu, nv >= 2"):
+            bc.verify_patch(sphere_patch(), nu, nv)
+
+    def test_numpy_integer_grid_size_serializes(self):
+        report = bc.verify_patch(sphere_patch(), np.int64(4), 4)
+        assert json.loads(report.to_json())["grid"]["nu"] == 4
+
     def test_nan_xu_patch_raises(self, r3_pipeline):
         _, patch, _ = r3_pipeline
 
@@ -510,7 +558,9 @@ class TestExactFieldDerivatives:
 class TestOuterDifferencePath:
     """Patches without jet4 keep the outer-step path of earlier versions."""
 
-    # recorded with the outer-step verifier before jet4 existed
+    # recorded with the outer-step verifier before jet4 existed; the h3 pde
+    # was 8.237212080763889e-07 while Delta f took the divergence form with
+    # differenced flux coefficients, before it took the Christoffel form
     RECORDED = {
         ("s3", 1.0, 1.0): {
             "pde": 8.337298176286367e-06, "biconservative": 1.6679368040463588e-09,
@@ -518,7 +568,7 @@ class TestOuterDifferencePath:
             "max_abs": 18.130920692437414, "mean_abs": 7.938619997673379,
         },
         ("h3", 0.25, 0.2): {
-            "pde": 8.237212080763889e-07, "biconservative": 2.1685845349688145e-09,
+            "pde": 8.237185589454743e-07, "biconservative": 2.1685845349688145e-09,
             "x2f": 2.1003032107211066e-09, "min_abs": 0.38308868165664217,
             "max_abs": 0.8437522051471673, "mean_abs": 0.7214375450809969,
         },
@@ -535,6 +585,36 @@ class TestOuterDifferencePath:
             assert got[name] == pytest.approx(want, rel=1e-6), name
         assert rep.fd["f_derivatives"] == "outer_fd"
         assert "higher_partials_fd" not in rep.residuals
+
+    # largest distance of the route's first-order Laplacian term from the
+    # exact one while Delta f took the divergence form (16 x 16 grid)
+    DIVERGENCE_FORM_DISTANCE = {
+        ("s3", 1.0, 1.0): 1.40085720801153e-11,
+        ("h3", 1.0, 1.0): 5.14170928056501e-11,
+        ("h3", 0.25, 0.2): 1.2675877014700632e-10,
+    }
+
+    @pytest.mark.parametrize("key", sorted(DIVERGENCE_FORM_DISTANCE))
+    def test_first_order_laplacian_term_no_further_from_exact(self, key):
+        # the exact term g^kl Gam^m_kl f_m takes Gam from the jet and the
+        # route's own df; the route differences the first partials instead
+        model, k0, kp0 = key
+        patch = build_pipeline_patch(PipelineConfig(model=model, k0=k0, kp0=kp0))[0]
+        bare = dataclasses.replace(patch, jet=None, jet4=None)
+        report = bc.verify_patch(bare, 16, 16)
+        fd = fd_for_patch(bare)
+        sh = _field_bundle(_Probe(bare, report.grid_u, report.grid_v), fd,
+                           normal_sign(bare, fd))
+        Xuu, Xuv, Xvv = _Probe(patch, report.grid_u, report.grid_v).jet(0.0, 0.0)
+        inner = patch.model.inner
+        gam = np.array([[inner(p, x) for x in (sh["Xu"], sh["Xv"])]
+                        for p in (Xuu, Xuv, Xvv)])[np.add.outer([0, 1], [0, 1])]
+        gi = np.array([[sh["g22"], -sh["g12"]], [-sh["g12"], sh["g11"]]]) / sh["det"]
+        F1 = np.array([sh["Fu"], sh["Fv"]])
+        F2 = np.array([[sh["Fuu"], sh["Fuv"]], [sh["Fuv"], sh["Fvv"]]])
+        exact = np.einsum("kln,mpn,klpn,mn->n", gi, gi, gam, F1)
+        route = sh["laplacian"] + np.einsum("kln,kln->n", gi, F2)
+        assert np.max(np.abs(route - exact)) <= self.DIVERGENCE_FORM_DISTANCE[key]
 
     def test_jet4_without_jet_is_not_used(self):
         def refuse(line, v):
@@ -603,3 +683,115 @@ class TestHigherPartialsCrossCheck:
         # u-line of the revolution: (rho, height, height', ..., height'''')
         patch = r3_pipeline[1]
         self.assert_rejected(_mutated(patch, 4, lambda line: -line[4]))
+
+
+_CURVED = {"s3": ("s3", 1.0, 1.0), "h3e": ("h3", 1.0, 1.0), "h3p": ("h3", 0.25, 0.2)}
+
+
+def _built(case):
+    model, k0, kp0 = _CURVED[case]
+    return build_pipeline_patch(PipelineConfig(model=model, k0=k0, kp0=kp0))[0]
+
+
+class TestProfileBuildMutations:
+    """A bug in the profile build must fail the report or raise."""
+
+    @staticmethod
+    def assert_rejected(case, failing):
+        if failing is bc.ConditioningError:
+            with pytest.raises(bc.ConditioningError):
+                bc.verify_patch(_built(case), 24, 24)
+            return
+        rep = bc.verify_patch(_built(case), 24, 24)
+        over = {name for name, tol in rep.tolerances.items()
+                if name in rep.residuals and rep.residuals[name]["max"] > tol}
+        assert set(failing) <= over
+        assert not rep.passed
+
+    @pytest.mark.parametrize("case, failing", [
+        ("s3", ("model_membership", "f_vs_profile", "second_partials_fd", "pde")),
+        ("h3e", bc.ConditioningError),
+        ("h3p", bc.ConditioningError),
+    ])
+    def test_flipped_model_curvature_in_frame_equation(self, case, failing, monkeypatch):
+        # T' = k n - c sigma becomes k n + c sigma in the 14-component run
+        # (k, k', sigma, T, n)
+        c = bc.S3.c if case == "s3" else bc.H3.c
+        exact = profile._integrate_two_sided
+
+        def integrate(rhs, y0, *args):
+            def flipped(u, y):
+                out = rhs(u, y)
+                return out[:6] + [out[6 + i] + 2 * c * y[2 + i] for i in range(4)] + out[10:]
+
+            return exact(flipped, y0, *args)
+
+        monkeypatch.setattr(profile, "_integrate_two_sided", integrate)
+        self.assert_rejected(case, failing)
+
+    @pytest.mark.parametrize("case", sorted(_CURVED))
+    def test_scaled_sweep_amplitude(self, case, monkeypatch):
+        exact = surfaces._sweep_uline
+        monkeypatch.setattr(surfaces, "_sweep_uline",
+                            lambda prof, sc: exact(prof, sc * (1 + 1e-3)))
+        self.assert_rejected(case, ("f_vs_profile", "gauss_identity", "model_membership"))
+
+    @pytest.mark.parametrize("case, failing", [
+        ("s3", ("model_membership", "f_vs_profile", "gauss_identity")),
+        ("h3e", bc.ConditioningError),
+    ])
+    def test_swapped_circle_constants(self, case, failing, monkeypatch):
+        exact = surfaces._circle_patch
+
+        def swapped(prof, case, v_range):
+            return exact(dataclasses.replace(prof, C1=prof.C2, C2=prof.C1), case, v_range)
+
+        monkeypatch.setattr(surfaces, "_circle_patch", swapped)
+        self.assert_rejected(case, failing)
+
+    def test_swapped_parabolic_constants_reverse_v(self):
+        # C1 (e^v - 1) + C2 (e^-v - 1) is symmetric under the swap with v -> -v:
+        # the same surface, so the swap is not a bug and must pass
+        patch = _built("h3p")
+        prof = patch.profile
+        swapped = surfaces.build_h3(dataclasses.replace(prof, C1=prof.C2, C2=prof.C1),
+                                    patch.v_range)
+        u = np.linspace(*patch.u_range, 7)[:, None]
+        v = np.linspace(*patch.v_range, 9)[None, :]
+        X, Xu, Xv = swapped.at(swapped.uline(u), v)
+        Y, Yu, Yv = patch.at(patch.uline(u), -v)
+        assert np.array_equal(X, Y) and np.array_equal(Xu, Yu) and np.array_equal(Xv, -Yv)
+        assert bc.verify_patch(swapped, 24, 24).passed
+
+
+_PROPERTY_SETTINGS = settings(max_examples=8, derandomize=True, deadline=None)
+
+
+def _build_and_verify(cfg):
+    """The report of a build, or None when the build or verify raised a GeometryError."""
+    try:
+        return bc.verify_patch(build_pipeline_patch(cfg)[0], 12, 12)
+    except bc.GeometryError:
+        return None
+
+
+class TestBuildAndVerifyProperties:
+    """Every draw ends in a pass, a fail or a GeometryError, and every report serializes."""
+
+    @staticmethod
+    def check(cfg):
+        report = _build_and_verify(cfg)
+        if report is not None:
+            assert report.passed in (True, False)
+            json.loads(report.to_json())
+
+    @pytest.mark.parametrize("model", ["s3", "h3"])
+    @_PROPERTY_SETTINGS
+    @given(log_k0=st.floats(-3.0, 1.3), kp0=st.floats(-1.0, 1.0))
+    def test_curved_initial_data(self, model, log_k0, kp0):
+        self.check(PipelineConfig(model=model, k0=10.0**log_k0, kp0=kp0))
+
+    @_PROPERTY_SETTINGS
+    @given(log_C=st.floats(-1.5, 1.5))
+    def test_r3_constant(self, log_C):
+        self.check(PipelineConfig(model="r3", C=10.0**log_C))
