@@ -670,8 +670,8 @@ def _point_fields(pg: PointGeometry, helper: str | None, c: int | None = None):
     ``helper`` names a caller that needs grad f, which ``fundamental_forms`` omits.
     """
     if pg._shape_data is None or (helper and pg.grad_f is None):
-        raise UsageError(f"{helper or 'the residual helpers'} need a PointGeometry "
-                         "from point_geometry")
+        raise UsageError(f"{helper or 'curvature_identity_residuals'} needs a "
+                         "PointGeometry built by point_geometry")
     fields, masks = _residual_fields(pg._shape_data, pg.model_c if c is None else c)
     return ({name: float(a[0]) for name, a in fields.items()},
             {name: bool(m[0]) for name, m in masks.items()})

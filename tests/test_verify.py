@@ -559,8 +559,7 @@ class TestOuterDifferencePath:
     """Patches without jet4 keep the outer-step path of earlier versions."""
 
     # recorded with the outer-step verifier before jet4 existed; the h3 pde
-    # was 8.237212080763889e-07 while Delta f took the divergence form with
-    # differenced flux coefficients, before it took the Christoffel form
+    # re-recorded when this route's Delta f took the Christoffel form
     RECORDED = {
         ("s3", 1.0, 1.0): {
             "pde": 8.337298176286367e-06, "biconservative": 1.6679368040463588e-09,
