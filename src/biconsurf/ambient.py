@@ -22,7 +22,6 @@ __all__ = [
     "S3",
     "H3",
     "space_form",
-    "basis_vector",
     "orthonormal_complement",
 ]
 
@@ -150,12 +149,6 @@ H3 = SpaceForm(-1)
 
 def space_form(c: int) -> SpaceForm:
     return SpaceForm(int(c))
-
-
-def basis_vector(sig: Signature, i: int) -> np.ndarray:
-    e = np.zeros(sig.dim)
-    e[i] = 1.0
-    return e
 
 
 def _cofactor_complement(sig: Signature, mat: np.ndarray) -> np.ndarray:

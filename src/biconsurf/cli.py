@@ -68,8 +68,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", type=str, default=None, help="report JSON path")
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a number")
+    return float(value)
+
+
+def _count(value) -> int:
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError("not an integer")
+    return int(number)
+
+
 def _pair(value) -> tuple:
-    pair = tuple(float(x) for x in value)
+    if isinstance(value, str):
+        raise ValueError("expected two numbers, got a string")
+    pair = tuple(_number(x) for x in value)
     if len(pair) != 2:
         raise ValueError(f"expected two numbers, got {len(pair)}")
     return pair
@@ -80,15 +95,15 @@ def _pair(value) -> tuple:
 _CONFIG_KEYS = {
     "model": ("model", str),
     "branch": ("branch", str),
-    "k0": ("k0", float),
-    "dk0": ("kp0", float),
-    "C": ("C", float),
+    "k0": ("k0", _number),
+    "dk0": ("kp0", _number),
+    "C": ("C", _number),
     "rho_range": ("rho_range", _pair),
     "span": ("span", _pair),
-    "nu": ("nu", int),
-    "nv": ("nv", int),
+    "nu": ("nu", _count),
+    "nv": ("nv", _count),
     "v_range": ("v_range", _pair),
-    "fd_step": ("fd_step", float),
+    "fd_step": ("fd_step", _number),
     "projection": ("projection", str),
     "tol_profile": ("tol_profile", str),
 }
@@ -116,7 +131,7 @@ def _config_from_args(args) -> PipelineConfig:
             continue
         try:
             fields[name] = convert(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(
                 f"config key '{key}' has unusable value {value!r} ({exc}); {known}"
             )

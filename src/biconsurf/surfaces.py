@@ -1,12 +1,14 @@
 """Explicit ambient parametrizations assembled from profile data.
 
-Each patch exposes X(u, v) together with analytic partials of orders one
-to four.  The curved-model patches sweep the profile curve sigma(u) along
-circles (sphere and hyperboloid with positive constant) or exponential
-orbits (hyperboloid with negative constant) inside the plane spanned by the
-constant vectors C1, C2.  Evaluation is split into a u-dependent part
-(``uline``) and a cheap v-assembly (``at``, ``jet``) so callers that probe
-many v values per u can reuse the dense-output evaluation.
+Every built patch is a sweep X = sigma(u) + a(u) S(v) of a profile curve
+along the orbits S of a one-parameter isometry group: rotations about an
+axis of R3, circles in S3 and in H3 with C > 0, exponential orbits in H3
+with C < 0 (the last two in the plane of the constant vectors C1, C2).
+One evaluator, ``_sweep_evaluators``, gives X and its partials of orders
+one to four; a family supplies only its orbit and its u-line.  Evaluation
+is split into a u-dependent part (``uline``) and a cheap v-assembly
+(``at``, ``jet``, ``jet4``) so callers that probe many v values per u can
+reuse the dense-output evaluation.
 """
 from __future__ import annotations
 
@@ -60,6 +62,11 @@ class SurfacePatch:
     derivatives of the mean curvature in closed form.  It evaluates
     ``jet4`` in blocks of u-rows by slicing each u-line entry along its
     first axis, so every entry of such a patch's u-line has u's first axis.
+
+    A built patch's u-line is (sigma, T, a, a', T', a'', sigma''', a''',
+    sigma'''', a''''), T = sigma': the profile, the sweep amplitude and
+    their u-derivatives, vectors of shape u.shape + (dim,) and scalars of
+    u's shape.
     """
 
     case: str
@@ -100,9 +107,11 @@ class SurfacePatch:
 def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     """Surface of revolution (rho cos v, rho sin v, u(rho)) over a rho-v rect.
 
-    The reference channels carry the closed-form mean and Gauss curvature of
-    the family, f = 2/(3 sqrt(C) rho^(4/3)) and K = -1/(3 C rho^(8/3)), for
-    the verifier to compare against.
+    It is the sweep of sigma = (0, 0, u(rho)) with amplitude a = rho along
+    the rotation orbit (cos v, sin v, 0).  The reference channels carry the
+    closed-form mean and Gauss curvature of the family,
+    f = 2/(3 sqrt(C) rho^(4/3)) and K = -1/(3 C rho^(8/3)), for the verifier
+    to compare against.
     """
     (rho0, rho1), (v0, v1) = rect
     if not rho0 < rho1:
@@ -129,40 +138,15 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
             (4.0 / 9.0) * r73 * uprime**3 - 2.0 * r43 * uprime**2 * uprime2
             + 6.0 * r13 * uprime * uprime2**2 + 3.0 * r13 * uprime**2 * uprime3
         )
-        return (rho, prof.u_of_rho(rho), uprime, uprime2, uprime3, uprime4)
+        zero = np.zeros_like(rho)
 
-    def at(line, v):
-        rho, height, uprime = line[:3]
-        cv, sv = np.cos(v), np.sin(v)
-        X = np.stack(np.broadcast_arrays(rho * cv, rho * sv, height), axis=-1)
-        Xu = np.stack(np.broadcast_arrays(cv, sv, uprime), axis=-1)
-        Xv = np.stack(np.broadcast_arrays(-rho * sv, rho * cv, np.zeros_like(rho)), axis=-1)
-        return X, Xu, Xv
+        def axis(height):
+            return np.stack([zero, zero, height], axis=-1)
 
-    def jet(line, v):
-        rho, uprime2 = line[0], line[3]
-        cv, sv = np.cos(v), np.sin(v)
-        zero = np.zeros(np.broadcast(rho, v).shape)
-        Xuu = np.stack(np.broadcast_arrays(zero, zero, uprime2), axis=-1)
-        Xuv = np.stack(np.broadcast_arrays(-sv, cv, zero), axis=-1)
-        Xvv = np.stack(np.broadcast_arrays(-rho * cv, -rho * sv, zero), axis=-1)
-        return Xuu, Xuv, Xvv
+        return (axis(prof.u_of_rho(rho)), axis(uprime), rho, np.ones_like(rho),
+                axis(uprime2), zero, axis(uprime3), zero, axis(uprime4), zero)
 
-    def jet4(line, v):
-        rho, uprime3, uprime4 = line[0], line[4], line[5]
-        cv, sv = np.cos(v), np.sin(v)
-        zero = np.zeros(np.broadcast(rho, v).shape)
-
-        def vec(x, y, z):
-            return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
-
-        flat = vec(zero, zero, zero)
-        return (
-            vec(zero, zero, uprime3), flat, vec(-cv, -sv, zero),
-            vec(rho * sv, -rho * cv, zero),
-            vec(zero, zero, uprime4), flat, flat, vec(sv, -cv, zero),
-            vec(rho * cv, rho * sv, zero),
-        )
+    at, jet, jet4 = _sweep_evaluators(_rotation)
 
     def f_ref(u, v):
         return 2.0 / (3.0 * np.sqrt(C) * np.asarray(u, float) ** (4.0 / 3.0))
@@ -184,6 +168,64 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         jet=jet,
         jet4=jet4,
     )
+
+
+def _rotation(v):
+    """(S, S', S'', S''', S'''') of the rotation orbit S = (cos v, sin v, 0)."""
+    cv, sv = np.cos(v), np.sin(v)
+    zero = np.zeros_like(cv)
+    S, S1, S2, S3 = (
+        np.stack([x, y, zero], axis=-1)
+        for x, y in ((cv, sv), (-sv, cv), (-cv, -sv), (sv, -cv))
+    )
+    return S, S1, S2, S3, S
+
+
+def _circle(v, C1, C2):
+    """The same for the circle orbit S = C1 (cos v - 1) + C2 sin v."""
+    cv, sv = np.cos(v)[..., None], np.sin(v)[..., None]
+    S = C1 * (cv - 1.0) + C2 * sv
+    S1 = -C1 * sv + C2 * cv
+    return S, S1, -(S + C1), -S1, S + C1
+
+
+def _exponential(v, C1, C2):
+    """The same for the exponential orbit S = C1 (e^v - 1) + C2 (e^-v - 1)."""
+    ev, emv = np.exp(v)[..., None], np.exp(-v)[..., None]
+    S = C1 * (ev - 1.0) + C2 * (emv - 1.0)
+    S1, S2 = C1 * ev - C2 * emv, C1 * ev + C2 * emv
+    return S, S1, S2, S1, S2
+
+
+# u-line positions of sigma^(i) and a^(i), i = 0..4
+_SIGMA = (0, 1, 4, 6, 8)
+_AMPLITUDE = (2, 3, 5, 7, 9)
+
+
+def _sweep_evaluators(orbit, *constants):
+    """(at, jet, jet4) of X(u, v) = sigma(u) + a(u) S(v).
+
+    ``orbit(v, *constants)`` returns (S, S', S'', S''', S''''), and the
+    u-line holds sigma^(i) and a^(i) at ``_SIGMA[i]`` and ``_AMPLITUDE[i]``.
+    Each partial is X_{u^i v^j} = sigma^(i) [j = 0] + a^(i) S^(j).
+    """
+
+    def partials(line, v, orders):
+        S = orbit(v, *constants)
+        terms = [line[_AMPLITUDE[i]][..., None] * S[j] for i, j in orders]
+        return tuple(line[_SIGMA[i]] + t if j == 0 else t for (i, j), t in zip(orders, terms))
+
+    def at(line, v):
+        return partials(line, v, ((0, 0), (1, 0), (0, 1)))
+
+    def jet(line, v):
+        return partials(line, v, ((2, 0), (1, 1), (0, 2)))
+
+    def jet4(line, v):
+        return partials(line, v, ((3, 0), (2, 1), (1, 2), (0, 3),
+                                  (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)))
+
+    return at, jet, jet4
 
 
 def _curvature_derivatives(k, kp, c: int):
@@ -247,54 +289,25 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
     return uline
 
 
-def _sweep_jet4(line, S, S1, S2, S3, S4):
-    """Order 3 and 4 partials of X = sigma(u) + a(u) S(v) from S^(j) = d^j S/dv^j."""
-    a, ap, app, a3, a4 = (line[i][..., None] for i in (2, 3, 5, 7, 9))
-    sigma3, sigma4 = line[6], line[8]
-    return (
-        sigma3 + a3 * S, app * S1, ap * S2, a * S3,
-        sigma4 + a4 * S, a3 * S1, app * S2, ap * S3, a * S4,
-    )
-
-
-def _circle_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
-    C, C1, C2 = prof.C, prof.C1, prof.C2
-
-    def at(line, v):
-        sigma, T, a, ap = line[:4]
-        cv, sv = np.cos(v), np.sin(v)
-        swing = C1 * (cv - 1.0)[..., None] + C2 * sv[..., None]
-        X = sigma + a[..., None] * swing
-        Xu = T + ap[..., None] * swing
-        Xv = a[..., None] * (-C1 * sv[..., None] + C2 * cv[..., None])
-        return X, Xu, Xv
-
-    def jet(line, v):
-        _, _, a, ap, Tp, app = line[:6]
-        cv, sv = np.cos(v), np.sin(v)
-        swing = C1 * (cv - 1.0)[..., None] + C2 * sv[..., None]
-        Xuu = Tp + app[..., None] * swing
-        Xuv = ap[..., None] * (-C1 * sv[..., None] + C2 * cv[..., None])
-        Xvv = -a[..., None] * (swing + C1)
-        return Xuu, Xuv, Xvv
-
-    def jet4(line, v):
-        cv, sv = np.cos(v)[..., None], np.sin(v)[..., None]
-        S = C1 * (cv - 1.0) + C2 * sv
-        S1 = -C1 * sv + C2 * cv
-        return _sweep_jet4(line, S, S1, -(S + C1), -S1, S + C1)
-
+def _sweep_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
+    """The profile swept along circles, or along exponential orbits on h3_parabolic."""
+    C = prof.C
+    if case == "h3_parabolic":
+        sc, orbit = 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C)), _exponential
+    else:
+        sc, orbit = 4.0 / (3.0 * np.sqrt(C)), _circle
+    at, jet, jet4 = _sweep_evaluators(orbit, prof.C1, prof.C2)
     return SurfacePatch(
         case=case,
         model=prof.model,
         u_range=prof.span,
         v_range=(float(v_range[0]), float(v_range[1])),
-        uline=_sweep_uline(prof, 4.0 / (3.0 * np.sqrt(C))),
+        uline=_sweep_uline(prof, sc),
         at=at,
         eval_u_domain=prof.span,
         C=C,
-        C1=C1,
-        C2=C2,
+        C1=prof.C1,
+        C2=prof.C2,
         profile=prof,
         jet=jet,
         jet4=jet4,
@@ -305,7 +318,7 @@ def build_s3(prof: ProfileCurve, v_range=V_FULL_TURN) -> SurfacePatch:
     """Circle-swept patch X = sigma + a(u)(C1 (cos v - 1) + C2 sin v) on S3."""
     if prof.branch is not Branch.S2:
         raise UsageError("build_s3 needs a sphere-branch profile")
-    return _circle_patch(prof, "s3", v_range)
+    return _sweep_patch(prof, "s3", v_range)
 
 
 def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
@@ -316,52 +329,10 @@ def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
     may self-overlap.
     """
     if prof.branch is Branch.H2_ELLIPTIC:
-        return _circle_patch(prof, "h3_elliptic", v_range or V_FULL_TURN)
+        return _sweep_patch(prof, "h3_elliptic", v_range or V_FULL_TURN)
     if prof.branch is not Branch.H2_PARABOLIC:
         raise UsageError("build_h3 needs a hyperbolic-branch profile")
-    v_range = v_range or V_PARABOLIC
-
-    C, C1, C2 = prof.C, prof.C1, prof.C2
-
-    def at(line, v):
-        sigma, T, b, bp = line[:4]
-        ev, emv = np.exp(v), np.exp(-v)
-        swing = C1 * (ev - 1.0)[..., None] + C2 * (emv - 1.0)[..., None]
-        X = sigma + b[..., None] * swing
-        Xu = T + bp[..., None] * swing
-        Xv = b[..., None] * (C1 * ev[..., None] - C2 * emv[..., None])
-        return X, Xu, Xv
-
-    def jet(line, v):
-        _, _, b, bp, Tp, bpp = line[:6]
-        ev, emv = np.exp(v), np.exp(-v)
-        swing = C1 * (ev - 1.0)[..., None] + C2 * (emv - 1.0)[..., None]
-        Xuu = Tp + bpp[..., None] * swing
-        Xuv = bp[..., None] * (C1 * ev[..., None] - C2 * emv[..., None])
-        Xvv = b[..., None] * (C1 * ev[..., None] + C2 * emv[..., None])
-        return Xuu, Xuv, Xvv
-
-    def jet4(line, v):
-        ev, emv = np.exp(v)[..., None], np.exp(-v)[..., None]
-        S = C1 * (ev - 1.0) + C2 * (emv - 1.0)
-        S1, S2 = C1 * ev - C2 * emv, C1 * ev + C2 * emv
-        return _sweep_jet4(line, S, S1, S2, S1, S2)
-
-    return SurfacePatch(
-        case="h3_parabolic",
-        model=prof.model,
-        u_range=prof.span,
-        v_range=(float(v_range[0]), float(v_range[1])),
-        uline=_sweep_uline(prof, 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C))),
-        at=at,
-        eval_u_domain=prof.span,
-        C=C,
-        C1=C1,
-        C2=C2,
-        profile=prof,
-        jet=jet,
-        jet4=jet4,
-    )
+    return _sweep_patch(prof, "h3_parabolic", v_range or V_PARABOLIC)
 
 
 def killing_tangency_check(patch: SurfacePatch, nu: int = 33, nv: int = 33) -> float:
@@ -394,12 +365,9 @@ def circle_radius(patch: SurfacePatch, u, v):
     """Ambient distance from X(u, v) to the v-circle center sigma - a C1."""
     if patch.case not in ("s3", "h3_elliptic"):
         raise UsageError("circle radius applies to the circle-swept cases")
-    prof = patch.profile
-    X = patch.X(u, v)
-    k = prof.k(np.asarray(u, float))
-    a = 4.0 / (3.0 * np.sqrt(patch.C) * k**0.75)
-    center = prof.sigma(u) - a[..., None] * patch.C1
-    diff = X - center
+    line = patch.uline(np.asarray(u, float))
+    center = line[_SIGMA[0]] - line[_AMPLITUDE[0]][..., None] * patch.C1
+    diff = patch.at(line, np.asarray(v, float))[0] - center
     return np.sqrt(np.abs(patch.model.inner(diff, diff)))
 
 

@@ -112,11 +112,8 @@ def fd_scheme(case: str, diagonal: float, inner_step=None) -> FDScheme:
     return FDScheme(inner_step=float(inner), outer_step=float(ratio * inner))
 
 
-def fd_for_patch(patch: SurfacePatch, inner_step=None, outer_step=None) -> FDScheme:
-    fd = fd_scheme(patch.case, patch.rect_diagonal, inner_step)
-    if outer_step is None:
-        return fd
-    return FDScheme(inner_step=fd.inner_step, outer_step=float(outer_step))
+def fd_for_patch(patch: SurfacePatch, inner_step=None) -> FDScheme:
+    return fd_scheme(patch.case, patch.rect_diagonal, inner_step)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,35 @@ class TestSurfaceCommand:
         err = capsys.readouterr().err
         assert "'nu'" in err and "known keys" in err
 
+    @pytest.mark.parametrize("values, key", [
+        ({"nu": 8.7}, "nu"),
+        ({"nv": 12.5}, "nv"),
+        ({"nu": True}, "nu"),
+        ({"k0": True}, "k0"),
+        ({"dk0": False}, "dk0"),
+        ({"fd_step": True}, "fd_step"),
+        ({"span": [-1.0, True]}, "span"),
+        ({"v_range": [False, 1.0]}, "v_range"),
+        ({"v_range": "05"}, "v_range"),
+        ({"model": "r3", "C": True}, "C"),
+        ({"model": "r3", "rho_range": [True, 3.0]}, "rho_range"),
+    ])
+    def test_config_bad_number_is_usage_error(self, tmp_path, capsys, values, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "s3", **values}))
+        assert run("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out")) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_integral_float_grid_size(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "s3", "nu": 8.0, "nv": 8}))
+        code = run("verify", "--config", str(cfgfile), "--out", str(tmp_path),
+                   "--report", str(tmp_path / "r.json"))
+        assert code == 0
+        grid = json.loads((tmp_path / "r.json").read_text())["grid"]
+        assert (grid["nu"], grid["nv"]) == (8, 8)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, field", [

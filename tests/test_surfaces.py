@@ -130,6 +130,118 @@ class TestKillingField:
             bc.killing_tangency_check(patch)
 
 
+def _vec(*components):
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+def _reference_revolution(line, v):
+    """(at, jet, jet4) of the revolution, written per component."""
+    rho = line[2]
+    height, h1, h2, h3, h4 = (line[i][..., 2] for i in (0, 1, 4, 6, 8))
+    cv, sv = np.cos(v), np.sin(v)
+    zero = np.zeros(np.broadcast(rho, v).shape)
+    flat = _vec(zero, zero, zero)
+    return (
+        (_vec(rho * cv, rho * sv, height), _vec(cv, sv, h1),
+         _vec(-rho * sv, rho * cv, zero)),
+        (_vec(zero, zero, h2), _vec(-sv, cv, zero), _vec(-rho * cv, -rho * sv, zero)),
+        (_vec(zero, zero, h3), flat, _vec(-cv, -sv, zero), _vec(rho * sv, -rho * cv, zero),
+         _vec(zero, zero, h4), flat, flat, _vec(sv, -cv, zero),
+         _vec(rho * cv, rho * sv, zero)),
+    )
+
+
+def _reference_circle(C1, C2):
+    """(at, jet, jet4) of X = sigma + a (C1 (cos v - 1) + C2 sin v)."""
+
+    def evaluate(line, v):
+        sigma, T, a, ap, Tp, app, sigma3, a3, sigma4, a4 = line
+        a, ap, app, a3, a4 = (x[..., None] for x in (a, ap, app, a3, a4))
+        cv, sv = np.cos(v)[..., None], np.sin(v)[..., None]
+        swing = C1 * (cv - 1.0) + C2 * sv
+        turn = -C1 * sv + C2 * cv
+        return (
+            (sigma + a * swing, T + ap * swing, a * turn),
+            (Tp + app * swing, ap * turn, -a * (swing + C1)),
+            (sigma3 + a3 * swing, app * turn, -ap * (swing + C1), -a * turn,
+             sigma4 + a4 * swing, a3 * turn, -app * (swing + C1), -ap * turn,
+             a * (swing + C1)),
+        )
+
+    return evaluate
+
+
+def _reference_exponential(C1, C2):
+    """(at, jet, jet4) of X = sigma + b (C1 (e^v - 1) + C2 (e^-v - 1))."""
+
+    def evaluate(line, v):
+        sigma, T, b, bp, Tp, bpp, sigma3, b3, sigma4, b4 = line
+        b, bp, bpp, b3, b4 = (x[..., None] for x in (b, bp, bpp, b3, b4))
+        ev, emv = np.exp(v)[..., None], np.exp(-v)[..., None]
+        swing = C1 * (ev - 1.0) + C2 * (emv - 1.0)
+        odd, even = C1 * ev - C2 * emv, C1 * ev + C2 * emv
+        return (
+            (sigma + b * swing, T + bp * swing, b * odd),
+            (Tp + bpp * swing, bp * odd, b * even),
+            (sigma3 + b3 * swing, bpp * odd, bp * even, b * odd,
+             sigma4 + b4 * swing, b3 * odd, bpp * even, bp * odd, b * even),
+        )
+
+    return evaluate
+
+
+_FAMILIES = {
+    "r3_pipeline": lambda patch: _reference_revolution,
+    "s3_pipeline": lambda patch: _reference_circle(patch.C1, patch.C2),
+    "h3e_pipeline": lambda patch: _reference_circle(patch.C1, patch.C2),
+    "h3p_pipeline": lambda patch: _reference_exponential(patch.C1, patch.C2),
+}
+
+
+def _grid_line(patch, nu=37, nv=41):
+    u = np.linspace(*patch.u_range, nu)[:, None]
+    v = np.linspace(*patch.v_range, nv)[None, :]
+    return u, v, patch.uline(u)
+
+
+class TestSweepEvaluators:
+    """Every built patch evaluates X = sigma(u) + a(u) S(v) by one rule."""
+
+    @pytest.mark.parametrize("fix", sorted(_FAMILIES))
+    def test_matches_the_family_closed_forms(self, fix, request):
+        patch = request.getfixturevalue(fix)[-2]
+        u, v, line = _grid_line(patch)
+        want = _FAMILIES[fix](patch)(line, v)
+        got = (patch.at(line, v), patch.jet(line, v), patch.jet4(line, v))
+        for evaluator, ours, theirs in zip(("at", "jet", "jet4"), got, want):
+            assert len(ours) == len(theirs), evaluator
+            for i, (x, y) in enumerate(zip(ours, theirs)):
+                assert x.shape == (37, 41, patch.model.ambient.dim), (evaluator, i)
+                assert np.array_equal(x, y), (evaluator, i)
+
+    @pytest.mark.parametrize("fix", sorted(_FAMILIES))
+    def test_uline_layout(self, fix, request):
+        # (sigma, T, a, a', T', a'', sigma''', a''', sigma'''', a''''):
+        # vectors at 0, 1, 4, 6, 8 and scalars at 2, 3, 5, 7, 9
+        patch = request.getfixturevalue(fix)[-2]
+        u, _, line = _grid_line(patch)
+        assert len(line) == 10
+        for i, entry in enumerate(line):
+            vector = i in (0, 1, 4, 6, 8)
+            assert entry.shape == u.shape + ((patch.model.ambient.dim,) if vector else ()), i
+
+    def test_revolution_uline(self, r3_pipeline):
+        prof, patch, _ = r3_pipeline
+        u, _, line = _grid_line(patch)
+        assert np.array_equal(line[0][..., 2], prof.u_of_rho(u))
+        assert np.array_equal(line[1][..., 2], prof.du_drho(u))
+        assert np.array_equal(line[2], u) and np.all(line[3] == 1.0)
+        for i in (0, 1, 4, 6, 8):
+            assert np.all(line[i][..., :2] == 0.0), i
+        for i in (5, 7, 9):
+            assert np.all(line[i] == 0.0), i
+
+
 class TestMesh:
     def test_minimal_grid_counts(self, r3_pipeline):
         _, patch, _ = r3_pipeline

@@ -465,7 +465,8 @@ class TestJetCrossCheck:
         assert not rep.passed
 
     def test_scaled_sweep_amplitude_second_derivative(self, s3_pipeline):
-        # u-line of a sweep: (sigma, T, a, a', T', a'')
+        # u-line of every built patch: (sigma, T, a, a', T', a'', sigma''',
+        # a''', sigma'''', a'''')
         patch = s3_pipeline[2]
         self.assert_rejected(_mutated(patch, 5, lambda line: line[5] * (1 + 1e-3)))
 
@@ -481,9 +482,9 @@ class TestJetCrossCheck:
         self.assert_rejected(_mutated(patch, 4, lambda line: line[4] + 2 * c * line[0]))
 
     def test_negated_height_second_derivative(self, r3_pipeline):
-        # u-line of the revolution: (rho, height, height', height'')
+        # the revolution's T' = (0, 0, height'')
         patch = r3_pipeline[1]
-        self.assert_rejected(_mutated(patch, 3, lambda line: -line[3]))
+        self.assert_rejected(_mutated(patch, 4, lambda line: -line[4]))
 
 
 def _h3_truncation_case():
@@ -679,9 +680,9 @@ class TestHigherPartialsCrossCheck:
         self.assert_rejected(dataclasses.replace(patch, uline=uline))
 
     def test_negated_height_third_derivative(self, r3_pipeline):
-        # u-line of the revolution: (rho, height, height', ..., height'''')
+        # the revolution's sigma''' = (0, 0, height''')
         patch = r3_pipeline[1]
-        self.assert_rejected(_mutated(patch, 4, lambda line: -line[4]))
+        self.assert_rejected(_mutated(patch, 6, lambda line: -line[6]))
 
 
 _CURVED = {"s3": ("s3", 1.0, 1.0), "h3e": ("h3", 1.0, 1.0), "h3p": ("h3", 0.25, 0.2)}
@@ -740,12 +741,14 @@ class TestProfileBuildMutations:
         ("h3e", bc.ConditioningError),
     ])
     def test_swapped_circle_constants(self, case, failing, monkeypatch):
-        exact = surfaces._circle_patch
+        exact = surfaces._sweep_patch
 
         def swapped(prof, case, v_range):
-            return exact(dataclasses.replace(prof, C1=prof.C2, C2=prof.C1), case, v_range)
+            if case != "h3_parabolic":
+                prof = dataclasses.replace(prof, C1=prof.C2, C2=prof.C1)
+            return exact(prof, case, v_range)
 
-        monkeypatch.setattr(surfaces, "_circle_patch", swapped)
+        monkeypatch.setattr(surfaces, "_sweep_patch", swapped)
         self.assert_rejected(case, failing)
 
     def test_swapped_parabolic_constants_reverse_v(self):
