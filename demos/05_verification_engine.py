@@ -1,63 +1,84 @@
 #!/usr/bin/env python3
 """Anatomy of the verification engine, exercised on classical surfaces.
 
-The verifier never looks at how a patch was built: it differentiates the
-immersion numerically (a built patch also supplies analytic second
-partials, which the verifier checks against those differences), assembles
-metric, normal, shape operator and the mean-curvature field, and evaluates
-every identity the constructed surfaces must satisfy.  Classical surfaces make good sanity fixtures
-because their curvatures are known exactly, and wrapping one only takes a
-position function and its two analytic partials.
+The verifier never looks at how a patch was built: it reads the immersion's
+closed-form partials up to order 4 (every patch supplies them, and the
+verifier checks them against finite differences of the partials one order
+lower), assembles metric, normal, shape operator, the mean-curvature field
+and its derivatives, and evaluates every identity the constructed surfaces
+must satisfy.  Classical surfaces make good sanity fixtures because their
+curvatures are known exactly, and each one below is a sweep
+X(u, v) = sigma(u) + a(u) S(v), so its partials come from those of sigma, a
+and S alone.
 """
-import dataclasses
-
 import numpy as np
 
 import biconsurf as bc
-from biconsurf.surfaces import SurfacePatch
 from biconsurf.verify import FDScheme
 
 
-def closed_form_patch(case, model, fX, fXu, fXv, u_range, v_range):
-    """Wrap closed-form evaluators into a patch the verifier understands."""
+def swept_patch(case, model, sigma, amplitude, orbit, u_range, v_range):
+    """Wrap a closed-form sweep X = sigma(u) + a(u) S(v) for the verifier.
+
+    ``sigma(u)``, ``amplitude(u)`` and ``orbit(v)`` list their derivatives
+    of orders 0 to 4; each partial is X_{u^i v^j} = sigma^(i) [j = 0] + a^(i) S^(j).
+    """
 
     def uline(u):
-        return np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return tuple(sigma(u)) + tuple(amplitude(u))
 
-    def at(u, v):
-        u, v = np.broadcast_arrays(u, v)
-        return fX(u, v), fXu(u, v), fXv(u, v)
+    def partials(*orders):
+        def evaluate(line, v):
+            S = orbit(np.asarray(v, dtype=float))
+            return tuple(line[5 + i][..., None] * S[j] + (line[i] if j == 0 else 0.0)
+                         for i, j in orders)
 
-    return SurfacePatch(case=case, model=model, u_range=u_range,
-                        v_range=v_range, uline=uline, at=at,
-                        eval_u_domain=(-1e9, 1e9))
+        return evaluate
+
+    return bc.SurfacePatch(
+        case=case, model=model, u_range=u_range, v_range=v_range,
+        uline=uline, eval_u_domain=(-1e9, 1e9),
+        at=partials((0, 0), (1, 0), (0, 1)),
+        jet=partials((2, 0), (1, 1), (0, 2)),
+        jet4=partials((3, 0), (2, 1), (1, 2), (0, 3),
+                      (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)),
+    )
 
 
-def _z(u):
-    return np.zeros_like(u)
+def trig(t):
+    """(sin, cos) of t, each with its derivatives of orders 0 to 4."""
+    s, c = np.sin(t), np.cos(t)
+    return [s, c, -s, -c, s], [c, -s, -c, s, c]
 
 
-cylinder = closed_form_patch(
+def vec(*components):
+    """Stack components of a common shape into vectors; scalars broadcast."""
+    shape = np.broadcast(*components).shape
+    return np.stack([np.broadcast_to(x, shape) for x in components], -1).astype(float)
+
+
+def round_sphere(case, model, pad):
+    """(sin u cos v, sin u sin v, cos u, *pad): sigma = (0, 0, cos u), a = sin u."""
+    return swept_patch(
+        case, model,
+        lambda u: [vec(0, 0, c, *pad) for c in trig(u)[1]],
+        lambda u: trig(u)[0],
+        lambda v: [vec(c, s, 0, *pad) for s, c in zip(*trig(v))],
+        (0.4, np.pi - 0.4), (0.0, 2 * np.pi),
+    )
+
+
+# (cos u, sin u, v): sigma = (cos u, sin u, 0), a = 1, S = (0, 0, v)
+cylinder = swept_patch(
     "cylinder", bc.R3,
-    lambda u, v: np.stack([np.cos(u), np.sin(u), v], -1),
-    lambda u, v: np.stack([-np.sin(u), np.cos(u), _z(u)], -1),
-    lambda u, v: np.stack([_z(u), _z(u), np.ones_like(u)], -1),
+    lambda u: [vec(c, s, 0) for s, c in zip(*trig(u))],
+    lambda u: [np.ones_like(u)] + [np.zeros_like(u)] * 4,
+    lambda v: [vec(0, 0, v), vec(0, 0, np.ones_like(v))] + [vec(0, 0, np.zeros_like(v))] * 3,
     (0.0, 6.0), (-1.0, 1.0),
 )
-sphere = closed_form_patch(
-    "sphere", bc.R3,
-    lambda u, v: np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)], -1),
-    lambda u, v: np.stack([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u)], -1),
-    lambda u, v: np.stack([-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), _z(u)], -1),
-    (0.4, np.pi - 0.4), (0.0, 2 * np.pi),
-)
-great_sphere = closed_form_patch(
-    "great_sphere", bc.S3,
-    lambda u, v: np.stack([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u), _z(u)], -1),
-    lambda u, v: np.stack([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u), _z(u)], -1),
-    lambda u, v: np.stack([-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), _z(u), _z(u)], -1),
-    (0.4, np.pi - 0.4), (0.0, 2 * np.pi),
-)
+sphere = round_sphere("sphere", bc.R3, ())
+great_sphere = round_sphere("great_sphere", bc.S3, (0,))
 
 print("Classical fixtures through the point-wise interface:")
 for name, patch, want_f, want_K in [
@@ -82,8 +103,7 @@ print(f"  cylinder: biconservative residual {bc.biconservative_residual(pg):.1e}
       f"eigenvalue check skipped: {np.isnan(r_eig)}")
 
 print("\nBiharmonic test: the normal bitension Delta f - f|A|^2 + 2cf")
-fd = FDScheme(inner_step=6e-4, outer_step=0.3)
-pg = bc.point_geometry(great_sphere, 1.2, 0.7, fd)
+pg = bc.point_geometry(great_sphere, 1.2, 0.7)
 print(f"  great 2-sphere (minimal, biharmonic):   {bc.normal_bitension_residual(pg):+.1e}")
 sol = bc.solve_curvature(1, 1.0, 1.0, (-1.1, 1.1), rel_tol=1e-12, abs_tol=1e-14)
 patch = bc.build_s3(bc.reconstruct_profile(sol, "s2"))
@@ -91,15 +111,13 @@ pg = bc.point_geometry(patch, 0.3, 1.0)
 print(f"  constructed sphere-model surface:       {bc.normal_bitension_residual(pg):+.3f}")
 print("  nonzero: biconservative surfaces need not be biharmonic.")
 
-print("\nFinite differences converge at the expected order (no Richardson):")
+print("\nThe jets are checked, not trusted: differences of the first partials")
+print("against the second partials (second_partials_fd) on the flat surface:")
 prof = bc.revolution_profile(1.0, 12.0)
 rpatch = bc.build_r3_revolution(prof, ((1.5, 8.0), (0.0, 2 * np.pi)))
-# built patches carry analytic second partials; drop them so the verifier
-# differences the first partials, as it does for the fixtures above
-rpatch = dataclasses.replace(rpatch, jet=None)
-f_exact = float(rpatch.reference["f"](np.array(3.0), 1.0))
 for h in (4e-2, 2e-2, 1e-2):
-    fd = FDScheme(inner_step=h, outer_step=0.05, richardson=False)
-    err = abs(bc.point_geometry(rpatch, 3.0, 1.0, fd).f - f_exact)
-    print(f"  step {h:.0e}: |f - exact| = {err:.3e}")
-print("  each halving divides the error by about four (order two).")
+    report = bc.verify_patch(rpatch, 16, 16, fd=FDScheme(inner_step=h))
+    print(f"  step {h:.0e}: max |difference - jet| = "
+          f"{report.residuals['second_partials_fd']['max']:.3e}")
+print("  each halving divides it by about sixteen (Richardson, order four);")
+print("  a wrong jet would leave a floor that does not fall.")

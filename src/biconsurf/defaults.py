@@ -12,20 +12,14 @@ its noise floor is set by the interpolation error of the integrator.
 
 Finite differencing
 -------------------
-The verifier uses a two-level scheme.  The small ``inner`` step takes
-central differences of the analytic first partials (Richardson
-extrapolated): they are the second derivatives of a patch without an
-analytic jet, and for a patch with one they are the cross-check the jet
-must match.  The same step differences the jets of orders 2 and 3 of a
-patch with ``jet4``, as the cross-check of its orders 3 and 4.  Such a
-patch gets the derivatives of the mean curvature field in closed form; a
-patch without ``jet4`` differences the field with the larger ``outer``
-step: the field carries the noise of the profile's dense output (and of
-the inner differences, where those supply it), differencing it again
-amplifies that noise by 1/step^2, and a larger step keeps the
-amplification below the stated tolerances.  The outer step also sets the
-stencil reach, and so the grid shrink, for every patch.  Both steps are
-fractions of the parameter rectangle diagonal.
+The verifier takes every partial of X up to order 4, and so the mean
+curvature field and its derivatives, from the patch's closed-form ``jet``
+and ``jet4``.  One step, ``FD_INNER_REL`` times the parameter rectangle
+diagonal, takes Richardson-extrapolated central differences of the
+analytic first partials and of the jets of orders 2 and 3: they are the
+cross-checks the jets must match.  Its stencil reach, twice the step, sets
+the grid shrink of the verifier and the span padding of the curved
+pipelines.
 
 Tolerance profiles
 ------------------
@@ -39,14 +33,11 @@ absolute floor scales with the field (it decays toward the flat family's
 outer radius, for example).  ``second_partials_fd`` bounds the largest
 Euclidean norm, over Xuu, Xuv and Xvv, of inner-step differences minus the
 patch's analytic jet on the grid: 1e-8 for the flat family, 1e-7 for the
-curved ones, whose jets read the integrated frame.  It is evaluated only
-for patches with a jet, so such a profile fails closed on a patch without
-one.  ``higher_partials_fd`` bounds, with the same values, the largest
-Euclidean norm of each order 3 and 4 partial of ``jet4`` minus the
-inner-step difference of the partial one order lower (Xuuu and Xuuuu in
-u, the others in v; Richardson over h, h/2 and h/4, sixth order), on
-every 4th row and column of the grid; it is
-evaluated only for patches with ``jet4`` and fails closed without.  With
+curved ones, whose jets read the integrated frame.  ``higher_partials_fd``
+bounds, with the same values, the largest Euclidean norm of each order 3
+and 4 partial of ``jet4`` minus the inner-step difference of the partial
+one order lower (Xuuu and Xuuuu in u, the others in v; Richardson over h,
+h/2 and h/4, sixth order), on every 4th row and column of the grid.  With
 the closed-form f derivatives the ``pde`` residual of the built families
 sits near 1e-11, far below its tolerance; tightening the curved
 tolerances is left open.
@@ -72,20 +63,13 @@ V_PARABOLIC = (-1.0, 1.0)
 
 # ------------------------------------------------------- finite differencing
 FD_INNER_REL = 1e-4
-FD_OUTER_REL = {
-    "r3_revolution": 1e-3,
-    "s3": 3e-3,
-    "h3_elliptic": 3e-3,
-    "h3_parabolic": 8e-3,
-}
-FD_OUTER_REL_DEFAULT = 3e-3
 
 # gates used by the verifier
 NONCMC_GATE = 1e-6        # |grad f| > gate * (1 + |f|) marks a non-CMC point
 EIGEN_DEGENERACY = 1e-7   # |lam1 - lam2| below this skips direction-based checks
 
 # ------------------------------------------------------------------- reports
-REPORT_SCHEMA = "biconsurf.verification/1"
+REPORT_SCHEMA = "biconsurf.verification/2"
 
 TOL_PROFILES = {
     "r3_revolution": {

@@ -129,10 +129,10 @@ class PipelineConfig:
         return auto
 
 
-def _padded_span(cfg: PipelineConfig, case: str, v_range) -> tuple:
+def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
     """Integration span: the requested one padded by the verifier's FD reach."""
     diag = float(np.hypot(cfg.span[1] - cfg.span[0], v_range[1] - v_range[0]))
-    pad = 1.2 * fd_scheme(case, diag, cfg.fd_step).reach + 0.01
+    pad = 1.2 * fd_scheme(diag, cfg.fd_step).reach + 0.01
     return (cfg.span[0] - pad, cfg.span[1] + pad)
 
 
@@ -158,12 +158,9 @@ def build_pipeline_patch(cfg: PipelineConfig):
         return build_r3_revolution(prof, rect), None
 
     branch = cfg.resolved_branch()
-    case = {"s3": "s3"}.get(cfg.model) or (
-        "h3_elliptic" if branch is Branch.H2_ELLIPTIC else "h3_parabolic"
-    )
     v_range = _default_v_range(cfg, branch)
     problem = curvature_problem(
-        cfg.c, cfg.k0, cfg.kp0, _padded_span(cfg, case, v_range),
+        cfg.c, cfg.k0, cfg.kp0, _padded_span(cfg, v_range),
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
     )
     prof = reconstruct_profile(problem, branch)

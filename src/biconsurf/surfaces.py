@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SurfacePatch:
-    """Evaluable parametrization with analytic first (and optionally second) partials.
+    """Evaluable parametrization with analytic partials up to order 4.
 
     ``u_range`` x ``v_range`` is the declared parameter rectangle;
     ``eval_u_domain`` is the (possibly larger) interval on which the
@@ -48,20 +48,16 @@ class SurfacePatch:
     passing u of shape (nu, 1) and v of shape (1, nv), so the u-dependent
     part (dense output of the profile) runs once per distinct u.
 
-    ``jet``, when set, follows the same contract: ``jet(uline(u), v)``
-    returns the second partials (Xuu, Xuv, Xvv).  Every built patch has one,
-    and its u-line carries the data the jet needs; the verifier then uses
-    the jet in place of finite differences of the first partials and keeps
-    finite differences only as a cross-check.  Patches without a jet
-    (hand-written fixtures) are differenced numerically throughout.
-
-    ``jet4``, when set together with ``jet``, follows the same contract and
-    returns the partials of orders 3 and 4, ordered by the number of v
-    derivatives: (Xuuu, Xuuv, Xuvv, Xvvv, Xuuuu, Xuuuv, Xuuvv, Xuvvv,
-    Xvvvv).  Every built patch has one; the verifier then takes the
-    derivatives of the mean curvature in closed form.  It evaluates
-    ``jet4`` in blocks of u-rows by slicing each u-line entry along its
-    first axis, so every entry of such a patch's u-line has u's first axis.
+    ``jet`` and ``jet4`` are required: the verifier raises UsageError for a
+    patch without either.  Both follow the same contract:
+    ``jet(uline(u), v)`` returns the second partials (Xuu, Xuv, Xvv) and
+    ``jet4(uline(u), v)`` the partials of orders 3 and 4, ordered by the
+    number of v derivatives: (Xuuu, Xuuv, Xuvv, Xvvv, Xuuuu, Xuuuv,
+    Xuuvv, Xuvvv, Xvvvv).  The verifier takes the mean curvature and its
+    derivatives from them in closed form and keeps finite differences only
+    as cross-checks.  It evaluates ``jet4`` in blocks of u-rows by slicing
+    each u-line entry along its first axis, so every entry of a u-line has
+    u's first axis.
 
     A built patch's u-line is (sigma, T, a, a', T', a'', sigma''', a''',
     sigma'''', a''''), T = sigma': the profile, the sweep amplitude and

@@ -1,26 +1,20 @@
 """Coordinate-free numerical verification of surface patches.
 
 Everything here is computed from the patch evaluators alone (position,
-analytic first partials and, when the patch has a ``jet`` and a ``jet4``,
-analytic partials of orders 2 to 4); how the patch was built never enters
-except when comparing against its declared reference channels.  A patch
-without a jet gets its second partials from Richardson-extrapolated central
-differences of the first partials.  A patch with a jet is differenced the
-same way once, on the centre grid, and the largest Euclidean distance
-between the differences and the jet is the required ``second_partials_fd``
-residual: the jet is never trusted unchecked.
+analytic first partials and the analytic partials of orders 2 to 4 of the
+patch's ``jet`` and ``jet4``, which every patch must have); how the patch
+was built never enters except when comparing against its declared
+reference channels.  A patch without ``jet`` or ``jet4`` is a UsageError.
 
-The derivatives of the mean curvature f follow in one of two ways.  For a
-patch with ``jet4``, grad f and Delta f are closed-form at each point (from
-the Weingarten equation and the derivatives of the metric and second form,
-see ``_jet_f_derivatives``), and every partial of order 3 or 4 is compared
-with the inner-step difference of the partial one order lower on every
-4th row and column: the required ``higher_partials_fd`` residual.  For any
-other patch f is treated as a scalar field on the parameter rectangle and
-differentiated with a larger outer step; the second differencing amplifies
-whatever noise the field carries by 1/step^2, so the two steps are kept
-apart (see defaults).  The report's ``fd`` block names the route taken
-(``f_derivatives``: ``jet`` or ``outer_fd``).
+The mean curvature f, grad f and Delta f are closed-form at each point
+(from the Weingarten equation and the derivatives of the metric and second
+form, see ``_jet_f_derivatives``).  The jets are never trusted unchecked:
+the first partials are differenced once on the grid (Richardson
+extrapolated central differences, the inner step of ``FDScheme``), and
+the largest Euclidean distance between the differences and the jet is the
+required ``second_partials_fd`` residual; every partial of order 3 or 4 is
+compared with the inner-step difference of the partial one order lower on
+every 4th row and column, the required ``higher_partials_fd`` residual.
 
 Sign conventions
 ----------------
@@ -41,8 +35,6 @@ from .ambient import Signature, SpaceForm, _cofactor_complement
 from .defaults import (
     EIGEN_DEGENERACY,
     FD_INNER_REL,
-    FD_OUTER_REL,
-    FD_OUTER_REL_DEFAULT,
     NONCMC_GATE,
     REPORT_SCHEMA,
     TOL_PROFILES,
@@ -71,49 +63,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Two-level finite-difference configuration.
+    """The step of the finite-difference cross-checks of the jets.
 
-    ``inner_step`` differences the analytic partials of X: the first
-    partials give the second partials (and so the Christoffel symbols) of
-    a patch without a jet and the jet cross-check otherwise; the jets give
-    the ``jet4`` cross-check.
-    ``outer_step`` differences the mean-curvature field of a patch
-    without ``jet4`` and, for every patch, sets the stencil reach that
-    keeps the grid inside the evaluable domain.  Richardson extrapolation
-    (steps h and h/2) is applied to both levels unless disabled.
+    ``inner_step`` differences the analytic partials of X with Richardson
+    extrapolation (steps h and h/2, fourth order): the first partials are
+    the ``second_partials_fd`` cross-check of ``jet``, and the partials of
+    orders 2 and 3 that of ``jet4`` (one level more, sixth order).  The
+    stencils reach ``2 * inner_step`` beyond a grid point, and the grid is
+    kept that far inside the evaluable domain.
     """
 
     inner_step: float
-    outer_step: float
-    richardson: bool = True
+
+    def __post_init__(self):
+        if not (np.isfinite(self.inner_step) and self.inner_step > 0):
+            raise UsageError(
+                f"FDScheme inner_step must be finite and positive, got {self.inner_step!r}"
+            )
 
     @property
     def reach(self) -> float:
-        return self.outer_step + 2.0 * self.inner_step
+        return 2.0 * self.inner_step
 
     def describe(self) -> dict:
         return {
             "inner_step": self.inner_step,
-            "outer_step": self.outer_step,
-            "richardson": self.richardson,
-            "order": 4 if self.richardson else 2,
+            "order": 4,
             "laplacian_sign": "geometric (minus divergence form)",
         }
 
 
-def fd_scheme(case: str, diagonal: float, inner_step=None) -> FDScheme:
-    """Default steps for a patch family on a rectangle with the given diagonal.
-
-    ``inner_step`` overrides the inner step; the outer step keeps its
-    per-family ratio to it.
-    """
+def fd_scheme(diagonal: float, inner_step=None) -> FDScheme:
+    """Default step on a rectangle with the given diagonal, unless ``inner_step`` is given."""
     inner = inner_step if inner_step is not None else FD_INNER_REL * diagonal
-    ratio = FD_OUTER_REL.get(case, FD_OUTER_REL_DEFAULT) / FD_INNER_REL
-    return FDScheme(inner_step=float(inner), outer_step=float(ratio * inner))
+    return FDScheme(inner_step=float(inner))
 
 
 def fd_for_patch(patch: SurfacePatch, inner_step=None) -> FDScheme:
-    return fd_scheme(patch.case, patch.rect_diagonal, inner_step)
+    return fd_scheme(patch.rect_diagonal, inner_step)
+
+
+def _require_jets(patch: SurfacePatch) -> None:
+    """UsageError naming what is missing when the patch lacks ``jet`` or ``jet4``."""
+    missing = [name for name in ("jet", "jet4") if getattr(patch, name) is None]
+    if missing:
+        raise UsageError(
+            f"patch '{patch.case}' has no {' or '.join(missing)}: the verifier "
+            "takes the partials of orders 2 to 4 from the closed-form jet and "
+            "jet4 of the SurfacePatch contract"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -187,53 +185,25 @@ class _Probe:
         )
 
 
-def _rich1(f, h: float, richardson: bool):
+def _rich1(f, h: float):
+    """Richardson-extrapolated central difference of f at 0 (steps h and h/2)."""
     d_h = (f(h) - f(-h)) / (2.0 * h)
-    if not richardson:
-        return d_h
     d_h2 = (f(0.5 * h) - f(-0.5 * h)) / h
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def _rich2(f0, f, h: float, richardson: bool):
-    d_h = (f(h) - 2.0 * f0 + f(-h)) / h**2
-    if not richardson:
-        return d_h
-    d_h2 = (f(0.5 * h) - 2.0 * f0 + f(-0.5 * h)) / (0.25 * h**2)
-    return (4.0 * d_h2 - d_h) / 3.0
+def _second_partials_fd(pr: _Probe, h: float):
+    """(Xuu, Xuv, Xvv) on the grid by differencing the first partials."""
+    frames: dict = {}
 
+    def frame(du, dv):
+        if (du, dv) not in frames:
+            frames[du, dv] = pr.frame(du, dv)
+        return frames[du, dv]
 
-def _rich_cross(f, h: float, richardson: bool):
-    def d(s):
-        return (f(s, s) - f(s, -s) - f(-s, s) + f(-s, -s)) / (4.0 * s**2)
-
-    d_h = d(h)
-    if not richardson:
-        return d_h
-    return (4.0 * d(0.5 * h) - d_h) / 3.0
-
-
-def _cached_frame(pr: _Probe, frames: dict):
-    """pr.frame, keeping every frame it computes in ``frames``."""
-
-    def frame(a, b):
-        key = (float(a), float(b))
-        if key not in frames:
-            frames[key] = pr.frame(a, b)
-        return frames[key]
-
-    return frame
-
-
-def _second_partials_fd(frame, du: float, dv: float, fd: FDScheme):
-    """(Xuu, Xuv, Xvv) at offset (du, dv) by differencing the first partials."""
-    h, rich = fd.inner_step, fd.richardson
-    Xuu = _rich1(lambda s: frame(du + s, dv)[1], h, rich)
-    Xvv = _rich1(lambda s: frame(du, dv + s)[2], h, rich)
-    Xuv = 0.5 * (
-        _rich1(lambda s: frame(du, dv + s)[1], h, rich)
-        + _rich1(lambda s: frame(du + s, dv)[2], h, rich)
-    )
+    Xuu = _rich1(lambda s: frame(s, 0.0)[1], h)
+    Xvv = _rich1(lambda s: frame(0.0, s)[2], h)
+    Xuv = 0.5 * (_rich1(lambda s: frame(0.0, s)[1], h) + _rich1(lambda s: frame(s, 0.0)[2], h))
     return Xuu, Xuv, Xvv
 
 
@@ -254,11 +224,11 @@ def _higher_partials_fd(patch: SurfacePatch, ugrid, vgrid, fd: FDScheme) -> np.n
 
     Each partial of order 3 or 4 is compared with the inner-step difference
     of the partial one order lower: Xuuu and Xuuuu in u, every other one in
-    v.  With Richardson extrapolation the difference takes one level more
-    than elsewhere (steps h, h/2 and h/4, sixth order): the truncation error
-    grows with the order of the partials, and at fourth order it alone
-    exceeded the bound on valid surfaces (an r3 rectangle starting near the
-    waist, sharply peaked curvature profiles).  Returns shape (nu, nv).
+    v.  The Richardson extrapolation takes one level more than elsewhere
+    (steps h, h/2 and h/4, sixth order): the truncation error grows with the
+    order of the partials, and at fourth order it alone exceeded the bound
+    on valid surfaces (an r3 rectangle starting near the waist, sharply
+    peaked curvature profiles).  Returns shape (nu, nv).
     """
     pr = _Probe(patch, ugrid, vgrid)
     h = fd.inner_step
@@ -275,10 +245,7 @@ def _higher_partials_fd(patch: SurfacePatch, ugrid, vgrid, fd: FDScheme) -> np.n
         def shifted(s):
             return jets(s, 0.0)[i] if along_u else jets(0.0, s)[i]
 
-        d_h = _rich1(shifted, h, fd.richardson)
-        if not fd.richardson:
-            return d_h
-        return (16.0 * _rich1(shifted, 0.5 * h, True) - d_h) / 15.0
+        return (16.0 * _rich1(shifted, 0.5 * h) - _rich1(shifted, h)) / 15.0
 
     # (partial, the partial it differences, direction)
     pairs = [(3, 0, True), (7, 3, True)]
@@ -292,23 +259,14 @@ def _higher_partials_fd(patch: SurfacePatch, ugrid, vgrid, fd: FDScheme) -> np.n
     return worst.reshape(pr.shape)
 
 
-def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float,
-           frame=None) -> dict:
-    """Shape data at offset (du, dv), frames taken from ``frame`` if given.
-
-    The second partials come from the patch's jet when it has one and from
-    differences of the first partials otherwise.
-    """
+def _shape(pr: _Probe, sign: float) -> dict:
+    """Shape data on the probe's grid from the first partials and the jet."""
     model = pr.patch.model
     inner = model.inner
     c = model.c
-    frame = frame or _cached_frame(pr, {})
 
-    X, Xu, Xv = frame(du, dv)
-    if pr.patch.jet is not None:
-        Xuu, Xuv, Xvv = pr.jet(du, dv)
-    else:
-        Xuu, Xuv, Xvv = _second_partials_fd(frame, du, dv, fd)
+    X, Xu, Xv = pr.frame(0.0, 0.0)
+    Xuu, Xuv, Xvv = pr.jet(0.0, 0.0)
 
     g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
     det = g11 * g22 - g12**2
@@ -353,13 +311,13 @@ def _shape(pr: _Probe, du: float, dv: float, fd: FDScheme, sign: float,
     }
 
 
-def normal_sign(patch: SurfacePatch, fd: FDScheme | None = None) -> float:
+def normal_sign(patch: SurfacePatch) -> float:
     """Per-patch orientation: +1/-1 so the reference-point f is positive."""
-    fd = fd or fd_for_patch(patch)
+    _require_jets(patch)
     u = 0.5 * (patch.u_range[0] + patch.u_range[1])
     v = 0.5 * (patch.v_range[0] + patch.v_range[1])
     pr = _Probe(patch, np.array([u]), np.array([v]))
-    f0 = float(_shape(pr, 0.0, 0.0, fd, 1.0)["f"][0])
+    f0 = float(_shape(pr, 1.0)["f"][0])
     return -1.0 if f0 < 0 else 1.0
 
 
@@ -375,11 +333,6 @@ def _eig_direction(sh, lam):
                    1e-300)
     )
     return v1 / norm, v2 / norm
-
-
-def _exact_f_field(patch: SurfacePatch) -> bool:
-    """Whether grad f and Delta f come from the patch's jets (else outer FD)."""
-    return patch.jet is not None and patch.jet4 is not None
 
 
 # index sums: the partial X_{i1..ir} is the one with i1 + ... + ir v's
@@ -445,60 +398,32 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
     return F1, F2
 
 
-def _outer_f_derivatives(pr: _Probe, fd: FDScheme, sign: float, f0):
-    """(F1, F2) of the mean curvature by outer-step differences of f."""
-    H, rich = fd.outer_step, fd.richardson
-    cache: dict = {(0.0, 0.0): f0}
-
-    def F(a, b):
-        key = (float(a), float(b))
-        if key not in cache:
-            cache[key] = _shape(pr, a, b, fd, sign)["f"]
-        return cache[key]
-
-    Fu = _rich1(lambda s: F(s, 0.0), H, rich)
-    Fv = _rich1(lambda s: F(0.0, s), H, rich)
-    Fuu = _rich2(f0, lambda s: F(s, 0.0), H, rich)
-    Fvv = _rich2(f0, lambda s: F(0.0, s), H, rich)
-    Fuv = _rich_cross(F, H, rich)
-    return np.array([Fu, Fv]), np.array([[Fuu, Fuv], [Fuv, Fvv]])
-
-
 def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
-    """Center-point shape data plus derivatives of the f-field.
+    """Shape data plus the derivatives of the f-field on the probe's grid.
 
-    For a patch with a jet, ``second_partials_fd`` holds the per-point
-    largest Euclidean norm of (differenced - jet) over Xuu, Xuv and Xvv.
-    For a patch with ``jet4`` as well, grad f and Delta f are closed-form
-    (``_jet_f_derivatives``), evaluated in blocks of u-rows; otherwise f is
-    differenced with the outer step.  Both routes take Delta f from
-    ``_laplacian``, with the Christoffel symbols of ``sh``'s second partials.
+    ``second_partials_fd`` holds the per-point largest Euclidean norm of
+    (differenced - jet) over Xuu, Xuv and Xvv.  grad f and the second
+    partials of f are closed-form (``_jet_f_derivatives``), evaluated in
+    blocks of u-rows, and Delta f comes from ``_laplacian`` with the
+    Christoffel symbols of the jet.
     """
-    frames: dict = {}
-    frame = _cached_frame(pr, frames)
-    sh = _shape(pr, 0.0, 0.0, fd, sign, frame)
+    sh = _shape(pr, sign)
+    fd2 = _second_partials_fd(pr, fd.inner_step)
+    euclid = Signature(pr.patch.model.ambient.dim)
+    sh["second_partials_fd"] = np.max(
+        [euclid.norm(d - sh[name]) for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
+        axis=0,
+    )
 
-    if pr.patch.jet is not None:
-        fd2 = _second_partials_fd(frame, 0.0, 0.0, fd)
-        euclid = Signature(pr.patch.model.ambient.dim)
-        sh["second_partials_fd"] = np.max(
-            [euclid.norm(d - sh[name]) for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
-            axis=0,
+    nu, nv = pr.shape
+    F1, F2 = np.empty((2, nu * nv)), np.empty((2, 2, nu * nv))
+    step = max(1, _JET_BLOCK_POINTS // nv)
+    for r0 in range(0, nu, step):
+        rows = slice(r0, min(r0 + step, nu))
+        sl = slice(rows.start * nv, rows.stop * nv)
+        F1[:, sl], F2[:, :, sl] = _jet_f_derivatives(
+            sh, sl, pr.jet4(0.0, 0.0, rows), pr.patch.model
         )
-    frames.clear()
-
-    if _exact_f_field(pr.patch):
-        nu, nv = pr.shape
-        F1, F2 = np.empty((2, nu * nv)), np.empty((2, 2, nu * nv))
-        step = max(1, _JET_BLOCK_POINTS // nv)
-        for r0 in range(0, nu, step):
-            rows = slice(r0, min(r0 + step, nu))
-            sl = slice(rows.start * nv, rows.stop * nv)
-            F1[:, sl], F2[:, :, sl] = _jet_f_derivatives(
-                sh, sl, pr.jet4(0.0, 0.0, rows), pr.patch.model
-            )
-    else:
-        F1, F2 = _outer_f_derivatives(pr, fd, sign, sh["f"])
 
     gi, gam = _metric_tables(sh, slice(None), pr.patch.model)
     G = gi[:, 0] * F1[0] + gi[:, 1] * F1[1]
@@ -596,6 +521,7 @@ class PointGeometry:
 
 
 def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
+    _require_jets(patch)
     fd = fd or fd_for_patch(patch)
     lo, hi = patch.eval_u_domain
     if not (lo + fd.reach <= u <= hi - fd.reach):
@@ -603,9 +529,9 @@ def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
             f"point u={u} is not interior to the evaluable domain by the "
             f"finite-difference reach {fd.reach}"
         )
-    sign = normal_sign(patch, fd)
+    sign = normal_sign(patch)
     pr = _Probe(patch, np.array([float(u)]), np.array([float(v)]))
-    sh = _field_bundle(pr, fd, sign) if with_field else _shape(pr, 0.0, 0.0, fd, sign)
+    sh = _field_bundle(pr, fd, sign) if with_field else _shape(pr, sign)
 
     d1 = _eig_direction(sh, sh["lam1"])
     d2 = _eig_direction(sh, sh["lam2"])
@@ -652,8 +578,7 @@ def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
 
 def fundamental_forms(patch: SurfacePatch, u: float, v: float, fd_step=None) -> PointGeometry:
     """Metric, normal, second form and shape data at one point (no f-field)."""
-    fd = fd_for_patch(patch, inner_step=fd_step) if fd_step else None
-    return _point(patch, u, v, fd, with_field=False)
+    return _point(patch, u, v, fd_for_patch(patch, inner_step=fd_step), with_field=False)
 
 
 def point_geometry(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None = None) -> PointGeometry:
@@ -811,6 +736,7 @@ def verify_patch(
     if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (nu, nv)):
         raise UsageError(f"the grid needs integers nu, nv >= 2, got {nu!r} x {nv!r}")
     nu, nv = int(nu), int(nv)
+    _require_jets(patch)
     fd = fd or fd_for_patch(patch)
     if tolerances is None:
         tolerances = TOL_PROFILES.get(patch.case, {})
@@ -834,7 +760,7 @@ def verify_patch(
     UU, VV = np.meshgrid(ugrid, vgrid, indexing="ij")
     U, V = UU.ravel(), VV.ravel()
 
-    sign = normal_sign(patch, fd)
+    sign = normal_sign(patch)
     pr = _Probe(patch, ugrid, vgrid)
     sh = _field_bundle(pr, fd, sign)
     model = patch.model
@@ -873,16 +799,13 @@ def verify_patch(
         record(name, values, masks.get(name))
 
     # comparisons against builder-declared data
-    if "second_partials_fd" in sh:
-        record("second_partials_fd", sh["second_partials_fd"])
-    exact_f = _exact_f_field(patch)
-    if exact_f:
-        every = slice(None, None, _HIGHER_STRIDE)
-        sub = np.zeros((nu, nv), dtype=bool)
-        sub[every, every] = True
-        higher = np.full((nu, nv), np.nan)
-        higher[every, every] = _higher_partials_fd(patch, ugrid[every], vgrid[every], fd)
-        record("higher_partials_fd", higher.ravel(), mask=sub.ravel())
+    record("second_partials_fd", sh["second_partials_fd"])
+    every = slice(None, None, _HIGHER_STRIDE)
+    sub = np.zeros((nu, nv), dtype=bool)
+    sub[every, every] = True
+    higher = np.full((nu, nv), np.nan)
+    higher[every, every] = _higher_partials_fd(patch, ugrid[every], vgrid[every], fd)
+    record("higher_partials_fd", higher.ravel(), mask=sub.ravel())
     if isinstance(patch.profile, ProfileCurve):
         ksol = np.repeat(patch.profile.k(ugrid), nv)
         record("f_vs_profile", f - 2.0 * ksol)
@@ -946,7 +869,7 @@ def verify_patch(
             "u_range": [float(ugrid[0]), float(ugrid[-1])],
             "v_range": [float(vgrid[0]), float(vgrid[-1])],
         },
-        fd=dict(fd.describe(), f_derivatives="jet" if exact_f else "outer_fd"),
+        fd=fd.describe(),
         tolerances=dict(sorted(tolerances.items())),
         residuals=residuals,
         bitension=bitension,

@@ -3,20 +3,27 @@ import numpy as np
 import pytest
 
 import biconsurf as bc
+from biconsurf import surfaces
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.surfaces import SurfacePatch
 
 
-def analytic_patch(case, model, fX, fXu, fXv, u_range, v_range):
-    """Closed-form patch for fixtures; evaluators valid everywhere."""
+def sweep_patch(case, model, sigma, amplitude, orbit, u_range, v_range):
+    """Closed-form patch X = sigma(u) + a(u) S(v) for fixtures; valid everywhere.
+
+    ``sigma(u)`` and ``amplitude(u)`` return their derivatives of orders 0
+    to 4 and ``orbit(v)`` returns (S, S', S'', S''', S''''); the built
+    families' sweep evaluator gives X and its partials up to order 4.
+    """
 
     def uline(u):
-        return np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float)
+        line = [None] * 10
+        for i, (s, a) in enumerate(zip(sigma(u), amplitude(u))):
+            line[surfaces._SIGMA[i]], line[surfaces._AMPLITUDE[i]] = s, a
+        return tuple(line)
 
-    def at(u, v):
-        u, v = np.broadcast_arrays(u, v)
-        return fX(u, v), fXu(u, v), fXv(u, v)
-
+    at, jet, jet4 = surfaces._sweep_evaluators(orbit)
     return SurfacePatch(
         case=case,
         model=model,
@@ -25,62 +32,93 @@ def analytic_patch(case, model, fX, fXu, fXv, u_range, v_range):
         uline=uline,
         at=at,
         eval_u_domain=(-1e9, 1e9),
+        jet=jet,
+        jet4=jet4,
     )
 
 
-def _z(u):
-    return np.zeros_like(u)
+def vectors(*components):
+    """u-shaped components stacked into vectors, zeros where a component is 0."""
+    shape = np.broadcast(*components).shape
+    return np.stack([np.broadcast_to(x, shape).astype(float) for x in components], -1)
 
 
-def _o(u):
-    return np.ones_like(u)
+def line_orbit(e):
+    """The orbit S = v e (a translation along e)."""
+    e = np.asarray(e, dtype=float)
+
+    def orbit(v):
+        one, zero = np.ones_like(v)[..., None], np.zeros_like(v)[..., None]
+        return v[..., None] * e, one * e, zero * e, zero * e, zero * e
+
+    return orbit
+
+
+def turn_orbit(dim):
+    """The orbit S = (cos v, sin v, 0, ...) in the first coordinate plane."""
+    pad = [0.0] * (dim - 2)
+
+    def orbit(v):
+        cv, sv = np.cos(v), np.sin(v)
+        return tuple(vectors(x, y, *pad)
+                     for x, y in ((cv, sv), (-sv, cv), (-cv, -sv), (sv, -cv), (cv, sv)))
+
+    return orbit
+
+
+def constant(value, n=5):
+    """Derivatives of orders 0..n-1 of a constant amplitude."""
+    return lambda u: [np.full_like(u, float(value))] + [np.zeros_like(u)] * (n - 1)
+
+
+def _sin_cos(u):
+    """(sin, cos) derivatives of orders 0..4 of sin u and cos u."""
+    s, c = np.sin(u), np.cos(u)
+    return [s, c, -s, -c, s], [c, -s, -c, s, c]
 
 
 def plane_patch():
-    return analytic_patch(
+    # X = (u, v, 0)
+    return sweep_patch(
         "fixture_plane", bc.R3,
-        lambda u, v: np.stack([u, v, _z(u)], -1),
-        lambda u, v: np.stack([_o(u), _z(u), _z(u)], -1),
-        lambda u, v: np.stack([_z(u), _o(u), _z(u)], -1),
+        lambda u: [vectors(u, 0, 0), vectors(np.ones_like(u), 0, 0)]
+        + [vectors(np.zeros_like(u), 0, 0)] * 3,
+        constant(1.0), line_orbit([0, 1, 0]),
         (-1.0, 1.0), (-1.0, 1.0),
     )
 
 
 def cylinder_patch():
-    return analytic_patch(
-        "fixture_cylinder", bc.R3,
-        lambda u, v: np.stack([np.cos(u), np.sin(u), v], -1),
-        lambda u, v: np.stack([-np.sin(u), np.cos(u), _z(u)], -1),
-        lambda u, v: np.stack([_z(u), _z(u), _o(u)], -1),
+    # X = (cos u, sin u, v)
+    def sigma(u):
+        s, c = _sin_cos(u)
+        return [vectors(ci, si, 0) for si, ci in zip(s, c)]
+
+    return sweep_patch(
+        "fixture_cylinder", bc.R3, sigma, constant(1.0), line_orbit([0, 0, 1]),
         (0.0, 6.0), (-1.0, 1.0),
     )
 
 
-def sphere_patch():
-    return analytic_patch(
-        "fixture_sphere", bc.R3,
-        lambda u, v: np.stack(
-            [np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)], -1),
-        lambda u, v: np.stack(
-            [np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u)], -1),
-        lambda u, v: np.stack(
-            [-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), _z(u)], -1),
+def _round_sphere(case, model, dim):
+    # X = (sin u cos v, sin u sin v, cos u, 0...)
+    pad = [0] * (dim - 3)
+    return sweep_patch(
+        case, model,
+        lambda u: [vectors(0, 0, ci, *pad) for ci in _sin_cos(u)[1]],
+        lambda u: _sin_cos(u)[0],
+        turn_orbit(dim),
         (0.4, np.pi - 0.4), (0.0, 2 * np.pi),
     )
+
+
+def sphere_patch():
+    return _round_sphere("fixture_sphere", bc.R3, 3)
 
 
 def great_sphere_patch():
     """Totally geodesic 2-sphere inside the 3-sphere (f = 0, K = 1)."""
-    return analytic_patch(
-        "fixture_great_sphere", bc.S3,
-        lambda u, v: np.stack(
-            [np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u), _z(u)], -1),
-        lambda u, v: np.stack(
-            [np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), -np.sin(u), _z(u)], -1),
-        lambda u, v: np.stack(
-            [-np.sin(u) * np.sin(v), np.sin(u) * np.cos(v), _z(u), _z(u)], -1),
-        (0.4, np.pi - 0.4), (0.0, 2 * np.pi),
-    )
+    return _round_sphere("fixture_great_sphere", bc.S3, 4)
 
 
 @pytest.fixture(scope="session")

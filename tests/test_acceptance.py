@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 import biconsurf as bc
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_solve, cmd_surface
-from biconsurf.verify import FDScheme
 
 from conftest import great_sphere_patch, plane_patch
 
@@ -207,9 +206,8 @@ def test_criterion_7_non_biharmonicity():
 
     cmc_vals = []
     for fixture in (great_sphere_patch(), plane_patch()):
-        fd = FDScheme(inner_step=6e-4, outer_step=0.3)
         u = 0.5 * (fixture.u_range[0] + fixture.u_range[1])
-        pg = bc.point_geometry(fixture, u, 0.7, fd)
+        pg = bc.point_geometry(fixture, u, 0.7)
         cmc_vals.append(abs(bc.normal_bitension_residual(pg)))
     cmc_ok = max(cmc_vals) <= 1e-10
     _line(

@@ -10,15 +10,26 @@ from hypothesis import given, settings, strategies as st
 import biconsurf as bc
 from biconsurf import profile, surfaces, verify
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
-from biconsurf.surfaces import SurfacePatch
-from biconsurf.verify import FDScheme, _field_bundle, _Probe, fd_for_patch, normal_sign
+from biconsurf.verify import (
+    FDScheme,
+    _field_bundle,
+    _laplacian,
+    _metric_tables,
+    _Probe,
+    _shape,
+    fd_for_patch,
+    normal_sign,
+)
 
 from conftest import (
-    analytic_patch,
+    constant,
     cylinder_patch,
     great_sphere_patch,
+    line_orbit,
     plane_patch,
     sphere_patch,
+    sweep_patch,
+    vectors,
 )
 
 
@@ -68,8 +79,7 @@ class TestClassicalFixtures:
 
     def test_biharmonic_fixture_bitension_vanishes(self):
         p = great_sphere_patch()
-        fd = FDScheme(inner_step=6e-4, outer_step=0.3)
-        pg = bc.point_geometry(p, *mid(p), fd)
+        pg = bc.point_geometry(p, *mid(p))
         assert abs(bc.normal_bitension_residual(pg)) <= 1e-10
 
     def test_normal_is_unit_and_orthogonal(self):
@@ -79,29 +89,19 @@ class TestClassicalFixtures:
 
 
 class TestFiniteDifferences:
-    # f is exact on a patch with a jet, so the inner-step order is measured
-    # on the same patch with its second partials differenced
-    def test_order_two_without_richardson(self, r3_pipeline):
-        patch = dataclasses.replace(r3_pipeline[1], jet=None)
-        u, v = 3.0, 1.0
-        f_exact = float(patch.reference["f"](np.array(u), v))
-
-        def err(h):
-            fd = FDScheme(inner_step=h, outer_step=0.05, richardson=False)
-            return abs(bc.point_geometry(patch, u, v, fd).f - f_exact)
-
-        ratio = err(4e-2) / err(2e-2)
-        assert 3.0 < ratio < 5.5
-
-    def test_richardson_beats_plain(self, r3_pipeline):
-        patch = dataclasses.replace(r3_pipeline[1], jet=None)
-        u, v = 3.0, 1.0
-        f_exact = float(patch.reference["f"](np.array(u), v))
-        plain = FDScheme(inner_step=2e-2, outer_step=0.05, richardson=False)
-        rich = FDScheme(inner_step=2e-2, outer_step=0.05, richardson=True)
-        e_plain = abs(bc.point_geometry(patch, u, v, plain).f - f_exact)
-        e_rich = abs(bc.point_geometry(patch, u, v, rich).f - f_exact)
-        assert e_rich < e_plain / 10
+    def test_cross_checks_fall_at_their_order(self, r3_pipeline):
+        # against an exact jet the discrepancy is truncation alone: each
+        # halving of the step divides it by 2^4 (second_partials_fd, fourth
+        # order) or 2^6 (higher_partials_fd, sixth order); measured 16.0-16.3
+        # and 64.3-68.4, while a wrong jet would leave a floor that does not fall
+        patch = r3_pipeline[1]
+        steps = (8e-2, 4e-2, 2e-2, 1e-2, 5e-3)
+        reports = [bc.verify_patch(patch, 16, 16, fd=FDScheme(h)) for h in steps]
+        for name, lo, hi in (("second_partials_fd", 15.5, 17.0),
+                             ("higher_partials_fd", 60.0, 72.0)):
+            maxima = np.array([r.residuals[name]["max"] for r in reports])
+            ratios = maxima[:-1] / maxima[1:]
+            assert np.all((lo < ratios) & (ratios < hi)), (name, ratios)
 
     def test_interior_margin_enforced(self, r3_pipeline):
         _, patch, _ = r3_pipeline
@@ -110,11 +110,12 @@ class TestFiniteDifferences:
             bc.point_geometry(patch, patch.eval_u_domain[0], 1.0, fd)
 
     def test_degenerate_metric_detected(self):
-        sick = analytic_patch(
+        # X = (u + v, u + v, 0): Xu = Xv
+        sick = sweep_patch(
             "fixture_degenerate", bc.R3,
-            lambda u, v: np.stack([u, u, np.zeros_like(u)], -1),
-            lambda u, v: np.stack([np.ones_like(u), np.ones_like(u), np.zeros_like(u)], -1),
-            lambda u, v: np.stack([np.ones_like(u), np.ones_like(u), np.zeros_like(u)], -1),
+            lambda u: [vectors(u, u, 0), vectors(np.ones_like(u), 1, 0)]
+            + [vectors(np.zeros_like(u), 0, 0)] * 3,
+            constant(1.0), line_orbit([1, 1, 0]),
             (-1.0, 1.0), (-1.0, 1.0),
         )
         with pytest.raises((bc.ConditioningError, bc.DegenerateSpanError)):
@@ -151,9 +152,9 @@ class TestPointHelpersShareTheGridKernel:
     """The point helpers evaluate the grid's residual kernel on one point."""
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
-                                     "h3p_pipeline", "jetless_sphere"])
+                                     "h3p_pipeline", "sphere_fixture"])
     def test_point_values_equal_grid_fields(self, fix, request):
-        if fix == "jetless_sphere":
+        if fix == "sphere_fixture":
             patch = sphere_patch()
             report = bc.verify_patch(patch, 9, 9)
         else:
@@ -256,6 +257,7 @@ class TestReportSerialization:
         entry = data["residuals"]["biconservative"]
         assert set(entry) >= {"max", "mean", "argmax"}
         assert data["fd"]["laplacian_sign"].startswith("geometric")
+        assert set(data["fd"]) == {"inner_step", "order", "laplacian_sign"}
 
     def test_json_deterministic(self, r3_pipeline):
         prof, patch, report = r3_pipeline
@@ -268,7 +270,7 @@ class TestReportSerialization:
                    h3p_pipeline[-1]]
         keysets = [set(json.loads(r.to_json())) for r in reports]
         assert all(k == keysets[0] for k in keysets)
-        assert {r.schema for r in reports} == {"biconsurf.verification/1"}
+        assert {r.schema for r in reports} == {"biconsurf.verification/2"}
 
     def test_save(self, r3_pipeline, tmp_path):
         _, _, report = r3_pipeline
@@ -334,22 +336,21 @@ class TestTensorGridProbe:
                 assert np.array_equal(g, w)
 
     def test_non_broadcasting_at_is_usage_error(self):
-        def stacked(u, v):
+        # u is the first coordinate of the plane's sigma = (u, 0, 0)
+        def stacked(line, v):
+            u = line[0][..., 0]
             z = np.zeros_like(u)
             return (np.stack([u, v, z], -1), np.stack([z + 1, z, z], -1),
                     np.stack([z, z + 1, z], -1))
 
-        def u_only(u, v):
+        def u_only(line, v):
+            u = line[0][..., 0]
             z = np.zeros_like(u)
             return (np.stack([u, z, z], -1), np.stack([z + 1, z, z], -1),
                     np.stack([z, z + 1, z], -1))
 
         for at in (stacked, u_only):
-            patch = SurfacePatch(
-                case="fixture_plane", model=bc.R3, u_range=(-1.0, 1.0),
-                v_range=(-1.0, 1.0), uline=np.asarray, at=at,
-                eval_u_domain=(-1e9, 1e9),
-            )
+            patch = dataclasses.replace(plane_patch(), at=at)
             with pytest.raises(bc.UsageError, match="broadcasting contract"):
                 bc.verify_patch(patch, 8, 8)
 
@@ -360,6 +361,32 @@ class TestFailClosed:
     def test_grid_size_below_two_or_not_integer_is_usage_error(self, nu, nv):
         with pytest.raises(bc.UsageError, match="integers nu, nv >= 2"):
             bc.verify_patch(sphere_patch(), nu, nv)
+
+    @pytest.mark.parametrize("missing", [("jet",), ("jet4",), ("jet", "jet4")],
+                             ids="-".join)
+    @pytest.mark.parametrize("entry", [
+        lambda p: bc.verify_patch(p, 8, 8),
+        lambda p: bc.point_geometry(p, *mid(p)),
+        lambda p: bc.fundamental_forms(p, *mid(p)),
+        lambda p: bc.pde_residual(p, *mid(p)),
+        normal_sign,
+    ], ids=["verify_patch", "point_geometry", "fundamental_forms", "pde_residual",
+            "normal_sign"])
+    def test_patch_without_jets_is_usage_error(self, entry, missing):
+        patch = dataclasses.replace(sphere_patch(), **dict.fromkeys(missing))
+        with pytest.raises(bc.UsageError, match=f"has no {' or '.join(missing)}:"):
+            entry(patch)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_step_not_finite_and_positive_is_usage_error(self, step):
+        patch = sphere_patch()
+        message = re.escape(f"inner_step must be finite and positive, got {step!r}")
+        with pytest.raises(bc.UsageError, match=message):
+            FDScheme(step)
+        with pytest.raises(bc.UsageError, match=message):
+            bc.verify_patch(patch, 8, 8, fd=FDScheme(step))
+        with pytest.raises(bc.UsageError, match=message):
+            bc.fundamental_forms(patch, *mid(patch), fd_step=step)
 
     def test_numpy_integer_grid_size_serializes(self):
         report = bc.verify_patch(sphere_patch(), np.int64(4), 4)
@@ -453,10 +480,6 @@ class TestJetCrossCheck:
         assert entry["count"] == 64 * 64
         assert entry["max"] <= report.tolerances["second_partials_fd"]
 
-    def test_patch_without_jet_has_no_cross_check(self):
-        rep = bc.verify_patch(sphere_patch(), 8, 8)
-        assert "second_partials_fd" not in rep.residuals
-
     @staticmethod
     def assert_rejected(patch):
         rep = bc.verify_patch(patch, 24, 24)
@@ -496,8 +519,46 @@ def _h3_truncation_case():
 def _f_partials(patch, fd, n=12):
     u = np.linspace(*patch.u_range, n + 2)[1:-1]
     v = np.linspace(*patch.v_range, n)
-    sh = _field_bundle(_Probe(patch, u, v), fd, normal_sign(patch, fd))
+    sh = _field_bundle(_Probe(patch, u, v), fd, normal_sign(patch))
     return {name: sh[name] for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv", "laplacian")}, u
+
+
+# each family's step for differencing the f-field, as a fraction of the
+# rectangle diagonal; the reference below takes an eighth of it
+_F_FIELD_REL = {"r3_revolution": 1e-3, "s3": 3e-3, "h3_elliptic": 3e-3,
+                "h3_parabolic": 8e-3}
+
+
+def _differenced_f_partials(patch, n=12):
+    """The reference for _f_partials: f differenced on the same grid.
+
+    Central differences of f (Richardson over the steps H and H/2), and the
+    Laplacian from them with the Christoffel symbols of the jet.
+    """
+    H = _F_FIELD_REL[patch.case] * patch.rect_diagonal / 8
+    u = np.linspace(*patch.u_range, n + 2)[1:-1]
+    v = np.linspace(*patch.v_range, n)
+    sign = normal_sign(patch)
+    cache = {}
+
+    def f(a, b):
+        if (a, b) not in cache:
+            cache[a, b] = _shape(_Probe(patch, u + a, v + b), sign)["f"]
+        return cache[a, b]
+
+    def rich(d):
+        return (4.0 * d(0.5 * H) - d(H)) / 3.0
+
+    F1 = np.array([rich(lambda h: (f(h, 0.0) - f(-h, 0.0)) / (2 * h)),
+                   rich(lambda h: (f(0.0, h) - f(0.0, -h)) / (2 * h))])
+    Fuu = rich(lambda h: (f(h, 0.0) - 2 * f(0.0, 0.0) + f(-h, 0.0)) / h**2)
+    Fvv = rich(lambda h: (f(0.0, h) - 2 * f(0.0, 0.0) + f(0.0, -h)) / h**2)
+    Fuv = rich(lambda h: (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h**2))
+    F2 = np.array([[Fuu, Fuv], [Fuv, Fvv]])
+    sh = _shape(_Probe(patch, u, v), sign)
+    gi, gam = _metric_tables(sh, slice(None), patch.model)
+    return {"Fu": F1[0], "Fv": F1[1], "Fuu": Fuu, "Fuv": Fuv, "Fvv": Fvv,
+            "laplacian": _laplacian(gi, gam, F1, F2)}
 
 
 class TestExactFieldDerivatives:
@@ -507,10 +568,8 @@ class TestExactFieldDerivatives:
                                      "h3p_pipeline"])
     def test_matches_outer_differences_at_an_eighth_of_the_step(self, fix, request):
         patch = request.getfixturevalue(fix)[-2]
-        fd = fd_for_patch(patch)
-        exact, _ = _f_partials(patch, fd)
-        fine = FDScheme(fd.inner_step, fd.outer_step / 8)
-        differenced, _ = _f_partials(dataclasses.replace(patch, jet4=None), fine)
+        exact, _ = _f_partials(patch, fd_for_patch(patch))
+        differenced = _differenced_f_partials(patch)
         for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv", "laplacian"):
             assert np.max(np.abs(exact[name] - differenced[name])) <= 1e-6, name
 
@@ -538,14 +597,6 @@ class TestExactFieldDerivatives:
     def test_h3_truncation_case_passes(self):
         assert bc.verify_patch(_h3_truncation_case(), 20, 20).passed
 
-    def test_fd_block_names_the_route(self, r3_pipeline, s3_pipeline):
-        for report in (r3_pipeline[-1], s3_pipeline[-1]):
-            assert report.fd["f_derivatives"] == "jet"
-            assert report.fd["outer_step"] > 0
-        patch = dataclasses.replace(s3_pipeline[2], jet4=None)
-        assert bc.verify_patch(patch, 8, 8).fd["f_derivatives"] == "outer_fd"
-        assert bc.verify_patch(sphere_patch(), 8, 8).fd["f_derivatives"] == "outer_fd"
-
     def test_blocks_do_not_change_the_result(self, s3_pipeline, monkeypatch):
         patch = s3_pipeline[2]
         whole = bc.verify_patch(patch, 24, 24)
@@ -554,75 +605,6 @@ class TestExactFieldDerivatives:
         assert blocked.to_json() == whole.to_json()
         for name in whole.fields:
             assert np.array_equal(blocked.fields[name], whole.fields[name])
-
-
-class TestOuterDifferencePath:
-    """Patches without jet4 keep the outer-step path of earlier versions."""
-
-    # recorded with the outer-step verifier before jet4 existed; the h3 pde
-    # re-recorded when this route's Delta f took the Christoffel form
-    RECORDED = {
-        ("s3", 1.0, 1.0): {
-            "pde": 8.337298176286367e-06, "biconservative": 1.6679368040463588e-09,
-            "x2f": 3.262827042782645e-10, "min_abs": 0.3808322156731525,
-            "max_abs": 18.130920692437414, "mean_abs": 7.938619997673379,
-        },
-        ("h3", 0.25, 0.2): {
-            "pde": 8.237185589454743e-07, "biconservative": 2.1685845349688145e-09,
-            "x2f": 2.1003032107211066e-09, "min_abs": 0.38308868165664217,
-            "max_abs": 0.8437522051471673, "mean_abs": 0.7214375450809969,
-        },
-    }
-
-    @pytest.mark.parametrize("key", sorted(RECORDED))
-    def test_jetless_report_values_unchanged(self, key):
-        model, k0, kp0 = key
-        patch = build_pipeline_patch(PipelineConfig(model=model, k0=k0, kp0=kp0))[0]
-        rep = bc.verify_patch(dataclasses.replace(patch, jet=None, jet4=None), 16, 16)
-        got = {name: rep.residuals[name]["max"] for name in ("pde", "biconservative", "x2f")}
-        got.update(rep.bitension)
-        for name, want in self.RECORDED[key].items():
-            assert got[name] == pytest.approx(want, rel=1e-6), name
-        assert rep.fd["f_derivatives"] == "outer_fd"
-        assert "higher_partials_fd" not in rep.residuals
-
-    # largest distance of the route's first-order Laplacian term from the
-    # exact one while Delta f took the divergence form (16 x 16 grid)
-    DIVERGENCE_FORM_DISTANCE = {
-        ("s3", 1.0, 1.0): 1.40085720801153e-11,
-        ("h3", 1.0, 1.0): 5.14170928056501e-11,
-        ("h3", 0.25, 0.2): 1.2675877014700632e-10,
-    }
-
-    @pytest.mark.parametrize("key", sorted(DIVERGENCE_FORM_DISTANCE))
-    def test_first_order_laplacian_term_no_further_from_exact(self, key):
-        # the exact term g^kl Gam^m_kl f_m takes Gam from the jet and the
-        # route's own df; the route differences the first partials instead
-        model, k0, kp0 = key
-        patch = build_pipeline_patch(PipelineConfig(model=model, k0=k0, kp0=kp0))[0]
-        bare = dataclasses.replace(patch, jet=None, jet4=None)
-        report = bc.verify_patch(bare, 16, 16)
-        fd = fd_for_patch(bare)
-        sh = _field_bundle(_Probe(bare, report.grid_u, report.grid_v), fd,
-                           normal_sign(bare, fd))
-        Xuu, Xuv, Xvv = _Probe(patch, report.grid_u, report.grid_v).jet(0.0, 0.0)
-        inner = patch.model.inner
-        gam = np.array([[inner(p, x) for x in (sh["Xu"], sh["Xv"])]
-                        for p in (Xuu, Xuv, Xvv)])[np.add.outer([0, 1], [0, 1])]
-        gi = np.array([[sh["g22"], -sh["g12"]], [-sh["g12"], sh["g11"]]]) / sh["det"]
-        F1 = np.array([sh["Fu"], sh["Fv"]])
-        F2 = np.array([[sh["Fuu"], sh["Fuv"]], [sh["Fuv"], sh["Fvv"]]])
-        exact = np.einsum("kln,mpn,klpn,mn->n", gi, gi, gam, F1)
-        route = sh["laplacian"] + np.einsum("kln,kln->n", gi, F2)
-        assert np.max(np.abs(route - exact)) <= self.DIVERGENCE_FORM_DISTANCE[key]
-
-    def test_jet4_without_jet_is_not_used(self):
-        def refuse(line, v):
-            raise AssertionError("jet4 called on the outer-difference path")
-
-        for patch in (sphere_patch(), cylinder_patch()):
-            rep = bc.verify_patch(dataclasses.replace(patch, jet4=refuse), 8, 8)
-            assert rep.fd["f_derivatives"] == "outer_fd"
 
 
 class TestHigherPartialsCrossCheck:
