@@ -95,6 +95,9 @@ class PipelineConfig:
             raise UsageError("the profile constant C must be positive")
         if self.nu < 2 or self.nv < 2:
             raise UsageError("grid must be at least 2 x 2")
+        n = self.n_csv
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise UsageError(f"n_csv must be an integer >= 2, got {n!r}")
         if self.fd_step is not None and self.fd_step <= 0:
             raise UsageError(f"fd_step must be positive, got {self.fd_step!r}")
         if self.v_range is not None and self.v_range[0] == self.v_range[1]:
@@ -305,15 +308,19 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
     """One pipeline per parameter value, plus a summary CSV.
 
     For r3 the swept parameter is the profile constant C (also emitting the
-    u(rho) curve per value); for s3/h3 it is the initial curvature k0.
-    Individual failures are recorded and the sweep continues.
+    u(rho) curve per value); for s3/h3 it is k0, or kp0 if asked.  Any other
+    parameter is a UsageError.  Individual failures are recorded and the
+    sweep continues.
     """
     cfg = cfg.validate()
     values = list(values)
     if not values:
         raise UsageError("sweep needs a nonempty list of parameter values")
-    if parameter == "auto":
-        parameter = "C" if cfg.model == "r3" else "k0"
+    swept = ("C",) if cfg.model == "r3" else ("k0", "kp0")
+    parameter = swept[0] if parameter == "auto" else parameter
+    if parameter not in swept:
+        raise UsageError(f"cannot sweep '{parameter}' for model {cfg.model}; "
+                         f"choose 'auto' or {' or '.join(swept)}")
     out_dir = _output_dir(out_dir)
 
     rows = []

@@ -9,8 +9,9 @@ Two constructions live here:
 * frame-integrated unit-speed curves in a totally geodesic 2-sphere or
   hyperbolic plane whose geodesic curvature is a prescribed solution k(u) of
   the curvature ODE and whose position satisfies the linear constraint
-  equations of the classification (inner products against the fixed constant
-  vectors C1, C2).
+  equations of the classification: <sigma, C1> is the sweep amplitude
+  a = sc k^(-3/4) (minus it on h2_parabolic), on the circle branches the
+  orbits' radius 1/kappa2; sc is ``_amplitude_scale``, (a, a') ``_amplitude``.
 
 The frame system is integrated jointly with (k, k') so the curve and its
 curvature share one error budget:
@@ -230,11 +231,9 @@ class ProfileCurve:
         return self.state(u)[..., 10:14]
 
     def constraint_target(self, k):
-        """Required value of <sigma, C1> as a function of k."""
-        k = np.asarray(k, dtype=float)
-        if self.branch is Branch.H2_PARABOLIC:
-            return -2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-self.C) * k**0.75)
-        return 4.0 / (3.0 * np.sqrt(self.C) * k**0.75)
+        """Required <sigma, C1> at k: the sweep amplitude, negated on h2_parabolic."""
+        a = _amplitude_scale(self.branch, self.C) * np.asarray(k, dtype=float) ** -0.75
+        return -a if self.branch is Branch.H2_PARABOLIC else a
 
     def constraint_residuals(self, u) -> dict:
         """Residuals of the constraint equations, the quadric and unit speed at u."""
@@ -245,57 +244,60 @@ class ProfileCurve:
         k, sig, vel = st[..., 0], st[..., 2:6], st[..., 6:10]
         target = self.constraint_target(k)
         inner = self.model.inner
-        r1 = inner(sig, self.C1) - target
-        if self.branch is Branch.H2_PARABOLIC:
-            r2 = inner(sig, self.C2) - target
-        else:
-            r2 = inner(sig, self.C2)
+        parabolic = self.branch is Branch.H2_PARABOLIC
         return {
-            "constraint_c1": r1,
-            "constraint_c2": r2,
+            "constraint_c1": inner(sig, self.C1) - target,
+            "constraint_c2": inner(sig, self.C2) - (target if parabolic else 0.0),
             "model_membership": inner(sig, sig) - self.model.quadric_target,
             "unit_speed": inner(vel, vel) - 1.0,
         }
 
 
-def _initial_frame_s2(k0, kp0, C):
-    z0 = 4.0 / (3.0 * np.sqrt(C)) * k0**-0.75
-    zp0 = -kp0 / (np.sqrt(C) * k0**1.75)
-    disc = 1.0 - z0**2
+def _amplitude_scale(branch: Branch, C: float) -> float:
+    """sc of the sweep amplitude a = sc k^(-3/4), on the circle branches 1/kappa2."""
+    if branch is Branch.H2_PARABOLIC:
+        return 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C))
+    return 4.0 / (3.0 * np.sqrt(C))
+
+
+def _amplitude(sc, k, kp):
+    """(a, a') of the sweep amplitude a = sc k^(-3/4) along a curvature solution."""
+    a = sc * k**-0.75
+    return a, -0.75 * a * kp / k
+
+
+def _free_speed(square):
+    """The free velocity component at u = 0, whose square completes unit speed."""
+    if square < 0:
+        raise ConstructionError(
+            "infeasible start: the unit-speed condition has no real solution"
+        )
+    return np.sqrt(square)
+
+
+def _initial_frame_s2(a0, ap0):
+    disc = 1.0 - a0**2
     if disc <= 0:
         raise ConstructionError(
             "infeasible start: 1 - 16/(9C) k0^(-3/2) >= 0 is violated"
         )
     x0 = np.sqrt(disc)
-    xp0 = -z0 * zp0 / x0
-    yp2 = 1.0 - zp0**2 - xp0**2
-    if yp2 < 0:
-        raise ConstructionError(
-            "infeasible start: the unit-speed condition has no real solution"
-        )
-    sigma0 = np.array([x0, 0.0, z0, 0.0])
-    T0 = np.array([xp0, np.sqrt(yp2), zp0, 0.0])
+    xp0 = -a0 * ap0 / x0
+    sigma0 = np.array([x0, 0.0, a0, 0.0])
+    T0 = np.array([xp0, _free_speed(1.0 - ap0**2 - xp0**2), ap0, 0.0])
     return sigma0, T0
 
 
-def _initial_frame_h2_elliptic(k0, kp0, C):
-    w0 = 4.0 / (3.0 * np.sqrt(C)) * k0**-0.75
-    wp0 = -kp0 / (np.sqrt(C) * k0**1.75)
-    y0 = np.sqrt(1.0 + w0**2)
-    yp0 = w0 * wp0 / y0
-    xp2 = 1.0 - wp0**2 + yp0**2
-    if xp2 < 0:
-        raise ConstructionError(
-            "infeasible start: the unit-speed condition has no real solution"
-        )
-    sigma0 = np.array([0.0, w0, 0.0, y0])
-    T0 = np.array([0.0, wp0, np.sqrt(xp2), yp0])
+def _initial_frame_h2_elliptic(a0, ap0):
+    y0 = np.sqrt(1.0 + a0**2)
+    yp0 = a0 * ap0 / y0
+    sigma0 = np.array([0.0, a0, 0.0, y0])
+    T0 = np.array([0.0, ap0, _free_speed(1.0 - ap0**2 + yp0**2), yp0])
     return sigma0, T0
 
 
-def _initial_frame_h2_parabolic(k0, kp0, C):
-    q0 = -2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C)) * k0**-0.75
-    qp0 = 0.75 * (-q0) * kp0 / k0  # d/du of q along the curvature solution
+def _initial_frame_h2_parabolic(a0, ap0):
+    q0, qp0 = -a0, -ap0
     disc = 2.0 * q0**2 - 1.0
     if disc < 0:
         raise ConstructionError(
@@ -305,16 +307,12 @@ def _initial_frame_h2_parabolic(k0, kp0, C):
     p0 = y0 + q0
     pp0 = -y0 * qp0 / np.sqrt(disc) if disc > 0 else 0.0
     yp0 = pp0 - qp0
-    xp2 = 1.0 - 2.0 * pp0**2 + yp0**2
-    if xp2 < 0:
-        raise ConstructionError(
-            "infeasible start: the unit-speed condition has no real solution"
-        )
     sigma0 = np.array([p0, p0, 0.0, y0])
-    T0 = np.array([pp0, pp0, np.sqrt(xp2), yp0])
+    T0 = np.array([pp0, pp0, _free_speed(1.0 - 2.0 * pp0**2 + yp0**2), yp0])
     return sigma0, T0
 
 
+# (sigma, T) at u = 0 from the amplitude (a0, a0'); <sigma, C1> = -a on h2_parabolic
 _INITIAL_FRAMES = {
     Branch.S2: _initial_frame_s2,
     Branch.H2_ELLIPTIC: _initial_frame_h2_elliptic,
@@ -361,7 +359,7 @@ def reconstruct_profile(
         raise UsageError(f"branch {branch.value} requires C > 0")
     k0, kp0 = sol.k0, sol.kp0
     C1, C2 = _BRANCH_CONSTANTS[branch]
-    sigma0, T0 = _INITIAL_FRAMES[branch](k0, kp0, C)
+    sigma0, T0 = _INITIAL_FRAMES[branch](*_amplitude(_amplitude_scale(branch, C), k0, kp0))
 
     # in-plane normal: complement of {sigma, T} inside the geodesic 2-plane
     plane_normal = C2 if branch is not Branch.H2_PARABOLIC else C1 - C2

@@ -5,10 +5,11 @@ along the orbits S of a one-parameter isometry group: rotations about an
 axis of R3, circles in S3 and in H3 with C > 0, exponential orbits in H3
 with C < 0 (the last two in the plane of the constant vectors C1, C2).
 One evaluator, ``_sweep_evaluators``, gives X and its partials of orders
-one to four; a family supplies only its orbit and its u-line.  Evaluation
-is split into a u-dependent part (``uline``) and a cheap v-assembly
-(``at``, ``jet``, ``jet4``) so callers that probe many v values per u can
-reuse the dense-output evaluation.
+one to four; a family supplies only its orbit and its u-line.  The curved
+families' u-line takes a'' to a'''' from the amplitude's own ODE (see
+``_sweep_uline``).  Evaluation is split into a u-dependent part
+(``uline``) and a cheap v-assembly (``at``, ``jet``, ``jet4``) so callers
+that probe many v values per u can reuse the dense-output evaluation.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .ambient import R3, SpaceForm
 from .curvature import kappa2, ode_rhs
 from .defaults import V_FULL_TURN, V_PARABOLIC
 from .errors import DomainError, UsageError
-from .profile import Branch, ProfileCurve, RevolutionProfile
+from .profile import Branch, ProfileCurve, RevolutionProfile, _amplitude, _amplitude_scale
 
 __all__ = [
     "SurfacePatch",
@@ -224,22 +225,6 @@ def _sweep_evaluators(orbit, *constants):
     return at, jet, jet4
 
 
-def _curvature_derivatives(k, kp, c: int):
-    """(k'', k''', k'''') of a solution through (k, k').
-
-    k'' = ode_rhs = 1.75 k'^2 / k + (4c/3) k - 4 k^3, differentiated twice
-    along the solution.
-    """
-    kpp = ode_rhs(k, kp, c)
-    lin = 4.0 * c / 3.0 - 12.0 * k**2
-    k3 = kp * (lin - 1.75 * kp**2 / k**2) + 3.5 * kp * kpp / k
-    k4 = (
-        3.5 * kp**4 / k**3 - 8.75 * kp**2 * kpp / k**2 + 3.5 * kpp**2 / k
-        + 3.5 * kp * k3 / k + lin * kpp - 24.0 * k * kp**2
-    )
-    return kpp, k3, k4
-
-
 def _sweep_uline(prof: ProfileCurve, sc: float):
     """u-line of a sweep with amplitude a = sc k^(-3/4).
 
@@ -250,8 +235,15 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
         sigma''' = k' n - (k^2 + c) T,
         sigma'''' = (k'' - k^3 - c k) n - 3 k k' T + c (k^2 + c) sigma,
 
-    with k'' to k'''' from ``_curvature_derivatives``; the derivatives of a
-    follow by Faa di Bruno's formula.
+    with k'' = ``ode_rhs`` = 1.75 k'^2 / k + (4c/3) k - 4 k^3.  In
+    w = k^(-3/4) that equation reads w'' + c w = 3 w^(-5/3), and
+    w^(-5/3) = k^(5/4), w^(-8/3) = k^2.  So a = sc w has
+
+        a'' = 3 sc k^(5/4) - c a,
+        a''' = -(5 k^2 + c) a',
+        a'''' = -(5 k^2 + c) a'' - 10 k k' a',
+
+    the last two by differentiating the first along the solution.
     """
     c = prof.model.c
 
@@ -259,49 +251,33 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
         st = prof.state(u)
         k, kp = st[..., 0], st[..., 1]
         sigma, T, n = st[..., 2:6], st[..., 6:10], st[..., 10:14]
-        kpp, k3, k4 = _curvature_derivatives(k, kp, c)
-        a = sc * k**-0.75
-        ap = -0.75 * sc * kp * k**-1.75
-        app = -0.75 * sc * (kpp * k**-1.75 - 1.75 * kp**2 * k**-2.75)
+        a, ap = _amplitude(sc, k, kp)
+        app = 3.0 * sc * k**1.25 - c * a
+        lin = -(5.0 * k**2 + c)
         Tp = k[..., None] * n - c * sigma
-        # d^j a / dk^j = sc (-3/4)(-7/4)...(-3/4 - j + 1) k^(-3/4 - j)
-        phi1 = -0.75 * sc * k**-1.75
-        phi2 = 1.3125 * sc * k**-2.75
-        phi3 = -3.609375 * sc * k**-3.75
-        phi4 = 13.53515625 * sc * k**-4.75
-        a3 = phi3 * kp**3 + 3.0 * phi2 * kp * kpp + phi1 * k3
-        a4 = (
-            phi4 * kp**4 + 6.0 * phi3 * kp**2 * kpp
-            + phi2 * (3.0 * kpp**2 + 4.0 * kp * k3) + phi1 * k4
-        )
         kc, kpc = k[..., None], kp[..., None]
         sigma3 = kpc * n - (kc**2 + c) * T
-        sigma4 = (
-            (kpp[..., None] - kc**3 - c * kc) * n - 3.0 * kc * kpc * T
-            + c * (kc**2 + c) * sigma
-        )
-        return (sigma, T, a, ap, Tp, app, sigma3, a3, sigma4, a4)
+        sigma4 = ((ode_rhs(k, kp, c)[..., None] - kc**3 - c * kc) * n
+                  - 3.0 * kc * kpc * T + c * (kc**2 + c) * sigma)
+        return (sigma, T, a, ap, Tp, app, sigma3, lin * ap, sigma4,
+                lin * app - 10.0 * k * kp * ap)
 
     return uline
 
 
 def _sweep_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
     """The profile swept along circles, or along exponential orbits on h3_parabolic."""
-    C = prof.C
-    if case == "h3_parabolic":
-        sc, orbit = 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C)), _exponential
-    else:
-        sc, orbit = 4.0 / (3.0 * np.sqrt(C)), _circle
+    orbit = _exponential if case == "h3_parabolic" else _circle
     at, jet, jet4 = _sweep_evaluators(orbit, prof.C1, prof.C2)
     return SurfacePatch(
         case=case,
         model=prof.model,
         u_range=prof.span,
         v_range=(float(v_range[0]), float(v_range[1])),
-        uline=_sweep_uline(prof, sc),
+        uline=_sweep_uline(prof, _amplitude_scale(prof.branch, prof.C)),
         at=at,
         eval_u_domain=prof.span,
-        C=C,
+        C=prof.C,
         C1=prof.C1,
         C2=prof.C2,
         profile=prof,

@@ -730,7 +730,8 @@ def verify_patch(
     The grid covers the patch rectangle, shrunk in u where the evaluable
     domain does not leave room for the finite-difference stencils (recorded
     in the notes).  Residual names follow the tolerance profiles in
-    defaults; pass is the conjunction of all thresholds present there.
+    defaults; pass is the conjunction of all thresholds present there, and
+    false when none bounds a residual (a case without a profile, say).
     ``nu`` and ``nv`` must be integers >= 2.
     """
     if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (nu, nv)):
@@ -827,7 +828,10 @@ def verify_patch(
         "eigen_skipped": int(np.count_nonzero(~masks["x2f"])),
     }
 
-    passed = True
+    # fail closed: a profile that bounds no residual checks nothing
+    passed = bool(set(tolerances) - {"normal_bitension_min"})
+    if not passed:
+        notes.append(f"no residual tolerance applies to case '{patch.case}'")
     for name, tol in tolerances.items():
         if name == "normal_bitension_min":
             # non-vanishing is meaningful only on mostly non-CMC grids, and

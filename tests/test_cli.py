@@ -187,6 +187,13 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n_csv", [0, 1, -3, 2.5, True, "512"])
+    @pytest.mark.parametrize("command", [cmd_solve, pipeline.cmd_profile])
+    def test_n_csv_must_be_an_integer_of_at_least_two(self, tmp_path, command, n_csv):
+        with pytest.raises(bc.UsageError, match="n_csv must be an integer >= 2"):
+            command(PipelineConfig(model="s3", n_csv=n_csv), tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestExtremeFiniteInput:
     @pytest.mark.parametrize("argv, named", [
@@ -309,6 +316,24 @@ class TestSweepCommand:
         assert status == [True, False, True]
         assert "error" in result["runs"][1]
         assert not result["pass"]
+
+    @pytest.mark.parametrize("model, parameter", [
+        ("s3", "C"), ("h3", "C"), ("s3", "k1"), ("r3", "k0"), ("r3", "kp0"), ("s3", "nu"),
+    ])
+    def test_unsweepable_parameter_rejected_before_output(self, tmp_path, model, parameter):
+        out = tmp_path / "out"
+        with pytest.raises(bc.UsageError, match=f"cannot sweep '{parameter}'"):
+            cmd_sweep(PipelineConfig(model=model, nu=8, nv=8), [0.9, 1.1], out,
+                      parameter=parameter)
+        assert not out.exists()
+
+    def test_initial_slope_sweep(self, tmp_path):
+        cfg = PipelineConfig(model="s3", nu=12, nv=12)
+        result = cmd_sweep(cfg, [0.9, 1.1], tmp_path, parameter="kp0")
+        assert result["pass"]
+        gauss = [run["max_gauss"] for run in result["runs"]]
+        assert gauss[0] != gauss[1]
+        assert (tmp_path / "summary.csv").read_text().startswith("kp0,")
 
     def test_empty_values_rejected(self, tmp_path):
         cfg = PipelineConfig(model="r3")

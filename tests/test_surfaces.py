@@ -5,6 +5,8 @@ import pytest
 
 import biconsurf as bc
 from biconsurf.mesh import poincare_ball, sample_mesh, stereographic, write_obj, write_ply
+from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
+from biconsurf.profile import _amplitude_scale
 from biconsurf.surfaces import circle_radius, expected_circle_radius
 
 
@@ -240,6 +242,50 @@ class TestSweepEvaluators:
             assert np.all(line[i][..., :2] == 0.0), i
         for i in (5, 7, 9):
             assert np.all(line[i] == 0.0), i
+
+
+def _faa_di_bruno_amplitude(k, kp, c, sc):
+    """(a'', a''', a'''') of a = sc k^(-3/4) by Faa di Bruno's formula.
+
+    The reference for the u-line's amplitude ODE: k'' from the curvature ODE,
+    k''' and k'''' by differentiating it along the solution, and d^j a/dk^j
+    in closed form.
+    """
+    kpp = 1.75 * kp**2 / k + (4.0 * c / 3.0) * k - 4.0 * k**3
+    lin = 4.0 * c / 3.0 - 12.0 * k**2
+    k3 = kp * (lin - 1.75 * kp**2 / k**2) + 3.5 * kp * kpp / k
+    k4 = (3.5 * kp**4 / k**3 - 8.75 * kp**2 * kpp / k**2 + 3.5 * kpp**2 / k
+          + 3.5 * kp * k3 / k + lin * kpp - 24.0 * k * kp**2)
+    phi1 = -0.75 * sc * k**-1.75
+    phi2 = 1.3125 * sc * k**-2.75
+    phi3 = -3.609375 * sc * k**-3.75
+    phi4 = 13.53515625 * sc * k**-4.75
+    return (phi2 * kp**2 + phi1 * kpp,
+            phi3 * kp**3 + 3.0 * phi2 * kp * kpp + phi1 * k3,
+            phi4 * kp**4 + 6.0 * phi3 * kp**2 * kpp
+            + phi2 * (3.0 * kpp**2 + 4.0 * kp * k3) + phi1 * k4)
+
+
+class TestAmplitudeDerivatives:
+    """a'' to a'''' of every curved family from w'' + c w = 3 w^(-5/3), w = k^(-3/4)."""
+
+    @pytest.mark.parametrize("model, k0, kp0, span", [
+        ("s3", 1.0, 1.0, (-1.0, 1.0)),
+        ("s3", 0.6, 1.0, (-1.0, 1.0)),
+        ("h3", 1.0, 1.0, (-1.0, 1.0)),
+        ("h3", 0.25, 0.2, (-1.0, 1.0)),
+        ("h3", 1.0, 1.0, (-10.0, 10.0)),
+    ], ids=["s3", "s3-k0-0.6", "h3e", "h3p", "h3e-10"])
+    def test_match_faa_di_bruno(self, model, k0, kp0, span):
+        cfg = PipelineConfig(model=model, k0=k0, kp0=kp0, span=span)
+        patch = build_pipeline_patch(cfg)[0]
+        prof = patch.profile
+        u = np.linspace(*prof.span, 2001)
+        line = patch.uline(u)
+        want = _faa_di_bruno_amplitude(prof.k(u), prof.kp(u), prof.model.c,
+                                       _amplitude_scale(prof.branch, prof.C))
+        for index, ref in zip((5, 7, 9), want):
+            assert np.max(np.abs(line[index] - ref)) <= 1e-13 * np.max(np.abs(ref)), index
 
 
 class TestMesh:

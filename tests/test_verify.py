@@ -423,6 +423,13 @@ class TestFailClosed:
         assert "f_vs_profile" not in rep.residuals
         assert not rep.passed
 
+    @pytest.mark.parametrize("tolerances", [None, {}, {"normal_bitension_min": 1e-3}],
+                             ids=["case-without-profile", "empty", "bitension-only"])
+    def test_no_residual_tolerance_fails(self, tolerances):
+        rep = bc.verify_patch(cylinder_patch(), 8, 8, tolerances=tolerances)
+        assert not rep.passed
+        assert "no residual tolerance applies to case 'fixture_cylinder'" in rep.notes
+
     def test_nonfinite_unmasked_residual_fails(self):
         ref = {"f": lambda u, v: np.where(u > 3.0, np.nan, 1.0)}
         patch = dataclasses.replace(cylinder_patch(), reference=ref)
@@ -630,20 +637,13 @@ class TestHigherPartialsCrossCheck:
             rep.tolerances["higher_partials_fd"]
         assert not rep.passed
 
-    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("factor", [1 + 1e-3, 1 + 1e-6], ids=["1e-3", "1e-6"])
+    @pytest.mark.parametrize("index", [7, 9], ids=["a3", "a4"])
     @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline"])
-    def test_scaled_curvature_derivative(self, fix, order, request, monkeypatch):
-        # order 1 scales k''', order 2 scales k''''
+    def test_scaled_amplitude_derivative(self, fix, index, factor, request):
+        # u-line entry 7 is a''', 9 is a''''; 1 + 1e-6 is the detection floor
         patch = request.getfixturevalue(fix)[2]
-        exact = surfaces._curvature_derivatives
-
-        def scaled(k, kp, c):
-            out = list(exact(k, kp, c))
-            out[order] = out[order] * (1 + 1e-3)
-            return tuple(out)
-
-        monkeypatch.setattr(surfaces, "_curvature_derivatives", scaled)
-        self.assert_rejected(patch)
+        self.assert_rejected(_mutated(patch, index, lambda line: line[index] * factor))
 
     @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline"])
     def test_flipped_model_curvature_in_fourth_derivative(self, fix, request):
