@@ -3,9 +3,13 @@
 
 In flat space every surface in this class is (locally) a surface of
 revolution whose axial height u is an explicit function of the radius rho,
-one surface per constant C > 0.  This script evaluates the closed form,
-reproduces the family ordering (larger C yields a flatter profile), builds
-one surface, and runs the full verification report.
+one surface per constant C > 0.  In the regular chart t, with R = C^(-3/2)
+and s = sqrt(1 + t^2), the radius is rho = R s^3 and the height
+z = (3/2) R (t s + asinh t + log(2 sqrt C)), smooth across the waist circle
+rho = R at t = 0.  This script evaluates the closed form, reproduces the
+family ordering (larger C yields a flatter profile), builds the surface over
+t in [-1.5, 1.5], both halves glued at the waist, and runs the full
+verification report.
 """
 from pathlib import Path
 
@@ -24,11 +28,14 @@ for C in (1.0, 1.5, 2.0):
 print("Larger C sits lower at the same radius, so the curves never cross.\n")
 
 prof = bc.revolution_profile(1.0, 12.0)
-patch = bc.build_r3_revolution(prof, ((1.5, 8.0), (0.0, 2 * np.pi)))
+patch = bc.build_r3_revolution(prof, ((-1.5, 1.5), (0.0, 2 * np.pi)))
+print(f"The chart covers t in [-{prof.t_max:.4f}, {prof.t_max:.4f}] (rho up to 12); "
+      f"the patch takes t in [-1.5, 1.5], rho up to {float(patch.uline(1.5)[2]):.4f}.\n")
 
-print("Reference curvatures carried by the builder at rho = 8:")
-print(f"  mean curvature  f = {float(patch.reference['f'](np.array(8.0), 0)):.9f}  (= 1/24)")
-print(f"  Gauss curvature K = {float(patch.reference['K'](np.array(8.0), 0)):.9f}  (= -1/768)")
+t8 = prof.t_of_rho(8.0)
+print(f"Reference curvatures carried by the builder at rho = 8 (t = {float(t8):.6f}):")
+print(f"  mean curvature  f = {float(patch.reference['f'](t8, 0)):.9f}  (= 1/24)")
+print(f"  Gauss curvature K = {float(patch.reference['K'](t8, 0)):.9f}  (= -1/768)")
 
 report = bc.verify_patch(patch, 64, 64)
 print("\nVerification on a 64 x 64 grid (all computed from the immersion alone):")

@@ -114,7 +114,7 @@ print("  nonzero: biconservative surfaces need not be biharmonic.")
 print("\nThe jets are checked, not trusted: differences of the first partials")
 print("against the second partials (second_partials_fd) on the flat surface:")
 prof = bc.revolution_profile(1.0, 12.0)
-rpatch = bc.build_r3_revolution(prof, ((1.5, 8.0), (0.0, 2 * np.pi)))
+rpatch = bc.build_r3_revolution(prof, (prof.t_of_rho([1.5, 8.0]), (0.0, 2 * np.pi)))
 for h in (4e-2, 2e-2, 1e-2):
     report = bc.verify_patch(rpatch, 16, 16, fd=FDScheme(inner_step=h))
     print(f"  step {h:.0e}: max |difference - jet| = "

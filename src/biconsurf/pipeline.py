@@ -39,13 +39,11 @@ def _fmt(x) -> str:
 
 def _write_lines(path, lines, table=None) -> str:
     """Write ``lines``, then the float ``table`` (if any) as ``%.17g`` CSV rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = "\n".join(lines) + "\n"
     if table is not None:
         table = np.column_stack(table)
         text += _rows(table, ",".join(["%.17g"] * table.shape[1]) + "\n")
-    path.write_text(text)
+    Path(path).write_text(text)
     return str(path)
 
 
@@ -93,6 +91,8 @@ class PipelineConfig:
             raise UsageError("k0 must be positive")
         if self.model == "r3" and self.C <= 0:
             raise UsageError("the profile constant C must be positive")
+        if self.model == "r3" and not self.rho_range[0] < self.rho_range[1]:
+            raise UsageError(f"rho_range must increase, got {self.rho_range!r}")
         if self.nu < 2 or self.nv < 2:
             raise UsageError("grid must be at least 2 x 2")
         n = self.n_csv
@@ -157,7 +157,7 @@ def build_pipeline_patch(cfg: PipelineConfig):
     cfg = cfg.validate()
     if cfg.model == "r3":
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
-        rect = (tuple(cfg.rho_range), _default_v_range(cfg, None))
+        rect = (prof.t_of_rho(cfg.rho_range), _default_v_range(cfg, None))
         return build_r3_revolution(prof, rect), None
 
     branch = cfg.resolved_branch()
@@ -182,6 +182,7 @@ def build_pipeline_patch(cfg: PipelineConfig):
 def cmd_solve(cfg: PipelineConfig, out) -> dict:
     """Integrate the curvature ODE and emit (u, k, k', C drift) as CSV."""
     cfg = cfg.validate()
+    out = _output_file(out)
     sol = solve_curvature(
         cfg.c, cfg.k0, cfg.kp0, tuple(cfg.span),
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
@@ -211,6 +212,7 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
 def cmd_profile(cfg: PipelineConfig, out) -> dict:
     """Emit the profile curve as CSV (closed form for r3, frame data else)."""
     cfg = cfg.validate()
+    out = _output_file(out)
     if cfg.model == "r3":
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
         rho = np.linspace(cfg.rho_range[0], cfg.rho_range[1], cfg.n_csv)
@@ -257,6 +259,19 @@ def _output_dir(path) -> Path:
     return out
 
 
+def _output_file(path) -> Path:
+    """``path`` as a file to write, its directory created if needed.
+
+    A path naming an existing directory, or under one that cannot be made,
+    is a UsageError, raised before any work is done.
+    """
+    path = Path(path)
+    if path.is_dir():
+        raise UsageError(f"cannot write '{path}': it is a directory")
+    _output_dir(path.parent)
+    return path
+
+
 def cmd_surface(
     cfg: PipelineConfig,
     out_dir,
@@ -267,8 +282,7 @@ def cmd_surface(
     """Full pipeline: build, verify, export meshes and the JSON report."""
     cfg = cfg.validate()
     out_dir = _output_dir(out_dir)
-    target = Path(report_path) if report_path else out_dir / f"{basename}.report.json"
-    _output_dir(target.parent)
+    target = _output_file(report_path or out_dir / f"{basename}.report.json")
     patch, _ = build_pipeline_patch(cfg)
     fd = fd_for_patch(patch, inner_step=cfg.fd_step)
     tolerances = (

@@ -2,9 +2,9 @@
 
 Two constructions live here:
 
-* the closed-form profile of the flat-space surface of revolution, where the
-  axial coordinate u is an explicit function of the radius rho with
-  u'(rho) = (C rho^(2/3) - 1)^(-1/2);
+* the closed-form profile of the flat-space surface of revolution: radius
+  and axial height in closed form in a chart t that is regular across the
+  waist circle;
 
 * frame-integrated unit-speed curves in a totally geodesic 2-sphere or
   hyperbolic plane whose geodesic curvature is a prescribed solution k(u) of
@@ -70,11 +70,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RevolutionProfile:
-    """Closed-form axial height u(rho) of the flat-space profile.
+    """Closed-form profile of the flat-space surface of revolution.
 
-    The domain is rho in [C^(-3/2), rho_max]; u is strictly increasing with
-    u'(rho) = (C rho^(2/3) - 1)^(-1/2), infinite at the left endpoint where
-    the profile meets the waist circle.
+    The radius rho runs over [C^(-3/2), rho_max], and the axial height u(rho)
+    has u'(rho) = (C rho^(2/3) - 1)^(-1/2), infinite at the waist circle
+    rho = R = C^(-3/2).  The regular chart t = sqrt(C rho^(2/3) - 1) (Nistor,
+    "Complete biconservative surfaces in R3 and S3", J. Geom. Phys. 2016)
+    removes that singularity: with s = sqrt(1 + t^2),
+
+        rho = R s^3,   z = (3/2) R (t s + asinh t + log(2 sqrt C)),
+
+    both smooth in t, and t in [-t_max, t_max] covers the two halves of the
+    profile glued at the waist t = 0.  The constant puts u(rho) = z(t(rho)).
     """
 
     C: float
@@ -85,70 +92,28 @@ class RevolutionProfile:
         return self.C ** -1.5
 
     @property
-    def u_range(self) -> tuple[float, float]:
-        return (float(self.u_of_rho(self.rho_min)), float(self.u_of_rho(self.rho_max)))
+    def t_max(self) -> float:
+        return float(self.t_of_rho(self.rho_max))
 
-    def _check_rho(self, rho, closed_left=True):
+    def t_of_rho(self, rho):
+        """The chart parameter t >= 0 of the radius rho."""
         rho = np.asarray(rho, dtype=float)
         lo = self.rho_min
-        slack = 1e-12 * max(1.0, lo)
-        low_ok = rho >= lo - slack if closed_left else rho > lo + slack
-        if not np.all(low_ok & (rho <= self.rho_max * (1 + 1e-12))):
+        if not np.all((rho >= lo - 1e-12 * max(1.0, lo)) & (rho <= self.rho_max * (1 + 1e-12))):
             raise DomainError(
                 f"rho outside the profile domain [{lo}, {self.rho_max}]"
             )
-        return np.clip(rho, lo, self.rho_max)
+        return np.sqrt(np.maximum(self.C * rho ** (2.0 / 3.0) - 1.0, 0.0))
 
-    def u_of_rho(self, rho):
-        rho = self._check_rho(rho)
-        C = self.C
-        root = np.sqrt(np.maximum(C * rho ** (2.0 / 3.0) - 1.0, 0.0))
-        return (1.5 / C) * (
-            rho ** (1.0 / 3.0) * root
-            + np.log(2.0 * (C * rho ** (1.0 / 3.0) + np.sqrt(C) * root)) / np.sqrt(C)
+    def height(self, t):
+        """The axial height z(t)."""
+        t = np.asarray(t, dtype=float)
+        return 1.5 * self.rho_min * (
+            t * np.sqrt(1.0 + t * t) + np.arcsinh(t) + np.log(2.0 * np.sqrt(self.C))
         )
 
-    def du_drho(self, rho):
-        rho = self._check_rho(rho, closed_left=False)
-        return (self.C * rho ** (2.0 / 3.0) - 1.0) ** -0.5
-
-    def rho_of_u(self, u):
-        """Inverse of u(rho), by monotone bisection on the closed form."""
-        u = np.asarray(u, dtype=float)
-        u_lo, u_hi = self.u_range
-        slack = 1e-10 * max(1.0, abs(u_hi))
-        if np.any(u < u_lo - slack) or np.any(u > u_hi + slack):
-            raise DomainError(f"u outside the invertible range [{u_lo}, {u_hi}]")
-        lo = np.full(np.shape(u), self.rho_min)
-        hi = np.full(np.shape(u), self.rho_max)
-        for _ in range(110):
-            mid = 0.5 * (lo + hi)
-            below = self.u_of_rho(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
-
-    def ode_residual(self, u, h: float = 2e-2):
-        """|3 rho rho'' - 1 - (rho')^2| along the inverted profile.
-
-        Derivatives of rho(u) come from Richardson-extrapolated central
-        differences of the inverse; the inverse carries rounding noise at
-        machine-epsilon level, so the step cannot be taken much smaller
-        without the second difference amplifying it.  The stencil must stay
-        inside the invertible range.
-        """
-        u = np.asarray(u, dtype=float)
-        r0 = self.rho_of_u(u)
-
-        def d1(s):
-            return (self.rho_of_u(u + s) - self.rho_of_u(u - s)) / (2 * s)
-
-        def d2(s):
-            return (self.rho_of_u(u + s) - 2 * r0 + self.rho_of_u(u - s)) / s**2
-
-        rp = (4 * d1(h / 2) - d1(h)) / 3
-        rpp = (4 * d2(h / 2) - d2(h)) / 3
-        return np.abs(3.0 * r0 * rpp - 1.0 - rp**2)
+    def u_of_rho(self, rho):
+        return self.height(self.t_of_rho(rho))
 
 
 def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:

@@ -5,8 +5,9 @@ along the orbits S of a one-parameter isometry group: rotations about an
 axis of R3, circles in S3 and in H3 with C > 0, exponential orbits in H3
 with C < 0 (the last two in the plane of the constant vectors C1, C2).
 One evaluator, ``_sweep_evaluators``, gives X and its partials of orders
-one to four; a family supplies only its orbit and its u-line.  The curved
-families' u-line takes a'' to a'''' from the amplitude's own ODE (see
+one to four; a family supplies only its orbit and its u-line.  The flat
+family's u-line is closed form in the profile's regular chart t, the curved
+families' takes a'' to a'''' from the amplitude's own ODE (see
 ``_sweep_uline``).  Evaluation is split into a u-dependent part
 (``uline``) and a cheap v-assembly (``at``, ``jet``, ``jet4``) so callers
 that probe many v values per u can reuse the dense-output evaluation.
@@ -102,63 +103,58 @@ class SurfacePatch:
 
 
 def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
-    """Surface of revolution (rho cos v, rho sin v, u(rho)) over a rho-v rect.
+    """Surface of revolution (rho cos v, rho sin v, z) over a t-v rect.
 
-    It is the sweep of sigma = (0, 0, u(rho)) with amplitude a = rho along
-    the rotation orbit (cos v, sin v, 0).  The reference channels carry the
-    closed-form mean and Gauss curvature of the family,
-    f = 2/(3 sqrt(C) rho^(4/3)) and K = -1/(3 C rho^(8/3)), for the verifier
-    to compare against.
+    It is the sweep of sigma = (0, 0, z(t)) with amplitude a = rho(t) along
+    the rotation orbit (cos v, sin v, 0), in the profile's regular chart t
+    (see ``RevolutionProfile``): rho = R s^3 and z' = 3 R s with
+    R = C^(-3/2), s = sqrt(1 + t^2), so every t-derivative is closed form.
+    The chart is valid on [-t_max, t_max], waist t = 0 included.  The
+    reference channels carry the closed-form mean and Gauss curvature of the
+    family, f = 2/(3 sqrt(C) rho^(4/3)) = (2/3) C^(3/2) / s^4 and
+    K = -1/(3 C rho^(8/3)) = -C^3 / (3 s^8), for the verifier to compare
+    against.
     """
-    (rho0, rho1), (v0, v1) = rect
-    if not rho0 < rho1:
-        raise UsageError("empty rho range")
-    if rho0 <= prof.rho_min:
-        raise DomainError(
-            "rho range reaches the profile boundary rho = C^(-3/2); "
-            "the parametrization degenerates there"
-        )
-    if rho1 > prof.rho_max:
-        raise DomainError("rho range exceeds the profile's rho_max")
-    C = prof.C
+    (t0, t1), (v0, v1) = rect
+    if not t0 < t1:
+        raise UsageError("empty t range")
+    t_max = prof.t_max
+    if t0 < -t_max or t1 > t_max:
+        raise DomainError(f"t range exceeds the profile's chart [-{t_max}, {t_max}]")
+    C, R = prof.C, prof.rho_min
 
-    def uline(rho):
-        rho = np.asarray(rho, dtype=float)
-        uprime = prof.du_drho(rho)
-        # u'' = -(C/3) rho^(-1/3) u'^3, from u' = (C rho^(2/3) - 1)^(-1/2),
-        # and u''', u'''' by differentiating it
-        r13 = rho ** (-1.0 / 3.0)
-        uprime2 = -(C / 3.0) * r13 * uprime**3
-        r43, r73 = rho ** (-4.0 / 3.0), rho ** (-7.0 / 3.0)
-        uprime3 = -(C / 3.0) * (3.0 * r13 * uprime**2 * uprime2 - r43 * uprime**3 / 3.0)
-        uprime4 = -(C / 3.0) * (
-            (4.0 / 9.0) * r73 * uprime**3 - 2.0 * r43 * uprime**2 * uprime2
-            + 6.0 * r13 * uprime * uprime2**2 + 3.0 * r13 * uprime**2 * uprime3
-        )
-        zero = np.zeros_like(rho)
+    def uline(t):
+        t = np.asarray(t, dtype=float)
+        s2 = 1.0 + t * t
+        s = np.sqrt(s2)
+        s3, s5 = s * s2, s * s2 * s2
+        zero = np.zeros_like(t)
 
         def axis(height):
             return np.stack([zero, zero, height], axis=-1)
 
-        return (axis(prof.u_of_rho(rho)), axis(uprime), rho, np.ones_like(rho),
-                axis(uprime2), zero, axis(uprime3), zero, axis(uprime4), zero)
+        # z and rho = R s^3 interleaved with their t-derivatives of orders 1-4
+        return (axis(prof.height(t)), axis(3.0 * R * s), R * s * s2, 3.0 * R * t * s,
+                axis(3.0 * R * t / s), 3.0 * R * (1.0 + 2.0 * t * t) / s,
+                axis(3.0 * R / s3), 3.0 * R * t * (3.0 + 2.0 * t * t) / s3,
+                axis(-9.0 * R * t / s5), 9.0 * R / s5)
 
     at, jet, jet4 = _sweep_evaluators(_rotation)
 
-    def f_ref(u, v):
-        return 2.0 / (3.0 * np.sqrt(C) * np.asarray(u, float) ** (4.0 / 3.0))
+    def f_ref(t, v):
+        return (2.0 / 3.0) * C**1.5 / (1.0 + np.asarray(t, float) ** 2) ** 2
 
-    def K_ref(u, v):
-        return -1.0 / (3.0 * C * np.asarray(u, float) ** (8.0 / 3.0))
+    def K_ref(t, v):
+        return -(C**3) / (3.0 * (1.0 + np.asarray(t, float) ** 2) ** 4)
 
     return SurfacePatch(
         case="r3_revolution",
         model=R3,
-        u_range=(float(rho0), float(rho1)),
+        u_range=(float(t0), float(t1)),
         v_range=(float(v0), float(v1)),
         uline=uline,
         at=at,
-        eval_u_domain=(prof.rho_min * (1 + 1e-9), prof.rho_max),
+        eval_u_domain=(-t_max, t_max),
         C=C,
         profile=prof,
         reference={"f": f_ref, "K": K_ref},

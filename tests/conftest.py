@@ -124,7 +124,7 @@ def great_sphere_patch():
 @pytest.fixture(scope="session")
 def r3_pipeline():
     prof = bc.revolution_profile(1.0, 12.0)
-    patch = bc.build_r3_revolution(prof, ((1.5, 8.0), (0.0, 2 * np.pi)))
+    patch = bc.build_r3_revolution(prof, (prof.t_of_rho([1.5, 8.0]), (0.0, 2 * np.pi)))
     report = bc.verify_patch(patch, 64, 64)
     return prof, patch, report
 

@@ -56,10 +56,15 @@ def test_criterion_1_figure_constants_and_drift():
 def test_criterion_2_r3_closed_form_pipeline():
     t0 = time.perf_counter()
     prof = bc.revolution_profile(1.0, 12.0)
-    patch = bc.build_r3_revolution(prof, ((1.5, 8.0), (0.0, 2.0 * np.pi)))
+    patch = bc.build_r3_revolution(prof, (prof.t_of_rho([1.5, 8.0]), (0.0, 2.0 * np.pi)))
     report = bc.verify_patch(patch, 64, 64)
-    u = np.linspace(float(prof.u_of_rho(1.5)), float(prof.u_of_rho(8.0)), 200)
-    ode_res = float(np.max(prof.ode_residual(u)))
+    # the profile ODE 3 rho rho_zz = 1 + rho_z^2 in closed form from the u-line,
+    # rho_z = a'/z' and rho_zz = (a'' z' - a' z'')/z'^3, across the whole chart
+    line = patch.uline(np.linspace(-prof.t_max, prof.t_max, 200))
+    rho, rho_t, rho_tt = line[2], line[3], line[5]
+    z_t, z_tt = line[1][..., 2], line[4][..., 2]
+    rho_z, rho_zz = rho_t / z_t, (rho_tt * z_t - rho_t * z_tt) / z_t**3
+    ode_res = float(np.max(np.abs(3.0 * rho * rho_zz - 1.0 - rho_z**2)))
     dt = time.perf_counter() - t0
     res = report.residuals
     checks = {

@@ -89,6 +89,20 @@ class TestSurfaceCommand:
         assert run("surface", "--model", "r3", "--C", "1",
                    "--rho-range", "0.5", "8", "--out", str(tmp_path)) == 3
 
+    def test_r3_range_from_the_waist(self, tmp_path):
+        # rho = 1 = C^(-3/2) is the waist, t = 0 in the regular chart
+        assert run("surface", "--model", "r3", "--rho-range", "1", "8",
+                   "--nu", "16", "--nv", "16", "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "surface.report.json").read_text())
+        assert report["grid"]["u_range"] == [0.0, math.sqrt(8.0 ** (2.0 / 3.0) - 1.0)]
+
+    @pytest.mark.parametrize("command", ["surface", "profile"])
+    @pytest.mark.parametrize("rho_range", [("8", "1.5"), ("2", "2")])
+    def test_r3_range_must_increase(self, tmp_path, capsys, command, rho_range):
+        assert run(command, "--model", "r3", "--rho-range", *rho_range,
+                   "--out", str(tmp_path / "out")) == 2
+        assert "rho_range must increase" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run("surface", "--nonsense", "1")
@@ -211,7 +225,12 @@ class TestExtremeFiniteInput:
 
 
 class TestUnusableOutputDirectory:
-    """--out naming an existing file is a usage error, raised before the build."""
+    """An output path that cannot be written is a usage error, raised before the build.
+
+    --out naming an existing file where a directory is wanted, or an
+    existing directory where a file is wanted, and --report naming a
+    directory.
+    """
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -239,6 +258,24 @@ class TestUnusableOutputDirectory:
         assert "output directory" in err and "Traceback" not in err
         assert builds == []
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--model", "s3", "--out"],
+        ["profile", "--model", "s3", "--out"],
+        ["profile", "--model", "r3", "--out"],
+        ["verify", "--model", "s3", "--nu", "8", "--nv", "8", "--report"],
+    ])
+    def test_file_naming_a_directory_exits_two(self, tmp_path, capsys, monkeypatch,
+                                               builds, command):
+        monkeypatch.chdir(tmp_path)
+        solves = []
+        monkeypatch.setattr(pipeline, "solve_curvature", lambda *a, **k: solves.append(a))
+        (tmp_path / "taken").mkdir()
+        assert run(*command, "taken") == 2
+        err = capsys.readouterr().err
+        assert "cannot write 'taken': it is a directory" in err and "Traceback" not in err
+        assert builds == [] and solves == []
+        assert list(tmp_path.rglob("*")) == [tmp_path / "taken"]
 
 
 class TestNegativeExponentInput:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,10 +33,31 @@ class TestRevolutionProfile:
         prof = bc.revolution_profile(1.0, 12.0)
         assert float(prof.u_of_rho(1.0)) == pytest.approx(1.5 * math.log(2.0), rel=1e-14)
 
-    def test_roundtrip_inverse(self):
-        prof = bc.revolution_profile(1.0, 12.0)
-        u5 = prof.u_of_rho(5.0)
-        assert abs(float(prof.rho_of_u(u5)) - 5.0) < 1e-10
+    def test_chart_roundtrip(self):
+        # rho(t(rho)) = R (1 + t^2)^(3/2) returns rho, the waist included
+        for C in (0.5, 1.0, 2.4, 17.0):
+            prof = bc.revolution_profile(C, 12.0)
+            rho = np.linspace(prof.rho_min, 12.0, 101)
+            back = prof.rho_min * (1.0 + prof.t_of_rho(rho) ** 2) ** 1.5
+            assert np.max(np.abs(back / rho - 1.0)) < 1e-14, C
+
+    def test_waist_rounding_gives_t_zero(self):
+        prof = bc.revolution_profile(2.4, 12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = prof.t_of_rho(prof.rho_min * (1.0 - np.array([1e-15, 0.0, -1e-15])))
+        assert t[0] == t[1] == 0.0 and 0.0 <= t[2] < 1e-7
+
+    def test_matches_the_rho_closed_form(self):
+        # u(rho) = (3 / (2C)) (rho^(1/3) r + log(2 (C rho^(1/3) + sqrt(C) r)) / sqrt(C)),
+        # r = sqrt(C rho^(2/3) - 1): the height written in rho, without the chart
+        for C in (0.5, 1.0, 2.4, 17.0):
+            prof = bc.revolution_profile(C, 12.0)
+            rho = np.linspace(prof.rho_min, 12.0, 257)
+            r = np.sqrt(np.maximum(C * rho ** (2.0 / 3.0) - 1.0, 0.0))
+            want = (1.5 / C) * (rho ** (1.0 / 3.0) * r + np.log(
+                2.0 * (C * rho ** (1.0 / 3.0) + np.sqrt(C) * r)) / np.sqrt(C))
+            assert np.max(np.abs(prof.u_of_rho(rho) / want - 1.0)) < 1e-14, C
 
     def test_monotone_and_derivative(self):
         prof = bc.revolution_profile(1.3, 10.0)
@@ -44,19 +66,15 @@ class TestRevolutionProfile:
         assert np.all(np.diff(u) > 0)
         h = 1e-6
         num = (prof.u_of_rho(rho + h) - prof.u_of_rho(rho - h)) / (2 * h)
-        assert np.max(np.abs(num - prof.du_drho(rho))) < 1e-7
-
-    def test_ode_residual(self):
-        prof = bc.revolution_profile(1.0, 12.0)
-        u = np.linspace(float(prof.u_of_rho(1.5)), float(prof.u_of_rho(8.0)), 200)
-        assert float(np.max(prof.ode_residual(u))) < 1e-8
+        assert np.max(np.abs(num - (1.3 * rho ** (2.0 / 3.0) - 1.0) ** -0.5)) < 1e-7
 
     def test_domain_errors(self):
         prof = bc.revolution_profile(1.0, 8.0)
-        with pytest.raises(bc.DomainError):
-            prof.u_of_rho(0.9)
-        with pytest.raises(bc.DomainError):
-            prof.u_of_rho(9.0)
+        for rho in (0.9, 9.0, np.nan):
+            with pytest.raises(bc.DomainError):
+                prof.u_of_rho(rho)
+            with pytest.raises(bc.DomainError):
+                prof.t_of_rho(rho)
         with pytest.raises(bc.DomainError):
             bc.revolution_profile(-1.0, 8.0)
         with pytest.raises(bc.DomainError):

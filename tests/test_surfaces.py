@@ -12,26 +12,35 @@ from biconsurf.surfaces import circle_radius, expected_circle_radius
 
 class TestRevolutionBuilder:
     def test_reference_channels(self, r3_pipeline):
-        _, patch, _ = r3_pipeline
-        f8 = float(patch.reference["f"](np.array(8.0), 0.0))
-        K8 = float(patch.reference["K"](np.array(8.0), 0.0))
+        prof, patch, _ = r3_pipeline
+        t8 = prof.t_of_rho(8.0)
+        f8 = float(patch.reference["f"](t8, 0.0))
+        K8 = float(patch.reference["K"](t8, 0.0))
         assert f8 == pytest.approx(1.0 / 24.0, rel=1e-14)
         assert K8 == pytest.approx(-1.0 / 768.0, rel=1e-14)
         assert K8 == pytest.approx(-0.75 * f8**2, rel=1e-14)
 
     def test_rotation_period(self, r3_pipeline):
-        _, patch, _ = r3_pipeline
-        rho = np.linspace(1.6, 7.5, 13)
-        a = patch.X(rho, np.zeros_like(rho))
-        b = patch.X(rho, np.full_like(rho, 2 * np.pi))
+        prof, patch, _ = r3_pipeline
+        t = prof.t_of_rho(np.linspace(1.6, 7.5, 13))
+        a = patch.X(t, np.zeros_like(t))
+        b = patch.X(t, np.full_like(t, 2 * np.pi))
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_boundary_rect_rejected(self):
         prof = bc.revolution_profile(1.0, 12.0)
+        t_max = prof.t_max
         with pytest.raises(bc.DomainError):
-            bc.build_r3_revolution(prof, ((1.0, 8.0), (0.0, 1.0)))
+            bc.build_r3_revolution(prof, ((-1.01 * t_max, 1.0), (0.0, 1.0)))
         with pytest.raises(bc.DomainError):
-            bc.build_r3_revolution(prof, ((1.5, 13.0), (0.0, 1.0)))
+            bc.build_r3_revolution(prof, ((0.0, 1.01 * t_max), (0.0, 1.0)))
+        with pytest.raises(bc.DomainError):  # below the waist radius
+            bc.build_r3_revolution(prof, (prof.t_of_rho([0.9, 8.0]), (0.0, 1.0)))
+        with pytest.raises(bc.UsageError):
+            bc.build_r3_revolution(prof, ((1.0, 1.0), (0.0, 1.0)))
+        # the whole chart, both halves glued at the waist, is a patch
+        whole = bc.build_r3_revolution(prof, ((-t_max, t_max), (0.0, 1.0)))
+        assert whole.u_range == whole.eval_u_domain == (-t_max, t_max)
 
     def test_partials_match_position_differences(self, r3_pipeline):
         _, patch, _ = r3_pipeline
@@ -137,19 +146,22 @@ def _vec(*components):
 
 
 def _reference_revolution(line, v):
-    """(at, jet, jet4) of the revolution, written per component."""
-    rho = line[2]
-    height, h1, h2, h3, h4 = (line[i][..., 2] for i in (0, 1, 4, 6, 8))
+    """(at, jet, jet4) of X = (a cos v, a sin v, z), written per component."""
+    z0, z1, z2, z3, z4 = (line[i][..., 2] for i in (0, 1, 4, 6, 8))
+    a0, a1, a2, a3, a4 = (line[i] for i in (2, 3, 5, 7, 9))
     cv, sv = np.cos(v), np.sin(v)
-    zero = np.zeros(np.broadcast(rho, v).shape)
+    zero = np.zeros(np.broadcast(a0, v).shape)
     flat = _vec(zero, zero, zero)
     return (
-        (_vec(rho * cv, rho * sv, height), _vec(cv, sv, h1),
-         _vec(-rho * sv, rho * cv, zero)),
-        (_vec(zero, zero, h2), _vec(-sv, cv, zero), _vec(-rho * cv, -rho * sv, zero)),
-        (_vec(zero, zero, h3), flat, _vec(-cv, -sv, zero), _vec(rho * sv, -rho * cv, zero),
-         _vec(zero, zero, h4), flat, flat, _vec(sv, -cv, zero),
-         _vec(rho * cv, rho * sv, zero)),
+        (_vec(a0 * cv, a0 * sv, z0), _vec(a1 * cv, a1 * sv, z1),
+         _vec(-a0 * sv, a0 * cv, zero)),
+        (_vec(a2 * cv, a2 * sv, z2), _vec(-a1 * sv, a1 * cv, zero),
+         _vec(-a0 * cv, -a0 * sv, zero)),
+        (_vec(a3 * cv, a3 * sv, z3), _vec(-a2 * sv, a2 * cv, zero),
+         _vec(-a1 * cv, -a1 * sv, zero), _vec(a0 * sv, -a0 * cv, zero),
+         _vec(a4 * cv, a4 * sv, z4), _vec(-a3 * sv, a3 * cv, zero),
+         _vec(-a2 * cv, -a2 * sv, zero), _vec(a1 * sv, -a1 * cv, zero),
+         _vec(a0 * cv, a0 * sv, zero)),
     )
 
 
@@ -233,15 +245,24 @@ class TestSweepEvaluators:
             assert entry.shape == u.shape + ((patch.model.ambient.dim,) if vector else ()), i
 
     def test_revolution_uline(self, r3_pipeline):
+        # over the whole chart: rho = R (1 + t^2)^(3/2), z = u(rho) on t >= 0 and
+        # odd about the waist, and each order the t-derivative of the one below
         prof, patch, _ = r3_pipeline
-        u, _, line = _grid_line(patch)
-        assert np.array_equal(line[0][..., 2], prof.u_of_rho(u))
-        assert np.array_equal(line[1][..., 2], prof.du_drho(u))
-        assert np.array_equal(line[2], u) and np.all(line[3] == 1.0)
+        t = np.linspace(-prof.t_max, prof.t_max, 41)
+        line = patch.uline(t)
+        R, z0 = prof.rho_min, prof.height(0.0)
+        assert np.max(np.abs(line[2] / (R * (1.0 + t * t) ** 1.5) - 1.0)) < 1e-14
+        right = t >= 0
+        assert np.max(np.abs(line[0][right, 2] / prof.u_of_rho(line[2][right]) - 1.0)) < 1e-14
+        assert np.max(np.abs(line[0][::-1, 2] + line[0][:, 2] - 2.0 * z0)) < 1e-13
+        h = 1e-3
+        shifted = [patch.uline(t + k * h) for k in (-2, -1, 1, 2)]
+        for lower, upper in ((0, 1), (1, 4), (4, 6), (6, 8), (2, 3), (3, 5), (5, 7), (7, 9)):
+            m2, m1, p1, p2 = (x[lower] for x in shifted)
+            derivative = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
+            assert np.max(np.abs(derivative - line[upper])) < 1e-9, (lower, upper)
         for i in (0, 1, 4, 6, 8):
             assert np.all(line[i][..., :2] == 0.0), i
-        for i in (5, 7, 9):
-            assert np.all(line[i] == 0.0), i
 
 
 def _faa_di_bruno_amplitude(k, kp, c, sc):

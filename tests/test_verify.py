@@ -92,11 +92,14 @@ class TestFiniteDifferences:
     def test_cross_checks_fall_at_their_order(self, r3_pipeline):
         # against an exact jet the discrepancy is truncation alone: each
         # halving of the step divides it by 2^4 (second_partials_fd, fourth
-        # order) or 2^6 (higher_partials_fd, sixth order); measured 16.0-16.3
-        # and 64.3-68.4, while a wrong jet would leave a floor that does not fall
+        # order) or 2^6 (higher_partials_fd, sixth order); measured 15.88-15.99
+        # and 63.5-64.8, while a wrong jet would leave a floor that does not
+        # fall.  Below these steps higher_partials_fd reaches rounding (2e-12);
+        # the largest keeps the grid unshrunk.
         patch = r3_pipeline[1]
-        steps = (8e-2, 4e-2, 2e-2, 1e-2, 5e-3)
+        steps = (1.6e-1, 8e-2, 4e-2, 2e-2)
         reports = [bc.verify_patch(patch, 16, 16, fd=FDScheme(h)) for h in steps]
+        assert all(r.notes == [] for r in reports)
         for name, lo, hi in (("second_partials_fd", 15.5, 17.0),
                              ("higher_partials_fd", 60.0, 72.0)):
             maxima = np.array([r.residuals[name]["max"] for r in reports])
@@ -124,8 +127,8 @@ class TestFiniteDifferences:
 
 class TestPointwiseIdentities:
     def test_revolution_outer_edge_values(self, r3_pipeline):
-        _, patch, _ = r3_pipeline
-        pg = bc.point_geometry(patch, 8.0, 1.0)
+        prof, patch, _ = r3_pipeline
+        pg = bc.point_geometry(patch, prof.t_of_rho(8.0), 1.0)
         assert pg.f == pytest.approx(1.0 / 24.0, abs=1e-10)
         assert pg.K == pytest.approx(-1.0 / 768.0, abs=1e-10)
         r_k, r_a2, r_eig = bc.curvature_identity_residuals(pg)
@@ -134,11 +137,12 @@ class TestPointwiseIdentities:
         assert r_eig < 1e-10
 
     def test_revolution_x2f_and_biconservative(self, r3_pipeline):
-        _, patch, _ = r3_pipeline
-        pg = bc.point_geometry(patch, 5.0, 2.0)
+        prof, patch, _ = r3_pipeline
+        t5 = prof.t_of_rho(5.0)
+        pg = bc.point_geometry(patch, t5, 2.0)
         assert bc.x2f_residual(pg) < 1e-8
         assert bc.biconservative_residual(pg) < 1e-8
-        assert bc.pde_residual(patch, 5.0, 2.0) < 1e-6
+        assert bc.pde_residual(patch, t5, 2.0) < 1e-6
 
     def test_sphere_pipeline_point(self, s3_pipeline):
         _, _, patch, _ = s3_pipeline
@@ -204,9 +208,19 @@ class TestRevolutionPipelineReport:
         assert report.bitension["min_abs"] > 0
 
     def test_grid_covers_requested_rect(self, r3_pipeline):
-        _, _, report = r3_pipeline
-        assert report.grid["u_range"] == [1.5, 8.0]
+        prof, _, report = r3_pipeline
+        assert report.grid["u_range"] == prof.t_of_rho([1.5, 8.0]).tolist()
         assert report.notes == []
+
+
+@pytest.mark.parametrize("C", [1.0, 2.0])
+def test_complete_revolution_across_the_waist_passes(C):
+    # t in [-1.5, 1.5]: both halves of the profile, glued at the waist t = 0
+    prof = bc.revolution_profile(C, 12.0)
+    patch = bc.build_r3_revolution(prof, ((-1.5, 1.5), (0.0, 2 * np.pi)))
+    report = bc.verify_patch(patch, 64, 64)
+    assert report.grid["u_range"] == [-1.5, 1.5] and report.notes == []
+    assert report.passed, {k: v["max"] for k, v in report.residuals.items()}
 
 
 class TestCurvedPipelineReports:
@@ -516,6 +530,11 @@ class TestJetCrossCheck:
         patch = r3_pipeline[1]
         self.assert_rejected(_mutated(patch, 4, lambda line: -line[4]))
 
+    def test_scaled_revolution_radius_second_derivative(self, r3_pipeline):
+        # in the t chart the amplitude a = rho(t) has a'' = 3R(1 + 2t^2)/s
+        patch = r3_pipeline[1]
+        self.assert_rejected(_mutated(patch, 5, lambda line: line[5] * (1 + 1e-3)))
+
 
 def _h3_truncation_case():
     # pde was 2.7e-3 to 4.2e-3 here with outer-step differences of f
@@ -581,12 +600,13 @@ class TestExactFieldDerivatives:
             assert np.max(np.abs(exact[name] - differenced[name])) <= 1e-6, name
 
     def test_r3_closed_form(self, r3_pipeline):
-        # f = 2 / (3 sqrt(C) rho^(4/3)) with C = 1 depends on rho = u only
+        # f = (2/3) C^(3/2) / (1 + t^2)^2 with C = 1 depends on t = u only
         patch = r3_pipeline[1]
-        got, rho = _f_partials(patch, fd_for_patch(patch))
-        rho = np.repeat(rho, 12)
-        assert np.max(np.abs(got["Fu"] + (8.0 / 9.0) * rho ** (-7.0 / 3.0))) <= 1e-14
-        assert np.max(np.abs(got["Fuu"] - (56.0 / 27.0) * rho ** (-10.0 / 3.0))) <= 1e-14
+        got, t = _f_partials(patch, fd_for_patch(patch))
+        t = np.repeat(t, 12)
+        s2 = 1.0 + t * t
+        assert np.max(np.abs(got["Fu"] + (8.0 / 3.0) * t / s2**3)) <= 1e-14
+        assert np.max(np.abs(got["Fuu"] + (8.0 / 3.0) * (1.0 - 5.0 * t * t) / s2**4)) <= 1e-14
         for name in ("Fv", "Fuv", "Fvv"):
             assert np.max(np.abs(got[name])) <= 1e-14
 
