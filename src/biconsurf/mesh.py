@@ -5,16 +5,22 @@ verification runs on the unprojected patch.  The sphere uses stereographic
 projection (default pole -e4, configurable); the hyperboloid uses the
 Poincare ball chart (x1, x2, x3)/(1 + x4).
 
-The writers print floats as ``"{:.17g}".format(x)`` would.  A ``Mesh``
-formats each float table (vertices, channels) once, on the first write that
-needs it, and every later OBJ, sidecar or PLY write reuses that text; the
-mesh holds read-only copies of its arrays, so the text cannot go stale.
+The writers print every float as ``"%.17g" % x`` would, byte for byte, with
+no option to change that.  One numpy kernel, ``_float_cells``, formats a
+whole float table: 17 correctly rounded digits from a double-double product
+|x| * 10**(16 - E), laid out in fixed byte slots per value, which
+``_cells_text`` joins into lines.  A value that path cannot decide (nan,
+inf, |x| outside [1e-280, 1e280], or a fraction within 1e-9 of a rounding
+tie, where the product's error is below 1e-14) is printed by Python's own
+``%`` into its slots; zeros are printed directly.  A ``Mesh`` formats its
+vertex and channel columns once, on the first write, and the OBJ, sidecar
+and PLY writers take their columns from those cells.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -31,20 +37,223 @@ __all__ = [
     "write_ply",
 ]
 
+# Each value is printed into a cell of six little-endian 64-bit words, one
+# ASCII byte per slot, zero bytes for "no character":
+#   word 0     sign, the prefix "0." to "0.000" (5), leading digit, point
+#   words 1-4  four groups of four digits, each digit followed by a point slot
+#   word 5     exponent "e+dd" to "e-ddd" (5), separator, 2 unused
+# so every part is written as whole words, and one ``bytes.translate`` that
+# deletes the zero bytes turns a table of cells into its text.
+_WORDS = 6
+# |x| the fast path takes; its exponents E stay in [-_E_LIM, _E_LIM], where
+# 10**(16 - E) and its Veltkamp split are finite
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_E_LIM = 282
+_SPLIT = 134217729.0  # 2**27 + 1
+_CHUNK = 4096  # values per kernel pass, so its temporaries stay in cache
+_NO_POINT = 17  # the row of the point table for "no point"
+
+
+def _pow10(p: int) -> tuple:
+    """10**p as a double-double (hi, lo): hi correctly rounded, lo that of the rest."""
+    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+    hi = num / den
+    n, d = hi.as_integer_ratio()
+    return hi, (num * d - n * den) / (den * d)
+
+
+def _words(rows) -> np.ndarray:
+    """Byte strings of at most 8 bytes as little-endian uint64s, zero-padded."""
+    return np.frombuffer(b"".join(r.ljust(8, b"\0") for r in rows), "<u8")
+
+
+@cache
+def _format_tables() -> tuple:
+    """The kernel's lookup tables, built on first use rather than at import.
+
+    ``power``: rows hi, hi1, hi2, lo; column E + _E_LIM holds 10**(16 - E)
+    as a double-double hi + lo, with hi1 + hi2 the Veltkamp split of hi.
+    ``quad``: the digit words of "0000" to "9999"; ``trail``: the trailing
+    zeros of each (4 for "0000").
+    ``head``: word 0 without its digit, per 2 (E + _E_LIM) + sign bit;
+    ``tail``: word 5 without its separator, per E + _E_LIM.
+    ``keep``: per count K of digits kept, the byte masks of words 1-4;
+    ``point``: per digit j the point follows (_NO_POINT for none), the point
+    byte of words 0-4.
+    """
+    exps = range(-_E_LIM, _E_LIM + 1)
+    hi, lo = np.array([_pow10(16 - e) for e in exps]).T
+    power = np.array([hi, *_split(hi), lo])
+    digits = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+    digits = digits % 10 + ord("0")
+    spread = np.zeros((10000, 8), np.uint8)
+    spread[:, ::2] = digits
+    quad = spread.view("<u8").ravel()
+    zero = digits == ord("0")
+    trail = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
+    head = _words(
+        sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(5, b"\0")
+        for e in exps for sign in (b"\0", b"-")
+    )
+    tail = _words(b"" if -4 <= e < 17 else b"e%+03d" % e for e in exps)
+    keep = _words(
+        b"\xff" * 2 * min(max(k - 1 - 4 * g, 0), 4) for k in range(18) for g in range(4)
+    ).reshape(18, 4)
+    slots = np.zeros((_NO_POINT + 1, 5 * 8), np.uint8)
+    slots[0, 7] = ord(".")
+    for j in range(1, _NO_POINT):
+        slots[j, 8 + 2 * (j - 1) + 1] = ord(".")
+    point = slots.view("<u8")
+    return power, quad, trail.astype(np.uint8), head, tail, keep, point
+
+
+def _split(a):
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled(ax, E, power):
+    """Integer part and fraction of ax * 10**(16 - E), to within about 1e-14.
+
+    Dekker's exact product of ax with the high word (numpy has no fused
+    multiply-add), plus ax times the low word.
+    """
+    h, b1, b2, l = np.take(power, E + _E_LIM, axis=1)
+    p = ax * h
+    a1, a2 = _split(ax)
+    err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    err += ax * l
+    whole = np.floor(p)
+    p -= whole
+    p += err
+    carry = np.floor(p)
+    p -= carry
+    return whole.astype(np.int64) + carry.astype(np.int64), p
+
+
+def _round17(x, power) -> tuple:
+    """``(fast, E, d)``: |x| rounded to 17 digits as d * 10**(E - 16).
+
+    ``d`` is in [10**16, 10**17) where ``fast``, and 0 (E = 0) elsewhere,
+    that is for zeros and for the values the fast path cannot decide.
+    """
+    ax = np.abs(x)
+    fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)  # False for nan
+    ax = np.where(fast, ax, 1.0)
+    E = np.floor(np.log10(ax)).astype(np.int64)
+    d, frac = _scaled(ax, E, power)
+    # log10 can miss by one next to a power of ten: the integer part shows it
+    shift = (d >= 10**17).astype(np.int64) - (d < 10**16)
+    wrong = np.nonzero(shift)
+    if wrong[0].size:
+        E[wrong] += shift[wrong]
+        d[wrong], frac[wrong] = _scaled(ax[wrong], E[wrong], power)
+    fast &= (d >= 10**16) & (d < 10**17) & (np.abs(frac - 0.5) >= 1e-9)
+    d += frac > 0.5
+    up = d == 10**17  # rounded up into the next decade
+    d = np.where(fast, np.where(up, 10**16, d), 0)  # zeros print as "0"
+    return fast, np.where(fast, E + up, 0), d
+
+
+def _fill_cells(x, cells) -> None:
+    """Write the cells of ``"%.17g" % v`` for the floats ``v`` of ``x``.
+
+    ``cells`` has shape ``x.shape + (_WORDS,)``; word 5 gets no separator.
+    """
+    power, quad, trail, head, tail, keep, point = _format_tables()
+    fast, E, d = _round17(x, power)
+
+    # the leading digit and four groups of four
+    high, low = np.divmod(d, 10**8)
+    groups = np.empty(x.shape + (4,), np.int32)
+    high, groups[..., 1] = np.divmod(high.astype(np.int32), 10000)
+    lead, groups[..., 0] = np.divmod(high, 10000)
+    groups[..., 2], groups[..., 3] = np.divmod(low.astype(np.int32), 10000)
+    zeros = np.take(trail, groups)
+    tail_zeros = zeros[..., 3]
+    for k in (2, 1, 0):
+        tail_zeros += (tail_zeros == 12 - 4 * k) * zeros[..., k]
+    last = 16 - tail_zeros.astype(np.int64)  # the last nonzero digit
+
+    # the point follows digit pos - 1 (pos 0: the prefix holds it); digits
+    # after the last nonzero one that follow the point are dropped, and the
+    # point too when no digit follows it
+    fixed = (E >= -4) & (E < 17)
+    pos = np.where(fixed, np.maximum(E + 1, 0), 1)
+    dot = np.where((pos > 0) & (last >= pos), pos - 1, _NO_POINT)
+    word = np.take(head, 2 * (E + _E_LIM) + np.signbit(x))
+    word |= (lead.astype(np.uint64) + 48) << 48
+    word |= np.take(point[:, 0], dot)
+    cells[..., 0] = word
+    digits = np.take(quad, groups)
+    digits &= np.take(keep, np.maximum(last, pos - 1) + 1, axis=0)
+    digits |= np.take(point[:, 1:], dot, axis=0)
+    cells[..., 1:5] = digits
+    cells[..., 5] = np.take(tail, E + _E_LIM)
+    slow = np.nonzero(~fast & (x != 0.0))
+    if slow[0].size:
+        cells[slow + (slice(0, 5),)] = _percent_words(x[slow])
+
+
+def _percent_words(values) -> np.ndarray:
+    """Words 0-4 of the cells of floats the fast path cannot decide.
+
+    Python's own ``"%.17g" % v`` (at most 24 bytes), zero-padded.
+    """
+    text = b"".join((b"%.17g" % v).ljust(40, b"\0") for v in values.tolist())
+    return np.frombuffer(text, "<u8").reshape(-1, 5)
+
+
+def _float_cells(table) -> np.ndarray:
+    """The cells of a 2-D float table, shape ``table.shape + (_WORDS,)``."""
+    table = np.asarray(table, dtype=float)
+    cells = np.empty(table.shape + (_WORDS,), "<u8")
+    step = max(1, _CHUNK // max(table.shape[1], 1))
+    for r in range(0, len(table), step):  # chunks whose temporaries stay in cache
+        _fill_cells(table[r:r + step], cells[r:r + step])
+    return cells
+
+
+def _cells_text(cells, sep: str, head: str = "", index: bool = False) -> str:
+    """The text of a table of cells, one line per row.
+
+    A line is ``head``, then (with ``index``) the row number and ``sep``,
+    then the row's values joined by ``sep``.  For ``cells =
+    _float_cells(table)`` that is byte-identical to ``(line * len(table)) %
+    tuple(table.ravel().tolist())`` with ``line`` the matching
+    ``%``-template of ``"%.17g"`` fields.
+    """
+    rows, cols = cells.shape[:2]
+    digits = len(str(max(rows - 1, 0))) if index else 0
+    lead = -(-(len(head) + digits + index) // 8)  # words before the cells
+    buf = bytearray(8 * rows * (lead + cols * _WORDS))
+    out = np.frombuffer(buf, "<u8").reshape(rows, lead + cols * _WORDS)
+    text = out.view(np.uint8)
+    text[:, :len(head)] = np.frombuffer(head.encode(), np.uint8)
+    if index:
+        scale = 10 ** np.arange(digits)[::-1]
+        i = np.arange(rows)[:, None]
+        text[:, len(head):len(head) + digits] = np.where(
+            (i >= scale) | (scale == 1), i // scale % 10 + 48, 0)
+        text[:, len(head) + digits] = ord(sep)
+    body = out[:, lead:].reshape(rows, cols, _WORDS)
+    body[...] = cells
+    ends = np.full(cols, ord(sep), np.uint64)
+    ends[-1:] = ord("\n")
+    body[..., 5] |= ends << np.uint64(40)
+    return buf.translate(None, b"\0").decode("ascii")
+
 
 def _rows(table, row: str) -> str:
-    """The %-template ``row`` applied to every row of ``table`` in one pass.
-
-    One format call over the whole table instead of one per value; the
-    output is the same as formatting each value with ``"{:.17g}"``.
-    """
+    """The %-template ``row`` applied to every row of an integer ``table``."""
     table = np.asarray(table)
     return (row * len(table)) % tuple(table.ravel().tolist())
 
 
-def _float_rows(table) -> list:
-    """Each row of a 2-D float table as its ``%.17g`` values joined by spaces."""
-    return _rows(table, " ".join(["%.17g"] * table.shape[1]) + "\n").splitlines()
+def _sidecar_path(path) -> str:
+    """The channel CSV ``write_obj`` writes beside the OBJ at ``path``."""
+    return str(path) + ".channels.csv"
 
 
 def _read_only(values) -> np.ndarray:
@@ -59,9 +268,8 @@ class Mesh:
 
     The mesh keeps read-only copies of the arrays it is given and a
     read-only ``channels`` mapping, so writing into a mesh raises.  That
-    keeps the text the writers cache on it (the ``%.17g`` rows of the
-    vertices and of the channels, formatted once per mesh) equal to the
-    arrays.
+    keeps the cells the writers cache on it (its columns formatted once per
+    mesh) equal to the arrays.
     """
 
     vertices: np.ndarray          # (N, 3)
@@ -81,13 +289,12 @@ class Mesh:
         return np.concatenate([q[:, [0, 1, 2]], q[:, [0, 2, 3]]], axis=0)
 
     @cached_property
-    def _vertex_rows(self) -> list:
-        return _float_rows(self.vertices)
-
-    @cached_property
-    def _channel_rows(self) -> list:
-        """Channel values per vertex, in sorted channel-name order."""
-        return _float_rows(np.column_stack([self.channels[n] for n in sorted(self.channels)]))
+    def _cells(self) -> np.ndarray:
+        """The ``%.17g`` cells of the vertex columns, then the channels by name."""
+        columns = [self.channels[name] for name in sorted(self.channels)]
+        cells = _float_cells(np.column_stack([self.vertices] + columns))
+        cells.flags.writeable = False
+        return cells
 
 
 def stereographic(points: np.ndarray, pole: np.ndarray | None = None) -> np.ndarray:
@@ -223,15 +430,14 @@ def write_obj(mesh: Mesh, path, sidecar=None) -> list:
     """ASCII OBJ with quad faces; channels go to a CSV sidecar file."""
     path = str(path)
     with open(path, "w") as fh:
-        fh.writelines(f"v {row}\n" for row in mesh._vertex_rows)
+        fh.write(_cells_text(mesh._cells[:, :mesh.vertices.shape[1]], " ", "v "))
         fh.write(_rows(mesh.quads + 1, "f" + " %d" * mesh.quads.shape[1] + "\n"))
     written = [path]
     if mesh.channels:
-        side = str(sidecar) if sidecar is not None else path + ".channels.csv"
-        body = "".join([f"{i} {row}\n" for i, row in enumerate(mesh._channel_rows)])
+        side = str(sidecar) if sidecar is not None else _sidecar_path(path)
         with open(side, "w") as fh:
             fh.write("vertex," + ",".join(sorted(mesh.channels)) + "\n")
-            fh.write(body.replace(" ", ","))
+            fh.write(_cells_text(mesh._cells[:, mesh.vertices.shape[1]:], ",", index=True))
         written.append(side)
     return written
 
@@ -254,12 +460,8 @@ def write_ply(mesh: Mesh, path) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    if names:
-        body = (f"{v} {c}\n" for v, c in zip(mesh._vertex_rows, mesh._channel_rows))
-    else:
-        body = (f"{v}\n" for v in mesh._vertex_rows)
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
-        fh.writelines(body)
+        fh.write(_cells_text(mesh._cells, " "))
         fh.write(_rows(mesh.quads, "4" + " %d" * mesh.quads.shape[1] + "\n"))
     return path

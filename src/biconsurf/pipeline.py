@@ -23,7 +23,7 @@ from .curvature import (
     solve_curvature,
 )
 from .errors import UsageError
-from .mesh import _rows, sample_mesh, write_obj, write_ply
+from .mesh import _cells_text, _float_cells, _sidecar_path, sample_mesh, write_obj, write_ply
 from .profile import Branch, reconstruct_profile, revolution_profile
 from .surfaces import build_h3, build_r3_revolution, build_s3
 from .verify import fd_for_patch, fd_scheme, verify_patch
@@ -41,8 +41,7 @@ def _write_lines(path, lines, table=None) -> str:
     """Write ``lines``, then the float ``table`` (if any) as ``%.17g`` CSV rows."""
     text = "\n".join(lines) + "\n"
     if table is not None:
-        table = np.column_stack(table)
-        text += _rows(table, ",".join(["%.17g"] * table.shape[1]) + "\n")
+        text += _cells_text(_float_cells(np.column_stack(table)), ",")
     Path(path).write_text(text)
     return str(path)
 
@@ -283,6 +282,10 @@ def cmd_surface(
     cfg = cfg.validate()
     out_dir = _output_dir(out_dir)
     target = _output_file(report_path or out_dir / f"{basename}.report.json")
+    obj, ply = out_dir / f"{basename}.obj", out_dir / f"{basename}.ply"
+    if write_meshes:
+        for path in (obj, _sidecar_path(obj), ply):
+            _output_file(path)
     patch, _ = build_pipeline_patch(cfg)
     fd = fd_for_patch(patch, inner_step=cfg.fd_step)
     tolerances = (
@@ -306,8 +309,8 @@ def cmd_surface(
         mesh = sample_mesh(
             mesh_patch, cfg.nu, cfg.nv, projection=cfg.projection, channels=channels
         )
-        written["obj"] = write_obj(mesh, out_dir / f"{basename}.obj")
-        written["ply"] = write_ply(mesh, out_dir / f"{basename}.ply")
+        written["obj"] = write_obj(mesh, obj)
+        written["ply"] = write_ply(mesh, ply)
     saved = report.save(target)
     return {
         "report": saved,

@@ -277,6 +277,18 @@ class TestUnusableOutputDirectory:
         assert builds == [] and solves == []
         assert list(tmp_path.rglob("*")) == [tmp_path / "taken"]
 
+    @pytest.mark.parametrize("name", ["surface.obj", "surface.obj.channels.csv", "surface.ply"])
+    def test_mesh_file_naming_a_directory_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                    builds, name):
+        # the OBJ, its channel sidecar and the PLY are checked before the build
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d" / name).mkdir(parents=True)
+        assert run("surface", "--model", "r3", "--nu", "8", "--nv", "8", "--out", "d") == 2
+        err = capsys.readouterr().err
+        assert f"cannot write 'd/{name}': it is a directory" in err and "Traceback" not in err
+        assert builds == []
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "d", tmp_path / "d" / name]
+
 
 class TestNegativeExponentInput:
     """Negative numbers in exponent form are values, not option names."""

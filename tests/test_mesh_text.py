@@ -1,0 +1,125 @@
+"""The vectorized ``%.17g`` kernel against Python's own ``%`` formatting.
+
+Every float the writers export goes through ``mesh._float_cells`` and
+``mesh._cells_text``; the text must be byte-identical to ``%``.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from biconsurf import mesh, pipeline
+from biconsurf.pipeline import PipelineConfig, cmd_profile, cmd_solve, cmd_surface
+
+
+def kernel(table, sep=" ", head="", index=False):
+    return mesh._cells_text(mesh._float_cells(table), sep, head, index)
+
+
+def reference(table, sep=" ", head="", index=False):
+    table = np.asarray(table, dtype=float)
+    fields = (["%d"] if index else []) + ["%.17g"] * table.shape[1]
+    line = head + sep.join(fields) + "\n"
+    values = []
+    for i, row in enumerate(table.tolist()):
+        values += ([i] if index else []) + row
+    return (line * len(table)) % tuple(values)
+
+
+LAYOUTS = [(" ", "", False), (",", "", False), (" ", "v ", False), (",", "", True)]
+
+
+def edge_values():
+    values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              np.nan, np.inf, 0.1, 1 / 3, 2.0**60, 2.0**53 + 2.0, 123456.0]
+    # 1 + 2**-17 and the others with 18 digits ending in 5 are ties at 17,
+    # rounded to even both ways
+    values += [1.0 + 2.0**-k for k in range(1, 53)]
+    values += [10.0 ** (17 - k) + m * 2.0**-k for k in (14, 15, 16, 17) for m in (1, 3, 5, 7)]
+    for j in range(-323, 309):
+        p = float(f"1e{j}")
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    # the %g switch points between fixed and scientific form
+    for p in (1e-5, 1e-4, 1e16, 1e17):
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), p * (1 - 1e-16)]
+    # values that round up into the next decade
+    values += [9.9999999999999995e-5, 99999999999999999.0, 9.99999999999999999e-5,
+               9.9999999999999999e16, 0.99999999999999999, 9.9999999999999995e-1,
+               9.99999999999999999e22, 1e23, 9.9999999999999999e-281, 1e-280, 1e280]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("sep,head,index", LAYOUTS)
+def test_edge_values(sep, head, index):
+    values = edge_values()
+    for table in (values[:, None], values[: len(values) // 4 * 4].reshape(-1, 4)):
+        assert kernel(table, sep, head, index) == reference(table, sep, head, index)
+
+
+def test_million_random_bit_patterns():
+    # both signs, every exponent, nan payloads and subnormals
+    rng = np.random.default_rng(20261018)
+    for (sep, head, index), _ in zip(LAYOUTS * 2, range(8)):
+        bits = rng.integers(0, 2**64, size=131072, dtype=np.uint64)
+        table = bits.view(np.float64).reshape(-1, 4)
+        assert kernel(table, sep, head, index) == reference(table, sep, head, index)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (7, 1), (0, 3), (1, 1), (0, 1)])
+@pytest.mark.parametrize("sep,head,index", LAYOUTS)
+def test_table_shapes(shape, sep, head, index):
+    rng = np.random.default_rng(sum(shape))
+    table = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+    assert kernel(table, sep, head, index) == reference(table, sep, head, index)
+
+
+def test_row_numbers_past_a_power_of_ten():
+    table = np.arange(1001.0)[:, None] / 7.0
+    assert kernel(table, ",", index=True) == reference(table, ",", index=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=24), st.integers(1, 3))
+def test_any_floats(values, cols):
+    table = np.array(values * cols).reshape(-1, cols)
+    assert kernel(table) == reference(table)
+    assert kernel(table, ",", index=True) == reference(table, ",", index=True)
+
+
+def test_nominal_s3_mesh_takes_the_fast_path(tmp_path, monkeypatch):
+    # only values the fast path cannot decide reach Python's %; on the
+    # benchmark's nominal s3 mesh (k0 = k0' = 1, 128 x 128) there are none
+    slow = []
+    percent = mesh._percent_words
+
+    def recorded(values):
+        slow.extend(values.tolist())
+        return percent(values)
+
+    monkeypatch.setattr(mesh, "_percent_words", recorded)
+    cfg = PipelineConfig(model="s3", k0=1.0, kp0=1.0, nu=128, nv=128)
+    out = cmd_surface(cfg, tmp_path)
+    assert out["written"]["obj"] and out["written"]["ply"]
+    assert [v for v in slow if v != 0.0] == []
+
+
+@pytest.mark.parametrize("model,branch,k0,kp0", [
+    ("s3", "auto", 1.0, 1.0),
+    ("h3", "parabolic", 0.25, 0.2),
+])
+def test_solve_and_profile_csv_bytes(tmp_path, monkeypatch, model, branch, k0, kp0):
+    tables = []
+    write = pipeline._write_lines
+
+    def recorded(path, lines, table=None):
+        tables.append((path, lines, np.column_stack(table)))
+        return write(path, lines, table)
+
+    monkeypatch.setattr(pipeline, "_write_lines", recorded)
+    cfg = PipelineConfig(model=model, branch=branch, k0=k0, kp0=kp0, n_csv=64)
+    cmd_solve(cfg, tmp_path / "solve.csv")
+    cmd_profile(cfg, tmp_path / "profile.csv")
+    assert [path.name for path, _, _ in tables] == ["solve.csv", "profile.csv"]
+    for path, lines, table in tables:
+        rows = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+        assert path.read_text() == "\n".join(lines) + "\n" + rows
