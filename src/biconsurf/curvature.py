@@ -15,23 +15,34 @@ adaptive embedded Runge-Kutta scheme (dense output, event detection) and
 exposes C, the admissible k-interval, and the derived quantities kappa2 and
 W used by the surface constructions.
 
-The right-hand sides handed to the solvers (here and in the profile frame
-integration) run on plain Python floats: ``ode_rhs`` and ``prime_poly`` take
-a scalar path for floats that is bit-identical to their array formula.
-Squares are ``x * x``, exactly numpy's ``x**2``, and powers are
-``np.power``: numpy's vectorised power loop and the C library's ``pow``
-(behind Python's float ``**``) disagree in the last bit for a few percent of
-inputs, and the drift-limited solves amplify such differences into
-different step sequences.  ``ode_rhs`` checks that k is positive (for floats
-one comparison); inside the solves the right-hand side clamps k at 1e-300
-and the ``k_floor`` event stops the integration first.
+The scheme is DOP853, stepped by ``_dop853``: scipy's ``solve_ivp(...,
+method="DOP853", dense_output=True, events=...)`` repeated operation for
+operation (the tableau is read from the public ``scipy.integrate.DOP853``
+class), so its steps, states, event roots and interpolants are
+bit-identical to scipy's.  The three interpolant stages do not feed the
+stepping, so they are computed for all accepted steps of a two-sided run in
+one batched pass at its end (for a step with an event, on demand).
+
+A right-hand side ``rhs(u, y)`` takes the state as a sequence of
+components: plain Python floats while stepping, one array per component
+(over the steps) in the batched pass, so one function serves both.
+``ode_rhs`` and ``prime_poly`` take a scalar path for floats that is
+bit-identical to their array formula.  Squares are ``x * x``, exactly
+numpy's ``x**2``, and powers are ``np.power``: numpy's vectorised power loop
+and the C library's ``pow`` (behind Python's float ``**``) disagree in the
+last bit for a few percent of inputs, and the drift-limited solves amplify
+such differences into different step sequences.  ``ode_rhs`` checks that k
+is positive (for floats one comparison); inside the solves the right-hand
+side clamps k at 1e-300 (``_clamped_k``) and the ``k_floor`` event stops
+the integration first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .defaults import ADMISSIBILITY_SLACK, K_FLOOR, ODE_ATOL, ODE_RTOL
 from .errors import DomainError, NoSolutionError, UsageError
@@ -55,7 +66,8 @@ _EQUILIBRIUM_K = 3.0 ** -0.5
 # The conserved constant divides by k^(7/2), which amplifies integration
 # error wherever k is small; integrating two orders below the requested
 # tolerance keeps the drift contract (100 * rel_tol * |C|) honest.  The
-# floor stays above scipy's internal rtol clip.
+# floor stays above 100 eps, where scipy's solvers would clip rtol and
+# ``_dop853``, which does not, would part from them.
 _TOL_SAFETY = 1e-2
 _RTOL_FLOOR = 3e-14
 
@@ -72,6 +84,11 @@ def _require_positive_k(k) -> np.ndarray:
     if np.any(k <= 0):
         raise DomainError(_K_POSITIVE)
     return k
+
+
+def _clamped_k(k):
+    """k clamped at 1e-300 inside the solves; a float stays a float."""
+    return max(k, 1e-300) if isinstance(k, float) else np.maximum(k, 1e-300)
 
 
 def ode_rhs(k, kp, c: int):
@@ -184,33 +201,27 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
 class _Dop853Dense:
     """Dense output of DOP853 runs, stacked into arrays and evaluated in one pass.
 
-    ``sols`` are the ``OdeSolution`` objects of ``solve_ivp(...,
-    method="DOP853", dense_output=True)`` runs.  Their interpolants are
-    stacked once: ``t_old`` and ``h`` of shape (nseg,), ``y_old`` of shape
-    (nseg, n) and ``F`` of shape (7, nseg, n), one table per interpolant
-    row, so an evaluation gathers one (points, n) table at a time.  A point
-    takes the segment ``OdeSolution`` gives it (at a step time, the one of
-    lower index) and is evaluated with the operations of
-    ``Dop853DenseOutput``, in their order, so every value is bit-identical
-    to ``sol(t)``.  Only attributes that scipy 1.10 already has are read:
-    ``ts``, ``interpolants`` and each interpolant's ``t_old``, ``h``,
-    ``y_old`` and ``F``.
+    Segment i interpolates one accepted step: ``t_old`` and ``h`` have shape
+    (nseg,), ``y_old`` (nseg, n) and ``F`` (7, nseg, n), one table per
+    interpolant row (``_interpolants``), so an evaluation gathers one
+    (points, n) table at a time.  ``runs`` holds each run's step times
+    (``t``, start first); its segments are consecutive, in run order.  A
+    point takes the segment scipy's ``OdeSolution`` would give it (at a step
+    time, the one of lower index) and is evaluated with the operations of
+    scipy's DOP853 interpolant, in their order, so every value is
+    bit-identical to that of the same run under ``solve_ivp``.
     """
 
-    def __init__(self, sols):
-        pieces, self._runs = [], []
-        for sol in sols:
-            ts = np.asarray(sol.ts, dtype=float)
+    def __init__(self, runs, t_old, h, y_old, F):
+        self._runs, first = [], 0
+        for ts in runs:
             descending = bool(ts[-1] < ts[0])
             # (inner step times ascending, descending, first segment, segments)
             inner = ts[-2:0:-1] if descending else ts[1:-1]
-            self._runs.append((inner, descending, len(pieces), len(sol.interpolants)))
-            pieces.extend(sol.interpolants)
-        self.t_old = np.array([p.t_old for p in pieces], dtype=float)
-        self.h = np.array([p.h for p in pieces], dtype=float)
-        self.y_old = np.array([p.y_old for p in pieces], dtype=float)
-        self.F = np.stack([p.F for p in pieces], axis=1, dtype=float)
-        self.nstate = self.y_old.shape[1]
+            self._runs.append((inner, descending, first, len(ts) - 1))
+            first += len(ts) - 1
+        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
+        self.nstate = y_old.shape[1]
 
     def segments(self, t, run: int = 0) -> np.ndarray:
         """Stacked segment index of each point of 1-D ``t`` in run ``run``.
@@ -245,18 +256,16 @@ class _Dop853Dense:
 class _TwoSidedDense:
     """Dense evaluator stitched from forward and backward integrations.
 
-    ``right`` and ``left`` are the ``solve_ivp`` results of the runs from
-    u = 0 to the right and to the left end of ``span`` (either may be None);
-    only their stacked interpolants (:class:`_Dop853Dense`) are kept.  A
-    point with u < 0 is read from the left run, any other from the right
-    one.  A point outside ``span`` (beyond a small slack), NaN included,
-    raises ``DomainError``.
+    ``dense`` stacks the runs from u = 0 to the right end of ``span`` (run
+    0, if there is one) and to the left end (the last run); ``two_sided``
+    says both exist.  A point with u < 0 is read from the left run, any
+    other from the right one.  A point outside ``span`` (beyond a small
+    slack), NaN included, raises ``DomainError``.
     """
 
-    def __init__(self, right, left, span):
-        runs = [res.sol for res in (right, left) if res is not None]
-        self._dense = _Dop853Dense(runs)
-        self._two_sided = len(runs) == 2
+    def __init__(self, dense: _Dop853Dense, two_sided: bool, span):
+        self._dense = dense
+        self._two_sided = two_sided
         self.span = span
 
     def __call__(self, u):
@@ -274,6 +283,225 @@ class _TwoSidedDense:
         if self._two_sided:
             seg = np.where(flat < 0.0, dense.segments(flat, 1), seg)
         return dense.at(flat, seg).reshape(u.shape + (dense.nstate,))
+
+
+# The DOP853 tableau of scipy's public class, and the step-size controller
+# constants of its Runge-Kutta solvers.
+_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, DOP853.n_stages)]
+_EXTRA_STAGES = [
+    (s, a[:s], float(c))
+    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)
+]
+_N_STAGES_EXTENDED = DOP853.n_stages + 1 + len(_EXTRA_STAGES)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_EVENT_TOL = 4 * np.finfo(float).eps
+
+
+def _norm(x):
+    """``np.linalg.norm`` of a 1-D float array, computed as it computes it."""
+    return np.sqrt(x.dot(x))
+
+
+def _rms(x):
+    """The RMS norm of scipy's initial step rule."""
+    return _norm(x) / x.size ** 0.5
+
+
+def _interpolants(rhs, t_old, h, y_old, y_new, K) -> np.ndarray:
+    """Interpolant tables F, shape (7, m, n), of m accepted DOP853 steps.
+
+    ``K`` (m, 16, n) holds each step's 13 stages; the three extra stages are
+    filled in here, one ``rhs`` call each on component arrays over the
+    steps.  Each step gets the operations scipy's DOP853 applies to it
+    alone: the stacked ``np.matmul`` runs the same matrix-vector and
+    matrix-matrix products per step.
+    """
+    Kt = K.transpose(0, 2, 1)
+    hc = h[:, None]
+    for s, a, c in _EXTRA_STAGES:
+        dy = np.matmul(Kt[:, :, :s], a) * hc
+        K[:, s] = np.transpose(rhs(t_old + c * h, (y_old + dy).T))
+    f_old = K[:, 0]
+    delta_y = y_new - y_old
+    F = np.empty((3 + len(DOP853.D),) + y_old.shape)
+    F[0] = delta_y
+    F[1] = hc * f_old - delta_y
+    F[2] = 2 * delta_y - hc * (K[:, DOP853.n_stages] + f_old)
+    F[3:] = (h[:, None, None] * np.matmul(DOP853.D, K)).transpose(1, 0, 2)
+    return F
+
+
+@dataclass(frozen=True, eq=False)
+class _Dop853Run:
+    """One DOP853 run from u = 0, as ``solve_ivp`` would report it.
+
+    ``t``, ``y`` (n, len(t)), ``status`` (0 reached the bound, 1 stopped by
+    a terminal event, -1 step-size underflow) and ``t_events`` have the
+    meaning of the fields of scipy's result.  ``steps`` keeps each segment's
+    (t_old, h, y_old, y_new, K), K the (16, n) stage table with its first
+    13 rows filled, for ``_interpolants``.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    t_events: list
+    steps: list
+
+
+def _step_dense(rhs, step) -> _Dop853Dense:
+    """The interpolant of one accepted step, evaluated on demand."""
+    t_old, h, y_old, y_new, K = step
+    h, y_old = np.array([h]), y_old[None]
+    F = _interpolants(rhs, np.array([t_old]), h, y_old, y_new[None], K[None])
+    return _Dop853Dense([np.array([t_old, t_old + h[0]])], np.array([t_old]), h, y_old, F)
+
+
+def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
+    """Integrate ``rhs`` from u = 0 toward ``t_bound`` with scipy's DOP853.
+
+    Step for step ``solve_ivp(rhs, (0.0, t_bound), y0, method="DOP853",
+    dense_output=True, rtol=rtol, atol=atol, events=events)`` for a scalar
+    ``rtol >= 100 eps`` and ``atol > 0`` and events with boolean
+    ``terminal``: the initial step rule, the stage sums, the error norm, the
+    step-size controller, the event sign tests and ``brentq`` root solves,
+    the terminal-event ordering and the dropped step when a root falls on
+    the last step time.  A first step that is not finite (a right-hand side
+    or error scale that is not) would spin scipy's step loop; here it raises
+    ``DomainError``.  A non-finite error norm rejects the step, as in scipy,
+    so such a run ends in a step-size underflow (status -1).
+    """
+    t0 = 0.0
+    y = np.asarray(y0, dtype=float)
+    n = y.size
+    f = np.asarray(rhs(t0, y.tolist()), dtype=float)
+    direction = np.sign(t_bound - t0)
+
+    # scipy's select_initial_step (its RMS norm), clamped to the interval
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = np.asarray(rhs(t0 + h0 * direction, (y + h0 * direction * f).tolist()), dtype=float)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h_abs = min(100 * h0, h1, interval_length)
+    if not np.isfinite(h_abs):
+        raise DomainError(
+            f"the first ODE step toward u = {t_bound!r} is not finite: the "
+            "right-hand side or the error scale at u = 0 is not"
+        )
+
+    # one stage table per run, its stage sums read through fixed views
+    K = np.empty((_N_STAGES_EXTENDED, n))
+    sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+    K_b, K_e, f_row = K[:DOP853.n_stages].T, K[:DOP853.n_stages + 1].T, DOP853.n_stages
+
+    terminal = np.array([bool(e.terminal) for e in events])
+    event_dir = [e.direction for e in events]
+    g = [event(t0, y) for event in events]
+    t_events = [[] for _ in events]
+    ts, ys, steps = [t0], [y], []
+    t = t0
+    status = None
+    while status is None:
+        # one accepted step (scipy's RungeKutta._step_impl)
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            h = h_abs * direction
+            t_new = t + h
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            K[0] = f
+            for s, K_s, a, c in sums:
+                K[s] = rhs(t + c * h, (y + K_s.dot(a) * h).tolist())
+            y_new = y + h * K_b.dot(DOP853.B)
+            K[f_row] = rhs(t + h, y_new.tolist())
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = K_e.dot(DOP853.E5) / scale
+            err3 = K_e.dot(DOP853.E3) / scale
+            err5_norm_2 = _norm(err5) ** 2
+            err3_norm_2 = _norm(err3) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+        if direction * (t_new - t_bound) >= 0:
+            status = 0
+        step = (t, h, y, y_new, K.copy())
+        steps.append(step)
+        t_old, t, y, f = t, t_new, y_new, step[4][f_row]
+        t_end, y_end = t, y
+
+        # scipy's find_active_events and handle_events
+        g_new = [event(t, y) for event in events]
+        active = [
+            i for i, (a, b, d) in enumerate(zip(g, g_new, event_dir))
+            if (a <= 0 and b >= 0 and d >= 0) or (a >= 0 and b <= 0 and d <= 0)
+        ]
+        if active:
+            dense = _step_dense(rhs, step)
+            roots = np.asarray([
+                brentq(lambda u, event=events[i]: event(u, dense(u)), t_old, t,
+                       xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                for i in active
+            ])
+            active = np.asarray(active)
+            if terminal[active].any():
+                order = np.argsort(roots) if t > t_old else np.argsort(-roots)
+                active, roots = active[order], roots[order]
+                last = np.nonzero(terminal[active])[0][0] + 1
+                active, roots = active[:last], roots[:last]
+                status = 1
+                t_end = roots[-1]
+                y_end = dense(t_end)
+            for i, root in zip(active, roots):
+                t_events[i].append(root)
+        g = g_new
+
+        if len(ts) > 1 and ts[-1] == t_end:
+            steps.pop()
+        else:
+            ts.append(t_end)
+            ys.append(y_end)
+
+    return _Dop853Run(
+        t=np.array(ts),
+        y=np.vstack(ys).T,
+        status=status,
+        t_events=[np.asarray(te) for te in t_events],
+        steps=steps,
+    )
 
 
 @dataclass(frozen=True)
@@ -316,10 +544,14 @@ def curvature_problem(
 ) -> CurvatureProblem:
     """Check initial data and a target span, and compute the constant C.
 
-    k0 must be positive, C finite, and the span a nondegenerate interval
-    containing u = 0; the constant-curvature equilibrium of the sphere is
-    refused, since its solution would be constant.
+    k0 must be positive, C finite, the span a nondegenerate interval
+    containing u = 0, and both tolerances positive and finite; the
+    constant-curvature equilibrium of the sphere is refused, since its
+    solution would be constant.
     """
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not 0.0 < tol < np.inf:
+            raise UsageError(f"{name} must be positive and finite, got {tol!r}")
     if k0 <= 0:
         raise DomainError("k0 must be positive")
     u_min, u_max = float(span[0]), float(span[1])
@@ -356,29 +588,17 @@ class _TwoSidedRun:
 def _integrate_two_sided(rhs, y0, span, rel_tol, abs_tol, events) -> _TwoSidedRun:
     """Integrate from u = 0 out to both ends of ``span``.
 
-    Each side is one order-8 embedded Runge-Kutta run (DOP853) with dense
-    output, stepping below the requested tolerances (``_internal_tols``).
-    A terminal event that fires ends its side early and is recorded in
-    ``boundary`` under the event function's name, as is a step-size
-    underflow (``step_underflow``).
+    Each side is one order-8 embedded Runge-Kutta run (``_dop853``),
+    stepping below the requested tolerances (``_internal_tols``); the
+    interpolants of both sides come from one batched pass
+    (``_interpolants``).  A terminal event that fires ends its side early
+    and is recorded in ``boundary`` under the event function's name, as is a
+    step-size underflow (``step_underflow``).
     """
     u_min, u_max = span
     rtol_i, atol_i = _internal_tols(rel_tol, abs_tol)
-
-    def integrate(target):
-        return solve_ivp(
-            rhs,
-            (0.0, target),
-            y0,
-            method="DOP853",
-            dense_output=True,
-            rtol=rtol_i,
-            atol=atol_i,
-            events=events,
-        )
-
-    right = integrate(u_max) if u_max > 0 else None
-    left = integrate(u_min) if u_min < 0 else None
+    right = _dop853(rhs, y0, u_max, rtol_i, atol_i, events) if u_max > 0 else None
+    left = _dop853(rhs, y0, u_min, rtol_i, atol_i, events) if u_min < 0 else None
 
     reached = [u_min, u_max]
     roots, boundary = [], []
@@ -403,13 +623,17 @@ def _integrate_two_sided(rhs, y0, span, rel_tol, abs_tol, events) -> _TwoSidedRu
         ts.append(right.t[sl])
         ys.append(right.y[:, sl])
     covered = (reached[0], reached[1])
+    runs = [res for res in (right, left) if res is not None]
+    t_old, h, y_old, y_new, K = map(np.array, zip(*(st for res in runs for st in res.steps)))
+    F = _interpolants(rhs, t_old, h, y_old, y_new, K)
+    dense = _Dop853Dense([res.t for res in runs], t_old, h, y_old, F)
     return _TwoSidedRun(
         u=np.concatenate(ts),
         y=np.concatenate(ys, axis=1),
         span=covered,
         roots=np.array(sorted(roots)),
         boundary=boundary,
-        dense=_TwoSidedDense(right, left, covered),
+        dense=_TwoSidedDense(dense, len(runs) == 2, covered),
     )
 
 
@@ -538,8 +762,8 @@ def solve_curvature(
     problem = curvature_problem(c, k0, kp0, span, rel_tol, abs_tol)
 
     def rhs(u, y):
-        k, kp = y.tolist()
-        return [kp, ode_rhs(max(k, 1e-300), kp, c)]
+        k, kp = y
+        return [kp, ode_rhs(_clamped_k(k), kp, c)]
 
     run = _integrate_two_sided(
         rhs, [problem.k0, problem.kp0], problem.span, rel_tol, abs_tol,

@@ -78,6 +78,10 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not np.all(np.isfinite(value)):
                 raise UsageError(f"{name} must be finite, got {value!r}")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise UsageError(f"{name} must be positive, got {value!r}")
         if self.model not in ("r3", "s3", "h3"):
             raise UsageError(f"unknown model '{self.model}'")
         if self.branch not in ("auto", "elliptic", "parabolic"):

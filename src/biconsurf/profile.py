@@ -30,14 +30,14 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from .ambient import H3, S3, SpaceForm, orthonormal_complement
 from .curvature import (
     CurvatureProblem,
     CurvatureSolution,
+    _clamped_k,
     _curvature_view,
-    _Dop853Dense,
     _event_functions,
     _integrate_two_sided,
     _TwoSidedDense,
@@ -161,10 +161,11 @@ class ProfileCurve:
     (k, k', sigma[4], T[4], n[4]); sigma is the curve, T its velocity and n
     the in-plane unit normal used by the frame equations.  ``curvature`` is
     the :class:`CurvatureSolution` view of the same run, so its steps,
-    span and stops are the curve's.  ``state`` reads the run's DOP853 dense
-    output in one vectorized pass over all points, bit-identical to scipy's
-    ``OdeSolution``; a u outside ``span``, or not finite, raises
-    ``DomainError``.
+    span and stops are the curve's.  ``state`` reads the run's DOP853
+    interpolants, computed once for all steps of the run, in one vectorized
+    pass over all points; every value is bit-identical to scipy's
+    ``OdeSolution`` of the same run.  A u outside ``span``, or not finite,
+    raises ``DomainError``.
     """
 
     model: SpaceForm
@@ -341,10 +342,11 @@ def reconstruct_profile(
 
     c = model.c
 
-    # sigma' = T, T' = k n - c sigma, n' = -k T, one float per component
+    # sigma' = T, T' = k n - c sigma, n' = -k T; one float, or one array over
+    # steps, per component
     def rhs(u, y):
-        k, kp, s1, s2, s3, s4, t1, t2, t3, t4, n1, n2, n3, n4 = y.tolist()
-        k = max(k, 1e-300)
+        k, kp, s1, s2, s3, s4, t1, t2, t3, t4, n1, n2, n3, n4 = y
+        k = _clamped_k(k)
         return [
             kp, ode_rhs(k, kp, c),
             t1, t2, t3, t4,
@@ -381,19 +383,22 @@ def reconstruct_profile(
 class OracleCurve:
     """x(k) from the reduced first-order ODE, with y recovered by the quadric.
 
-    ``x`` reads the run's dense output through the same one-pass DOP853
-    evaluator as the profile curves (:class:`~biconsurf.curvature._Dop853Dense`).
+    ``x`` reads the dense output (``OdeSolution``) of scipy's own
+    ``solve_ivp`` run, so the oracle shares no integration code with the
+    profile curves it checks.
     """
 
     C: float
     sign: int
     y_sign: int
     k_range: tuple[float, float]
-    _dense: _Dop853Dense
+    _sol: OdeSolution
 
     def x(self, k):
         k = np.asarray(k, dtype=float)
-        x = self._dense(k)[..., 0]
+        flat = k.ravel()
+        # OdeSolution cannot evaluate an empty array
+        x = (self._sol(flat)[0] if flat.size else flat).reshape(k.shape)
         return x if k.ndim else float(x)
 
     def y(self, k):
@@ -463,7 +468,7 @@ def profile_oracle_dxdk(
     if not res.success:
         raise InfeasibleError(f"oracle integration failed: {res.message}")
     return OracleCurve(
-        C=C, sign=sign, y_sign=y_sign, k_range=(k_a, k_b), _dense=_Dop853Dense([res.sol])
+        C=C, sign=sign, y_sign=y_sign, k_range=(k_a, k_b), _sol=res.sol
     )
 
 

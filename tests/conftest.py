@@ -1,11 +1,72 @@
 """Shared fixtures: the three curved pipelines and classical test surfaces."""
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import biconsurf as bc
-from biconsurf import surfaces
+from biconsurf import curvature, surfaces
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.surfaces import SurfacePatch
+
+
+def recorded_runs(monkeypatch, build):
+    """``build()`` and every DOP853 run it made, in order: ((rhs, y0, t_bound,
+    rtol, atol, events), run) for each ``curvature._dop853`` call."""
+    exact = curvature._dop853
+    calls = []
+
+    def recording(rhs, y0, t_bound, rtol, atol, events):
+        run = exact(rhs, y0, t_bound, rtol, atol, events)
+        calls.append(((rhs, np.array(y0, dtype=float), t_bound, rtol, atol, events), run))
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(curvature, "_dop853", recording)
+        built = build()
+    return built, calls
+
+
+def scipy_run(rhs, y0, t_bound, rtol, atol, events):
+    """scipy's own DOP853 run of a recorded call: the in-house driver's reference."""
+    return solve_ivp(rhs, (0.0, t_bound), y0, method="DOP853", dense_output=True,
+                     rtol=rtol, atol=atol, events=events)
+
+
+def assert_same_run(run, res):
+    """An in-house run and scipy's result agree bit for bit."""
+    assert run.status == res.status
+    assert np.array_equal(run.t, res.t)
+    assert np.array_equal(run.y, res.y)
+    assert len(run.t_events) == len(res.t_events)
+    for got, want in zip(run.t_events, res.t_events):
+        assert np.array_equal(got, want)
+
+
+def stacked_interpolants(sols):
+    """(t_old, h, y_old, F) of the interpolants of scipy ``OdeSolution``s, stacked."""
+    pieces = [p for sol in sols for p in sol.interpolants]
+    return (
+        np.array([p.t_old for p in pieces], dtype=float),
+        np.array([p.h for p in pieces], dtype=float),
+        np.array([p.y_old for p in pieces], dtype=float),
+        np.stack([p.F for p in pieces], axis=1, dtype=float),
+    )
+
+
+def assert_same_interpolants(dense, sols):
+    """A stacked evaluator holds exactly the interpolants of scipy's runs."""
+    for got, want in zip((dense.t_old, dense.h, dense.y_old, dense.F), stacked_interpolants(sols)):
+        assert np.array_equal(got, want)
+
+
+def reference_dense(sols):
+    """The stacked evaluator over the interpolants of scipy's runs."""
+    return curvature._Dop853Dense([sol.ts for sol in sols], *stacked_interpolants(sols))
+
+
+def reference_two_sided(right, left, span):
+    """The two-sided evaluator over scipy's right and left results."""
+    return curvature._TwoSidedDense(reference_dense([right.sol, left.sol]), True, span)
 
 
 def sweep_patch(case, model, sigma, amplitude, orbit, u_range, v_range):

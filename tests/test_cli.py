@@ -191,6 +191,20 @@ class TestNonFiniteInput:
         with pytest.raises(bc.UsageError, match=f"{field} must be finite"):
             PipelineConfig(**{field: math.inf}).validate()
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9])
+    def test_tolerances_must_be_positive(self, tmp_path, field, value):
+        cfg = PipelineConfig(model="s3", **{field: value})
+        with pytest.raises(bc.UsageError, match=f"{field} must be positive"):
+            cfg.validate()
+        # a zero abs_tol used to spin the s3 build's first step forever, and
+        # a negative one to leak scipy's ValueError
+        with pytest.raises(bc.UsageError, match=f"{field} must be positive"):
+            pipeline.build_pipeline_patch(cfg)
+        with pytest.raises(bc.UsageError, match=f"{field} must be positive"):
+            cmd_solve(cfg, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["surface", "--model", "s3", "--fd-step", "0"], "fd_step must be positive"),
         (["surface", "--model", "s3", "--fd-step", "-0.001"], "fd_step must be positive"),

@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import biconsurf as bc
-from biconsurf import curvature, profile
+from biconsurf import curvature
+from conftest import (
+    assert_same_run,
+    recorded_runs,
+    reference_dense,
+    reference_two_sided,
+    scipy_run,
+)
 
 
 class TestRhs:
@@ -214,6 +223,104 @@ class TestSolve:
         assert np.all(sol.k_samples > 0)
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
+    def test_nonpositive_or_non_finite_is_usage_error(self, field, value):
+        match = f"{field} must be positive and finite"
+        with pytest.raises(bc.UsageError, match=match):
+            curvature.curvature_problem(1, 1.0, 1.0, **{field: value})
+        with pytest.raises(bc.UsageError, match=match):
+            bc.solve_curvature(-1, 1.0, 1.0, **{field: value})
+
+
+class TestDop853Driver:
+    """The in-house DOP853 driver where a run cannot reach its bound."""
+
+    @staticmethod
+    def blow_up(u, y):
+        # y' = y^2, y(0) = 1: y = 1 / (1 - u) blows up at u = 1
+        return [y[0] * y[0]]
+
+    def test_step_underflow_matches_scipy(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = curvature._dop853(self.blow_up, [1.0], 2.0, 1e-10, 1e-12, [])
+            res = scipy_run(self.blow_up, np.array([1.0]), 2.0, 1e-10, 1e-12, [])
+        assert res.status == -1
+        assert_same_run(run, res)
+        assert abs(run.t[-1] - 1.0) < 1e-6
+
+    def test_two_sided_run_records_step_underflow(self):
+        rtol, atol = curvature._internal_tols(1e-8, 1e-10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = curvature._integrate_two_sided(
+                self.blow_up, [1.0], (-1.0, 2.0), 1e-8, 1e-10, [])
+            res = scipy_run(self.blow_up, np.array([1.0]), 2.0, rtol, atol, [])
+        end = float(res.t[-1])
+        assert res.status == -1
+        assert run.boundary == [{"u": end, "kind": "step_underflow"}]
+        assert run.span == (-1.0, end)
+        assert run.u[0] == -1.0 and run.u[-1] == end
+        u = np.linspace(0.0, end, 101)
+        assert np.array_equal(run.dense(u), reference_dense([res.sol])(u))
+
+    @staticmethod
+    def at_root(root, terminal):
+        def event(u, y):
+            return u - root
+
+        event.terminal, event.direction = terminal, 0.0
+        return event
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_terminal_event_ordering_matches_scipy(self, sign):
+        # y' = 0 steps 1e-6, 1e-5, ..., 1e-1 and then to the bound, so the
+        # last step holds all four roots; the run stops at the first
+        # terminal root along its direction and drops the roots beyond it
+        def still(u, y):
+            return [0.0 * y[0]]
+
+        events = [self.at_root(sign * r, terminal)
+                  for r, terminal in [(0.5, False), (0.45, True), (0.3, True), (0.2, False)]]
+        run = curvature._dop853(still, [1.0], sign, 1e-10, 1e-12, events)
+        res = scipy_run(still, np.array([1.0]), sign, 1e-10, 1e-12, events)
+        assert_same_run(run, res)
+        assert run.status == 1 and run.t[-1] == sign * 0.3
+        assert [len(te) for te in run.t_events] == [0, 0, 1, 1]
+
+    def test_root_on_the_last_step_time_drops_the_step(self):
+        # (u - t1)^2 with direction +1 is inactive on the step that ends at
+        # t1 and fires on the next one with its root at t1, the last step
+        # time: that step and its interpolant are dropped
+        def decay(u, y):
+            return [-y[0]]
+
+        t1 = float(curvature._dop853(decay, [1.0], 1.0, 1e-10, 1e-12, []).t[3])
+
+        def touch(u, y):
+            return (u - t1) ** 2
+
+        touch.terminal, touch.direction = True, 1.0
+        run = curvature._dop853(decay, [1.0], 1.0, 1e-10, 1e-12, [touch])
+        res = scipy_run(decay, np.array([1.0]), 1.0, 1e-10, 1e-12, [touch])
+        assert_same_run(run, res)
+        assert run.status == 1 and run.t[-1] == t1 and len(run.t) == 4
+        assert len(run.steps) == len(res.sol.interpolants) == 3
+
+    def test_non_finite_first_step_is_domain_error(self):
+        # a NaN first step never fails scipy's "step too small" test, so its
+        # step loop would spin; the driver raises instead
+        with pytest.raises(bc.DomainError, match="first ODE step"):
+            curvature._dop853(lambda u, y: [math.nan], [1.0], 1.0, 1e-10, 1e-12, [])
+
+    def test_zero_atol_on_a_zero_component_is_domain_error(self):
+        # the unvalidated s3 build with abs_tol = 0: a state component that
+        # starts at exactly 0 gets the error scale 0, and the first step 0/0
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(bc.DomainError, match="first ODE step"):
+            curvature._dop853(lambda u, y: [y[1], -y[0]], [1.0, 0.0], 1.0, 1e-10, 0.0, [])
+
+
 # The array expressions of ode_rhs and prime_poly before their float paths,
 # kept as the references: the solvers used to evaluate them on 0-d arrays, so
 # float paths that match them bit for bit leave every solve unchanged.
@@ -279,23 +386,25 @@ class TestFloatPaths:
         (-1, 0.25, 0.2, bc.Branch.H2_PARABOLIC),
     ])
     def test_solves_match_reference_rhs(self, monkeypatch, c, k0, kp0, branch):
-        from scipy.integrate import solve_ivp
-
+        # each DOP853 run of the float right-hand sides equals scipy's run of
+        # the reference (array) right-hand side on the same problem
         def build():
             sol = bc.solve_curvature(c, k0, kp0, (-3.0, 3.0))
             return sol, bc.reconstruct_profile(sol, branch)
 
-        def solve_ivp_reference(fun, t_span, y0, **kwargs):
-            return solve_ivp(reference_rhs(c, len(y0)), t_span, y0, **kwargs)
-
-        sol, prof = build()
-        with monkeypatch.context() as m:
-            m.setattr(curvature, "solve_ivp", solve_ivp_reference)
-            m.setattr(profile, "solve_ivp", solve_ivp_reference)
-            ref_sol, ref_prof = build()
-        for got, want in [(sol.u, ref_sol.u), (sol.k_samples, ref_sol.k_samples),
-                          (sol.kp_samples, ref_sol.kp_samples), (prof.u, ref_prof.u)]:
+        (sol, prof), calls = recorded_runs(monkeypatch, build)
+        assert [len(args[1]) for args, _ in calls] == [2, 2, 14, 14]
+        refs = [scipy_run(reference_rhs(c, len(y0)), y0, *rest) for (_, y0, *rest), _ in calls]
+        for (_, run), res in zip(calls, refs):
+            assert_same_run(run, res)
+        sol_right, sol_left, prof_right, prof_left = refs
+        ref_sol = reference_two_sided(sol_right, sol_left, sol.span)
+        ref_prof = reference_two_sided(prof_right, prof_left, prof.span)
+        for got, want in [(sol.u, np.concatenate([sol_left.t[::-1], sol_right.t[1:]])),
+                          (sol.k_samples, np.concatenate([sol_left.y[0, ::-1], sol_right.y[0, 1:]])),
+                          (sol.kp_samples, np.concatenate([sol_left.y[1, ::-1], sol_right.y[1, 1:]])),
+                          (prof.u, np.concatenate([prof_left.t[::-1], prof_right.t[1:]]))]:
             assert np.array_equal(got, want)
-        grid = np.unique(np.concatenate([np.linspace(*ref_prof.span, 301), ref_prof.u]))
-        assert np.array_equal(sol.state(grid), ref_sol.state(grid))
-        assert np.array_equal(prof.state(grid), ref_prof.state(grid))
+        grid = np.unique(np.concatenate([np.linspace(*prof.span, 301), prof.u]))
+        assert np.array_equal(sol.state(grid), ref_sol(grid))
+        assert np.array_equal(prof.state(grid), ref_prof(grid))

@@ -8,6 +8,14 @@ from scipy.integrate import quad
 import biconsurf as bc
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.profile import Branch
+from conftest import (
+    assert_same_interpolants,
+    assert_same_run,
+    recorded_runs,
+    reference_dense,
+    reference_two_sided,
+    scipy_run,
+)
 
 
 class TestRevolutionProfile:
@@ -243,36 +251,28 @@ class TestSingleIntegrationBuild:
 
     @staticmethod
     def _recorded_build(monkeypatch, cfg):
-        """Build ``cfg`` while recording every solve_ivp call (fun, y0, events)."""
-        from scipy.integrate import solve_ivp
-
-        from biconsurf import curvature, profile
-
-        calls = []
-
-        def recording(fun, t_span, y0, **kwargs):
-            calls.append((fun, np.array(y0, dtype=float), kwargs.get("events")))
-            return solve_ivp(fun, t_span, y0, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(curvature, "solve_ivp", recording)
-            m.setattr(profile, "solve_ivp", recording)
-            patch, sol = build_pipeline_patch(cfg)
+        """Build ``cfg`` while recording every DOP853 run ((rhs, y0, ...), run)."""
+        (patch, sol), calls = recorded_runs(monkeypatch, lambda: build_pipeline_patch(cfg))
         return patch, sol, calls
 
     @pytest.mark.parametrize("model, k0, kp0", CASES)
     def test_one_solve_ivp_per_side(self, monkeypatch, model, k0, kp0):
+        # one DOP853 run per side, each scipy's solve_ivp bit for bit
         cfg = PipelineConfig(model=model, k0=k0, kp0=kp0)
         patch, sol, calls = self._recorded_build(monkeypatch, cfg)
         assert len(calls) == 2
-        assert all(len(y0) == 14 for _, y0, _ in calls)
+        assert all(len(args[1]) == 14 for args, _ in calls)
         assert sol is patch.profile.curvature
+        results = [scipy_run(*args) for args, _ in calls]
+        for (_, run), res in zip(calls, results):
+            assert_same_run(run, res)
+        assert_same_interpolants(patch.profile._dense._dense, [res.sol for res in results])
 
     @pytest.mark.parametrize("model, k0, kp0", CASES)
     def test_matches_two_pass_reference(self, monkeypatch, model, k0, kp0):
         from scipy.integrate import solve_ivp
 
-        from biconsurf.curvature import _internal_tols, _TwoSidedDense
+        from biconsurf.curvature import _internal_tols
         from biconsurf.defaults import K_FLOOR
 
         cfg = PipelineConfig(model=model, k0=k0, kp0=kp0)
@@ -284,7 +284,7 @@ class TestSingleIntegrationBuild:
         # joint state over the span it reached with a k-floor stop only
         ref_sol = bc.solve_curvature(cfg.c, k0, kp0, sol.requested_span,
                                      rel_tol=sol.rel_tol, abs_tol=sol.abs_tol)
-        fun, y0, _ = calls[0]
+        (fun, y0, *_), _ = calls[0]
 
         def floor(u, y):
             return y[0] - K_FLOOR
@@ -298,7 +298,7 @@ class TestSingleIntegrationBuild:
             for end in (ref_sol.span[1], ref_sol.span[0])
         )
         ref_u = np.concatenate([left.t[::-1], right.t[1:]])
-        ref_dense = _TwoSidedDense(right, left, ref_sol.span)
+        ref_dense = reference_two_sided(right, left, ref_sol.span)
 
         assert sol.C == ref_sol.C
         assert prof.span == sol.span == ref_sol.span
@@ -346,10 +346,20 @@ class TestDenseOutput:
 
     @staticmethod
     def _recorded(monkeypatch, build):
+        """``build()`` and scipy's ``solve_ivp`` results of the DOP853 runs it
+        made, in order; each run must equal its scipy result bit for bit."""
+        built, calls = recorded_runs(monkeypatch, build)
+        results = [scipy_run(*args) for args, _ in calls]
+        for (_, run), res in zip(calls, results):
+            assert_same_run(run, res)
+        return built, results
+
+    @staticmethod
+    def _recorded_oracle(monkeypatch, build):
         """``build()`` and the results of the solve_ivp calls it made, in order."""
         from scipy.integrate import solve_ivp
 
-        from biconsurf import curvature, profile
+        from biconsurf import profile
 
         results = []
 
@@ -358,7 +368,6 @@ class TestDenseOutput:
             return results[-1]
 
         with monkeypatch.context() as m:
-            m.setattr(curvature, "solve_ivp", recording)
             m.setattr(profile, "solve_ivp", recording)
             built = build()
         return built, results
@@ -371,9 +380,7 @@ class TestDenseOutput:
         return np.concatenate([ts, [ts[0], ts[-1]], inside])
 
     def _check_run(self, sol):
-        from biconsurf.curvature import _Dop853Dense
-
-        dense = _Dop853Dense([sol])
+        dense = reference_dense([sol])
         # at a step time OdeSolution takes the segment of lower index; the
         # values agree either way (y_old + (y_new - y_old) rounds back to
         # y_new), so the rule is checked on the indices
@@ -389,9 +396,11 @@ class TestDenseOutput:
     def _check_two_sided(self, state, results, n=None):
         """``state`` against scipy on both runs (the left one for u < 0).
 
-        ``state`` returns the first ``n`` components of the runs' states.
+        ``state`` returns the first ``n`` components of the runs' states; its
+        evaluator must hold exactly the interpolants of scipy's runs.
         """
         right, left = (res.sol for res in results)
+        assert_same_interpolants(state.__self__._dense._dense, [right, left])
         assert right.ts[-1] > 0 > left.ts[-1]
         for sol in (right, left):
             self._check_run(sol)
@@ -433,13 +442,26 @@ class TestDenseOutput:
         assert [res.status for res in results] == [1, 1]  # both ended by k_floor
         self._check_two_sided(patch.profile.state, results)
 
+    def test_long_runs(self, monkeypatch):
+        # many turning points (non-terminal roots) on s3, long steps on h3
+        from biconsurf.curvature import curvature_problem
+
+        problem = curvature_problem(1, 1.0, 1.0, (-10.0, 10.0), rel_tol=1e-12, abs_tol=1e-14)
+        prof, results = self._recorded(monkeypatch, lambda: bc.reconstruct_profile(problem, "s2"))
+        turning = prof.curvature.turning_points
+        assert np.sum(turning < 0) >= 5 and np.sum(turning > 0) >= 5
+        self._check_two_sided(prof.state, results)
+        sol, results = self._recorded(
+            monkeypatch, lambda: bc.solve_curvature(-1, 1.0, 1.0, (-4.0, 4.0)))
+        self._check_two_sided(sol.state, results)
+
     @pytest.mark.parametrize("ascending", [True, False])
     def test_oracle_run(self, monkeypatch, s3_pipeline, ascending):
         sol, prof, _, _ = s3_pipeline
         u_turn = float(sol.turning_points[0])
         st = prof.state(np.array([0.05, u_turn - 0.03]))
         a, b = (0, 1) if ascending else (1, 0)
-        oracle, results = self._recorded(
+        oracle, results = self._recorded_oracle(
             monkeypatch,
             lambda: bc.profile_oracle_dxdk(st[a, 2], (st[a, 0], st[b, 0]), sol.C))
         (res,) = results
@@ -448,4 +470,6 @@ class TestDenseOutput:
         k = self._points(res.sol.ts)
         assert np.array_equal(oracle.x(k), res.sol(k)[0])
         assert oracle.x(float(k[-1])) == float(res.sol(float(k[-1]))[0])
+        assert oracle.x(np.array([])).shape == (0,)
+        assert np.array_equal(oracle.x(k.reshape(-1, 1)), res.sol(k)[0].reshape(-1, 1))
 

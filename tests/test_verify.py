@@ -720,9 +720,12 @@ class TestProfileBuildMutations:
         # (k, k', sigma, T, n)
         c = bc.S3.c if case == "s3" else bc.H3.c
         exact = profile._integrate_two_sided
+        batched = []
 
         def integrate(rhs, y0, *args):
             def flipped(u, y):
+                # floats while stepping, component arrays in the interpolant pass
+                batched.append(isinstance(y, np.ndarray))
                 out = rhs(u, y)
                 return out[:6] + [out[6 + i] + 2 * c * y[2 + i] for i in range(4)] + out[10:]
 
@@ -730,6 +733,7 @@ class TestProfileBuildMutations:
 
         monkeypatch.setattr(profile, "_integrate_two_sided", integrate)
         self.assert_rejected(case, failing)
+        assert any(batched) and not all(batched)
 
     @pytest.mark.parametrize("case", sorted(_CURVED))
     def test_scaled_sweep_amplitude(self, case, monkeypatch):
