@@ -17,11 +17,12 @@ W used by the surface constructions.
 
 The scheme is DOP853, stepped by ``_dop853``: scipy's ``solve_ivp(...,
 method="DOP853", dense_output=True, events=...)`` repeated operation for
-operation (the tableau is read from the public ``scipy.integrate.DOP853``
-class), so its steps, states, event roots and interpolants are
-bit-identical to scipy's.  The three interpolant stages do not feed the
-stepping, so they are computed for all accepted steps of a two-sided run in
-one batched pass at its end (for a step with an event, on demand).
+operation, with the tableau of :mod:`biconsurf.dop853` and event roots from
+``_brentq``, a port of scipy's C ``brentq``, so its steps, states, event
+roots and interpolants are bit-identical to scipy's, and the module imports
+numpy alone.  The three interpolant stages do not feed the stepping, so
+they are computed for all accepted steps of a two-sided run in one batched
+pass at its end (for a step with an event, on demand).
 
 A right-hand side ``rhs(u, y)`` takes the state as a sequence of
 components: plain Python floats while stepping, one array per component
@@ -41,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
+from . import dop853
 from .defaults import ADMISSIBILITY_SLACK, K_FLOOR, ODE_ATOL, ODE_RTOL
 from .errors import DomainError, NoSolutionError, UsageError
 
@@ -154,6 +154,76 @@ def _bisect(f, lo: float, hi: float, rel: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _brentq(f, xa: float, xb: float, tol: float, name: str) -> float:
+    """A root of the event ``f`` between ``xa`` and ``xb``, by Brent's method.
+
+    scipy's C ``brentq`` (``scipy/optimize/Zeros/brentq.c``, after R. P.
+    Brent, *Algorithms for Minimization Without Derivatives*, 1973, ch. 4)
+    on Python floats, operation for operation, with ``xtol = rtol = tol``
+    and scipy's 100 iterations: the same calls of ``f`` and the same root
+    bits as ``scipy.optimize.brentq``.  Where scipy raises ``ValueError``
+    (a NaN value, or one sign at both ends) or ``RuntimeError`` (no
+    convergence), this raises ``DomainError`` naming the event ``name``.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if np.isnan(fx):
+            raise DomainError(f"the {name} event is NaN at u = {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # below, f is never NaN and compared for sign only where it is not 0,
+    # so ``< 0`` reads the sign bit as C's ``signbit`` does
+    if (fpre < 0) == (fcur < 0):
+        raise DomainError(
+            f"the {name} event has one sign at u = {xpre!r} and u = {xcur!r}"
+        )
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise DomainError(
+        f"the {name} event root did not converge in 100 iterations; last u = {xcur!r}"
+    )
 
 
 def admissible_interval(C: float, c: int) -> tuple[float, float]:
@@ -285,16 +355,16 @@ class _TwoSidedDense:
         return dense.at(flat, seg).reshape(u.shape + (dense.nstate,))
 
 
-# The DOP853 tableau of scipy's public class, and the step-size controller
-# constants of its Runge-Kutta solvers.
-_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, DOP853.n_stages)]
+# The DOP853 tableau, and the step-size controller constants of scipy's
+# Runge-Kutta solvers.
+_STAGES = [(s, dop853.A[s, :s], float(dop853.C[s])) for s in range(1, dop853.N_STAGES)]
 _EXTRA_STAGES = [
     (s, a[:s], float(c))
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)
+    for s, (a, c) in enumerate(zip(dop853.A_EXTRA, dop853.C_EXTRA), start=dop853.N_STAGES + 1)
 ]
-_N_STAGES_EXTENDED = DOP853.n_stages + 1 + len(_EXTRA_STAGES)
+_N_STAGES_EXTENDED = dop853.N_STAGES + 1 + len(_EXTRA_STAGES)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+_ERROR_EXPONENT = -1 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
 _EVENT_TOL = 4 * np.finfo(float).eps
 
 
@@ -324,11 +394,11 @@ def _interpolants(rhs, t_old, h, y_old, y_new, K) -> np.ndarray:
         K[:, s] = np.transpose(rhs(t_old + c * h, (y_old + dy).T))
     f_old = K[:, 0]
     delta_y = y_new - y_old
-    F = np.empty((3 + len(DOP853.D),) + y_old.shape)
+    F = np.empty((3 + len(dop853.D),) + y_old.shape)
     F[0] = delta_y
     F[1] = hc * f_old - delta_y
-    F[2] = 2 * delta_y - hc * (K[:, DOP853.n_stages] + f_old)
-    F[3:] = (h[:, None, None] * np.matmul(DOP853.D, K)).transpose(1, 0, 2)
+    F[2] = 2 * delta_y - hc * (K[:, dop853.N_STAGES] + f_old)
+    F[3:] = (h[:, None, None] * np.matmul(dop853.D, K)).transpose(1, 0, 2)
     return F
 
 
@@ -365,11 +435,12 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     dense_output=True, rtol=rtol, atol=atol, events=events)`` for a scalar
     ``rtol >= 100 eps`` and ``atol > 0`` and events with boolean
     ``terminal``: the initial step rule, the stage sums, the error norm, the
-    step-size controller, the event sign tests and ``brentq`` root solves,
+    step-size controller, the event sign tests and root solves (``_brentq``),
     the terminal-event ordering and the dropped step when a root falls on
     the last step time.  A first step that is not finite (a right-hand side
     or error scale that is not) would spin scipy's step loop; here it raises
-    ``DomainError``.  A non-finite error norm rejects the step, as in scipy,
+    ``DomainError``, as does an event root solve where scipy's ``brentq``
+    raises.  A non-finite error norm rejects the step, as in scipy,
     so such a run ends in a step-size underflow (status -1).
     """
     t0 = 0.0
@@ -400,7 +471,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     # one stage table per run, its stage sums read through fixed views
     K = np.empty((_N_STAGES_EXTENDED, n))
     sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
-    K_b, K_e, f_row = K[:DOP853.n_stages].T, K[:DOP853.n_stages + 1].T, DOP853.n_stages
+    K_b, K_e, f_row = K[:dop853.N_STAGES].T, K[:dop853.N_STAGES + 1].T, dop853.N_STAGES
 
     terminal = np.array([bool(e.terminal) for e in events])
     event_dir = [e.direction for e in events]
@@ -429,12 +500,12 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             K[0] = f
             for s, K_s, a, c in sums:
                 K[s] = rhs(t + c * h, (y + K_s.dot(a) * h).tolist())
-            y_new = y + h * K_b.dot(DOP853.B)
+            y_new = y + h * K_b.dot(dop853.B)
             K[f_row] = rhs(t + h, y_new.tolist())
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = K_e.dot(DOP853.E5) / scale
-            err3 = K_e.dot(DOP853.E3) / scale
+            err5 = K_e.dot(dop853.E5) / scale
+            err3 = K_e.dot(dop853.E3) / scale
             err5_norm_2 = _norm(err5) ** 2
             err3_norm_2 = _norm(err3) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -472,8 +543,8 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
         if active:
             dense = _step_dense(rhs, step)
             roots = np.asarray([
-                brentq(lambda u, event=events[i]: event(u, dense(u)), t_old, t,
-                       xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+                _brentq(lambda u, event=events[i]: event(u, dense(u)), t_old, t,
+                        _EVENT_TOL, events[i].__name__)
                 for i in active
             ])
             active = np.asarray(active)

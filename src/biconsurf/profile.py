@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
 from .ambient import H3, S3, SpaceForm, orthonormal_complement
 from .curvature import (
@@ -51,6 +51,9 @@ from .errors import (
     SplitRangeError,
     UsageError,
 )
+
+if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
 
 __all__ = [
     "RevolutionProfile",
@@ -436,8 +439,12 @@ def profile_oracle_dxdk(
     ``k_range`` must avoid both the turning-point locus (where the prime
     integral polynomial vanishes and the square root in the equation blows
     up) and the curve C1-pole where 9 C k^(3/2) = 16.  The result is meant
-    purely as an independent cross-check of the frame integration.
+    purely as an independent cross-check of the frame integration, and the
+    one caller of scipy in the package: it imports scipy's ``solve_ivp``
+    here, so that importing biconsurf and running its pipelines do not.
     """
+    from scipy.integrate import solve_ivp
+
     k_a, k_b = float(k_range[0]), float(k_range[1])
     if k_a == k_b:
         raise UsageError("k_range must be nondegenerate")

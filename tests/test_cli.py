@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +423,58 @@ class TestDeterminism:
                      "surface.obj.channels.csv"):
             assert (tmp_path / "one" / name).read_bytes() == \
                 (tmp_path / "two" / name).read_bytes()
+
+
+class TestImportHygiene:
+    """The library and its pipelines run where scipy cannot be imported."""
+
+    SCRIPT = """
+import importlib.abc
+import sys
+from pathlib import Path
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not blocked")
+
+import biconsurf
+from biconsurf.pipeline import PipelineConfig, cmd_profile, cmd_solve, cmd_surface
+
+out = Path(sys.argv[1])
+for name, fields in [
+    ("s3", dict(model="s3", k0=1.0, kp0=1.0)),
+    ("h3e", dict(model="h3", k0=1.0, kp0=1.0)),
+    ("h3p", dict(model="h3", k0=0.25, kp0=0.2)),
+    ("r3", dict(model="r3")),
+]:
+    cfg = PipelineConfig(nu=8, nv=8, **fields)
+    cmd_solve(cfg, out / name / "solve.csv")
+    cmd_profile(cfg, out / name / "profile.csv")
+    cmd_surface(cfg, out / name)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+    def test_pipelines_run_without_scipy(self, tmp_path):
+        src = str(Path(bc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        for name in ("s3", "h3e", "h3p", "r3"):
+            for file in ("solve.csv", "profile.csv", "surface.obj", "surface.report.json"):
+                assert (tmp_path / name / file).stat().st_size > 0

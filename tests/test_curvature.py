@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 import biconsurf as bc
-from biconsurf import curvature
+from biconsurf import curvature, dop853
+from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from conftest import (
     assert_same_run,
     recorded_runs,
@@ -319,6 +322,94 @@ class TestDop853Driver:
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(bc.DomainError, match="first ODE step"):
             curvature._dop853(lambda u, y: [y[1], -y[0]], [1.0, 0.0], 1.0, 1e-10, 0.0, [])
+
+
+class TestTableau:
+    """The embedded DOP853 tableau is scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"])
+    def test_array_equals_scipy(self, name):
+        got, want = getattr(dop853, name), getattr(DOP853, name)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_counts_equal_scipy(self):
+        assert dop853.N_STAGES == DOP853.n_stages
+        assert dop853.ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
+
+
+def _ulps(x, n, toward):
+    for _ in range(n):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+class TestBrent:
+    """The Brent port against ``scipy.optimize.brentq`` (the reference)."""
+
+    TOL = 4 * np.finfo(float).eps
+
+    def assert_matches_scipy(self, f, a, b, name="event", port=curvature._brentq):
+        """The port's root and evaluation points equal scipy's, bit for bit."""
+        got, want = [], []
+        root = port(lambda x: got.append(x) or f(x), a, b, self.TOL, name)
+        ref, info = brentq(lambda x: want.append(x) or f(x), a, b,
+                           xtol=self.TOL, rtol=self.TOL, full_output=True)
+        assert root.hex() == float(ref).hex()
+        assert len(got) == info.function_calls
+        assert got == want
+        return root
+
+    @pytest.mark.parametrize("a, b", [(0.25, 1.5), (1.5, 0.25), (-0.5, -2.0)])
+    @pytest.mark.parametrize("where", [
+        ("a", 0), ("a", 1), ("a", 2), ("a", 5), ("b", 0), ("b", 1), ("b", 3), ("mid", 0),
+    ])
+    @pytest.mark.parametrize("shape", ["line", "cubic", "exp"])
+    def test_roots_at_and_near_the_ends(self, a, b, where, shape):
+        end, n = where
+        r = {"a": _ulps(a, n, b), "b": _ulps(b, n, a), "mid": 0.3 * a + 0.7 * b}[end]
+        f = {
+            "line": lambda x: x - r,
+            "cubic": lambda x: (x - r) * (1.0 + 4.0 * x * x),
+            "exp": lambda x: math.expm1(3.0 * (x - r)),
+        }[shape]
+        root = self.assert_matches_scipy(f, a, b)
+        if n == 0 and end != "mid":
+            assert root == r
+
+    @pytest.mark.parametrize("build, kinds", [
+        (lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)), ["turning"] * 11),
+        (lambda: build_pipeline_patch(
+            PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))),
+         ["turning", "k_floor", "k_floor"]),
+    ])
+    def test_event_roots_on_step_interpolants(self, monkeypatch, build, kinds):
+        # every event root of an s3 solve over +-10 and of a truncated h3
+        # build, solved by the port and by scipy on the same interpolant
+        solved = []
+
+        def both(f, a, b, tol, name):
+            assert tol == self.TOL
+            solved.append(name)
+            return self.assert_matches_scipy(f, a, b, name)
+
+        monkeypatch.setattr(curvature, "_brentq", both)
+        build()
+        assert sorted(solved) == sorted(kinds)
+
+    def test_same_sign_or_nan_is_domain_error(self):
+        # scipy raises a raw ValueError in each case
+        cases = [
+            (lambda u: u, "one sign at u = 0.5 and u = 1.0"),
+            (lambda u: math.nan if u > 0.9 else u - 0.6, "NaN at u = 1.0"),
+            (lambda u: math.nan if 0.5 < u < 1.0 else u - 0.6, "NaN at u = 0.6"),
+        ]
+        for f, message in cases:
+            with pytest.raises(bc.DomainError, match=f"the k_floor event .*{message}"):
+                curvature._brentq(f, 0.5, 1.0, self.TOL, "k_floor")
+            with pytest.raises(ValueError):
+                brentq(f, 0.5, 1.0, xtol=self.TOL, rtol=self.TOL)
 
 
 # The array expressions of ode_rhs and prime_poly before their float paths,

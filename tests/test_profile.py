@@ -357,10 +357,9 @@ class TestDenseOutput:
     @staticmethod
     def _recorded_oracle(monkeypatch, build):
         """``build()`` and the results of the solve_ivp calls it made, in order."""
-        from scipy.integrate import solve_ivp
+        import scipy.integrate
 
-        from biconsurf import profile
-
+        solve_ivp = scipy.integrate.solve_ivp
         results = []
 
         def recording(*args, **kwargs):
@@ -368,7 +367,8 @@ class TestDenseOutput:
             return results[-1]
 
         with monkeypatch.context() as m:
-            m.setattr(profile, "solve_ivp", recording)
+            # the oracle imports solve_ivp from scipy.integrate when called
+            m.setattr(scipy.integrate, "solve_ivp", recording)
             built = build()
         return built, results
 
