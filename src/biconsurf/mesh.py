@@ -15,6 +15,16 @@ tie, where the product's error is below 1e-14) is printed by Python's own
 ``%`` into its slots; zeros are printed directly.  A ``Mesh`` formats its
 vertex and channel columns once, on the first write, and the OBJ, sidecar
 and PLY writers take their columns from those cells.
+
+Vertex ids are formatted once per mesh too: ``Mesh._ids`` holds the decimal
+words of the ids 0 to N, digits right-aligned and zero-padded in one 8-byte
+word per id (more once the ids have 8 or more digits).  OBJ faces (ids + 1),
+PLY faces (ids) and the sidecar's index column are gathers from that table.
+Every table, floats and ids alike, is laid out in a ``bytearray`` of words
+and turned into text by one ``translate`` that deletes the zero bytes; the
+writers open their files in binary mode and write those bytes, with their
+short headers encoded as UTF-8.  So the files are ASCII (for ASCII channel
+names) with ``\n`` line ends on every platform.
 """
 from __future__ import annotations
 
@@ -215,40 +225,70 @@ def _float_cells(table) -> np.ndarray:
     return cells
 
 
-def _cells_text(cells, sep: str, head: str = "", index: bool = False) -> str:
-    """The text of a table of cells, one line per row.
+def _id_words(ids) -> np.ndarray:
+    """The decimal words of the non-negative integers ``ids``, shape ``(n, w)``.
 
-    A line is ``head``, then (with ``index``) the row number and ``sep``,
-    then the row's values joined by ``sep``.  For ``cells =
-    _float_cells(table)`` that is byte-identical to ``(line * len(table)) %
-    tuple(table.ravel().tolist())`` with ``line`` the matching
-    ``%``-template of ``"%.17g"`` fields.
+    Each id is its digits right-aligned in w = digits // 8 + 1 little-endian
+    words, zero bytes before them, with ``digits`` those of the largest id;
+    so byte 0 of the first word is always free for a separator.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    digits = len(str(int(ids.max(initial=0))))
+    text = np.zeros((ids.size, 8 * (digits // 8 + 1)), np.uint8)
+    for j in range(digits):
+        place = 10**j
+        text[:, -1 - j] = np.where((ids >= place) | (place == 1), ids // place % 10 + 48, 0)
+    return text.view("<u8")
+
+
+def _word_table(rows: int, *widths: int) -> tuple:
+    """A zeroed bytearray of ``rows`` lines of words and a view per column block."""
+    buf = bytearray(8 * rows * sum(widths))
+    out = np.frombuffer(buf, "<u8").reshape(rows, sum(widths))
+    edges = np.cumsum((0,) + widths)
+    return buf, [out[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _cells_text(cells, sep: str, head: str = "", ids=None) -> bytearray:
+    """The ASCII text of a table of cells, one line per row.
+
+    A line is ``head``, then (given the id words ``ids`` of the rows, see
+    ``_id_words``) the row's id and ``sep``, then the row's values joined by
+    ``sep``.  For ``cells = _float_cells(table)`` that is byte-identical to
+    ``(line * len(table)) % tuple(table.ravel().tolist())`` with ``line`` the
+    matching ``%``-template of ``"%.17g"`` fields.
     """
     rows, cols = cells.shape[:2]
-    digits = len(str(max(rows - 1, 0))) if index else 0
-    lead = -(-(len(head) + digits + index) // 8)  # words before the cells
-    buf = bytearray(8 * rows * (lead + cols * _WORDS))
-    out = np.frombuffer(buf, "<u8").reshape(rows, lead + cols * _WORDS)
-    text = out.view(np.uint8)
-    text[:, :len(head)] = np.frombuffer(head.encode(), np.uint8)
-    if index:
-        scale = 10 ** np.arange(digits)[::-1]
-        i = np.arange(rows)[:, None]
-        text[:, len(head):len(head) + digits] = np.where(
-            (i >= scale) | (scale == 1), i // scale % 10 + 48, 0)
-        text[:, len(head) + digits] = ord(sep)
-    body = out[:, lead:].reshape(rows, cols, _WORDS)
+    lead = _words([head.encode()] if head else [])  # a head of at most 8 bytes
+    index = 0 if ids is None else ids.shape[1] + 1
+    buf, (first, number, body) = _word_table(rows, len(lead), index, cols * _WORDS)
+    first[...] = lead
+    if ids is not None:
+        number[:, :-1] = ids[:rows]
+        number[:, -1] = ord(sep)
+    body = body.reshape(rows, cols, _WORDS)
     body[...] = cells
     ends = np.full(cols, ord(sep), np.uint64)
     ends[-1:] = ord("\n")
     body[..., 5] |= ends << np.uint64(40)
-    return buf.translate(None, b"\0").decode("ascii")
+    return buf.translate(None, b"\0")
 
 
-def _rows(table, row: str) -> str:
-    """The %-template ``row`` applied to every row of an integer ``table``."""
-    table = np.asarray(table)
-    return (row * len(table)) % tuple(table.ravel().tolist())
+def _face_text(ids, quads, head: str) -> bytearray:
+    """Lines ``head``, then `` id`` per vertex of a face, from the id words.
+
+    ``ids`` are the words of ``_id_words`` and each quad entry is a row of
+    them: one gather per table, no per-integer formatting.
+    """
+    rows, corners = quads.shape
+    width = ids.shape[1]
+    buf, (first, faces, last) = _word_table(rows, 1, corners * width, 1)
+    first[...] = _words([head.encode()])
+    faces = faces.reshape(rows, corners, width)
+    np.take(ids, quads, axis=0, out=faces, mode="clip")  # a Mesh checks its quads
+    faces[..., 0] |= np.uint64(ord(" "))
+    last[...] = ord("\n")
+    return buf.translate(None, b"\0")
 
 
 def _sidecar_path(path) -> str:
@@ -256,10 +296,17 @@ def _sidecar_path(path) -> str:
     return str(path) + ".channels.csv"
 
 
-def _read_only(values) -> np.ndarray:
-    a = np.array(values)
+def _read_only(a) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _array(name: str, values, dtype=None) -> np.ndarray:
+    """A copy of ``values`` as an array, or ``UsageError`` if it is none."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise UsageError(f"mesh {name} is not a numeric array") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,32 +316,58 @@ class Mesh:
     The mesh keeps read-only copies of the arrays it is given and a
     read-only ``channels`` mapping, so writing into a mesh raises.  That
     keeps the cells the writers cache on it (its columns formatted once per
-    mesh) equal to the arrays.
+    mesh, its vertex ids once per mesh) equal to the arrays.  ``UsageError``
+    unless the vertices have shape (N, 3), the quads are integers of shape
+    (M, k) with k >= 3 and every id in [0, N), and every channel has shape
+    (N,).
     """
 
     vertices: np.ndarray          # (N, 3)
-    quads: np.ndarray             # (M, 4) int indices
+    quads: np.ndarray             # (M, k) int indices, k >= 3 (4 from sample_mesh)
     channels: Mapping[str, np.ndarray] = field(default_factory=dict)
     grid_shape: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _read_only(self.vertices))
-        object.__setattr__(self, "quads", _read_only(self.quads))
-        object.__setattr__(self, "channels", MappingProxyType(
-            {name: _read_only(values) for name, values in self.channels.items()}
-        ))
+        vertices = _array("vertices", self.vertices, float)
+        if vertices.ndim != 2 or vertices.shape[1] != 3:
+            raise UsageError(f"mesh vertices must have shape (N, 3), got {vertices.shape}")
+        n = len(vertices)
+        quads = _array("quads", self.quads)
+        if quads.ndim != 2 or quads.shape[1] < 3 or not np.issubdtype(quads.dtype, np.integer):
+            raise UsageError(
+                f"mesh quads must be integers of shape (M, k >= 3), got {quads.dtype} "
+                f"of shape {quads.shape}"
+            )
+        if quads.size and not (quads.min() >= 0 and quads.max() < n):
+            raise UsageError(f"mesh quads must hold vertex ids in [0, {n})")
+        channels = {}
+        for name, values in self.channels.items():
+            values = _array(f"channel '{name}'", values, float)
+            if values.shape != (n,):
+                raise UsageError(
+                    f"mesh channel '{name}' must have shape {(n,)}, got {values.shape}"
+                )
+            channels[name] = _read_only(values)
+        object.__setattr__(self, "vertices", _read_only(vertices))
+        object.__setattr__(self, "quads", _read_only(quads))
+        object.__setattr__(self, "channels", MappingProxyType(channels))
 
     def triangles(self) -> np.ndarray:
+        """Each face as a fan of triangles about its first corner, fan by fan."""
         q = self.quads
-        return np.concatenate([q[:, [0, 1, 2]], q[:, [0, 2, 3]]], axis=0)
+        return np.concatenate([q[:, [0, j, j + 1]] for j in range(1, q.shape[1] - 1)], axis=0)
 
     @cached_property
     def _cells(self) -> np.ndarray:
         """The ``%.17g`` cells of the vertex columns, then the channels by name."""
         columns = [self.channels[name] for name in sorted(self.channels)]
         cells = _float_cells(np.column_stack([self.vertices] + columns))
-        cells.flags.writeable = False
-        return cells
+        return _read_only(cells)
+
+    @cached_property
+    def _ids(self) -> np.ndarray:
+        """The decimal words of the vertex ids 0 to N (OBJ counts from 1)."""
+        return _read_only(_id_words(np.arange(len(self.vertices) + 1)))
 
 
 def stereographic(points: np.ndarray, pole: np.ndarray | None = None) -> np.ndarray:
@@ -429,15 +502,15 @@ def sample_mesh(
 def write_obj(mesh: Mesh, path, sidecar=None) -> list:
     """ASCII OBJ with quad faces; channels go to a CSV sidecar file."""
     path = str(path)
-    with open(path, "w") as fh:
-        fh.write(_cells_text(mesh._cells[:, :mesh.vertices.shape[1]], " ", "v "))
-        fh.write(_rows(mesh.quads + 1, "f" + " %d" * mesh.quads.shape[1] + "\n"))
+    with open(path, "wb") as fh:
+        fh.write(_cells_text(mesh._cells[:, :3], " ", "v "))
+        fh.write(_face_text(mesh._ids[1:], mesh.quads, "f"))
     written = [path]
     if mesh.channels:
         side = str(sidecar) if sidecar is not None else _sidecar_path(path)
-        with open(side, "w") as fh:
-            fh.write("vertex," + ",".join(sorted(mesh.channels)) + "\n")
-            fh.write(_cells_text(mesh._cells[:, mesh.vertices.shape[1]:], ",", index=True))
+        with open(side, "wb") as fh:
+            fh.write(("vertex," + ",".join(sorted(mesh.channels)) + "\n").encode())
+            fh.write(_cells_text(mesh._cells[:, 3:], ",", ids=mesh._ids))
         written.append(side)
     return written
 
@@ -460,8 +533,8 @@ def write_ply(mesh: Mesh, path) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
         fh.write(_cells_text(mesh._cells, " "))
-        fh.write(_rows(mesh.quads, "4" + " %d" * mesh.quads.shape[1] + "\n"))
+        fh.write(_face_text(mesh._ids, mesh.quads, str(mesh.quads.shape[1])))
     return path

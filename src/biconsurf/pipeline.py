@@ -39,10 +39,10 @@ def _fmt(x) -> str:
 
 def _write_lines(path, lines, table=None) -> str:
     """Write ``lines``, then the float ``table`` (if any) as ``%.17g`` CSV rows."""
-    text = "\n".join(lines) + "\n"
-    if table is not None:
-        text += _cells_text(_float_cells(np.column_stack(table)), ",")
-    Path(path).write_text(text)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        if table is not None:
+            fh.write(_cells_text(_float_cells(np.column_stack(table)), ","))
     return str(path)
 
 

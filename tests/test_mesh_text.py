@@ -12,7 +12,8 @@ from biconsurf.pipeline import PipelineConfig, cmd_profile, cmd_solve, cmd_surfa
 
 
 def kernel(table, sep=" ", head="", index=False):
-    return mesh._cells_text(mesh._float_cells(table), sep, head, index)
+    ids = mesh._id_words(np.arange(len(table))) if index else None
+    return mesh._cells_text(mesh._float_cells(table), sep, head, ids).decode("ascii")
 
 
 def reference(table, sep=" ", head="", index=False):
@@ -123,3 +124,52 @@ def test_solve_and_profile_csv_bytes(tmp_path, monkeypatch, model, branch, k0, k
     for path, lines, table in tables:
         rows = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
         assert path.read_text() == "\n".join(lines) + "\n" + rows
+
+
+def faces_reference(values, quads, head):
+    return "".join(head + "".join(" %d" % values[i] for i in q) + "\n" for q in quads)
+
+
+@pytest.mark.parametrize("top", [9, 10, 99, 100, 9_999_999, 10_000_000])
+def test_id_words_at_digit_and_word_boundaries(top):
+    # synthetic ids rather than a mesh of ten million vertices: the words
+    # of a few values, faces that gather them and rows numbered by them
+    values = np.array([0, 1, top // 2, top - 1, top, 7])
+    ids = mesh._id_words(values)
+    assert ids.shape == (len(values), 2 if top >= 10_000_000 else 1)
+    quads = np.array([[0, 1, 2, 3], [3, 4, 5, 0], [4, 4, 4, 4]])
+    assert mesh._face_text(ids, quads, "f").decode("ascii") == faces_reference(values, quads, "f")
+    assert mesh._face_text(ids, quads[:, :3], "3").decode("ascii") == faces_reference(
+        values, quads[:, :3], "3")
+    table = np.linspace(-1.0, 1.0, 2 * len(values)).reshape(-1, 2)
+    text = mesh._cells_text(mesh._float_cells(table), ",", ids=ids).decode("ascii")
+    assert text == "".join("%d,%.17g,%.17g\n" % (v, *row) for v, row in zip(values, table.tolist()))
+
+
+def test_mesh_faces_past_powers_of_ten(tmp_path):
+    # OBJ ids count from 1, PLY ids and the sidecar rows from 0
+    n = 1001
+    verts = np.arange(3.0 * n).reshape(n, 3)
+    quads = np.array([[0, 8, 9, 10], [98, 99, 100, 1], [998, 999, 1000, 0]])
+    m = mesh.Mesh(vertices=verts, quads=quads, channels={"f": verts[:, 0]})
+    obj, side = mesh.write_obj(m, tmp_path / "m.obj")
+    text = (tmp_path / "m.obj").read_bytes().decode("ascii")
+    assert text.endswith(faces_reference(np.arange(1, n + 1), quads, "f"))
+    rows = (tmp_path / "m.obj.channels.csv").read_bytes().decode("ascii").splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["%d" % i for i in range(n)]
+    mesh.write_ply(m, tmp_path / "m.ply")
+    text = (tmp_path / "m.ply").read_bytes().decode("ascii")
+    assert text.endswith(faces_reference(np.arange(n), quads, "4"))
+
+
+def test_mesh_without_quads(tmp_path):
+    verts = np.array([[0.0, 1.0, 2.0], [-0.5, 0.25, np.nan]])
+    m = mesh.Mesh(vertices=verts, quads=np.zeros((0, 4), int), channels={"f": [1.0, 2.0]})
+    mesh.write_obj(m, tmp_path / "m.obj")
+    mesh.write_ply(m, tmp_path / "m.ply")
+    obj = (tmp_path / "m.obj").read_bytes()
+    assert obj == b"v 0 1 2\nv -0.5 0.25 nan\n"
+    assert (tmp_path / "m.obj.channels.csv").read_bytes() == b"vertex,f\n0,1\n1,2\n"
+    header, body = (tmp_path / "m.ply").read_bytes().split(b"end_header\n")
+    assert b"element face 0\n" in header
+    assert body == b"0 1 2 1\n-0.5 0.25 nan 2\n"

@@ -447,6 +447,30 @@ class TestExports:
             assert body == ref_ply_body(m)
             assert ("property float K" in header) == with_channels
 
+    @pytest.mark.parametrize("vertices,quads,channels", [
+        (np.zeros((4, 3)), [[0, 1, 2, -1]], {}),           # a negative id
+        (np.zeros((4, 3)), [[0, 1, 2, 4]], {}),            # an id past the vertices
+        (np.zeros((4, 3)), [[0, 1, 2, 1.5]], {}),          # float ids
+        (np.zeros((4, 3)), [0, 1, 2, 3], {}),              # 1-D quads
+        (np.zeros((4, 3)), [[0, 1]], {}),                  # faces of two corners
+        (np.zeros((4, 2)), [[0, 1, 2, 3]], {}),            # 2-D vertices
+        (np.zeros(12), [[0, 1, 2, 3]], {}),
+        ([["a", "b", "c"]], [[0, 0, 0]], {}),              # not numeric
+        (np.zeros((4, 3)), [[0, 1, 2, 3]], {"f": np.ones(3)}),
+        (np.zeros((4, 3)), [[0, 1, 2, 3]], {"f": np.ones((2, 2))}),
+    ])
+    def test_mesh_validates_its_arrays(self, vertices, quads, channels):
+        with pytest.raises(bc.UsageError):
+            bc.Mesh(vertices=vertices, quads=quads, channels=channels)
+
+    def test_triangle_faces(self, tmp_path):
+        m = bc.Mesh(vertices=np.eye(3), quads=[[0, 1, 2]])
+        assert m.triangles().tolist() == [[0, 1, 2]]
+        write_obj(m, tmp_path / "m.obj")
+        write_ply(m, tmp_path / "m.ply")
+        assert (tmp_path / "m.obj").read_text().endswith("\nf 1 2 3\n")
+        assert (tmp_path / "m.ply").read_text().endswith("end_header\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n")
+
     def test_mesh_is_read_only(self, tmp_path):
         # a write caches the formatted floats, so mutating a mesh afterwards
         # must raise instead of leaving that text behind the arrays
