@@ -35,7 +35,7 @@ print(f"  |sigma'|^2 - 1                       : {np.max(np.abs(res['unit_speed'
 u_turn = float(sol.turning_points[0])
 dev = bc.oracle_deviation(prof, 0.05, u_turn - 0.03)
 print("\nindependent reconstruction in the k parameter (reduced dx/dk equation):")
-print(f"  max |x_frame - x_oracle| = {dev['x']:.2e},  sign branch {dev['sign']:+d}")
+print(f"  max |x_chart - x_oracle| = {dev['x']:.2e},  sign branch {dev['sign']:+d}")
 
 print(f"\nsweep-field tangency residual: {bc.killing_tangency_check(patch):.2e}")
 print("(the v-curves are orbits of a one-parameter rotation group)")

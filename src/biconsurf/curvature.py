@@ -140,22 +140,6 @@ def w_value(k, kp):
     return 0.5625 * (kp / k) ** 2 + 9.0 * k**2 - 1.0
 
 
-def _bisect(f, lo: float, hi: float, rel: float = 1e-12) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel * max(abs(lo), abs(hi), 1e-300):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _brentq(f, xa: float, xb: float, tol: float, name: str) -> float:
     """A root of the event ``f`` between ``xa`` and ``xb``, by Brent's method.
 
@@ -229,13 +213,16 @@ def _brentq(f, xa: float, xb: float, tol: float, name: str) -> float:
 def admissible_interval(C: float, c: int) -> tuple[float, float]:
     """Maximal interval of k > 0 where P(k) >= 0.
 
-    Endpoints are located by bracketing and bisection to 1e-12 relative.
+    Endpoints are located by bracketing and Brent's method (``_brentq``).
     For c in {0, -1} the polynomial is positive down to k = 0 and the lower
     endpoint is returned as 0.0 (open end).
     """
     # g(k) = P(k)/k^2 has the same positive roots with a cleaner shape
     def g(k):
         return -16.0 * c / 9.0 - 16.0 * k**2 + C * k**1.5
+
+    def endpoint(lo, hi):
+        return _brentq(g, lo, hi, _EVENT_TOL, "admissible-interval endpoint")
 
     if c == 1:
         # g rises to a single maximum at k_m then falls; positive region
@@ -247,11 +234,11 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
             raise NoSolutionError(
                 "P(k) is nowhere positive: C is below the admissibility threshold"
             )
-        k_lo = _bisect(g, 1e-18, k_m)
+        k_lo = endpoint(1e-18, k_m)
         hi = 2.0 * k_m
         while g(hi) >= 0:
             hi *= 2.0
-        k_hi = _bisect(lambda k: -g(k), k_m, hi)
+        k_hi = endpoint(k_m, hi)
         return (k_lo, k_hi)
 
     if c == 0:
@@ -264,7 +251,7 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
     hi = 1.0
     while g(hi) >= 0:
         hi *= 2.0
-    k_hi = _bisect(lambda k: -g(k), 1e-18, hi)
+    k_hi = endpoint(1e-18, hi)
     return (0.0, k_hi)
 
 
@@ -365,7 +352,7 @@ _EXTRA_STAGES = [
 _N_STAGES_EXTENDED = dop853.N_STAGES + 1 + len(_EXTRA_STAGES)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
-_EVENT_TOL = 4 * np.finfo(float).eps
+_EVENT_TOL = 4 * float(np.finfo(float).eps)
 
 
 def _norm(x):
@@ -714,7 +701,7 @@ class CurvatureSolution:
 
     It is a view of one two-sided run: (k, k') are components 0-1 of that
     run's state, which is the 2-state run of :func:`solve_curvature` or the
-    joint (k, k', frame) run of ``reconstruct_profile``.  ``u``,
+    (k, k', theta) run of ``reconstruct_profile``.  ``u``,
     ``k_samples``, ``kp_samples`` hold the run's accepted steps (sorted by
     u).  ``turning_points`` are the detected roots of k'; the
     ``boundary_events`` record any early stop (k floor, admissibility exit,
@@ -828,7 +815,7 @@ def solve_curvature(
     a boundary event, not an error) if k falls to the positivity floor or
     P(k) becomes negative beyond tolerance; the first integral is
     monitored, never projected.  A pipeline build does not call this: it
-    integrates (k, k') once, jointly with the profile frame.
+    integrates (k, k') once, jointly with the profile's chart angle.
     """
     problem = curvature_problem(c, k0, kp0, span, rel_tol, abs_tol)
 

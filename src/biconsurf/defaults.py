@@ -33,7 +33,7 @@ absolute floor scales with the field (it decays toward the flat family's
 outer radius, for example).  ``second_partials_fd`` bounds the largest
 Euclidean norm, over Xuu, Xuv and Xvv, of inner-step differences minus the
 patch's analytic jet on the grid: 1e-8 for the flat family, 1e-7 for the
-curved ones, whose jets read the integrated frame.  ``higher_partials_fd``
+curved ones, whose jets read the integrated profile.  ``higher_partials_fd``
 bounds, with the same values, the largest Euclidean norm of each order 3
 and 4 partial of ``jet4`` minus the inner-step difference of the partial
 one order lower (Xuuu and Xuuuu in u, the others in v; Richardson over h,
@@ -106,5 +106,4 @@ TOL_PROFILES["h3_parabolic"] = dict(TOL_PROFILES["s3"])
 
 # profile-curve constraint thresholds
 CONSTRAINT_TOL = 1e-6
-ORTHOGONALITY_TOL = 1e-8
 MEMBERSHIP_TOL = 1e-8

@@ -309,6 +309,11 @@ def _array(name: str, values, dtype=None) -> np.ndarray:
         raise UsageError(f"mesh {name} is not a numeric array") from None
 
 
+# the bytes a channel name may hold: it becomes one PLY property word and one
+# comma-separated sidecar column name
+_NAME_CHARS = frozenset(map(chr, range(0x21, 0x7F))) - {","}
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Grid mesh: projected vertices, quad faces, per-vertex scalar channels.
@@ -319,7 +324,7 @@ class Mesh:
     mesh, its vertex ids once per mesh) equal to the arrays.  ``UsageError``
     unless the vertices have shape (N, 3), the quads are integers of shape
     (M, k) with k >= 3 and every id in [0, N), and every channel has shape
-    (N,).
+    (N,) and a non-empty name of printable ASCII with no whitespace or comma.
     """
 
     vertices: np.ndarray          # (N, 3)
@@ -342,6 +347,11 @@ class Mesh:
             raise UsageError(f"mesh quads must hold vertex ids in [0, {n})")
         channels = {}
         for name, values in self.channels.items():
+            if not (isinstance(name, str) and name and set(name) <= _NAME_CHARS):
+                raise UsageError(
+                    f"mesh channel name {name!r} must be non-empty printable ASCII "
+                    "with no whitespace or comma"
+                )
             values = _array(f"channel '{name}'", values, float)
             if values.shape != (n,):
                 raise UsageError(

@@ -5,7 +5,7 @@ randomness, fixed field orderings and 17-significant-digit floats, so
 repeated runs produce byte-identical outputs.  The curved pipelines pad the
 integration span by the finite-difference reach so the declared parameter
 rectangle stays fully verifiable, and integrate the curvature ODE once per
-build, jointly with the profile frame.
+build, jointly with the profile's chart angle.
 """
 from __future__ import annotations
 
@@ -154,8 +154,9 @@ def build_pipeline_patch(cfg: PipelineConfig):
     """Run initial data through profile reconstruction to a trimmed patch.
 
     Returns ``(patch, sol)``; ``sol`` is None for r3.  A curved build
-    integrates the ODE once: (k, k') run jointly with the profile frame, and
-    ``sol`` is the curvature view of that run (``patch.profile.curvature``).
+    integrates the ODE once: (k, k') run jointly with the profile's chart
+    angle, and ``sol`` is the curvature view of that run
+    (``patch.profile.curvature``).
     """
     cfg = cfg.validate()
     if cfg.model == "r3":
@@ -213,7 +214,7 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
 
 
 def cmd_profile(cfg: PipelineConfig, out) -> dict:
-    """Emit the profile curve as CSV (closed form for r3, frame data else)."""
+    """Emit the profile curve as CSV (closed form for r3, the polar chart else)."""
     cfg = cfg.validate()
     out = _output_file(out)
     if cfg.model == "r3":

@@ -6,33 +6,34 @@ Two constructions live here:
   and axial height in closed form in a chart t that is regular across the
   waist circle;
 
-* frame-integrated unit-speed curves in a totally geodesic 2-sphere or
-  hyperbolic plane whose geodesic curvature is a prescribed solution k(u) of
-  the curvature ODE and whose position satisfies the linear constraint
-  equations of the classification: <sigma, C1> is the sweep amplitude
-  a = sc k^(-3/4) (minus it on h2_parabolic), on the circle branches the
-  orbits' radius 1/kappa2; sc is ``_amplitude_scale``, (a, a') ``_amplitude``.
+* unit-speed curves in a totally geodesic 2-sphere or hyperbolic plane
+  whose geodesic curvature is a prescribed solution k(u) of the curvature
+  ODE and whose position satisfies the linear constraint equations of the
+  classification: <sigma, C1> is the sweep amplitude a = sc k^(-3/4) (minus
+  it on h2_parabolic), on the circle branches the orbits' radius 1/kappa2;
+  sc is ``_amplitude_scale``, (a, a') ``_amplitude``.
 
-The frame system is integrated jointly with (k, k') so the curve and its
-curvature share one error budget:
-
-    sigma' = T,   T' = k n - c sigma,   n' = -k T,
-
-with c the model curvature (+1 on the sphere, -1 on the hyperboloid, where
-the sign enters through the Gauss formula of the quadric).  That joint run
-is the only integration of a curved profile: it carries the curvature
-solver's events, and the curve's ``curvature`` is a view of its (k, k')
-components.
+One coordinate of such a curve is fixed by a(u), so it is a polar chart
+about a fixed axis P (``_Chart``): sigma = a P + r (cos(theta) E1 +
+sin(theta) E2), with cosh and sinh on h2_elliptic, whose (E1, E2) plane is
+Lorentzian.  The quadric fixes r(a), and unit speed with the first integral
+of the curvature ODE fixes theta' > 0 as a function of k.  So theta is the
+only unknown: it is integrated jointly with (k, k') in one run that carries
+the curvature solver's events, and the curve's ``curvature`` is a view of
+its (k, k') components.  sigma, its velocity T and the in-plane normal n of
+the frame equations sigma' = T, T' = k n - c sigma, n' = -k T (c the model
+curvature) are closed forms in (a, a', theta, theta').
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ambient import H3, S3, SpaceForm, orthonormal_complement
+from .ambient import H3, S3, SpaceForm
 from .curvature import (
     CurvatureProblem,
     CurvatureSolution,
@@ -132,7 +133,7 @@ def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:
 
 
 # ---------------------------------------------------------------------------
-# curved models: frame-integrated profile curves
+# curved models: profile curves in their polar chart
 # ---------------------------------------------------------------------------
 
 
@@ -144,11 +145,15 @@ class Branch(str, enum.Enum):
 
 _E = np.eye(4)
 
-# constant vectors of the canonical representative for each branch
+# per branch, the constants (C1, C2) of the canonical representative and the
+# (P, E1, E2) of its polar chart: <P, C1> = 1 (-1 on h2_parabolic), and P,
+# E1, E2 are orthogonal to each other and to the plane normal (C2, or C1 - C2
+# on h2_parabolic); E1 is timelike on h2_elliptic
 _BRANCH_CONSTANTS = {
-    Branch.S2: (_E[2], _E[3]),
-    Branch.H2_ELLIPTIC: (_E[1], _E[0]),
-    Branch.H2_PARABOLIC: (_E[0] + _E[3], _E[1] + _E[3]),
+    Branch.S2: (_E[2], _E[3], _E[2], _E[0], _E[1]),
+    Branch.H2_ELLIPTIC: (_E[1], _E[0], _E[1], _E[3], _E[2]),
+    Branch.H2_PARABOLIC: (_E[0] + _E[3], _E[1] + _E[3],
+                          _E[0] + _E[1] + 2.0 * _E[3], _E[0] + _E[1] + _E[3], _E[2]),
 }
 
 
@@ -156,19 +161,96 @@ def _branch_model(branch: Branch) -> SpaceForm:
     return S3 if branch is Branch.S2 else H3
 
 
+def _amplitude_scale(branch: Branch, C: float) -> float:
+    """sc of the sweep amplitude a = sc k^(-3/4), on the circle branches 1/kappa2."""
+    if branch is Branch.H2_PARABOLIC:
+        return 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C))
+    return 4.0 / (3.0 * np.sqrt(C))
+
+
+def _amplitude(sc, k, kp):
+    """(a, a') of the sweep amplitude a = sc k^(-3/4) along a curvature solution."""
+    a = sc * k**-0.75
+    return a, -0.75 * a * kp / k
+
+
+@dataclass(frozen=True)
+class _Chart:
+    """The polar chart sigma = a P + r E(theta) of a branch's profile.
+
+    E(theta) = cos(theta) E1 + sin(theta) E2, with cosh and sinh where E1 is
+    timelike.  sigma lies on the quadric <sigma, sigma> = c when
+    r^2 = D = <E1, E1> (c - <P, P> a^2) = d0 + d2 a^2.  The meridian
+    theta = const has the unit tangent m = (r P + d2 a E) / sqrt(v), with
+    v = <P, P> <E1, E1> c, so sigma' = alpha m + beta E'(theta) with
+    alpha = sqrt(v) a' / r and beta = r theta'.  The first integral of the
+    curvature ODE reads D - v a'^2 = 16 sqrt(k) / |C|, so unit speed gives
+    theta' = 4 k^(1/4) / (sqrt|C| D), with ``rate`` = 4 / sqrt|C|.
+    """
+
+    P: np.ndarray
+    E1: np.ndarray
+    E2: np.ndarray
+    hyperbolic: bool
+    d0: float
+    d2: float
+    v: float
+    sc: float
+    rate: float
+
+    def dtheta(self, k):
+        """theta' at k, a float while stepping or an array in the interpolant
+        pass: its powers are square roots, so both paths round alike."""
+        sqrt = math.sqrt if isinstance(k, float) else np.sqrt
+        s = sqrt(k)
+        ks = k * s  # k^(3/2), and D = (d0 ks + d2 sc^2) / ks
+        return self.rate * sqrt(s) * ks / (self.d0 * ks + self.d2 * (self.sc * self.sc))
+
+    def state(self, y) -> np.ndarray:
+        """(k, k', sigma, T, n) of chart states (k, k', theta); T and n are
+        normalized, as alpha^2 + beta^2 = 1 holds only up to the drift of C."""
+        k, kp, theta = y[..., 0], y[..., 1], y[..., 2]
+        a, ap = _amplitude(self.sc, k, kp)
+        r = np.sqrt(self.d0 + self.d2 * (a * a))
+        cos, sin, sign = (np.cosh, np.sinh, 1.0) if self.hyperbolic else (np.cos, np.sin, -1.0)
+        cs, sn = cos(theta)[..., None], sin(theta)[..., None]
+        E = cs * self.E1 + sn * self.E2
+        E_theta = sign * sn * self.E1 + cs * self.E2
+        m = (r[..., None] * self.P + (self.d2 * a)[..., None] * E) / np.sqrt(self.v)
+        alpha, beta = np.sqrt(self.v) * ap / r, r * self.dtheta(k)
+        speed = np.hypot(alpha, beta)
+        alpha, beta = (alpha / speed)[..., None], (beta / speed)[..., None]
+        return np.concatenate([
+            y[..., :2],
+            a[..., None] * self.P + r[..., None] * E,
+            alpha * m + beta * E_theta,
+            beta * m - alpha * E_theta,
+        ], axis=-1)
+
+
+def _chart(branch: Branch, c: int, C: float) -> _Chart:
+    """The polar chart of the branch's profile on the model of curvature c."""
+    P, E1, E2 = _BRANCH_CONSTANTS[branch][2:]
+    inner = _branch_model(branch).inner
+    p, e = float(inner(P, P)), float(inner(E1, E1))
+    return _Chart(P, E1, E2, hyperbolic=e < 0, d0=e * c, d2=-e * p, v=p * e * c,
+                  sc=_amplitude_scale(branch, C), rate=4.0 / np.sqrt(abs(C)))
+
+
 @dataclass(frozen=True, eq=False)
 class ProfileCurve:
     """Unit-speed curve on the model quadric with prescribed curvature.
 
-    ``state(u)`` returns the 14-component joint state
-    (k, k', sigma[4], T[4], n[4]); sigma is the curve, T its velocity and n
-    the in-plane unit normal used by the frame equations.  ``curvature`` is
-    the :class:`CurvatureSolution` view of the same run, so its steps,
-    span and stops are the curve's.  ``state`` reads the run's DOP853
-    interpolants, computed once for all steps of the run, in one vectorized
-    pass over all points; every value is bit-identical to scipy's
-    ``OdeSolution`` of the same run.  A u outside ``span``, or not finite,
-    raises ``DomainError``.
+    ``state(u)`` returns (k, k', sigma[4], T[4], n[4]): the curve, its
+    velocity and the in-plane unit normal, with T' = k n - c sigma, from the
+    branch's polar chart (``_Chart``) at the run's (k, k', theta), so sigma
+    lies on the quadric and meets the constraint equations up to rounding.
+    ``curvature`` is the :class:`CurvatureSolution` view of the same run, so
+    its steps, span and stops are the curve's.  The run is read through its
+    DOP853 interpolants, computed once for all steps, in one vectorized
+    pass; every (k, k', theta) is bit-identical to scipy's ``OdeSolution``
+    of the same run.  A u outside ``span``, or not finite, raises
+    ``DomainError``.
     """
 
     model: SpaceForm
@@ -180,15 +262,16 @@ class ProfileCurve:
     span: tuple[float, float]
     u: np.ndarray
     _dense: _TwoSidedDense
+    _chart: _Chart
 
     def state(self, u):
-        return self._dense(u)
+        return self._chart.state(self._dense(u))
 
     def k(self, u):
-        return self.state(u)[..., 0]
+        return self.curvature.k(u)
 
     def kp(self, u):
-        return self.state(u)[..., 1]
+        return self.curvature.kp(u)
 
     def sigma(self, u):
         return self.state(u)[..., 2:6]
@@ -222,94 +305,24 @@ class ProfileCurve:
         }
 
 
-def _amplitude_scale(branch: Branch, C: float) -> float:
-    """sc of the sweep amplitude a = sc k^(-3/4), on the circle branches 1/kappa2."""
-    if branch is Branch.H2_PARABOLIC:
-        return 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C))
-    return 4.0 / (3.0 * np.sqrt(C))
-
-
-def _amplitude(sc, k, kp):
-    """(a, a') of the sweep amplitude a = sc k^(-3/4) along a curvature solution."""
-    a = sc * k**-0.75
-    return a, -0.75 * a * kp / k
-
-
-def _free_speed(square):
-    """The free velocity component at u = 0, whose square completes unit speed."""
-    if square < 0:
-        raise ConstructionError(
-            "infeasible start: the unit-speed condition has no real solution"
-        )
-    return np.sqrt(square)
-
-
-def _initial_frame_s2(a0, ap0):
-    disc = 1.0 - a0**2
-    if disc <= 0:
-        raise ConstructionError(
-            "infeasible start: 1 - 16/(9C) k0^(-3/2) >= 0 is violated"
-        )
-    x0 = np.sqrt(disc)
-    xp0 = -a0 * ap0 / x0
-    sigma0 = np.array([x0, 0.0, a0, 0.0])
-    T0 = np.array([xp0, _free_speed(1.0 - ap0**2 - xp0**2), ap0, 0.0])
-    return sigma0, T0
-
-
-def _initial_frame_h2_elliptic(a0, ap0):
-    y0 = np.sqrt(1.0 + a0**2)
-    yp0 = a0 * ap0 / y0
-    sigma0 = np.array([0.0, a0, 0.0, y0])
-    T0 = np.array([0.0, ap0, _free_speed(1.0 - ap0**2 + yp0**2), yp0])
-    return sigma0, T0
-
-
-def _initial_frame_h2_parabolic(a0, ap0):
-    q0, qp0 = -a0, -ap0
-    disc = 2.0 * q0**2 - 1.0
-    if disc < 0:
-        raise ConstructionError(
-            "infeasible start: 2 <sigma, C1>^2 - 1 >= 0 is violated"
-        )
-    y0 = -2.0 * q0 + np.sqrt(disc)
-    p0 = y0 + q0
-    pp0 = -y0 * qp0 / np.sqrt(disc) if disc > 0 else 0.0
-    yp0 = pp0 - qp0
-    sigma0 = np.array([p0, p0, 0.0, y0])
-    T0 = np.array([pp0, pp0, _free_speed(1.0 - 2.0 * pp0**2 + yp0**2), yp0])
-    return sigma0, T0
-
-
-# (sigma, T) at u = 0 from the amplitude (a0, a0'); <sigma, C1> = -a on h2_parabolic
-_INITIAL_FRAMES = {
-    Branch.S2: _initial_frame_s2,
-    Branch.H2_ELLIPTIC: _initial_frame_h2_elliptic,
-    Branch.H2_PARABOLIC: _initial_frame_h2_parabolic,
-}
-
-
 def reconstruct_profile(
     sol: CurvatureProblem | CurvatureSolution,
     branch: Branch | str,
     C: float | None = None,
 ) -> ProfileCurve:
-    """Frame-integrate the profile curve whose curvature starts at sol's data.
+    """Integrate the profile curve whose curvature starts at sol's data.
 
     Only ``(c, C, k0, kp0, span, rel_tol, abs_tol)`` are read from ``sol``:
     a :class:`CurvatureProblem` (a pipeline build) or a solved
     :class:`CurvatureSolution`, whose covered span becomes the target.
-    (k, k') are integrated again, jointly with the frame and with the
-    events of :func:`solve_curvature`, so the curve may stop where k reaches
-    its floor or leaves the admissible set; the constant-curvature (CMC)
-    check reads that run's k' samples.
+    (k, k') are integrated again, jointly with the chart angle theta and
+    with the events of :func:`solve_curvature`, so the curve may stop where
+    k reaches its floor or leaves the admissible set; the
+    constant-curvature (CMC) check reads that run's k' samples.
 
-    The initial position and velocity are the canonical representative: the
-    constrained coordinates are read off the constraint equations at u = 0,
-    the free transverse coordinate starts at zero, and leftover signs are
-    fixed positive.  The in-plane normal is oriented so its C1-component
-    matches the second derivative of the constraint coordinate; a mismatch
-    beyond tolerance is a construction error.
+    The curve is the canonical representative: theta starts at 0 and grows,
+    and n has the sign of <sigma, C1> along C1.  Initial data whose chart
+    radius squared D is not positive at u = 0 raise ``ConstructionError``.
     """
     branch = Branch(branch)
     model = _branch_model(branch)
@@ -326,44 +339,28 @@ def reconstruct_profile(
             raise UsageError("the exponential branch requires C < 0")
     elif C <= 0:
         raise UsageError(f"branch {branch.value} requires C > 0")
-    k0, kp0 = sol.k0, sol.kp0
-    C1, C2 = _BRANCH_CONSTANTS[branch]
-    sigma0, T0 = _INITIAL_FRAMES[branch](*_amplitude(_amplitude_scale(branch, C), k0, kp0))
-
-    # in-plane normal: complement of {sigma, T} inside the geodesic 2-plane
-    plane_normal = C2 if branch is not Branch.H2_PARABOLIC else C1 - C2
-    target0 = float(model.inner(sigma0, C1))
-    orient = C1 * np.sign(target0)
-    n0 = orthonormal_complement(model.ambient, [sigma0, T0, plane_normal], orient)
-    need = 3.0 * k0 * target0
-    got = float(model.inner(n0, C1))
-    if abs(got - need) > 1e-8 * max(1.0, abs(need)):
+    c = model.c
+    chart = _chart(branch, c, C)
+    a0 = _amplitude(chart.sc, sol.k0, sol.kp0)[0]
+    D0 = float(chart.d0 + chart.d2 * (a0 * a0))
+    if not D0 > 0:
         raise ConstructionError(
-            "frame normal inconsistent with the constraint second derivative "
-            f"({got} vs {need})"
+            f"infeasible start: the chart radius squared D = {D0!r} at u = 0 is not positive"
         )
 
-    c = model.c
-
-    # sigma' = T, T' = k n - c sigma, n' = -k T; one float, or one array over
-    # steps, per component
     def rhs(u, y):
-        k, kp, s1, s2, s3, s4, t1, t2, t3, t4, n1, n2, n3, n4 = y
+        k, kp, theta = y
         k = _clamped_k(k)
-        return [
-            kp, ode_rhs(k, kp, c),
-            t1, t2, t3, t4,
-            k * n1 - c * s1, k * n2 - c * s2, k * n3 - c * s3, k * n4 - c * s4,
-            -k * t1, -k * t2, -k * t3, -k * t4,
-        ]
+        return [kp, ode_rhs(k, kp, c), chart.dtheta(k)]
 
-    y0 = np.concatenate([[k0, kp0], sigma0, T0, n0])
     run = _integrate_two_sided(
-        rhs, y0, sol.span, sol.rel_tol, sol.abs_tol, _event_functions(C, c)
+        rhs, [sol.k0, sol.kp0, 0.0], sol.span, sol.rel_tol, sol.abs_tol,
+        _event_functions(C, c),
     )
     if np.max(np.abs(run.y[1])) < 1e-14:
         raise UsageError("constant-curvature solution: the surface would be CMC")
 
+    C1, C2 = _BRANCH_CONSTANTS[branch][:2]
     return ProfileCurve(
         model=model,
         branch=branch,
@@ -374,6 +371,7 @@ def reconstruct_profile(
         span=run.span,
         u=run.u,
         _dense=run.dense,
+        _chart=chart,
     )
 
 
@@ -439,7 +437,7 @@ def profile_oracle_dxdk(
     ``k_range`` must avoid both the turning-point locus (where the prime
     integral polynomial vanishes and the square root in the equation blows
     up) and the curve C1-pole where 9 C k^(3/2) = 16.  The result is meant
-    purely as an independent cross-check of the frame integration, and the
+    purely as an independent cross-check of the profile integration, and the
     one caller of scipy in the package: it imports scipy's ``solve_ivp``
     here, so that importing biconsurf and running its pipelines do not.
     """
@@ -485,11 +483,11 @@ def oracle_deviation(
     u_end: float,
     n: int = 200,
 ) -> dict:
-    """Max deviation between the frame curve and the k-parameter oracle.
+    """Max deviation between the profile curve and the k-parameter oracle.
 
     Valid only on the sphere branch and on arcs where k is strictly
     monotone.  The equation's sign ambiguity is resolved by matching the
-    frame's dx/dk at the start of the arc, and the y branch by the frame's
+    profile's dx/dk at the start of the arc, and the y branch by the profile's
     y sign there; both are degenerate exactly where y = 0, so pick an arc
     start away from that locus.
     """
@@ -504,7 +502,7 @@ def oracle_deviation(
 
     k0, kp0 = float(k[0]), float(kp[0])
     x0 = float(x_fr[0])
-    slope = float(st[0, 6]) / kp0  # dx/dk from the frame at the arc start
+    slope = float(st[0, 6]) / kp0  # dx/dk from the profile at the arc start
     cands = {s: _dxdk_rhs(prof.C, s)(k0, [x0])[0] for s in (1, -1)}
     sign = min(cands, key=lambda s: abs(cands[s] - slope))
     y_sign = 1 if y_fr[0] >= 0 else -1

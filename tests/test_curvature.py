@@ -7,7 +7,7 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 import biconsurf as bc
-from biconsurf import curvature, dop853
+from biconsurf import curvature, dop853, profile
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from conftest import (
     assert_same_run,
@@ -379,14 +379,16 @@ class TestBrent:
             assert root == r
 
     @pytest.mark.parametrize("build, kinds", [
-        (lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)), ["turning"] * 11),
+        (lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)),
+         ["turning"] * 11 + ["admissible-interval endpoint"] * 2),
         (lambda: build_pipeline_patch(
             PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))),
-         ["turning", "k_floor", "k_floor"]),
+         ["turning", "k_floor", "k_floor", "admissible-interval endpoint"]),
     ])
     def test_event_roots_on_step_interpolants(self, monkeypatch, build, kinds):
         # every event root of an s3 solve over +-10 and of a truncated h3
-        # build, solved by the port and by scipy on the same interpolant
+        # build, solved by the port and by scipy on the same interpolant, and
+        # the ends of the admissible k-interval, by both on P(k) / k^2
         solved = []
 
         def both(f, a, b, tol, name):
@@ -426,18 +428,19 @@ def reference_prime_poly(k, C, c):
     return -(16.0 * c / 9.0) * k**2 - 16.0 * k**4 + C * k**3.5
 
 
-def reference_rhs(c, size):
-    """The solvers' old right-hand sides: curvature (2) or profile frame (14)."""
-    if size == 2:
-        def rhs(u, y):
-            return [y[1], float(reference_kpp(max(y[0], 1e-300), y[1], c))]
-    else:
-        def rhs(u, y):
-            k, kp = max(y[0], 1e-300), y[1]
-            sig, T, n = y[2:6], y[6:10], y[10:14]
-            return np.concatenate(
-                [[kp, float(reference_kpp(k, kp, c))], T, k * n - c * sig, -k * T]
-            )
+def reference_rhs(c, size, chart=None):
+    """The solvers' right-hand sides on 0-d arrays: curvature (2), or curvature
+    and the profile's chart angle (3), theta' = 4 k^(1/4) / (sqrt|C| D)."""
+    def rhs(u, y):
+        k, kp = max(y[0], 1e-300), y[1]
+        out = [kp, float(reference_kpp(k, kp, c))]
+        if size == 3:
+            s = np.sqrt(np.asarray(k))
+            ks = k * s
+            out.append(float(chart.rate * np.sqrt(s) * ks
+                             / (chart.d0 * ks + chart.d2 * (chart.sc * chart.sc))))
+        return out
+
     return rhs
 
 
@@ -484,8 +487,9 @@ class TestFloatPaths:
             return sol, bc.reconstruct_profile(sol, branch)
 
         (sol, prof), calls = recorded_runs(monkeypatch, build)
-        assert [len(args[1]) for args, _ in calls] == [2, 2, 14, 14]
-        refs = [scipy_run(reference_rhs(c, len(y0)), y0, *rest) for (_, y0, *rest), _ in calls]
+        assert [len(args[1]) for args, _ in calls] == [2, 2, 3, 3]
+        refs = [scipy_run(reference_rhs(c, len(y0), prof._chart), y0, *rest)
+                for (_, y0, *rest), _ in calls]
         for (_, run), res in zip(calls, refs):
             assert_same_run(run, res)
         sol_right, sol_left, prof_right, prof_left = refs
@@ -498,4 +502,18 @@ class TestFloatPaths:
             assert np.array_equal(got, want)
         grid = np.unique(np.concatenate([np.linspace(*prof.span, 301), prof.u]))
         assert np.array_equal(sol.state(grid), ref_sol(grid))
-        assert np.array_equal(prof.state(grid), ref_prof(grid))
+        assert np.array_equal(prof._dense(grid), ref_prof(grid))
+        assert np.array_equal(prof.state(grid), prof._chart.state(ref_prof(grid)))
+
+    @pytest.mark.parametrize("c, C, branch", [
+        (1, 169.0 / 9.0, bc.Branch.S2),
+        (-1, 137.0 / 9.0, bc.Branch.H2_ELLIPTIC),
+        (-1, -3.0, bc.Branch.H2_PARABOLIC),
+    ])
+    def test_chart_angle_rate_float_path(self, c, C, branch):
+        # the profile run's theta' on floats (stepping) and arrays (interpolants)
+        chart = profile._chart(branch, c, C)
+        k = self.k
+        want = chart.dtheta(k)
+        assert np.array_equal([chart.dtheta(x) for x in k.tolist()], want)
+        assert np.array_equal([chart.dtheta(np.asarray(x)) for x in k], want)

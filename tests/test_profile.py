@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import biconsurf as bc
+from biconsurf.curvature import CurvatureProblem
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.profile import Branch
 from conftest import (
@@ -184,6 +185,51 @@ class TestHyperbolicBranches:
             bc.reconstruct_profile(sol, "h2_elliptic")
 
 
+class TestPolarChart:
+    """The chart's curve meets the quadric and the constraints to rounding,
+    and its T and n are those of the frame equations."""
+
+    FIXTURES = ["s3_pipeline", "h3e_pipeline", "h3p_pipeline"]
+
+    @pytest.mark.parametrize("fix", FIXTURES)
+    def test_quadric_and_constraints_to_rounding(self, fix, request):
+        prof = request.getfixturevalue(fix)[1]
+        st = prof.state(np.linspace(*prof.span, 801))
+        res = prof._constraint_residuals(st)
+        scale = {"unit_speed": np.sum(st[:, 6:10] ** 2, axis=-1)}
+        for name, values in res.items():
+            size = scale.get(name, np.sum(st[:, 2:6] ** 2, axis=-1))
+            assert np.max(np.abs(values) / size) < 1e-14, name
+
+    @pytest.mark.parametrize("fix", FIXTURES)
+    def test_frame_equations(self, fix, request):
+        # sigma' = T and T' = k n - c sigma by central differences; n is the
+        # unit normal inside the curve's plane, with <n, C1> = 3 k <sigma, C1>
+        prof = request.getfixturevalue(fix)[1]
+        inner, c, h = prof.model.inner, prof.model.c, 1e-4
+        u = np.linspace(prof.span[0] + h, prof.span[1] - h, 101)
+        st = prof.state(u)
+        k, sig, T, n = st[:, :1], st[:, 2:6], st[:, 6:10], st[:, 10:14]
+
+        def diff(f):
+            return (f(u + h) - f(u - h)) / (2 * h)
+
+        assert np.max(np.abs(diff(prof.sigma) - T)) < 1e-7
+        assert np.max(np.abs(diff(prof.velocity) - (k * n - c * sig))) < 1e-7
+        plane = prof.C1 - prof.C2 if prof.branch is Branch.H2_PARABOLIC else prof.C2
+        for w, want in [(n, 1.0), (sig, 0.0), (T, 0.0), (plane, 0.0)]:
+            assert np.max(np.abs(inner(n, w) - want)) < 1e-12
+        np.testing.assert_allclose(inner(n, prof.C1), 3.0 * k[:, 0] * inner(sig, prof.C1),
+                                   rtol=1e-12)
+
+    def test_infeasible_start(self):
+        # a C that does not belong to (k0, k0') puts the start off the chart:
+        # D = 1 - a^2 < 0 at a = 4/3
+        problem = CurvatureProblem(c=1, C=1.0, k0=1.0, kp0=0.0, span=(-1.0, 1.0))
+        with pytest.raises(bc.ConstructionError, match="radius squared"):
+            bc.reconstruct_profile(problem, "s2")
+
+
 class TestVariedInitialData:
     @pytest.mark.parametrize("c,k0,kp0,branch", [
         (1, 0.8, -0.5, "s2"),
@@ -261,7 +307,7 @@ class TestSingleIntegrationBuild:
         cfg = PipelineConfig(model=model, k0=k0, kp0=kp0)
         patch, sol, calls = self._recorded_build(monkeypatch, cfg)
         assert len(calls) == 2
-        assert all(len(args[1]) == 14 for args, _ in calls)
+        assert all(len(args[1]) == 3 for args, _ in calls)  # (k, k', theta)
         assert sol is patch.profile.curvature
         results = [scipy_run(*args) for args, _ in calls]
         for (_, run), res in zip(calls, results):
@@ -280,8 +326,8 @@ class TestSingleIntegrationBuild:
         prof = patch.profile
         assert not sol.truncated
 
-        # two passes: solve the curvature ODE alone, then integrate the
-        # joint state over the span it reached with a k-floor stop only
+        # two passes: solve the curvature ODE alone, then integrate
+        # (k, k', theta) over the span it reached with a k-floor stop only
         ref_sol = bc.solve_curvature(cfg.c, k0, kp0, sol.requested_span,
                                      rel_tol=sol.rel_tol, abs_tol=sol.abs_tol)
         (fun, y0, *_), _ = calls[0]
@@ -305,7 +351,8 @@ class TestSingleIntegrationBuild:
         assert np.array_equal(prof.u, ref_u)
         assert np.array_equal(sol.u, ref_u)
         grid = np.unique(np.concatenate([np.linspace(*prof.span, 301), ref_u]))
-        assert np.array_equal(prof.state(grid), ref_dense(grid))
+        assert np.array_equal(prof._dense(grid), ref_dense(grid))
+        assert np.array_equal(prof.state(grid), prof._chart.state(ref_dense(grid)))
         assert np.array_equal(sol.state(grid), ref_dense(grid)[:, :2])
         assert np.array_equal(sol.kp_samples, prof.kp(prof.u))
         assert len(sol.turning_points) == len(ref_sol.turning_points) > 0
@@ -393,14 +440,15 @@ class TestDenseOutput:
         nstate = sol(t[-1]).shape[0]
         assert dense(np.array([])).shape == (0, nstate)
 
-    def _check_two_sided(self, state, results, n=None):
+    def _check_two_sided(self, state, dense, results, n=None):
         """``state`` against scipy on both runs (the left one for u < 0).
 
-        ``state`` returns the first ``n`` components of the runs' states; its
-        evaluator must hold exactly the interpolants of scipy's runs.
+        ``state`` returns the first ``n`` components of the runs' states, read
+        through the two-sided evaluator ``dense``, which must hold exactly the
+        interpolants of scipy's runs.
         """
         right, left = (res.sol for res in results)
-        assert_same_interpolants(state.__self__._dense._dense, [right, left])
+        assert_same_interpolants(dense._dense, [right, left])
         assert right.ts[-1] > 0 > left.ts[-1]
         for sol in (right, left):
             self._check_run(sol)
@@ -420,27 +468,27 @@ class TestDenseOutput:
         sol, results = self._recorded(
             monkeypatch, lambda: bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0)))
         assert [res.y.shape[0] for res in results] == [2, 2]
-        self._check_two_sided(sol.state, results)
+        self._check_two_sided(sol.state, sol._dense, results)
 
     def test_profile_run(self, monkeypatch):
         cfg = PipelineConfig(model="s3", k0=1.0, kp0=1.0)
         (patch, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
-        assert [res.y.shape[0] for res in results] == [14, 14]
-        self._check_two_sided(patch.profile.state, results)
-        self._check_two_sided(sol.state, results, n=2)
+        assert [res.y.shape[0] for res in results] == [3, 3]
+        self._check_two_sided(patch.profile._dense, patch.profile._dense, results)
+        self._check_two_sided(sol.state, sol._dense, results, n=2)
 
     def test_one_step_run(self, monkeypatch):
         sol, results = self._recorded(
             monkeypatch, lambda: bc.solve_curvature(1, 1.0, 1.0, (-1e-3, 1e-3)))
         assert [len(res.t) for res in results] == [2, 2]
-        self._check_two_sided(sol.state, results)
+        self._check_two_sided(sol.state, sol._dense, results)
 
     def test_truncated_build(self, monkeypatch):
         cfg = PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))
         (patch, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
         assert sol.truncated
         assert [res.status for res in results] == [1, 1]  # both ended by k_floor
-        self._check_two_sided(patch.profile.state, results)
+        self._check_two_sided(patch.profile._dense, patch.profile._dense, results)
 
     def test_long_runs(self, monkeypatch):
         # many turning points (non-terminal roots) on s3, long steps on h3
@@ -450,10 +498,10 @@ class TestDenseOutput:
         prof, results = self._recorded(monkeypatch, lambda: bc.reconstruct_profile(problem, "s2"))
         turning = prof.curvature.turning_points
         assert np.sum(turning < 0) >= 5 and np.sum(turning > 0) >= 5
-        self._check_two_sided(prof.state, results)
+        self._check_two_sided(prof._dense, prof._dense, results)
         sol, results = self._recorded(
             monkeypatch, lambda: bc.solve_curvature(-1, 1.0, 1.0, (-4.0, 4.0)))
-        self._check_two_sided(sol.state, results)
+        self._check_two_sided(sol.state, sol._dense, results)
 
     @pytest.mark.parametrize("ascending", [True, False])
     def test_oracle_run(self, monkeypatch, s3_pipeline, ascending):

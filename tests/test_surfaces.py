@@ -463,6 +463,13 @@ class TestExports:
         with pytest.raises(bc.UsageError):
             bc.Mesh(vertices=vertices, quads=quads, channels=channels)
 
+    @pytest.mark.parametrize("name", ["", "a b", "c,d", "tab\there", "new\nline",
+                                      "nul\x00", "del\x7f", "caf\u00e9", 3])
+    def test_mesh_validates_its_channel_names(self, name):
+        # a name becomes a PLY property word and a sidecar column name
+        with pytest.raises(bc.UsageError, match="channel name"):
+            bc.Mesh(vertices=np.eye(3), quads=[[0, 1, 2]], channels={name: np.ones(3)})
+
     def test_triangle_faces(self, tmp_path):
         m = bc.Mesh(vertices=np.eye(3), quads=[[0, 1, 2]])
         assert m.triangles().tolist() == [[0, 1, 2]]

@@ -700,8 +700,8 @@ class TestProfileBuildMutations:
 
     @staticmethod
     def assert_rejected(case, failing):
-        if failing is bc.ConditioningError:
-            with pytest.raises(bc.ConditioningError):
+        if isinstance(failing, type):  # the build or the verifier raises
+            with pytest.raises(failing), np.errstate(invalid="ignore"):
                 bc.verify_patch(_built(case), 24, 24)
             return
         rep = bc.verify_patch(_built(case), 24, 24)
@@ -711,29 +711,31 @@ class TestProfileBuildMutations:
         assert not rep.passed
 
     @pytest.mark.parametrize("case, failing", [
-        ("s3", ("model_membership", "f_vs_profile", "second_partials_fd", "pde")),
-        ("h3e", bc.ConditioningError),
+        ("s3", bc.ConstructionError),
+        ("h3e", bc.ConstructionError),
         ("h3p", bc.ConditioningError),
     ])
     def test_flipped_model_curvature_in_frame_equation(self, case, failing, monkeypatch):
-        # T' = k n - c sigma becomes k n + c sigma in the 14-component run
-        # (k, k', sigma, T, n)
-        c = bc.S3.c if case == "s3" else bc.H3.c
-        exact = profile._integrate_two_sided
-        batched = []
-
-        def integrate(rhs, y0, *args):
-            def flipped(u, y):
-                # floats while stepping, component arrays in the interpolant pass
-                batched.append(isinstance(y, np.ndarray))
-                out = rhs(u, y)
-                return out[:6] + [out[6 + i] + 2 * c * y[2 + i] for i in range(4)] + out[10:]
-
-            return exact(flipped, y0, *args)
-
-        monkeypatch.setattr(profile, "_integrate_two_sided", integrate)
+        # c flipped wherever it enters the profile's polar chart: the radius
+        # D = <E1, E1> (c - <P, P> a^2) and the normal's meridian scale
+        # sqrt(<P, P> <E1, E1> c); the circle branches' D turns negative at
+        # u = 0, the parabolic normal NaN
+        exact = profile._chart
+        monkeypatch.setattr(profile, "_chart", lambda branch, c, C: exact(branch, -c, C))
         self.assert_rejected(case, failing)
-        assert any(batched) and not all(batched)
+
+    def test_flipped_model_curvature_in_sphere_radius(self, monkeypatch):
+        # the circle branches' D = 1 - c a^2 becomes 1 + c a^2: on s3 a finite
+        # curve off the quadric, which the verifier must reject
+        exact = profile._chart
+
+        def flipped(branch, c, C):
+            chart = exact(branch, c, C)
+            return dataclasses.replace(chart, d2=-chart.d2)
+
+        monkeypatch.setattr(profile, "_chart", flipped)
+        self.assert_rejected("s3", ("model_membership", "f_vs_profile", "second_partials_fd",
+                                    "pde"))
 
     @pytest.mark.parametrize("case", sorted(_CURVED))
     def test_scaled_sweep_amplitude(self, case, monkeypatch):
