@@ -24,21 +24,36 @@ numpy alone.  The three interpolant stages do not feed the stepping, so
 they are computed for all accepted steps of a two-sided run in one batched
 pass at its end (for a step with an event, on demand).
 
+The float path.  A two- or three-component state costs numpy more in
+per-call overhead than in arithmetic, so the driver steps on Python floats:
+the state is a list, and ``t``, ``h``, the stage arguments ``y + dot h``,
+the new state, the error scale, the quotients by it and the step-size
+controller are floats, computed with the operations of scipy's numpy code
+in the same order, which IEEE arithmetic rounds alike.  Numpy keeps what
+numpy or BLAS rounds its own way: the stage sums (``K[:s].T.dot(a)``, the
+error estimates ``K.T.dot(E5)`` and ``K.T.dot(E3)``), the norms
+(``x.dot(x)``) and every power of k (``np.power``; numpy's vectorised power
+loop and the C library's ``pow`` behind float ``**`` disagree in the last
+bit for a few percent of inputs, and the drift-limited solves amplify such
+bits into different steps).  Where float arithmetic raises and numpy's
+gives inf or NaN (division by zero, NaN in a maximum), the driver gives
+numpy's value.  One numpy scalar left in the loop would turn every value
+after it into numpy-scalar arithmetic again, so the float path ends in
+floats: the events get the state as a list, and ``ode_rhs``,
+``prime_poly`` and the right-hand sides return floats on float input.
+
 A right-hand side ``rhs(u, y)`` takes the state as a sequence of
 components: plain Python floats while stepping, one array per component
 (over the steps) in the batched pass, so one function serves both.
 ``ode_rhs`` and ``prime_poly`` take a scalar path for floats that is
-bit-identical to their array formula.  Squares are ``x * x``, exactly
-numpy's ``x**2``, and powers are ``np.power``: numpy's vectorised power loop
-and the C library's ``pow`` (behind Python's float ``**``) disagree in the
-last bit for a few percent of inputs, and the drift-limited solves amplify
-such differences into different step sequences.  ``ode_rhs`` checks that k
-is positive (for floats one comparison); inside the solves the right-hand
-side clamps k at 1e-300 (``_clamped_k``) and the ``k_floor`` event stops
-the integration first.
+bit-identical to their array formula; squares are ``x * x``, exactly
+numpy's ``x**2``.  ``ode_rhs`` checks that k is positive (for floats one
+comparison); inside the solves the right-hand side clamps k at 1e-300
+(``_clamped_k``) and the ``k_floor`` event stops the integration first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,9 +114,11 @@ def ode_rhs(k, kp, c: int):
     if isinstance(k, float) and isinstance(kp, float):
         if k <= 0:
             raise DomainError(_K_POSITIVE)
+        k4 = float(np.power(k, 4.0))
     else:
         k, kp = _require_positive_k(k), np.asarray(kp, dtype=float)
-    return (1.75 * (kp * kp) + (4.0 * c / 3.0) * (k * k) - 4.0 * np.power(k, 4)) / k
+        k4 = np.power(k, 4.0)
+    return (1.75 * (kp * kp) + (4.0 * c / 3.0) * (k * k) - 4.0 * k4) / k
 
 
 def prime_constant(k, kp, c: int):
@@ -116,9 +133,12 @@ def prime_poly(k, C: float, c: int):
 
     Floats take a scalar path, bit-identical to the array one.
     """
-    if not isinstance(k, float):
+    if isinstance(k, float):
+        k4, k7_2 = float(np.power(k, 4.0)), float(np.power(k, 3.5))
+    else:
         k = np.asarray(k, dtype=float)
-    return -(16.0 * c / 9.0) * (k * k) - 16.0 * np.power(k, 4) + C * np.power(k, 3.5)
+        k4, k7_2 = np.power(k, 4.0), np.power(k, 3.5)
+    return -(16.0 * c / 9.0) * (k * k) - 16.0 * k4 + C * k7_2
 
 
 def kappa2(k, C: float):
@@ -353,16 +373,55 @@ _N_STAGES_EXTENDED = dop853.N_STAGES + 1 + len(_EXTRA_STAGES)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
 _EVENT_TOL = 4 * float(np.finfo(float).eps)
+# Accepted steps a run may take, and its status when it has taken them
+# short of its bound: over 100 times the longest run known to end well
+# (2,368 steps, an s3 build from k0 = 0.0019 over +-1; the benchmark's
+# longest takes 294).  A right-hand side with a pole inside the span steps
+# toward the pole until the step size underflows, which can take minutes.
+_STEP_BUDGET = 250_000
+_BUDGET_SPENT = -2
+# the boundary event of a run that stopped short, by status
+_STOP_KINDS = {-1: "step_underflow", _BUDGET_SPENT: "step_budget"}
 
 
-def _norm(x):
-    """``np.linalg.norm`` of a 1-D float array, computed as it computes it."""
-    return np.sqrt(x.dot(x))
+def _norm(x) -> float:
+    """``np.linalg.norm`` of a 1-D float array, computed as it computes it
+    (``math.sqrt`` rounds as ``np.sqrt`` does)."""
+    return math.sqrt(x.dot(x))
 
 
 def _rms(x):
-    """The RMS norm of scipy's initial step rule."""
-    return _norm(x) / x.size ** 0.5
+    """The RMS norm of scipy's initial step rule, a numpy scalar as there."""
+    return np.float64(_norm(x)) / x.size ** 0.5
+
+
+def _error_scale(y, y_new, rtol: float, atol: float) -> list:
+    """scipy's ``atol + np.maximum(abs(y), abs(y_new)) * rtol`` on lists of
+    floats; the maximum is NaN where either side is, as ``np.maximum``'s,
+    where ``max`` would depend on the order of its arguments."""
+    return [atol + (b if b > a or b != b else a) * rtol
+            for a, b in zip(map(abs, y), map(abs, y_new))]
+
+
+def _scaled_norm_2(err, scale) -> float:
+    """The squared norm of ``err / scale``, lists of floats, as numpy takes it.
+
+    A zero scale (``atol = 0``; it is never -0.0) gives numpy's inf or NaN
+    for the quotient, where float division would raise.  The norm is at most
+    sqrt(max float), or inf, so its square cannot overflow.
+    """
+    return _norm(np.array([e / s if s else e * math.inf for e, s in zip(err, scale)])) ** 2
+
+
+def _error_norm(err5, err3, scale, h_abs: float) -> float:
+    """scipy's DOP853 error norm of the error estimates ``err5`` and ``err3``
+    over the error scale, on floats; a zero denominator gives numpy's 0/0."""
+    err5_norm_2, err3_norm_2 = _scaled_norm_2(err5, scale), _scaled_norm_2(err3, scale)
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = math.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
+    # denom is 0 only where err5_norm_2 is
+    return h_abs * err5_norm_2 / denom if denom else math.nan
 
 
 def _interpolants(rhs, t_old, h, y_old, y_new, K) -> np.ndarray:
@@ -395,9 +454,10 @@ class _Dop853Run:
 
     ``t``, ``y`` (n, len(t)), ``status`` (0 reached the bound, 1 stopped by
     a terminal event, -1 step-size underflow) and ``t_events`` have the
-    meaning of the fields of scipy's result.  ``steps`` keeps each segment's
-    (t_old, h, y_old, y_new, K), K the (16, n) stage table with its first
-    13 rows filled, for ``_interpolants``.
+    meaning of the fields of scipy's result; status ``_BUDGET_SPENT`` is a
+    run that took ``_STEP_BUDGET`` steps short of its bound.  ``steps``
+    keeps each segment's (t_old, h, y_old, y_new, K), K the (16, n) stage
+    table with its first 13 rows filled, for ``_interpolants``.
     """
 
     t: np.ndarray
@@ -410,9 +470,9 @@ class _Dop853Run:
 def _step_dense(rhs, step) -> _Dop853Dense:
     """The interpolant of one accepted step, evaluated on demand."""
     t_old, h, y_old, y_new, K = step
-    h, y_old = np.array([h]), y_old[None]
-    F = _interpolants(rhs, np.array([t_old]), h, y_old, y_new[None], K[None])
-    return _Dop853Dense([np.array([t_old, t_old + h[0]])], np.array([t_old]), h, y_old, F)
+    t_old, h, y_old = np.array([t_old]), np.array([h]), np.array([y_old])
+    F = _interpolants(rhs, t_old, h, y_old, np.array([y_new]), K[None])
+    return _Dop853Dense([np.array([t_old[0], t_old[0] + h[0]])], t_old, h, y_old, F)
 
 
 def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
@@ -428,28 +488,40 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     or error scale that is not) would spin scipy's step loop; here it raises
     ``DomainError``, as does an event root solve where scipy's ``brentq``
     raises.  A non-finite error norm rejects the step, as in scipy,
-    so such a run ends in a step-size underflow (status -1).
-    """
-    t0 = 0.0
-    y = np.asarray(y0, dtype=float)
-    n = y.size
-    f = np.asarray(rhs(t0, y.tolist()), dtype=float)
-    direction = np.sign(t_bound - t0)
+    so such a run ends in a step-size underflow (status -1).  A run that
+    takes ``_STEP_BUDGET`` steps short of its bound stops there (status
+    ``_BUDGET_SPENT``), where scipy would go on.
 
-    # scipy's select_initial_step (its RMS norm), clamped to the interval
+    The stepping runs on Python floats (see the module docstring): the
+    state (a list), the times, the step sizes, the stage arguments, the
+    error scale and quotients and the controller, with the operations of
+    scipy's numpy code in its order.  The initial step rule keeps numpy
+    scalars, as scipy's does.
+    """
+    t0, t_bound, rtol, atol = 0.0, float(t_bound), float(rtol), float(atol)
+    y = [float(x) for x in y0]
+    n = len(y)
+    f = rhs(t0, y)
+    direction = float(np.sign(t_bound - t0))
+
+    # scipy's select_initial_step (its RMS norm), clamped to the interval;
+    # its norms are numpy scalars, which take a zero or non-finite norm to
+    # inf or NaN where floats would raise
+    y_arr, f_arr = np.array(y), np.array(f, dtype=float)
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    scale = atol + np.abs(y_arr) * rtol
+    d0, d1 = _rms(y_arr / scale), _rms(f_arr / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = np.asarray(rhs(t0 + h0 * direction, (y + h0 * direction * f).tolist()), dtype=float)
-    d2 = _rms((f1 - f) / scale) / h0
+    h0 = float(min(h0, interval_length))
+    f1 = np.array(rhs(t0 + h0 * direction, (y_arr + h0 * direction * f_arr).tolist()),
+                  dtype=float)
+    d2 = _rms((f1 - f_arr) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
-    h_abs = min(100 * h0, h1, interval_length)
-    if not np.isfinite(h_abs):
+    h_abs = float(min(100 * h0, h1, interval_length))
+    if not math.isfinite(h_abs):
         raise DomainError(
             f"the first ODE step toward u = {t_bound!r} is not finite: the "
             "right-hand side or the error scale at u = 0 is not"
@@ -468,8 +540,11 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     t = t0
     status = None
     while status is None:
+        if len(steps) == _STEP_BUDGET:
+            status = _BUDGET_SPENT
+            break
         # one accepted step (scipy's RungeKutta._step_impl)
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -482,24 +557,18 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             K[0] = f
             for s, K_s, a, c in sums:
-                K[s] = rhs(t + c * h, (y + K_s.dot(a) * h).tolist())
-            y_new = y + h * K_b.dot(dop853.B)
-            K[f_row] = rhs(t + h, y_new.tolist())
+                K[s] = rhs(t + c * h, [x + dx * h for x, dx in zip(y, K_s.dot(a).tolist())])
+            y_new = [x + h * dx for x, dx in zip(y, K_b.dot(dop853.B).tolist())]
+            f_new = rhs(t + h, y_new)
+            K[f_row] = f_new
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = K_e.dot(dop853.E5) / scale
-            err3 = K_e.dot(dop853.E3) / scale
-            err5_norm_2 = _norm(err5) ** 2
-            err3_norm_2 = _norm(err3) ** 2
-            if err5_norm_2 == 0 and err3_norm_2 == 0:
-                error_norm = 0.0
-            else:
-                denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+            scale = _error_scale(y, y_new, rtol, atol)
+            error_norm = _error_norm(K_e.dot(dop853.E5).tolist(),
+                                     K_e.dot(dop853.E3).tolist(), scale, h_abs)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -518,7 +587,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             status = 0
         step = (t, h, y, y_new, K.copy())
         steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, step[4][f_row]
+        t_old, t, y, f = t, t_new, y_new, f_new
         t_end, y_end = t, y
 
         # scipy's find_active_events and handle_events
@@ -530,7 +599,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
         if active:
             dense = _step_dense(rhs, step)
             roots = np.asarray([
-                _brentq(lambda u, event=events[i]: event(u, dense(u)), t_old, t,
+                _brentq(lambda u, event=events[i]: event(u, dense(u).tolist()), t_old, t,
                         _EVENT_TOL, events[i].__name__)
                 for i in active
             ])
@@ -542,7 +611,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
                 active, roots = active[:last], roots[:last]
                 status = 1
                 t_end = roots[-1]
-                y_end = dense(t_end)
+                y_end = dense(t_end).tolist()
             for i, root in zip(active, roots):
                 t_events[i].append(root)
         g = g_new
@@ -555,7 +624,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
 
     return _Dop853Run(
         t=np.array(ts),
-        y=np.vstack(ys).T,
+        y=np.array(ys).T,
         status=status,
         t_events=[np.asarray(te) for te in t_events],
         steps=steps,
@@ -651,7 +720,8 @@ def _integrate_two_sided(rhs, y0, span, rel_tol, abs_tol, events) -> _TwoSidedRu
     interpolants of both sides come from one batched pass
     (``_interpolants``).  A terminal event that fires ends its side early
     and is recorded in ``boundary`` under the event function's name, as is a
-    step-size underflow (``step_underflow``).
+    step-size underflow (``step_underflow``) or a spent step budget
+    (``step_budget``).
     """
     u_min, u_max = span
     rtol_i, atol_i = _internal_tols(rel_tol, abs_tol)
@@ -668,8 +738,8 @@ def _integrate_two_sided(rhs, y0, span, rel_tol, abs_tol, events) -> _TwoSidedRu
                 boundary.extend({"u": float(ue), "kind": event.__name__} for ue in t_event)
             else:
                 roots.extend(t_event.tolist())
-        if res.status == -1:
-            boundary.append({"u": float(res.t[-1]), "kind": "step_underflow"})
+        if res.status in _STOP_KINDS:
+            boundary.append({"u": float(res.t[-1]), "kind": _STOP_KINDS[res.status]})
         reached[side] = float(res.t[-1])
 
     ts, ys = [], []

@@ -164,8 +164,8 @@ def _branch_model(branch: Branch) -> SpaceForm:
 def _amplitude_scale(branch: Branch, C: float) -> float:
     """sc of the sweep amplitude a = sc k^(-3/4), on the circle branches 1/kappa2."""
     if branch is Branch.H2_PARABOLIC:
-        return 2.0 * np.sqrt(2.0) / (3.0 * np.sqrt(-C))
-    return 4.0 / (3.0 * np.sqrt(C))
+        return 2.0 * math.sqrt(2.0) / (3.0 * math.sqrt(-C))
+    return 4.0 / (3.0 * math.sqrt(C))
 
 
 def _amplitude(sc, k, kp):
@@ -234,7 +234,7 @@ def _chart(branch: Branch, c: int, C: float) -> _Chart:
     inner = _branch_model(branch).inner
     p, e = float(inner(P, P)), float(inner(E1, E1))
     return _Chart(P, E1, E2, hyperbolic=e < 0, d0=e * c, d2=-e * p, v=p * e * c,
-                  sc=_amplitude_scale(branch, C), rate=4.0 / np.sqrt(abs(C)))
+                  sc=_amplitude_scale(branch, C), rate=4.0 / math.sqrt(abs(C)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -323,6 +325,92 @@ class TestDop853Driver:
                 pytest.raises(bc.DomainError, match="first ODE step"):
             curvature._dop853(lambda u, y: [y[1], -y[0]], [1.0, 0.0], 1.0, 1e-10, 0.0, [])
 
+    # The stepping runs on floats, where ``/`` by zero raises, ``**`` raises
+    # on overflow and ``max`` with a NaN depends on the argument order; numpy
+    # gives inf or NaN.  The runs below reach those values and must end as
+    # scipy's do, with no exception and no warning from the stepping.
+
+    def test_overflowing_error_norm_matches_scipy(self, monkeypatch):
+        # y(0) = 1e150 puts the pole at u = 1e-150; near it the stages reach
+        # 1e300 and the error estimates over the error scale overflow
+        norms = []
+        exact = curvature._norm
+        monkeypatch.setattr(curvature, "_norm", lambda x: norms.append(exact(x)) or norms[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # the initial step rule
+            res = scipy_run(self.blow_up, np.array([1e150]), 2.0, 1e-10, 1e-12, [])
+            run = curvature._dop853(self.blow_up, [1e150], 2.0, 1e-10, 1e-12, [])
+        assert res.status == -1
+        assert_same_run(run, res)
+        assert norms.count(math.inf) > 100
+
+    def test_nan_stage_matches_scipy(self):
+        # NaN beyond u = 0.3: each step with a stage there is rejected, so
+        # the run creeps up to 0.3 and ends in a step-size underflow
+        def nan_beyond(u, y):
+            return [math.nan if u > 0.3 else -y[0]]
+
+        res = scipy_run(nan_beyond, np.array([1.0]), 1.0, 1e-10, 1e-12, [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = curvature._dop853(nan_beyond, [1.0], 1.0, 1e-10, 1e-12, [])
+        assert res.status == -1
+        assert_same_run(run, res)
+        assert 0.3 - 1e-15 < run.t[-1] <= 0.3
+
+    @staticmethod
+    def scipy_error_norm(err5, err3, scale, h):
+        """scipy's own DOP853 error norm of the two estimates: with unit
+        weights, its stage sums return ``err5`` and ``err3`` unchanged."""
+        weights = SimpleNamespace(E5=np.array([1.0, 0.0]), E3=np.array([0.0, 1.0]))
+        with np.errstate(all="ignore"):
+            return DOP853._estimate_error_norm(
+                weights, np.array([err5, err3]), h, np.array(scale))
+
+    @pytest.mark.parametrize("err5, err3, scale", [
+        ([3e-11, -2e-12], [1e-11, 5e-12], [1e-12, 2e-12]),  # an ordinary step
+        ([0.0, 0.0], [0.0, 0.0], [1e-12, 1e-12]),           # a zero error
+        ([1e300], [1.0], [1e-12]),                          # the quotient overflows
+        ([1e154, 1e154], [1.0, 1.0], [1.0, 1.0]),           # its square sum overflows
+        ([0.0], [1e-161], [1.0]),                           # 0.01 err3^2 underflows: 0/0
+        ([1.0, 3.0], [2.0, 1.0], [1.0, 0.0]),               # a zero scale (atol = 0)
+        ([1.0, 0.0], [2.0, 0.0], [1.0, 0.0]),               # 0 over a zero scale
+        ([1.0, math.nan], [2.0, 1.0], [1.0, 1.0]),          # a NaN estimate
+    ])
+    def test_error_norm_takes_numpys_values(self, err5, err3, scale):
+        want = self.scipy_error_norm(err5, err3, scale, 0.125)
+        with np.errstate(over="ignore"):  # numpy's dot overflows, as in scipy
+            got = curvature._error_norm(err5, err3, scale, 0.125)
+        assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_error_scale_takes_numpys_maximum(self):
+        y = [1.0, -2.0, math.nan, 3.0, math.nan, -0.0, math.inf]
+        y_new = [-1.5, 1.0, 4.0, math.nan, math.nan, 0.0, 1.0]
+        want = 1e-12 + np.maximum(np.abs(y), np.abs(y_new)) * 1e-10
+        got = curvature._error_scale(y, y_new, 1e-10, 1e-12)
+        assert [type(x) for x in got] == [float] * len(y)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_step_budget_ends_the_side(self, monkeypatch):
+        # a run that takes the budget's steps short of its bound stops, and
+        # its side ends in a ``step_budget`` boundary event; the steps it took
+        # are scipy's first ones
+        monkeypatch.setattr(curvature, "_STEP_BUDGET", 7)
+        sol, calls = recorded_runs(
+            monkeypatch, lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)))
+        (_, right), (_, left) = calls
+        for args, run in calls:
+            res = scipy_run(*args)
+            assert run.status == curvature._BUDGET_SPENT
+            assert np.array_equal(run.t, res.t[:8])
+            assert np.array_equal(run.y, res.y[:, :8])
+            assert len(run.steps) == 7
+        assert sol.truncated
+        assert sol.boundary_events == [{"u": left.t[-1], "kind": "step_budget"},
+                                       {"u": right.t[-1], "kind": "step_budget"}]
+        assert sol.span == (left.t[-1], right.t[-1])
+        assert np.array_equal(sol.u, np.concatenate([left.t[::-1], right.t[1:]]))
+
 
 class TestTableau:
     """The embedded DOP853 tableau is scipy's, bit for bit."""
@@ -504,6 +592,73 @@ class TestFloatPaths:
         assert np.array_equal(sol.state(grid), ref_sol(grid))
         assert np.array_equal(prof._dense(grid), ref_prof(grid))
         assert np.array_equal(prof.state(grid), prof._chart.state(ref_prof(grid)))
+
+    @pytest.mark.parametrize("c, C, branch", [
+        (1, 169.0 / 9.0, bc.Branch.S2),
+        (-1, 137.0 / 9.0, bc.Branch.H2_ELLIPTIC),
+        (-1, -3.0, bc.Branch.H2_PARABOLIC),
+    ])
+    def test_float_input_returns_float(self, c, C, branch):
+        # a numpy scalar in the stepping would turn every value after it
+        # into numpy-scalar arithmetic
+        chart = profile._chart(branch, c, C)
+        for k, kp in zip(self.k[:200].tolist(), self.kp[:200].tolist()):
+            assert type(bc.ode_rhs(k, kp, c)) is float
+            assert type(bc.prime_poly(k, C, c)) is float
+            assert type(chart.dtheta(k)) is float
+
+    @pytest.mark.parametrize("build", [
+        lambda: bc.reconstruct_profile(bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)), "s2"),
+        lambda: bc.solve_curvature(-1, 1.0, 1.0, (-20.0, 20.0)),  # stops at k_floor
+    ])
+    def test_stepping_stays_on_floats(self, monkeypatch, build):
+        # while a run steps (initial step rule, stages, events and their root
+        # solves), u, every state entry and every returned value are floats;
+        # the interpolant pass takes arrays by design and is let through
+        calls = {"rhs": 0, "event": 0}
+        interpolating = []
+        exact_interpolants = curvature._interpolants
+
+        def interpolants(*args):
+            interpolating.append(True)
+            try:
+                return exact_interpolants(*args)
+            finally:
+                interpolating.pop()
+
+        def assert_floats(u, y, out):
+            values = [u, *y, *(out if isinstance(out, list) else [out])]
+            assert [type(x) for x in values] == [float] * len(values)
+
+        def checked_rhs(rhs):
+            def wrapped(u, y):
+                out = rhs(u, y)
+                if not interpolating:
+                    assert_floats(u, y, out)
+                    calls["rhs"] += 1
+                return out
+            return wrapped
+
+        def checked_event(event):
+            def wrapped(u, y):
+                out = event(u, y)
+                assert_floats(u, y, out)
+                calls["event"] += 1
+                return out
+            wrapped.__name__ = event.__name__
+            wrapped.terminal, wrapped.direction = event.terminal, event.direction
+            return wrapped
+
+        exact = curvature._dop853
+
+        def dop853(rhs, y0, t_bound, rtol, atol, events):
+            return exact(checked_rhs(rhs), y0, t_bound, rtol, atol,
+                         [checked_event(e) for e in events])
+
+        monkeypatch.setattr(curvature, "_dop853", dop853)
+        monkeypatch.setattr(curvature, "_interpolants", interpolants)
+        build()
+        assert calls["rhs"] > 1000 and calls["event"] > 100
 
     @pytest.mark.parametrize("c, C, branch", [
         (1, 169.0 / 9.0, bc.Branch.S2),
