@@ -60,8 +60,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nv", type=int, default=None)
     p.add_argument("--v-range", type=float, nargs=2, default=None, metavar=("V0", "V1"))
     p.add_argument("--fd-step", type=float, default=None)
-    p.add_argument("--tol-profile", type=str, default=None,
-                   help="named tolerance profile (defaults to the case's own)")
     p.add_argument("--projection", type=str, default=None,
                    choices=["auto", "identity", "stereographic", "poincare"])
     p.add_argument("--out", type=str, default=None, help="output file or directory")
@@ -105,7 +103,6 @@ _CONFIG_KEYS = {
     "v_range": ("v_range", _pair),
     "fd_step": ("fd_step", _number),
     "projection": ("projection", str),
-    "tol_profile": ("tol_profile", str),
 }
 
 

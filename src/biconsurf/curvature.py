@@ -22,7 +22,10 @@ operation, with the tableau of :mod:`biconsurf.dop853` and event roots from
 roots and interpolants are bit-identical to scipy's, and the module imports
 numpy alone.  The three interpolant stages do not feed the stepping, so
 they are computed for all accepted steps of a two-sided run in one batched
-pass at its end (for a step with an event, on demand).
+pass at its end (for a step with an event, on demand).  A two-sided run
+(``_integrate_two_sided``) returns its record, a :class:`CurvatureSolution`:
+the steps, events and covered span, and one dense evaluator
+(``_Dop853Dense``) stacked over both sides.
 
 The float path.  A two- or three-component state costs numpy more in
 per-call overhead than in arithmetic, so the driver steps on Python floats:
@@ -54,7 +57,7 @@ comparison); inside the solves the right-hand side clamps k at 1e-300
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,7 +279,7 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
 
 
 class _Dop853Dense:
-    """Dense output of DOP853 runs, stacked into arrays and evaluated in one pass.
+    """Dense output of DOP853 runs over ``span``, stacked and evaluated in one pass.
 
     Segment i interpolates one accepted step: ``t_old`` and ``h`` have shape
     (nseg,), ``y_old`` (nseg, n) and ``F`` (7, nseg, n), one table per
@@ -287,9 +290,15 @@ class _Dop853Dense:
     time, the one of lower index) and is evaluated with the operations of
     scipy's DOP853 interpolant, in their order, so every value is
     bit-identical to that of the same run under ``solve_ivp``.
+
+    Of two runs, the first goes from u = 0 to the right end of ``span`` and
+    the second to the left end, which serves every point with u < 0; a
+    single run serves every point.  A point outside ``span`` (beyond a small
+    slack), NaN included, raises ``DomainError``; one inside the slack is
+    clipped to ``span``.
     """
 
-    def __init__(self, runs, t_old, h, y_old, F):
+    def __init__(self, runs, span, t_old, h, y_old, F):
         self._runs, first = [], 0
         for ts in runs:
             descending = bool(ts[-1] < ts[0])
@@ -297,6 +306,7 @@ class _Dop853Dense:
             inner = ts[-2:0:-1] if descending else ts[1:-1]
             self._runs.append((inner, descending, first, len(ts) - 1))
             first += len(ts) - 1
+        self.span = span
         self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
         self.nstate = y_old.shape[1]
 
@@ -323,29 +333,8 @@ class _Dop853Dense:
         y += self.y_old[seg]
         return y
 
-    def __call__(self, t):
-        """States of the first run at ``t`` of any shape, stacked last."""
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        return self.at(flat, self.segments(flat)).reshape(t.shape + (self.nstate,))
-
-
-class _TwoSidedDense:
-    """Dense evaluator stitched from forward and backward integrations.
-
-    ``dense`` stacks the runs from u = 0 to the right end of ``span`` (run
-    0, if there is one) and to the left end (the last run); ``two_sided``
-    says both exist.  A point with u < 0 is read from the left run, any
-    other from the right one.  A point outside ``span`` (beyond a small
-    slack), NaN included, raises ``DomainError``.
-    """
-
-    def __init__(self, dense: _Dop853Dense, two_sided: bool, span):
-        self._dense = dense
-        self._two_sided = two_sided
-        self.span = span
-
     def __call__(self, u):
+        """States at ``u`` of any shape, stacked last."""
         u = np.asarray(u, dtype=float)
         lo, hi = self.span
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
@@ -355,11 +344,10 @@ class _TwoSidedDense:
             )
         # after clipping, negative u only occurs when a left run exists
         flat = np.clip(u, lo, hi).ravel()
-        dense = self._dense
-        seg = dense.segments(flat)
-        if self._two_sided:
-            seg = np.where(flat < 0.0, dense.segments(flat, 1), seg)
-        return dense.at(flat, seg).reshape(u.shape + (dense.nstate,))
+        seg = self.segments(flat)
+        if len(self._runs) == 2:
+            seg = np.where(flat < 0.0, self.segments(flat, 1), seg)
+        return self.at(flat, seg).reshape(u.shape + (self.nstate,))
 
 
 # The DOP853 tableau, and the step-size controller constants of scipy's
@@ -467,12 +455,14 @@ class _Dop853Run:
     steps: list
 
 
-def _step_dense(rhs, step) -> _Dop853Dense:
-    """The interpolant of one accepted step, evaluated on demand."""
+def _step_dense(rhs, step, t_new: float) -> _Dop853Dense:
+    """The interpolant of one accepted step, ending at ``t_new``, evaluated on
+    demand; the root solves evaluate it inside the step only."""
     t_old, h, y_old, y_new, K = step
+    ts = np.array([t_old, t_new])
     t_old, h, y_old = np.array([t_old]), np.array([h]), np.array([y_old])
     F = _interpolants(rhs, t_old, h, y_old, np.array([y_new]), K[None])
-    return _Dop853Dense([np.array([t_old[0], t_old[0] + h[0]])], t_old, h, y_old, F)
+    return _Dop853Dense([ts], (ts.min(), ts.max()), t_old, h, y_old, F)
 
 
 def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
@@ -597,7 +587,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             if (a <= 0 and b >= 0 and d >= 0) or (a >= 0 and b <= 0 and d <= 0)
         ]
         if active:
-            dense = _step_dense(rhs, step)
+            dense = _step_dense(rhs, step, t)
             roots = np.asarray([
                 _brentq(lambda u, event=events[i]: event(u, dense(u).tolist()), t_old, t,
                         _EVENT_TOL, events[i].__name__)
@@ -701,82 +691,18 @@ def curvature_problem(
 
 
 @dataclass(frozen=True, eq=False)
-class _TwoSidedRun:
-    """Outward integrations from u = 0, merged into one record."""
-
-    u: np.ndarray                 # accepted steps of both sides, sorted
-    y: np.ndarray                 # states at ``u``, one row per component
-    span: tuple[float, float]     # interval actually covered
-    roots: np.ndarray             # sorted roots of the non-terminal events
-    boundary: list                # early stops, left side first
-    dense: _TwoSidedDense
-
-
-def _integrate_two_sided(rhs, y0, span, rel_tol, abs_tol, events) -> _TwoSidedRun:
-    """Integrate from u = 0 out to both ends of ``span``.
-
-    Each side is one order-8 embedded Runge-Kutta run (``_dop853``),
-    stepping below the requested tolerances (``_internal_tols``); the
-    interpolants of both sides come from one batched pass
-    (``_interpolants``).  A terminal event that fires ends its side early
-    and is recorded in ``boundary`` under the event function's name, as is a
-    step-size underflow (``step_underflow``) or a spent step budget
-    (``step_budget``).
-    """
-    u_min, u_max = span
-    rtol_i, atol_i = _internal_tols(rel_tol, abs_tol)
-    right = _dop853(rhs, y0, u_max, rtol_i, atol_i, events) if u_max > 0 else None
-    left = _dop853(rhs, y0, u_min, rtol_i, atol_i, events) if u_min < 0 else None
-
-    reached = [u_min, u_max]
-    roots, boundary = [], []
-    for side, res in enumerate((left, right)):
-        if res is None:
-            continue
-        for event, t_event in zip(events, res.t_events):
-            if event.terminal:
-                boundary.extend({"u": float(ue), "kind": event.__name__} for ue in t_event)
-            else:
-                roots.extend(t_event.tolist())
-        if res.status in _STOP_KINDS:
-            boundary.append({"u": float(res.t[-1]), "kind": _STOP_KINDS[res.status]})
-        reached[side] = float(res.t[-1])
-
-    ts, ys = [], []
-    if left is not None:
-        ts.append(left.t[::-1])
-        ys.append(left.y[:, ::-1])
-    if right is not None:
-        sl = slice(1, None) if left is not None else slice(None)
-        ts.append(right.t[sl])
-        ys.append(right.y[:, sl])
-    covered = (reached[0], reached[1])
-    runs = [res for res in (right, left) if res is not None]
-    t_old, h, y_old, y_new, K = map(np.array, zip(*(st for res in runs for st in res.steps)))
-    F = _interpolants(rhs, t_old, h, y_old, y_new, K)
-    dense = _Dop853Dense([res.t for res in runs], t_old, h, y_old, F)
-    return _TwoSidedRun(
-        u=np.concatenate(ts),
-        y=np.concatenate(ys, axis=1),
-        span=covered,
-        roots=np.array(sorted(roots)),
-        boundary=boundary,
-        dense=_TwoSidedDense(dense, len(runs) == 2, covered),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class CurvatureSolution:
     """Dense-output solution of the curvature ODE with its first integral.
 
-    It is a view of one two-sided run: (k, k') are components 0-1 of that
-    run's state, which is the 2-state run of :func:`solve_curvature` or the
-    (k, k', theta) run of ``reconstruct_profile``.  ``u``,
+    It is the record of one two-sided run (``_integrate_two_sided``): the
+    2-state run of :func:`solve_curvature` or the (k, k', theta) run of
+    ``reconstruct_profile``, with (k, k') its components 0-1.  ``u``,
     ``k_samples``, ``kp_samples`` hold the run's accepted steps (sorted by
-    u).  ``turning_points`` are the detected roots of k'; the
-    ``boundary_events`` record any early stop (k floor, admissibility exit,
-    or step-size underflow), in which case ``truncated`` is set and ``span``
-    is the actually covered interval.
+    u); ``_dense`` evaluates the whole state.  ``turning_points`` are the
+    detected roots of k'; the ``boundary_events`` record any early stop (k
+    floor, admissibility exit, step-size underflow or spent step budget), in
+    which case ``truncated`` is set and ``span`` is the actually covered
+    interval.
     """
 
     c: int
@@ -789,12 +715,12 @@ class CurvatureSolution:
     k_samples: np.ndarray
     kp_samples: np.ndarray
     turning_points: np.ndarray
-    boundary_events: list = field(default_factory=list)
-    truncated: bool = False
-    k_interval: tuple[float, float] = (0.0, np.inf)
-    rel_tol: float = ODE_RTOL
-    abs_tol: float = ODE_ATOL
-    _dense: _TwoSidedDense | None = None
+    boundary_events: list
+    truncated: bool
+    k_interval: tuple[float, float]
+    rel_tol: float
+    abs_tol: float
+    _dense: _Dop853Dense
 
     def state(self, u):
         """(k, k') at arbitrary u inside the solved span, stacked last.
@@ -817,8 +743,45 @@ class CurvatureSolution:
         return float(np.max(np.abs(prime_constant(st[..., 0], st[..., 1], self.c) - self.C)))
 
 
-def _curvature_view(problem: CurvatureProblem, run: _TwoSidedRun) -> CurvatureSolution:
-    """The curvature solution held in components 0-1 of ``run``."""
+def _integrate_two_sided(
+    problem: CurvatureProblem | CurvatureSolution, rhs, y0, events
+) -> CurvatureSolution:
+    """Integrate ``rhs`` from ``y0`` at u = 0 out to both ends of ``problem.span``.
+
+    ``y0`` starts with (k0, kp0), and (k, k') are the state's components
+    0-1.  Each side is one order-8 embedded Runge-Kutta run (``_dop853``),
+    stepping below the problem's tolerances (``_internal_tols``); the
+    interpolants of both sides come from one batched pass
+    (``_interpolants``).  A terminal event that fires ends its side early
+    and is recorded in ``boundary_events`` under the event function's name,
+    as is a step-size underflow (``step_underflow``) or a spent step budget
+    (``step_budget``); the roots of the other events are the turning points.
+    """
+    u_min, u_max = problem.span
+    rtol, atol = _internal_tols(problem.rel_tol, problem.abs_tol)
+    right = _dop853(rhs, y0, u_max, rtol, atol, events) if u_max > 0 else None
+    left = _dop853(rhs, y0, u_min, rtol, atol, events) if u_min < 0 else None
+
+    roots, boundary = [], []
+    for res in (left, right):
+        if res is None:
+            continue
+        for event, t_event in zip(events, res.t_events):
+            if event.terminal:
+                boundary.extend({"u": float(ue), "kind": event.__name__} for ue in t_event)
+            else:
+                roots.extend(t_event.tolist())
+        if res.status in _STOP_KINDS:
+            boundary.append({"u": float(res.t[-1]), "kind": _STOP_KINDS[res.status]})
+
+    covered = tuple(end if res is None else float(res.t[-1])
+                    for res, end in ((left, u_min), (right, u_max)))
+    runs = [res for res in (right, left) if res is not None]
+    # the steps of both runs in order, u = 0 once (each run's times are strict)
+    u, first = np.unique(np.concatenate([res.t for res in runs]), return_index=True)
+    y = np.concatenate([res.y for res in runs], axis=1)[:, first]
+    t_old, h, y_old, y_new, K = map(np.array, zip(*(st for res in runs for st in res.steps)))
+    F = _interpolants(rhs, t_old, h, y_old, y_new, K)
     try:
         interval = admissible_interval(problem.C, problem.c)
     except NoSolutionError:
@@ -828,18 +791,18 @@ def _curvature_view(problem: CurvatureProblem, run: _TwoSidedRun) -> CurvatureSo
         C=problem.C,
         k0=problem.k0,
         kp0=problem.kp0,
-        span=run.span,
+        span=covered,
         requested_span=problem.span,
-        u=run.u,
-        k_samples=run.y[0],
-        kp_samples=run.y[1],
-        turning_points=run.roots,
-        boundary_events=run.boundary,
-        truncated=bool(run.boundary),
+        u=u,
+        k_samples=y[0],
+        kp_samples=y[1],
+        turning_points=np.array(sorted(roots)),
+        boundary_events=boundary,
+        truncated=bool(boundary),
         k_interval=interval,
         rel_tol=problem.rel_tol,
         abs_tol=problem.abs_tol,
-        _dense=run.dense,
+        _dense=_Dop853Dense([res.t for res in runs], covered, t_old, h, y_old, F),
     )
 
 
@@ -893,8 +856,6 @@ def solve_curvature(
         k, kp = y
         return [kp, ode_rhs(_clamped_k(k), kp, c)]
 
-    run = _integrate_two_sided(
-        rhs, [problem.k0, problem.kp0], problem.span, rel_tol, abs_tol,
-        _event_functions(problem.C, c),
+    return _integrate_two_sided(
+        problem, rhs, [problem.k0, problem.kp0], _event_functions(problem.C, c)
     )
-    return _curvature_view(problem, run)

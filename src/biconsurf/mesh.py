@@ -36,7 +36,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ProjectionError, UsageError
-from .surfaces import SurfacePatch
+from .surfaces import SurfacePatch, _grid_size
 
 __all__ = [
     "Mesh",
@@ -463,8 +463,7 @@ def sample_mesh(
     example the verifier's f, K and residual fields).  Projection "auto"
     picks identity / stereographic / Poincare ball by the patch case.
     """
-    if nu < 2 or nv < 2:
-        raise UsageError("mesh grids need at least 2 samples per direction")
+    nu, nv = _grid_size(nu, nv)
     u = np.linspace(*patch.u_range, nu)
     v = np.linspace(*patch.v_range, nv)
     X = patch.X(u[:, None], v[None, :]).reshape(nu * nv, -1)

@@ -25,7 +25,7 @@ from .curvature import (
 from .errors import UsageError
 from .mesh import _cells_text, _float_cells, _sidecar_path, sample_mesh, write_obj, write_ply
 from .profile import Branch, reconstruct_profile, revolution_profile
-from .surfaces import build_h3, build_r3_revolution, build_s3
+from .surfaces import _grid_size, build_h3, build_r3_revolution, build_s3
 from .verify import fd_for_patch, fd_scheme, verify_patch
 
 __all__ = ["PipelineConfig", "cmd_solve", "cmd_profile", "cmd_surface", "cmd_sweep"]
@@ -70,7 +70,6 @@ class PipelineConfig:
     abs_tol: float = defaults.PIPELINE_ATOL
     fd_step: float | None = None
     projection: str = "auto"
-    tol_profile: str | None = None
     n_csv: int = 512
 
     def validate(self) -> "PipelineConfig":
@@ -96,8 +95,7 @@ class PipelineConfig:
             raise UsageError("the profile constant C must be positive")
         if self.model == "r3" and not self.rho_range[0] < self.rho_range[1]:
             raise UsageError(f"rho_range must increase, got {self.rho_range!r}")
-        if self.nu < 2 or self.nv < 2:
-            raise UsageError("grid must be at least 2 x 2")
+        _grid_size(self.nu, self.nv)
         n = self.n_csv
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
             raise UsageError(f"n_csv must be an integer >= 2, got {n!r}")
@@ -105,11 +103,6 @@ class PipelineConfig:
             raise UsageError(f"fd_step must be positive, got {self.fd_step!r}")
         if self.v_range is not None and self.v_range[0] == self.v_range[1]:
             raise UsageError(f"v_range must have nonzero width, got {self.v_range!r}")
-        if self.tol_profile is not None and self.tol_profile not in defaults.TOL_PROFILES:
-            raise UsageError(
-                f"unknown tolerance profile '{self.tol_profile}' "
-                f"(choose from {sorted(defaults.TOL_PROFILES)})"
-            )
         return self
 
     @property
@@ -155,7 +148,7 @@ def build_pipeline_patch(cfg: PipelineConfig):
 
     Returns ``(patch, sol)``; ``sol`` is None for r3.  A curved build
     integrates the ODE once: (k, k') run jointly with the profile's chart
-    angle, and ``sol`` is the curvature view of that run
+    angle, and ``sol`` is the record of that run
     (``patch.profile.curvature``).
     """
     cfg = cfg.validate()
@@ -293,10 +286,7 @@ def cmd_surface(
             _output_file(path)
     patch, _ = build_pipeline_patch(cfg)
     fd = fd_for_patch(patch, inner_step=cfg.fd_step)
-    tolerances = (
-        defaults.TOL_PROFILES[cfg.tol_profile] if cfg.tol_profile else None
-    )
-    report = verify_patch(patch, cfg.nu, cfg.nv, fd=fd, tolerances=tolerances)
+    report = verify_patch(patch, cfg.nu, cfg.nv, fd=fd)
 
     written = {}
     if write_meshes:
@@ -331,11 +321,15 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
 
     For r3 the swept parameter is the profile constant C (also emitting the
     u(rho) curve per value); for s3/h3 it is k0, or kp0 if asked.  Any other
-    parameter is a UsageError.  Individual failures are recorded and the
-    sweep continues.
+    parameter is a UsageError, as is a value that makes an invalid
+    configuration, both raised before anything is written.  Failures at run
+    time are recorded and the sweep continues.
     """
     cfg = cfg.validate()
-    values = list(values)
+    try:
+        values = [float(value) for value in values]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"sweep values must be numbers ({exc})") from None
     if not values:
         raise UsageError("sweep needs a nonempty list of parameter values")
     swept = ("C",) if cfg.model == "r3" else ("k0", "kp0")
@@ -343,14 +337,14 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
     if parameter not in swept:
         raise UsageError(f"cannot sweep '{parameter}' for model {cfg.model}; "
                          f"choose 'auto' or {' or '.join(swept)}")
+    runs = [dataclasses.replace(cfg, **{parameter: value}).validate() for value in values]
     out_dir = _output_dir(out_dir)
 
     rows = []
     results = []
-    for i, value in enumerate(values):
-        run = dataclasses.replace(cfg, **{parameter: float(value)})
+    for i, (value, run) in enumerate(zip(values, runs)):
         tag = f"run{i:03d}"
-        entry = {"value": float(value), "tag": tag}
+        entry = {"value": value, "tag": tag}
         try:
             if cfg.model == "r3":
                 prof_out = cmd_profile(run, out_dir / f"{tag}.profile.csv")

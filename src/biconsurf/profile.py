@@ -19,10 +19,11 @@ sin(theta) E2), with cosh and sinh on h2_elliptic, whose (E1, E2) plane is
 Lorentzian.  The quadric fixes r(a), and unit speed with the first integral
 of the curvature ODE fixes theta' > 0 as a function of k.  So theta is the
 only unknown: it is integrated jointly with (k, k') in one run that carries
-the curvature solver's events, and the curve's ``curvature`` is a view of
-its (k, k') components.  sigma, its velocity T and the in-plane normal n of
-the frame equations sigma' = T, T' = k n - c sigma, n' = -k T (c the model
-curvature) are closed forms in (a, a', theta, theta').
+the curvature solver's events, and the curve's ``curvature`` is that run's
+record, whose dense evaluator gives (k, k', theta).  sigma, its velocity T
+and the in-plane normal n of the frame equations sigma' = T,
+T' = k n - c sigma, n' = -k T (c the model curvature) are closed forms in
+(a, a', theta, theta').
 """
 from __future__ import annotations
 
@@ -38,10 +39,8 @@ from .curvature import (
     CurvatureProblem,
     CurvatureSolution,
     _clamped_k,
-    _curvature_view,
     _event_functions,
     _integrate_two_sided,
-    _TwoSidedDense,
     ode_rhs,
     prime_poly,
 )
@@ -245,12 +244,12 @@ class ProfileCurve:
     velocity and the in-plane unit normal, with T' = k n - c sigma, from the
     branch's polar chart (``_Chart``) at the run's (k, k', theta), so sigma
     lies on the quadric and meets the constraint equations up to rounding.
-    ``curvature`` is the :class:`CurvatureSolution` view of the same run, so
-    its steps, span and stops are the curve's.  The run is read through its
-    DOP853 interpolants, computed once for all steps, in one vectorized
-    pass; every (k, k', theta) is bit-identical to scipy's ``OdeSolution``
-    of the same run.  A u outside ``span``, or not finite, raises
-    ``DomainError``.
+    ``curvature`` is the record of that run (:class:`CurvatureSolution`):
+    ``span`` and ``u`` are its covered span and steps, and ``state`` reads
+    its dense evaluator, the DOP853 interpolants of all steps computed once
+    and evaluated in one vectorized pass; every (k, k', theta) is
+    bit-identical to scipy's ``OdeSolution`` of the same run.  A u outside
+    ``span``, or not finite, raises ``DomainError``.
     """
 
     model: SpaceForm
@@ -259,13 +258,18 @@ class ProfileCurve:
     C1: np.ndarray
     C2: np.ndarray
     curvature: CurvatureSolution
-    span: tuple[float, float]
-    u: np.ndarray
-    _dense: _TwoSidedDense
     _chart: _Chart
 
+    @property
+    def span(self) -> tuple[float, float]:
+        return self.curvature.span
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.curvature.u
+
     def state(self, u):
-        return self._chart.state(self._dense(u))
+        return self._chart.state(self.curvature._dense(u))
 
     def k(self, u):
         return self.curvature.k(u)
@@ -353,11 +357,8 @@ def reconstruct_profile(
         k = _clamped_k(k)
         return [kp, ode_rhs(k, kp, c), chart.dtheta(k)]
 
-    run = _integrate_two_sided(
-        rhs, [sol.k0, sol.kp0, 0.0], sol.span, sol.rel_tol, sol.abs_tol,
-        _event_functions(C, c),
-    )
-    if np.max(np.abs(run.y[1])) < 1e-14:
+    curvature = _integrate_two_sided(sol, rhs, [sol.k0, sol.kp0, 0.0], _event_functions(C, c))
+    if np.max(np.abs(curvature.kp_samples)) < 1e-14:
         raise UsageError("constant-curvature solution: the surface would be CMC")
 
     C1, C2 = _BRANCH_CONSTANTS[branch][:2]
@@ -367,10 +368,7 @@ def reconstruct_profile(
         C=C,
         C1=C1.copy(),
         C2=C2.copy(),
-        curvature=_curvature_view(sol, run),
-        span=run.span,
-        u=run.u,
-        _dense=run.dense,
+        curvature=curvature,
         _chart=chart,
     )
 

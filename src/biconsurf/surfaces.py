@@ -102,6 +102,14 @@ class SurfacePatch:
         return float(np.hypot(du, dv))
 
 
+def _grid_size(nu, nv) -> tuple[int, int]:
+    """(nu, nv) of a sampling grid as ints: integers >= 2, bools refused."""
+    for n in (nu, nv):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise UsageError(f"the grid needs integers nu, nv >= 2, got {nu!r} x {nv!r}")
+    return int(nu), int(nv)
+
+
 def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     """Surface of revolution (rho cos v, rho sin v, z) over a t-v rect.
 

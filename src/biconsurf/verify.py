@@ -41,7 +41,7 @@ from .defaults import (
 )
 from .errors import ConditioningError, UsageError
 from .profile import ProfileCurve
-from .surfaces import SurfacePatch
+from .surfaces import SurfacePatch, _grid_size
 
 __all__ = [
     "FDScheme",
@@ -734,9 +734,7 @@ def verify_patch(
     false when none bounds a residual (a case without a profile, say).
     ``nu`` and ``nv`` must be integers >= 2.
     """
-    if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (nu, nv)):
-        raise UsageError(f"the grid needs integers nu, nv >= 2, got {nu!r} x {nv!r}")
-    nu, nv = int(nu), int(nv)
+    nu, nv = _grid_size(nu, nv)
     _require_jets(patch)
     fd = fd or fd_for_patch(patch)
     if tolerances is None:

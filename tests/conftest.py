@@ -59,14 +59,10 @@ def assert_same_interpolants(dense, sols):
         assert np.array_equal(got, want)
 
 
-def reference_dense(sols):
-    """The stacked evaluator over the interpolants of scipy's runs."""
-    return curvature._Dop853Dense([sol.ts for sol in sols], *stacked_interpolants(sols))
-
-
-def reference_two_sided(right, left, span):
-    """The two-sided evaluator over scipy's right and left results."""
-    return curvature._TwoSidedDense(reference_dense([right.sol, left.sol]), True, span)
+def reference_dense(sols, span):
+    """The stacked evaluator over ``span`` of the interpolants of scipy's runs
+    (``OdeSolution``s; of two, the right one first)."""
+    return curvature._Dop853Dense([sol.ts for sol in sols], span, *stacked_interpolants(sols))
 
 
 def sweep_patch(case, model, sigma, amplitude, orbit, u_range, v_range):

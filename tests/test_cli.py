@@ -219,6 +219,12 @@ class TestNonFiniteInput:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["nu", "nv"])
+    @pytest.mark.parametrize("n", [0, 1, 8.5, 8.0, True, "8"])
+    def test_grid_size_must_be_an_integer_of_at_least_two(self, field, n):
+        with pytest.raises(bc.UsageError, match="integers nu, nv >= 2"):
+            PipelineConfig(model="s3", **{field: n}).validate()
+
     @pytest.mark.parametrize("n_csv", [0, 1, -3, 2.5, True, "512"])
     @pytest.mark.parametrize("command", [cmd_solve, pipeline.cmd_profile])
     def test_n_csv_must_be_an_integer_of_at_least_two(self, tmp_path, command, n_csv):
@@ -377,8 +383,10 @@ class TestSweepCommand:
         assert header.startswith("k0,")
 
     def test_failed_entry_recorded_and_sweep_continues(self, tmp_path):
+        # C = 0.01 puts the waist radius, 1000, beyond the profile's end: a
+        # failure at run time
         cfg = PipelineConfig(model="r3", nu=8, nv=8)
-        result = cmd_sweep(cfg, [1.0, -1.0, 2.0], tmp_path)
+        result = cmd_sweep(cfg, [1.0, 0.01, 2.0], tmp_path)
         status = [r.get("pass") for r in result["runs"]]
         assert status == [True, False, True]
         assert "error" in result["runs"][1]
@@ -401,6 +409,25 @@ class TestSweepCommand:
         gauss = [run["max_gauss"] for run in result["runs"]]
         assert gauss[0] != gauss[1]
         assert (tmp_path / "summary.csv").read_text().startswith("kp0,")
+
+    @pytest.mark.parametrize("model, values, message", [
+        ("s3", [1.0, math.nan], "k0 must be finite"),
+        ("s3", [1.0, -1.0], "k0 must be positive"),
+        ("r3", [1.0, -1.0], "the profile constant C must be positive"),
+        ("s3", [1.0, "x"], "sweep values must be numbers"),
+        ("s3", [1.0, None], "sweep values must be numbers"),
+    ])
+    def test_unusable_value_rejected_before_output(self, tmp_path, model, values, message):
+        out = tmp_path / "out"
+        with pytest.raises(bc.UsageError, match=message):
+            cmd_sweep(PipelineConfig(model=model, nu=8, nv=8), values, out)
+        assert not out.exists()
+
+    def test_cli_unusable_value_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sweep", "--model", "s3", "--values", "nan", "1", "--out", str(out)) == 2
+        assert "k0 must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_values_rejected(self, tmp_path):
         cfg = PipelineConfig(model="r3")

@@ -15,7 +15,6 @@ from conftest import (
     assert_same_run,
     recorded_runs,
     reference_dense,
-    reference_two_sided,
     scipy_run,
 )
 
@@ -256,18 +255,24 @@ class TestDop853Driver:
         assert abs(run.t[-1] - 1.0) < 1e-6
 
     def test_two_sided_run_records_step_underflow(self):
+        # (k, k') = (1 / (1 - u), k^2) blows up at u = 1, k'' = 2 k^3
+        def blow_up(u, y):
+            k, kp = y
+            return [kp, 2.0 * k * kp]
+
+        problem = curvature.curvature_problem(1, 1.0, 1.0, (-1.0, 2.0), 1e-8, 1e-10)
         rtol, atol = curvature._internal_tols(1e-8, 1e-10)
         with np.errstate(over="ignore", invalid="ignore"):
-            run = curvature._integrate_two_sided(
-                self.blow_up, [1.0], (-1.0, 2.0), 1e-8, 1e-10, [])
-            res = scipy_run(self.blow_up, np.array([1.0]), 2.0, rtol, atol, [])
+            sol = curvature._integrate_two_sided(problem, blow_up, [1.0, 1.0], [])
+            res = scipy_run(blow_up, np.array([1.0, 1.0]), 2.0, rtol, atol, [])
         end = float(res.t[-1])
         assert res.status == -1
-        assert run.boundary == [{"u": end, "kind": "step_underflow"}]
-        assert run.span == (-1.0, end)
-        assert run.u[0] == -1.0 and run.u[-1] == end
+        assert sol.boundary_events == [{"u": end, "kind": "step_underflow"}]
+        assert sol.truncated
+        assert sol.span == (-1.0, end)
+        assert sol.u[0] == -1.0 and sol.u[-1] == end
         u = np.linspace(0.0, end, 101)
-        assert np.array_equal(run.dense(u), reference_dense([res.sol])(u))
+        assert np.array_equal(sol._dense(u), reference_dense([res.sol], (0.0, end))(u))
 
     @staticmethod
     def at_root(root, terminal):
@@ -581,8 +586,8 @@ class TestFloatPaths:
         for (_, run), res in zip(calls, refs):
             assert_same_run(run, res)
         sol_right, sol_left, prof_right, prof_left = refs
-        ref_sol = reference_two_sided(sol_right, sol_left, sol.span)
-        ref_prof = reference_two_sided(prof_right, prof_left, prof.span)
+        ref_sol = reference_dense([sol_right.sol, sol_left.sol], sol.span)
+        ref_prof = reference_dense([prof_right.sol, prof_left.sol], prof.span)
         for got, want in [(sol.u, np.concatenate([sol_left.t[::-1], sol_right.t[1:]])),
                           (sol.k_samples, np.concatenate([sol_left.y[0, ::-1], sol_right.y[0, 1:]])),
                           (sol.kp_samples, np.concatenate([sol_left.y[1, ::-1], sol_right.y[1, 1:]])),
@@ -590,7 +595,7 @@ class TestFloatPaths:
             assert np.array_equal(got, want)
         grid = np.unique(np.concatenate([np.linspace(*prof.span, 301), prof.u]))
         assert np.array_equal(sol.state(grid), ref_sol(grid))
-        assert np.array_equal(prof._dense(grid), ref_prof(grid))
+        assert np.array_equal(prof.curvature._dense(grid), ref_prof(grid))
         assert np.array_equal(prof.state(grid), prof._chart.state(ref_prof(grid)))
 
     @pytest.mark.parametrize("c, C, branch", [

@@ -14,7 +14,6 @@ from conftest import (
     assert_same_run,
     recorded_runs,
     reference_dense,
-    reference_two_sided,
     scipy_run,
 )
 
@@ -312,7 +311,7 @@ class TestSingleIntegrationBuild:
         results = [scipy_run(*args) for args, _ in calls]
         for (_, run), res in zip(calls, results):
             assert_same_run(run, res)
-        assert_same_interpolants(patch.profile._dense._dense, [res.sol for res in results])
+        assert_same_interpolants(patch.profile.curvature._dense, [res.sol for res in results])
 
     @pytest.mark.parametrize("model, k0, kp0", CASES)
     def test_matches_two_pass_reference(self, monkeypatch, model, k0, kp0):
@@ -344,14 +343,14 @@ class TestSingleIntegrationBuild:
             for end in (ref_sol.span[1], ref_sol.span[0])
         )
         ref_u = np.concatenate([left.t[::-1], right.t[1:]])
-        ref_dense = reference_two_sided(right, left, ref_sol.span)
+        ref_dense = reference_dense([right.sol, left.sol], ref_sol.span)
 
         assert sol.C == ref_sol.C
         assert prof.span == sol.span == ref_sol.span
         assert np.array_equal(prof.u, ref_u)
         assert np.array_equal(sol.u, ref_u)
         grid = np.unique(np.concatenate([np.linspace(*prof.span, 301), ref_u]))
-        assert np.array_equal(prof._dense(grid), ref_dense(grid))
+        assert np.array_equal(prof.curvature._dense(grid), ref_dense(grid))
         assert np.array_equal(prof.state(grid), prof._chart.state(ref_dense(grid)))
         assert np.array_equal(sol.state(grid), ref_dense(grid)[:, :2])
         assert np.array_equal(sol.kp_samples, prof.kp(prof.u))
@@ -427,7 +426,7 @@ class TestDenseOutput:
         return np.concatenate([ts, [ts[0], ts[-1]], inside])
 
     def _check_run(self, sol):
-        dense = reference_dense([sol])
+        dense = reference_dense([sol], tuple(sorted((sol.ts[0], sol.ts[-1]))))
         # at a step time OdeSolution takes the segment of lower index; the
         # values agree either way (y_old + (y_new - y_old) rounds back to
         # y_new), so the rule is checked on the indices
@@ -448,7 +447,7 @@ class TestDenseOutput:
         interpolants of scipy's runs.
         """
         right, left = (res.sol for res in results)
-        assert_same_interpolants(dense._dense, [right, left])
+        assert_same_interpolants(dense, [right, left])
         assert right.ts[-1] > 0 > left.ts[-1]
         for sol in (right, left):
             self._check_run(sol)
@@ -472,9 +471,9 @@ class TestDenseOutput:
 
     def test_profile_run(self, monkeypatch):
         cfg = PipelineConfig(model="s3", k0=1.0, kp0=1.0)
-        (patch, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
+        (_, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
         assert [res.y.shape[0] for res in results] == [3, 3]
-        self._check_two_sided(patch.profile._dense, patch.profile._dense, results)
+        self._check_two_sided(sol._dense, sol._dense, results)
         self._check_two_sided(sol.state, sol._dense, results, n=2)
 
     def test_one_step_run(self, monkeypatch):
@@ -485,10 +484,10 @@ class TestDenseOutput:
 
     def test_truncated_build(self, monkeypatch):
         cfg = PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))
-        (patch, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
+        (_, sol), results = self._recorded(monkeypatch, lambda: build_pipeline_patch(cfg))
         assert sol.truncated
         assert [res.status for res in results] == [1, 1]  # both ended by k_floor
-        self._check_two_sided(patch.profile._dense, patch.profile._dense, results)
+        self._check_two_sided(sol._dense, sol._dense, results)
 
     def test_long_runs(self, monkeypatch):
         # many turning points (non-terminal roots) on s3, long steps on h3
@@ -498,7 +497,7 @@ class TestDenseOutput:
         prof, results = self._recorded(monkeypatch, lambda: bc.reconstruct_profile(problem, "s2"))
         turning = prof.curvature.turning_points
         assert np.sum(turning < 0) >= 5 and np.sum(turning > 0) >= 5
-        self._check_two_sided(prof._dense, prof._dense, results)
+        self._check_two_sided(prof.curvature._dense, prof.curvature._dense, results)
         sol, results = self._recorded(
             monkeypatch, lambda: bc.solve_curvature(-1, 1.0, 1.0, (-4.0, 4.0)))
         self._check_two_sided(sol.state, sol._dense, results)

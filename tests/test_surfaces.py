@@ -361,6 +361,12 @@ class TestMesh:
         with pytest.raises(bc.UsageError):
             sample_mesh(patch, 1, 5)
 
+    @pytest.mark.parametrize("nu, nv", [(2.5, 4), (8.0, 4), (4, 8.0), (True, 4), ("8", 4)])
+    def test_grid_size_not_integer_is_usage_error(self, r3_pipeline, nu, nv):
+        _, patch, _ = r3_pipeline
+        with pytest.raises(bc.UsageError, match="integers nu, nv >= 2"):
+            sample_mesh(patch, nu, nv)
+
     def test_channels_must_match_grid(self, r3_pipeline):
         _, patch, _ = r3_pipeline
         with pytest.raises(bc.UsageError):
