@@ -5,8 +5,7 @@ The surface lives on the unit 3-sphere and is swept by rotating a profile
 curve sigma(u) along circles in the plane of two constant vectors C1, C2.
 The classification pins sigma by linear constraints: its C1-component must
 equal 4/(3 sqrt(C) k^(3/4)) and its C2-component must vanish.  Everything
-below is verified numerically, including an independent reconstruction of
-the curve in the k parameter.
+below is verified numerically.
 """
 from pathlib import Path
 
@@ -31,11 +30,6 @@ print(f"  <sigma, C1> - 4/(3 sqrt(C) k^(3/4)) : {np.max(np.abs(res['constraint_c
 print(f"  <sigma, C2>                         : {np.max(np.abs(res['constraint_c2'])):.2e}")
 print(f"  |sigma|^2 - 1                        : {np.max(np.abs(res['model_membership'])):.2e}")
 print(f"  |sigma'|^2 - 1                       : {np.max(np.abs(res['unit_speed'])):.2e}")
-
-u_turn = float(sol.turning_points[0])
-dev = bc.oracle_deviation(prof, 0.05, u_turn - 0.03)
-print("\nindependent reconstruction in the k parameter (reduced dx/dk equation):")
-print(f"  max |x_chart - x_oracle| = {dev['x']:.2e},  sign branch {dev['sign']:+d}")
 
 print(f"\nsweep-field tangency residual: {bc.killing_tangency_check(patch):.2e}")
 print("(the v-curves are orbits of a one-parameter rotation group)")

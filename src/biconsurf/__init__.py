@@ -35,10 +35,8 @@ from .errors import (
     DegenerateSpanError,
     DomainError,
     GeometryError,
-    InfeasibleError,
     NoSolutionError,
     ProjectionError,
-    SplitRangeError,
     UsageError,
 )
 from .mesh import Mesh, poincare_ball, sample_mesh, stereographic, write_obj, write_ply
@@ -47,8 +45,6 @@ from .profile import (
     Branch,
     ProfileCurve,
     RevolutionProfile,
-    oracle_deviation,
-    profile_oracle_dxdk,
     reconstruct_profile,
     revolution_profile,
 )

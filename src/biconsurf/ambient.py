@@ -105,8 +105,9 @@ class SpaceForm:
     c: int
 
     def __post_init__(self):
-        if self.c not in (-1, 0, 1):
-            raise UsageError(f"curvature must be -1, 0 or +1, got {self.c}")
+        # a bool equals 0 or 1 but is not a curvature; NaN and strings equal none
+        if isinstance(self.c, (bool, np.bool_)) or self.c not in (-1, 0, 1):
+            raise UsageError(f"curvature must be -1, 0 or +1, got {self.c!r}")
 
     @property
     def ambient(self) -> Signature:
@@ -148,7 +149,8 @@ H3 = SpaceForm(-1)
 
 
 def space_form(c: int) -> SpaceForm:
-    return SpaceForm(int(c))
+    """The model of curvature c: -1, 0 or +1, as an int or an integral float."""
+    return {-1: H3, 0: R3, 1: S3}[SpaceForm(c).c]
 
 
 def _cofactor_complement(sig: Signature, mat: np.ndarray) -> np.ndarray:

@@ -62,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dop853
+from .ambient import space_form
 from .defaults import ADMISSIBILITY_SLACK, K_FLOOR, ODE_ATOL, ODE_RTOL
 from .errors import DomainError, NoSolutionError, UsageError
 
@@ -238,8 +239,10 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
 
     Endpoints are located by bracketing and Brent's method (``_brentq``).
     For c in {0, -1} the polynomial is positive down to k = 0 and the lower
-    endpoint is returned as 0.0 (open end).
+    endpoint is returned as 0.0 (open end).  A c other than -1, 0 and +1
+    raises ``UsageError``.
     """
+    space_form(c)
     # g(k) = P(k)/k^2 has the same positive roots with a cleaner shape
     def g(k):
         return -16.0 * c / 9.0 - 16.0 * k**2 + C * k**1.5
@@ -661,11 +664,12 @@ def curvature_problem(
 ) -> CurvatureProblem:
     """Check initial data and a target span, and compute the constant C.
 
-    k0 must be positive, C finite, the span a nondegenerate interval
-    containing u = 0, and both tolerances positive and finite; the
+    c must be -1, 0 or +1, k0 positive, C finite, the span a nondegenerate
+    interval containing u = 0, and both tolerances positive and finite; the
     constant-curvature equilibrium of the sphere is refused, since its
     solution would be constant.
     """
+    space_form(c)
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not 0.0 < tol < np.inf:
             raise UsageError(f"{name} must be positive and finite, got {tol!r}")

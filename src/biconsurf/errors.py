@@ -30,14 +30,6 @@ class ConstructionError(GeometryError):
     """Initial data for a curve or surface construction is infeasible."""
 
 
-class InfeasibleError(GeometryError):
-    """A square-root argument or inequality required by a formula fails."""
-
-
-class SplitRangeError(GeometryError):
-    """Requested range crosses a singular point and must be split first."""
-
-
 class ProjectionError(GeometryError):
     """Projection pole lies on (or too close to) the surface."""
 

@@ -25,7 +25,7 @@ from .curvature import (
 from .errors import UsageError
 from .mesh import _cells_text, _float_cells, _sidecar_path, sample_mesh, write_obj, write_ply
 from .profile import Branch, reconstruct_profile, revolution_profile
-from .surfaces import _grid_size, build_h3, build_r3_revolution, build_s3
+from .surfaces import _grid_size, _v_range, build_h3, build_r3_revolution, build_s3
 from .verify import fd_for_patch, fd_scheme, verify_patch
 
 __all__ = ["PipelineConfig", "cmd_solve", "cmd_profile", "cmd_surface", "cmd_sweep"]
@@ -101,8 +101,8 @@ class PipelineConfig:
             raise UsageError(f"n_csv must be an integer >= 2, got {n!r}")
         if self.fd_step is not None and self.fd_step <= 0:
             raise UsageError(f"fd_step must be positive, got {self.fd_step!r}")
-        if self.v_range is not None and self.v_range[0] == self.v_range[1]:
-            raise UsageError(f"v_range must have nonzero width, got {self.v_range!r}")
+        if self.v_range is not None:
+            _v_range(self.v_range)
         return self
 
     @property

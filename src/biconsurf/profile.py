@@ -24,13 +24,16 @@ record, whose dense evaluator gives (k, k', theta).  sigma, its velocity T
 and the in-plane normal n of the frame equations sigma' = T,
 T' = k n - c sigma, n' = -k T (c the model curvature) are closed forms in
 (a, a', theta, theta').
+
+The module needs numpy only.  The tests check s2 profile arcs against an
+independent scipy integration of the reduced dx/dk equation (the
+k-parameter oracle of ``tests/conftest.py``).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,18 +45,8 @@ from .curvature import (
     _event_functions,
     _integrate_two_sided,
     ode_rhs,
-    prime_poly,
 )
-from .errors import (
-    ConstructionError,
-    DomainError,
-    InfeasibleError,
-    SplitRangeError,
-    UsageError,
-)
-
-if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
+from .errors import ConstructionError, DomainError, UsageError
 
 __all__ = [
     "RevolutionProfile",
@@ -61,8 +54,6 @@ __all__ = [
     "Branch",
     "ProfileCurve",
     "reconstruct_profile",
-    "profile_oracle_dxdk",
-    "oracle_deviation",
 ]
 
 
@@ -120,13 +111,16 @@ class RevolutionProfile:
 
 
 def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:
-    if C <= 0:
-        raise DomainError("the profile constant C must be positive")
+    # NaN fails every comparison, so each test is written to fail closed
+    if not 0 < C < math.inf:
+        raise DomainError(f"the profile constant C must be positive and finite, got {C!r}")
     try:
         waist = float(C) ** -1.5
     except OverflowError:
         raise DomainError(f"the waist radius C^(-3/2) is not finite for C={C!r}") from None
-    if rho_max <= waist:
+    if not math.isfinite(rho_max):
+        raise DomainError(f"rho_max must be finite, got {rho_max!r}")
+    if not rho_max > waist:
         raise DomainError("rho_max must exceed the waist radius C^(-3/2)")
     return RevolutionProfile(C=float(C), rho_max=float(rho_max))
 
@@ -328,7 +322,11 @@ def reconstruct_profile(
     and n has the sign of <sigma, C1> along C1.  Initial data whose chart
     radius squared D is not positive at u = 0 raise ``ConstructionError``.
     """
-    branch = Branch(branch)
+    try:
+        branch = Branch(branch)
+    except ValueError:
+        names = ", ".join(b.value for b in Branch)
+        raise UsageError(f"unknown profile branch {branch!r}; expected one of {names}") from None
     model = _branch_model(branch)
     if model.c != sol.c:
         raise UsageError(
@@ -371,143 +369,3 @@ def reconstruct_profile(
         curvature=curvature,
         _chart=chart,
     )
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: first-order ODE in the k parameter (sphere branch)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class OracleCurve:
-    """x(k) from the reduced first-order ODE, with y recovered by the quadric.
-
-    ``x`` reads the dense output (``OdeSolution``) of scipy's own
-    ``solve_ivp`` run, so the oracle shares no integration code with the
-    profile curves it checks.
-    """
-
-    C: float
-    sign: int
-    y_sign: int
-    k_range: tuple[float, float]
-    _sol: OdeSolution
-
-    def x(self, k):
-        k = np.asarray(k, dtype=float)
-        flat = k.ravel()
-        # OdeSolution cannot evaluate an empty array
-        x = (self._sol(flat)[0] if flat.size else flat).reshape(k.shape)
-        return x if k.ndim else float(x)
-
-    def y(self, k):
-        k = np.asarray(k, dtype=float)
-        x = self.x(k)
-        disc = 1.0 - x**2 - 16.0 / (9.0 * self.C) * k**-1.5
-        return self.y_sign * np.sqrt(np.maximum(disc, 0.0))
-
-
-def _dxdk_rhs(C: float, sign: int):
-    def rhs(k, x):
-        den = 9.0 * C * k**1.5 - 16.0
-        rad1 = -9.0 * C * k**1.5 * x[0] ** 2 + 9.0 * C * k**1.5 - 16.0
-        rad2 = 9.0 * C * k**1.5 - 144.0 * k**2 - 16.0
-        rad1 = max(rad1, 0.0)
-        rad2 = max(rad2, 1e-300)
-        return [
-            12.0 * x[0] / (k * den)
-            + sign * 36.0 * np.sqrt(rad1) / (den * np.sqrt(rad2))
-        ]
-
-    return rhs
-
-
-def profile_oracle_dxdk(
-    x0: float,
-    k_range: tuple[float, float],
-    C: float,
-    sign: int = 1,
-    y_sign: int = 1,
-    rel_tol: float = 1e-11,
-) -> OracleCurve:
-    """Integrate the reduced dx/dk equation on a strictly monotone arc.
-
-    ``k_range`` must avoid both the turning-point locus (where the prime
-    integral polynomial vanishes and the square root in the equation blows
-    up) and the curve C1-pole where 9 C k^(3/2) = 16.  The result is meant
-    purely as an independent cross-check of the profile integration, and the
-    one caller of scipy in the package: it imports scipy's ``solve_ivp``
-    here, so that importing biconsurf and running its pipelines do not.
-    """
-    from scipy.integrate import solve_ivp
-
-    k_a, k_b = float(k_range[0]), float(k_range[1])
-    if k_a == k_b:
-        raise UsageError("k_range must be nondegenerate")
-    lo, hi = min(k_a, k_b), max(k_a, k_b)
-    probe = np.linspace(lo, hi, 257)
-    den = 9.0 * C * probe**1.5 - 16.0
-    if np.any(den <= 0) and np.any(den >= 0):
-        raise SplitRangeError("k range crosses the pole 9 C k^(3/2) = 16")
-    turn = prime_poly(probe, C, 1)
-    if np.any(turn <= 0):
-        raise SplitRangeError(
-            "k range touches a turning point of the curvature solution; "
-            "split the arc at the turning point"
-        )
-    rad1 = -9.0 * C * probe**1.5 * x0**2 + 9.0 * C * probe**1.5 - 16.0
-    if rad1[np.argmin(np.abs(probe - k_a))] < -1e-12:
-        raise InfeasibleError("initial point violates the quadric inequality")
-
-    res = solve_ivp(
-        _dxdk_rhs(C, sign),
-        (k_a, k_b),
-        [float(x0)],
-        method="DOP853",
-        dense_output=True,
-        rtol=rel_tol,
-        atol=1e-13,
-    )
-    if not res.success:
-        raise InfeasibleError(f"oracle integration failed: {res.message}")
-    return OracleCurve(
-        C=C, sign=sign, y_sign=y_sign, k_range=(k_a, k_b), _sol=res.sol
-    )
-
-
-def oracle_deviation(
-    prof: ProfileCurve,
-    u_start: float,
-    u_end: float,
-    n: int = 200,
-) -> dict:
-    """Max deviation between the profile curve and the k-parameter oracle.
-
-    Valid only on the sphere branch and on arcs where k is strictly
-    monotone.  The equation's sign ambiguity is resolved by matching the
-    profile's dx/dk at the start of the arc, and the y branch by the profile's
-    y sign there; both are degenerate exactly where y = 0, so pick an arc
-    start away from that locus.
-    """
-    if prof.branch is not Branch.S2:
-        raise UsageError("the k-parameter oracle applies to the sphere branch")
-    u = np.linspace(u_start, u_end, n)
-    st = prof.state(u)
-    k, kp = st[..., 0], st[..., 1]
-    if np.any(kp == 0) or np.max(kp) * np.min(kp) < 0:
-        raise SplitRangeError("arc is not strictly monotone in k")
-    x_fr, y_fr = st[..., 2], st[..., 3]
-
-    k0, kp0 = float(k[0]), float(kp[0])
-    x0 = float(x_fr[0])
-    slope = float(st[0, 6]) / kp0  # dx/dk from the profile at the arc start
-    cands = {s: _dxdk_rhs(prof.C, s)(k0, [x0])[0] for s in (1, -1)}
-    sign = min(cands, key=lambda s: abs(cands[s] - slope))
-    y_sign = 1 if y_fr[0] >= 0 else -1
-
-    oracle = profile_oracle_dxdk(x0, (k0, float(k[-1])), prof.C, sign, y_sign)
-    return {
-        "x": float(np.max(np.abs(oracle.x(k) - x_fr))),
-        "y": float(np.max(np.abs(oracle.y(k) - y_fr))),
-        "sign": sign,
-    }

@@ -14,6 +14,7 @@ that probe many v values per u can reuse the dense-output evaluation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,6 +111,16 @@ def _grid_size(nu, nv) -> tuple[int, int]:
     return int(nu), int(nv)
 
 
+def _v_range(v_range) -> tuple[float, float]:
+    """(v0, v1) of a sweep's v range as floats: finite, of nonzero width."""
+    v0, v1 = float(v_range[0]), float(v_range[1])
+    if not (math.isfinite(v0) and math.isfinite(v1)):
+        raise UsageError(f"v_range must be finite, got {v_range!r}")
+    if v0 == v1:
+        raise UsageError(f"v_range must have nonzero width, got {v_range!r}")
+    return v0, v1
+
+
 def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     """Surface of revolution (rho cos v, rho sin v, z) over a t-v rect.
 
@@ -123,12 +134,13 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     K = -1/(3 C rho^(8/3)) = -C^3 / (3 s^8), for the verifier to compare
     against.
     """
-    (t0, t1), (v0, v1) = rect
+    (t0, t1), v_range = rect
     if not t0 < t1:
         raise UsageError("empty t range")
     t_max = prof.t_max
     if t0 < -t_max or t1 > t_max:
         raise DomainError(f"t range exceeds the profile's chart [-{t_max}, {t_max}]")
+    v_range = _v_range(v_range)
     C, R = prof.C, prof.rho_min
 
     def uline(t):
@@ -159,7 +171,7 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         case="r3_revolution",
         model=R3,
         u_range=(float(t0), float(t1)),
-        v_range=(float(v0), float(v1)),
+        v_range=v_range,
         uline=uline,
         at=at,
         eval_u_domain=(-t_max, t_max),
@@ -277,7 +289,7 @@ def _sweep_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
         case=case,
         model=prof.model,
         u_range=prof.span,
-        v_range=(float(v_range[0]), float(v_range[1])),
+        v_range=_v_range(v_range),
         uline=_sweep_uline(prof, _amplitude_scale(prof.branch, prof.C)),
         at=at,
         eval_u_domain=prof.span,

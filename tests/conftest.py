@@ -1,11 +1,15 @@
-"""Shared fixtures: the three curved pipelines and classical test surfaces."""
+"""Shared fixtures: the three curved pipelines and classical test surfaces,
+and the tests' scipy references (DOP853 runs and the k-parameter oracle)."""
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 import biconsurf as bc
 from biconsurf import curvature, surfaces
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
+from biconsurf.profile import Branch, ProfileCurve
 from biconsurf.surfaces import SurfacePatch
 
 
@@ -63,6 +67,152 @@ def reference_dense(sols, span):
     """The stacked evaluator over ``span`` of the interpolants of scipy's runs
     (``OdeSolution``s; of two, the right one first)."""
     return curvature._Dop853Dense([sol.ts for sol in sols], span, *stacked_interpolants(sols))
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: first-order ODE in the k parameter (sphere branch)
+# ---------------------------------------------------------------------------
+
+
+class InfeasibleError(bc.GeometryError):
+    """A square-root argument or inequality required by the oracle fails."""
+
+
+class SplitRangeError(bc.GeometryError):
+    """Requested range crosses a singular point and must be split first."""
+
+
+@dataclass(frozen=True, eq=False)
+class OracleCurve:
+    """x(k) from the reduced first-order ODE, with y recovered by the quadric.
+
+    ``x`` reads the dense output (``OdeSolution``) of scipy's own
+    ``solve_ivp`` run, so the oracle shares no integration code with the
+    profile curves it checks.
+    """
+
+    C: float
+    sign: int
+    y_sign: int
+    k_range: tuple[float, float]
+    _sol: OdeSolution
+
+    def x(self, k):
+        k = np.asarray(k, dtype=float)
+        flat = k.ravel()
+        # OdeSolution cannot evaluate an empty array
+        x = (self._sol(flat)[0] if flat.size else flat).reshape(k.shape)
+        return x if k.ndim else float(x)
+
+    def y(self, k):
+        k = np.asarray(k, dtype=float)
+        x = self.x(k)
+        disc = 1.0 - x**2 - 16.0 / (9.0 * self.C) * k**-1.5
+        return self.y_sign * np.sqrt(np.maximum(disc, 0.0))
+
+
+def _dxdk_rhs(C: float, sign: int):
+    def rhs(k, x):
+        den = 9.0 * C * k**1.5 - 16.0
+        rad1 = -9.0 * C * k**1.5 * x[0] ** 2 + 9.0 * C * k**1.5 - 16.0
+        rad2 = 9.0 * C * k**1.5 - 144.0 * k**2 - 16.0
+        rad1 = max(rad1, 0.0)
+        rad2 = max(rad2, 1e-300)
+        return [
+            12.0 * x[0] / (k * den)
+            + sign * 36.0 * np.sqrt(rad1) / (den * np.sqrt(rad2))
+        ]
+
+    return rhs
+
+
+def profile_oracle_dxdk(
+    x0: float,
+    k_range: tuple[float, float],
+    C: float,
+    sign: int = 1,
+    y_sign: int = 1,
+    rel_tol: float = 1e-11,
+) -> OracleCurve:
+    """Integrate the reduced dx/dk equation on a strictly monotone arc.
+
+    ``k_range`` must avoid both the turning-point locus (where the prime
+    integral polynomial vanishes and the square root in the equation blows
+    up) and the curve C1-pole where 9 C k^(3/2) = 16.  The result is an
+    independent cross-check of the profile integration: scipy's
+    ``solve_ivp`` integrates it (the module-level name, which a test may
+    patch to record the run).
+    """
+    k_a, k_b = float(k_range[0]), float(k_range[1])
+    if k_a == k_b:
+        raise bc.UsageError("k_range must be nondegenerate")
+    lo, hi = min(k_a, k_b), max(k_a, k_b)
+    probe = np.linspace(lo, hi, 257)
+    den = 9.0 * C * probe**1.5 - 16.0
+    if np.any(den <= 0) and np.any(den >= 0):
+        raise SplitRangeError("k range crosses the pole 9 C k^(3/2) = 16")
+    turn = bc.prime_poly(probe, C, 1)
+    if np.any(turn <= 0):
+        raise SplitRangeError(
+            "k range touches a turning point of the curvature solution; "
+            "split the arc at the turning point"
+        )
+    rad1 = -9.0 * C * probe**1.5 * x0**2 + 9.0 * C * probe**1.5 - 16.0
+    if rad1[np.argmin(np.abs(probe - k_a))] < -1e-12:
+        raise InfeasibleError("initial point violates the quadric inequality")
+
+    res = solve_ivp(
+        _dxdk_rhs(C, sign),
+        (k_a, k_b),
+        [float(x0)],
+        method="DOP853",
+        dense_output=True,
+        rtol=rel_tol,
+        atol=1e-13,
+    )
+    if not res.success:
+        raise InfeasibleError(f"oracle integration failed: {res.message}")
+    return OracleCurve(
+        C=C, sign=sign, y_sign=y_sign, k_range=(k_a, k_b), _sol=res.sol
+    )
+
+
+def oracle_deviation(
+    prof: ProfileCurve,
+    u_start: float,
+    u_end: float,
+    n: int = 200,
+) -> dict:
+    """Max deviation between the profile curve and the k-parameter oracle.
+
+    Valid only on the sphere branch and on arcs where k is strictly
+    monotone.  The equation's sign ambiguity is resolved by matching the
+    profile's dx/dk at the start of the arc, and the y branch by the profile's
+    y sign there; both are degenerate exactly where y = 0, so pick an arc
+    start away from that locus.
+    """
+    if prof.branch is not Branch.S2:
+        raise bc.UsageError("the k-parameter oracle applies to the sphere branch")
+    u = np.linspace(u_start, u_end, n)
+    st = prof.state(u)
+    k, kp = st[..., 0], st[..., 1]
+    if np.any(kp == 0) or np.max(kp) * np.min(kp) < 0:
+        raise SplitRangeError("arc is not strictly monotone in k")
+    x_fr, y_fr = st[..., 2], st[..., 3]
+
+    k0, kp0 = float(k[0]), float(kp[0])
+    x0 = float(x_fr[0])
+    slope = float(st[0, 6]) / kp0  # dx/dk from the profile at the arc start
+    cands = {s: _dxdk_rhs(prof.C, s)(k0, [x0])[0] for s in (1, -1)}
+    sign = min(cands, key=lambda s: abs(cands[s] - slope))
+    y_sign = 1 if y_fr[0] >= 0 else -1
+
+    oracle = profile_oracle_dxdk(x0, (k0, float(k[-1])), prof.C, sign, y_sign)
+    return {
+        "x": float(np.max(np.abs(oracle.x(k) - x_fr))),
+        "y": float(np.max(np.abs(oracle.y(k) - y_fr))),
+        "sign": sign,
+    }
 
 
 def sweep_patch(case, model, sigma, amplitude, orbit, u_range, v_range):

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 import biconsurf as bc
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_solve, cmd_surface
 
-from conftest import great_sphere_patch, plane_patch
+from conftest import great_sphere_patch, oracle_deviation, plane_patch
 
 
 def _line(name, ok, detail):
@@ -227,7 +227,7 @@ def test_criterion_8_oracle_equivalence():
     cfg = PipelineConfig(model="s3", k0=1.0, kp0=1.0)
     patch, sol = build_pipeline_patch(cfg)
     u_turn = float(sol.turning_points[np.argmin(np.abs(sol.turning_points))])
-    dev = bc.oracle_deviation(patch.profile, 0.05, u_turn - 0.03)
+    dev = oracle_deviation(patch.profile, 0.05, u_turn - 0.03)
     ok = dev["x"] < 1e-6 and dev["y"] < 1e-6
     _line(
         "criterion 8 (frame vs k-parameter oracle)",

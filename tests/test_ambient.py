@@ -116,6 +116,19 @@ class TestSpaceForm:
         with pytest.raises(bc.UsageError):
             bc.space_form(2)
 
+    @pytest.mark.parametrize("c", [1.5, -0.5, "1", True, False, np.True_, np.nan])
+    def test_curvature_is_not_truncated(self, c):
+        # no truncation: 1.5, "1" and True name no model, and neither does NaN
+        with pytest.raises(bc.UsageError, match="curvature must be -1, 0 or \\+1"):
+            bc.space_form(c)
+
+    @pytest.mark.parametrize("c, model", [
+        (1, bc.S3), (0, bc.R3), (-1, bc.H3), (1.0, bc.S3), (-1.0, bc.H3), (np.int64(0), bc.R3),
+    ])
+    def test_integral_curvature_names_its_model(self, c, model):
+        assert bc.space_form(c) == model
+        assert type(bc.space_form(c).c) is int
+
 
 class TestComplement:
     def test_euclidean3(self):

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -453,12 +455,11 @@ class TestDeterminism:
 
 
 class TestImportHygiene:
-    """The library and its pipelines run where scipy cannot be imported."""
+    """The library, its pipelines and the demos run where scipy cannot be imported."""
 
-    SCRIPT = """
+    BLOCK_SCIPY = """
 import importlib.abc
 import sys
-from pathlib import Path
 
 
 class NoScipy(importlib.abc.MetaPathFinder):
@@ -475,6 +476,10 @@ except ImportError:
     pass
 else:
     raise SystemExit("scipy was not blocked")
+"""
+
+    SCRIPT = BLOCK_SCIPY + """
+from pathlib import Path
 
 import biconsurf
 from biconsurf.pipeline import PipelineConfig, cmd_profile, cmd_solve, cmd_surface
@@ -493,15 +498,50 @@ for name, fields in [
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
-    def test_pipelines_run_without_scipy(self, tmp_path):
-        src = str(Path(bc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
+    DEMO = BLOCK_SCIPY + """
+import runpy
+
+runpy.run_path(sys.argv[1], run_name="__main__")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+    PACKAGE = Path(bc.__file__).resolve().parent
+    DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+
+    def _run_blocked(self, script, arg):
+        """Run ``script`` with ``arg`` in a fresh interpreter that cannot import scipy."""
+        env = dict(os.environ, PYTHONPATH=str(self.PACKAGE.parent))
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", script, str(arg)],
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_pipelines_run_without_scipy(self, tmp_path):
+        self._run_blocked(self.SCRIPT, tmp_path)
         for name in ("s3", "h3e", "h3p", "r3"):
             for file in ("solve.csv", "profile.csv", "surface.obj", "surface.report.json"):
                 assert (tmp_path / name / file).stat().st_size > 0
+
+    def test_no_module_imports_scipy(self):
+        # every import statement, also those inside functions or under TYPE_CHECKING
+        found = []
+        for path in sorted(self.PACKAGE.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+    def test_demo_runs_without_scipy(self, tmp_path, demo):
+        # a copy writes its output/ next to itself, under tmp_path
+        script = tmp_path / demo.name
+        shutil.copy(demo, script)
+        self._run_blocked(self.DEMO, script)

@@ -98,6 +98,16 @@ class TestAdmissibleInterval:
         with pytest.raises(bc.NoSolutionError):
             bc.admissible_interval(-1.0, 0)
 
+    @pytest.mark.parametrize("c", [2, 0.5, -2, True, np.nan])
+    def test_curvature_outside_the_models_refused(self, c):
+        # refused up front, not by an endpoint search that cannot bracket
+        with pytest.raises(bc.UsageError, match="curvature must be -1, 0 or \\+1"):
+            bc.admissible_interval(169.0 / 9.0, c)
+        with pytest.raises(bc.UsageError, match="curvature must be -1, 0 or \\+1"):
+            curvature.curvature_problem(c, 1.0, 1.0)
+        with pytest.raises(bc.UsageError, match="curvature must be -1, 0 or \\+1"):
+            bc.solve_curvature(c, 1.0, 1.0)
+
 
 class TestDerivedQuantities:
     def test_kappa2_sphere_constant(self):

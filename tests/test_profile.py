@@ -9,9 +9,13 @@ import biconsurf as bc
 from biconsurf.curvature import CurvatureProblem
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.profile import Branch
+import conftest
 from conftest import (
+    SplitRangeError,
     assert_same_interpolants,
     assert_same_run,
+    oracle_deviation,
+    profile_oracle_dxdk,
     recorded_runs,
     reference_dense,
     scipy_run,
@@ -87,6 +91,14 @@ class TestRevolutionProfile:
             bc.revolution_profile(-1.0, 8.0)
         with pytest.raises(bc.DomainError):
             bc.revolution_profile(4.0, 0.1)  # rho_max below the waist
+
+    @pytest.mark.parametrize("C, rho_max", [
+        (math.nan, 8.0), (math.inf, 8.0), (1.0, math.nan), (1.0, math.inf), (math.nan, math.nan),
+    ])
+    def test_non_finite_arguments_rejected(self, C, rho_max):
+        # NaN fails every comparison and C = inf gives a zero waist
+        with pytest.raises(bc.DomainError, match="must be positive and finite|must be finite"):
+            bc.revolution_profile(C, rho_max)
 
 
 class TestSphereBranch:
@@ -248,11 +260,19 @@ class TestVariedInitialData:
             assert np.max(np.abs(values)) < 1e-8
 
 
+class TestBranchArgument:
+    @pytest.mark.parametrize("branch", ["bogus", None, "S2", 1])
+    def test_unknown_branch_is_a_usage_error(self, branch):
+        problem = bc.curvature.curvature_problem(1, 1.0, 1.0)
+        with pytest.raises(bc.UsageError, match="s2, h2_elliptic, h2_parabolic"):
+            bc.reconstruct_profile(problem, branch)
+
+
 class TestOracle:
     def test_agreement_with_frame(self, s3_pipeline):
         sol, prof, _, _ = s3_pipeline
         u_turn = float(sol.turning_points[0])
-        dev = bc.oracle_deviation(prof, 0.05, u_turn - 0.03)
+        dev = oracle_deviation(prof, 0.05, u_turn - 0.03)
         assert dev["x"] < 1e-6
         assert dev["y"] < 1e-6
 
@@ -273,20 +293,20 @@ class TestOracle:
     def test_turning_point_crossing_rejected(self, s3_pipeline):
         sol, prof, _, _ = s3_pipeline
         u_turn = float(sol.turning_points[0])
-        with pytest.raises(bc.SplitRangeError):
-            bc.oracle_deviation(prof, 0.05, u_turn + 0.2)
+        with pytest.raises(SplitRangeError):
+            oracle_deviation(prof, 0.05, u_turn + 0.2)
 
     def test_low_level_range_validation(self):
         with pytest.raises(bc.UsageError):
-            bc.profile_oracle_dxdk(0.5, (1.0, 1.0), 169.0 / 9.0)
-        with pytest.raises(bc.SplitRangeError):
+            profile_oracle_dxdk(0.5, (1.0, 1.0), 169.0 / 9.0)
+        with pytest.raises(SplitRangeError):
             # crossing the pole 9 C k^(3/2) = 16 for small C
-            bc.profile_oracle_dxdk(0.5, (0.5, 2.0), 2.0)
+            profile_oracle_dxdk(0.5, (0.5, 2.0), 2.0)
 
     def test_wrong_branch(self, h3e_pipeline):
         _, prof, _, _ = h3e_pipeline
         with pytest.raises(bc.UsageError):
-            bc.oracle_deviation(prof, 0.0, 0.1)
+            oracle_deviation(prof, 0.0, 0.1)
 
 
 class TestSingleIntegrationBuild:
@@ -403,9 +423,7 @@ class TestDenseOutput:
     @staticmethod
     def _recorded_oracle(monkeypatch, build):
         """``build()`` and the results of the solve_ivp calls it made, in order."""
-        import scipy.integrate
-
-        solve_ivp = scipy.integrate.solve_ivp
+        solve_ivp = conftest.solve_ivp
         results = []
 
         def recording(*args, **kwargs):
@@ -413,8 +431,8 @@ class TestDenseOutput:
             return results[-1]
 
         with monkeypatch.context() as m:
-            # the oracle imports solve_ivp from scipy.integrate when called
-            m.setattr(scipy.integrate, "solve_ivp", recording)
+            # the oracle calls the solve_ivp that conftest bound at import
+            m.setattr(conftest, "solve_ivp", recording)
             built = build()
         return built, results
 
@@ -510,7 +528,7 @@ class TestDenseOutput:
         a, b = (0, 1) if ascending else (1, 0)
         oracle, results = self._recorded_oracle(
             monkeypatch,
-            lambda: bc.profile_oracle_dxdk(st[a, 2], (st[a, 0], st[b, 0]), sol.C))
+            lambda: profile_oracle_dxdk(st[a, 2], (st[a, 0], st[b, 0]), sol.C))
         (res,) = results
         assert (res.t[-1] > res.t[0]) == ascending
         self._check_run(res.sol)

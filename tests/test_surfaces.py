@@ -42,6 +42,18 @@ class TestRevolutionBuilder:
         whole = bc.build_r3_revolution(prof, ((-t_max, t_max), (0.0, 1.0)))
         assert whole.u_range == whole.eval_u_domain == (-t_max, t_max)
 
+    @pytest.mark.parametrize("v_range, message", [
+        ((0.0, 0.0), "v_range must have nonzero width"),
+        ((1.0, 1.0), "v_range must have nonzero width"),
+        ((0.0, np.nan), "v_range must be finite"),
+        ((-np.inf, 1.0), "v_range must be finite"),
+    ])
+    def test_unusable_v_range_rejected(self, r3_pipeline, v_range, message):
+        # a zero-width rectangle would verify vacuously
+        prof, patch, _ = r3_pipeline
+        with pytest.raises(bc.UsageError, match=message):
+            bc.build_r3_revolution(prof, (patch.u_range, v_range))
+
     def test_partials_match_position_differences(self, r3_pipeline):
         _, patch, _ = r3_pipeline
         u = np.array([2.5]); v = np.array([0.7])
@@ -86,6 +98,21 @@ class TestSphereBuilder:
         _, prof, _, _ = h3e_pipeline
         with pytest.raises(bc.UsageError):
             bc.build_s3(prof)
+
+
+@pytest.mark.parametrize("fix, build", [
+    ("s3_pipeline", bc.build_s3), ("h3e_pipeline", bc.build_h3), ("h3p_pipeline", bc.build_h3),
+])
+@pytest.mark.parametrize("v_range, message", [
+    ((0.5, 0.5), "v_range must have nonzero width"),
+    ((np.nan, 1.0), "v_range must be finite"),
+    ((0.0, np.inf), "v_range must be finite"),
+])
+def test_sweep_builders_reject_unusable_v_range(request, fix, build, v_range, message):
+    # refused where the range is given, not later by the FD scheme
+    _, prof, _, _ = request.getfixturevalue(fix)
+    with pytest.raises(bc.UsageError, match=message):
+        build(prof, v_range)
 
 
 class TestHyperboloidBuilder:
