@@ -112,7 +112,9 @@ def _grid_size(nu, nv) -> tuple[int, int]:
 
 
 def _v_range(v_range) -> tuple[float, float]:
-    """(v0, v1) of a sweep's v range as floats: finite, of nonzero width."""
+    """(v0, v1) of a sweep's v range as floats: a finite pair of nonzero width."""
+    if len(v_range) != 2:
+        raise UsageError(f"v_range must be a pair (v0, v1), got {v_range!r}")
     v0, v1 = float(v_range[0]), float(v_range[1])
     if not (math.isfinite(v0) and math.isfinite(v1)):
         raise UsageError(f"v_range must be finite, got {v_range!r}")

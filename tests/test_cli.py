@@ -211,6 +211,11 @@ class TestNonFiniteInput:
             cmd_solve(cfg, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_v_range_must_be_a_pair(self):
+        # a third bound used to be dropped without notice
+        with pytest.raises(bc.UsageError, match="v_range must be a pair"):
+            PipelineConfig(model="s3", v_range=(0.0, 1.0, 5.0)).validate()
+
     @pytest.mark.parametrize("argv, message", [
         (["surface", "--model", "s3", "--fd-step", "0"], "fd_step must be positive"),
         (["surface", "--model", "s3", "--fd-step", "-0.001"], "fd_step must be positive"),
@@ -516,10 +521,11 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        return done.stdout
 
     def test_pipelines_run_without_scipy(self, tmp_path):
-        self._run_blocked(self.SCRIPT, tmp_path)
+        # the pipelines print nothing but the list of loaded scipy modules
+        assert self._run_blocked(self.SCRIPT, tmp_path).strip() == "[]"
         for name in ("s3", "h3e", "h3p", "r3"):
             for file in ("solve.csv", "profile.csv", "surface.obj", "surface.report.json"):
                 assert (tmp_path / name / file).stat().st_size > 0
@@ -544,4 +550,5 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         # a copy writes its output/ next to itself, under tmp_path
         script = tmp_path / demo.name
         shutil.copy(demo, script)
-        self._run_blocked(self.DEMO, script)
+        # the demos print a narrative; the list of scipy modules comes last
+        assert self._run_blocked(self.DEMO, script).splitlines()[-1] == "[]"

@@ -47,6 +47,8 @@ class TestRevolutionBuilder:
         ((1.0, 1.0), "v_range must have nonzero width"),
         ((0.0, np.nan), "v_range must be finite"),
         ((-np.inf, 1.0), "v_range must be finite"),
+        ((0.0, 1.0, 5.0), "v_range must be a pair"),
+        ((1.0,), "v_range must be a pair"),
     ])
     def test_unusable_v_range_rejected(self, r3_pipeline, v_range, message):
         # a zero-width rectangle would verify vacuously
@@ -107,6 +109,7 @@ class TestSphereBuilder:
     ((0.5, 0.5), "v_range must have nonzero width"),
     ((np.nan, 1.0), "v_range must be finite"),
     ((0.0, np.inf), "v_range must be finite"),
+    ((0.0, 1.0, 5.0), "v_range must be a pair"),
 ])
 def test_sweep_builders_reject_unusable_v_range(request, fix, build, v_range, message):
     # refused where the range is given, not later by the FD scheme
