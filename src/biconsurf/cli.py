@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, UsageError
+from .mesh import _PROJECTIONS
 from .pipeline import (
     PipelineConfig,
     cmd_profile,
@@ -47,25 +48,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None, help="JSON file of defaults")
-    p.add_argument("--model", choices=["r3", "s3", "h3"], default=None)
-    p.add_argument("--branch", choices=["auto", "elliptic", "parabolic"], default=None)
-    p.add_argument("--k0", type=float, default=None)
-    p.add_argument("--dk0", type=float, default=None, help="initial k'(0)")
-    p.add_argument("--C", type=float, default=None, help="r3 profile constant")
-    p.add_argument("--span", type=float, nargs=2, default=None, metavar=("U0", "U1"))
-    p.add_argument("--rho-range", type=float, nargs=2, default=None, metavar=("R0", "R1"))
-    p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--nv", type=int, default=None)
-    p.add_argument("--v-range", type=float, nargs=2, default=None, metavar=("V0", "V1"))
-    p.add_argument("--fd-step", type=float, default=None)
-    p.add_argument("--projection", type=str, default=None,
-                   choices=["auto", "identity", "stereographic", "poincare"])
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
-    p.add_argument("--report", type=str, default=None, help="report JSON path")
-
-
 def _number(value) -> float:
     if isinstance(value, bool):
         raise ValueError("a boolean is not a number")
@@ -88,22 +70,31 @@ def _pair(value) -> tuple:
     return pair
 
 
-# config-file key (the flag's name) -> (PipelineConfig field, conversion);
-# an explicit flag wins over the file, and absent keys keep the defaults
-_CONFIG_KEYS = {
-    "model": ("model", str),
-    "branch": ("branch", str),
-    "k0": ("k0", _number),
-    "dk0": ("kp0", _number),
-    "C": ("C", _number),
-    "rho_range": ("rho_range", _pair),
-    "span": ("span", _pair),
-    "nu": ("nu", _count),
-    "nv": ("nv", _count),
-    "v_range": ("v_range", _pair),
-    "fd_step": ("fd_step", _number),
-    "projection": ("projection", str),
+# config-file key (the flag's name, "-" for "_") -> (PipelineConfig field,
+# conversion of the value, the flag's argparse keywords); an explicit flag
+# wins over the file, and absent keys keep the defaults
+_OPTIONS = {
+    "model": ("model", str, dict(choices=["r3", "s3", "h3"])),
+    "branch": ("branch", str, dict(choices=["auto", "elliptic", "parabolic"])),
+    "k0": ("k0", _number, dict(type=float)),
+    "dk0": ("kp0", _number, dict(type=float, help="initial k'(0)")),
+    "C": ("C", _number, dict(type=float, help="r3 profile constant")),
+    "span": ("span", _pair, dict(type=float, nargs=2, metavar=("U0", "U1"))),
+    "rho_range": ("rho_range", _pair, dict(type=float, nargs=2, metavar=("R0", "R1"))),
+    "nu": ("nu", _count, dict(type=int)),
+    "nv": ("nv", _count, dict(type=int)),
+    "v_range": ("v_range", _pair, dict(type=float, nargs=2, metavar=("V0", "V1"))),
+    "fd_step": ("fd_step", _number, dict(type=float)),
+    "projection": ("projection", str, dict(type=str, choices=list(_PROJECTIONS))),
 }
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", type=str, default=None, help="JSON file of defaults")
+    for key, (_, _, kwargs) in _OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
+    p.add_argument("--out", type=str, default=None, help="output file or directory")
+    p.add_argument("--report", type=str, default=None, help="report JSON path")
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -115,13 +106,13 @@ def _config_from_args(args) -> PipelineConfig:
             raise UsageError(f"cannot read config file: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError("config file must contain a JSON object")
-    known = f"known keys: {', '.join(_CONFIG_KEYS)}"
-    unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
+    known = f"known keys: {', '.join(_OPTIONS)}"
+    unknown = sorted(set(file_values) - set(_OPTIONS))
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(unknown)}; {known}")
 
     fields = {}
-    for key, (name, convert) in _CONFIG_KEYS.items():
+    for key, (name, convert, _) in _OPTIONS.items():
         flag = getattr(args, key)
         value = flag if flag is not None else file_values.get(key)
         if value is None:

@@ -64,7 +64,7 @@ import numpy as np
 from . import dop853
 from .ambient import space_form
 from .defaults import ADMISSIBILITY_SLACK, K_FLOOR, ODE_ATOL, ODE_RTOL
-from .errors import DomainError, NoSolutionError, UsageError
+from .errors import DomainError, NoSolutionError, UsageError, _pair, _real
 
 __all__ = [
     "ode_rhs",
@@ -148,8 +148,10 @@ def prime_poly(k, C: float, c: int):
 def kappa2(k, C: float):
     """Curvature 3/4 sqrt(|C|) k^(3/4) of the second family of curves."""
     k = _require_positive_k(k)
-    if C == 0:
+    if _real(C, "C") == 0:
         raise DomainError("kappa2 is undefined for C = 0")
+    if not math.isfinite(C):
+        raise DomainError(f"kappa2 needs a finite C, got {C!r}")
     return 0.75 * np.sqrt(abs(C)) * k**0.75
 
 
@@ -671,11 +673,12 @@ def curvature_problem(
     """
     space_form(c)
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not 0.0 < tol < np.inf:
+        if not 0.0 < _real(tol, name) < np.inf:
             raise UsageError(f"{name} must be positive and finite, got {tol!r}")
-    if k0 <= 0:
+    if _real(k0, "k0") <= 0:
         raise DomainError("k0 must be positive")
-    u_min, u_max = float(span[0]), float(span[1])
+    _real(kp0, "kp0")
+    u_min, u_max = map(float, _pair(span, "span"))
     if not (u_min <= 0.0 <= u_max) or u_min == u_max:
         raise UsageError("span must be a nondegenerate interval containing 0")
     if c == 1 and kp0 == 0.0 and abs(k0 - _EQUILIBRIUM_K) < 1e-12:

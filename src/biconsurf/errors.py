@@ -1,9 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the type checks of numbers.
 
 The command line maps :class:`UsageError` to exit code 2 and every other
 :class:`GeometryError` to exit code 3 (verification failures are exit code 1
 and are not exceptions).
 """
+import numbers
 
 
 class GeometryError(Exception):
@@ -36,3 +37,25 @@ class ProjectionError(GeometryError):
 
 class ConditioningError(GeometryError):
     """Near-degenerate metric; derived quantities would be unreliable."""
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, name: str):
+    """``value`` unchanged; a bool or anything but a real number is a UsageError."""
+    if not _is_real(value):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _pair(value, name: str) -> tuple:
+    """``value`` as (a, b); anything but a pair of real numbers is a UsageError."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        a = b = None
+    if not (_is_real(a) and _is_real(b)):
+        raise UsageError(f"{name} must be a pair of real numbers, got {value!r}")
+    return a, b

@@ -449,6 +449,10 @@ def _suggest_pole(points: np.ndarray) -> np.ndarray:
     return best
 
 
+# the chart projections sample_mesh takes, "auto" choosing by the patch case
+_PROJECTIONS = ("auto", "identity", "stereographic", "poincare")
+
+
 def sample_mesh(
     patch: SurfacePatch,
     nu: int,

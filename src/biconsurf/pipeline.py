@@ -22,8 +22,16 @@ from .curvature import (
     prime_constant,
     solve_curvature,
 )
-from .errors import UsageError
-from .mesh import _cells_text, _float_cells, _sidecar_path, sample_mesh, write_obj, write_ply
+from .errors import UsageError, _pair, _real
+from .mesh import (
+    _PROJECTIONS,
+    _cells_text,
+    _float_cells,
+    _sidecar_path,
+    sample_mesh,
+    write_obj,
+    write_ply,
+)
 from .profile import Branch, reconstruct_profile, revolution_profile
 from .surfaces import _grid_size, _v_range, build_h3, build_r3_revolution, build_s3
 from .verify import fd_for_patch, fd_scheme, verify_patch
@@ -46,10 +54,12 @@ def _write_lines(path, lines, table=None) -> str:
     return str(path)
 
 
-# numeric fields that must hold finite numbers (None where optional)
+# numeric fields that must hold finite real numbers, or pairs of them
 _FINITE_FIELDS = (
     "k0", "kp0", "C", "span", "rho_range", "v_range", "fd_step", "rel_tol", "abs_tol",
 )
+_PAIR_FIELDS = ("span", "rho_range", "v_range")
+_OPTIONAL_FIELDS = ("v_range", "fd_step")
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,10 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         for name in _FINITE_FIELDS:
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            values = _pair(value, name) if name in _PAIR_FIELDS else (_real(value, name),)
+            if not np.all(np.isfinite(values)):
                 raise UsageError(f"{name} must be finite, got {value!r}")
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
@@ -85,6 +98,8 @@ class PipelineConfig:
             raise UsageError(f"unknown model '{self.model}'")
         if self.branch not in ("auto", "elliptic", "parabolic"):
             raise UsageError(f"unknown branch '{self.branch}'")
+        if self.projection not in _PROJECTIONS:
+            raise UsageError(f"unknown projection '{self.projection}'")
         if self.branch == "parabolic" and self.model != "h3":
             raise UsageError("the parabolic branch exists only for model h3")
         if self.branch == "elliptic" and self.model == "r3":

@@ -46,7 +46,7 @@ from .curvature import (
     _integrate_two_sided,
     ode_rhs,
 )
-from .errors import ConstructionError, DomainError, UsageError
+from .errors import ConstructionError, DomainError, UsageError, _real
 
 __all__ = [
     "RevolutionProfile",
@@ -112,13 +112,13 @@ class RevolutionProfile:
 
 def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:
     # NaN fails every comparison, so each test is written to fail closed
-    if not 0 < C < math.inf:
+    if not 0 < _real(C, "the profile constant C") < math.inf:
         raise DomainError(f"the profile constant C must be positive and finite, got {C!r}")
     try:
         waist = float(C) ** -1.5
     except OverflowError:
         raise DomainError(f"the waist radius C^(-3/2) is not finite for C={C!r}") from None
-    if not math.isfinite(rho_max):
+    if not math.isfinite(_real(rho_max, "rho_max")):
         raise DomainError(f"rho_max must be finite, got {rho_max!r}")
     if not rho_max > waist:
         raise DomainError("rho_max must exceed the waist radius C^(-3/2)")
@@ -333,7 +333,7 @@ def reconstruct_profile(
             f"branch {branch.value} needs a curvature solution with "
             f"c = {model.c}, got c = {sol.c}"
         )
-    if C is not None and abs(C - sol.C) > 1e-9 * max(1.0, abs(sol.C)):
+    if C is not None and not abs(_real(C, "C") - sol.C) <= 1e-9 * max(1.0, abs(sol.C)):
         raise UsageError("supplied constant C disagrees with the solution's")
     C = sol.C
     if branch is Branch.H2_PARABOLIC:

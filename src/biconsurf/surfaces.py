@@ -23,7 +23,7 @@ import numpy as np
 from .ambient import R3, SpaceForm
 from .curvature import kappa2, ode_rhs
 from .defaults import V_FULL_TURN, V_PARABOLIC
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _pair
 from .profile import Branch, ProfileCurve, RevolutionProfile, _amplitude, _amplitude_scale
 
 __all__ = [
@@ -113,9 +113,7 @@ def _grid_size(nu, nv) -> tuple[int, int]:
 
 def _v_range(v_range) -> tuple[float, float]:
     """(v0, v1) of a sweep's v range as floats: a finite pair of nonzero width."""
-    if len(v_range) != 2:
-        raise UsageError(f"v_range must be a pair (v0, v1), got {v_range!r}")
-    v0, v1 = float(v_range[0]), float(v_range[1])
+    v0, v1 = map(float, _pair(v_range, "v_range"))
     if not (math.isfinite(v0) and math.isfinite(v1)):
         raise UsageError(f"v_range must be finite, got {v_range!r}")
     if v0 == v1:

@@ -16,6 +16,10 @@ required ``second_partials_fd`` residual; every partial of order 3 or 4 is
 compared with the inner-step difference of the partial one order lower on
 every 4th row and column, the required ``higher_partials_fd`` residual.
 
+The single-point interface runs the grid path once on a one-point grid,
+and the residual helpers read the values stored on its ``PointGeometry``,
+so a point value equals the grid value there bit for bit.
+
 Sign conventions
 ----------------
 The unit normal is oriented once per patch (from the rectangle midpoint) so
@@ -442,34 +446,28 @@ def _residual_fields(sh: dict, c: int):
     """(fields, masks): each identity residual and the bitension on ``sh``'s grid.
 
     The one place these formulas live.  ``masks`` holds the non-CMC gate
-    and, under a residual's name, the points that residual keeps.  Without
-    the f-field (``sh`` from ``_shape`` alone) only the curvature identities
-    are evaluated and every point is gated as CMC.
+    and, under a residual's name, the points that residual keeps.
     """
     f, K, A2, lam1, lam2 = (sh[k] for k in ("f", "K", "A2", "lam1", "lam2"))
+    grad_norm, Gu, Gv, lap = sh["grad_norm"], sh["grad_u"], sh["grad_v"], sh["laplacian"]
+    non_cmc = grad_norm > NONCMC_GATE * (1.0 + np.abs(f))
+    # 2 A(grad f) + f grad f, normalized
+    w1 = 2.0 * (sh["a11"] * Gu + sh["a12"] * Gv) + f * Gu
+    w2 = 2.0 * (sh["a21"] * Gu + sh["a22"] * Gv) + f * Gv
+    wnorm = np.sqrt(np.maximum(
+        sh["g11"] * w1**2 + 2 * sh["g12"] * w1 * w2 + sh["g22"] * w2**2, 0.0
+    ))
+    # df along the second principal direction
+    d2u, d2v = _eig_direction(sh, lam2)
     fields = {
         "gauss_identity": K + 0.75 * f**2 - c,
         "shape_operator_norm": A2 - 2.5 * f**2,
         "principal_values": np.maximum(np.abs(lam1 + 0.5 * f), np.abs(lam2 - 1.5 * f)),
+        "biconservative": wnorm / (1.0 + np.abs(f) * grad_norm),
+        "x2f": np.abs(sh["Fu"] * d2u + sh["Fv"] * d2v),
+        "pde": f * lap + sh["grad2"] - (16.0 / 9.0) * K * (K - c),
+        "bitension": lap - f * A2 + 2.0 * c * f,
     }
-    non_cmc = np.zeros(f.shape, dtype=bool)
-    if "laplacian" in sh:
-        grad_norm, Gu, Gv, lap = sh["grad_norm"], sh["grad_u"], sh["grad_v"], sh["laplacian"]
-        non_cmc = grad_norm > NONCMC_GATE * (1.0 + np.abs(f))
-        # 2 A(grad f) + f grad f, normalized
-        w1 = 2.0 * (sh["a11"] * Gu + sh["a12"] * Gv) + f * Gu
-        w2 = 2.0 * (sh["a21"] * Gu + sh["a22"] * Gv) + f * Gv
-        wnorm = np.sqrt(np.maximum(
-            sh["g11"] * w1**2 + 2 * sh["g12"] * w1 * w2 + sh["g22"] * w2**2, 0.0
-        ))
-        # df along the second principal direction
-        d2u, d2v = _eig_direction(sh, lam2)
-        fields.update(
-            biconservative=wnorm / (1.0 + np.abs(f) * grad_norm),
-            x2f=np.abs(sh["Fu"] * d2u + sh["Fv"] * d2v),
-            pde=f * lap + sh["grad2"] - (16.0 / 9.0) * K * (K - c),
-            bitension=lap - f * A2 + 2.0 * c * f,
-        )
     eig_ok = np.abs(lam2 - lam1) > EIGEN_DEGENERACY * (1.0 + np.abs(f))
     masks = {
         "non_cmc": non_cmc,
@@ -487,12 +485,7 @@ def _residual_fields(sh: dict, c: int):
 
 @dataclass(frozen=True, eq=False)
 class PointGeometry:
-    """Geometric data of a patch at one parameter point.
-
-    ``laplacian_f`` uses the geometer's sign convention (minus the
-    divergence-form Laplacian); it is None when only the fundamental forms
-    were requested.
-    """
+    """Geometric data of a patch at one point; ``laplacian_f`` in the geometer's sign."""
 
     u: float
     v: float
@@ -510,17 +503,18 @@ class PointGeometry:
     dir2: np.ndarray
     dir1_ambient: np.ndarray
     dir2_ambient: np.ndarray
-    grad_f: np.ndarray | None = None
-    grad_f_ambient: np.ndarray | None = None
-    grad_norm: float | None = None
-    laplacian_f: float | None = None
-    df_du: float | None = None
-    df_dv: float | None = None
-    # the one-point grid the residual helpers evaluate _residual_fields on
-    _shape_data: dict | None = field(default=None, repr=False)
+    grad_f: np.ndarray
+    grad_f_ambient: np.ndarray
+    grad_norm: float
+    laplacian_f: float
+    df_du: float
+    df_dv: float
+    # _residual_fields at the point, NaN where its mask skips the point
+    _residuals: dict = field(repr=False)
 
 
-def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
+def point_geometry(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None = None) -> PointGeometry:
+    """Full geometric bundle at one point, including grad f and Delta f."""
     _require_jets(patch)
     fd = fd or fd_for_patch(patch)
     lo, hi = patch.eval_u_domain
@@ -531,26 +525,20 @@ def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
         )
     sign = normal_sign(patch)
     pr = _Probe(patch, np.array([float(u)]), np.array([float(v)]))
-    sh = _field_bundle(pr, fd, sign) if with_field else _shape(pr, sign)
+    sh = _field_bundle(pr, fd, sign)
+    fields, masks = _residual_fields(sh, patch.model.c)
 
+    def num(x):
+        return float(x[0])
+
+    residuals = {name: num(a) for name, a in fields.items()}
+    for name in ("principal_values", "x2f"):
+        if not masks[name][0]:
+            residuals[name] = float("nan")
     d1 = _eig_direction(sh, sh["lam1"])
     d2 = _eig_direction(sh, sh["lam2"])
     Xu, Xv = sh["Xu"][0], sh["Xv"][0]
-
-    def num(x):
-        return float(np.asarray(x).reshape(-1)[0])
-
-    kwargs = {}
-    if with_field:
-        Gu, Gv = num(sh["grad_u"]), num(sh["grad_v"])
-        kwargs = dict(
-            grad_f=np.array([Gu, Gv]),
-            grad_f_ambient=Gu * Xu + Gv * Xv,
-            grad_norm=num(sh["grad_norm"]),
-            laplacian_f=num(sh["laplacian"]),
-            df_du=num(sh["Fu"]),
-            df_dv=num(sh["Fv"]),
-        )
+    Gu, Gv = num(sh["grad_u"]), num(sh["grad_v"])
     return PointGeometry(
         u=float(u),
         v=float(v),
@@ -571,37 +559,24 @@ def _point(patch, u, v, fd, with_field: bool) -> PointGeometry:
         dir2=np.array([num(d2[0]), num(d2[1])]),
         dir1_ambient=num(d1[0]) * Xu + num(d1[1]) * Xv,
         dir2_ambient=num(d2[0]) * Xu + num(d2[1]) * Xv,
-        _shape_data=sh,
-        **kwargs,
+        grad_f=np.array([Gu, Gv]),
+        grad_f_ambient=Gu * Xu + Gv * Xv,
+        grad_norm=num(sh["grad_norm"]),
+        laplacian_f=num(sh["laplacian"]),
+        df_du=num(sh["Fu"]),
+        df_dv=num(sh["Fv"]),
+        _residuals=residuals,
     )
 
 
 def fundamental_forms(patch: SurfacePatch, u: float, v: float, fd_step=None) -> PointGeometry:
-    """Metric, normal, second form and shape data at one point (no f-field)."""
-    return _point(patch, u, v, fd_for_patch(patch, inner_step=fd_step), with_field=False)
-
-
-def point_geometry(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None = None) -> PointGeometry:
-    """Full geometric bundle at one point, including grad f and Delta f."""
-    return _point(patch, u, v, fd, with_field=True)
-
-
-def _point_fields(pg: PointGeometry, helper: str | None, c: int | None = None):
-    """``_residual_fields`` at pg's point as (values, kept) dicts of scalars.
-
-    ``helper`` names a caller that needs grad f, which ``fundamental_forms`` omits.
-    """
-    if pg._shape_data is None or (helper and pg.grad_f is None):
-        raise UsageError(f"{helper or 'curvature_identity_residuals'} needs a "
-                         "PointGeometry built by point_geometry")
-    fields, masks = _residual_fields(pg._shape_data, pg.model_c if c is None else c)
-    return ({name: float(a[0]) for name, a in fields.items()},
-            {name: bool(m[0]) for name, m in masks.items()})
+    """``point_geometry`` with the finite-difference step given as a number."""
+    return point_geometry(patch, u, v, fd_for_patch(patch, inner_step=fd_step))
 
 
 def biconservative_residual(pg: PointGeometry) -> float:
     """Normalized norm of 2 A(grad f) + f grad f (zero iff biconservative)."""
-    return _point_fields(pg, "biconservative_residual")[0]["biconservative"]
+    return pg._residuals["biconservative"]
 
 
 def curvature_identity_residuals(pg: PointGeometry):
@@ -610,19 +585,18 @@ def curvature_identity_residuals(pg: PointGeometry):
     r_eig is NaN at CMC-gated points, where the principal-value split
     -f/2, 3f/2 is not forced.
     """
-    values, kept = _point_fields(pg, None)
-    r_eig = values["principal_values"] if kept["principal_values"] else float("nan")
-    return abs(values["gauss_identity"]), abs(values["shape_operator_norm"]), r_eig
+    r = pg._residuals
+    return abs(r["gauss_identity"]), abs(r["shape_operator_norm"]), r["principal_values"]
 
 
 def pde_residual(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None = None) -> float:
     """|f Delta f + |grad f|^2 - (16/9) K (K - c)| at an interior point."""
-    return abs(_point_fields(point_geometry(patch, u, v, fd), "pde_residual")[0]["pde"])
+    return abs(point_geometry(patch, u, v, fd)._residuals["pde"])
 
 
-def normal_bitension_residual(pg: PointGeometry, c: int | None = None) -> float:
+def normal_bitension_residual(pg: PointGeometry) -> float:
     """Delta f - f |A|^2 + 2 c f; zero exactly for biharmonic surfaces."""
-    return _point_fields(pg, "normal_bitension_residual", c)[0]["bitension"]
+    return pg._residuals["bitension"]
 
 
 def x2f_residual(pg: PointGeometry) -> float:
@@ -630,8 +604,7 @@ def x2f_residual(pg: PointGeometry) -> float:
 
     NaN marks skipped points (CMC-gated or eigenvalue-degenerate).
     """
-    values, kept = _point_fields(pg, "x2f_residual")
-    return values["x2f"] if kept["x2f"] else float("nan")
+    return pg._residuals["x2f"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -215,6 +216,36 @@ class TestNonFiniteInput:
         # a third bound used to be dropped without notice
         with pytest.raises(bc.UsageError, match="v_range must be a pair"):
             PipelineConfig(model="s3", v_range=(0.0, 1.0, 5.0)).validate()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"k0": "1"}, "k0 must be a real number, got '1'"),
+        ({"k0": True}, "k0 must be a real number, got True"),
+        ({"kp0": None}, "kp0 must be a real number, got None"),
+        ({"model": "r3", "C": "2"}, "C must be a real number"),
+        ({"fd_step": False}, "fd_step must be a real number"),
+        ({"model": "r3", "rho_range": (2.0,)}, "rho_range must be a pair of real numbers"),
+        ({"model": "r3", "rho_range": (1.0, "8")}, "rho_range must be a pair of real numbers"),
+        ({"span": (-1.0, 0.5, 7.0)}, "span must be a pair of real numbers"),
+        ({"span": 1.0}, "span must be a pair of real numbers"),
+        ({"v_range": (0.0, True)}, "v_range must be a pair of real numbers"),
+        ({"projection": "bogus"}, "unknown projection 'bogus'"),
+    ])
+    def test_unusable_field_is_usage_error(self, tmp_path, fields, message):
+        # each used to leak a builtin exception, pass unnoticed, or (a bad
+        # projection) fail only after the build and verification had run
+        cfg = PipelineConfig(**{"model": "s3", **fields})
+        with pytest.raises(bc.UsageError, match=re.escape(message)):
+            cfg.validate()
+        with pytest.raises(bc.UsageError, match=re.escape(message)):
+            cmd_solve(cfg, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_config_file_projection_checked_before_output(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "s3", "nu": 8, "nv": 8, "projection": "bogus"}))
+        assert run("surface", "--config", str(cfgfile), "--out", str(tmp_path / "out")) == 2
+        assert "unknown projection 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["surface", "--model", "s3", "--fd-step", "0"], "fd_step must be positive"),

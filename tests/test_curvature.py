@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -98,6 +99,18 @@ class TestAdmissibleInterval:
         with pytest.raises(bc.NoSolutionError):
             bc.admissible_interval(-1.0, 0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1, "1", 1.0), "k0 must be a real number, got '1'"),
+        ((1, True, 1.0), "k0 must be a real number, got True"),
+        ((1, 1.0, "1"), "kp0 must be a real number, got '1'"),
+        ((1, 1.0, 1.0, (-1.0, 1.0, 5.0)), "span must be a pair of real numbers"),
+        ((1, 1.0, 1.0, (-1.0, "1")), "span must be a pair of real numbers"),
+        ((1, 1.0, 1.0, (-1.0, 1.0), "1e-10"), "rel_tol must be a real number"),
+    ])
+    def test_non_number_data_refused(self, args, message):
+        with pytest.raises(bc.UsageError, match=re.escape(message)):
+            curvature.curvature_problem(*args)
+
     @pytest.mark.parametrize("c", [2, 0.5, -2, True, np.nan])
     def test_curvature_outside_the_models_refused(self, c):
         # refused up front, not by an endpoint search that cannot bracket
@@ -123,6 +136,16 @@ class TestDerivedQuantities:
     def test_kappa2_degenerate(self):
         with pytest.raises(bc.DomainError):
             bc.kappa2(1.0, 0.0)
+
+    @pytest.mark.parametrize("C, error, message", [
+        (math.nan, bc.DomainError, "kappa2 needs a finite C, got nan"),
+        (math.inf, bc.DomainError, "kappa2 needs a finite C, got inf"),
+        ("16", bc.UsageError, "C must be a real number, got '16'"),
+    ])
+    def test_kappa2_unusable_constant(self, C, error, message):
+        # NaN used to come back as the value
+        with pytest.raises(error, match=message):
+            bc.kappa2(1.0, C)
 
     def test_w_generic(self):
         assert bc.w_value(1.0, 1.0) == pytest.approx(8.5625, rel=1e-15)

@@ -100,6 +100,14 @@ class TestRevolutionProfile:
         with pytest.raises(bc.DomainError, match="must be positive and finite|must be finite"):
             bc.revolution_profile(C, rho_max)
 
+    @pytest.mark.parametrize("C, rho_max, name", [
+        ("1", 8.0, "the profile constant C"), (True, 8.0, "the profile constant C"),
+        (1.0, "8", "rho_max"), (1.0, None, "rho_max"),
+    ])
+    def test_non_number_arguments_rejected(self, C, rho_max, name):
+        with pytest.raises(bc.UsageError, match=f"{name} must be a real number"):
+            bc.revolution_profile(C, rho_max)
+
 
 class TestSphereBranch:
     def test_initial_constraint_coordinate(self, s3_pipeline):
@@ -138,6 +146,18 @@ class TestSphereBranch:
         sol, _, _, _ = s3_pipeline
         with pytest.raises(bc.UsageError):
             bc.reconstruct_profile(sol, "s2", C=sol.C + 0.5)
+
+    @pytest.mark.parametrize("C, message", [
+        # NaN fails every comparison: it used to pass as agreeing
+        (math.nan, "disagrees with the solution's"),
+        (math.inf, "disagrees with the solution's"),
+        ("18.8", "C must be a real number"),
+        (True, "C must be a real number"),
+    ])
+    def test_constant_not_finite_or_not_a_number(self, C, message):
+        problem = bc.curvature.curvature_problem(1, 1.0, 1.0)
+        with pytest.raises(bc.UsageError, match=message):
+            bc.reconstruct_profile(problem, "s2", C=C)
 
 
 class TestHyperbolicBranches:

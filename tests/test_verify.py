@@ -176,17 +176,23 @@ class TestPointHelpersShareTheGridKernel:
                 for name, value in got.items():
                     assert value == report.fields[name][i, j], (name, i, j)
 
-    def test_fundamental_forms_have_no_field_residuals(self):
-        pg = bc.fundamental_forms(sphere_patch(), 1.0, 0.5)
-        for helper in (bc.biconservative_residual, bc.normal_bitension_residual,
-                       bc.x2f_residual):
-            with pytest.raises(bc.UsageError, match=helper.__name__):
-                helper(pg)
-        # the gradient-free identities are evaluated, the gated one is skipped
-        r_k, r_a2, r_eig = bc.curvature_identity_residuals(pg)
-        full = bc.curvature_identity_residuals(bc.point_geometry(sphere_patch(), 1.0, 0.5))
-        assert (r_k, r_a2) == full[:2]
-        assert np.isnan(r_eig)
+    @pytest.mark.parametrize("fix", ["sphere_fixture", "s3_pipeline"])
+    def test_fundamental_forms_equal_point_geometry(self, fix, request):
+        if fix == "sphere_fixture":
+            patch, (u, v) = sphere_patch(), (1.0, 0.5)
+        else:
+            patch, (u, v) = request.getfixturevalue(fix)[-2], (0.4, 2.0)
+        ff, pg = bc.fundamental_forms(patch, u, v), bc.point_geometry(patch, u, v)
+        for name in [f.name for f in dataclasses.fields(bc.PointGeometry)]:
+            a, b = getattr(ff, name), getattr(pg, name)
+            if isinstance(a, dict):
+                assert a.keys() == b.keys()
+                a, b = list(a.values()), list(b.values())
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        for helper in (bc.biconservative_residual, bc.curvature_identity_residuals,
+                       bc.normal_bitension_residual, bc.x2f_residual):
+            a, b = helper(ff), helper(pg)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), helper.__name__
 
 
 class TestRevolutionPipelineReport:
