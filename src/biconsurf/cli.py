@@ -84,7 +84,6 @@ _OPTIONS = {
     "nu": ("nu", _count, dict(type=int)),
     "nv": ("nv", _count, dict(type=int)),
     "v_range": ("v_range", _pair, dict(type=float, nargs=2, metavar=("V0", "V1"))),
-    "fd_step": ("fd_step", _number, dict(type=float)),
     "projection": ("projection", str, dict(type=str, choices=list(_PROJECTIONS))),
 }
 

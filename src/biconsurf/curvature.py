@@ -646,14 +646,28 @@ class CurvatureProblem:
 
 
 def _conserved_constant(c: int, k0: float, kp0: float) -> float:
-    """C of the initial data; a non-finite C is a DomainError naming the data."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = float(prime_constant(k0, kp0, c))
+    """C of the initial data; a non-finite C is a DomainError naming the data.
+
+    A Python int beyond the float range counts as infinite.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = float(prime_constant(k0, kp0, c))
+    except OverflowError:
+        C = math.inf
     if not np.isfinite(C):
         raise DomainError(
             f"the conserved constant C of k0={k0!r}, kp0={kp0!r} is not finite"
         )
     return C
+
+
+def _span(span) -> tuple[float, float]:
+    """(u_min, u_max) of a curvature span as floats: a nondegenerate interval containing 0."""
+    u_min, u_max = map(float, _pair(span, "span"))
+    if not (u_min <= 0.0 <= u_max) or u_min == u_max:
+        raise UsageError("span must be a nondegenerate interval containing 0")
+    return u_min, u_max
 
 
 def curvature_problem(
@@ -678,9 +692,8 @@ def curvature_problem(
     if _real(k0, "k0") <= 0:
         raise DomainError("k0 must be positive")
     _real(kp0, "kp0")
-    u_min, u_max = map(float, _pair(span, "span"))
-    if not (u_min <= 0.0 <= u_max) or u_min == u_max:
-        raise UsageError("span must be a nondegenerate interval containing 0")
+    span = _span(span)
+    C = _conserved_constant(c, k0, kp0)
     if c == 1 and kp0 == 0.0 and abs(k0 - _EQUILIBRIUM_K) < 1e-12:
         raise UsageError(
             "initial data sits at the constant-curvature equilibrium; "
@@ -688,10 +701,10 @@ def curvature_problem(
         )
     return CurvatureProblem(
         c=c,
-        C=_conserved_constant(c, k0, kp0),
+        C=C,
         k0=float(k0),
         kp0=float(kp0),
-        span=(u_min, u_max),
+        span=span,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
     )

@@ -14,12 +14,13 @@ Finite differencing
 -------------------
 The verifier takes every partial of X up to order 4, and so the mean
 curvature field and its derivatives, from the patch's closed-form ``jet``
-and ``jet4``.  One step, ``FD_INNER_REL`` times the parameter rectangle
-diagonal, takes Richardson-extrapolated central differences of the
-analytic first partials and of the jets of orders 2 and 3: they are the
-cross-checks the jets must match.  Its stencil reach, twice the step, sets
-the grid shrink of the verifier and the span padding of the curved
-pipelines.
+and ``jet4``, so the point API takes no step.  Only ``verify_patch`` takes
+finite differences: one step, ``FD_INNER_REL`` times the parameter
+rectangle diagonal, and one kernel take Richardson-extrapolated central
+differences of the analytic first partials and of the jets of orders 2
+and 3, the cross-checks the jets must match.  Its stencil reach, twice the
+step, sets the grid shrink of the verifier and the span padding of the
+curved pipelines.
 
 Tolerance profiles
 ------------------

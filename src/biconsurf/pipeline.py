@@ -10,6 +10,7 @@ build, jointly with the profile's chart angle.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import defaults
 from .curvature import (
     _conserved_constant,
+    _span,
     curvature_problem,
     prime_constant,
     solve_curvature,
@@ -34,7 +36,7 @@ from .mesh import (
 )
 from .profile import Branch, reconstruct_profile, revolution_profile
 from .surfaces import _grid_size, _v_range, build_h3, build_r3_revolution, build_s3
-from .verify import fd_for_patch, fd_scheme, verify_patch
+from .verify import fd_scheme, verify_patch
 
 __all__ = ["PipelineConfig", "cmd_solve", "cmd_profile", "cmd_surface", "cmd_sweep"]
 
@@ -56,10 +58,18 @@ def _write_lines(path, lines, table=None) -> str:
 
 # numeric fields that must hold finite real numbers, or pairs of them
 _FINITE_FIELDS = (
-    "k0", "kp0", "C", "span", "rho_range", "v_range", "fd_step", "rel_tol", "abs_tol",
+    "k0", "kp0", "C", "span", "rho_range", "v_range", "rel_tol", "abs_tol",
 )
 _PAIR_FIELDS = ("span", "rho_range", "v_range")
-_OPTIONAL_FIELDS = ("v_range", "fd_step")
+_OPTIONAL_FIELDS = ("v_range",)
+
+
+def _isfinite(x) -> bool:
+    """``math.isfinite``, with an int beyond the float range taken as infinite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,6 @@ class PipelineConfig:
     v_range: tuple | None = None
     rel_tol: float = defaults.PIPELINE_RTOL
     abs_tol: float = defaults.PIPELINE_ATOL
-    fd_step: float | None = None
     projection: str = "auto"
     n_csv: int = 512
 
@@ -88,7 +97,7 @@ class PipelineConfig:
             if value is None and name in _OPTIONAL_FIELDS:
                 continue
             values = _pair(value, name) if name in _PAIR_FIELDS else (_real(value, name),)
-            if not np.all(np.isfinite(values)):
+            if not all(map(_isfinite, values)):
                 raise UsageError(f"{name} must be finite, got {value!r}")
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
@@ -104,8 +113,10 @@ class PipelineConfig:
             raise UsageError("the parabolic branch exists only for model h3")
         if self.branch == "elliptic" and self.model == "r3":
             raise UsageError("branch selection does not apply to model r3")
-        if self.model != "r3" and self.k0 <= 0:
-            raise UsageError("k0 must be positive")
+        if self.model != "r3":
+            if self.k0 <= 0:
+                raise UsageError("k0 must be positive")
+            _span(self.span)
         if self.model == "r3" and self.C <= 0:
             raise UsageError("the profile constant C must be positive")
         if self.model == "r3" and not self.rho_range[0] < self.rho_range[1]:
@@ -114,8 +125,6 @@ class PipelineConfig:
         n = self.n_csv
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
             raise UsageError(f"n_csv must be an integer >= 2, got {n!r}")
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise UsageError(f"fd_step must be positive, got {self.fd_step!r}")
         if self.v_range is not None:
             _v_range(self.v_range)
         return self
@@ -146,7 +155,7 @@ class PipelineConfig:
 def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
     """Integration span: the requested one padded by the verifier's FD reach."""
     diag = float(np.hypot(cfg.span[1] - cfg.span[0], v_range[1] - v_range[0]))
-    pad = 1.2 * fd_scheme(diag, cfg.fd_step).reach + 0.01
+    pad = 1.2 * fd_scheme(diag).reach + 0.01
     return (cfg.span[0] - pad, cfg.span[1] + pad)
 
 
@@ -300,8 +309,7 @@ def cmd_surface(
         for path in (obj, _sidecar_path(obj), ply):
             _output_file(path)
     patch, _ = build_pipeline_patch(cfg)
-    fd = fd_for_patch(patch, inner_step=cfg.fd_step)
-    report = verify_patch(patch, cfg.nu, cfg.nv, fd=fd)
+    report = verify_patch(patch, cfg.nu, cfg.nv)
 
     written = {}
     if write_meshes:

@@ -8,17 +8,17 @@ reference channels.  A patch without ``jet`` or ``jet4`` is a UsageError.
 
 The mean curvature f, grad f and Delta f are closed-form at each point
 (from the Weingarten equation and the derivatives of the metric and second
-form, see ``_jet_f_derivatives``).  The jets are never trusted unchecked:
-the first partials are differenced once on the grid (Richardson
-extrapolated central differences, the inner step of ``FDScheme``), and
-the largest Euclidean distance between the differences and the jet is the
-required ``second_partials_fd`` residual; every partial of order 3 or 4 is
-compared with the inner-step difference of the partial one order lower on
-every 4th row and column, the required ``higher_partials_fd`` residual.
+form, see ``_jet_f_derivatives``).  So the single-point interface takes no
+step: it runs the grid path once on a one-point grid anywhere in the
+evaluable domain, and the residual helpers read the values stored on its
+``PointGeometry``, so a point value equals the grid value there bit for bit.
 
-The single-point interface runs the grid path once on a one-point grid,
-and the residual helpers read the values stored on its ``PointGeometry``,
-so a point value equals the grid value there bit for bit.
+The jets are never trusted unchecked.  ``verify_patch`` alone takes finite
+differences, at the step of ``FDScheme`` and with one kernel
+(``_fd_cross_check``): the first partials against ``jet`` on the grid are
+the required ``second_partials_fd`` residual, and every partial of order 3
+or 4 against the partial one order lower, on every 4th row and column, is
+the required ``higher_partials_fd`` residual.
 
 Sign conventions
 ----------------
@@ -97,14 +97,13 @@ class FDScheme:
         }
 
 
-def fd_scheme(diagonal: float, inner_step=None) -> FDScheme:
-    """Default step on a rectangle with the given diagonal, unless ``inner_step`` is given."""
-    inner = inner_step if inner_step is not None else FD_INNER_REL * diagonal
-    return FDScheme(inner_step=float(inner))
+def fd_scheme(diagonal: float) -> FDScheme:
+    """The default step on a rectangle with the given diagonal."""
+    return FDScheme(inner_step=float(FD_INNER_REL * diagonal))
 
 
-def fd_for_patch(patch: SurfacePatch, inner_step=None) -> FDScheme:
-    return fd_scheme(patch.rect_diagonal, inner_step)
+def fd_for_patch(patch: SurfacePatch) -> FDScheme:
+    return fd_scheme(patch.rect_diagonal)
 
 
 def _require_jets(patch: SurfacePatch) -> None:
@@ -189,26 +188,45 @@ class _Probe:
         )
 
 
-def _rich1(f, h: float):
-    """Richardson-extrapolated central difference of f at 0 (steps h and h/2)."""
-    d_h = (f(h) - f(-h)) / (2.0 * h)
-    d_h2 = (f(0.5 * h) - f(-0.5 * h)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
+def _fd_cross_check(shifted, exact, table, h: float, levels: int, dim: int):
+    """Per-point largest Euclidean norm of analytic partials minus differences.
+
+    A ``table`` entry (i, j, along_u) compares ``exact[i]``, a partial on the
+    grid, with the central difference along u or v of ``shifted(du, dv)[j]``,
+    the partial one order lower on the shifted grid; two entries sharing an i
+    are averaged first.  Richardson extrapolation takes ``levels`` steps: 2 (h
+    and h/2, fourth order) or 3 (h, h/2 and h/4, sixth order; the truncation
+    error grows with the order of the partials).
+    """
+    cache: dict = {}
+
+    def rich(j, along_u, step):
+        def f(s):
+            key = (s, 0.0) if along_u else (0.0, s)
+            if key not in cache:
+                cache[key] = shifted(*key)
+            return cache[key][j]
+
+        d_h = (f(step) - f(-step)) / (2.0 * step)
+        d_h2 = (f(0.5 * step) - f(-0.5 * step)) / step
+        return (4.0 * d_h2 - d_h) / 3.0
+
+    diffs: dict = {}
+    for i, j, along_u in table:
+        d = rich(j, along_u, h)
+        if levels == 3:
+            d = (16.0 * rich(j, along_u, 0.5 * h) - d) / 15.0
+        diffs[i] = 0.5 * (diffs[i] + d) if i in diffs else d
+    euclid = Signature(dim)
+    return np.max([euclid.norm(d - exact[i]) for i, d in diffs.items()], axis=0)
 
 
-def _second_partials_fd(pr: _Probe, h: float):
-    """(Xuu, Xuv, Xvv) on the grid by differencing the first partials."""
-    frames: dict = {}
-
-    def frame(du, dv):
-        if (du, dv) not in frames:
-            frames[du, dv] = pr.frame(du, dv)
-        return frames[du, dv]
-
-    Xuu = _rich1(lambda s: frame(s, 0.0)[1], h)
-    Xvv = _rich1(lambda s: frame(0.0, s)[2], h)
-    Xuv = 0.5 * (_rich1(lambda s: frame(0.0, s)[1], h) + _rich1(lambda s: frame(s, 0.0)[2], h))
-    return Xuu, Xuv, Xvv
+# (partial, lower partial, along u): Xuu, Xuv and Xvv against (Xu, Xv), Xuv the
+# mean of Xu along v and Xv along u; jet4 against jet + jet4 (orders 2, 3 and 4
+# by the number of v's), Xuuu and Xuuuu in u and every other one in v
+_SECOND_TABLE = ((0, 0, True), (1, 0, False), (1, 1, True), (2, 1, False))
+_HIGHER_TABLE = ((0, 0, True), (4, 3, True), (1, 0, False), (2, 1, False), (3, 2, False),
+                 (5, 3, False), (6, 4, False), (7, 5, False), (8, 6, False))
 
 
 def _unit_normal(model: SpaceForm, X, Xu, Xv):
@@ -221,46 +239,6 @@ def _unit_normal(model: SpaceForm, X, Xu, Xv):
     n = _cofactor_complement(sig, mat)
     n2 = sig.inner(n, n)
     return n / np.sqrt(np.abs(n2))[..., None]
-
-
-def _higher_partials_fd(patch: SurfacePatch, ugrid, vgrid, fd: FDScheme) -> np.ndarray:
-    """Largest Euclidean norm of jet4 minus differences of the order below.
-
-    Each partial of order 3 or 4 is compared with the inner-step difference
-    of the partial one order lower: Xuuu and Xuuuu in u, every other one in
-    v.  The Richardson extrapolation takes one level more than elsewhere
-    (steps h, h/2 and h/4, sixth order): the truncation error grows with the
-    order of the partials, and at fourth order it alone exceeded the bound
-    on valid surfaces (an r3 rectangle starting near the waist, sharply
-    peaked curvature profiles).  Returns shape (nu, nv).
-    """
-    pr = _Probe(patch, ugrid, vgrid)
-    h = fd.inner_step
-    cache: dict = {}
-
-    def jets(du, dv):
-        # orders 2, 3 and 4 by the number of v's: indices 0-2, 3-6, 7-11
-        key = (float(du), float(dv))
-        if key not in cache:
-            cache[key] = pr.jet(du, dv) + pr.jet4(du, dv)
-        return cache[key]
-
-    def diff(i, along_u):
-        def shifted(s):
-            return jets(s, 0.0)[i] if along_u else jets(0.0, s)[i]
-
-        return (16.0 * _rich1(shifted, 0.5 * h) - _rich1(shifted, h)) / 15.0
-
-    # (partial, the partial it differences, direction)
-    pairs = [(3, 0, True), (7, 3, True)]
-    pairs += [(i, i - 4, False) for i in (4, 5, 6)]
-    pairs += [(i, i - 5, False) for i in (8, 9, 10, 11)]
-    exact = jets(0.0, 0.0)
-    euclid = Signature(patch.model.ambient.dim)
-    worst = np.max(
-        [euclid.norm(diff(j, along_u) - exact[i]) for i, j, along_u in pairs], axis=0
-    )
-    return worst.reshape(pr.shape)
 
 
 def _shape(pr: _Probe, sign: float) -> dict:
@@ -402,23 +380,14 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
     return F1, F2
 
 
-def _field_bundle(pr: _Probe, fd: FDScheme, sign: float) -> dict:
+def _field_bundle(pr: _Probe, sign: float) -> dict:
     """Shape data plus the derivatives of the f-field on the probe's grid.
 
-    ``second_partials_fd`` holds the per-point largest Euclidean norm of
-    (differenced - jet) over Xuu, Xuv and Xvv.  grad f and the second
-    partials of f are closed-form (``_jet_f_derivatives``), evaluated in
-    blocks of u-rows, and Delta f comes from ``_laplacian`` with the
-    Christoffel symbols of the jet.
+    grad f and the second partials of f are closed-form
+    (``_jet_f_derivatives``), evaluated in blocks of u-rows, and Delta f
+    comes from ``_laplacian`` with the Christoffel symbols of the jet.
     """
     sh = _shape(pr, sign)
-    fd2 = _second_partials_fd(pr, fd.inner_step)
-    euclid = Signature(pr.patch.model.ambient.dim)
-    sh["second_partials_fd"] = np.max(
-        [euclid.norm(d - sh[name]) for d, name in zip(fd2, ("Xuu", "Xuv", "Xvv"))],
-        axis=0,
-    )
-
     nu, nv = pr.shape
     F1, F2 = np.empty((2, nu * nv)), np.empty((2, 2, nu * nv))
     step = max(1, _JET_BLOCK_POINTS // nv)
@@ -513,19 +482,19 @@ class PointGeometry:
     _residuals: dict = field(repr=False)
 
 
-def point_geometry(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None = None) -> PointGeometry:
-    """Full geometric bundle at one point, including grad f and Delta f."""
+def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
+    """Full geometric bundle at one point, including grad f and Delta f.
+
+    Closed form from the jets, so any u of the evaluable domain will do; a
+    u outside it, or NaN, is a UsageError.
+    """
     _require_jets(patch)
-    fd = fd or fd_for_patch(patch)
     lo, hi = patch.eval_u_domain
-    if not (lo + fd.reach <= u <= hi - fd.reach):
-        raise UsageError(
-            f"point u={u} is not interior to the evaluable domain by the "
-            f"finite-difference reach {fd.reach}"
-        )
+    if not lo <= u <= hi:
+        raise UsageError(f"point u={u} is outside the evaluable domain [{lo}, {hi}]")
     sign = normal_sign(patch)
     pr = _Probe(patch, np.array([float(u)]), np.array([float(v)]))
-    sh = _field_bundle(pr, fd, sign)
+    sh = _field_bundle(pr, sign)
     fields, masks = _residual_fields(sh, patch.model.c)
 
     def num(x):
@@ -569,9 +538,8 @@ def point_geometry(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None 
     )
 
 
-def fundamental_forms(patch: SurfacePatch, u: float, v: float, fd_step=None) -> PointGeometry:
-    """``point_geometry`` with the finite-difference step given as a number."""
-    return point_geometry(patch, u, v, fd_for_patch(patch, inner_step=fd_step))
+# the classical name of the same bundle
+fundamental_forms = point_geometry
 
 
 def biconservative_residual(pg: PointGeometry) -> float:
@@ -589,9 +557,9 @@ def curvature_identity_residuals(pg: PointGeometry):
     return abs(r["gauss_identity"]), abs(r["shape_operator_norm"]), r["principal_values"]
 
 
-def pde_residual(patch: SurfacePatch, u: float, v: float, fd: FDScheme | None = None) -> float:
-    """|f Delta f + |grad f|^2 - (16/9) K (K - c)| at an interior point."""
-    return abs(point_geometry(patch, u, v, fd)._residuals["pde"])
+def pde_residual(patch: SurfacePatch, u: float, v: float) -> float:
+    """|f Delta f + |grad f|^2 - (16/9) K (K - c)| at a point."""
+    return abs(point_geometry(patch, u, v)._residuals["pde"])
 
 
 def normal_bitension_residual(pg: PointGeometry) -> float:
@@ -734,7 +702,7 @@ def verify_patch(
 
     sign = normal_sign(patch)
     pr = _Probe(patch, ugrid, vgrid)
-    sh = _field_bundle(pr, fd, sign)
+    sh = _field_bundle(pr, sign)
     model = patch.model
     inner = model.inner
     c = model.c
@@ -770,14 +738,23 @@ def verify_patch(
     for name, values in fields.items():
         record(name, values, masks.get(name))
 
-    # comparisons against builder-declared data
-    record("second_partials_fd", sh["second_partials_fd"])
+    # the finite-difference cross-checks of jet (full grid) and jet4 (every
+    # 4th row and column)
+    h, dim = fd.inner_step, model.ambient.dim
+    record("second_partials_fd", _fd_cross_check(
+        lambda du, dv: pr.frame(du, dv)[1:], (sh["Xuu"], sh["Xuv"], sh["Xvv"]),
+        _SECOND_TABLE, h, 2, dim))
     every = slice(None, None, _HIGHER_STRIDE)
     sub = np.zeros((nu, nv), dtype=bool)
     sub[every, every] = True
+    spr = _Probe(patch, ugrid[every], vgrid[every])
     higher = np.full((nu, nv), np.nan)
-    higher[every, every] = _higher_partials_fd(patch, ugrid[every], vgrid[every], fd)
+    higher[every, every] = _fd_cross_check(
+        lambda du, dv: spr.jet(du, dv) + spr.jet4(du, dv), spr.jet4(0.0, 0.0),
+        _HIGHER_TABLE, h, 3, dim).reshape(spr.shape)
     record("higher_partials_fd", higher.ravel(), mask=sub.ravel())
+
+    # comparisons against builder-declared data
     if isinstance(patch.profile, ProfileCurve):
         ksol = np.repeat(patch.profile.k(ugrid), nv)
         record("f_vs_profile", f - 2.0 * ksol)

@@ -153,7 +153,7 @@ class TestSurfaceCommand:
         ({"nu": True}, "nu"),
         ({"k0": True}, "k0"),
         ({"dk0": False}, "dk0"),
-        ({"fd_step": True}, "fd_step"),
+        ({"k0": 10**400}, "k0"),
         ({"span": [-1.0, True]}, "span"),
         ({"v_range": [False, 1.0]}, "v_range"),
         ({"v_range": "05"}, "v_range"),
@@ -177,6 +177,9 @@ class TestSurfaceCommand:
         assert (grid["nu"], grid["nv"]) == (8, 8)
 
 
+_SPAN_WITHOUT_ZERO = "span must be a nondegenerate interval containing 0"
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv, field", [
         (["solve", "--model", "s3", "--k0", "nan"], "k0"),
@@ -186,7 +189,6 @@ class TestNonFiniteInput:
         (["profile", "--model", "r3", "--C", "nan"], "C"),
         (["profile", "--model", "r3", "--rho-range", "1", "inf"], "rho_range"),
         (["surface", "--model", "s3", "--v-range", "0", "inf"], "v_range"),
-        (["surface", "--model", "s3", "--fd-step", "nan"], "fd_step"),
     ])
     def test_cli_exits_two_naming_the_field(self, tmp_path, capsys, argv, field):
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
@@ -212,6 +214,14 @@ class TestNonFiniteInput:
             cmd_solve(cfg, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_config_file_fd_step_is_an_unknown_key(self, tmp_path, capsys):
+        # the finite-difference step is the verifier's own (fd_scheme)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": "s3", "fd_step": 1e-3}))
+        assert run("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out")) == 2
+        assert "unknown config key(s) fd_step" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_v_range_must_be_a_pair(self):
         # a third bound used to be dropped without notice
         with pytest.raises(bc.UsageError, match="v_range must be a pair"):
@@ -222,16 +232,24 @@ class TestNonFiniteInput:
         ({"k0": True}, "k0 must be a real number, got True"),
         ({"kp0": None}, "kp0 must be a real number, got None"),
         ({"model": "r3", "C": "2"}, "C must be a real number"),
-        ({"fd_step": False}, "fd_step must be a real number"),
+        ({"k0": 10**400}, "k0 must be finite"),
         ({"model": "r3", "rho_range": (2.0,)}, "rho_range must be a pair of real numbers"),
         ({"model": "r3", "rho_range": (1.0, "8")}, "rho_range must be a pair of real numbers"),
         ({"span": (-1.0, 0.5, 7.0)}, "span must be a pair of real numbers"),
         ({"span": 1.0}, "span must be a pair of real numbers"),
         ({"v_range": (0.0, True)}, "v_range must be a pair of real numbers"),
         ({"projection": "bogus"}, "unknown projection 'bogus'"),
+        ({"kp0": -10**400}, "kp0 must be finite"),
+        ({"C": 10**400}, "C must be finite"),
+        ({"span": (-1, 10**400)}, "span must be finite"),
+        ({"rho_range": (1, 10**400)}, "rho_range must be finite"),
+        ({"v_range": (0, 10**400)}, "v_range must be finite"),
+        ({"rel_tol": 10**400}, "rel_tol must be finite"),
+        ({"abs_tol": 10**400}, "abs_tol must be finite"),
     ])
     def test_unusable_field_is_usage_error(self, tmp_path, fields, message):
-        # each used to leak a builtin exception, pass unnoticed, or (a bad
+        # each used to leak a builtin exception (TypeError from np.isfinite
+        # on an int beyond the float range), pass unnoticed, or (a bad
         # projection) fail only after the build and verification had run
         cfg = PipelineConfig(**{"model": "s3", **fields})
         with pytest.raises(bc.UsageError, match=re.escape(message)):
@@ -248,11 +266,14 @@ class TestNonFiniteInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["surface", "--model", "s3", "--fd-step", "0"], "fd_step must be positive"),
-        (["surface", "--model", "s3", "--fd-step", "-0.001"], "fd_step must be positive"),
+        (["solve", "--model", "s3", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),
+        (["surface", "--model", "s3", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),
         (["surface", "--model", "s3", "--v-range", "0", "0"], "v_range must have nonzero width"),
+        (["sweep", "--model", "h3", "--values", "1", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),
     ])
     def test_cli_exits_two_on_unusable_value(self, tmp_path, capsys, argv, message):
+        # a curved span without u = 0 used to be refused only by the build:
+        # surface left an empty output directory, and sweep exited 1
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

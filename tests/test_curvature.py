@@ -111,6 +111,16 @@ class TestAdmissibleInterval:
         with pytest.raises(bc.UsageError, match=re.escape(message)):
             curvature.curvature_problem(*args)
 
+    @pytest.mark.parametrize("c, k0, kp0", [
+        (1, 10**400, 1.0), (1, 1.0, 10**400), (1, 10**400, 0), (-1, 1.0, -10**400),
+    ], ids=["k0", "kp0", "k0-kp0-zero", "h3-kp0"])
+    def test_int_beyond_float_range_is_domain_error(self, c, k0, kp0):
+        # np.asarray(..., dtype=float) used to leak OverflowError; the refusal
+        # is that of k0 = inf, and a representable int keeps the float path
+        with pytest.raises(bc.DomainError, match="is not finite"):
+            curvature.curvature_problem(c, k0, kp0)
+        assert curvature.curvature_problem(c, 2, 1).C == curvature.curvature_problem(c, 2.0, 1.0).C
+
     @pytest.mark.parametrize("c", [2, 0.5, -2, True, np.nan])
     def test_curvature_outside_the_models_refused(self, c):
         # refused up front, not by an endpoint search that cannot bracket

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import biconsurf as bc
 from biconsurf import profile, surfaces, verify
+from biconsurf.ambient import Signature
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.verify import (
     FDScheme,
@@ -88,7 +89,87 @@ class TestClassicalFixtures:
         assert np.linalg.norm(pg.normal) == pytest.approx(1.0, abs=1e-12)
 
 
+# The two cross-checks as separate implementations, the reference that the
+# shared kernel verify._fd_cross_check must reproduce bit for bit.
+def _rich1(f, h: float):
+    """Richardson-extrapolated central difference of f at 0 (steps h and h/2)."""
+    d_h = (f(h) - f(-h)) / (2.0 * h)
+    d_h2 = (f(0.5 * h) - f(-0.5 * h)) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+def _second_partials_fd(pr: _Probe, h: float):
+    """(Xuu, Xuv, Xvv) on the grid by differencing the first partials."""
+    frames: dict = {}
+
+    def frame(du, dv):
+        if (du, dv) not in frames:
+            frames[du, dv] = pr.frame(du, dv)
+        return frames[du, dv]
+
+    Xuu = _rich1(lambda s: frame(s, 0.0)[1], h)
+    Xvv = _rich1(lambda s: frame(0.0, s)[2], h)
+    Xuv = 0.5 * (_rich1(lambda s: frame(0.0, s)[1], h) + _rich1(lambda s: frame(s, 0.0)[2], h))
+    return Xuu, Xuv, Xvv
+
+
+def _higher_partials_fd(patch, ugrid, vgrid, fd: FDScheme) -> np.ndarray:
+    """Largest Euclidean norm of jet4 minus differences of the order below."""
+    pr = _Probe(patch, ugrid, vgrid)
+    h = fd.inner_step
+    cache: dict = {}
+
+    def jets(du, dv):
+        # orders 2, 3 and 4 by the number of v's: indices 0-2, 3-6, 7-11
+        key = (float(du), float(dv))
+        if key not in cache:
+            cache[key] = pr.jet(du, dv) + pr.jet4(du, dv)
+        return cache[key]
+
+    def diff(i, along_u):
+        def shifted(s):
+            return jets(s, 0.0)[i] if along_u else jets(0.0, s)[i]
+
+        return (16.0 * _rich1(shifted, 0.5 * h) - _rich1(shifted, h)) / 15.0
+
+    # (partial, the partial it differences, direction)
+    pairs = [(3, 0, True), (7, 3, True)]
+    pairs += [(i, i - 4, False) for i in (4, 5, 6)]
+    pairs += [(i, i - 5, False) for i in (8, 9, 10, 11)]
+    exact = jets(0.0, 0.0)
+    euclid = Signature(patch.model.ambient.dim)
+    worst = np.max(
+        [euclid.norm(diff(j, along_u) - exact[i]) for i, j, along_u in pairs], axis=0
+    )
+    return worst.reshape(pr.shape)
+
+
 class TestFiniteDifferences:
+    @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline",
+                                     "r3_pipeline"])
+    def test_kernel_equals_the_separate_cross_checks(self, fix, request, monkeypatch):
+        patch = request.getfixturevalue(fix)[-2]
+        kernel, fields = verify._fd_cross_check, []
+
+        def spy(*args):
+            fields.append(kernel(*args))
+            return fields[-1]
+
+        monkeypatch.setattr(verify, "_fd_cross_check", spy)
+        report = bc.verify_patch(patch, 24, 24)
+        second, higher = fields
+        fd = fd_for_patch(patch)
+        u, v = report.grid_u, report.grid_v
+        pr = _Probe(patch, u, v)
+        euclid = Signature(patch.model.ambient.dim)
+        ref2 = np.max([euclid.norm(d - e) for d, e in
+                       zip(_second_partials_fd(pr, fd.inner_step), pr.jet(0.0, 0.0))], axis=0)
+        ref4 = _higher_partials_fd(patch, u[::4], v[::4], fd)
+        assert second.shape == ref2.shape and second.tobytes() == ref2.tobytes()
+        assert higher.size == ref4.size and higher.tobytes() == ref4.tobytes()
+        assert report.residuals["second_partials_fd"]["max"] == np.max(ref2)
+        assert report.residuals["higher_partials_fd"]["max"] == np.max(ref4)
+
     def test_cross_checks_fall_at_their_order(self, r3_pipeline):
         # against an exact jet the discrepancy is truncation alone: each
         # halving of the step divides it by 2^4 (second_partials_fd, fourth
@@ -106,11 +187,17 @@ class TestFiniteDifferences:
             ratios = maxima[:-1] / maxima[1:]
             assert np.all((lo < ratios) & (ratios < hi)), (name, ratios)
 
-    def test_interior_margin_enforced(self, r3_pipeline):
-        _, patch, _ = r3_pipeline
-        fd = fd_for_patch(patch)
-        with pytest.raises(bc.UsageError):
-            bc.point_geometry(patch, patch.eval_u_domain[0], 1.0, fd)
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline"])
+    def test_point_api_evaluates_to_the_domain_edge(self, fix, request):
+        # the point API takes no step, so it needs no stencil margin
+        patch = request.getfixturevalue(fix)[-2]
+        lo, hi = patch.eval_u_domain
+        for u in (lo, hi):
+            assert np.isfinite(bc.point_geometry(patch, u, 1.0).f)
+            assert np.isfinite(bc.pde_residual(patch, u, 1.0))
+        for u in (lo - 1e-3 * (hi - lo), hi + 1e-3 * (hi - lo), float("nan")):
+            with pytest.raises(bc.UsageError, match="outside the evaluable domain"):
+                bc.point_geometry(patch, u, 1.0)
 
     def test_degenerate_metric_detected(self):
         # X = (u + v, u + v, 0): Xu = Xv
@@ -253,9 +340,8 @@ class TestCurvedPipelineReports:
         # 1-d cross-check: -Delta f computed on the surface equals
         # f'' - (3/(4f)) (f')^2 along the profile, with f = 2k
         sol, prof, patch, _ = s3_pipeline
-        fd = fd_for_patch(patch)
         for u in (-0.5, 0.1, 0.6):
-            pg = bc.point_geometry(patch, u, 1.0, fd)
+            pg = bc.point_geometry(patch, u, 1.0)
             k, kp = float(sol.k(u)), float(sol.kp(u))
             fpp = 2.0 * float(bc.ode_rhs(k, kp, 1))
             fp = 2.0 * kp
@@ -405,8 +491,6 @@ class TestFailClosed:
             FDScheme(step)
         with pytest.raises(bc.UsageError, match=message):
             bc.verify_patch(patch, 8, 8, fd=FDScheme(step))
-        with pytest.raises(bc.UsageError, match=message):
-            bc.fundamental_forms(patch, *mid(patch), fd_step=step)
 
     def test_numpy_integer_grid_size_serializes(self):
         report = bc.verify_patch(sphere_patch(), np.int64(4), 4)
@@ -548,10 +632,10 @@ def _h3_truncation_case():
     return build_pipeline_patch(cfg)[0]
 
 
-def _f_partials(patch, fd, n=12):
+def _f_partials(patch, n=12):
     u = np.linspace(*patch.u_range, n + 2)[1:-1]
     v = np.linspace(*patch.v_range, n)
-    sh = _field_bundle(_Probe(patch, u, v), fd, normal_sign(patch))
+    sh = _field_bundle(_Probe(patch, u, v), normal_sign(patch))
     return {name: sh[name] for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv", "laplacian")}, u
 
 
@@ -600,7 +684,7 @@ class TestExactFieldDerivatives:
                                      "h3p_pipeline"])
     def test_matches_outer_differences_at_an_eighth_of_the_step(self, fix, request):
         patch = request.getfixturevalue(fix)[-2]
-        exact, _ = _f_partials(patch, fd_for_patch(patch))
+        exact, _ = _f_partials(patch)
         differenced = _differenced_f_partials(patch)
         for name in ("Fu", "Fv", "Fuu", "Fuv", "Fvv", "laplacian"):
             assert np.max(np.abs(exact[name] - differenced[name])) <= 1e-6, name
@@ -608,7 +692,7 @@ class TestExactFieldDerivatives:
     def test_r3_closed_form(self, r3_pipeline):
         # f = (2/3) C^(3/2) / (1 + t^2)^2 with C = 1 depends on t = u only
         patch = r3_pipeline[1]
-        got, t = _f_partials(patch, fd_for_patch(patch))
+        got, t = _f_partials(patch)
         t = np.repeat(t, 12)
         s2 = 1.0 + t * t
         assert np.max(np.abs(got["Fu"] + (8.0 / 3.0) * t / s2**3)) <= 1e-14
