@@ -25,7 +25,9 @@ they are computed for all accepted steps of a two-sided run in one batched
 pass at its end (for a step with an event, on demand).  A two-sided run
 (``_integrate_two_sided``) returns its record, a :class:`CurvatureSolution`:
 the steps, events and covered span, and one dense evaluator
-(``_Dop853Dense``) stacked over both sides.
+(``_Dop853Dense``), a table of the segments of both sides in order of u.
+Each side stops after a step budget proportional to its length
+(``_STEPS_PER_UNIT``), so a pole inside the span ends it in seconds.
 
 The float path.  A two- or three-component state costs numpy more in
 per-call overhead than in arithmetic, so the driver steps on Python floats:
@@ -148,7 +150,8 @@ def prime_poly(k, C: float, c: int):
 def kappa2(k, C: float):
     """Curvature 3/4 sqrt(|C|) k^(3/4) of the second family of curves."""
     k = _require_positive_k(k)
-    if _real(C, "C") == 0:
+    C = _real(C, "C")
+    if C == 0:
         raise DomainError("kappa2 is undefined for C = 0")
     if not math.isfinite(C):
         raise DomainError(f"kappa2 needs a finite C, got {C!r}")
@@ -242,9 +245,12 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
     Endpoints are located by bracketing and Brent's method (``_brentq``).
     For c in {0, -1} the polynomial is positive down to k = 0 and the lower
     endpoint is returned as 0.0 (open end).  A c other than -1, 0 and +1
-    raises ``UsageError``.
+    raises ``UsageError``, a C that is not finite ``DomainError``.
     """
     space_form(c)
+    C = _real(C, "C")
+    if not math.isfinite(C):
+        raise DomainError(f"admissible_interval needs a finite C, got {C!r}")
     # g(k) = P(k)/k^2 has the same positive roots with a cleaner shape
     def g(k):
         return -16.0 * c / 9.0 - 16.0 * k**2 + C * k**1.5
@@ -284,48 +290,37 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
 
 
 class _Dop853Dense:
-    """Dense output of DOP853 runs over ``span``, stacked and evaluated in one pass.
+    """Dense output of DOP853 runs from u = 0 over ``span``, one segment table.
 
     Segment i interpolates one accepted step: ``t_old`` and ``h`` have shape
     (nseg,), ``y_old`` (nseg, n) and ``F`` (7, nseg, n), one table per
     interpolant row (``_interpolants``), so an evaluation gathers one
-    (points, n) table at a time.  ``runs`` holds each run's step times
-    (``t``, start first); its segments are consecutive, in run order.  A
-    point takes the segment scipy's ``OdeSolution`` would give it (at a step
-    time, the one of lower index) and is evaluated with the operations of
+    (points, n) table at a time.  ``u`` holds the runs' step times sorted,
+    u = 0 once.  A point takes the segment scipy's ``OdeSolution`` of its
+    run would give it (at a step time the one nearer its run's start, so
+    the run toward +u owns u = 0) and is evaluated with the operations of
     scipy's DOP853 interpolant, in their order, so every value is
-    bit-identical to that of the same run under ``solve_ivp``.
-
-    Of two runs, the first goes from u = 0 to the right end of ``span`` and
-    the second to the left end, which serves every point with u < 0; a
-    single run serves every point.  A point outside ``span`` (beyond a small
-    slack), NaN included, raises ``DomainError``; one inside the slack is
-    clipped to ``span``.
+    bit-identical to that of the same run under ``solve_ivp``.  A point
+    outside ``span`` (beyond a small slack), NaN included, raises
+    ``DomainError``; one inside the slack is clipped to ``span``.
     """
 
-    def __init__(self, runs, span, t_old, h, y_old, F):
-        self._runs, first = [], 0
-        for ts in runs:
-            descending = bool(ts[-1] < ts[0])
-            # (inner step times ascending, descending, first segment, segments)
-            inner = ts[-2:0:-1] if descending else ts[1:-1]
-            self._runs.append((inner, descending, first, len(ts) - 1))
-            first += len(ts) - 1
+    def __init__(self, u, span, t_old, h, y_old, F):
+        # the stacked index of each segment by position (no two overlap; of
+        # the two that start at u = 0 the descending one lies below), and
+        # the inner step times, each moved down one ulp where the segment
+        # below it descends, so that a search from the left gives a step
+        # time the upper segment there and the lower one elsewhere
+        self._order = np.lexsort((h, t_old))
+        inner = u[1:-1]
+        self._inner = np.where(h[self._order[:-1]] < 0, np.nextafter(inner, -np.inf), inner)
         self.span = span
         self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
         self.nstate = y_old.shape[1]
 
-    def segments(self, t, run: int = 0) -> np.ndarray:
-        """Stacked segment index of each point of 1-D ``t`` in run ``run``.
-
-        ``OdeSolution`` searches all step times (side "left" ascending,
-        "right" on the reversed times descending), subtracts 1 and clips to
-        [0, nseg - 1]; searching the inner step times alone gives that index
-        with no clip.  A descending run's index is then mirrored.
-        """
-        inner, descending, first, n = self._runs[run]
-        seg = np.searchsorted(inner, t, side="right" if descending else "left")
-        return first + (n - 1 - seg if descending else seg)
+    def segments(self, t) -> np.ndarray:
+        """Stacked segment index of each point of 1-D ``t``."""
+        return self._order[np.searchsorted(self._inner, t)]
 
     def at(self, t, seg) -> np.ndarray:
         """States at 1-D ``t`` on segments ``seg``, one row per point."""
@@ -347,12 +342,8 @@ class _Dop853Dense:
             raise DomainError(
                 f"evaluation point outside the solved span [{lo}, {hi}]"
             )
-        # after clipping, negative u only occurs when a left run exists
         flat = np.clip(u, lo, hi).ravel()
-        seg = self.segments(flat)
-        if len(self._runs) == 2:
-            seg = np.where(flat < 0.0, self.segments(flat, 1), seg)
-        return self.at(flat, seg).reshape(u.shape + (self.nstate,))
+        return self.at(flat, self.segments(flat)).reshape(u.shape + (self.nstate,))
 
 
 # The DOP853 tableau, and the step-size controller constants of scipy's
@@ -366,12 +357,14 @@ _N_STAGES_EXTENDED = dop853.N_STAGES + 1 + len(_EXTRA_STAGES)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
 _EVENT_TOL = 4 * float(np.finfo(float).eps)
-# Accepted steps a run may take, and its status when it has taken them
-# short of its bound: over 100 times the longest run known to end well
-# (2,368 steps, an s3 build from k0 = 0.0019 over +-1; the benchmark's
-# longest takes 294).  A right-hand side with a pole inside the span steps
-# toward the pole until the step size underflows, which can take minutes.
-_STEP_BUDGET = 250_000
+# Accepted steps a run may take per unit of u (its budget is this times
+# max(1, |t_bound|), rounded down), and its status when it has taken them
+# short of its bound: over 10 times the most per unit of any run known to
+# end well (3,763 steps over 1.01, an h3 build from k0 = 0.001, kp0 = 0;
+# the benchmark's longest run takes 294 steps).  A right-hand side with a
+# pole inside the span steps toward the pole until the step size
+# underflows, which can take minutes.
+_STEPS_PER_UNIT = 40_000
 _BUDGET_SPENT = -2
 # the boundary event of a run that stopped short, by status
 _STOP_KINDS = {-1: "step_underflow", _BUDGET_SPENT: "step_budget"}
@@ -448,7 +441,7 @@ class _Dop853Run:
     ``t``, ``y`` (n, len(t)), ``status`` (0 reached the bound, 1 stopped by
     a terminal event, -1 step-size underflow) and ``t_events`` have the
     meaning of the fields of scipy's result; status ``_BUDGET_SPENT`` is a
-    run that took ``_STEP_BUDGET`` steps short of its bound.  ``steps``
+    run that spent its step budget short of its bound.  ``steps``
     keeps each segment's (t_old, h, y_old, y_new, K), K the (16, n) stage
     table with its first 13 rows filled, for ``_interpolants``.
     """
@@ -464,10 +457,10 @@ def _step_dense(rhs, step, t_new: float) -> _Dop853Dense:
     """The interpolant of one accepted step, ending at ``t_new``, evaluated on
     demand; the root solves evaluate it inside the step only."""
     t_old, h, y_old, y_new, K = step
-    ts = np.array([t_old, t_new])
+    u = np.sort([t_old, t_new])
     t_old, h, y_old = np.array([t_old]), np.array([h]), np.array([y_old])
     F = _interpolants(rhs, t_old, h, y_old, np.array([y_new]), K[None])
-    return _Dop853Dense([ts], (ts.min(), ts.max()), t_old, h, y_old, F)
+    return _Dop853Dense(u, (u[0], u[1]), t_old, h, y_old, F)
 
 
 def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
@@ -484,8 +477,9 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     ``DomainError``, as does an event root solve where scipy's ``brentq``
     raises.  A non-finite error norm rejects the step, as in scipy,
     so such a run ends in a step-size underflow (status -1).  A run that
-    takes ``_STEP_BUDGET`` steps short of its bound stops there (status
-    ``_BUDGET_SPENT``), where scipy would go on.
+    spends its step budget, ``_STEPS_PER_UNIT * max(1, |t_bound|)`` rounded
+    down, short of its bound stops there (status ``_BUDGET_SPENT``), where
+    scipy would go on.
 
     The stepping runs on Python floats (see the module docstring): the
     state (a list), the times, the step sizes, the stage arguments, the
@@ -498,6 +492,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     n = len(y)
     f = rhs(t0, y)
     direction = float(np.sign(t_bound - t0))
+    budget = int(_STEPS_PER_UNIT * max(1.0, abs(t_bound)))
 
     # scipy's select_initial_step (its RMS norm), clamped to the interval;
     # its norms are numpy scalars, which take a zero or non-finite norm to
@@ -535,7 +530,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     t = t0
     status = None
     while status is None:
-        if len(steps) == _STEP_BUDGET:
+        if len(steps) == budget:
             status = _BUDGET_SPENT
             break
         # one accepted step (scipy's RungeKutta._step_impl)
@@ -646,16 +641,10 @@ class CurvatureProblem:
 
 
 def _conserved_constant(c: int, k0: float, kp0: float) -> float:
-    """C of the initial data; a non-finite C is a DomainError naming the data.
-
-    A Python int beyond the float range counts as infinite.
-    """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            C = float(prime_constant(k0, kp0, c))
-    except OverflowError:
-        C = math.inf
-    if not np.isfinite(C):
+    """C of the initial data; a non-finite C is a DomainError naming the data."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = float(prime_constant(_real(k0, "k0"), _real(kp0, "kp0"), c))
+    if not math.isfinite(C):
         raise DomainError(
             f"the conserved constant C of k0={k0!r}, kp0={kp0!r} is not finite"
         )
@@ -663,8 +652,11 @@ def _conserved_constant(c: int, k0: float, kp0: float) -> float:
 
 
 def _span(span) -> tuple[float, float]:
-    """(u_min, u_max) of a curvature span as floats: a nondegenerate interval containing 0."""
-    u_min, u_max = map(float, _pair(span, "span"))
+    """(u_min, u_max) of a curvature span as floats: a finite, nondegenerate
+    interval containing 0."""
+    u_min, u_max = _pair(span, "span")
+    if not (math.isfinite(u_min) and math.isfinite(u_max)):
+        raise UsageError(f"span must be finite, got {span!r}")
     if not (u_min <= 0.0 <= u_max) or u_min == u_max:
         raise UsageError("span must be a nondegenerate interval containing 0")
     return u_min, u_max
@@ -718,11 +710,12 @@ class CurvatureSolution:
     2-state run of :func:`solve_curvature` or the (k, k', theta) run of
     ``reconstruct_profile``, with (k, k') its components 0-1.  ``u``,
     ``k_samples``, ``kp_samples`` hold the run's accepted steps (sorted by
-    u); ``_dense`` evaluates the whole state.  ``turning_points`` are the
-    detected roots of k'; the ``boundary_events`` record any early stop (k
-    floor, admissibility exit, step-size underflow or spent step budget), in
-    which case ``truncated`` is set and ``span`` is the actually covered
-    interval.
+    u); ``_dense``, one segment table over ``span``, evaluates the whole
+    state.  ``turning_points`` are the detected roots of k'; the
+    ``boundary_events`` record any early stop (k floor, admissibility exit,
+    step-size underflow or spent step budget), in which case ``truncated``
+    is set and ``span`` is the actually covered interval; a side of zero
+    length keeps its requested end.
     """
 
     c: int
@@ -777,15 +770,14 @@ def _integrate_two_sided(
     as is a step-size underflow (``step_underflow``) or a spent step budget
     (``step_budget``); the roots of the other events are the turning points.
     """
-    u_min, u_max = problem.span
     rtol, atol = _internal_tols(problem.rel_tol, problem.abs_tol)
-    right = _dop853(rhs, y0, u_max, rtol, atol, events) if u_max > 0 else None
-    left = _dop853(rhs, y0, u_min, rtol, atol, events) if u_min < 0 else None
-
-    roots, boundary = [], []
-    for res in (left, right):
-        if res is None:
-            continue
+    # the right side first; a side of zero length has no run and keeps its
+    # requested end, a signed zero included
+    sides = [(end > 0, _dop853(rhs, y0, end, rtol, atol, events))
+             for end in problem.span[::-1] if end != 0]
+    covered, roots, boundary = list(problem.span), [], []
+    for right, res in sides[::-1]:  # boundary events from the left side on
+        covered[right] = float(res.t[-1])
         for event, t_event in zip(events, res.t_events):
             if event.terminal:
                 boundary.extend({"u": float(ue), "kind": event.__name__} for ue in t_event)
@@ -794,9 +786,7 @@ def _integrate_two_sided(
         if res.status in _STOP_KINDS:
             boundary.append({"u": float(res.t[-1]), "kind": _STOP_KINDS[res.status]})
 
-    covered = tuple(end if res is None else float(res.t[-1])
-                    for res, end in ((left, u_min), (right, u_max)))
-    runs = [res for res in (right, left) if res is not None]
+    covered, runs = tuple(covered), [res for _, res in sides]
     # the steps of both runs in order, u = 0 once (each run's times are strict)
     u, first = np.unique(np.concatenate([res.t for res in runs]), return_index=True)
     y = np.concatenate([res.y for res in runs], axis=1)[:, first]
@@ -822,7 +812,7 @@ def _integrate_two_sided(
         k_interval=interval,
         rel_tol=problem.rel_tol,
         abs_tol=problem.abs_tol,
-        _dense=_Dop853Dense([res.t for res in runs], covered, t_old, h, y_old, F),
+        _dense=_Dop853Dense(u, covered, t_old, h, y_old, F),
     )
 
 

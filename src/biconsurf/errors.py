@@ -4,6 +4,7 @@ The command line maps :class:`UsageError` to exit code 2 and every other
 :class:`GeometryError` to exit code 3 (verification failures are exit code 1
 and are not exceptions).
 """
+import math
 import numbers
 
 
@@ -43,19 +44,27 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _real(value, name: str):
-    """``value`` unchanged; a bool or anything but a real number is a UsageError."""
+def _float(value) -> float:
+    """A real number as a float; an int beyond the float range reads as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool or anything but a real number is a UsageError."""
     if not _is_real(value):
         raise UsageError(f"{name} must be a real number, got {value!r}")
-    return value
+    return _float(value)
 
 
-def _pair(value, name: str) -> tuple:
-    """``value`` as (a, b); anything but a pair of real numbers is a UsageError."""
+def _pair(value, name: str) -> tuple[float, float]:
+    """``value`` as (a, b) of floats; anything but a pair of real numbers is a UsageError."""
     try:
         a, b = value
     except (TypeError, ValueError):
         a = b = None
     if not (_is_real(a) and _is_real(b)):
         raise UsageError(f"{name} must be a pair of real numbers, got {value!r}")
-    return a, b
+    return _float(a), _float(b)

@@ -64,14 +64,6 @@ _PAIR_FIELDS = ("span", "rho_range", "v_range")
 _OPTIONAL_FIELDS = ("v_range",)
 
 
-def _isfinite(x) -> bool:
-    """``math.isfinite``, with an int beyond the float range taken as infinite."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Validated description of one pipeline run."""
@@ -97,7 +89,7 @@ class PipelineConfig:
             if value is None and name in _OPTIONAL_FIELDS:
                 continue
             values = _pair(value, name) if name in _PAIR_FIELDS else (_real(value, name),)
-            if not all(map(_isfinite, values)):
+            if not all(map(math.isfinite, values)):
                 raise UsageError(f"{name} must be finite, got {value!r}")
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)

@@ -113,7 +113,7 @@ def _grid_size(nu, nv) -> tuple[int, int]:
 
 def _v_range(v_range) -> tuple[float, float]:
     """(v0, v1) of a sweep's v range as floats: a finite pair of nonzero width."""
-    v0, v1 = map(float, _pair(v_range, "v_range"))
+    v0, v1 = _pair(v_range, "v_range")
     if not (math.isfinite(v0) and math.isfinite(v1)):
         raise UsageError(f"v_range must be finite, got {v_range!r}")
     if v0 == v1:

@@ -43,7 +43,7 @@ from .defaults import (
     REPORT_SCHEMA,
     TOL_PROFILES,
 )
-from .errors import ConditioningError, UsageError
+from .errors import ConditioningError, UsageError, _real
 from .profile import ProfileCurve
 from .surfaces import SurfacePatch, _grid_size
 
@@ -80,7 +80,8 @@ class FDScheme:
     inner_step: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.inner_step) and self.inner_step > 0):
+        step = _real(self.inner_step, "FDScheme inner_step")
+        if not (np.isfinite(step) and step > 0):
             raise UsageError(
                 f"FDScheme inner_step must be finite and positive, got {self.inner_step!r}"
             )

@@ -66,7 +66,8 @@ def assert_same_interpolants(dense, sols):
 def reference_dense(sols, span):
     """The stacked evaluator over ``span`` of the interpolants of scipy's runs
     (``OdeSolution``s; of two, the right one first)."""
-    return curvature._Dop853Dense([sol.ts for sol in sols], span, *stacked_interpolants(sols))
+    u = np.unique(np.concatenate([sol.ts for sol in sols]))
+    return curvature._Dop853Dense(u, span, *stacked_interpolants(sols))
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,32 @@ class TestNegativeExponentInput:
         assert report["grid"]["v_range"] == [-0.1, 1.0]
 
 
+class TestSignedZeroSpan:
+    """A span end of -0 has no run on its side and keeps its sign."""
+
+    @pytest.mark.parametrize("command", ["solve", "profile"])
+    @pytest.mark.parametrize("span, plain", [
+        (("-0", "1"), ("0", "1")), (("-1", "-0"), ("-1", "0")),
+    ])
+    def test_bytes_differ_from_a_plain_zero_only_in_its_sign(self, tmp_path, command, span, plain):
+        def lines(ends, name):
+            out = tmp_path / name
+            assert run(command, "--model", "s3", "--k0", "1", "--dk0", "1",
+                       "--span", *ends, "--out", str(out)) == 0
+            return out.read_bytes().split(b"\n")
+
+        got, want = lines(span, "signed.csv"), lines(plain, "plain.csv")
+        if command == "solve":
+            # the header names the requested span
+            want[0] = want[0].replace(f" span={':'.join(plain)} ".encode(),
+                                      f" span={':'.join(span)} ".encode())
+        if span[1] == "-0":
+            # the last sample sits at u = -0
+            assert want[-2].startswith(b"0,")
+            want[-2] = b"-" + want[-2]
+        assert got == want
+
+
 class TestProfileCommand:
     def test_r3_profile_csv(self, tmp_path):
         out = tmp_path / "p.csv"

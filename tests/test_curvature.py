@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -121,6 +122,19 @@ class TestAdmissibleInterval:
             curvature.curvature_problem(c, k0, kp0)
         assert curvature.curvature_problem(c, 2, 1).C == curvature.curvature_problem(c, 2.0, 1.0).C
 
+    @pytest.mark.parametrize("C, c, error, message", [
+        pytest.param(10**400, 1, bc.DomainError, "admissible_interval needs a finite C, got inf",
+                     id="int-beyond-float-range"),
+        (math.nan, 0, bc.DomainError, "admissible_interval needs a finite C, got nan"),
+        (-math.inf, -1, bc.DomainError, "admissible_interval needs a finite C, got -inf"),
+        ("2", 0, bc.UsageError, "C must be a real number, got '2'"),
+        (True, 1, bc.UsageError, "C must be a real number, got True"),
+    ])
+    def test_unusable_constant_refused(self, C, c, error, message):
+        # NaN used to come back as an endpoint and True to be read as 1
+        with pytest.raises(error, match=re.escape(message)):
+            bc.admissible_interval(C, c)
+
     @pytest.mark.parametrize("c", [2, 0.5, -2, True, np.nan])
     def test_curvature_outside_the_models_refused(self, c):
         # refused up front, not by an endpoint search that cannot bracket
@@ -151,6 +165,8 @@ class TestDerivedQuantities:
         (math.nan, bc.DomainError, "kappa2 needs a finite C, got nan"),
         (math.inf, bc.DomainError, "kappa2 needs a finite C, got inf"),
         ("16", bc.UsageError, "C must be a real number, got '16'"),
+        pytest.param(10**400, bc.DomainError, "kappa2 needs a finite C, got inf",
+                     id="int-beyond-float-range"),
     ])
     def test_kappa2_unusable_constant(self, C, error, message):
         # NaN used to come back as the value
@@ -184,6 +200,19 @@ class TestSolve:
             assert abs(sol.C - C_exact) <= 1e-9 * abs(C_exact)
             assert sol.drift() <= 1e-8 * abs(sol.C)
             assert not sol.truncated
+
+    @pytest.mark.parametrize("span", [
+        (-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+        pytest.param((-1, 10**400), id="int-beyond-float-range"),
+    ])
+    def test_span_not_finite_refused(self, span):
+        # an infinite end used to be integrated toward until the step budget
+        # ran out, and an int beyond the float range to leak OverflowError
+        message = re.escape(f"span must be finite, got {span!r}")
+        with pytest.raises(bc.UsageError, match=message):
+            curvature.curvature_problem(1, 1.0, 1.0, span)
+        with pytest.raises(bc.UsageError, match=message):
+            bc.solve_curvature(1, 1.0, 1.0, span)
 
     def test_samples_positive_and_inside_interval(self):
         sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
@@ -272,7 +301,9 @@ class TestSolve:
 
 class TestTolerances:
     @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
-    @pytest.mark.parametrize("value", [0.0, -1e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [
+        0.0, -1e-9, math.nan, math.inf, pytest.param(10**400, id="int-beyond-float-range"),
+    ])
     def test_nonpositive_or_non_finite_is_usage_error(self, field, value):
         match = f"{field} must be positive and finite"
         with pytest.raises(bc.UsageError, match=match):
@@ -440,24 +471,47 @@ class TestDop853Driver:
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_step_budget_ends_the_side(self, monkeypatch):
-        # a run that takes the budget's steps short of its bound stops, and
-        # its side ends in a ``step_budget`` boundary event; the steps it took
-        # are scipy's first ones
-        monkeypatch.setattr(curvature, "_STEP_BUDGET", 7)
-        sol, calls = recorded_runs(
-            monkeypatch, lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)))
-        (_, right), (_, left) = calls
-        for args, run in calls:
-            res = scipy_run(*args)
-            assert run.status == curvature._BUDGET_SPENT
-            assert np.array_equal(run.t, res.t[:8])
-            assert np.array_equal(run.y, res.y[:, :8])
-            assert len(run.steps) == 7
-        assert sol.truncated
-        assert sol.boundary_events == [{"u": left.t[-1], "kind": "step_budget"},
-                                       {"u": right.t[-1], "kind": "step_budget"}]
-        assert sol.span == (left.t[-1], right.t[-1])
-        assert np.array_equal(sol.u, np.concatenate([left.t[::-1], right.t[1:]]))
+        # a run that takes its budget's steps, the rate times max(1, |end|)
+        # rounded down, short of its bound stops, and its side ends in a
+        # ``step_budget`` boundary event; the steps it took are scipy's first
+        for rate, span, budgets in [(0.75, (-4.0, 10.0), (7, 3)), (3.0, (-0.5, 10.0), (30, 3))]:
+            monkeypatch.setattr(curvature, "_STEPS_PER_UNIT", rate)
+            sol, calls = recorded_runs(
+                monkeypatch, lambda: bc.solve_curvature(1, 1.0, 1.0, span))
+            (_, right), (_, left) = calls
+            for (args, run), n in zip(calls, budgets):
+                res = scipy_run(*args)
+                assert run.status == curvature._BUDGET_SPENT
+                assert np.array_equal(run.t, res.t[:n + 1])
+                assert np.array_equal(run.y, res.y[:, :n + 1])
+                assert len(run.steps) == n
+            assert sol.truncated
+            assert sol.boundary_events == [{"u": left.t[-1], "kind": "step_budget"},
+                                           {"u": right.t[-1], "kind": "step_budget"}]
+            assert sol.span == (left.t[-1], right.t[-1])
+            assert np.array_equal(sol.u, np.concatenate([left.t[::-1], right.t[1:]]))
+
+    def test_step_budget_stops_a_pole(self, monkeypatch):
+        # with the h2_elliptic chart radius flipped to D = 1 - a^2, theta'
+        # has a pole inside the span: the left run steps toward it, and with
+        # a budget of 250,000 steps per side it took 194,742 steps and 26 s
+        # to end in a step-size underflow
+        exact = profile._chart
+
+        def flipped(branch, c, C):
+            chart = exact(branch, c, C)
+            if branch is bc.Branch.H2_ELLIPTIC:
+                chart = dataclasses.replace(chart, d2=-chart.d2)
+            return chart
+
+        monkeypatch.setattr(profile, "_chart", flipped)
+        cfg = PipelineConfig(model="h3", k0=1.0, kp0=1.0)
+        (_, sol), calls = recorded_runs(monkeypatch, lambda: build_pipeline_patch(cfg))
+        (_, right), ((_, _, t_bound, *_), left) = calls
+        budget = int(curvature._STEPS_PER_UNIT * max(1.0, abs(t_bound)))
+        assert right.status == 0 and len(right.steps) < budget
+        assert left.status == curvature._BUDGET_SPENT and len(left.steps) == budget
+        assert sol.boundary_events == [{"u": left.t[-1], "kind": "step_budget"}]
 
 
 class TestTableau:

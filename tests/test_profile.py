@@ -94,6 +94,7 @@ class TestRevolutionProfile:
 
     @pytest.mark.parametrize("C, rho_max", [
         (math.nan, 8.0), (math.inf, 8.0), (1.0, math.nan), (1.0, math.inf), (math.nan, math.nan),
+        pytest.param(1.0, 10**400, id="int-beyond-float-range"),
     ])
     def test_non_finite_arguments_rejected(self, C, rho_max):
         # NaN fails every comparison and C = inf gives a zero waist
@@ -153,6 +154,7 @@ class TestSphereBranch:
         (math.inf, "disagrees with the solution's"),
         ("18.8", "C must be a real number"),
         (True, "C must be a real number"),
+        pytest.param(10**400, "disagrees with the solution's", id="int-beyond-float-range"),
     ])
     def test_constant_not_finite_or_not_a_number(self, C, message):
         problem = bc.curvature.curvature_problem(1, 1.0, 1.0)
@@ -476,6 +478,31 @@ class TestDenseOutput:
             assert np.array_equal(dense(float(t0)), sol(float(t0)))
         nstate = sol(t[-1]).shape[0]
         assert dense(np.array([])).shape == (0, nstate)
+
+    @staticmethod
+    def _scipy_segment(sol, t):
+        """The index of the segment that scipy's ``OdeSolution`` ``sol``
+        evaluates the scalar ``t`` on, as its ``_call_single`` finds it."""
+        ind = np.searchsorted(sol.ts_sorted, t, side=sol.side)
+        segment = min(max(ind - 1, 0), sol.n_segments - 1)
+        return segment if sol.ascending else sol.n_segments - 1 - segment
+
+    @pytest.mark.parametrize("build", [
+        lambda: bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0)),
+        # both sides end at the k_floor event, inside their last steps
+        lambda: build_pipeline_patch(
+            PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0)))[1],
+    ], ids=["s3", "h3-truncated"])
+    def test_segments_are_the_owning_runs(self, monkeypatch, build):
+        # at every step time of both runs, at u = 0 and at both ends, the
+        # table picks the stacked segment (the right run's first) that
+        # scipy's OdeSolution of the owning run picks; the right run owns u >= 0
+        sol, results = self._recorded(monkeypatch, build)
+        right, left = (res.sol for res in results)
+        u = np.concatenate([right.ts, left.ts, [0.0, -0.0, *sol.span]])
+        want = [self._scipy_segment(right, t) if t >= 0
+                else right.n_segments + self._scipy_segment(left, t) for t in u]
+        assert np.array_equal(sol._dense.segments(u), want)
 
     def _check_two_sided(self, state, dense, results, n=None):
         """``state`` against scipy on both runs (the left one for u < 0).

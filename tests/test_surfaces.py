@@ -110,6 +110,7 @@ class TestSphereBuilder:
     ((np.nan, 1.0), "v_range must be finite"),
     ((0.0, np.inf), "v_range must be finite"),
     ((0.0, 1.0, 5.0), "v_range must be a pair"),
+    pytest.param((0, 10**400), "v_range must be finite", id="int-beyond-float-range"),
 ])
 def test_sweep_builders_reject_unusable_v_range(request, fix, build, v_range, message):
     # refused where the range is given, not later by the FD scheme

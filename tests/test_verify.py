@@ -483,7 +483,9 @@ class TestFailClosed:
         with pytest.raises(bc.UsageError, match=f"has no {' or '.join(missing)}:"):
             entry(patch)
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("step", [
+        0.0, -1e-3, float("nan"), float("inf"), pytest.param(10**400, id="int-beyond-float-range"),
+    ])
     def test_step_not_finite_and_positive_is_usage_error(self, step):
         patch = sphere_patch()
         message = re.escape(f"inner_step must be finite and positive, got {step!r}")
@@ -491,6 +493,13 @@ class TestFailClosed:
             FDScheme(step)
         with pytest.raises(bc.UsageError, match=message):
             bc.verify_patch(patch, 8, 8, fd=FDScheme(step))
+
+    @pytest.mark.parametrize("step", [True, "1e-3", None])
+    def test_step_not_a_number_is_usage_error(self, step):
+        # True used to be read as a step of 1, the others to leak TypeError
+        message = re.escape(f"FDScheme inner_step must be a real number, got {step!r}")
+        with pytest.raises(bc.UsageError, match=message):
+            FDScheme(step)
 
     def test_numpy_integer_grid_size_serializes(self):
         report = bc.verify_patch(sphere_patch(), np.int64(4), 4)
