@@ -66,7 +66,7 @@ import numpy as np
 from . import dop853
 from .ambient import space_form
 from .defaults import ADMISSIBILITY_SLACK, K_FLOOR, ODE_ATOL, ODE_RTOL
-from .errors import DomainError, NoSolutionError, UsageError, _pair, _real
+from .errors import DomainError, NoSolutionError, UsageError, _array, _pair, _real
 
 __all__ = [
     "ode_rhs",
@@ -101,7 +101,7 @@ _K_POSITIVE = "geodesic curvature k must be positive"
 
 
 def _require_positive_k(k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
+    k = _array(k, "k")
     if np.any(k <= 0):
         raise DomainError(_K_POSITIVE)
     return k
@@ -122,15 +122,14 @@ def ode_rhs(k, kp, c: int):
             raise DomainError(_K_POSITIVE)
         k4 = float(np.power(k, 4.0))
     else:
-        k, kp = _require_positive_k(k), np.asarray(kp, dtype=float)
+        k, kp = _require_positive_k(k), _array(kp, "kp")
         k4 = np.power(k, 4.0)
     return (1.75 * (kp * kp) + (4.0 * c / 3.0) * (k * k) - 4.0 * k4) / k
 
 
 def prime_constant(k, kp, c: int):
     """Conserved constant C = (kp^2 + (16c/9) k^2 + 16 k^4) / k^(7/2)."""
-    k = _require_positive_k(k)
-    kp = np.asarray(kp, dtype=float)
+    k, kp = _require_positive_k(k), _array(kp, "kp")
     return (kp**2 + (16.0 * c / 9.0) * k**2 + 16.0 * k**4) / k**3.5
 
 
@@ -142,7 +141,7 @@ def prime_poly(k, C: float, c: int):
     if isinstance(k, float):
         k4, k7_2 = float(np.power(k, 4.0)), float(np.power(k, 3.5))
     else:
-        k = np.asarray(k, dtype=float)
+        k = _array(k, "k")
         k4, k7_2 = np.power(k, 4.0), np.power(k, 3.5)
     return -(16.0 * c / 9.0) * (k * k) - 16.0 * k4 + C * k7_2
 
@@ -164,8 +163,7 @@ def w_value(k, kp):
     For c = -1 solutions W = (9C/16) k^(3/2), so its sign equals the sign of
     the integration constant and selects circular vs exponential orbits.
     """
-    k = _require_positive_k(k)
-    kp = np.asarray(kp, dtype=float)
+    k, kp = _require_positive_k(k), _array(kp, "kp")
     return 0.5625 * (kp / k) ** 2 + 9.0 * k**2 - 1.0
 
 

@@ -7,6 +7,8 @@ and are not exceptions).
 import math
 import numbers
 
+import numpy as np
+
 
 class GeometryError(Exception):
     """Base class for all library-specific failures."""
@@ -57,6 +59,15 @@ def _real(value, name: str) -> float:
     if not _is_real(value):
         raise UsageError(f"{name} must be a real number, got {value!r}")
     return _float(value)
+
+
+def _array(value, name: str, error=DomainError, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``; an int beyond the float range, or
+    anything numpy cannot read as one, raises ``error`` naming it."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (OverflowError, TypeError, ValueError):
+        raise error(f"{name} must hold numbers within the float range") from None
 
 
 def _pair(value, name: str) -> tuple[float, float]:

@@ -35,7 +35,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ProjectionError, UsageError
+from .errors import ProjectionError, UsageError, _array
 from .surfaces import SurfacePatch, _grid_size
 
 __all__ = [
@@ -301,14 +301,6 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _array(name: str, values, dtype=None) -> np.ndarray:
-    """A copy of ``values`` as an array, or ``UsageError`` if it is none."""
-    try:
-        return np.array(values, dtype=dtype)
-    except (TypeError, ValueError):
-        raise UsageError(f"mesh {name} is not a numeric array") from None
-
-
 # the bytes a channel name may hold: it becomes one PLY property word and one
 # comma-separated sidecar column name
 _NAME_CHARS = frozenset(map(chr, range(0x21, 0x7F))) - {","}
@@ -333,11 +325,11 @@ class Mesh:
     grid_shape: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        vertices = _array("vertices", self.vertices, float)
+        vertices = _array(self.vertices, "mesh vertices", UsageError).copy()
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise UsageError(f"mesh vertices must have shape (N, 3), got {vertices.shape}")
         n = len(vertices)
-        quads = _array("quads", self.quads)
+        quads = _array(self.quads, "mesh quads", UsageError, None).copy()
         if quads.ndim != 2 or quads.shape[1] < 3 or not np.issubdtype(quads.dtype, np.integer):
             raise UsageError(
                 f"mesh quads must be integers of shape (M, k >= 3), got {quads.dtype} "
@@ -352,7 +344,7 @@ class Mesh:
                     f"mesh channel name {name!r} must be non-empty printable ASCII "
                     "with no whitespace or comma"
                 )
-            values = _array(f"channel '{name}'", values, float)
+            values = _array(values, f"mesh channel '{name}'", UsageError).copy()
             if values.shape != (n,):
                 raise UsageError(
                     f"mesh channel '{name}' must have shape {(n,)}, got {values.shape}"
@@ -407,10 +399,7 @@ def _pole(pole) -> np.ndarray:
     """
     if pole is None:
         return np.array([0.0, 0.0, 0.0, -1.0])
-    try:
-        p = np.asarray(pole, dtype=float)
-    except (TypeError, ValueError):
-        raise UsageError(f"projection pole {pole!r} is not a numeric 4-vector") from None
+    p = _array(pole, "projection pole", UsageError)
     if p.shape != (4,):
         raise UsageError(f"projection pole must be a 4-vector, got shape {p.shape}")
     with np.errstate(all="ignore"):

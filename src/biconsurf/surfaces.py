@@ -58,9 +58,11 @@ class SurfacePatch:
     number of v derivatives: (Xuuu, Xuuv, Xuvv, Xvvv, Xuuuu, Xuuuv,
     Xuuvv, Xuvvv, Xvvvv).  The verifier takes the mean curvature and its
     derivatives from them in closed form and keeps finite differences only
-    as cross-checks.  It evaluates ``jet4`` in blocks of u-rows by slicing
-    each u-line entry along its first axis, so every entry of a u-line has
-    u's first axis.
+    as cross-checks.  It evaluates one u-line on a column stacked over the
+    u offsets of its checks and cuts it into per-offset pieces, and it
+    evaluates ``jet4`` in blocks of u-rows, both by slicing each u-line
+    entry along its first axis, so every entry of a u-line has u's first
+    axis.
 
     A built patch's u-line is (sigma, T, a, a', T', a'', sigma''', a''',
     sigma'''', a''''), T = sigma': the profile, the sweep amplitude and

@@ -18,7 +18,11 @@ differences, at the step of ``FDScheme`` and with one kernel
 (``_fd_cross_check``): the first partials against ``jet`` on the grid are
 the required ``second_partials_fd`` residual, and every partial of order 3
 or 4 against the partial one order lower, on every 4th row and column, is
-the required ``higher_partials_fd`` residual.
+the required ``higher_partials_fd`` residual.  Each grid is read through
+one ``_Probe``, which calls the patch's ``uline`` once for every u offset
+its checks read, so a ``verify_patch`` makes three ``uline`` calls: the
+orientation point, the grid and the sub-grid.  The sub-grid's shifted
+``jet`` and ``jet4`` come from one evaluation per direction.
 
 Sign conventions
 ----------------
@@ -129,26 +133,56 @@ _HIGHER_STRIDE = 4
 
 
 class _Probe:
-    """Tensor-grid evaluation with the u-lines cached per u offset.
+    """Tensor-grid evaluation with the u-lines of all u offsets in one call.
 
-    ``uline`` runs once per distinct u (shape (nu, 1)); ``at`` and ``jet``
-    broadcast it against a v-row (shape (1, nv)), and their triples come
-    back flattened to (nu * nv, dim) in u-major order, the layout of the
-    verifier's grids.
+    ``uline`` runs once, on the column u + du (shape (len(offsets) * nu, 1))
+    stacked over the ``offsets`` the probe's checks read, and each u-line
+    entry is cut into per-offset pieces along its first axis, as the
+    SurfacePatch contract allows.  ``at``, ``jet`` and ``jet4`` broadcast a
+    piece against a v-row (shape (1, nv)), and their triples come back
+    flattened to (nu * nv, dim) in u-major order, the layout of the
+    verifier's grids.  An offset outside ``offsets`` gets a u-line call of
+    its own.
     """
 
-    def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray):
+    def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray,
+                 offsets=(0.0,)):
         self.patch = patch
         self.u = np.asarray(ugrid, dtype=float)[:, None]
         self.v = np.asarray(vgrid, dtype=float)[None, :]
         self.shape = (self.u.shape[0], self.v.shape[1])
-        self._lines: dict = {}
+        self.offsets = tuple(float(du) for du in offsets)
+        nu = self.shape[0]
+        self._stacked = patch.uline(np.concatenate([self.u + du for du in self.offsets]))
+        self._lines = {
+            du: tuple(np.asarray(entry)[i * nu:(i + 1) * nu] for entry in self._stacked)
+            for i, du in enumerate(self.offsets)
+        }
 
     def line(self, du: float):
         key = float(du)
         if key not in self._lines:
             self._lines[key] = self.patch.uline(self.u + key)
         return self._lines[key]
+
+    def shifted_jets(self, steps) -> dict:
+        """{(du, dv): jet + jet4} at the grid shifted by each offset du along u
+        and by each of ``steps`` along v, each partial of shape (nu, nv, dim).
+
+        One ``jet`` and one ``jet4`` call take the stacked u-line against the
+        v-row, and one more of each the unshifted u-line against the v-row
+        stacked over ``steps``; the partials are views of their results.
+        """
+        nu, nv = self.shape
+        vrow = np.concatenate([self.v + dv for dv in steps], axis=1)
+        out = {}
+        for axis, line, v, keys in ((0, self._stacked, self.v, [(du, 0.0) for du in self.offsets]),
+                                    (1, self.line(0.0), vrow, [(0.0, dv) for dv in steps])):
+            shape = (nu * len(keys), nv) if axis == 0 else (nu, nv * len(keys))
+            parts = [np.split(a, len(keys), axis) for name in ("jet", "jet4")
+                     for a in self._evaluate(name, line, v, shape)]
+            out.update({key: tuple(p[i] for p in parts) for i, key in enumerate(keys)})
+        return out
 
     def frame(self, du: float, dv: float):
         """(X, Xu, Xv) at the grid shifted by (du, dv)."""
@@ -172,41 +206,51 @@ class _Probe:
         if rows is not None:
             line = tuple(np.asarray(entry)[rows] for entry in line)
             shape = (len(range(*rows.indices(shape[0]))), shape[1])
-        try:
-            out = getattr(self.patch, name)(line, self.v + dv)
-        except ValueError as exc:
-            raise self._contract_error(name, f"numpy said: {exc}") from exc
-        if any(np.shape(a)[:-1] != shape for a in out):
-            raise self._contract_error(name, f"got shapes {[np.shape(a) for a in out]}")
+        out = self._evaluate(name, line, self.v + dv, shape)
         n = shape[0] * shape[1]
         return tuple(a.reshape(n, a.shape[-1]) for a in out)
 
-    def _contract_error(self, name: str, detail: str) -> UsageError:
+    def _evaluate(self, name: str, line, v, shape: tuple) -> tuple:
+        """``name``(line, v), whose entries must have shape ``shape`` + (dim,)."""
+        try:
+            out = getattr(self.patch, name)(line, v)
+        except ValueError as exc:
+            raise self._contract_error(name, shape, f"numpy said: {exc}") from exc
+        if any(np.shape(a)[:-1] != shape for a in out):
+            raise self._contract_error(name, shape, f"got shapes {[np.shape(a) for a in out]}")
+        return out
+
+    def _contract_error(self, name: str, shape: tuple, detail: str) -> UsageError:
         return UsageError(
             f"patch '{self.patch.case}' breaks the SurfacePatch broadcasting "
             f"contract: {name}(uline(u), v) must broadcast a (nu, 1) u-line "
-            f"against a (1, nv) v-row to {self.shape} + (dim,); {detail}"
+            f"against a (1, nv) v-row to {shape} + (dim,); {detail}"
         )
 
 
-def _fd_cross_check(shifted, exact, table, h: float, levels: int, dim: int):
-    """Per-point largest Euclidean norm of analytic partials minus differences.
+def _fd_steps(h: float, levels: int) -> tuple:
+    """The signed steps of ``_fd_cross_check``'s shifts: +-h, +-h/2 and, at
+    3 levels, +-h/4."""
+    return tuple(s for step in (h, 0.5 * h, 0.25 * h)[:levels] for s in (step, -step))
+
+
+def _fd_cross_check(shifted: dict, exact, table, h: float, levels: int, dim: int):
+    """Per-point largest Euclidean norm of analytic partials minus differences,
+    over the points of ``exact`` in its layout.
 
     A ``table`` entry (i, j, along_u) compares ``exact[i]``, a partial on the
-    grid, with the central difference along u or v of ``shifted(du, dv)[j]``,
+    grid, with the central difference along u or v of ``shifted[du, dv][j]``,
     the partial one order lower on the shifted grid; two entries sharing an i
-    are averaged first.  Richardson extrapolation takes ``levels`` steps: 2 (h
-    and h/2, fourth order) or 3 (h, h/2 and h/4, sixth order; the truncation
-    error grows with the order of the partials).
+    are averaged first.  ``shifted`` holds every grid the kernel reads, the
+    shifts (s, 0.0) and (0.0, s) for s in ``_fd_steps(h, levels)``.
+    Richardson extrapolation takes ``levels`` steps: 2 (h and h/2, fourth
+    order) or 3 (h, h/2 and h/4, sixth order; the truncation error grows
+    with the order of the partials).
     """
-    cache: dict = {}
 
     def rich(j, along_u, step):
         def f(s):
-            key = (s, 0.0) if along_u else (0.0, s)
-            if key not in cache:
-                cache[key] = shifted(*key)
-            return cache[key][j]
+            return shifted[(s, 0.0) if along_u else (0.0, s)][j]
 
         d_h = (f(step) - f(-step)) / (2.0 * step)
         d_h2 = (f(0.5 * step) - f(-0.5 * step)) / step
@@ -701,8 +745,9 @@ def verify_patch(
     UU, VV = np.meshgrid(ugrid, vgrid, indexing="ij")
     U, V = UU.ravel(), VV.ravel()
 
+    h = fd.inner_step
     sign = normal_sign(patch)
-    pr = _Probe(patch, ugrid, vgrid)
+    pr = _Probe(patch, ugrid, vgrid, (0.0,) + _fd_steps(h, 2))
     sh = _field_bundle(pr, sign)
     model = patch.model
     inner = model.inner
@@ -740,19 +785,21 @@ def verify_patch(
         record(name, values, masks.get(name))
 
     # the finite-difference cross-checks of jet (full grid) and jet4 (every
-    # 4th row and column)
-    h, dim = fd.inner_step, model.ambient.dim
+    # 4th row and column, one jet and one jet4 call per direction); the full
+    # grid takes one frame per shift, as frames stacked over the shifts would
+    # hold every shift's X, which the check never reads
+    dim = model.ambient.dim
     record("second_partials_fd", _fd_cross_check(
-        lambda du, dv: pr.frame(du, dv)[1:], (sh["Xuu"], sh["Xuv"], sh["Xvv"]),
-        _SECOND_TABLE, h, 2, dim))
+        {key: pr.frame(*key)[1:] for s in _fd_steps(h, 2) for key in ((s, 0.0), (0.0, s))},
+        (sh["Xuu"], sh["Xuv"], sh["Xvv"]), _SECOND_TABLE, h, 2, dim))
     every = slice(None, None, _HIGHER_STRIDE)
     sub = np.zeros((nu, nv), dtype=bool)
     sub[every, every] = True
-    spr = _Probe(patch, ugrid[every], vgrid[every])
+    steps = _fd_steps(h, 3)
+    spr = _Probe(patch, ugrid[every], vgrid[every], (0.0,) + steps)
+    jets = spr.shifted_jets(steps)
     higher = np.full((nu, nv), np.nan)
-    higher[every, every] = _fd_cross_check(
-        lambda du, dv: spr.jet(du, dv) + spr.jet4(du, dv), spr.jet4(0.0, 0.0),
-        _HIGHER_TABLE, h, 3, dim).reshape(spr.shape)
+    higher[every, every] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3, dim)
     record("higher_partials_fd", higher.ravel(), mask=sub.ravel())
 
     # comparisons against builder-declared data

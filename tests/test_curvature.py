@@ -146,6 +146,25 @@ class TestAdmissibleInterval:
             bc.solve_curvature(c, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: bc.prime_constant(10**400, 1.0, 1), "k"),
+    (lambda: bc.prime_constant([1.0, 10**400], 1.0, 1), "k"),
+    (lambda: bc.prime_constant(1.0, 10**400, 1), "kp"),
+    (lambda: bc.w_value(10**400, 1.0), "k"),
+    (lambda: bc.w_value(1.0, [1.0, 10**400]), "kp"),
+    (lambda: bc.ode_rhs(1.0, 10**400, 1), "kp"),
+    (lambda: bc.ode_rhs([1.0, 10**400], 1.0, 1), "k"),
+    (lambda: bc.prime_poly([1.0, 10**400], 1.0, 1), "k"),
+    (lambda: bc.kappa2([1.0, 10**400], 1.0), "k"),
+], ids=["prime_constant-k", "prime_constant-k-array", "prime_constant-kp", "w_value-k",
+        "w_value-kp-array", "ode_rhs-kp", "ode_rhs-k-array", "prime_poly-k-array",
+        "kappa2-k-array"])
+def test_array_int_beyond_float_range_is_domain_error(call, name):
+    # np.asarray(..., dtype=float) used to leak OverflowError
+    with pytest.raises(bc.DomainError, match=f"^{name} must hold numbers within the float range"):
+        call()
+
+
 class TestDerivedQuantities:
     def test_kappa2_sphere_constant(self):
         assert bc.kappa2(1.0, 169.0 / 9.0) == pytest.approx(13.0 / 4.0, rel=1e-15)

@@ -378,7 +378,11 @@ class TestMesh:
             sample_mesh(patch, 9, 9, projection="stereographic", pole=X0)
         assert "pole=" in str(err.value)
 
-    @pytest.mark.parametrize("pole", [np.zeros(4), [0.0, 0.0, 0.0, np.nan], [0.0, 0.0, 1.0]])
+    @pytest.mark.parametrize("pole", [
+        np.zeros(4), [0.0, 0.0, 0.0, np.nan], [0.0, 0.0, 1.0],
+        # used to leak OverflowError
+        pytest.param((0, 0, 0, 10**400), id="int-beyond-float-range"),
+    ])
     def test_malformed_pole_is_usage_error(self, s3_pipeline, pole):
         _, _, patch, _ = s3_pipeline
         with pytest.raises(bc.UsageError):
@@ -493,6 +497,8 @@ class TestExports:
         (np.zeros((4, 2)), [[0, 1, 2, 3]], {}),            # 2-D vertices
         (np.zeros(12), [[0, 1, 2, 3]], {}),
         ([["a", "b", "c"]], [[0, 0, 0]], {}),              # not numeric
+        ([[0, 0, 10**400]], [[0, 0, 0]], {}),             # beyond the float range
+        (np.zeros((1, 3)), [[0, 0, 0]], {"f": [10**400]}),
         (np.zeros((4, 3)), [[0, 1, 2, 3]], {"f": np.ones(3)}),
         (np.zeros((4, 3)), [[0, 1, 2, 3]], {"f": np.ones((2, 2))}),
     ])

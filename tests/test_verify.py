@@ -461,6 +461,51 @@ class TestTensorGridProbe:
                 bc.verify_patch(patch, 8, 8)
 
 
+    @pytest.mark.parametrize(
+        "fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline", "h3p_pipeline"]
+    )
+    def test_stacked_ulines_equal_separate_calls(self, fix, request, monkeypatch):
+        # the one-point probe of normal_sign, the grid probe and the sub-grid
+        # probe of verify_patch: each offset's piece of the stacked u-line is
+        # the u-line of its own call, byte for byte
+        patch = request.getfixturevalue(fix)[-2]
+        probes = []
+
+        class Recorded(_Probe):
+            def __init__(self, *args):
+                super().__init__(*args)
+                probes.append(self)
+
+        monkeypatch.setattr(verify, "_Probe", Recorded)
+        bc.verify_patch(patch, 24, 24)
+        h = fd_for_patch(patch).inner_step
+        steps = (h, -h, 0.5 * h, -0.5 * h)
+        assert [(pr.shape, pr.offsets) for pr in probes] == [
+            ((1, 1), (0.0,)), ((24, 24), (0.0,) + steps),
+            ((6, 6), (0.0,) + steps + (0.25 * h, -0.25 * h)),
+        ]
+        for pr in probes:
+            for du in pr.offsets:
+                want = patch.uline(pr.u + du)
+                got = pr.line(du)
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_verify_calls_uline_once_per_probe(self, s3_pipeline):
+        # normal_sign, the grid and the sub-grid; the points are those of
+        # one call per u offset (1 + 5 * 24 + 7 * 6)
+        patch = s3_pipeline[2]
+        sizes = []
+
+        def uline(u):
+            sizes.append(np.size(u))
+            return patch.uline(u)
+
+        bc.verify_patch(dataclasses.replace(patch, uline=uline), 24, 24)
+        assert sizes == [1, 5 * 24, 7 * 6]
+
+
 class TestFailClosed:
     @pytest.mark.parametrize("nu, nv", [(0, 8), (-3, 8), (1, 8), (8, 1), (8.0, 8),
                                         (True, 8)])
