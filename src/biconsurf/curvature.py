@@ -42,19 +42,24 @@ loop and the C library's ``pow`` behind float ``**`` disagree in the last
 bit for a few percent of inputs, and the drift-limited solves amplify such
 bits into different steps).  Where float arithmetic raises and numpy's
 gives inf or NaN (division by zero, NaN in a maximum), the driver gives
-numpy's value.  One numpy scalar left in the loop would turn every value
-after it into numpy-scalar arithmetic again, so the float path ends in
-floats: the events get the state as a list, and ``ode_rhs``,
-``prime_poly`` and the right-hand sides return floats on float input.
+numpy's value.  Each stage is written into its row of the run's stage
+table through a view held for the run (``row[...] = rhs(...)``).  One numpy
+scalar left in the loop would turn every value after it into numpy-scalar
+arithmetic again, so the float path ends in floats: the events get the
+state as a list, and the right-hand sides and ``prime_poly`` return floats
+on float input.
 
-A right-hand side ``rhs(u, y)`` takes the state as a sequence of
-components: plain Python floats while stepping, one array per component
-(over the steps) in the batched pass, so one function serves both.
-``ode_rhs`` and ``prime_poly`` take a scalar path for floats that is
-bit-identical to their array formula; squares are ``x * x``, exactly
-numpy's ``x**2``.  ``ode_rhs`` checks that k is positive (for floats one
-comparison); inside the solves the right-hand side clamps k at 1e-300
-(``_clamped_k``) and the ``k_floor`` event stops the integration first.
+A run's right-hand side ``rhs(u, y)`` (``_run_rhs``) is bound once per run,
+after c and C are checked, to c, 4c/3 and, for a profile, the chart's
+``rate``, ``d0`` and ``d2 sc^2``.  It takes the state as a sequence of
+components: plain Python floats while stepping, one array per component in
+the interpolant pass.  Both run one kernel, so k'' and theta' each have one
+formula, which ``ode_rhs`` and ``_Chart.dtheta`` evaluate too; floats take
+``float(np.power(k, 4.0))`` and ``math.sqrt``, arrays ``np.power`` and
+``np.sqrt``, which round alike, and squares are ``x * x``, exactly numpy's
+``x**2``.  Inside the solves k is clamped at 1e-300, and the ``k_floor``
+event stops the integration first; the public functions do not clamp but
+check that k is positive and c is -1, 0 or +1.
 """
 from __future__ import annotations
 
@@ -107,43 +112,78 @@ def _require_positive_k(k) -> np.ndarray:
     return k
 
 
-def _clamped_k(k):
-    """k clamped at 1e-300 inside the solves; a float stays a float."""
-    return max(k, 1e-300) if isinstance(k, float) else np.maximum(k, 1e-300)
+def _run_rhs(c: int, angle=None, floor: float = 1e-300):
+    """The right-hand side ``rhs(u, y)`` of a run at the checked curvature c.
+
+    It returns (k', k''), and with ``angle`` = (rate, d0, d2 sc^2) of a
+    profile's chart (``_Chart``) also theta' = rate k^(1/4) k^(3/2) /
+    (d0 k^(3/2) + d2 sc^2), from y[0] = k clamped at ``floor`` and y[1] = k',
+    floats for floats and arrays for arrays (see the module docstring).
+    """
+    c43 = 4.0 * c / 3.0
+    if angle is not None:
+        rate, d0, d2s = angle
+
+    def rhs(u, y):
+        k, kp = y[0], y[1]
+        if isinstance(k, float):
+            k = max(k, floor)
+            k4, sqrt = float(np.power(k, 4.0)), math.sqrt
+        else:
+            k = np.maximum(k, floor)
+            k4, sqrt = np.power(k, 4.0), np.sqrt
+        kpp = (1.75 * (kp * kp) + c43 * (k * k) - 4.0 * k4) / k
+        if angle is None:
+            return [kp, kpp]
+        s = sqrt(k)
+        ks = k * s  # k^(3/2), and D = (d0 ks + d2 sc^2) / ks
+        return [kp, kpp, rate * sqrt(s) * ks / (d0 * ks + d2s)]
+
+    return rhs
 
 
 def ode_rhs(k, kp, c: int):
     """Second derivative k'' = ((7/4) kp^2 + (4c/3) k^2 - 4 k^4) / k.
 
-    Floats take a scalar path, bit-identical to the array one.
+    Floats take a scalar path, bit-identical to the array one.  A c other
+    than -1, 0 and +1 raises ``UsageError``.
     """
+    c = space_form(c).c
     if isinstance(k, float) and isinstance(kp, float):
         if k <= 0:
             raise DomainError(_K_POSITIVE)
-        k4 = float(np.power(k, 4.0))
     else:
         k, kp = _require_positive_k(k), _array(kp, "kp")
-        k4 = np.power(k, 4.0)
-    return (1.75 * (kp * kp) + (4.0 * c / 3.0) * (k * k) - 4.0 * k4) / k
+    return _run_rhs(c, floor=0.0)(None, (k, kp))[1]
 
 
 def prime_constant(k, kp, c: int):
     """Conserved constant C = (kp^2 + (16c/9) k^2 + 16 k^4) / k^(7/2)."""
+    c = space_form(c).c
     k, kp = _require_positive_k(k), _array(kp, "kp")
     return (kp**2 + (16.0 * c / 9.0) * k**2 + 16.0 * k**4) / k**3.5
+
+
+def _prime_poly(k, C: float, c: int):
+    """``prime_poly`` of checked arguments: on floats a float, bit-identical
+    to the array path."""
+    if isinstance(k, float):
+        k4, k7_2 = float(np.power(k, 4.0)), float(np.power(k, 3.5))
+    else:
+        k4, k7_2 = np.power(k, 4.0), np.power(k, 3.5)
+    return -(16.0 * c / 9.0) * (k * k) - 16.0 * k4 + C * k7_2
 
 
 def prime_poly(k, C: float, c: int):
     """P(k) = -(16c/9) k^2 - 16 k^4 + C k^(7/2); equals (k')^2 on solutions.
 
-    Floats take a scalar path, bit-identical to the array one.
+    Floats take a scalar path, bit-identical to the array one.  A c other
+    than -1, 0 and +1, or a C that is not a real number (or an array of
+    them), raises ``UsageError``.
     """
-    if isinstance(k, float):
-        k4, k7_2 = float(np.power(k, 4.0)), float(np.power(k, 3.5))
-    else:
-        k = _array(k, "k")
-        k4, k7_2 = np.power(k, 4.0), np.power(k, 3.5)
-    return -(16.0 * c / 9.0) * (k * k) - 16.0 * k4 + C * k7_2
+    c = space_form(c).c
+    C = _real(C, "C") if np.isscalar(C) else _array(C, "C", UsageError)
+    return _prime_poly(k if isinstance(k, float) else _array(k, "k"), C, c)
 
 
 def kappa2(k, C: float):
@@ -366,6 +406,9 @@ _STEPS_PER_UNIT = 40_000
 _BUDGET_SPENT = -2
 # the boundary event of a run that stopped short, by status
 _STOP_KINDS = {-1: "step_underflow", _BUDGET_SPENT: "step_budget"}
+# the most evenly spaced samples ``CurvatureSolution.drift`` takes: its
+# state and C arrays stay within about 100 MB
+_DRIFT_MAX_SAMPLES = 10**6
 
 
 def _norm(x) -> float:
@@ -515,10 +558,12 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             "right-hand side or the error scale at u = 0 is not"
         )
 
-    # one stage table per run, its stage sums read through fixed views
+    # one stage table per run: each stage is written into its row and its
+    # stage sum read, through views held for the run
     K = np.empty((_N_STAGES_EXTENDED, n))
-    sums = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
-    K_b, K_e, f_row = K[:dop853.N_STAGES].T, K[:dop853.N_STAGES + 1].T, dop853.N_STAGES
+    sums = [(K[s], K[:s].T, a, c) for s, a, c in _STAGES]
+    K_b, K_e = K[:dop853.N_STAGES].T, K[:dop853.N_STAGES + 1].T
+    f_row, fsal_row = K[0], K[dop853.N_STAGES]
 
     terminal = np.array([bool(e.terminal) for e in events])
     event_dir = [e.direction for e in events]
@@ -547,12 +592,12 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             h = t_new - t
             h_abs = abs(h)
 
-            K[0] = f
-            for s, K_s, a, c in sums:
-                K[s] = rhs(t + c * h, [x + dx * h for x, dx in zip(y, K_s.dot(a).tolist())])
+            f_row[...] = f
+            for row, K_s, a, c in sums:
+                row[...] = rhs(t + c * h, [x + dx * h for x, dx in zip(y, K_s.dot(a).tolist())])
             y_new = [x + h * dx for x, dx in zip(y, K_b.dot(dop853.B).tolist())]
             f_new = rhs(t + h, y_new)
-            K[f_row] = f_new
+            fsal_row[...] = f_new
 
             scale = _error_scale(y, y_new, rtol, atol)
             error_norm = _error_norm(K_e.dot(dop853.E5).tolist(),
@@ -747,7 +792,17 @@ class CurvatureSolution:
         return self.state(u)[..., 1]
 
     def drift(self, n: int = 1001) -> float:
-        """Max |prime_constant(k, k', c) - C| over a dense sample of the span."""
+        """Max |prime_constant(k, k', c) - C| over a dense sample of the span.
+
+        The sample is ``n`` evenly spaced points and the run's steps; ``n``
+        must be an int from 0 to ``_DRIFT_MAX_SAMPLES`` (``UsageError``
+        otherwise, a bool included).
+        """
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
+                                       and 0 <= n <= _DRIFT_MAX_SAMPLES):
+            raise UsageError(
+                f"drift needs an int sample count from 0 to {_DRIFT_MAX_SAMPLES}, got {n!r}"
+            )
         lo, hi = self.span
         grid = np.unique(np.concatenate([np.linspace(lo, hi, n), self.u]))
         st = self.state(grid)
@@ -831,7 +886,7 @@ def _event_functions(C: float, c: int):
 
     def inadmissible(u, y):
         k = max(y[0], K_FLOOR)
-        return prime_poly(k, C, c) + ADMISSIBILITY_SLACK * max(1.0, abs(C) * k**3.5)
+        return _prime_poly(k, C, c) + ADMISSIBILITY_SLACK * max(1.0, abs(C) * k**3.5)
 
     inadmissible.terminal = True
     inadmissible.direction = -1.0
@@ -859,11 +914,7 @@ def solve_curvature(
     integrates (k, k') once, jointly with the profile's chart angle.
     """
     problem = curvature_problem(c, k0, kp0, span, rel_tol, abs_tol)
-
-    def rhs(u, y):
-        k, kp = y
-        return [kp, ode_rhs(_clamped_k(k), kp, c)]
-
     return _integrate_two_sided(
-        problem, rhs, [problem.k0, problem.kp0], _event_functions(problem.C, c)
+        problem, _run_rhs(problem.c), [problem.k0, problem.kp0],
+        _event_functions(problem.C, problem.c),
     )

@@ -62,12 +62,21 @@ def _real(value, name: str) -> float:
 
 
 def _array(value, name: str, error=DomainError, dtype=float) -> np.ndarray:
-    """``value`` as an array of ``dtype``; an int beyond the float range, or
-    anything numpy cannot read as one, raises ``error`` naming it."""
+    """``value`` as an array of ``dtype``.  Elements that are not real numbers
+    (None, strings and bools among them, which numpy would read as NaN, as
+    numbers and as 0 or 1), an int beyond the float range and anything else
+    numpy cannot read as one raise ``error`` naming it."""
     try:
-        return np.asarray(value, dtype=dtype)
+        raw = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+        if raw.dtype == object:
+            real = all(map(_is_real, raw.flat))
+        else:
+            real = raw.dtype.kind in "iuf"
+        if real:
+            return np.asarray(value, dtype=dtype)
     except (OverflowError, TypeError, ValueError):
         raise error(f"{name} must hold numbers within the float range") from None
+    raise error(f"{name} must hold real numbers, not bools, strings or None")
 
 
 def _pair(value, name: str) -> tuple[float, float]:

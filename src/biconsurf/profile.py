@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,10 +41,10 @@ from .ambient import H3, S3, SpaceForm
 from .curvature import (
     CurvatureProblem,
     CurvatureSolution,
-    _clamped_k,
     _event_functions,
     _integrate_two_sided,
-    ode_rhs,
+    _run_rhs,
+    ode_rhs,  # noqa: F401  (perfbench's tracer counts calls of profile.ode_rhs)
 )
 from .errors import ConstructionError, DomainError, UsageError, _real
 
@@ -178,26 +178,31 @@ class _Chart:
     v = <P, P> <E1, E1> c, so sigma' = alpha m + beta E'(theta) with
     alpha = sqrt(v) a' / r and beta = r theta'.  The first integral of the
     curvature ODE reads D - v a'^2 = 16 sqrt(k) / |C|, so unit speed gives
-    theta' = 4 k^(1/4) / (sqrt|C| D), with ``rate`` = 4 / sqrt|C|.
+    theta' = 4 k^(1/4) / (sqrt|C| D), with ``rate`` = 4 / sqrt|C|.  ``rhs``
+    is the right-hand side of the chart's (k, k', theta) runs on the model
+    of curvature ``c``, bound to these constants when the chart is made.
     """
 
     P: np.ndarray
     E1: np.ndarray
     E2: np.ndarray
     hyperbolic: bool
+    c: int
     d0: float
     d2: float
     v: float
     sc: float
     rate: float
+    rhs: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        angle = (self.rate, self.d0, self.d2 * (self.sc * self.sc))
+        object.__setattr__(self, "rhs", _run_rhs(self.c, angle))
 
     def dtheta(self, k):
-        """theta' at k, a float while stepping or an array in the interpolant
-        pass: its powers are square roots, so both paths round alike."""
-        sqrt = math.sqrt if isinstance(k, float) else np.sqrt
-        s = sqrt(k)
-        ks = k * s  # k^(3/2), and D = (d0 ks + d2 sc^2) / ks
-        return self.rate * sqrt(s) * ks / (self.d0 * ks + self.d2 * (self.sc * self.sc))
+        """theta' at k, a float or an array: component 2 of ``rhs``, which
+        does not read k' there."""
+        return self.rhs(None, (k, 0.0))[2]
 
     def state(self, y) -> np.ndarray:
         """(k, k', sigma, T, n) of chart states (k, k', theta); T and n are
@@ -226,7 +231,7 @@ def _chart(branch: Branch, c: int, C: float) -> _Chart:
     P, E1, E2 = _BRANCH_CONSTANTS[branch][2:]
     inner = _branch_model(branch).inner
     p, e = float(inner(P, P)), float(inner(E1, E1))
-    return _Chart(P, E1, E2, hyperbolic=e < 0, d0=e * c, d2=-e * p, v=p * e * c,
+    return _Chart(P, E1, E2, hyperbolic=e < 0, c=c, d0=e * c, d2=-e * p, v=p * e * c,
                   sc=_amplitude_scale(branch, C), rate=4.0 / math.sqrt(abs(C)))
 
 
@@ -349,13 +354,8 @@ def reconstruct_profile(
         raise ConstructionError(
             f"infeasible start: the chart radius squared D = {D0!r} at u = 0 is not positive"
         )
-
-    def rhs(u, y):
-        k, kp, theta = y
-        k = _clamped_k(k)
-        return [kp, ode_rhs(k, kp, c), chart.dtheta(k)]
-
-    curvature = _integrate_two_sided(sol, rhs, [sol.k0, sol.kp0, 0.0], _event_functions(C, c))
+    curvature = _integrate_two_sided(sol, chart.rhs, [sol.k0, sol.kp0, 0.0],
+                                     _event_functions(C, c))
     if np.max(np.abs(curvature.kp_samples)) < 1e-14:
         raise UsageError("constant-curvature solution: the surface would be CMC")
 

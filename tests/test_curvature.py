@@ -165,6 +165,70 @@ def test_array_int_beyond_float_range_is_domain_error(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: bc.w_value(None, 1.0), "k"),
+    (lambda: bc.w_value(1.0, [1.0, True]), "kp"),
+    (lambda: bc.ode_rhs(1.0, None, 1), "kp"),
+    (lambda: bc.ode_rhs("1", 1.0, 1), "k"),
+    (lambda: bc.prime_constant(1.0, [1.0, None], 1), "kp"),
+    (lambda: bc.prime_constant(True, 1.0, 1), "k"),
+    (lambda: bc.prime_poly(["1", 2.0], 1.0, 1), "k"),
+    (lambda: bc.kappa2([1.0, None], 1.0), "k"),
+], ids=["w_value-k-None", "w_value-kp-bool", "ode_rhs-kp-None", "ode_rhs-k-str",
+        "prime_constant-kp-None", "prime_constant-k-bool", "prime_poly-k-str", "kappa2-k-None"])
+def test_array_of_non_numbers_is_domain_error(call, name):
+    # numpy reads None as NaN, a numeric string as its number and a bool as 0 or 1
+    with pytest.raises(bc.DomainError, match=f"^{name} must hold real numbers"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bc.ode_rhs(1.0, 1.0, 2),
+    lambda: bc.ode_rhs(1.0, 1.0, True),
+    lambda: bc.ode_rhs(1.0, 1.0, 0.5),
+    lambda: bc.ode_rhs(1.0, 1.0, "1"),
+    lambda: bc.ode_rhs(np.ones(2), np.ones(2), 2),
+    lambda: bc.prime_poly(1.0, 1.0, 2),
+    lambda: bc.prime_poly(np.ones(2), 1.0, True),
+    lambda: bc.prime_constant(1.0, 1.0, 0.5),
+    lambda: bc.prime_constant(1.0, 1.0, "1"),
+], ids=["ode_rhs-2", "ode_rhs-True", "ode_rhs-half", "ode_rhs-str", "ode_rhs-array-2",
+        "prime_poly-2", "prime_poly-True", "prime_constant-half", "prime_constant-str"])
+def test_curvature_other_than_a_model_is_usage_error(call):
+    # each used to return a number, or leak TypeError for a string
+    with pytest.raises(bc.UsageError, match="curvature must be -1, 0 or \\+1"):
+        call()
+
+
+@pytest.mark.parametrize("C", ["x", None, True, [1.0, None]], ids=["str", "None", "bool", "array-None"])
+def test_prime_poly_constant_must_be_real(C):
+    with pytest.raises(bc.UsageError, match="^C must"):
+        bc.prime_poly(1.0, C, 1)
+
+
+def test_checked_arguments_keep_their_values():
+    # an integral float c and an array C are read as before
+    assert bc.ode_rhs(1.0, 1.0, 1.0) == bc.ode_rhs(1.0, 1.0, 1)
+    assert bc.prime_constant(1.0, 1.0, -1.0) == bc.prime_constant(1.0, 1.0, -1)
+    assert np.array_equal(bc.prime_poly(1.0, np.array([1.0, 2.0]), 1),
+                          [bc.prime_poly(1.0, 1.0, 1), bc.prime_poly(1.0, 2.0, 1)])
+
+
+@pytest.mark.parametrize("n", [-1, 10**30, 2.5, "3", None, True, np.True_],
+                         ids=["negative", "huge", "float", "str", "None", "True", "np-True"])
+def test_drift_sample_count_is_usage_error(n):
+    # these leaked ValueError or TypeError, and True read as 1
+    sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
+    with pytest.raises(bc.UsageError, match="drift needs an int sample count"):
+        sol.drift(n)
+
+
+def test_drift_takes_ints():
+    sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
+    assert sol.drift(np.int64(11)) == sol.drift(11)
+    assert 0.0 <= sol.drift(0) <= sol.drift()
+
+
 class TestDerivedQuantities:
     def test_kappa2_sphere_constant(self):
         assert bc.kappa2(1.0, 169.0 / 9.0) == pytest.approx(13.0 / 4.0, rel=1e-15)
@@ -713,6 +777,44 @@ class TestFloatPaths:
         assert np.array_equal(sol.state(grid), ref_sol(grid))
         assert np.array_equal(prof.curvature._dense(grid), ref_prof(grid))
         assert np.array_equal(prof.state(grid), prof._chart.state(ref_prof(grid)))
+
+    def test_flat_solve_matches_scipy(self, monkeypatch):
+        # c = 0: both runs of the float right-hand side equal scipy's runs of
+        # it and of the reference right-hand side, and so does the dense output
+        sol, calls = recorded_runs(
+            monkeypatch, lambda: bc.solve_curvature(0, 0.5, -0.3, (-3.0, 3.0)))
+        assert [args[2] for args, _ in calls] == [3.0, -3.0]
+        refs = [scipy_run(*args) for args, _ in calls]
+        for (args, run), res in zip(calls, refs):
+            assert_same_run(run, res)
+            assert_same_run(run, scipy_run(reference_rhs(0, 2), *args[1:]))
+        right, left = refs
+        assert np.array_equal(sol.u, np.concatenate([left.t[::-1], right.t[1:]]))
+        grid = np.unique(np.concatenate([np.linspace(*sol.span, 301), sol.u]))
+        assert np.array_equal(sol.state(grid),
+                              reference_dense([right.sol, left.sol], sol.span)(grid))
+
+    @pytest.mark.parametrize("c, C, branch", [
+        (-1, None, None),
+        (0, None, None),
+        (1, None, None),
+        (1, 169.0 / 9.0, bc.Branch.S2),
+        (-1, 137.0 / 9.0, bc.Branch.H2_ELLIPTIC),
+        (-1, -3.0, bc.Branch.H2_PARABOLIC),
+    ], ids=["h3", "r3", "s3", "s2-chart", "h2_elliptic-chart", "h2_parabolic-chart"])
+    def test_run_rhs_floats_equal_arrays(self, c, C, branch):
+        # a run's right-hand side gives the same bits on floats (stepping)
+        # and on arrays (the interpolant pass), also where it clamps k at
+        # 1e-300 and on NaN
+        rhs = curvature._run_rhs(c) if branch is None else profile._chart(branch, c, C).rhs
+        k = np.concatenate([self.k, [1e-300, 1e-310, 5e-324, 0.0, -0.0, -1.0, np.nan, 1.0]])
+        kp = np.concatenate([self.kp, [1.0, -2.0, 0.5, 1.0, 1.0, 1.0, 1.0, np.nan]])
+        theta = np.zeros_like(k)
+        want = np.transpose(rhs(0.0, [k, kp, theta]))
+        got = [rhs(0.0, [a, b, 0.0]) for a, b in zip(k.tolist(), kp.tolist())]
+        assert {type(x) for row in got for x in row} == {float}
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(want[-2:, 1]).all() and not np.isnan(want[:-2]).any()
 
     @pytest.mark.parametrize("c, C, branch", [
         (1, 169.0 / 9.0, bc.Branch.S2),

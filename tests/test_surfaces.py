@@ -501,10 +501,23 @@ class TestExports:
         (np.zeros((1, 3)), [[0, 0, 0]], {"f": [10**400]}),
         (np.zeros((4, 3)), [[0, 1, 2, 3]], {"f": np.ones(3)}),
         (np.zeros((4, 3)), [[0, 1, 2, 3]], {"f": np.ones((2, 2))}),
+        # numpy read None as NaN, a numeric string as its number, a bool as 1
+        ([[0, 0, None]], [[0, 0, 0]], {}),
+        ([[0, 0, "1"]], [[0, 0, 0]], {}),
+        ([[0, 0, True]], [[0, 0, 0]], {}),
+        (np.zeros((1, 3)), [[0, 0, 0]], {"f": [None]}),
     ])
     def test_mesh_validates_its_arrays(self, vertices, quads, channels):
         with pytest.raises(bc.UsageError):
             bc.Mesh(vertices=vertices, quads=quads, channels=channels)
+
+    def test_mesh_takes_integer_arrays(self):
+        # ints in lists pass the check for non-numbers
+        m = bc.Mesh(vertices=[[0, 0, 1], [1, 0, 0], [0, 1, 0]], quads=[[0, 1, 2]],
+                    channels={"f": [1, 2, 3]})
+        assert m.vertices.dtype == float and m.quads.dtype.kind == "i"
+        assert m.vertices.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        assert m.channels["f"].tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("name", ["", "a b", "c,d", "tab\there", "new\nline",
                                       "nul\x00", "del\x7f", "caf\u00e9", 3])
