@@ -106,8 +106,9 @@ _K_POSITIVE = "geodesic curvature k must be positive"
 
 
 def _require_positive_k(k) -> np.ndarray:
+    """``k`` as an array; ``DomainError`` unless every entry is > 0 (so not NaN)."""
     k = _array(k, "k")
-    if np.any(k <= 0):
+    if not np.all(k > 0):
         raise DomainError(_K_POSITIVE)
     return k
 
@@ -150,7 +151,7 @@ def ode_rhs(k, kp, c: int):
     """
     c = space_form(c).c
     if isinstance(k, float) and isinstance(kp, float):
-        if k <= 0:
+        if not k > 0:
             raise DomainError(_K_POSITIVE)
     else:
         k, kp = _require_positive_k(k), _array(kp, "kp")
@@ -179,11 +180,17 @@ def prime_poly(k, C: float, c: int):
 
     Floats take a scalar path, bit-identical to the array one.  A c other
     than -1, 0 and +1, or a C that is not a real number (or an array of
-    them), raises ``UsageError``.
+    them), raises ``UsageError``; a k that is not positive (or NaN)
+    ``DomainError``.
     """
     c = space_form(c).c
     C = _real(C, "C") if np.isscalar(C) else _array(C, "C", UsageError)
-    return _prime_poly(k if isinstance(k, float) else _array(k, "k"), C, c)
+    if isinstance(k, float):
+        if not k > 0:
+            raise DomainError(_K_POSITIVE)
+    else:
+        k = _require_positive_k(k)
+    return _prime_poly(k, C, c)
 
 
 def kappa2(k, C: float):
@@ -724,7 +731,7 @@ def curvature_problem(
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not 0.0 < _real(tol, name) < np.inf:
             raise UsageError(f"{name} must be positive and finite, got {tol!r}")
-    if _real(k0, "k0") <= 0:
+    if not _real(k0, "k0") > 0:
         raise DomainError("k0 must be positive")
     _real(kp0, "kp0")
     span = _span(span)

@@ -8,13 +8,16 @@ Poincare ball chart (x1, x2, x3)/(1 + x4).
 The writers print every float as ``"%.17g" % x`` would, byte for byte, with
 no option to change that.  One numpy kernel, ``_float_cells``, formats a
 whole float table: 17 correctly rounded digits from a double-double product
-|x| * 10**(16 - E), laid out in fixed byte slots per value, which
-``_cells_text`` joins into lines.  A value that path cannot decide (nan,
-inf, |x| outside [1e-280, 1e280], or a fraction within 1e-9 of a rounding
-tie, where the product's error is below 1e-14) is printed by Python's own
-``%`` into its slots; zeros are printed directly.  A ``Mesh`` formats its
-vertex and channel columns once, on the first write, and the OBJ, sidecar
-and PLY writers take their columns from those cells.
+|x| * 10**(16 - E), laid out in a cell of four 8-byte words per value (sign,
+prefix, leading digit and point; the other sixteen digits, into which a
+point of fixed form is put by moving the digits after it up one byte; the
+digit so moved out and the exponent), which ``_cells_text`` joins into
+lines.  A value that path cannot decide (nan, inf, |x| outside
+[1e-280, 1e280], or a fraction within 1e-9 of a rounding tie, where the
+product's error is below 1e-14) is printed by Python's own ``%`` into its
+cell; zeros are printed directly.  A ``Mesh`` formats its vertex and
+channel columns once, on the first write, and the OBJ, sidecar and PLY
+writers take their columns from those cells.
 
 Vertex ids are formatted once per mesh too: ``Mesh._ids`` holds the decimal
 words of the ids 0 to N, digits right-aligned and zero-padded in one 8-byte
@@ -47,21 +50,25 @@ __all__ = [
     "write_ply",
 ]
 
-# Each value is printed into a cell of six little-endian 64-bit words, one
+# Each value is printed into a cell of four little-endian 64-bit words, one
 # ASCII byte per slot, zero bytes for "no character":
 #   word 0     sign, the prefix "0." to "0.000" (5), leading digit, point
-#   words 1-4  four groups of four digits, each digit followed by a point slot
-#   word 5     exponent "e+dd" to "e-ddd" (5), separator, 2 unused
+#   words 1-2  digits 1-16, eight per word; in fixed form a point after digit
+#              p (1 <= p <= 15) moves the digits after it up one byte
+#   word 3     the digit so moved past word 2, the exponent "e+dd" to
+#              "e-ddd" (5), separator, 1 unused
 # so every part is written as whole words, and one ``bytes.translate`` that
 # deletes the zero bytes turns a table of cells into its text.
-_WORDS = 6
+_WORDS = 4
 # |x| the fast path takes; its exponents E stay in [-_E_LIM, _E_LIM], where
 # 10**(16 - E) and its Veltkamp split are finite
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _E_LIM = 282
 _SPLIT = 134217729.0  # 2**27 + 1
-_CHUNK = 4096  # values per kernel pass, so its temporaries stay in cache
-_NO_POINT = 17  # the row of the point table for "no point"
+# values per kernel pass: its temporaries stay in a core's L2 cache, and
+# numpy's cost per call stays small beside the work per call
+_CHUNK = 16384
+_NO_POINT = 16  # the row of the point table for "no point"
 
 
 def _pow10(p: int) -> tuple:
@@ -81,40 +88,36 @@ def _words(rows) -> np.ndarray:
 def _format_tables() -> tuple:
     """The kernel's lookup tables, built on first use rather than at import.
 
-    ``power``: rows hi, hi1, hi2, lo; column E + _E_LIM holds 10**(16 - E)
-    as a double-double hi + lo, with hi1 + hi2 the Veltkamp split of hi.
-    ``quad``: the digit words of "0000" to "9999"; ``trail``: the trailing
-    zeros of each (4 for "0000").
-    ``head``: word 0 without its digit, per 2 (E + _E_LIM) + sign bit;
-    ``tail``: word 5 without its separator, per E + _E_LIM.
-    ``keep``: per count K of digits kept, the byte masks of words 1-4;
-    ``point``: per digit j the point follows (_NO_POINT for none), the point
-    byte of words 0-4.
+    ``power``: per E + _E_LIM, the row hi, hi1, hi2, lo of 10**(16 - E) as a
+    double-double hi + lo, with hi1 + hi2 the Veltkamp split of hi.
+    ``quad``: the digits "0000" to "9999" as little-endian uint32s, so four
+    groups of four gathered side by side are words 1-2.
+    ``by_exp``: per E + _E_LIM, the row of word 0 without its sign, digit
+    and point, word 3 without its moved digit and separator, the digit the
+    point follows (in fixed form -1 where the prefix holds it; 0, the
+    leading digit, in scientific form), and a zero that makes the row 32
+    bytes, which ``np.take`` copies fastest.
+    ``keep``: per count K of digits kept, the byte masks of words 1-2.
+    ``point``, ``moves``: per digit p the point follows (_NO_POINT for
+    none), its byte in words 1-2, and the masks of the bytes of words 1-2
+    that move up one byte to make room for it.
     """
     exps = range(-_E_LIM, _E_LIM + 1)
     hi, lo = np.array([_pow10(16 - e) for e in exps]).T
-    power = np.array([hi, *_split(hi), lo])
-    digits = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
-    digits = digits % 10 + ord("0")
-    spread = np.zeros((10000, 8), np.uint8)
-    spread[:, ::2] = digits
-    quad = spread.view("<u8").ravel()
-    zero = digits == ord("0")
-    trail = zero[:, 3] * (1 + zero[:, 2] * (1 + zero[:, 1] * (1 + zero[:, 0])))
-    head = _words(
-        sign + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"").ljust(5, b"\0")
-        for e in exps for sign in (b"\0", b"-")
-    )
-    tail = _words(b"" if -4 <= e < 17 else b"e%+03d" % e for e in exps)
-    keep = _words(
-        b"\xff" * 2 * min(max(k - 1 - 4 * g, 0), 4) for k in range(18) for g in range(4)
-    ).reshape(18, 4)
-    slots = np.zeros((_NO_POINT + 1, 5 * 8), np.uint8)
-    slots[0, 7] = ord(".")
-    for j in range(1, _NO_POINT):
-        slots[j, 8 + 2 * (j - 1) + 1] = ord(".")
-    point = slots.view("<u8")
-    return power, quad, trail.astype(np.uint8), head, tail, keep, point
+    power = np.array([hi, *_split(hi), lo]).T.copy()
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    quad = digits.astype(np.uint8).view("<u4").ravel()
+    by_exp = np.zeros((len(exps), 4), np.uint64)
+    by_exp[:, 0] = _words(b"\0" + b"0.".ljust(1 - e, b"0") if -4 <= e < 0 else b"" for e in exps)
+    by_exp[:, 1] = _words(b"" if -4 <= e < 17 else b"\0e%+03d" % e for e in exps)
+    by_exp.view(np.int64)[:, 2] = [max(e, -1) if -4 <= e < 17 else 0 for e in exps]
+    keep = _words(b"\xff" * min(max(k - 1 - 8 * g, 0), 8) for k in range(18) for g in (0, 1))
+    point = np.zeros((_NO_POINT + 1, 16), np.uint8)
+    moves = np.zeros((_NO_POINT + 1, 16), np.uint8)
+    for p in range(1, _NO_POINT):
+        point[p, p] = ord(".")
+        moves[p, p:] = 0xFF
+    return power, quad, by_exp, keep.reshape(-1, 2), point.view("<u8"), moves.view("<u8")
 
 
 def _split(a):
@@ -129,99 +132,126 @@ def _scaled(ax, E, power):
     Dekker's exact product of ax with the high word (numpy has no fused
     multiply-add), plus ax times the low word.
     """
-    h, b1, b2, l = np.take(power, E + _E_LIM, axis=1)
+    h, b1, b2, l = np.take(power, E + _E_LIM, axis=0).T
     p = ax * h
     a1, a2 = _split(ax)
-    err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
-    err += ax * l
+    err = a1 * b1
+    err -= p
+    err += np.multiply(a1, b2, out=a1)
+    err += np.multiply(a2, b1, out=a1)
+    err += np.multiply(a2, b2, out=a2)
+    err += np.multiply(ax, l, out=l)
     whole = np.floor(p)
     p -= whole
     p += err
-    carry = np.floor(p)
+    carry = np.floor(p, out=err)
     p -= carry
-    return whole.astype(np.int64) + carry.astype(np.int64), p
+    d = whole.astype(np.int64)
+    d += carry.astype(np.int64)
+    return d, p
 
 
 def _round17(x, power) -> tuple:
     """``(fast, E, d)``: |x| rounded to 17 digits as d * 10**(E - 16).
 
-    ``d`` is in [10**16, 10**17) where ``fast``, and 0 (E = 0) elsewhere,
-    that is for zeros and for the values the fast path cannot decide.
+    ``d`` is in [10**16, 10**17) where ``fast``, and 0 elsewhere, that is
+    for zeros and for the values the fast path cannot decide; E is 0 for
+    zeros and some exponent in [-_E_LIM, _E_LIM] for the others.
     """
     ax = np.abs(x)
     fast = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)  # False for nan
-    ax = np.where(fast, ax, 1.0)
-    E = np.floor(np.log10(ax)).astype(np.int64)
+    np.copyto(ax, 1.0, where=~fast)
+    E = np.log10(ax)
+    E = np.floor(E, out=E).astype(np.int64)
     d, frac = _scaled(ax, E, power)
     # log10 can miss by one next to a power of ten: the integer part shows it
-    shift = (d >= 10**17).astype(np.int64) - (d < 10**16)
-    wrong = np.nonzero(shift)
-    if wrong[0].size:
-        E[wrong] += shift[wrong]
+    wrong = np.flatnonzero((d - 10**16).view(np.uint64) >= np.uint64(9 * 10**16))
+    if wrong.size:
+        E[wrong] += (d[wrong] >= 10**17).astype(np.int64) - (d[wrong] < 10**16)
         d[wrong], frac[wrong] = _scaled(ax[wrong], E[wrong], power)
-    fast &= (d >= 10**16) & (d < 10**17) & (np.abs(frac - 0.5) >= 1e-9)
-    d += frac > 0.5
-    up = d == 10**17  # rounded up into the next decade
-    d = np.where(fast, np.where(up, 10**16, d), 0)  # zeros print as "0"
-    return fast, np.where(fast, E + up, 0), d
+        fast[wrong] &= (d[wrong] >= 10**16) & (d[wrong] < 10**17)
+    frac -= 0.5
+    d += frac > 0.0
+    fast &= np.abs(frac, out=frac) >= 1e-9
+    up = np.flatnonzero(d == 10**17)  # rounded up into the next decade
+    d[up] = 10**16
+    E[up] += 1
+    d *= fast  # zeros print as "0"
+    return fast, E, d
 
 
 def _fill_cells(x, cells) -> None:
-    """Write the cells of ``"%.17g" % v`` for the floats ``v`` of ``x``.
+    """Write the cells of ``"%.17g" % v`` for the floats ``v`` of the 1-D ``x``.
 
-    ``cells`` has shape ``x.shape + (_WORDS,)``; word 5 gets no separator.
+    ``cells`` has shape ``(len(x), _WORDS)``; word 3 gets no separator.
     """
-    power, quad, trail, head, tail, keep, point = _format_tables()
+    power, quad, by_exp, keep, point, moves = _format_tables()
     fast, E, d = _round17(x, power)
+    word0, word3, follows = np.take(by_exp, E + _E_LIM, axis=0).T[:3]
+    follows = follows.view(np.int64)
 
-    # the leading digit and four groups of four
-    high, low = np.divmod(d, 10**8)
-    groups = np.empty(x.shape + (4,), np.int32)
-    high, groups[..., 1] = np.divmod(high.astype(np.int32), 10000)
-    lead, groups[..., 0] = np.divmod(high, 10000)
-    groups[..., 2], groups[..., 3] = np.divmod(low.astype(np.int32), 10000)
-    zeros = np.take(trail, groups)
-    tail_zeros = zeros[..., 3]
-    for k in (2, 1, 0):
-        tail_zeros += (tail_zeros == 12 - 4 * k) * zeros[..., k]
-    last = 16 - tail_zeros.astype(np.int64)  # the last nonzero digit
+    # the leading digit, and digits 1-16 in four groups of four gathered
+    # side by side as words 1-2
+    high = d // 10**8
+    low = d - high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    groups = np.empty((len(x), 4), np.int64)
+    for g, half in ((0, high), (2, low)):
+        groups[:, g] = half // 10000
+        groups[:, g + 1] = half - groups[:, g] * 10000
+    digits = np.take(quad, groups).view("<u8")
 
-    # the point follows digit pos - 1 (pos 0: the prefix holds it); digits
-    # after the last nonzero one that follow the point are dropped, and the
-    # point too when no digit follows it
-    fixed = (E >= -4) & (E < 17)
-    pos = np.where(fixed, np.maximum(E + 1, 0), 1)
-    dot = np.where((pos > 0) & (last >= pos), pos - 1, _NO_POINT)
-    word = np.take(head, 2 * (E + _E_LIM) + np.signbit(x))
-    word |= (lead.astype(np.uint64) + 48) << 48
-    word |= np.take(point[:, 0], dot)
-    cells[..., 0] = word
-    digits = np.take(quad, groups)
-    digits &= np.take(keep, np.maximum(last, pos - 1) + 1, axis=0)
-    digits |= np.take(point[:, 1:], dot, axis=0)
-    cells[..., 1:5] = digits
-    cells[..., 5] = np.take(tail, E + _E_LIM)
-    slow = np.nonzero(~fast & (x != 0.0))
-    if slow[0].size:
-        cells[slow + (slice(0, 5),)] = _percent_words(x[slow])
+    # the last nonzero digit (< 1 for none) is the top nonzero byte of
+    # digits ^ "0000...", which the exponent of its value as a float shows
+    top = (digits ^ np.uint64(0x3030303030303030)).astype(np.float64)
+    top = top[:, 0] + top[:, 1] * 2.0**64
+    last = ((top.view(np.int64) + 2**52) >> 55) - 127
+
+    # the point follows digit ``dot``; digits after the last nonzero one that
+    # follow the point are dropped, and the point too when no digit follows it
+    dot = np.where(last > follows, follows, _NO_POINT)
+    word0 |= np.signbit(x) * np.uint64(ord("-"))
+    word0 |= (lead.astype(np.uint64) + np.uint64(48)) << np.uint64(48)
+    word0 |= (dot == 0) * np.uint64(ord(".") << 56)
+    digits &= np.take(keep, np.maximum(last, follows) + 1, axis=0)
+    # a point in words 1-2 takes the byte of the first digit after it, and
+    # that digit and the ones after it move up a byte, the last of word 1
+    # into word 2 and the last of word 2 into word 3
+    moved = np.take(moves, dot, axis=0)
+    moved &= digits
+    digits ^= moved
+    digits |= np.take(point, dot, axis=0)
+    digits[:, 1] |= moved[:, 0] >> np.uint64(56)
+    word3 |= moved[:, 1] >> np.uint64(56)
+    moved <<= np.uint64(8)
+    digits |= moved
+    cells[:, 0] = word0
+    cells[:, 1] = digits[:, 0]
+    cells[:, 2] = digits[:, 1]
+    cells[:, 3] = word3
+    slow = np.flatnonzero(~fast)
+    slow = slow[x[slow] != 0.0]
+    if slow.size:
+        cells[slow] = _percent_words(x[slow])
 
 
 def _percent_words(values) -> np.ndarray:
-    """Words 0-4 of the cells of floats the fast path cannot decide.
+    """The cells of floats the fast path cannot decide.
 
     Python's own ``"%.17g" % v`` (at most 24 bytes), zero-padded.
     """
-    text = b"".join((b"%.17g" % v).ljust(40, b"\0") for v in values.tolist())
-    return np.frombuffer(text, "<u8").reshape(-1, 5)
+    text = b"".join((b"%.17g" % v).ljust(8 * _WORDS, b"\0") for v in values.tolist())
+    return np.frombuffer(text, "<u8").reshape(-1, _WORDS)
 
 
 def _float_cells(table) -> np.ndarray:
     """The cells of a 2-D float table, shape ``table.shape + (_WORDS,)``."""
-    table = np.asarray(table, dtype=float)
+    table = np.ascontiguousarray(table, dtype=float)
     cells = np.empty(table.shape + (_WORDS,), "<u8")
-    step = max(1, _CHUNK // max(table.shape[1], 1))
-    for r in range(0, len(table), step):  # chunks whose temporaries stay in cache
-        _fill_cells(table[r:r + step], cells[r:r + step])
+    flat, out = table.reshape(-1), cells.reshape(-1, _WORDS)
+    for r in range(0, len(flat), _CHUNK):
+        _fill_cells(flat[r:r + _CHUNK], out[r:r + _CHUNK])
     return cells
 
 
@@ -270,7 +300,7 @@ def _cells_text(cells, sep: str, head: str = "", ids=None) -> bytearray:
     body[...] = cells
     ends = np.full(cols, ord(sep), np.uint64)
     ends[-1:] = ord("\n")
-    body[..., 5] |= ends << np.uint64(40)
+    body[..., 3] |= ends << np.uint64(48)
     return buf.translate(None, b"\0")
 
 
@@ -442,6 +472,17 @@ def _suggest_pole(points: np.ndarray) -> np.ndarray:
 _PROJECTIONS = ("auto", "identity", "stereographic", "poincare")
 
 
+def _chart_dimension(projection: str, dim: int, points: str) -> None:
+    """``UsageError`` unless the chart ``projection`` takes points of ``dim``
+    coordinates: identity 3 (r3), stereographic and Poincare 4 (s3, h3)."""
+    need = {"identity": 3, "stereographic": 4, "poincare": 4}.get(projection, dim)
+    if need != dim:
+        raise UsageError(
+            f"projection '{projection}' needs {need}-dimensional points; "
+            f"{points} has {dim}-dimensional ones"
+        )
+
+
 def sample_mesh(
     patch: SurfacePatch,
     nu: int,
@@ -469,9 +510,8 @@ def sample_mesh(
             "h3_parabolic": "poincare",
         }.get(patch.case, "identity" if X.shape[-1] == 3 else "stereographic")
 
+    _chart_dimension(projection, X.shape[-1], f"the {patch.case} patch")
     if projection == "identity":
-        if X.shape[-1] != 3:
-            raise UsageError("identity projection needs 3-dimensional points")
         verts = X
     elif projection == "stereographic":
         p = _pole(pole)

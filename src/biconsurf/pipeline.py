@@ -28,6 +28,7 @@ from .errors import UsageError, _pair, _real
 from .mesh import (
     _PROJECTIONS,
     _cells_text,
+    _chart_dimension,
     _float_cells,
     _sidecar_path,
     sample_mesh,
@@ -101,6 +102,7 @@ class PipelineConfig:
             raise UsageError(f"unknown branch '{self.branch}'")
         if self.projection not in _PROJECTIONS:
             raise UsageError(f"unknown projection '{self.projection}'")
+        _chart_dimension(self.projection, 3 if self.model == "r3" else 4, f"model {self.model}")
         if self.branch == "parabolic" and self.model != "h3":
             raise UsageError("the parabolic branch exists only for model h3")
         if self.branch == "elliptic" and self.model == "r3":

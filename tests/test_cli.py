@@ -265,6 +265,31 @@ class TestNonFiniteInput:
         assert "unknown projection 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("model, projection, need, has", [
+        ("r3", "poincare", 4, 3),
+        ("r3", "stereographic", 4, 3),
+        ("s3", "identity", 3, 4),
+        ("h3", "identity", 3, 4),
+    ])
+    def test_chart_of_other_dimension_exits_two_before_work(
+        self, tmp_path, capsys, monkeypatch, model, projection, need, has
+    ):
+        # a 4-D chart of r3's points used to run the build and the verifier,
+        # then leak numpy's ValueError with exit 1 ("verification failed")
+        message = (f"projection '{projection}' needs {need}-dimensional points; "
+                   f"model {model} has {has}-dimensional ones")
+        with pytest.raises(bc.UsageError, match=re.escape(message)):
+            PipelineConfig(model=model, projection=projection).validate()
+
+        def build(cfg):
+            raise AssertionError("built a patch for an unusable projection")
+
+        monkeypatch.setattr(pipeline, "build_pipeline_patch", build)
+        out = tmp_path / "out"
+        assert run("surface", "--model", model, "--projection", projection, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["solve", "--model", "s3", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),
         (["surface", "--model", "s3", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),

@@ -200,6 +200,36 @@ def test_curvature_other_than_a_model_is_usage_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bc.ode_rhs(math.nan, 1.0, 1),
+    lambda: bc.ode_rhs([1.0, math.nan], 1.0, 1),
+    lambda: bc.prime_constant(math.nan, 1.0, 1),
+    lambda: bc.prime_constant([1.0, math.nan], 1.0, 1),
+    lambda: bc.w_value(math.nan, 1.0),
+    lambda: bc.kappa2(math.nan, 1.0),
+    lambda: bc.prime_poly(math.nan, 1.0, 1),
+    lambda: bc.prime_poly([1.0, math.nan], 1.0, 1),
+    lambda: bc.prime_poly(-1.0, 1.0, 1),
+    lambda: bc.prime_poly(0.0, 1.0, 1),
+    lambda: bc.prime_poly(np.array([1.0, -1.0]), 1.0, 1),
+], ids=["ode_rhs", "ode_rhs-array", "prime_constant", "prime_constant-array", "w_value",
+        "kappa2", "prime_poly", "prime_poly-array", "prime_poly-negative", "prime_poly-zero",
+        "prime_poly-negative-array"])
+def test_nan_or_non_positive_k_is_domain_error(call):
+    # a NaN k passed every ``k <= 0`` check and came back as NaN; prime_poly
+    # checked no k at all, and a negative one gave a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bc.DomainError, match="^geodesic curvature k must be positive$"):
+            call()
+
+
+def test_nan_k0_is_refused_as_not_positive():
+    # it used to pass ``k0 <= 0`` and fail later, on a non-finite C
+    with pytest.raises(bc.DomainError, match="^k0 must be positive$"):
+        curvature.curvature_problem(1, math.nan, 1.0)
+
+
 @pytest.mark.parametrize("C", ["x", None, True, [1.0, None]], ids=["str", "None", "bool", "array-None"])
 def test_prime_poly_constant_must_be_real(C):
     with pytest.raises(bc.UsageError, match="^C must"):

@@ -3,6 +3,8 @@
 Every float the writers export goes through ``mesh._float_cells`` and
 ``mesh._cells_text``; the text must be byte-identical to ``%``.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,3 +175,86 @@ def test_mesh_without_quads(tmp_path):
     header, body = (tmp_path / "m.ply").read_bytes().split(b"end_header\n")
     assert b"element face 0\n" in header
     assert body == b"0 1 2 1\n-0.5 0.25 nan 2\n"
+
+
+def cell_bytes(values, monkeypatch):
+    # the cells of fast-path values: none may reach Python's %
+    def refused(values):
+        raise AssertionError(f"{values.tolist()} took the % path")
+
+    monkeypatch.setattr(mesh, "_percent_words", refused)
+    cells = mesh._float_cells(np.asarray(values, dtype=float)[:, None])
+    assert cells.shape[-1] == 4  # four words of 8 bytes per value
+    return cells.view(np.uint8).reshape(len(values), 32)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("mantissa", ["12345678901234565", "1234567", "1"])
+def test_point_after_each_digit(monkeypatch, sign, mantissa):
+    # word 0 holds the point after the leading digit (p = 0); words 1-2 hold
+    # digits 1-16, and a point after digit p (1 <= p <= 15) takes byte p of
+    # them, moving the digits after it up one byte
+    values = [sign * float(f"{mantissa[0]}.{mantissa[1:]}e{p}") for p in range(17)]
+    cells = cell_bytes(values, monkeypatch)
+    for p, (value, cell) in enumerate(zip(values, cells)):
+        text = "%.17g" % value
+        assert bytes(cell[cell != 0]).decode("ascii") == text
+        points = np.flatnonzero(cell == ord("."))
+        if "." not in text:
+            assert points.size == 0
+        elif p == 0:
+            assert points.tolist() == [7]
+        else:
+            assert points.tolist() == [8 + p]
+        assert not cell[25:].any()  # fixed form has no exponent
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_seventeenth_digit_moves_into_word_three(monkeypatch, sign):
+    # with 17 digits and the point in words 1-2, digit 16 moves past word 2
+    # into byte 0 of word 3; without a moved digit that byte stays empty
+    values = sign * np.array([12.345678901234567, 1234567890123456.5, 1.2345678901234567])
+    cells = cell_bytes(values, monkeypatch)
+    assert [chr(c) for c in cells[:2, 24]] == ["7", "5"]
+    assert cells[2, 24] == 0 and chr(cells[2, 23]) == "7"
+    # scientific form: the exponent in bytes 1-5 of word 3, after byte 0
+    sci = cell_bytes(sign * np.array([1.2345678901234567e-30, 1.2345678901234567e200]),
+                     monkeypatch)
+    assert not sci[:, 24].any() and not sci[:, 30:].any()
+    assert bytes(sci[0, 25:30]) == b"e-30\0" and bytes(sci[1, 25:30]) == b"e+200"
+    assert [chr(c) for c in sci[:, 23]] == ["7", "7"]
+
+
+def test_nominal_s3_mesh_files_match_percent_formatting(tmp_path, monkeypatch):
+    # the OBJ, its channel sidecar and the PLY of the benchmark's nominal s3
+    # surface, each against a writer that formats every number with %
+    meshes = []
+    sample = pipeline.sample_mesh
+
+    def recorded(*args, **kwargs):
+        meshes.append(sample(*args, **kwargs))
+        return meshes[-1]
+
+    monkeypatch.setattr(pipeline, "sample_mesh", recorded)
+    out = cmd_surface(PipelineConfig(model="s3", k0=1.0, kp0=1.0, nu=128, nv=128), tmp_path)
+    (m,) = meshes
+    names = sorted(m.channels)
+    verts = m.vertices.tolist()
+    columns = np.column_stack([m.channels[n] for n in names]).tolist()
+    quads = m.quads.tolist()
+    obj = "".join("v %.17g %.17g %.17g\n" % tuple(v) for v in verts)
+    obj += "".join("f" + "".join(" %d" % (i + 1) for i in q) + "\n" for q in quads)
+    side = "vertex," + ",".join(names) + "\n"
+    side += "".join("%d," % i + ",".join("%.17g" % x for x in row) + "\n"
+                    for i, row in enumerate(columns))
+    header = ["ply", "format ascii 1.0", f"element vertex {len(verts)}"]
+    header += [f"property float {n}" for n in ["x", "y", "z"] + names]
+    header += [f"element face {len(quads)}", "property list uchar int vertex_indices",
+               "end_header"]
+    ply = "\n".join(header) + "\n"
+    ply += "".join(" ".join("%.17g" % x for x in v + row) + "\n" for v, row in zip(verts, columns))
+    ply += "".join("4" + "".join(" %d" % i for i in q) + "\n" for q in quads)
+    obj_path, side_path = map(Path, out["written"]["obj"])
+    assert obj_path.read_bytes() == obj.encode("ascii")
+    assert side_path.read_bytes() == side.encode("ascii")
+    assert Path(out["written"]["ply"]).read_bytes() == ply.encode("ascii")

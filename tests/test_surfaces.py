@@ -391,6 +391,18 @@ class TestMesh:
         with pytest.raises(bc.UsageError):
             stereographic(X, pole)
 
+    @pytest.mark.parametrize("projection", ["stereographic", "poincare"])
+    def test_4d_chart_of_3d_points_is_usage_error(self, r3_pipeline, projection):
+        # both used to leak numpy's ValueError on the shapes
+        _, patch, _ = r3_pipeline
+        with pytest.raises(bc.UsageError, match=f"projection '{projection}' needs 4-dimensional"):
+            sample_mesh(patch, 5, 5, projection=projection)
+
+    def test_identity_chart_of_4d_points_is_usage_error(self, s3_pipeline):
+        _, _, patch, _ = s3_pipeline
+        with pytest.raises(bc.UsageError, match="projection 'identity' needs 3-dimensional"):
+            sample_mesh(patch, 5, 5, projection="identity")
+
     def test_grid_validation(self, r3_pipeline):
         _, patch, _ = r3_pipeline
         with pytest.raises(bc.UsageError):
