@@ -68,19 +68,22 @@ class Signature:
         The coordinate products are added left to right starting from +0.0,
         the order ``np.sum(a * b * self.metric, axis=-1)`` uses, so the
         result is bit-identical to that reduction (zero signs included; only
-        NaN payload bits may differ) without its temporaries.
+        NaN payload bits may differ).  Besides the result it allocates one
+        temporary, which holds each product in turn; 0-d results take plain
+        scalar arithmetic.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         self._check(a, b)
-        s = 0.0 + a[..., 0] * b[..., 0]
-        s += a[..., 1] * b[..., 1]
-        s += a[..., 2] * b[..., 2]
-        if self.dim == 4:
-            if self.timelike:
-                s -= a[..., 3] * b[..., 3]
+        s = a[..., 0] * b[..., 0]
+        s += 0.0
+        t = np.empty_like(s) if np.ndim(s) else None
+        for i in range(1, self.dim):
+            p = a[..., i] * b[..., i] if t is None else np.multiply(a[..., i], b[..., i], out=t)
+            if i == 3 and self.timelike:
+                s -= p
             else:
-                s += a[..., 3] * b[..., 3]
+                s += p
         return s
 
     def norm(self, a):
@@ -162,28 +165,26 @@ def _cofactor_complement(sig: Signature, mat: np.ndarray) -> np.ndarray:
     minors are expanded along the third row over the 2x2 minors
     ``p_ij = a_i b_j - a_j b_i`` of the first two rows.
     """
-    dim = sig.dim
     a, b = mat[..., 0, :], mat[..., 1, :]
-    if dim == 3:
-        w = np.cross(a, b)
-    else:
-        c = mat[..., 2, :]
-        a0, a1, a2, a3 = (a[..., i] for i in range(4))
-        b0, b1, b2, b3 = (b[..., i] for i in range(4))
-        c0, c1, c2, c3 = (c[..., i] for i in range(4))
-        p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
-        p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
-        w = np.stack(
-            [
-                c1 * p23 - c2 * p13 + c3 * p12,
-                -(c0 * p23 - c2 * p03 + c3 * p02),
-                c0 * p13 - c1 * p03 + c3 * p01,
-                -(c0 * p12 - c1 * p02 + c2 * p01),
-            ],
-            axis=-1,
-        )
-    # raise the index so that <w, row> = 0 holds in the stated signature
-    return w * sig.metric
+    if sig.dim == 3:
+        # the Euclidean metric raises no index
+        return np.cross(a, b)
+    c = mat[..., 2, :]
+    a0, a1, a2, a3 = (a[..., i] for i in range(4))
+    b0, b1, b2, b3 = (b[..., i] for i in range(4))
+    c0, c1, c2, c3 = (c[..., i] for i in range(4))
+    p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    w = np.empty(a.shape)
+    w[..., 0] = c1 * p23 - c2 * p13 + c3 * p12
+    np.negative(c0 * p23 - c2 * p03 + c3 * p02, out=w[..., 1])
+    w[..., 2] = c0 * p13 - c1 * p03 + c3 * p01
+    w[..., 3] = c0 * p12 - c1 * p02 + c2 * p01
+    # raise the index so that <w, row> = 0 holds in the stated signature (an
+    # exact product: the timelike -1 cancels the sign of the last minor)
+    if not sig.timelike:
+        np.negative(w[..., 3], out=w[..., 3])
+    return w
 
 
 def orthonormal_complement(sig: Signature, vectors, sign_convention=None):

@@ -222,13 +222,19 @@ def _sweep_evaluators(orbit, *constants):
 
     ``orbit(v, *constants)`` returns (S, S', S'', S''', S''''), and the
     u-line holds sigma^(i) and a^(i) at ``_SIGMA[i]`` and ``_AMPLITUDE[i]``.
-    Each partial is X_{u^i v^j} = sigma^(i) [j = 0] + a^(i) S^(j).
+    Each partial is X_{u^i v^j} = sigma^(i) [j = 0] + a^(i) S^(j); sigma^(i)
+    is added into the fresh product a^(i) S^(j), never into a u-line entry.
     """
 
     def partials(line, v, orders):
         S = orbit(v, *constants)
-        terms = [line[_AMPLITUDE[i]][..., None] * S[j] for i, j in orders]
-        return tuple(line[_SIGMA[i]] + t if j == 0 else t for (i, j), t in zip(orders, terms))
+        out = []
+        for i, j in orders:
+            t = line[_AMPLITUDE[i]][..., None] * S[j]
+            if j == 0:
+                t += line[_SIGMA[i]]
+            out.append(t)
+        return tuple(out)
 
     def at(line, v):
         return partials(line, v, ((0, 0), (1, 0), (0, 1)))
@@ -331,9 +337,11 @@ def killing_tangency_check(patch: SurfacePatch, nu: int = 33, nv: int = 33) -> f
     The field T(r) = <r, C2> C1 - <r, C1> C2 generates the one-parameter
     isometry group whose orbits the v-curves are claimed to be; at every
     grid point its component orthogonal to span{Xu, Xv} should vanish.
+    ``nu`` and ``nv`` must be integers >= 2.
     """
     if patch.C1 is None or patch.C2 is None:
         raise UsageError("the tangency check needs a patch with sweep constants")
+    nu, nv = _grid_size(nu, nv)
     inner = patch.model.inner
     u = np.linspace(*patch.u_range, nu)
     v = np.linspace(*patch.v_range, nv)

@@ -179,9 +179,10 @@ class _Probe:
         for axis, line, v, keys in ((0, self._stacked, self.v, [(du, 0.0) for du in self.offsets]),
                                     (1, self.line(0.0), vrow, [(0.0, dv) for dv in steps])):
             shape = (nu * len(keys), nv) if axis == 0 else (nu, nv * len(keys))
-            parts = [np.split(a, len(keys), axis) for name in ("jet", "jet4")
-                     for a in self._evaluate(name, line, v, shape)]
-            out.update({key: tuple(p[i] for p in parts) for i, key in enumerate(keys)})
+            parts = [a for name in ("jet", "jet4") for a in self._evaluate(name, line, v, shape)]
+            for i, key in enumerate(keys):
+                cut = np.s_[i * nu:(i + 1) * nu] if axis == 0 else np.s_[:, i * nv:(i + 1) * nv]
+                out[key] = tuple(p[cut] for p in parts)
         return out
 
     def frame(self, du: float, dv: float):
@@ -248,22 +249,38 @@ def _fd_cross_check(shifted: dict, exact, table, h: float, levels: int, dim: int
     with the order of the partials).
     """
 
+    def extrapolate(fine, coarse, k):
+        """(k fine - coarse) / (k - 1), in place in the fresh ``fine``."""
+        fine *= k
+        fine -= coarse
+        fine /= k - 1.0
+        return fine
+
     def rich(j, along_u, step):
         def f(s):
             return shifted[(s, 0.0) if along_u else (0.0, s)][j]
 
-        d_h = (f(step) - f(-step)) / (2.0 * step)
-        d_h2 = (f(0.5 * step) - f(-0.5 * step)) / step
-        return (4.0 * d_h2 - d_h) / 3.0
+        d_h = f(step) - f(-step)
+        d_h /= 2.0 * step
+        d_h2 = f(0.5 * step) - f(-0.5 * step)
+        d_h2 /= step
+        return extrapolate(d_h2, d_h, 4.0)
 
     diffs: dict = {}
     for i, j, along_u in table:
         d = rich(j, along_u, h)
         if levels == 3:
-            d = (16.0 * rich(j, along_u, 0.5 * h) - d) / 15.0
-        diffs[i] = 0.5 * (diffs[i] + d) if i in diffs else d
+            d = extrapolate(rich(j, along_u, 0.5 * h), d, 16.0)
+        if i in diffs:
+            d += diffs[i]
+            d *= 0.5
+        diffs[i] = d
     euclid = Signature(dim)
-    return np.max([euclid.norm(d - exact[i]) for i, d in diffs.items()], axis=0)
+    norms = []
+    for i, d in diffs.items():
+        d -= exact[i]
+        norms.append(euclid.norm(d))
+    return np.max(norms, axis=0)
 
 
 # (partial, lower partial, along u): Xuu, Xuv and Xvv against (Xu, Xv), Xuv the
@@ -283,7 +300,8 @@ def _unit_normal(model: SpaceForm, X, Xu, Xv):
         mat = np.stack(np.broadcast_arrays(Xu, Xv, X), axis=-2)
     n = _cofactor_complement(sig, mat)
     n2 = sig.inner(n, n)
-    return n / np.sqrt(np.abs(n2))[..., None]
+    n /= np.sqrt(np.abs(n2, out=n2), out=n2)[..., None]
+    return n
 
 
 def _shape(pr: _Probe, sign: float) -> dict:
@@ -302,7 +320,8 @@ def _shape(pr: _Probe, sign: float) -> dict:
     if np.any(det <= 1e-12 * np.maximum(np.abs(g11 * g22), 1e-300)):
         raise ConditioningError("metric is numerically degenerate on the grid")
 
-    eta = sign * _unit_normal(model, X, Xu, Xv)
+    eta = _unit_normal(model, X, Xu, Xv)
+    eta *= sign
     if not np.all(np.isfinite(eta)):
         raise ConditioningError("unit normal is not finite on the grid")
     if not np.all(np.isfinite(X)):
@@ -310,13 +329,16 @@ def _shape(pr: _Probe, sign: float) -> dict:
     if not all(np.all(np.isfinite(a)) for a in (Xuu, Xuv, Xvv)):
         raise ConditioningError("second partials of X are not finite on the grid")
 
-    if c != 0:
-        s11 = Xuu + c * g11[..., None] * X
-        s12 = Xuv + c * g12[..., None] * X
-        s22 = Xvv + c * g22[..., None] * X
-    else:
-        s11, s12, s22 = Xuu, Xuv, Xvv
-    h11, h12, h22 = inner(s11, eta), inner(s12, eta), inner(s22, eta)
+    def s_ij(Xij, gij):
+        """X_ij + c g_ij X, with X_ij added into the fresh product."""
+        if c == 0:
+            return Xij
+        s = (c * gij)[..., None] * X
+        s += Xij
+        return s
+
+    h11, h12, h22 = (inner(s_ij(Xij, gij), eta)
+                     for Xij, gij in ((Xuu, g11), (Xuv, g12), (Xvv, g22)))
 
     a11 = (g22 * h11 - g12 * h12) / det
     a12 = (g22 * h12 - g12 * h22) / det
@@ -387,8 +409,9 @@ def _laplacian(gi, gam, F1, F2) -> np.ndarray:
     return -np.einsum("kln,kln->n", gi, F2 - np.einsum("mkln,mn->kln", christoffel, F1))
 
 
-def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
-    """(F1, F2) of the mean curvature at the grid points ``sl``.
+def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, gi, gam, model: SpaceForm):
+    """(F1, F2) of the mean curvature at the grid points ``sl``, whose
+    ``_metric_tables`` are (gi, gam).
 
     F1[k] = f_k and F2[k, l] = f_kl, indices 0 = u and 1 = v.  From
     identities that hold for any surface in the space form, with
@@ -403,10 +426,13 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
     P3, P4 = line4[:4], line4[4:]
     eta = [sh["eta"][sl]]
 
-    gi, gam = _metric_tables(sh, sl, model)
-    # inner products of the distinct partials, spread over all index tuples
+    # inner products of the distinct partials, spread over all index tuples;
+    # <X_ij, X_kl> is symmetric, so its 6 distinct products fill the 3 x 3 table
+    inner = model.inner
+    pairs = {(i, j): inner(P2[i], P2[j]) for i in range(3) for j in range(i, 3)}
+    Q2 = np.array([[pairs[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
     T = _table(model, P3, X1)[_SUM3]                          # <X_ijk, X_m>
-    Q = _table(model, P2, P2)[_SUM2[:, :, None, None], _SUM2]  # <X_ij, X_kl>
+    Q = Q2[_SUM2[:, :, None, None], _SUM2]                    # <X_ij, X_kl>
     E3 = _table(model, P3, eta)[_SUM3][..., 0, :]             # <X_ijk, eta>
     E4 = _table(model, P4, eta)[_SUM4][..., 0, :]             # <X_ijkl, eta>
     a = np.array([[sh["a11"][sl], sh["a12"][sl]], [sh["a21"][sl], sh["a22"][sl]]])
@@ -416,12 +442,20 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
     dh = E3 - es("pkn,ijpn->ijkn", a, gam)
     da = es("pqn,qkln->pkln", gi, dh - es("qrln,rkn->qkln", dg, a))
     F1 = es("ppln->ln", da)
-    ddg = (es("ikljn->ijkln", T) + es("jklin->ijkln", T)
-           + es("ikjln->ijkln", Q) + es("iljkn->ijkln", Q))
-    ddh = (E4 - es("pln,ijkpn->ijkln", a, T) - es("pkn,ijlpn->ijkln", a, T)
-           - es("pkln,ijpn->ijkln", da, gam) - es("pkn,ijpln->ijkln", a, Q))
-    F2 = (es("jin,ijkln->kln", gi, ddh) - es("jin,irkln,rjn->kln", gi, ddg, a)
-          - es("jin,irln,rjkn->kln", gi, dg, da) - es("jin,irkn,rjln->kln", gi, dg, da))
+    # the sums of order 4 accumulate in place, term by term in the order
+    # written out, and the ddh terms share one einsum buffer
+    ddg = es("ikljn->ijkln", T) + es("jklin->ijkln", T)
+    ddg += es("ikjln->ijkln", Q)
+    ddg += es("iljkn->ijkln", Q)
+    term = es("pln,ijkpn->ijkln", a, T)
+    ddh = E4 - term
+    for spec, x, y in (("pkn,ijlpn->ijkln", a, T), ("pkln,ijpn->ijkln", da, gam),
+                       ("pkn,ijpln->ijkln", a, Q)):
+        ddh -= es(spec, x, y, out=term)
+    F2 = es("jin,ijkln->kln", gi, ddh)
+    F2 -= es("jin,irkln,rjn->kln", gi, ddg, a)
+    F2 -= es("jin,irln,rjkn->kln", gi, dg, da)
+    F2 -= es("jin,irkn,rjln->kln", gi, dg, da)
     return F1, F2
 
 
@@ -430,28 +464,31 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
 
     grad f and the second partials of f are closed-form
     (``_jet_f_derivatives``), evaluated in blocks of u-rows, and Delta f
-    comes from ``_laplacian`` with the Christoffel symbols of the jet.
+    comes from ``_laplacian`` with the Christoffel symbols of the jet; each
+    block takes grad f and Delta f from its own ``_metric_tables``.
     """
     sh = _shape(pr, sign)
+    model = pr.patch.model
     nu, nv = pr.shape
-    F1, F2 = np.empty((2, nu * nv)), np.empty((2, 2, nu * nv))
+    n = nu * nv
+    F1, F2, G, lap = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, n)), np.empty(n)
     step = max(1, _JET_BLOCK_POINTS // nv)
     for r0 in range(0, nu, step):
         rows = slice(r0, min(r0 + step, nu))
         sl = slice(rows.start * nv, rows.stop * nv)
-        F1[:, sl], F2[:, :, sl] = _jet_f_derivatives(
-            sh, sl, pr.jet4(0.0, 0.0, rows), pr.patch.model
-        )
+        gi, gam = _metric_tables(sh, sl, model)
+        f1, f2 = _jet_f_derivatives(sh, sl, pr.jet4(0.0, 0.0, rows), gi, gam, model)
+        F1[:, sl], F2[:, :, sl] = f1, f2
+        G[:, sl] = gi[:, 0] * f1[0] + gi[:, 1] * f1[1]
+        lap[sl] = _laplacian(gi, gam, f1, f2)
 
-    gi, gam = _metric_tables(sh, slice(None), pr.patch.model)
-    G = gi[:, 0] * F1[0] + gi[:, 1] * F1[1]
     grad2 = F1[0] * G[0] + F1[1] * G[1]
     sh.update(
         Fu=F1[0], Fv=F1[1], Fuu=F2[0, 0], Fuv=F2[0, 1], Fvv=F2[1, 1],
         grad_u=G[0], grad_v=G[1],
         grad2=np.maximum(grad2, 0.0),
         grad_norm=np.sqrt(np.maximum(grad2, 0.0)),
-        laplacian=_laplacian(gi, gam, F1, F2),
+        laplacian=lap,
     )
     return sh
 
@@ -531,14 +568,18 @@ def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
     """Full geometric bundle at one point, including grad f and Delta f.
 
     Closed form from the jets, so any u of the evaluable domain will do; a
-    u outside it, or NaN, is a UsageError.
+    u outside it, or NaN, is a UsageError, and so are a v that is not
+    finite and a u or v that is not a real number (a bool or a string, say).
     """
     _require_jets(patch)
+    u, v = _real(u, "point u"), _real(v, "point v")
     lo, hi = patch.eval_u_domain
     if not lo <= u <= hi:
         raise UsageError(f"point u={u} is outside the evaluable domain [{lo}, {hi}]")
+    if not np.isfinite(v):
+        raise UsageError(f"point v={v} is not finite")
     sign = normal_sign(patch)
-    pr = _Probe(patch, np.array([float(u)]), np.array([float(v)]))
+    pr = _Probe(patch, np.array([u]), np.array([v]))
     sh = _field_bundle(pr, sign)
     fields, masks = _residual_fields(sh, patch.model.c)
 
@@ -554,8 +595,8 @@ def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
     Xu, Xv = sh["Xu"][0], sh["Xv"][0]
     Gu, Gv = num(sh["grad_u"]), num(sh["grad_v"])
     return PointGeometry(
-        u=float(u),
-        v=float(v),
+        u=u,
+        v=v,
         model_c=patch.model.c,
         metric=np.array([[num(sh["g11"]), num(sh["g12"])],
                          [num(sh["g12"]), num(sh["g22"])]]),
@@ -626,15 +667,31 @@ def x2f_residual(pg: PointGeometry) -> float:
 
 
 def _summary(values: np.ndarray, U: np.ndarray, V: np.ndarray, mask=None) -> dict:
-    vals = values if mask is None else np.where(mask, values, np.nan)
-    good = np.isfinite(vals)
+    """max, mean and argmax of |values| over the points ``mask`` keeps, and
+    how many of those are finite.
+
+    NaN and masked points are left out; an infinite value is kept, so max
+    and mean come out infinite, but it is never the argmax.  All of it works
+    on one |values| array: NaN and masked points set to 0, the mean taken as
+    ``np.nanmean`` takes it (the sum over the count; with an infinite value
+    both read inf), and the argmax after the infinite points are set to 0.
+    """
+    a = np.abs(values)
+    good = np.isfinite(a)
+    drop = np.isnan(a)
+    if mask is not None:
+        good &= mask
+        drop |= ~mask
     n = int(np.count_nonzero(good))
     if n == 0:
         return {"max": None, "mean": None, "argmax": None, "count": 0}
-    idx = int(np.nanargmax(np.abs(np.where(good, vals, 0.0))))
+    a[drop] = 0.0
+    top, mean = float(np.max(a)), float(np.sum(a) / n)
+    a[~good] = 0.0
+    idx = int(np.argmax(a))
     return {
-        "max": float(np.nanmax(np.abs(vals))),
-        "mean": float(np.nanmean(np.abs(vals))),
+        "max": top,
+        "mean": mean,
         "argmax": [float(U[idx]), float(V[idx])],
         "count": n,
     }

@@ -216,6 +216,49 @@ class TestComplement:
             tol = 1e-12 * np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
             assert np.all(np.abs(got - reference(mat)) <= tol[:, None])
 
+    @pytest.mark.parametrize("sig", [EUCLIDEAN3, EUCLIDEAN4, LORENTZ4])
+    def test_in_place_fill_matches_stacked_formula(self, sig):
+        # the formula the in-place fill replaced: the minors stacked, then
+        # times sig.metric; equal bits, zero signs included (NaN sign bits
+        # may differ, as -(-x) and x differ there only)
+        def reference(mat):
+            a, b = mat[..., 0, :], mat[..., 1, :]
+            if sig.dim == 3:
+                w = np.cross(a, b)
+            else:
+                c = mat[..., 2, :]
+                a0, a1, a2, a3 = (a[..., i] for i in range(4))
+                b0, b1, b2, b3 = (b[..., i] for i in range(4))
+                c0, c1, c2, c3 = (c[..., i] for i in range(4))
+                p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+                p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+                w = np.stack([c1 * p23 - c2 * p13 + c3 * p12,
+                              -(c0 * p23 - c2 * p03 + c3 * p02),
+                              c0 * p13 - c1 * p03 + c3 * p01,
+                              -(c0 * p12 - c1 * p02 + c2 * p01)], axis=-1)
+            return w * sig.metric
+
+        d, k = sig.dim, sig.dim - 1
+        rng = np.random.default_rng(13)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                            1e308, -1e308, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        rand = rng.normal(size=(64, k, d)) * 10.0 ** rng.integers(-20, 20, size=(64, k, d))
+        mats = [
+            rand,
+            rng.choice(special, size=(2000, k, d)),
+            rng.choice(special[[0, 1, 11, 12]], size=(500, k, d)),
+            np.asfortranarray(rand),
+            rand[:8].reshape(2, 4, k, d),
+            rand[0],
+        ]
+        with np.errstate(all="ignore"):
+            for mat in mats:
+                got, want = _cofactor_complement(sig, mat), reference(mat)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want, equal_nan=True)
+                number = ~np.isnan(want)
+                assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
 
 def test_tangency_of_model_tangents():
     # vectors built tangent to the quadric stay orthogonal to the position

@@ -7,6 +7,7 @@ import biconsurf as bc
 from biconsurf.mesh import poincare_ball, sample_mesh, stereographic, write_obj, write_ply
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.profile import _amplitude_scale
+from biconsurf import surfaces
 from biconsurf.surfaces import circle_radius, expected_circle_radius
 
 
@@ -171,6 +172,21 @@ class TestKillingField:
         with pytest.raises(bc.UsageError):
             bc.killing_tangency_check(patch)
 
+    @pytest.mark.parametrize("nu, nv", [(0, 33), (1, 33), (2.5, 33), (True, 33), (33, 0),
+                                        (33, 1), (33, 2.0), (33, False), (33, None),
+                                        (33, "8")])
+    def test_grid_size_below_two_or_not_integer_is_usage_error(self, s3_pipeline, nu, nv):
+        # 0 used to leak numpy's zero-size reduction error and 2.5 a TypeError,
+        # and True and 1 were read as one-point grids
+        patch = s3_pipeline[2]
+        with pytest.raises(bc.UsageError, match="integers nu, nv >= 2"):
+            bc.killing_tangency_check(patch, nu, nv)
+
+    def test_numpy_integer_grid_size(self, s3_pipeline):
+        patch = s3_pipeline[2]
+        assert bc.killing_tangency_check(patch, np.int64(5), 4) == \
+            bc.killing_tangency_check(patch, 5, 4)
+
 
 def _vec(*components):
     return np.stack(np.broadcast_arrays(*components), axis=-1)
@@ -274,6 +290,48 @@ class TestSweepEvaluators:
         for i, entry in enumerate(line):
             vector = i in (0, 1, 4, 6, 8)
             assert entry.shape == u.shape + ((patch.model.ambient.dim,) if vector else ()), i
+
+    @pytest.mark.parametrize("orbit, constants", [
+        (surfaces._rotation, ()),
+        (surfaces._circle, (np.array([0.3, -1.2, 0.0, 2.0]), np.array([-0.7, 0.1, 1.5, 0.4]))),
+        (surfaces._exponential, (np.array([0.3, -1.2, 0.0, 2.0]),
+                                 np.array([-0.7, 0.1, 1.5, 0.4]))),
+    ], ids=["rotation", "circle", "exponential"])
+    def test_in_place_partials_match_the_sum(self, orbit, constants):
+        # sigma^(i) is added into the fresh product a^(i) S^(j); the formula
+        # it replaced, sigma^(i) + a^(i) S^(j), gives the same bits, zero
+        # signs included, and the u-line is left as it was
+        rng = np.random.default_rng(17)
+        dim = 3 if orbit is surfaces._rotation else 4
+        nu, nv = 9, 11
+        line = [None] * 10
+        for i in surfaces._SIGMA:
+            line[i] = rng.normal(size=(nu, 1, dim)) * 10.0 ** rng.integers(-8, 8, (nu, 1, dim))
+            line[i][0] = 0.0
+            line[i][1] = -0.0
+        for i in surfaces._AMPLITUDE:
+            line[i] = rng.normal(size=(nu, 1))
+            line[i][2] = -0.0
+        line = tuple(line)
+        kept = [entry.copy() for entry in line]
+        v = np.concatenate([[0.0, -0.0], rng.uniform(-3.0, 3.0, nv - 2)])[None, :]
+        S = orbit(v, *constants)
+        at, jet, jet4 = surfaces._sweep_evaluators(orbit, *constants)
+        orders = {
+            at: ((0, 0), (1, 0), (0, 1)),
+            jet: ((2, 0), (1, 1), (0, 2)),
+            jet4: ((3, 0), (2, 1), (1, 2), (0, 3), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)),
+        }
+        for evaluator, pairs in orders.items():
+            got = evaluator(line, v)
+            assert len(got) == len(pairs)
+            for x, (i, j) in zip(got, pairs):
+                term = line[surfaces._AMPLITUDE[i]][..., None] * S[j]
+                want = line[surfaces._SIGMA[i]] + term if j == 0 else term
+                assert x.shape == (nu, nv, dim)
+                assert x.tobytes() == want.tobytes(), (evaluator.__name__, i, j)
+        for entry, copy in zip(line, kept):
+            assert entry.tobytes() == copy.tobytes()
 
     def test_revolution_uline(self, r3_pipeline):
         # over the whole chart: rho = R (1 + t^2)^(3/2), z = u(rho) on t >= 0 and

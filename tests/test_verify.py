@@ -353,6 +353,49 @@ class TestCurvedPipelineReports:
         assert np.min(report.fields["f"]) > 0
 
 
+def _reference_summary(values, U, V, mask=None):
+    """The nanargmax/nanmax/nanmean formulation that _summary replaced."""
+    vals = values if mask is None else np.where(mask, values, np.nan)
+    good = np.isfinite(vals)
+    n = int(np.count_nonzero(good))
+    if n == 0:
+        return {"max": None, "mean": None, "argmax": None, "count": 0}
+    idx = int(np.nanargmax(np.abs(np.where(good, vals, 0.0))))
+    return {
+        "max": float(np.nanmax(np.abs(vals))),
+        "mean": float(np.nanmean(np.abs(vals))),
+        "argmax": [float(U[idx]), float(V[idx])],
+        "count": n,
+    }
+
+
+class TestSummary:
+    def test_matches_the_nan_reductions(self):
+        # NaN, +-inf, masks, an all-masked field and tied maxima: the same
+        # dict, float for float (repr tells the zero signs apart)
+        rng = np.random.default_rng(23)
+        n = 257
+        U, V = rng.normal(size=n), rng.normal(size=n)
+        base = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, n)
+        with_nan = np.where(rng.random(n) < 0.2, np.nan, base)
+        with_inf = with_nan.copy()
+        with_inf[[3, 90]] = np.inf, -np.inf
+        tied = np.round(base)
+        tied[[10, 20, 200]] = 7.0, -7.0, 7.0
+        cases = [base, with_nan, with_inf, tied, -np.abs(tied), np.zeros(n), -np.zeros(n),
+                 np.full(n, np.nan), np.full(n, np.inf), np.where(base > 0, np.inf, np.nan)]
+        keep = rng.random(n) < 0.5
+        no_inf = ~np.isinf(with_inf)
+        masks = [None, keep, ~keep, np.zeros(n, bool), np.ones(n, bool), no_inf,
+                 np.arange(n) == 3]
+        for values in cases:
+            for mask in masks:
+                kept = values.copy()
+                got = verify._summary(values, U, V, mask)
+                assert repr(got) == repr(_reference_summary(values, U, V, mask))
+                assert values.tobytes() == kept.tobytes()
+
+
 class TestReportSerialization:
     def test_schema_and_keys(self, r3_pipeline):
         _, _, report = r3_pipeline
@@ -492,6 +535,36 @@ class TestTensorGridProbe:
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline"])
+    def test_verify_never_writes_into_patch_data(self, fix, request):
+        # the evaluators hand out read-only views, so a write into a u-line
+        # piece or into an evaluator's output would raise; the report is the
+        # unwrapped patch's, byte for byte
+        patch, report = request.getfixturevalue(fix)[-2:]
+
+        def read_only(evaluate):
+            def wrapped(*args):
+                views = tuple(np.asarray(a).view() for a in evaluate(*args))
+                for a in views:
+                    a.flags.writeable = False
+                return views
+            return wrapped
+
+        frozen = dataclasses.replace(patch, **{name: read_only(getattr(patch, name))
+                                              for name in ("uline", "at", "jet", "jet4")})
+        got = bc.verify_patch(frozen, 64, 64)
+        assert got.to_json() == report.to_json()
+        assert got.fields.keys() == report.fields.keys()
+        for name, values in report.fields.items():
+            assert got.fields[name].tobytes() == values.tobytes(), name
+        u, v = mid(patch)
+        want = vars(bc.point_geometry(patch, u, v))
+        for name, value in vars(bc.point_geometry(frozen, u, v)).items():
+            if isinstance(value, dict):  # the residuals, floats whose repr is exact
+                assert repr(value) == repr(want[name])
+            else:
+                assert np.asarray(value).tobytes() == np.asarray(want[name]).tobytes(), name
+
     def test_verify_calls_uline_once_per_probe(self, s3_pipeline):
         # normal_sign, the grid and the sub-grid; the points are those of
         # one call per u offset (1 + 5 * 24 + 7 * 6)
@@ -545,6 +618,35 @@ class TestFailClosed:
         message = re.escape(f"FDScheme inner_step must be a real number, got {step!r}")
         with pytest.raises(bc.UsageError, match=message):
             FDScheme(step)
+
+    @pytest.mark.parametrize("u, v, name", [
+        ("0", 0.0, "u"), (True, 0.0, "u"), (None, 0.0, "u"), (0.5, None, "v"),
+        (0.5, [0, 1], "v"), (0.5, "0", "v"), (0.5, True, "v"), (0.5, np.bool_(False), "v"),
+    ])
+    @pytest.mark.parametrize("entry", [bc.point_geometry, bc.pde_residual],
+                             ids=["point_geometry", "pde_residual"])
+    def test_point_not_a_real_number_is_usage_error(self, entry, u, v, name):
+        # these used to leak TypeError from float(), or to be read as numbers
+        with pytest.raises(bc.UsageError, match=f"point {name} must be a real number"):
+            entry(sphere_patch(), u, v)
+
+    @pytest.mark.parametrize("v", [float("inf"), -float("inf"), float("nan"),
+                                   pytest.param(10**400, id="int-beyond-float-range")])
+    @pytest.mark.parametrize("entry", [bc.point_geometry, bc.pde_residual],
+                             ids=["point_geometry", "pde_residual"])
+    def test_point_v_not_finite_is_usage_error(self, entry, v):
+        # inf used to reach cos/sin (RuntimeWarnings, then ConditioningError),
+        # and 10**400 to leak OverflowError
+        with pytest.raises(bc.UsageError, match="point v=.* is not finite"):
+            entry(sphere_patch(), 1.0, v)
+
+    def test_point_takes_any_real_number(self):
+        patch = sphere_patch()
+        want = bc.point_geometry(patch, 1.0, 2.0)
+        for u, v in ((1, 2), (np.float64(1.0), np.int64(2)), (np.float32(1.0), 2.0)):
+            got = bc.point_geometry(patch, u, v)
+            assert (got.u, got.v, got.f) == (want.u, want.v, want.f)
+            assert type(got.u) is float and type(got.v) is float
 
     def test_numpy_integer_grid_size_serializes(self):
         report = bc.verify_patch(sphere_patch(), np.int64(4), 4)
