@@ -69,17 +69,16 @@ class Signature:
         the order ``np.sum(a * b * self.metric, axis=-1)`` uses, so the
         result is bit-identical to that reduction (zero signs included; only
         NaN payload bits may differ).  Besides the result it allocates one
-        temporary, which holds each product in turn; 0-d results take plain
-        scalar arithmetic.
+        temporary, which holds each product in turn.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         self._check(a, b)
         s = a[..., 0] * b[..., 0]
         s += 0.0
-        t = np.empty_like(s) if np.ndim(s) else None
+        t = np.empty_like(s)
         for i in range(1, self.dim):
-            p = a[..., i] * b[..., i] if t is None else np.multiply(a[..., i], b[..., i], out=t)
+            p = np.multiply(a[..., i], b[..., i], out=t)
             if i == 3 and self.timelike:
                 s -= p
             else:
