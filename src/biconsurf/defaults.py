@@ -24,13 +24,13 @@ curved pipelines.
 
 Tolerance profiles
 ------------------
-``TOL_PROFILES`` fixes the pass thresholds of the verification report per
-surface family.  The closed-form flat-space pipeline is held to 1e-8; the
-curved pipelines, whose profile data comes from numerical integration, are
-held to 1e-5 (1e-4 for the second-order PDE residual).  The
-``normal_bitension_min`` entry is relative: the report demands
-min |bitension| > tol * max |bitension| over the grid, since the attainable
-absolute floor scales with the field (it decays toward the flat family's
+``TOL_PROFILES`` fixes the bound of each row of the verifier's gate table
+per surface family.  The pass rules: max <= bound on the kept points; the
+relative bitension floor, applied only on mostly non-CMC grids; and, on h3,
+x4 > 0 everywhere.  The closed-form flat family is held to 1e-8, the
+integrated curved ones to 1e-5 (1e-4 for the second-order PDE residual).
+The floor, ``normal_bitension_min``, is min |bitension| > bound * max
+|bitension|, scaled with the field (it decays toward the flat family's
 outer radius, for example).  ``second_partials_fd`` bounds the largest
 Euclidean norm, over Xuu, Xuv and Xvv, of inner-step differences minus the
 patch's analytic jet on the grid: 1e-8 for the flat family, 1e-7 for the

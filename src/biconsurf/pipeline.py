@@ -24,7 +24,7 @@ from .curvature import (
     prime_constant,
     solve_curvature,
 )
-from .errors import UsageError, _pair, _real
+from .errors import GeometryError, UsageError, _pair, _real
 from .mesh import (
     _PROJECTIONS,
     _cells_text,
@@ -339,8 +339,8 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
     For r3 the swept parameter is the profile constant C (also emitting the
     u(rho) curve per value); for s3/h3 it is k0, or kp0 if asked.  Any other
     parameter is a UsageError, as is a value that makes an invalid
-    configuration, both raised before anything is written.  Failures at run
-    time are recorded and the sweep continues.
+    configuration, both raised before anything is written.  A GeometryError
+    at run time is recorded and the sweep continues.
     """
     cfg = cfg.validate()
     try:
@@ -370,7 +370,7 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
             entry["pass"] = surf["pass"]
             entry["max_biconservative"] = surf["residuals"]["biconservative"]["max"]
             entry["max_gauss"] = surf["residuals"]["gauss_identity"]["max"]
-        except Exception as exc:  # keep sweeping; record the failure
+        except GeometryError as exc:  # keep sweeping; record the failure
             entry["pass"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
         results.append(entry)

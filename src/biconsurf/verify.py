@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -493,15 +494,66 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
     return sh
 
 
-def _residual_fields(sh: dict, c: int):
-    """(fields, masks): each identity residual and the bitension on ``sh``'s grid.
+def _at_most(name, values, mask, bound, U, V):
+    """max <= bound on the kept points, each of them finite."""
+    entry = _summary(values, U, V, mask)
+    if bound is None:
+        return entry, True, []
+    if entry["count"] == 0:
+        return entry, False, [f"required residual '{name}' was not evaluated"]
+    nonfinite = (values.size if mask is None else np.count_nonzero(mask)) - entry["count"]
+    if nonfinite:
+        return entry, False, [f"required residual '{name}' is not finite at "
+                              f"{nonfinite} unmasked points"]
+    return entry, entry["max"] <= bound, []
 
-    The one place these formulas live.  ``masks`` holds the non-CMC gate
-    and, under a residual's name, the points that residual keeps.
-    """
+
+def _relative_floor(name, values, mask, bound, U, V):
+    """min |values| > bound * max |values|, where the mask keeps over half the grid."""
+    if bound is None:
+        return None, True, []
+    kept = int(np.count_nonzero(mask))
+    if kept <= mask.size // 2:
+        return None, True, [f"'{name}' skipped: {kept} of {mask.size} points are non-CMC"]
+    a = np.abs(values)
+    return None, bool(np.min(a) > bound * np.max(a)), []
+
+
+def _positive(name, values, mask, bound, U, V):
+    """values > 0 at every point, with or without a bound."""
+    ok = bool(np.all(values > 0))
+    return None, ok, [] if ok else [f"points with nonpositive {name} found"]
+
+
+class _Gate(NamedTuple):
+    """A row of the gate table.  rule(name, values, mask, bound, U, V) returns
+    (the ``residuals`` entry or None, pass, notes); mask None keeps every
+    point, and bound is the row's tolerance, or None where it has none."""
+
+    values: np.ndarray
+    mask: np.ndarray | None = None
+    rule: Callable = _at_most
+
+
+def _gate_rows(sh: dict, model: SpaceForm) -> dict:
+    """{name: _Gate} of every pointwise gate on ``sh``'s grid, the one place
+    their formulas and masks live; the h3 sheet row, x4 > 0, has no bound."""
+    c, inner = model.c, model.inner
     f, K, A2, lam1, lam2 = (sh[k] for k in ("f", "K", "A2", "lam1", "lam2"))
     grad_norm, Gu, Gv, lap = sh["grad_norm"], sh["grad_u"], sh["grad_v"], sh["laplacian"]
+    X, Xu, Xv, eta = sh["X"], sh["Xu"], sh["Xv"], sh["eta"]
     non_cmc = grad_norm > NONCMC_GATE * (1.0 + np.abs(f))
+    eig_ok = np.abs(lam2 - lam1) > EIGEN_DEGENERACY * (1.0 + np.abs(f))
+    north = np.maximum(
+        np.abs(inner(eta, Xu)) / np.sqrt(sh["g11"]),
+        np.abs(inner(eta, Xv)) / np.sqrt(sh["g22"]),
+    )
+    rows = {}
+    if c == -1:
+        rows["x4"] = _Gate(X[..., 3], rule=_positive)
+    if c != 0:
+        rows["model_membership"] = _Gate(inner(X, X) - model.quadric_target)
+        north = np.maximum(north, np.abs(inner(eta, X)))
     # 2 A(grad f) + f grad f, normalized
     w1 = 2.0 * (sh["a11"] * Gu + sh["a12"] * Gv) + f * Gu
     w2 = 2.0 * (sh["a21"] * Gu + sh["a22"] * Gv) + f * Gv
@@ -510,23 +562,19 @@ def _residual_fields(sh: dict, c: int):
     ))
     # df along the second principal direction
     d2u, d2v = _eig_direction(sh, lam2)
-    fields = {
-        "gauss_identity": K + 0.75 * f**2 - c,
-        "shape_operator_norm": A2 - 2.5 * f**2,
-        "principal_values": np.maximum(np.abs(lam1 + 0.5 * f), np.abs(lam2 - 1.5 * f)),
-        "biconservative": wnorm / (1.0 + np.abs(f) * grad_norm),
-        "x2f": np.abs(sh["Fu"] * d2u + sh["Fv"] * d2v),
-        "pde": f * lap + sh["grad2"] - (16.0 / 9.0) * K * (K - c),
-        "bitension": lap - f * A2 + 2.0 * c * f,
-    }
-    eig_ok = np.abs(lam2 - lam1) > EIGEN_DEGENERACY * (1.0 + np.abs(f))
-    masks = {
-        "non_cmc": non_cmc,
-        "principal_values": non_cmc,
-        "x2f": non_cmc & eig_ok,
-        "pde": non_cmc,
-    }
-    return fields, masks
+    rows.update(
+        normal_orthogonality=_Gate(north),
+        gauss_identity=_Gate(K + 0.75 * f**2 - c),
+        shape_operator_norm=_Gate(A2 - 2.5 * f**2),
+        principal_values=_Gate(
+            np.maximum(np.abs(lam1 + 0.5 * f), np.abs(lam2 - 1.5 * f)), non_cmc),
+        biconservative=_Gate(wnorm / (1.0 + np.abs(f) * grad_norm)),
+        x2f=_Gate(np.abs(sh["Fu"] * d2u + sh["Fv"] * d2v), non_cmc & eig_ok),
+        pde=_Gate(f * lap + sh["grad2"] - (16.0 / 9.0) * K * (K - c), non_cmc),
+        # the normal part of the bitension, nonzero off the biharmonic surfaces
+        normal_bitension_min=_Gate(lap - f * A2 + 2.0 * c * f, non_cmc, _relative_floor),
+    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +608,7 @@ class PointGeometry:
     laplacian_f: float
     df_du: float
     df_dv: float
-    # _residual_fields at the point, NaN where its mask skips the point
+    # (value, value or NaN where its mask drops the point) per _gate_rows row
     _residuals: dict = field(repr=False)
 
 
@@ -581,15 +629,12 @@ def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
     sign = normal_sign(patch)
     pr = _Probe(patch, np.array([u]), np.array([v]))
     sh = _field_bundle(pr, sign)
-    fields, masks = _residual_fields(sh, patch.model.c)
 
     def num(x):
         return float(x[0])
 
-    residuals = {name: num(a) for name, a in fields.items()}
-    for name in ("principal_values", "x2f"):
-        if not masks[name][0]:
-            residuals[name] = float("nan")
+    residuals = {name: (num(values), num(values) if mask is None or mask[0] else float("nan"))
+                 for name, (values, mask, _) in _gate_rows(sh, patch.model).items()}
     d1 = _eig_direction(sh, sh["lam1"])
     d2 = _eig_direction(sh, sh["lam2"])
     Xu, Xv = sh["Xu"][0], sh["Xv"][0]
@@ -630,7 +675,7 @@ fundamental_forms = point_geometry
 
 def biconservative_residual(pg: PointGeometry) -> float:
     """Normalized norm of 2 A(grad f) + f grad f (zero iff biconservative)."""
-    return pg._residuals["biconservative"]
+    return pg._residuals["biconservative"][0]
 
 
 def curvature_identity_residuals(pg: PointGeometry):
@@ -640,17 +685,17 @@ def curvature_identity_residuals(pg: PointGeometry):
     -f/2, 3f/2 is not forced.
     """
     r = pg._residuals
-    return abs(r["gauss_identity"]), abs(r["shape_operator_norm"]), r["principal_values"]
+    return abs(r["gauss_identity"][0]), abs(r["shape_operator_norm"][0]), r["principal_values"][1]
 
 
 def pde_residual(patch: SurfacePatch, u: float, v: float) -> float:
     """|f Delta f + |grad f|^2 - (16/9) K (K - c)| at a point."""
-    return abs(point_geometry(patch, u, v)._residuals["pde"])
+    return abs(point_geometry(patch, u, v)._residuals["pde"][0])
 
 
 def normal_bitension_residual(pg: PointGeometry) -> float:
     """Delta f - f |A|^2 + 2 c f; zero exactly for biharmonic surfaces."""
-    return pg._residuals["bitension"]
+    return pg._residuals["normal_bitension_min"][0]
 
 
 def x2f_residual(pg: PointGeometry) -> float:
@@ -658,7 +703,7 @@ def x2f_residual(pg: PointGeometry) -> float:
 
     NaN marks skipped points (CMC-gated or eigenvalue-degenerate).
     """
-    return pg._residuals["x2f"]
+    return pg._residuals["x2f"][1]
 
 
 # ---------------------------------------------------------------------------
@@ -772,10 +817,11 @@ def verify_patch(
 
     The grid covers the patch rectangle, shrunk in u where the evaluable
     domain does not leave room for the finite-difference stencils (recorded
-    in the notes).  Residual names follow the tolerance profiles in
-    defaults; pass is the conjunction of all thresholds present there, and
-    false when none bounds a residual (a case without a profile, say).
-    ``nu`` and ``nv`` must be integers >= 2.
+    in the notes).  Each gate is a row of one table (values, mask, rule), its
+    bound taken from the tolerance profiles in defaults.  The pass rules:
+    max <= bound on the kept points; the relative bitension floor, applied
+    only on mostly non-CMC grids; and, on h3, x4 > 0 everywhere.  A profile
+    that bounds no residual fails.  ``nu`` and ``nv`` must be integers >= 2.
     """
     nu, nv = _grid_size(nu, nv)
     _require_jets(patch)
@@ -806,47 +852,15 @@ def verify_patch(
     sign = normal_sign(patch)
     pr = _Probe(patch, ugrid, vgrid, (0.0,) + _fd_steps(h, 2))
     sh = _field_bundle(pr, sign)
-    model = patch.model
-    inner = model.inner
-    c = model.c
-
     f = sh["f"]
-    fields, masks = _residual_fields(sh, c)
-
-    residuals: dict = {}
-    nonfinite: dict = {}
-
-    def record(name, values, mask=None):
-        residuals[name] = _summary(values, U, V, mask)
-        bad = ~np.isfinite(values)
-        nonfinite[name] = int(np.count_nonzero(bad if mask is None else bad & mask))
-
-    # membership and normal well-definedness
-    X, Xu, Xv, eta = sh["X"], sh["Xu"], sh["Xv"], sh["eta"]
-    if c != 0:
-        member = inner(X, X) - model.quadric_target
-        record("model_membership", member)
-        if c == -1 and np.any(X[..., 3] <= 0):
-            notes.append("points with nonpositive x4 found")
-    north = np.maximum(
-        np.abs(inner(eta, Xu)) / np.sqrt(sh["g11"]),
-        np.abs(inner(eta, Xv)) / np.sqrt(sh["g22"]),
-    )
-    if c != 0:
-        north = np.maximum(north, np.abs(inner(eta, X)))
-    record("normal_orthogonality", north)
-
-    # the paper's identities
-    bit = fields.pop("bitension")
-    for name, values in fields.items():
-        record(name, values, masks.get(name))
+    rows = _gate_rows(sh, patch.model)
 
     # the finite-difference cross-checks of jet (full grid) and jet4 (every
     # 4th row and column, one jet and one jet4 call per direction); the full
     # grid takes one frame per shift, as frames stacked over the shifts would
     # hold every shift's X, which the check never reads
-    dim = model.ambient.dim
-    record("second_partials_fd", _fd_cross_check(
+    dim = patch.model.ambient.dim
+    rows["second_partials_fd"] = _Gate(_fd_cross_check(
         {key: pr.frame(*key)[1:] for s in _fd_steps(h, 2) for key in ((s, 0.0), (0.0, s))},
         (sh["Xuu"], sh["Xuv"], sh["Xvv"]), _SECOND_TABLE, h, 2, dim))
     every = slice(None, None, _HIGHER_STRIDE)
@@ -857,69 +871,54 @@ def verify_patch(
     jets = spr.shifted_jets(steps)
     higher = np.full((nu, nv), np.nan)
     higher[every, every] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3, dim)
-    record("higher_partials_fd", higher.ravel(), mask=sub.ravel())
+    rows["higher_partials_fd"] = _Gate(higher.ravel(), sub.ravel())
 
     # comparisons against builder-declared data
     if isinstance(patch.profile, ProfileCurve):
-        ksol = np.repeat(patch.profile.k(ugrid), nv)
-        record("f_vs_profile", f - 2.0 * ksol)
+        rows["f_vs_profile"] = _Gate(f - 2.0 * np.repeat(patch.profile.k(ugrid), nv))
     for name, ref in patch.reference.items():
         if name not in sh:
             raise UsageError(f"no verifier field named '{name}' to compare against")
-        record(f"{name}_vs_reference", sh[name] - ref(U, V))
+        rows[f"{name}_vs_reference"] = _Gate(sh[name] - ref(U, V))
 
-    # normal part of the bitension field (should NOT vanish for non-CMC)
+    # fail closed: a bound that names no row fails, and so does a profile
+    # that bounds no residual
+    residuals: dict = {}
+    missing = [name for name in tolerances if name not in rows]
+    passed = not missing
+    for name, (values, mask, rule) in rows.items():
+        entry, ok, found = rule(name, values, mask, tolerances.get(name), U, V)
+        if entry is not None:
+            residuals[name] = entry
+        passed &= ok
+        notes += found
+    notes += [f"required residual '{name}' was not evaluated" for name in missing]
+    if not (missing or residuals.keys() & tolerances.keys()):
+        passed = False
+        notes.append(f"no residual tolerance applies to case '{patch.case}'")
+
+    bit = rows["normal_bitension_min"]
     bitension = {
-        "min_abs": float(np.min(np.abs(bit))),
-        "max_abs": float(np.max(np.abs(bit))),
-        "mean_abs": float(np.mean(np.abs(bit))),
+        "min_abs": float(np.min(np.abs(bit.values))),
+        "max_abs": float(np.max(np.abs(bit.values))),
+        "mean_abs": float(np.mean(np.abs(bit.values))),
     }
-
     gates = {
         "total_points": int(f.size),
-        "non_cmc_points": int(np.count_nonzero(masks["non_cmc"])),
-        "eigen_skipped": int(np.count_nonzero(~masks["x2f"])),
+        "non_cmc_points": int(np.count_nonzero(bit.mask)),
+        "eigen_skipped": int(np.count_nonzero(~rows["x2f"].mask)),
     }
-
-    # fail closed: a profile that bounds no residual checks nothing
-    passed = bool(set(tolerances) - {"normal_bitension_min"})
-    if not passed:
-        notes.append(f"no residual tolerance applies to case '{patch.case}'")
-    for name, tol in tolerances.items():
-        if name == "normal_bitension_min":
-            # non-vanishing is meaningful only on mostly non-CMC grids, and
-            # the attainable floor scales with the field itself
-            if gates["non_cmc_points"] > gates["total_points"] // 2:
-                passed &= bitension["min_abs"] > tol * bitension["max_abs"]
-            continue
-        # fail closed: a required residual must be evaluated, and finite
-        # wherever its mask does not exclude the point
-        entry = residuals.get(name)
-        if entry is None or entry["count"] == 0:
-            passed = False
-            notes.append(f"required residual '{name}' was not evaluated")
-            continue
-        if nonfinite[name]:
-            passed = False
-            notes.append(
-                f"required residual '{name}' is not finite at "
-                f"{nonfinite[name]} unmasked points"
-            )
-            continue
-        passed &= entry["max"] <= tol
-    if c == -1:
-        passed &= bool(np.all(X[..., 3] > 0))
 
     sampled = {
         "f": f.reshape(nu, nv),
         "K": sh["K"].reshape(nu, nv),
-        "biconservative": fields["biconservative"].reshape(nu, nv),
-        "bitension": bit.reshape(nu, nv),
+        "biconservative": rows["biconservative"].values.reshape(nu, nv),
+        "bitension": bit.values.reshape(nu, nv),
     }
 
     return VerificationReport(
         case=patch.case,
-        model_c=c,
+        model_c=patch.model.c,
         grid={
             "nu": nu,
             "nv": nv,

@@ -502,6 +502,17 @@ class TestSweepCommand:
         assert "error" in result["runs"][1]
         assert not result["pass"]
 
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only a library failure is a failed rung; a KeyError in the verifier
+        # is a bug, and stops the sweep
+        def verify_patch(*args, **kwargs):
+            raise KeyError("not a library failure")
+
+        monkeypatch.setattr(pipeline, "verify_patch", verify_patch)
+        cfg = PipelineConfig(model="r3", nu=8, nv=8)
+        with pytest.raises(KeyError, match="not a library failure"):
+            cmd_sweep(cfg, [1.0, 2.0], tmp_path)
+
     @pytest.mark.parametrize("model, parameter", [
         ("s3", "C"), ("h3", "C"), ("s3", "k1"), ("r3", "k0"), ("r3", "kp0"), ("s3", "nu"),
     ])

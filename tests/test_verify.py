@@ -681,6 +681,7 @@ class TestFailClosed:
     def test_required_residual_never_computed_fails(self):
         rep = bc.verify_patch(cylinder_patch(), 8, 8, tolerances={"f_vs_profile": 1.0})
         assert "f_vs_profile" not in rep.residuals
+        assert rep.notes == ["required residual 'f_vs_profile' was not evaluated"]
         assert not rep.passed
 
     @pytest.mark.parametrize("tolerances", [None, {}, {"normal_bitension_min": 1e-3}],
@@ -697,6 +698,49 @@ class TestFailClosed:
         rep = bc.verify_patch(patch, 8, 8, tolerances=tol)
         entry = rep.residuals["f_vs_reference"]
         assert 0 < entry["count"] < 64 and entry["max"] <= tol["f_vs_reference"]
+        assert not rep.passed
+
+    def test_skipped_relative_floor_is_noted(self, s3_pipeline):
+        # the cylinder is CMC, so the relative bitension floor does not apply;
+        # the report says so, and still passes on its bounded residual
+        tol = {"biconservative": 1e-8, "normal_bitension_min": 1e-3}
+        rep = bc.verify_patch(cylinder_patch(), 8, 8, tolerances=tol)
+        assert rep.gates["non_cmc_points"] == 0
+        assert rep.notes == ["'normal_bitension_min' skipped: 0 of 64 points are non-CMC"]
+        assert rep.passed
+        # on a mostly non-CMC grid the floor applies, and no note is written
+        report = s3_pipeline[-1]
+        assert report.gates["non_cmc_points"] > report.gates["total_points"] // 2
+        assert report.notes == []
+
+    @pytest.mark.parametrize("kept, applied", [(4, False), (5, True)])
+    def test_relative_floor_needs_more_than_half_the_grid(self, kept, applied):
+        values = np.array([1e-6, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        mask = np.arange(values.size) < kept
+        U = V = np.zeros(values.size)
+        entry, ok, notes = verify._relative_floor("floor", values, mask, 1e-3, U, V)
+        assert entry is None and ok is not applied
+        assert notes == ([] if applied else [f"'floor' skipped: {kept} of 9 points are non-CMC"])
+
+    @pytest.mark.parametrize("fix", ["h3e_pipeline", "h3p_pipeline"])
+    def test_lower_sheet_fails_only_the_sheet_rule(self, fix, request):
+        # -X lies on the lower sheet of the hyperboloid: every residual stays
+        # within its bound, and only the x4 > 0 rule fails the report
+        patch = request.getfixturevalue(fix)[-2]
+
+        def negated(evaluate):
+            return lambda line, v: tuple(-a for a in evaluate(line, v))
+
+        lower = dataclasses.replace(patch, at=negated(patch.at), jet=negated(patch.jet),
+                                    jet4=negated(patch.jet4))
+        upper, rep = bc.verify_patch(patch, 16, 16), bc.verify_patch(lower, 16, 16)
+        assert upper.passed and upper.notes == []
+        assert rep.residuals.keys() == upper.residuals.keys()
+        for name, entry in rep.residuals.items():
+            bound = rep.tolerances.get(name)
+            assert bound is None or entry["max"] <= bound, name
+        assert rep.bitension["min_abs"] > 1e-3 * rep.bitension["max_abs"]
+        assert rep.notes == ["points with nonpositive x4 found"]
         assert not rep.passed
 
     def test_nan_position_on_r3_raises(self, r3_pipeline):
