@@ -22,7 +22,9 @@ operation, with the tableau of :mod:`biconsurf.dop853` and event roots from
 roots and interpolants are bit-identical to scipy's, and the module imports
 numpy alone.  The three interpolant stages do not feed the stepping, so
 they are computed for all accepted steps of a two-sided run in one batched
-pass at its end (for a step with an event, on demand).  A two-sided run
+pass at its end; a step with an event gets its own table on demand, which
+``_step_interpolant`` evaluates on floats for the root solves and the state
+at a terminal root.  A two-sided run
 (``_integrate_two_sided``) returns its record, a :class:`CurvatureSolution`:
 the steps, events and covered span, and one dense evaluator
 (``_Dop853Dense``), a table of the segments of both sides in order of u.
@@ -46,8 +48,8 @@ numpy's value.  Each stage is written into its row of the run's stage
 table through a view held for the run (``row[...] = rhs(...)``).  One numpy
 scalar left in the loop would turn every value after it into numpy-scalar
 arithmetic again, so the float path ends in floats: the events get the
-state as a list, and the right-hand sides and ``prime_poly`` return floats
-on float input.
+state as a list, also inside a root solve, and the right-hand sides and
+``prime_poly`` return floats on float input.
 
 A run's right-hand side ``rhs(u, y)`` (``_run_rhs``) is bound once per run,
 after c and C are checked, to c, 4c/3 and, for a profile, the chart's
@@ -124,15 +126,17 @@ def _run_rhs(c: int, angle=None, floor: float = 1e-300):
     c43 = 4.0 * c / 3.0
     if angle is not None:
         rate, d0, d2s = angle
+    power, fsqrt = np.power, math.sqrt
 
     def rhs(u, y):
         k, kp = y[0], y[1]
         if isinstance(k, float):
-            k = max(k, floor)
-            k4, sqrt = float(np.power(k, 4.0)), math.sqrt
+            if floor > k:  # max(k, floor), NaN kept
+                k = floor
+            k4, sqrt = float(power(k, 4.0)), fsqrt
         else:
             k = np.maximum(k, floor)
-            k4, sqrt = np.power(k, 4.0), np.sqrt
+            k4, sqrt = power(k, 4.0), np.sqrt
         kpp = (1.75 * (kp * kp) + c43 * (k * k) - 4.0 * k4) / k
         if angle is None:
             return [kp, kpp]
@@ -228,7 +232,7 @@ def _brentq(f, xa: float, xb: float, tol: float, name: str) -> float:
 
     def value(x):
         fx = float(f(x))
-        if np.isnan(fx):
+        if math.isnan(fx):
             raise DomainError(f"the {name} event is NaN at u = {x!r}")
         return fx
 
@@ -347,7 +351,9 @@ class _Dop853Dense:
     scipy's DOP853 interpolant, in their order, so every value is
     bit-identical to that of the same run under ``solve_ivp``.  A point
     outside ``span`` (beyond a small slack), NaN included, raises
-    ``DomainError``; one inside the slack is clipped to ``span``.
+    ``DomainError``; one inside the slack is clipped to ``span``.  The
+    root solves of one step do not build a table: ``_step_interpolant``
+    repeats ``__call__`` and ``at`` on the floats of that step.
     """
 
     def __init__(self, u, span, t_old, h, y_old, F):
@@ -501,14 +507,37 @@ class _Dop853Run:
     steps: list
 
 
-def _step_dense(rhs, step, t_new: float) -> _Dop853Dense:
-    """The interpolant of one accepted step, ending at ``t_new``, evaluated on
-    demand; the root solves evaluate it inside the step only."""
+def _step_interpolant(rhs, step, t_new: float):
+    """The interpolant of one accepted step, ending at ``t_new``, as a
+    function of a float u that returns the state as a list of floats; the
+    root solves evaluate it inside the step only.
+
+    It takes the step's ``_interpolants`` table once, as float rows, and
+    runs ``_Dop853Dense`` on the one-segment table of the step: the span
+    check and clip of ``__call__`` and the operations of ``at``, in their
+    order, which floats round as numpy does.
+    """
     t_old, h, y_old, y_new, K = step
-    u = np.sort([t_old, t_new])
-    t_old, h, y_old = np.array([t_old]), np.array([h]), np.array([y_old])
-    F = _interpolants(rhs, t_old, h, y_old, np.array([y_new]), K[None])
-    return _Dop853Dense(u, (u[0], u[1]), t_old, h, y_old, F)
+    rows = _interpolants(rhs, np.array([t_old]), np.array([h]), np.array([y_old]),
+                         np.array([y_new]), K[None])[::-1, 0].tolist()
+    lo, hi = (t_old, t_new) if t_old < t_new else (t_new, t_old)
+    slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+
+    def at(u: float) -> list:
+        if not lo - slack <= u <= hi + slack:  # NaN included
+            raise DomainError(f"evaluation point outside the solved span [{lo}, {hi}]")
+        if u < lo:
+            u = lo
+        elif u > hi:
+            u = hi
+        x = (u - t_old) / h
+        one_minus_x = 1 - x
+        y = [0.0] * len(y_old)
+        for row, factor in zip(rows, (x, one_minus_x, x, one_minus_x, x, one_minus_x, x)):
+            y = [(a + b) * factor for a, b in zip(y, row)]
+        return [a + b for a, b in zip(y, y_old)]
+
+    return at
 
 
 def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
@@ -566,11 +595,12 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
         )
 
     # one stage table per run: each stage is written into its row and its
-    # stage sum read, through views held for the run
+    # stage sum read, through views held for the run and their bound ``dot``
     K = np.empty((_N_STAGES_EXTENDED, n))
-    sums = [(K[s], K[:s].T, a, c) for s, a, c in _STAGES]
-    K_b, K_e = K[:dop853.N_STAGES].T, K[:dop853.N_STAGES + 1].T
+    sums = [(K[s], K[:s].T.dot, a, c) for s, a, c in _STAGES]
+    dot_b, dot_e = K[:dop853.N_STAGES].T.dot, K[:dop853.N_STAGES + 1].T.dot
     f_row, fsal_row = K[0], K[dop853.N_STAGES]
+    B, E5, E3, nextafter = dop853.B, dop853.E5, dop853.E3, math.nextafter
 
     terminal = np.array([bool(e.terminal) for e in events])
     event_dir = [e.direction for e in events]
@@ -584,7 +614,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             status = _BUDGET_SPENT
             break
         # one accepted step (scipy's RungeKutta._step_impl)
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10 * abs(nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -600,15 +630,14 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             h_abs = abs(h)
 
             f_row[...] = f
-            for row, K_s, a, c in sums:
-                row[...] = rhs(t + c * h, [x + dx * h for x, dx in zip(y, K_s.dot(a).tolist())])
-            y_new = [x + h * dx for x, dx in zip(y, K_b.dot(dop853.B).tolist())]
+            for row, dot, a, c in sums:
+                row[...] = rhs(t + c * h, [x + dx * h for x, dx in zip(y, dot(a).tolist())])
+            y_new = [x + h * dx for x, dx in zip(y, dot_b(B).tolist())]
             f_new = rhs(t + h, y_new)
             fsal_row[...] = f_new
 
             scale = _error_scale(y, y_new, rtol, atol)
-            error_norm = _error_norm(K_e.dot(dop853.E5).tolist(),
-                                     K_e.dot(dop853.E3).tolist(), scale, h_abs)
+            error_norm = _error_norm(dot_e(E5).tolist(), dot_e(E3).tolist(), scale, h_abs)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -637,9 +666,9 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             if (a <= 0 and b >= 0 and d >= 0) or (a >= 0 and b <= 0 and d <= 0)
         ]
         if active:
-            dense = _step_dense(rhs, step, t)
+            at = _step_interpolant(rhs, step, t)
             roots = np.asarray([
-                _brentq(lambda u, event=events[i]: event(u, dense(u).tolist()), t_old, t,
+                _brentq(lambda u, event=events[i]: event(u, at(u)), t_old, t,
                         _EVENT_TOL, events[i].__name__)
                 for i in active
             ])
@@ -651,7 +680,7 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
                 active, roots = active[:last], roots[:last]
                 status = 1
                 t_end = roots[-1]
-                y_end = dense(t_end).tolist()
+                y_end = at(float(t_end))
             for i, root in zip(active, roots):
                 t_events[i].append(root)
         g = g_new

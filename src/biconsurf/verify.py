@@ -779,10 +779,13 @@ class VerificationReport:
     def to_json(self) -> str:
         """The report as JSON; a non-finite value is a ConditioningError naming its key."""
         data = self.to_dict()
-        key = _nonfinite_key(data)
-        if key is not None:
-            raise ConditioningError(f"report value '{key}' is not finite")
-        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        try:
+            return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # the encoder refuses NaN and inf; name the first one
+            key = _nonfinite_key(data)
+            if key is None:
+                raise
+            raise ConditioningError(f"report value '{key}' is not finite") from None
 
     def save(self, path) -> str:
         text = self.to_json()

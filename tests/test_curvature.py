@@ -717,6 +717,119 @@ class TestBrent:
                 brentq(f, 0.5, 1.0, xtol=self.TOL, rtol=self.TOL)
 
 
+
+def one_step_dense(rhs, step, t_new):
+    """``_Dop853Dense`` over the one-segment table of a step that ends at
+    ``t_new``: the array reference of ``_step_interpolant``."""
+    t_old, h, y_old, y_new, K = step
+    t_old, h, y_old = np.array([t_old]), np.array([h]), np.array([y_old])
+    F = curvature._interpolants(rhs, t_old, h, y_old, np.array([y_new]), K[None].copy())
+    u = np.sort([t_old[0], t_new])
+    return curvature._Dop853Dense(u, (u[0], u[1]), t_old, h, y_old, F)
+
+
+def assert_same_bits(got, want):
+    """A list of floats holds the bits of an array's entries, signed zeros too."""
+    assert [type(x) for x in got] == [float] * len(want)
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+
+class TestStepInterpolant:
+    """The float one-step evaluator of the event roots equals the dense table."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)),
+        lambda: build_pipeline_patch(PipelineConfig(model="s3", k0=1.0, kp0=1.0)),
+        lambda: build_pipeline_patch(PipelineConfig(model="h3", k0=1.0, kp0=1.0)),
+        lambda: build_pipeline_patch(PipelineConfig(model="h3", k0=0.25, kp0=0.2)),
+    ], ids=["s3-k-kp", "s3-profile", "h3-elliptic-profile", "h3-parabolic-profile"])
+    def test_every_step_equals_the_dense_table(self, monkeypatch, build):
+        # each step of the 2-state s3 run and of the (k, k', theta) runs,
+        # at its ends, at random points inside it, inside the clip slack
+        # beyond its ends, and outside that slack (or NaN), where both raise
+        _, calls = recorded_runs(monkeypatch, build)
+        rng = np.random.default_rng(0)
+        steps = 0
+        for (rhs, *_), run in calls:
+            for step, t_new in zip(run.steps, run.t[1:].tolist()):
+                t_old = step[0]
+                at = curvature._step_interpolant(rhs, step, t_new)
+                dense = one_step_dense(rhs, step, t_new)
+                inside = (t_old + rng.random(4) * (t_new - t_old)).tolist()
+                lo, hi = sorted((t_old, t_new))
+                slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+                for u in [t_old, t_new, *inside, lo - slack / 2, hi + slack / 2]:
+                    assert_same_bits(at(u), dense(u))
+                for u in [lo - 2 * slack, hi + 2 * slack, math.nan]:
+                    with pytest.raises(bc.DomainError, match="outside the solved span"):
+                        at(u)
+                    with pytest.raises(bc.DomainError, match="outside the solved span"):
+                        dense(u)
+                steps += 1
+        assert steps > 50
+
+    @pytest.mark.parametrize("build, turning, stops", [
+        (lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)), 11, []),
+        # both sides stop on the k floor: their terminal states are evaluated too
+        (lambda: bc.solve_curvature(-1, 0.25, 0.2, (-20.0, 20.0)), 1, ["k_floor"] * 2),
+    ])
+    def test_root_solves_evaluate_the_dense_table(self, monkeypatch, build, turning, stops):
+        # every point a root solve or a terminal state takes on a step that
+        # holds an event root, the turning points of k among them
+        evaluated = []
+        exact = curvature._step_interpolant
+
+        def recording(rhs, step, t_new):
+            at = exact(rhs, step, t_new)
+
+            def recorded(u):
+                y = at(u)
+                evaluated.append((rhs, step, t_new, u, y))
+                return y
+
+            return recorded
+
+        monkeypatch.setattr(curvature, "_step_interpolant", recording)
+        sol = build()
+        for rhs, step, t_new, u, y in evaluated:
+            assert_same_bits(y, one_step_dense(rhs, step, t_new)(u))
+        assert len(sol.turning_points) == turning
+        assert [e["kind"] for e in sol.boundary_events] == stops
+        roots = sol.turning_points.tolist() + [e["u"] for e in sol.boundary_events]
+        assert set(roots) <= {u for *_, u, _ in evaluated}
+
+
+class TestClosedForms:
+    """The driver against an exact solution of the curvature ODE, with no
+    scipy and no ``ode_rhs``: an absolute check of its accuracy."""
+
+    def test_hyperbolic_zero_constant_is_a_sech(self):
+        # c = -1, C = 0: (k')^2 = (16/9) k^2 - 16 k^4, solved by
+        # k = (1/3) sech(4 (u - u0) / 3); k(0) = 1/5 and k'(0) > 0 put u0
+        # at (3/4) acosh(5/3), where k' = 0 and k takes its maximum 1/3
+        kp0 = 0.8 * math.sqrt(1 / 9 - 0.04)
+        u0 = 0.75 * math.acosh(5 / 3)
+        u = np.linspace(-4.0, 4.0, 2001)
+        z = 4.0 * (u - u0) / 3.0
+        k = 1.0 / (3.0 * np.cosh(z))
+        kp = -(4.0 / 9.0) * np.tanh(z) / np.cosh(z)
+        k_errors, kp_errors = [], []
+        for rel_tol in (1e-6, 1e-8, 1e-10):
+            sol = bc.solve_curvature(-1, 0.2, kp0, (-4.0, 4.0), rel_tol=rel_tol)
+            assert sol.C == 0.0 and not sol.truncated
+            assert sol.k_interval == (0.0, 1.0 / 3.0)
+            (turning,) = sol.turning_points
+            assert abs(turning - u0) <= rel_tol * u0
+            state = sol.state(u)
+            k_errors.append(np.max(np.abs(state[:, 0] / k - 1.0)))
+            kp_errors.append(np.max(np.abs(state[:, 1] - kp)) / np.max(np.abs(kp)))
+            assert k_errors[-1] <= rel_tol and kp_errors[-1] <= rel_tol
+        # measured 2.2e-8, 3.4e-10 and 7.1e-12 for k
+        assert k_errors == sorted(k_errors, reverse=True)
+        assert kp_errors == sorted(kp_errors, reverse=True)
+        assert k_errors[-1] < 1e-3 * k_errors[0]
+
+
 # The array expressions of ode_rhs and prime_poly before their float paths,
 # kept as the references: the solvers used to evaluate them on 0-d arrays, so
 # float paths that match them bit for bit leave every solve unchanged.
