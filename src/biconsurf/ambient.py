@@ -155,20 +155,21 @@ def space_form(c: int) -> SpaceForm:
     return {-1: H3, 0: R3, 1: S3}[SpaceForm(c).c]
 
 
-def _cofactor_complement(sig: Signature, mat: np.ndarray) -> np.ndarray:
-    """Vector orthogonal (in sig) to the rows of mat, shape (..., dim).
+def _cofactor_complement(sig: Signature, rows) -> np.ndarray:
+    """Vector orthogonal (in sig) to ``rows``, shape (..., dim).
 
-    Uses the generalized cross product: the cofactor expansion is continuous
-    in the inputs, which downstream code relies on for orienting normal
-    fields without per-point sign searches.  In dimension 4 the signed 3x3
-    minors are expanded along the third row over the 2x2 minors
-    ``p_ij = a_i b_j - a_j b_i`` of the first two rows.
+    ``rows`` holds dim - 1 vector fields a, b (, c) of one shape (..., dim),
+    read in place, never stacked.  Uses the generalized cross product: the
+    cofactor expansion is continuous in the inputs, which downstream code
+    relies on for orienting normal fields without per-point sign searches.
+    In dimension 4 the signed 3x3 minors are expanded along the third row
+    over the 2x2 minors ``p_ij = a_i b_j - a_j b_i`` of the first two rows.
     """
-    a, b = mat[..., 0, :], mat[..., 1, :]
+    a, b = rows[0], rows[1]
     if sig.dim == 3:
         # the Euclidean metric raises no index
         return np.cross(a, b)
-    c = mat[..., 2, :]
+    c = rows[2]
     a0, a1, a2, a3 = (a[..., i] for i in range(4))
     b0, b1, b2, b3 = (b[..., i] for i in range(4))
     c0, c1, c2, c3 = (c[..., i] for i in range(4))
@@ -202,7 +203,8 @@ def orthonormal_complement(sig: Signature, vectors, sign_convention=None):
             f"need exactly {sig.dim - 1} spanning vectors in dimension "
             f"{sig.dim}, got {len(vecs)}"
         )
-    mat = np.stack(np.broadcast_arrays(*vecs), axis=-2)
+    rows = np.broadcast_arrays(*vecs)
+    mat = np.stack(rows, axis=-2)
 
     # degeneracy guard: Gram determinant against the Euclidean scale
     gram = np.einsum("...ik,k,...jk->...ij", mat, sig.metric, mat)
@@ -213,7 +215,7 @@ def orthonormal_complement(sig: Signature, vectors, sign_convention=None):
             "input vectors span a (numerically) degenerate hyperplane"
         )
 
-    n = _cofactor_complement(sig, mat)
+    n = _cofactor_complement(sig, rows)
     n2 = sig.inner(n, n)
     if np.any(np.abs(n2) <= 1e-24 * scale**2):
         raise DegenerateSpanError("complement direction is numerically null")

@@ -39,10 +39,13 @@ controller are floats, computed with the operations of scipy's numpy code
 in the same order, which IEEE arithmetic rounds alike.  Numpy keeps what
 numpy or BLAS rounds its own way: the stage sums (``K[:s].T.dot(a)``, the
 error estimates ``K.T.dot(E5)`` and ``K.T.dot(E3)``), the norms
-(``x.dot(x)``) and every power of k (``np.power``; numpy's vectorised power
-loop and the C library's ``pow`` behind float ``**`` disagree in the last
-bit for a few percent of inputs, and the drift-limited solves amplify such
-bits into different steps).  Where float arithmetic raises and numpy's
+(``x.dot(x)``) and every power of k in the right-hand sides and
+``prime_poly`` (``np.power``; numpy's vectorised power loop and the C
+library's ``pow`` behind float ``**`` disagree in the last bit for a few
+percent of inputs, and the drift-limited solves amplify such bits into
+different steps).  One power does not: the ``inadmissible`` event's slack
+term takes k^(7/2) as the float ``k**3.5``, the C ``pow``, on every step
+of every run.  Where float arithmetic raises and numpy's
 gives inf or NaN (division by zero, NaN in a maximum), the driver gives
 numpy's value.  Each stage is written into its row of the run's stage
 table through a view held for the run (``row[...] = rhs(...)``).  One numpy

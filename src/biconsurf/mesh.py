@@ -500,7 +500,15 @@ def sample_mesh(
     nu, nv = _grid_size(nu, nv)
     u = np.linspace(*patch.u_range, nu)
     v = np.linspace(*patch.v_range, nv)
-    X = patch.X(u[:, None], v[None, :]).reshape(nu * nv, -1)
+    return _grid_mesh(patch.case, patch.X(u[:, None], v[None, :]), projection, channels, pole)
+
+
+def _grid_mesh(case: str, points: np.ndarray, projection: str, channels: dict | None,
+               pole: np.ndarray | None = None) -> Mesh:
+    """The quad mesh of ``sample_mesh`` from the points X of a ``case``
+    patch on its regular grid, shape (nu, nv, dim)."""
+    nu, nv = points.shape[:2]
+    X = points.reshape(nu * nv, -1)
 
     if projection == "auto":
         projection = {
@@ -508,9 +516,9 @@ def sample_mesh(
             "s3": "stereographic",
             "h3_elliptic": "poincare",
             "h3_parabolic": "poincare",
-        }.get(patch.case, "identity" if X.shape[-1] == 3 else "stereographic")
+        }.get(case, "identity" if X.shape[-1] == 3 else "stereographic")
 
-    _chart_dimension(projection, X.shape[-1], f"the {patch.case} patch")
+    _chart_dimension(projection, X.shape[-1], f"the {case} patch")
     if projection == "identity":
         verts = X
     elif projection == "stereographic":

@@ -30,8 +30,9 @@ from .mesh import (
     _cells_text,
     _chart_dimension,
     _float_cells,
+    _grid_mesh,
     _sidecar_path,
-    sample_mesh,
+    sample_mesh,  # noqa: F401  (perfbench/bench_trace.py wraps pipeline.sample_mesh)
     write_obj,
     write_ply,
 )
@@ -312,15 +313,8 @@ def cmd_surface(
             "K": report.fields["K"],
             "residual": report.fields["biconservative"],
         }
-        # sample the mesh on the verified grid so channels align with vertices
-        mesh_patch = dataclasses.replace(
-            patch,
-            u_range=(float(report.grid_u[0]), float(report.grid_u[-1])),
-            v_range=(float(report.grid_v[0]), float(report.grid_v[-1])),
-        )
-        mesh = sample_mesh(
-            mesh_patch, cfg.nu, cfg.nv, projection=cfg.projection, channels=channels
-        )
+        # the mesh of the verified grid's points, so channels align with vertices
+        mesh = _grid_mesh(patch.case, report.grid_X, cfg.projection, channels)
         written["obj"] = write_obj(mesh, obj)
         written["ply"] = write_ply(mesh, ply)
     saved = report.save(target)

@@ -60,9 +60,9 @@ class SurfacePatch:
     derivatives from them in closed form and keeps finite differences only
     as cross-checks.  It evaluates one u-line on a column stacked over the
     u offsets of its checks and cuts it into per-offset pieces, and it
-    evaluates ``jet4`` in blocks of u-rows, both by slicing each u-line
-    entry along its first axis, so every entry of a u-line has u's first
-    axis.
+    evaluates ``at``, ``jet`` and ``jet4`` in blocks of u-rows, both by
+    slicing each u-line entry along its first axis, so every entry of a
+    u-line has u's first axis.
 
     A built patch's u-line is (sigma, T, a, a', T', a'', sigma''', a''',
     sigma'''', a''''), T = sigma': the profile, the sweep amplitude and

@@ -24,6 +24,18 @@ its checks read, so a ``verify_patch`` makes three ``uline`` calls: the
 orientation point, the grid and the sub-grid.  The sub-grid's shifted
 ``jet`` and ``jet4`` come from one evaluation per direction.
 
+The grid's per-point pass (``_shape``, ``_field_bundle``, ``_gate_rows``
+and the frames and kernel of ``second_partials_fd``) runs over blocks of
+u-rows of about ``_BLOCK_POINTS`` = 4096 points, so a 64 x 64 grid is one
+block; inside a block the closed-form f derivatives go in sub-blocks of
+about ``_JET_BLOCK_POINTS`` = 2048 points.  A block probe slices the grid
+probe's u-lines and makes no ``uline`` call.  Each block writes its values
+and masks into full-grid arrays, and every reduction (``_summary``, the
+relative floor, the bitension statistics, the gate counts) runs once on
+those, so the block sizes change no output bit; the working set of the
+pass is block-sized.  A grid whose blocks hold different defects raises
+the ``ConditioningError`` of the first such block.
+
 Sign conventions
 ----------------
 The unit normal is oriented once per patch (from the rectangle midpoint) so
@@ -34,6 +46,7 @@ divergence-form coordinate Laplacian.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -127,7 +140,9 @@ def _require_jets(patch: SurfacePatch) -> None:
 # batched geometry
 # ---------------------------------------------------------------------------
 
-# grid points per block of the closed-form f-derivative pass
+# grid points per block of u-rows of the verifier's pass, and per sub-block
+# of its closed-form f-derivatives
+_BLOCK_POINTS = 4096
 _JET_BLOCK_POINTS = 2048
 # every this many rows and columns carry the higher_partials_fd cross-check
 _HIGHER_STRIDE = 4
@@ -143,7 +158,7 @@ class _Probe:
     piece against a v-row (shape (1, nv)), and their triples come back
     flattened to (nu * nv, dim) in u-major order, the layout of the
     verifier's grids.  An offset outside ``offsets`` gets a u-line call of
-    its own.
+    its own.  ``block`` gives the probe on a block of u-rows.
     """
 
     def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray,
@@ -154,11 +169,22 @@ class _Probe:
         self.shape = (self.u.shape[0], self.v.shape[1])
         self.offsets = tuple(float(du) for du in offsets)
         nu = self.shape[0]
-        self._stacked = patch.uline(np.concatenate([self.u + du for du in self.offsets]))
+        stacked = patch.uline(np.concatenate([self.u + du for du in self.offsets]))
         self._lines = {
-            du: tuple(np.asarray(entry)[i * nu:(i + 1) * nu] for entry in self._stacked)
+            du: tuple(np.asarray(entry)[i * nu:(i + 1) * nu] for entry in stacked)
             for i, du in enumerate(self.offsets)
         }
+
+    def block(self, rows: slice) -> _Probe:
+        """The probe on the u-rows ``rows`` of this grid.  Its u-lines are
+        this probe's, sliced along their first axis, so it makes no u-line
+        call for an offset this probe holds."""
+        blk = copy.copy(self)
+        blk.u = self.u[rows]
+        blk.shape = (blk.u.shape[0], self.shape[1])
+        blk._lines = {du: tuple(np.asarray(entry)[rows] for entry in line)
+                      for du, line in self._lines.items()}
+        return blk
 
     def line(self, du: float):
         key = float(du)
@@ -170,14 +196,17 @@ class _Probe:
         """{(du, dv): jet + jet4} at the grid shifted by each offset du along u
         and by each of ``steps`` along v, each partial of shape (nu, nv, dim).
 
-        One ``jet`` and one ``jet4`` call take the stacked u-line against the
-        v-row, and one more of each the unshifted u-line against the v-row
-        stacked over ``steps``; the partials are views of their results.
+        One ``jet`` and one ``jet4`` call take the u-line pieces of the
+        ``offsets`` stacked again against the v-row, and one more of each the
+        unshifted u-line against the v-row stacked over ``steps``; the
+        partials are views of their results.
         """
         nu, nv = self.shape
+        stacked = tuple(np.concatenate(entries)
+                        for entries in zip(*(self._lines[du] for du in self.offsets)))
         vrow = np.concatenate([self.v + dv for dv in steps], axis=1)
         out = {}
-        for axis, line, v, keys in ((0, self._stacked, self.v, [(du, 0.0) for du in self.offsets]),
+        for axis, line, v, keys in ((0, stacked, self.v, [(du, 0.0) for du in self.offsets]),
                                     (1, self.line(0.0), vrow, [(0.0, dv) for dv in steps])):
             shape = (nu * len(keys), nv) if axis == 0 else (nu, nv * len(keys))
             parts = [a for name in ("jet", "jet4") for a in self._evaluate(name, line, v, shape)]
@@ -194,22 +223,13 @@ class _Probe:
         """(Xuu, Xuv, Xvv) at the grid shifted by (du, dv)."""
         return self._grid_eval("jet", du, dv)
 
-    def jet4(self, du: float, dv: float, rows: slice | None = None):
-        """The nine partials of orders 3 and 4 at the shifted grid.
+    def jet4(self, du: float, dv: float):
+        """The nine partials of orders 3 and 4 at the shifted grid."""
+        return self._grid_eval("jet4", du, dv)
 
-        ``rows`` restricts the evaluation to a block of u-rows; the u-line
-        entries are sliced along their first axis.
-        """
-        return self._grid_eval("jet4", du, dv, rows)
-
-    def _grid_eval(self, name: str, du: float, dv: float, rows: slice | None = None):
-        line = self.line(du)
-        shape = self.shape
-        if rows is not None:
-            line = tuple(np.asarray(entry)[rows] for entry in line)
-            shape = (len(range(*rows.indices(shape[0]))), shape[1])
-        out = self._evaluate(name, line, self.v + dv, shape)
-        n = shape[0] * shape[1]
+    def _grid_eval(self, name: str, du: float, dv: float):
+        out = self._evaluate(name, self.line(du), self.v + dv, self.shape)
+        n = self.shape[0] * self.shape[1]
         return tuple(a.reshape(n, a.shape[-1]) for a in out)
 
     def _evaluate(self, name: str, line, v, shape: tuple) -> tuple:
@@ -228,6 +248,15 @@ class _Probe:
             f"contract: {name}(uline(u), v) must broadcast a (nu, 1) u-line "
             f"against a (1, nv) v-row to {shape} + (dim,); {detail}"
         )
+
+
+def _row_blocks(nu: int, nv: int, points: int):
+    """(rows, points) slices of consecutive blocks of u-rows of about
+    ``points`` grid points each (one row at least) on an nu x nv grid."""
+    step = max(1, points // nv)
+    for r0 in range(0, nu, step):
+        r1 = min(r0 + step, nu)
+        yield slice(r0, r1), slice(r0 * nv, r1 * nv)
 
 
 def _fd_steps(h: float, levels: int) -> tuple:
@@ -295,11 +324,7 @@ _HIGHER_TABLE = ((0, 0, True), (4, 3, True), (1, 0, False), (2, 1, False), (3, 2
 def _unit_normal(model: SpaceForm, X, Xu, Xv):
     """Raw (continuous, unnormalized-orientation) unit normal field."""
     sig = model.ambient
-    if model.c == 0:
-        mat = np.stack(np.broadcast_arrays(Xu, Xv), axis=-2)
-    else:
-        mat = np.stack(np.broadcast_arrays(Xu, Xv, X), axis=-2)
-    n = _cofactor_complement(sig, mat)
+    n = _cofactor_complement(sig, (Xu, Xv) if model.c == 0 else (Xu, Xv, X))
     n2 = sig.inner(n, n)
     n /= np.sqrt(np.abs(n2, out=n2), out=n2)[..., None]
     return n
@@ -464,21 +489,19 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
     """Shape data plus the derivatives of the f-field on the probe's grid.
 
     grad f and the second partials of f are closed-form
-    (``_jet_f_derivatives``), evaluated in blocks of u-rows, and Delta f
-    comes from ``_laplacian`` with the Christoffel symbols of the jet; each
-    block takes grad f and Delta f from its own ``_metric_tables``.
+    (``_jet_f_derivatives``), evaluated in sub-blocks of u-rows of about
+    ``_JET_BLOCK_POINTS`` points, and Delta f comes from ``_laplacian`` with
+    the Christoffel symbols of the jet; each sub-block takes grad f and
+    Delta f from its own ``_metric_tables``.
     """
     sh = _shape(pr, sign)
     model = pr.patch.model
     nu, nv = pr.shape
     n = nu * nv
     F1, F2, G, lap = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, n)), np.empty(n)
-    step = max(1, _JET_BLOCK_POINTS // nv)
-    for r0 in range(0, nu, step):
-        rows = slice(r0, min(r0 + step, nu))
-        sl = slice(rows.start * nv, rows.stop * nv)
+    for rows, sl in _row_blocks(nu, nv, _JET_BLOCK_POINTS):
         gi, gam = _metric_tables(sh, sl, model)
-        f1, f2 = _jet_f_derivatives(sh, sl, pr.jet4(0.0, 0.0, rows), gi, gam, model)
+        f1, f2 = _jet_f_derivatives(sh, sl, pr.block(rows).jet4(0.0, 0.0), gi, gam, model)
         F1[:, sl], F2[:, :, sl] = f1, f2
         G[:, sl] = gi[:, 0] * f1[0] + gi[:, 1] * f1[1]
         lap[sl] = _laplacian(gi, gam, f1, f2)
@@ -575,6 +598,45 @@ def _gate_rows(sh: dict, model: SpaceForm) -> dict:
         normal_bitension_min=_Gate(lap - f * A2 + 2.0 * c * f, non_cmc, _relative_floor),
     )
     return rows
+
+
+def _grid_pass(pr: _Probe, sign: float, h: float, keep) -> tuple[dict, dict]:
+    """(gate table, {name: field}) on the probe's grid: the ``_gate_rows``
+    rows and ``second_partials_fd``, and the ``_field_bundle`` fields named
+    in ``keep``, computed block by block of u-rows (``_BLOCK_POINTS``) into
+    full-grid arrays made at the first block.  The cross-check of ``jet``
+    takes one frame per shift, as frames stacked over the shifts would hold
+    every shift's X, which the check never reads.
+    """
+    model = pr.patch.model
+    nu, nv = pr.shape
+
+    def grid(a):
+        """An uninitialized full-grid array for the block array ``a``."""
+        return None if a is None else np.empty((nu * nv,) + a.shape[1:], a.dtype)
+
+    rows, kept = {}, {}
+    for block, sl in _row_blocks(nu, nv, _BLOCK_POINTS):
+        blk = pr.block(block)
+        sh = _field_bundle(blk, sign)
+        gates = _gate_rows(sh, model)
+        gates["second_partials_fd"] = _Gate(_fd_cross_check(
+            {key: blk.frame(*key)[1:] for s in _fd_steps(h, 2) for key in ((s, 0.0), (0.0, s))},
+            (sh["Xuu"], sh["Xuv"], sh["Xvv"]), _SECOND_TABLE, h, 2, model.ambient.dim))
+        if not rows:
+            for name in keep:
+                if name not in sh:
+                    raise UsageError(f"no verifier field named '{name}' to compare against")
+            rows = {name: _Gate(grid(g.values), grid(g.mask), g.rule) for name, g in gates.items()}
+            kept = {name: grid(sh[name]) for name in keep}
+        for name, (values, mask, _) in gates.items():
+            rows[name].values[sl] = values
+            if mask is not None:
+                rows[name].mask[sl] = mask
+        for name, a in kept.items():
+            a[sl] = sh[name]
+        del sh, gates  # free this block before the next one is computed
+    return rows, kept
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +821,8 @@ class VerificationReport:
     fields: dict = field(default_factory=dict, repr=False)
     grid_u: np.ndarray | None = field(default=None, repr=False)
     grid_v: np.ndarray | None = field(default=None, repr=False)
+    # the position X at every grid point, shape (nu, nv, dim)
+    grid_X: np.ndarray | None = field(default=None, repr=False)
     schema: str = REPORT_SCHEMA
 
     def to_dict(self) -> dict:
@@ -854,18 +918,11 @@ def verify_patch(
     h = fd.inner_step
     sign = normal_sign(patch)
     pr = _Probe(patch, ugrid, vgrid, (0.0,) + _fd_steps(h, 2))
-    sh = _field_bundle(pr, sign)
-    f = sh["f"]
-    rows = _gate_rows(sh, patch.model)
+    rows, kept = _grid_pass(pr, sign, h, ("X", "f", "K", *patch.reference))
+    f = kept["f"]
 
-    # the finite-difference cross-checks of jet (full grid) and jet4 (every
-    # 4th row and column, one jet and one jet4 call per direction); the full
-    # grid takes one frame per shift, as frames stacked over the shifts would
-    # hold every shift's X, which the check never reads
-    dim = patch.model.ambient.dim
-    rows["second_partials_fd"] = _Gate(_fd_cross_check(
-        {key: pr.frame(*key)[1:] for s in _fd_steps(h, 2) for key in ((s, 0.0), (0.0, s))},
-        (sh["Xuu"], sh["Xuv"], sh["Xvv"]), _SECOND_TABLE, h, 2, dim))
+    # the finite-difference cross-check of jet4 on every 4th row and column,
+    # one jet and one jet4 call per direction
     every = slice(None, None, _HIGHER_STRIDE)
     sub = np.zeros((nu, nv), dtype=bool)
     sub[every, every] = True
@@ -873,16 +930,15 @@ def verify_patch(
     spr = _Probe(patch, ugrid[every], vgrid[every], (0.0,) + steps)
     jets = spr.shifted_jets(steps)
     higher = np.full((nu, nv), np.nan)
-    higher[every, every] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3, dim)
+    higher[every, every] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3,
+                                           patch.model.ambient.dim)
     rows["higher_partials_fd"] = _Gate(higher.ravel(), sub.ravel())
 
     # comparisons against builder-declared data
     if isinstance(patch.profile, ProfileCurve):
         rows["f_vs_profile"] = _Gate(f - 2.0 * np.repeat(patch.profile.k(ugrid), nv))
     for name, ref in patch.reference.items():
-        if name not in sh:
-            raise UsageError(f"no verifier field named '{name}' to compare against")
-        rows[f"{name}_vs_reference"] = _Gate(sh[name] - ref(U, V))
+        rows[f"{name}_vs_reference"] = _Gate(kept[name] - ref(U, V))
 
     # fail closed: a bound that names no row fails, and so does a profile
     # that bounds no residual
@@ -914,7 +970,7 @@ def verify_patch(
 
     sampled = {
         "f": f.reshape(nu, nv),
-        "K": sh["K"].reshape(nu, nv),
+        "K": kept["K"].reshape(nu, nv),
         "biconservative": rows["biconservative"].values.reshape(nu, nv),
         "bitension": bit.values.reshape(nu, nv),
     }
@@ -938,4 +994,5 @@ def verify_patch(
         fields=sampled,
         grid_u=ugrid,
         grid_v=vgrid,
+        grid_X=kept["X"].reshape(nu, nv, -1),
     )

@@ -11,6 +11,11 @@ E3 = np.eye(3)
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
+def _rows(mat):
+    """The rows of a stack (..., k, dim) as the k fields _cofactor_complement takes."""
+    return tuple(mat[..., i, :] for i in range(mat.shape[-2]))
+
+
 class TestInner:
     def test_euclidean_unit(self):
         assert EUCLIDEAN4.inner(E4[0], E4[0]) == 1.0
@@ -212,7 +217,7 @@ class TestComplement:
             np.stack([a, b, in_span], axis=1),
             np.stack([a, nearly_parallel, b], axis=1),
         ):
-            got = _cofactor_complement(sig, mat)
+            got = _cofactor_complement(sig, _rows(mat))
             tol = 1e-12 * np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
             assert np.all(np.abs(got - reference(mat)) <= tol[:, None])
 
@@ -253,7 +258,7 @@ class TestComplement:
         ]
         with np.errstate(all="ignore"):
             for mat in mats:
-                got, want = _cofactor_complement(sig, mat), reference(mat)
+                got, want = _cofactor_complement(sig, _rows(mat)), reference(mat)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want, equal_nan=True)
                 number = ~np.isnan(want)

@@ -229,13 +229,13 @@ def test_nominal_s3_mesh_files_match_percent_formatting(tmp_path, monkeypatch):
     # the OBJ, its channel sidecar and the PLY of the benchmark's nominal s3
     # surface, each against a writer that formats every number with %
     meshes = []
-    sample = pipeline.sample_mesh
+    grid_mesh = pipeline._grid_mesh
 
     def recorded(*args, **kwargs):
-        meshes.append(sample(*args, **kwargs))
+        meshes.append(grid_mesh(*args, **kwargs))
         return meshes[-1]
 
-    monkeypatch.setattr(pipeline, "sample_mesh", recorded)
+    monkeypatch.setattr(pipeline, "_grid_mesh", recorded)
     out = cmd_surface(PipelineConfig(model="s3", k0=1.0, kp0=1.0, nu=128, nv=128), tmp_path)
     (m,) = meshes
     names = sorted(m.channels)

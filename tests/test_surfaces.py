@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import biconsurf as bc
 from biconsurf.mesh import poincare_ball, sample_mesh, stereographic, write_obj, write_ply
-from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
+from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 from biconsurf.profile import _amplitude_scale
 from biconsurf import surfaces
 from biconsurf.surfaces import circle_radius, expected_circle_radius
@@ -476,6 +477,31 @@ class TestMesh:
         _, patch, _ = r3_pipeline
         with pytest.raises(bc.UsageError):
             sample_mesh(patch, 3, 4, channels={"f": np.ones((2, 2))})
+
+    @pytest.mark.parametrize("data", [
+        {"model": "s3", "k0": 1.0, "kp0": 1.0},
+        {"model": "h3", "k0": 1.0, "kp0": 1.0},
+        {"model": "h3", "k0": 0.25, "kp0": 0.2},
+        {"model": "r3", "C": 1.0},
+    ], ids=["s3", "h3-elliptic", "h3-parabolic", "r3"])
+    def test_surface_mesh_equals_the_patch_sampled_again(self, tmp_path, data):
+        # cmd_surface meshes the verified grid's positions (70 x 64: two
+        # blocks of u-rows); sampling the patch again over the verified u and
+        # v ranges writes the same OBJ, sidecar and PLY bytes
+        cfg = PipelineConfig(nu=70, nv=64, **data)
+        out = cmd_surface(cfg, tmp_path / "surface")
+        patch = build_pipeline_patch(cfg)[0]
+        report = bc.verify_patch(patch, cfg.nu, cfg.nv)
+        ranges = {"u_range": (float(report.grid_u[0]), float(report.grid_u[-1])),
+                  "v_range": (float(report.grid_v[0]), float(report.grid_v[-1]))}
+        channels = {"f": report.fields["f"], "K": report.fields["K"],
+                    "residual": report.fields["biconservative"]}
+        sampled = sample_mesh(dataclasses.replace(patch, **ranges), cfg.nu, cfg.nv,
+                              projection=cfg.projection, channels=channels)
+        written = write_obj(sampled, tmp_path / "sampled.obj")
+        written.append(write_ply(sampled, tmp_path / "sampled.ply"))
+        assert [Path(p).read_bytes() for p in written] == [
+            Path(p).read_bytes() for p in out["written"]["obj"] + [out["written"]["ply"]]]
 
 
 class TestExports:

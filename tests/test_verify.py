@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import biconsurf as bc
 from biconsurf import profile, surfaces, verify
 from biconsurf.ambient import Signature
-from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
+from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 from biconsurf.verify import (
     FDScheme,
     _field_bundle,
@@ -914,14 +915,51 @@ class TestExactFieldDerivatives:
     def test_h3_truncation_case_passes(self):
         assert bc.verify_patch(_h3_truncation_case(), 20, 20).passed
 
-    def test_blocks_do_not_change_the_result(self, s3_pipeline, monkeypatch):
+    def test_blocks_do_not_change_the_result(self, tmp_path, monkeypatch):
+        # the whole pass in 2-row blocks with 1-row f-derivative sub-blocks,
+        # on 25 rows, so the last block is short; r3 has the reference rows
+        def run(cfg, out):
+            report = bc.verify_patch(build_pipeline_patch(cfg)[0], cfg.nu, cfg.nv)
+            cmd_surface(cfg, out)
+            return report, {path.name: path.read_bytes() for path in out.iterdir()}
+
+        cases = {"s3": {"model": "s3", "k0": 1.0, "kp0": 1.0},
+                 "h3p": {"model": "h3", "k0": 0.25, "kp0": 0.2},
+                 "r3": {"model": "r3", "C": 1.0}}
+        for case, data in cases.items():
+            cfg = PipelineConfig(nu=25, nv=24, **data)
+            with monkeypatch.context() as m:
+                whole, whole_files = run(cfg, tmp_path / case / "whole")
+                m.setattr(verify, "_BLOCK_POINTS", 2 * 24)
+                m.setattr(verify, "_JET_BLOCK_POINTS", 24)
+                blocked, blocked_files = run(cfg, tmp_path / case / "blocked")
+            references = [name for name in whole.residuals if name.endswith("_vs_reference")]
+            assert bool(references) == (case == "r3")
+            assert blocked.to_json() == whole.to_json(), case
+            assert blocked.fields.keys() == whole.fields.keys()
+            for name in whole.fields:
+                assert blocked.fields[name].tobytes() == whole.fields[name].tobytes(), (case, name)
+            assert blocked.grid_X.tobytes() == whole.grid_X.tobytes(), case
+            assert sorted(whole_files) == ["surface.obj", "surface.obj.channels.csv",
+                                           "surface.ply", "surface.report.json"]
+            assert blocked_files == whole_files, case
+
+    def test_traced_peak_of_a_128_grid_is_block_sized(self, s3_pipeline):
+        # one full-grid pass peaked at 19.9 MB here, 16 shifted frames among
+        # its arrays; the block pass measures 8.4 MB
         patch = s3_pipeline[2]
-        whole = bc.verify_patch(patch, 24, 24)
-        monkeypatch.setattr(verify, "_JET_BLOCK_POINTS", 50)  # two rows a block
-        blocked = bc.verify_patch(patch, 24, 24)
-        assert blocked.to_json() == whole.to_json()
-        for name in whole.fields:
-            assert np.array_equal(blocked.fields[name], whole.fields[name])
+        bc.verify_patch(patch, 128, 128)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bc.verify_patch(patch, 128, 128)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestHigherPartialsCrossCheck:
