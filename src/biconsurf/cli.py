@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import GeometryError, UsageError
+from .families import BRANCHES, MODELS
 from .mesh import _PROJECTIONS
 from .pipeline import (
     PipelineConfig,
@@ -74,8 +75,8 @@ def _pair(value) -> tuple:
 # conversion of the value, the flag's argparse keywords); an explicit flag
 # wins over the file, and absent keys keep the defaults
 _OPTIONS = {
-    "model": ("model", str, dict(choices=["r3", "s3", "h3"])),
-    "branch": ("branch", str, dict(choices=["auto", "elliptic", "parabolic"])),
+    "model": ("model", str, dict(choices=list(MODELS))),
+    "branch": ("branch", str, dict(choices=list(BRANCHES))),
     "k0": ("k0", _number, dict(type=float)),
     "dk0": ("kp0", _number, dict(type=float, help="initial k'(0)")),
     "C": ("C", _number, dict(type=float, help="r3 profile constant")),

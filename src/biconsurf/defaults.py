@@ -24,8 +24,8 @@ curved pipelines.
 
 Tolerance profiles
 ------------------
-``TOL_PROFILES`` fixes the bound of each row of the verifier's gate table
-per surface family.  The pass rules: max <= bound on the kept points; the
+``TOL_CLOSED_FORM`` and ``TOL_INTEGRATED`` bound the verifier's gate rows;
+each family names one.  The pass rules: max <= bound on the kept points; the
 relative bitension floor, applied only on mostly non-CMC grids; and, on h3,
 x4 > 0 everywhere.  The closed-form flat family is held to 1e-8, the
 integrated curved ones to 1e-5 (1e-4 for the second-order PDE residual).
@@ -72,38 +72,34 @@ EIGEN_DEGENERACY = 1e-7   # |lam1 - lam2| below this skips direction-based check
 # ------------------------------------------------------------------- reports
 REPORT_SCHEMA = "biconsurf.verification/2"
 
-TOL_PROFILES = {
-    "r3_revolution": {
-        "biconservative": 1e-8,
-        "gauss_identity": 1e-8,
-        "shape_operator_norm": 1e-8,
-        "principal_values": 1e-8,
-        "x2f": 1e-8,
-        "pde": 1e-6,
-        "f_vs_reference": 1e-8,
-        "K_vs_reference": 1e-8,
-        "normal_orthogonality": 1e-10,
-        "second_partials_fd": 1e-8,
-        "higher_partials_fd": 1e-8,
-        "normal_bitension_min": 1e-3,
-    },
-    "s3": {
-        "biconservative": 1e-5,
-        "gauss_identity": 1e-5,
-        "shape_operator_norm": 1e-5,
-        "principal_values": 1e-5,
-        "x2f": 1e-5,
-        "pde": 1e-4,
-        "f_vs_profile": 1e-5,
-        "model_membership": 1e-8,
-        "normal_orthogonality": 1e-10,
-        "second_partials_fd": 1e-7,
-        "higher_partials_fd": 1e-7,
-        "normal_bitension_min": 1e-3,
-    },
+TOL_CLOSED_FORM = {
+    "biconservative": 1e-8,
+    "gauss_identity": 1e-8,
+    "shape_operator_norm": 1e-8,
+    "principal_values": 1e-8,
+    "x2f": 1e-8,
+    "pde": 1e-6,
+    "f_vs_reference": 1e-8,
+    "K_vs_reference": 1e-8,
+    "normal_orthogonality": 1e-10,
+    "second_partials_fd": 1e-8,
+    "higher_partials_fd": 1e-8,
+    "normal_bitension_min": 1e-3,
 }
-TOL_PROFILES["h3_elliptic"] = dict(TOL_PROFILES["s3"])
-TOL_PROFILES["h3_parabolic"] = dict(TOL_PROFILES["s3"])
+TOL_INTEGRATED = {
+    "biconservative": 1e-5,
+    "gauss_identity": 1e-5,
+    "shape_operator_norm": 1e-5,
+    "principal_values": 1e-5,
+    "x2f": 1e-5,
+    "pde": 1e-4,
+    "f_vs_profile": 1e-5,
+    "model_membership": 1e-8,
+    "normal_orthogonality": 1e-10,
+    "second_partials_fd": 1e-7,
+    "higher_partials_fd": 1e-7,
+    "normal_bitension_min": 1e-3,
+}
 
 # profile-curve constraint thresholds
 CONSTRAINT_TOL = 1e-6

@@ -39,6 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ProjectionError, UsageError, _array
+from .families import FAMILIES
 from .surfaces import SurfacePatch, _grid_size
 
 __all__ = [
@@ -511,12 +512,9 @@ def _grid_mesh(case: str, points: np.ndarray, projection: str, channels: dict | 
     X = points.reshape(nu * nv, -1)
 
     if projection == "auto":
-        projection = {
-            "r3_revolution": "identity",
-            "s3": "stereographic",
-            "h3_elliptic": "poincare",
-            "h3_parabolic": "poincare",
-        }.get(case, "identity" if X.shape[-1] == 3 else "stereographic")
+        family = FAMILIES.get(case)
+        projection = family.projection if family is not None else (
+            "identity" if X.shape[-1] == 3 else "stereographic")
 
     _chart_dimension(projection, X.shape[-1], f"the {case} patch")
     if projection == "identity":

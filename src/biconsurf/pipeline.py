@@ -25,6 +25,7 @@ from .curvature import (
     solve_curvature,
 )
 from .errors import GeometryError, UsageError, _pair, _real
+from .families import Family, model_rows, resolve, select
 from .mesh import (
     _PROJECTIONS,
     _cells_text,
@@ -37,7 +38,9 @@ from .mesh import (
     write_ply,
 )
 from .profile import Branch, reconstruct_profile, revolution_profile
-from .surfaces import _grid_size, _v_range, build_h3, build_r3_revolution, build_s3
+# the curved builders are called through this module's namespace, by the
+# names their family rows give, so a caller may wrap them here
+from .surfaces import _grid_size, _v_range, build_h3, build_r3_revolution, build_s3  # noqa: F401
 from .verify import fd_scheme, verify_patch
 
 __all__ = ["PipelineConfig", "cmd_solve", "cmd_profile", "cmd_surface", "cmd_sweep"]
@@ -97,25 +100,21 @@ class PipelineConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise UsageError(f"{name} must be positive, got {value!r}")
-        if self.model not in ("r3", "s3", "h3"):
-            raise UsageError(f"unknown model '{self.model}'")
-        if self.branch not in ("auto", "elliptic", "parabolic"):
-            raise UsageError(f"unknown branch '{self.branch}'")
+        rows = model_rows(self.model, self.branch)
         if self.projection not in _PROJECTIONS:
             raise UsageError(f"unknown projection '{self.projection}'")
-        _chart_dimension(self.projection, 3 if self.model == "r3" else 4, f"model {self.model}")
-        if self.branch == "parabolic" and self.model != "h3":
-            raise UsageError("the parabolic branch exists only for model h3")
-        if self.branch == "elliptic" and self.model == "r3":
-            raise UsageError("branch selection does not apply to model r3")
-        if self.model != "r3":
+        _chart_dimension(self.projection, rows[0].space.ambient.dim, f"model {self.model}")
+        select(rows, self.branch)
+        # the closed-form r3 family reads C and rho_range, the others k0 and span
+        if self.model == "r3":
+            if self.C <= 0:
+                raise UsageError("the profile constant C must be positive")
+            if not self.rho_range[0] < self.rho_range[1]:
+                raise UsageError(f"rho_range must increase, got {self.rho_range!r}")
+        else:
             if self.k0 <= 0:
                 raise UsageError("k0 must be positive")
             _span(self.span)
-        if self.model == "r3" and self.C <= 0:
-            raise UsageError("the profile constant C must be positive")
-        if self.model == "r3" and not self.rho_range[0] < self.rho_range[1]:
-            raise UsageError(f"rho_range must increase, got {self.rho_range!r}")
         _grid_size(self.nu, self.nv)
         n = self.n_csv
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
@@ -126,25 +125,19 @@ class PipelineConfig:
 
     @property
     def c(self) -> int:
-        return {"r3": 0, "s3": 1, "h3": -1}[self.model]
+        return model_rows(self.model)[0].space.c
 
     def resolved_branch(self) -> Branch:
         """The profile branch; an explicit h3 branch must match the sign of C."""
-        if self.model == "s3":
-            return Branch.S2
-        if self.model != "h3":
+        branch = self._family().branch
+        if branch is None:
             raise UsageError("profile branches exist only for s3 and h3")
-        C = _conserved_constant(-1, self.k0, self.kp0)
-        if C == 0:
-            raise UsageError("degenerate initial data: the constant C vanishes")
-        auto = Branch.H2_ELLIPTIC if C > 0 else Branch.H2_PARABOLIC
-        asked = {"elliptic": Branch.H2_ELLIPTIC, "parabolic": Branch.H2_PARABOLIC}
-        if self.branch != "auto" and asked[self.branch] is not auto:
-            raise UsageError(
-                f"branch '{self.branch}' contradicts the sign of the constant "
-                f"of the supplied initial data (auto-resolves to {auto.value})"
-            )
-        return auto
+        return branch
+
+    def _family(self) -> Family:
+        """The family row of the run; on h3 the sign of C picks it."""
+        return resolve(self.model, self.branch,
+                       lambda c: _conserved_constant(c, self.k0, self.kp0))
 
 
 def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
@@ -152,14 +145,6 @@ def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
     diag = float(np.hypot(cfg.span[1] - cfg.span[0], v_range[1] - v_range[0]))
     pad = 1.2 * fd_scheme(diag).reach + 0.01
     return (cfg.span[0] - pad, cfg.span[1] + pad)
-
-
-def _default_v_range(cfg: PipelineConfig, branch: Branch | None) -> tuple:
-    if cfg.v_range is not None:
-        return tuple(cfg.v_range)
-    if branch is Branch.H2_PARABOLIC:
-        return defaults.V_PARABOLIC
-    return defaults.V_FULL_TURN
 
 
 def build_pipeline_patch(cfg: PipelineConfig):
@@ -171,19 +156,18 @@ def build_pipeline_patch(cfg: PipelineConfig):
     (``patch.profile.curvature``).
     """
     cfg = cfg.validate()
+    family = cfg._family()
+    v_range = family.v_range if cfg.v_range is None else tuple(cfg.v_range)
     if cfg.model == "r3":
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
-        rect = (prof.t_of_rho(cfg.rho_range), _default_v_range(cfg, None))
-        return build_r3_revolution(prof, rect), None
+        return build_r3_revolution(prof, (prof.t_of_rho(cfg.rho_range), v_range)), None
 
-    branch = cfg.resolved_branch()
-    v_range = _default_v_range(cfg, branch)
     problem = curvature_problem(
-        cfg.c, cfg.k0, cfg.kp0, _padded_span(cfg, v_range),
+        family.space.c, cfg.k0, cfg.kp0, _padded_span(cfg, v_range),
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
     )
-    prof = reconstruct_profile(problem, branch)
-    patch = build_s3(prof, v_range) if cfg.model == "s3" else build_h3(prof, v_range)
+    prof = reconstruct_profile(problem, family.branch)
+    patch = globals()[family.builder](prof, v_range)
     # declare the requested rectangle; the evaluators keep the padded span
     span = (max(cfg.span[0], prof.span[0]), min(cfg.span[1], prof.span[1]))
     patch = dataclasses.replace(patch, u_range=span)
@@ -343,7 +327,8 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
         raise UsageError(f"sweep values must be numbers ({exc})") from None
     if not values:
         raise UsageError("sweep needs a nonempty list of parameter values")
-    swept = ("C",) if cfg.model == "r3" else ("k0", "kp0")
+    closed_form = cfg.model == "r3"
+    swept = ("C",) if closed_form else ("k0", "kp0")
     parameter = swept[0] if parameter == "auto" else parameter
     if parameter not in swept:
         raise UsageError(f"cannot sweep '{parameter}' for model {cfg.model}; "
@@ -357,7 +342,7 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> 
         tag = f"run{i:03d}"
         entry = {"value": value, "tag": tag}
         try:
-            if cfg.model == "r3":
+            if closed_form:
                 prof_out = cmd_profile(run, out_dir / f"{tag}.profile.csv")
                 entry["profile_csv"] = prof_out["csv"]
             surf = cmd_surface(run, out_dir, basename=tag, write_meshes=False)

@@ -31,13 +31,12 @@ k-parameter oracle of ``tests/conftest.py``).
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import H3, S3, SpaceForm
+from .ambient import SpaceForm
 from .curvature import (
     CurvatureProblem,
     CurvatureSolution,
@@ -47,6 +46,7 @@ from .curvature import (
     ode_rhs,  # noqa: F401  (perfbench's tracer counts calls of profile.ode_rhs)
 )
 from .errors import ConstructionError, DomainError, UsageError, _real
+from .families import BY_BRANCH, Branch
 
 __all__ = [
     "RevolutionProfile",
@@ -130,35 +130,9 @@ def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:
 # ---------------------------------------------------------------------------
 
 
-class Branch(str, enum.Enum):
-    S2 = "s2"
-    H2_ELLIPTIC = "h2_elliptic"
-    H2_PARABOLIC = "h2_parabolic"
-
-
-_E = np.eye(4)
-
-# per branch, the constants (C1, C2) of the canonical representative and the
-# (P, E1, E2) of its polar chart: <P, C1> = 1 (-1 on h2_parabolic), and P,
-# E1, E2 are orthogonal to each other and to the plane normal (C2, or C1 - C2
-# on h2_parabolic); E1 is timelike on h2_elliptic
-_BRANCH_CONSTANTS = {
-    Branch.S2: (_E[2], _E[3], _E[2], _E[0], _E[1]),
-    Branch.H2_ELLIPTIC: (_E[1], _E[0], _E[1], _E[3], _E[2]),
-    Branch.H2_PARABOLIC: (_E[0] + _E[3], _E[1] + _E[3],
-                          _E[0] + _E[1] + 2.0 * _E[3], _E[0] + _E[1] + _E[3], _E[2]),
-}
-
-
-def _branch_model(branch: Branch) -> SpaceForm:
-    return S3 if branch is Branch.S2 else H3
-
-
 def _amplitude_scale(branch: Branch, C: float) -> float:
     """sc of the sweep amplitude a = sc k^(-3/4), on the circle branches 1/kappa2."""
-    if branch is Branch.H2_PARABOLIC:
-        return 2.0 * math.sqrt(2.0) / (3.0 * math.sqrt(-C))
-    return 4.0 / (3.0 * math.sqrt(C))
+    return BY_BRANCH[branch].amplitude / (3.0 * math.sqrt(abs(C)))
 
 
 def _amplitude(sc, k, kp):
@@ -228,8 +202,8 @@ class _Chart:
 
 def _chart(branch: Branch, c: int, C: float) -> _Chart:
     """The polar chart of the branch's profile on the model of curvature c."""
-    P, E1, E2 = _BRANCH_CONSTANTS[branch][2:]
-    inner = _branch_model(branch).inner
+    P, E1, E2 = BY_BRANCH[branch].constants[2:]
+    inner = BY_BRANCH[branch].space.inner
     p, e = float(inner(P, P)), float(inner(E1, E1))
     return _Chart(P, E1, E2, hyperbolic=e < 0, c=c, d0=e * c, d2=-e * p, v=p * e * c,
                   sc=_amplitude_scale(branch, C), rate=4.0 / math.sqrt(abs(C)))
@@ -285,24 +259,20 @@ class ProfileCurve:
     def normal(self, u):
         return self.state(u)[..., 10:14]
 
-    def constraint_target(self, k):
-        """Required <sigma, C1> at k: the sweep amplitude, negated on h2_parabolic."""
-        a = _amplitude_scale(self.branch, self.C) * np.asarray(k, dtype=float) ** -0.75
-        return -a if self.branch is Branch.H2_PARABOLIC else a
-
     def constraint_residuals(self, u) -> dict:
         """Residuals of the constraint equations, the quadric and unit speed at u."""
         return self._constraint_residuals(self.state(u))
 
     def _constraint_residuals(self, st) -> dict:
-        """``constraint_residuals`` from already evaluated joint states."""
+        """``constraint_residuals`` from already evaluated joint states; the
+        family's constraints are <sigma, C1> = s1 a and <sigma, C2> = s2 a."""
         k, sig, vel = st[..., 0], st[..., 2:6], st[..., 6:10]
-        target = self.constraint_target(k)
+        a = _amplitude_scale(self.branch, self.C) * k**-0.75
+        s1, s2 = BY_BRANCH[self.branch].constraint
         inner = self.model.inner
-        parabolic = self.branch is Branch.H2_PARABOLIC
         return {
-            "constraint_c1": inner(sig, self.C1) - target,
-            "constraint_c2": inner(sig, self.C2) - (target if parabolic else 0.0),
+            "constraint_c1": inner(sig, self.C1) - s1 * a,
+            "constraint_c2": inner(sig, self.C2) - s2 * a,
             "model_membership": inner(sig, sig) - self.model.quadric_target,
             "unit_speed": inner(vel, vel) - 1.0,
         }
@@ -332,7 +302,8 @@ def reconstruct_profile(
     except ValueError:
         names = ", ".join(b.value for b in Branch)
         raise UsageError(f"unknown profile branch {branch!r}; expected one of {names}") from None
-    model = _branch_model(branch)
+    family = BY_BRANCH[branch]
+    model = family.space
     if model.c != sol.c:
         raise UsageError(
             f"branch {branch.value} needs a curvature solution with "
@@ -341,11 +312,8 @@ def reconstruct_profile(
     if C is not None and not abs(_real(C, "C") - sol.C) <= 1e-9 * max(1.0, abs(sol.C)):
         raise UsageError("supplied constant C disagrees with the solution's")
     C = sol.C
-    if branch is Branch.H2_PARABOLIC:
-        if C >= 0:
-            raise UsageError("the exponential branch requires C < 0")
-    elif C <= 0:
-        raise UsageError(f"branch {branch.value} requires C > 0")
+    if not family.admits(C):
+        raise UsageError(family.wrong_sign)
     c = model.c
     chart = _chart(branch, c, C)
     a0 = _amplitude(chart.sc, sol.k0, sol.kp0)[0]
@@ -359,7 +327,7 @@ def reconstruct_profile(
     if np.max(np.abs(curvature.kp_samples)) < 1e-14:
         raise UsageError("constant-curvature solution: the surface would be CMC")
 
-    C1, C2 = _BRANCH_CONSTANTS[branch][:2]
+    C1, C2 = family.constants[:2]
     return ProfileCurve(
         model=model,
         branch=branch,

@@ -20,11 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .ambient import R3, SpaceForm
+from .ambient import SpaceForm
 from .curvature import kappa2, ode_rhs
-from .defaults import V_FULL_TURN, V_PARABOLIC
 from .errors import DomainError, UsageError, _pair
-from .profile import Branch, ProfileCurve, RevolutionProfile, _amplitude, _amplitude_scale
+from .families import BY_BRANCH, FAMILIES, _circle
+from .profile import ProfileCurve, RevolutionProfile, _amplitude, _amplitude_scale
 
 __all__ = [
     "SurfacePatch",
@@ -144,6 +144,7 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         raise DomainError(f"t range exceeds the profile's chart [-{t_max}, {t_max}]")
     v_range = _v_range(v_range)
     C, R = prof.C, prof.rho_min
+    family = FAMILIES["r3_revolution"]
 
     def uline(t):
         t = np.asarray(t, dtype=float)
@@ -161,7 +162,7 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
                 axis(3.0 * R / s3), 3.0 * R * t * (3.0 + 2.0 * t * t) / s3,
                 axis(-9.0 * R * t / s5), 9.0 * R / s5)
 
-    at, jet, jet4 = _sweep_evaluators(_rotation)
+    at, jet, jet4 = _sweep_evaluators(family.orbit)
 
     def f_ref(t, v):
         return (2.0 / 3.0) * C**1.5 / (1.0 + np.asarray(t, float) ** 2) ** 2
@@ -170,8 +171,8 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         return -(C**3) / (3.0 * (1.0 + np.asarray(t, float) ** 2) ** 4)
 
     return SurfacePatch(
-        case="r3_revolution",
-        model=R3,
+        case=family.case,
+        model=family.space,
         u_range=(float(t0), float(t1)),
         v_range=v_range,
         uline=uline,
@@ -183,33 +184,6 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
         jet=jet,
         jet4=jet4,
     )
-
-
-def _rotation(v):
-    """(S, S', S'', S''', S'''') of the rotation orbit S = (cos v, sin v, 0)."""
-    cv, sv = np.cos(v), np.sin(v)
-    zero = np.zeros_like(cv)
-    S, S1, S2, S3 = (
-        np.stack([x, y, zero], axis=-1)
-        for x, y in ((cv, sv), (-sv, cv), (-cv, -sv), (sv, -cv))
-    )
-    return S, S1, S2, S3, S
-
-
-def _circle(v, C1, C2):
-    """The same for the circle orbit S = C1 (cos v - 1) + C2 sin v."""
-    cv, sv = np.cos(v)[..., None], np.sin(v)[..., None]
-    S = C1 * (cv - 1.0) + C2 * sv
-    S1 = -C1 * sv + C2 * cv
-    return S, S1, -(S + C1), -S1, S + C1
-
-
-def _exponential(v, C1, C2):
-    """The same for the exponential orbit S = C1 (e^v - 1) + C2 (e^-v - 1)."""
-    ev, emv = np.exp(v)[..., None], np.exp(-v)[..., None]
-    S = C1 * (ev - 1.0) + C2 * (emv - 1.0)
-    S1, S2 = C1 * ev - C2 * emv, C1 * ev + C2 * emv
-    return S, S1, S2, S1, S2
 
 
 # u-line positions of sigma^(i) and a^(i), i = 0..4
@@ -290,9 +264,8 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
 
 
 def _sweep_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
-    """The profile swept along circles, or along exponential orbits on h3_parabolic."""
-    orbit = _exponential if case == "h3_parabolic" else _circle
-    at, jet, jet4 = _sweep_evaluators(orbit, prof.C1, prof.C2)
+    """The profile swept along the orbits of the family ``case``."""
+    at, jet, jet4 = _sweep_evaluators(FAMILIES[case].orbit, prof.C1, prof.C2)
     return SurfacePatch(
         case=case,
         model=prof.model,
@@ -310,11 +283,18 @@ def _sweep_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
     )
 
 
-def build_s3(prof: ProfileCurve, v_range=V_FULL_TURN) -> SurfacePatch:
+def _build_sweep(prof: ProfileCurve, v_range, builder: str, kind: str) -> SurfacePatch:
+    """The patch of the family of ``prof``, whose row names ``builder``; a
+    ``v_range`` of None is the family's default."""
+    family = BY_BRANCH[prof.branch]
+    if family.builder != builder:
+        raise UsageError(f"{builder} needs a {kind}-branch profile")
+    return _sweep_patch(prof, family.case, family.v_range if v_range is None else v_range)
+
+
+def build_s3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
     """Circle-swept patch X = sigma + a(u)(C1 (cos v - 1) + C2 sin v) on S3."""
-    if prof.branch is not Branch.S2:
-        raise UsageError("build_s3 needs a sphere-branch profile")
-    return _sweep_patch(prof, "s3", v_range)
+    return _build_sweep(prof, v_range, "build_s3", "sphere")
 
 
 def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
@@ -324,11 +304,7 @@ def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
     is local, so meshes over v ranges much wider than the default [-1, 1]
     may self-overlap.
     """
-    if prof.branch is Branch.H2_ELLIPTIC:
-        return _sweep_patch(prof, "h3_elliptic", v_range or V_FULL_TURN)
-    if prof.branch is not Branch.H2_PARABOLIC:
-        raise UsageError("build_h3 needs a hyperbolic-branch profile")
-    return _sweep_patch(prof, "h3_parabolic", v_range or V_PARABOLIC)
+    return _build_sweep(prof, v_range, "build_h3", "hyperbolic")
 
 
 def killing_tangency_check(patch: SurfacePatch, nu: int = 33, nv: int = 33) -> float:
@@ -361,7 +337,7 @@ def killing_tangency_check(patch: SurfacePatch, nu: int = 33, nv: int = 33) -> f
 
 def circle_radius(patch: SurfacePatch, u, v):
     """Ambient distance from X(u, v) to the v-circle center sigma - a C1."""
-    if patch.case not in ("s3", "h3_elliptic"):
+    if getattr(FAMILIES.get(patch.case), "orbit", None) is not _circle:
         raise UsageError("circle radius applies to the circle-swept cases")
     line = patch.uline(np.asarray(u, float))
     center = line[_SIGMA[0]] - line[_AMPLITUDE[0]][..., None] * patch.C1

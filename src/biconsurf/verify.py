@@ -59,9 +59,9 @@ from .defaults import (
     FD_INNER_REL,
     NONCMC_GATE,
     REPORT_SCHEMA,
-    TOL_PROFILES,
 )
 from .errors import ConditioningError, UsageError, _real
+from .families import TOL_PROFILES
 from .profile import ProfileCurve
 from .surfaces import SurfacePatch, _grid_size
 
@@ -885,10 +885,11 @@ def verify_patch(
     The grid covers the patch rectangle, shrunk in u where the evaluable
     domain does not leave room for the finite-difference stencils (recorded
     in the notes).  Each gate is a row of one table (values, mask, rule), its
-    bound taken from the tolerance profiles in defaults.  The pass rules:
-    max <= bound on the kept points; the relative bitension floor, applied
-    only on mostly non-CMC grids; and, on h3, x4 > 0 everywhere.  A profile
-    that bounds no residual fails.  ``nu`` and ``nv`` must be integers >= 2.
+    bound taken from the family's profile in ``TOL_PROFILES``.  The pass
+    rules: max <= bound on the kept points; the relative bitension floor,
+    applied only on mostly non-CMC grids; and, on h3, x4 > 0 everywhere.  A
+    profile that bounds no residual fails.  ``nu`` and ``nv`` must be
+    integers >= 2.
     """
     nu, nv = _grid_size(nu, nv)
     _require_jets(patch)

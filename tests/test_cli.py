@@ -82,9 +82,18 @@ class TestSurfaceCommand:
         assert report["case"] == "s3" and report["pass"] is True
         assert not (tmp_path / "surface.obj").exists()
 
-    def test_branch_model_conflict_is_config_error(self, tmp_path):
-        assert run("surface", "--model", "s3", "--branch", "parabolic",
+    @pytest.mark.parametrize("model, branch, message", [
+        ("s3", "elliptic", "branch selection does not apply to model s3"),
+        ("s3", "parabolic", "the parabolic branch exists only for model h3"),
+        ("r3", "elliptic", "branch selection does not apply to model r3"),
+        ("r3", "parabolic", "the parabolic branch exists only for model h3"),
+    ], ids=["s3-elliptic", "s3-parabolic", "r3-elliptic", "r3-parabolic"])
+    def test_branch_model_conflict_is_config_error(self, tmp_path, capsys, model, branch,
+                                                   message):
+        assert run("surface", "--model", model, "--branch", branch,
                    "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_branch_sign_conflict_is_config_error(self, tmp_path):
         # (k0, kp0) = (1, 1) gives C > 0, contradicting the parabolic branch

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import biconsurf as bc
+from biconsurf.families import FAMILIES
 from biconsurf.mesh import poincare_ball, sample_mesh, stereographic, write_obj, write_ply
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 from biconsurf.profile import _amplitude_scale
-from biconsurf import surfaces
+from biconsurf import families, surfaces
 from biconsurf.surfaces import circle_radius, expected_circle_radius
 
 
@@ -113,12 +114,28 @@ class TestSphereBuilder:
     ((0.0, np.inf), "v_range must be finite"),
     ((0.0, 1.0, 5.0), "v_range must be a pair"),
     pytest.param((0, 10**400), "v_range must be finite", id="int-beyond-float-range"),
+    # empty or falsy ranges are refused, not read as "the default"
+    ([], "v_range must be a pair"),
+    ((), "v_range must be a pair"),
+    (0, "v_range must be a pair"),
 ])
 def test_sweep_builders_reject_unusable_v_range(request, fix, build, v_range, message):
     # refused where the range is given, not later by the FD scheme
     _, prof, _, _ = request.getfixturevalue(fix)
     with pytest.raises(bc.UsageError, match=message):
         build(prof, v_range)
+
+
+@pytest.mark.parametrize("fix, build", [
+    ("s3_pipeline", bc.build_s3), ("h3e_pipeline", bc.build_h3), ("h3p_pipeline", bc.build_h3),
+])
+def test_sweep_builders_take_a_numpy_pair(request, fix, build):
+    # None is the family's default range; any other value, an array among
+    # them, is read as a pair
+    _, prof, _, _ = request.getfixturevalue(fix)
+    patch = build(prof, np.array([-0.5, 0.75]))
+    assert patch.v_range == (-0.5, 0.75)
+    assert build(prof).v_range == build(prof, None).v_range == FAMILIES[patch.case].v_range
 
 
 class TestHyperboloidBuilder:
@@ -293,9 +310,9 @@ class TestSweepEvaluators:
             assert entry.shape == u.shape + ((patch.model.ambient.dim,) if vector else ()), i
 
     @pytest.mark.parametrize("orbit, constants", [
-        (surfaces._rotation, ()),
-        (surfaces._circle, (np.array([0.3, -1.2, 0.0, 2.0]), np.array([-0.7, 0.1, 1.5, 0.4]))),
-        (surfaces._exponential, (np.array([0.3, -1.2, 0.0, 2.0]),
+        (families._rotation, ()),
+        (families._circle, (np.array([0.3, -1.2, 0.0, 2.0]), np.array([-0.7, 0.1, 1.5, 0.4]))),
+        (families._exponential, (np.array([0.3, -1.2, 0.0, 2.0]),
                                  np.array([-0.7, 0.1, 1.5, 0.4]))),
     ], ids=["rotation", "circle", "exponential"])
     def test_in_place_partials_match_the_sum(self, orbit, constants):
@@ -303,7 +320,7 @@ class TestSweepEvaluators:
         # it replaced, sigma^(i) + a^(i) S^(j), gives the same bits, zero
         # signs included, and the u-line is left as it was
         rng = np.random.default_rng(17)
-        dim = 3 if orbit is surfaces._rotation else 4
+        dim = 3 if orbit is families._rotation else 4
         nu, nv = 9, 11
         line = [None] * 10
         for i in surfaces._SIGMA:
