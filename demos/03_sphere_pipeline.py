@@ -31,9 +31,6 @@ print(f"  <sigma, C2>                         : {np.max(np.abs(res['constraint_c
 print(f"  |sigma|^2 - 1                        : {np.max(np.abs(res['model_membership'])):.2e}")
 print(f"  |sigma'|^2 - 1                       : {np.max(np.abs(res['unit_speed'])):.2e}")
 
-print(f"\nsweep-field tangency residual: {bc.killing_tangency_check(patch):.2e}")
-print("(the v-curves are orbits of a one-parameter rotation group)")
-
 report = bc.verify_patch(patch, 64, 64)
 print("\nverifier summary (coordinate-free, 64 x 64 grid):")
 for name in ("model_membership", "biconservative", "gauss_identity",

@@ -88,7 +88,7 @@ for name, patch, want_f, want_K in [
 ]:
     u = 0.5 * (patch.u_range[0] + patch.u_range[1])
     v = 0.5 * (patch.v_range[0] + patch.v_range[1])
-    pg = bc.fundamental_forms(patch, u, v)
+    pg = bc.point_geometry(patch, u, v)
     print(f"  {name:<32} f = {pg.f:+.2e} (exact {want_f}),  "
           f"K = {pg.K:+.2e} (exact {want_K})")
 
@@ -98,17 +98,16 @@ print("inward, the sphere's too, and minimal surfaces are sign-agnostic.")
 print("\nConstant-mean-curvature surfaces satisfy the divergence equation")
 print("trivially, and the gated identities are skipped there:")
 pg = bc.point_geometry(cylinder, 3.0, 0.0)
-r_k, r_a2, r_eig = bc.curvature_identity_residuals(pg)
-print(f"  cylinder: biconservative residual {bc.biconservative_residual(pg):.1e}, "
-      f"eigenvalue check skipped: {np.isnan(r_eig)}")
+print(f"  cylinder: biconservative residual {pg.residuals['biconservative']:.1e}, "
+      f"eigenvalue check skipped: {'principal_values' in pg.masked}")
 
 print("\nBiharmonic test: the normal bitension Delta f - f|A|^2 + 2cf")
 pg = bc.point_geometry(great_sphere, 1.2, 0.7)
-print(f"  great 2-sphere (minimal, biharmonic):   {bc.normal_bitension_residual(pg):+.1e}")
+print(f"  great 2-sphere (minimal, biharmonic):   {pg.residuals['normal_bitension_min']:+.1e}")
 sol = bc.solve_curvature(1, 1.0, 1.0, (-1.1, 1.1), rel_tol=1e-12, abs_tol=1e-14)
 patch = bc.build_s3(bc.reconstruct_profile(sol, "s2"))
 pg = bc.point_geometry(patch, 0.3, 1.0)
-print(f"  constructed sphere-model surface:       {bc.normal_bitension_residual(pg):+.3f}")
+print(f"  constructed sphere-model surface:       {pg.residuals['normal_bitension_min']:+.3f}")
 print("  nonzero: biconservative surfaces need not be biharmonic.")
 
 print("\nThe jets are checked, not trusted: differences of the first partials")

@@ -16,7 +16,6 @@ from .ambient import (
     S3,
     Signature,
     SpaceForm,
-    orthonormal_complement,
     space_form,
 )
 from .curvature import (
@@ -32,7 +31,6 @@ from .curvature import (
 from .errors import (
     ConditioningError,
     ConstructionError,
-    DegenerateSpanError,
     DomainError,
     GeometryError,
     NoSolutionError,
@@ -53,21 +51,14 @@ from .surfaces import (
     build_h3,
     build_r3_revolution,
     build_s3,
-    killing_tangency_check,
 )
 from .verify import (
     FDScheme,
     PointGeometry,
     VerificationReport,
-    biconservative_residual,
-    curvature_identity_residuals,
     fd_for_patch,
-    fundamental_forms,
-    normal_bitension_residual,
-    pde_residual,
     point_geometry,
     verify_patch,
-    x2f_residual,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpanError, UsageError
+from .errors import UsageError
 
 __all__ = [
     "Signature",
@@ -22,7 +22,6 @@ __all__ = [
     "S3",
     "H3",
     "space_form",
-    "orthonormal_complement",
 ]
 
 
@@ -124,25 +123,8 @@ class SpaceForm:
             raise UsageError("flat space carries no quadric constraint")
         return float(self.c)
 
-    @property
-    def ricci_normal(self) -> float:
-        """Ricci curvature of the model in any unit direction (equals 2c)."""
-        return 2.0 * self.c
-
     def inner(self, a, b):
         return self.ambient.inner(a, b)
-
-    def norm(self, a):
-        return self.ambient.norm(a)
-
-    def on_model(self, p, tol: float = 1e-9):
-        """Whether p satisfies the model's quadric constraint within tol."""
-        target = self.quadric_target
-        p = np.asarray(p, dtype=float)
-        ok = np.abs(self.inner(p, p) - target) <= tol
-        if self.c == -1:
-            ok = ok & (p[..., 3] > 0)
-        return ok if np.ndim(ok) else bool(ok)
 
 
 R3 = SpaceForm(0)
@@ -185,44 +167,3 @@ def _cofactor_complement(sig: Signature, rows) -> np.ndarray:
     if not sig.timelike:
         np.negative(w[..., 3], out=w[..., 3])
     return w
-
-
-def orthonormal_complement(sig: Signature, vectors, sign_convention=None):
-    """Unit vector orthogonal to ``vectors`` (a codimension-1 system).
-
-    ``vectors`` must contain dim-1 arrays of shape (..., dim) spanning a
-    non-degenerate hyperplane at every point.  The result has |<n, n>| = 1
-    and, when ``sign_convention`` is given and not orthogonal to the result,
-    a positive inner product with it.  With no convention the orientation is
-    the (deterministic, continuous) cofactor orientation.
-    """
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    sig._check(*vecs)
-    if len(vecs) != sig.dim - 1:
-        raise UsageError(
-            f"need exactly {sig.dim - 1} spanning vectors in dimension "
-            f"{sig.dim}, got {len(vecs)}"
-        )
-    rows = np.broadcast_arrays(*vecs)
-    mat = np.stack(rows, axis=-2)
-
-    # degeneracy guard: Gram determinant against the Euclidean scale
-    gram = np.einsum("...ik,k,...jk->...ij", mat, sig.metric, mat)
-    scale = np.prod(np.linalg.norm(mat, axis=-1), axis=-1)
-    det = np.linalg.det(gram)
-    if np.any(np.abs(det) <= 1e-10 * scale**2):
-        raise DegenerateSpanError(
-            "input vectors span a (numerically) degenerate hyperplane"
-        )
-
-    n = _cofactor_complement(sig, rows)
-    n2 = sig.inner(n, n)
-    if np.any(np.abs(n2) <= 1e-24 * scale**2):
-        raise DegenerateSpanError("complement direction is numerically null")
-    n = n / np.sqrt(np.abs(n2))[..., None]
-
-    if sign_convention is not None:
-        s = sig.inner(n, np.asarray(sign_convention, dtype=float))
-        flip = np.where(s < 0, -1.0, 1.0)
-        n = n * flip[..., None]
-    return n

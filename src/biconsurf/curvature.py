@@ -188,7 +188,8 @@ def prime_poly(k, C: float, c: int):
     Floats take a scalar path, bit-identical to the array one.  A c other
     than -1, 0 and +1, or a C that is not a real number (or an array of
     them), raises ``UsageError``; a k that is not positive (or NaN)
-    ``DomainError``.
+    ``DomainError``.  No CLI path calls it: it stays as the paper's
+    quantity the README lists.
     """
     c = space_form(c).c
     C = _real(C, "C") if np.isscalar(C) else _array(C, "C", UsageError)
@@ -201,7 +202,8 @@ def prime_poly(k, C: float, c: int):
 
 
 def kappa2(k, C: float):
-    """Curvature 3/4 sqrt(|C|) k^(3/4) of the second family of curves."""
+    """Curvature 3/4 sqrt(|C|) k^(3/4) of the second family of curves; no CLI
+    path calls it, it stays as the paper's quantity the README lists."""
     k = _require_positive_k(k)
     C = _real(C, "C")
     if C == 0:
@@ -216,6 +218,7 @@ def w_value(k, kp):
 
     For c = -1 solutions W = (9C/16) k^(3/2), so its sign equals the sign of
     the integration constant and selects circular vs exponential orbits.
+    No CLI path calls it: it stays as the paper's quantity the README lists.
     """
     k, kp = _require_positive_k(k), _array(kp, "kp")
     return 0.5625 * (kp / k) ** 2 + 9.0 * k**2 - 1.0
@@ -297,7 +300,8 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
     Endpoints are located by bracketing and Brent's method (``_brentq``).
     For c in {0, -1} the polynomial is positive down to k = 0 and the lower
     endpoint is returned as 0.0 (open end).  A c other than -1, 0 and +1
-    raises ``UsageError``, a C that is not finite ``DomainError``.
+    raises ``UsageError``, a C that is not finite ``DomainError``.  Every
+    solve records it as its ``CurvatureSolution.k_interval``.
     """
     space_form(c)
     C = _real(C, "C")
@@ -835,7 +839,8 @@ class CurvatureSolution:
 
         The sample is ``n`` evenly spaced points and the run's steps; ``n``
         must be an int from 0 to ``_DRIFT_MAX_SAMPLES`` (``UsageError``
-        otherwise, a bool included).
+        otherwise, a bool included).  A second formula beside ``cmd_solve``'s
+        drift column, kept until the drift contract (ROADMAP item 3) joins them.
         """
         if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
                                        and 0 <= n <= _DRIFT_MAX_SAMPLES):

@@ -22,10 +22,6 @@ class DomainError(GeometryError):
     """Numeric argument outside the mathematical domain of an operation."""
 
 
-class DegenerateSpanError(GeometryError):
-    """Vector system too close to degenerate to define a unit complement."""
-
-
 class NoSolutionError(GeometryError):
     """The admissibility polynomial has no positive region."""
 

@@ -385,11 +385,6 @@ class Mesh:
         object.__setattr__(self, "quads", _read_only(quads))
         object.__setattr__(self, "channels", MappingProxyType(channels))
 
-    def triangles(self) -> np.ndarray:
-        """Each face as a fan of triangles about its first corner, fan by fan."""
-        q = self.quads
-        return np.concatenate([q[:, [0, j, j + 1]] for j in range(1, q.shape[1] - 1)], axis=0)
-
     @cached_property
     def _cells(self) -> np.ndarray:
         """The ``%.17g`` cells of the vertex columns, then the channels by name."""
@@ -497,6 +492,8 @@ def sample_mesh(
     ``channels`` maps names to per-vertex arrays of shape (nu, nv) (for
     example the verifier's f, K and residual fields).  Projection "auto"
     picks identity / stereographic / Poincare ball by the patch case.
+    ``surface`` meshes the verified grid instead; this stays as the
+    library's mesh of any patch, which the README quickstart uses.
     """
     nu, nv = _grid_size(nu, nv)
     u = np.linspace(*patch.u_range, nu)

@@ -37,7 +37,7 @@ from .mesh import (
     write_obj,
     write_ply,
 )
-from .profile import Branch, reconstruct_profile, revolution_profile
+from .profile import reconstruct_profile, revolution_profile
 # the curved builders are called through this module's namespace, by the
 # names their family rows give, so a caller may wrap them here
 from .surfaces import _grid_size, _v_range, build_h3, build_r3_revolution, build_s3  # noqa: F401
@@ -127,13 +127,6 @@ class PipelineConfig:
     def c(self) -> int:
         return model_rows(self.model)[0].space.c
 
-    def resolved_branch(self) -> Branch:
-        """The profile branch; an explicit h3 branch must match the sign of C."""
-        branch = self._family().branch
-        if branch is None:
-            raise UsageError("profile branches exist only for s3 and h3")
-        return branch
-
     def _family(self) -> Family:
         """The family row of the run; on h3 the sign of C picks it."""
         return resolve(self.model, self.branch,
@@ -180,8 +173,11 @@ def build_pipeline_patch(cfg: PipelineConfig):
 
 
 def cmd_solve(cfg: PipelineConfig, out) -> dict:
-    """Integrate the curvature ODE and emit (u, k, k', C drift) as CSV."""
+    """Integrate the curvature ODE and emit (u, k, k', C drift) as CSV.  An
+    explicit ``branch`` must admit the sign of C; "auto" solves every C."""
     cfg = cfg.validate()
+    if cfg.branch != "auto":
+        cfg._family()
     out = _output_file(out)
     sol = solve_curvature(
         cfg.c, cfg.k0, cfg.kp0, tuple(cfg.span),

@@ -43,7 +43,9 @@ from .curvature import (
     _event_functions,
     _integrate_two_sided,
     _run_rhs,
-    ode_rhs,  # noqa: F401  (perfbench's tracer counts calls of profile.ode_rhs)
+    # nothing here calls ode_rhs; the name stays because perfbench's tracer
+    # patches the attribute profile.ode_rhs
+    ode_rhs,  # noqa: F401
 )
 from .errors import ConstructionError, DomainError, UsageError, _real
 from .families import BY_BRANCH, Branch
@@ -252,12 +254,6 @@ class ProfileCurve:
 
     def sigma(self, u):
         return self.state(u)[..., 2:6]
-
-    def velocity(self, u):
-        return self.state(u)[..., 6:10]
-
-    def normal(self, u):
-        return self.state(u)[..., 10:14]
 
     def constraint_residuals(self, u) -> dict:
         """Residuals of the constraint equations, the quadric and unit speed at u."""

@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .ambient import SpaceForm
-from .curvature import kappa2, ode_rhs
+from .curvature import ode_rhs
 from .errors import DomainError, UsageError, _pair
-from .families import BY_BRANCH, FAMILIES, _circle
+from .families import BY_BRANCH, FAMILIES
 from .profile import ProfileCurve, RevolutionProfile, _amplitude, _amplitude_scale
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "build_r3_revolution",
     "build_s3",
     "build_h3",
-    "killing_tangency_check",
 ]
 
 
@@ -305,46 +304,3 @@ def build_h3(prof: ProfileCurve, v_range=None) -> SurfacePatch:
     may self-overlap.
     """
     return _build_sweep(prof, v_range, "build_h3", "hyperbolic")
-
-
-def killing_tangency_check(patch: SurfacePatch, nu: int = 33, nv: int = 33) -> float:
-    """Max norm of the part of the sweep field not tangent to the patch.
-
-    The field T(r) = <r, C2> C1 - <r, C1> C2 generates the one-parameter
-    isometry group whose orbits the v-curves are claimed to be; at every
-    grid point its component orthogonal to span{Xu, Xv} should vanish.
-    ``nu`` and ``nv`` must be integers >= 2.
-    """
-    if patch.C1 is None or patch.C2 is None:
-        raise UsageError("the tangency check needs a patch with sweep constants")
-    nu, nv = _grid_size(nu, nv)
-    inner = patch.model.inner
-    u = np.linspace(*patch.u_range, nu)
-    v = np.linspace(*patch.v_range, nv)
-    X, Xu, Xv = patch.frame(u[:, None], v[None, :])
-    T = (
-        inner(X, patch.C2)[..., None] * patch.C1
-        - inner(X, patch.C1)[..., None] * patch.C2
-    )
-    g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
-    b1, b2 = inner(T, Xu), inner(T, Xv)
-    det = g11 * g22 - g12**2
-    alpha = (g22 * b1 - g12 * b2) / det
-    beta = (g11 * b2 - g12 * b1) / det
-    R = T - alpha[..., None] * Xu - beta[..., None] * Xv
-    return float(np.max(np.sqrt(np.abs(inner(R, R)))))
-
-
-def circle_radius(patch: SurfacePatch, u, v):
-    """Ambient distance from X(u, v) to the v-circle center sigma - a C1."""
-    if getattr(FAMILIES.get(patch.case), "orbit", None) is not _circle:
-        raise UsageError("circle radius applies to the circle-swept cases")
-    line = patch.uline(np.asarray(u, float))
-    center = line[_SIGMA[0]] - line[_AMPLITUDE[0]][..., None] * patch.C1
-    diff = patch.at(line, np.asarray(v, float))[0] - center
-    return np.sqrt(np.abs(patch.model.inner(diff, diff)))
-
-
-def expected_circle_radius(patch: SurfacePatch, u):
-    prof = patch.profile
-    return 1.0 / kappa2(prof.k(np.asarray(u, float)), patch.C)

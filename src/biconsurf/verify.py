@@ -10,8 +10,9 @@ The mean curvature f, grad f and Delta f are closed-form at each point
 (from the Weingarten equation and the derivatives of the metric and second
 form, see ``_jet_f_derivatives``).  So the single-point interface takes no
 step: it runs the grid path once on a one-point grid anywhere in the
-evaluable domain, and the residual helpers read the values stored on its
-``PointGeometry``, so a point value equals the grid value there bit for bit.
+evaluable domain.  Its ``PointGeometry`` holds each ``_gate_rows`` row's
+signed value at the point (``residuals``) and the rows whose mask drops the
+point (``masked``), so a point value equals the grid value there bit for bit.
 
 The jets are never trusted unchecked.  ``verify_patch`` alone takes finite
 differences, at the step of ``FDScheme`` and with one kernel
@@ -49,7 +50,8 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -70,13 +72,7 @@ __all__ = [
     "fd_scheme",
     "fd_for_patch",
     "PointGeometry",
-    "fundamental_forms",
     "point_geometry",
-    "biconservative_residual",
-    "curvature_identity_residuals",
-    "pde_residual",
-    "normal_bitension_residual",
-    "x2f_residual",
     "VerificationReport",
     "verify_patch",
     "normal_sign",
@@ -646,7 +642,11 @@ def _grid_pass(pr: _Probe, sign: float, h: float, keep) -> tuple[dict, dict]:
 
 @dataclass(frozen=True, eq=False)
 class PointGeometry:
-    """Geometric data of a patch at one point; ``laplacian_f`` in the geometer's sign."""
+    """Geometric data of a patch at one point; ``laplacian_f`` in the geometer's sign.
+
+    ``residuals`` maps each ``_gate_rows`` row name to its signed value at the
+    point, read-only; ``masked`` holds the rows whose mask drops the point.
+    """
 
     u: float
     v: float
@@ -670,8 +670,8 @@ class PointGeometry:
     laplacian_f: float
     df_du: float
     df_dv: float
-    # (value, value or NaN where its mask drops the point) per _gate_rows row
-    _residuals: dict = field(repr=False)
+    residuals: Mapping[str, float] = field(repr=False)
+    masked: frozenset = field(repr=False)
 
 
 def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
@@ -695,8 +695,7 @@ def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
     def num(x):
         return float(x[0])
 
-    residuals = {name: (num(values), num(values) if mask is None or mask[0] else float("nan"))
-                 for name, (values, mask, _) in _gate_rows(sh, patch.model).items()}
+    rows = _gate_rows(sh, patch.model)
     d1 = _eig_direction(sh, sh["lam1"])
     d2 = _eig_direction(sh, sh["lam2"])
     Xu, Xv = sh["Xu"][0], sh["Xv"][0]
@@ -727,45 +726,9 @@ def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
         laplacian_f=num(sh["laplacian"]),
         df_du=num(sh["Fu"]),
         df_dv=num(sh["Fv"]),
-        _residuals=residuals,
+        residuals=MappingProxyType({name: num(g.values) for name, g in rows.items()}),
+        masked=frozenset(name for name, g in rows.items() if g.mask is not None and not g.mask[0]),
     )
-
-
-# the classical name of the same bundle
-fundamental_forms = point_geometry
-
-
-def biconservative_residual(pg: PointGeometry) -> float:
-    """Normalized norm of 2 A(grad f) + f grad f (zero iff biconservative)."""
-    return pg._residuals["biconservative"][0]
-
-
-def curvature_identity_residuals(pg: PointGeometry):
-    """(r_K, r_A2, r_eig) for the non-CMC curvature identities.
-
-    r_eig is NaN at CMC-gated points, where the principal-value split
-    -f/2, 3f/2 is not forced.
-    """
-    r = pg._residuals
-    return abs(r["gauss_identity"][0]), abs(r["shape_operator_norm"][0]), r["principal_values"][1]
-
-
-def pde_residual(patch: SurfacePatch, u: float, v: float) -> float:
-    """|f Delta f + |grad f|^2 - (16/9) K (K - c)| at a point."""
-    return abs(point_geometry(patch, u, v)._residuals["pde"][0])
-
-
-def normal_bitension_residual(pg: PointGeometry) -> float:
-    """Delta f - f |A|^2 + 2 c f; zero exactly for biharmonic surfaces."""
-    return pg._residuals["normal_bitension_min"][0]
-
-
-def x2f_residual(pg: PointGeometry) -> float:
-    """|df(X2)| along the unit principal direction of the larger eigenvalue.
-
-    NaN marks skipped points (CMC-gated or eigenvalue-degenerate).
-    """
-    return pg._residuals["x2f"][1]
 
 
 # ---------------------------------------------------------------------------

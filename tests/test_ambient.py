@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import biconsurf as bc
 from biconsurf.ambient import EUCLIDEAN3, EUCLIDEAN4, LORENTZ4, _cofactor_complement
+from biconsurf.verify import _positive, _unit_normal
 
 E4 = np.eye(4)
 E3 = np.eye(3)
@@ -14,6 +15,21 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 def _rows(mat):
     """The rows of a stack (..., k, dim) as the k fields _cofactor_complement takes."""
     return tuple(mat[..., i, :] for i in range(mat.shape[-2]))
+
+
+_MODEL = {EUCLIDEAN3: bc.R3, EUCLIDEAN4: bc.S3, LORENTZ4: bc.H3}
+
+
+def _unit(sig, vectors):
+    """The verifier's unit normal (``verify._unit_normal``, the normalized
+    ``_cofactor_complement``) to rows (Xu, Xv) in dimension 3, (Xu, Xv, X) in 4."""
+    Xu, Xv, *X = (np.reshape(np.array(v, dtype=float), (-1, sig.dim)) for v in vectors)
+    return _unit_normal(_MODEL[sig], (X or [None])[0], Xu, Xv).reshape(np.shape(vectors[0]))
+
+
+def _membership(model, p):
+    """The verifier's model_membership row at p: <p, p> minus the quadric's value."""
+    return model.inner(p, p) - model.quadric_target
 
 
 class TestInner:
@@ -98,24 +114,24 @@ class TestSpaceForm:
         assert bc.H3.ambient.dim == 4 and bc.H3.ambient.timelike == 1
 
     def test_on_model_apex(self):
-        assert bc.H3.on_model(np.array([0.0, 0.0, 0.0, 1.0]))
+        assert _membership(bc.H3, np.array([0.0, 0.0, 0.0, 1.0])) == 0.0
 
     def test_on_model_sphere(self):
-        assert bc.S3.on_model(np.array([1.0, 0.0, 0.0, 0.0]))
+        assert _membership(bc.S3, np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
 
     def test_null_vector_off_model(self):
-        assert not bc.H3.on_model(np.array([1.0, 0.0, 0.0, 1.0]))
+        assert _membership(bc.H3, np.array([1.0, 0.0, 0.0, 1.0])) == 1.0
 
     def test_lower_sheet_rejected(self):
-        assert not bc.H3.on_model(np.array([0.0, 0.0, 0.0, -1.0]))
+        # on the quadric, but the h3 sheet row (x4 > 0) refuses it
+        p = np.array([0.0, 0.0, 0.0, -1.0])
+        assert _membership(bc.H3, p) == 0.0
+        assert _positive("x4", p[..., 3:], None, None, None, None) == (
+            None, False, ["points with nonpositive x4 found"])
 
     def test_flat_has_no_constraint(self):
         with pytest.raises(bc.UsageError):
-            bc.R3.on_model(np.zeros(3))
-
-    def test_ricci_normal(self):
-        assert bc.S3.ricci_normal == 2.0
-        assert bc.H3.ricci_normal == -2.0
+            bc.R3.quadric_target
 
     def test_bad_curvature(self):
         with pytest.raises(bc.UsageError):
@@ -137,50 +153,50 @@ class TestSpaceForm:
 
 class TestComplement:
     def test_euclidean3(self):
-        n = bc.orthonormal_complement(EUCLIDEAN3, [E3[0], E3[1]], E3[2])
-        assert np.allclose(n, E3[2])
+        assert np.array_equal(_unit(EUCLIDEAN3, [E3[0], E3[1]]), E3[2])
 
     def test_euclidean4_flipped(self):
-        n = bc.orthonormal_complement(EUCLIDEAN4, [E4[0], E4[1], E4[2]], -E4[3])
-        assert np.allclose(n, -E4[3])
+        # the cofactor orientation of (e1, e2, e3) in E4 is -e4
+        assert np.array_equal(_unit(EUCLIDEAN4, [E4[0], E4[1], E4[2]]), -E4[3])
 
     def test_lorentz_gram_solve(self):
         # hand solve: n must satisfy n1 = n2 = 0 and -n4 = 0, |<n,n>| = 1
-        n = bc.orthonormal_complement(LORENTZ4, [E4[0], E4[1], E4[3]], E4[2])
-        assert np.allclose(n, E4[2])
+        assert np.array_equal(_unit(LORENTZ4, [E4[0], E4[1], E4[3]]), E4[2])
 
     def test_lorentz_timelike_complement(self):
-        # the convention asks for positive Lorentz inner product with e4,
-        # so a timelike complement comes back as -e4
-        n = bc.orthonormal_complement(LORENTZ4, [E4[0], E4[1], E4[2]], E4[3])
-        assert np.allclose(n, -E4[3])
+        # a timelike complement is unit in the modulus norm, and swapping two
+        # rows flips the cofactor orientation
+        n = _unit(LORENTZ4, [E4[0], E4[1], E4[2]])
+        assert np.array_equal(n, E4[3])
         assert LORENTZ4.inner(n, n) == -1.0
-        n2 = bc.orthonormal_complement(LORENTZ4, [E4[0], E4[1], E4[2]], -E4[3])
-        assert np.allclose(n2, E4[3])
-
-    def test_degenerate_span(self):
-        with pytest.raises(bc.DegenerateSpanError):
-            bc.orthonormal_complement(EUCLIDEAN3, [E3[0], E3[0]], E3[2])
+        assert np.array_equal(_unit(LORENTZ4, [E4[1], E4[0], E4[2]]), -E4[3])
 
     def test_lorentz_null_span(self):
+        # a null span has a null complement, which no normalization makes a
+        # unit vector: the verifier's unit normal comes out non-finite
         null = E4[2] + E4[3]
-        with pytest.raises(bc.DegenerateSpanError):
-            bc.orthonormal_complement(LORENTZ4, [E4[0], E4[1], null], E4[2])
+        w = _cofactor_complement(LORENTZ4, (E4[0], E4[1], null))
+        assert LORENTZ4.inner(w, w) == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(_unit(LORENTZ4, [E4[0], E4[1], null])))
 
     def test_wrong_count(self):
-        with pytest.raises(bc.UsageError):
-            bc.orthonormal_complement(EUCLIDEAN4, [E4[0], E4[1]], E4[3])
+        # the model fixes the rows: flat space takes (Xu, Xv) and never reads
+        # X, the curved models take (Xu, Xv, X)
+        nan = np.full((1, 3), np.nan)
+        assert np.array_equal(_unit_normal(bc.R3, nan, E3[:1], E3[1:2]), E3[2:])
+        assert np.array_equal(_unit_normal(bc.S3, E4[2:3], E4[:1], E4[1:2]), -E4[3:])
 
     @pytest.mark.parametrize("sig", [EUCLIDEAN3, EUCLIDEAN4, LORENTZ4])
     def test_random_spans_orthogonal(self, sig):
         rng = np.random.default_rng(42)
         for _ in range(50):
             vs = [rng.normal(size=sig.dim) for _ in range(sig.dim - 1)]
-            try:
-                n = bc.orthonormal_complement(sig, vs, sig.metric * 0 + 1.0)
-            except bc.DegenerateSpanError:
-                continue
             scale = max(np.linalg.norm(v) for v in vs)
+            w = _cofactor_complement(sig, vs)
+            if abs(sig.inner(w, w)) <= 1e-6 * scale ** (2 * len(vs)):
+                continue  # a nearly null complement: no unit normal
+            n = _unit(sig, vs)
             for v in vs:
                 assert abs(sig.inner(n, v)) <= 1e-12 * scale
             assert abs(abs(sig.inner(n, n)) - 1.0) <= 1e-12
@@ -190,9 +206,18 @@ class TestComplement:
         a = rng.normal(size=(10, 4))
         b = rng.normal(size=(10, 4))
         c = rng.normal(size=(10, 4))
-        n = bc.orthonormal_complement(LORENTZ4, [a, b, c], E4[3])
+        n = _unit(LORENTZ4, [a, b, c])
         assert n.shape == (10, 4)
         assert np.max(np.abs(LORENTZ4.inner(n, a))) < 1e-10
+
+    @pytest.mark.parametrize("sig", [EUCLIDEAN3, EUCLIDEAN4, LORENTZ4])
+    def test_orientation_is_continuous(self, sig):
+        # along a smooth family of spans the cofactor orientation never jumps
+        t = np.linspace(0.0, 2.0 * np.pi, 721)[:, None]
+        e = np.eye(sig.dim)
+        vs = [e[0] * np.cos(t) + e[1] * np.sin(t),
+              e[1] * np.cos(t) - e[0] * np.sin(t) + 0.3 * e[2] * np.sin(t), e[-1] + 0.2 * e[2]]
+        assert np.max(np.abs(np.diff(_unit(sig, vs[:sig.dim - 1]), axis=0))) < 0.05
 
     @pytest.mark.parametrize("sig", [EUCLIDEAN4, LORENTZ4])
     def test_closed_form_matches_det_minors(self, sig):

@@ -12,6 +12,8 @@ import pytest
 
 from biconsurf import pipeline
 from biconsurf.cli import main
+from biconsurf.curvature import prime_constant
+from biconsurf.families import resolve
 from biconsurf.pipeline import PipelineConfig, cmd_solve, cmd_surface, cmd_sweep
 
 import biconsurf as bc
@@ -19,6 +21,11 @@ import biconsurf as bc
 
 def run(*argv):
     return main(list(argv))
+
+
+def branch_of(cfg):
+    """The profile branch that the sign of C of cfg's initial data picks."""
+    return resolve(cfg.model, cfg.branch, lambda c: float(prime_constant(cfg.k0, cfg.kp0, c))).branch
 
 
 class TestSolveCommand:
@@ -42,14 +49,28 @@ class TestSolveCommand:
         cfg = PipelineConfig(model="h3", k0=0.25, kp0=0.2)
         result = cmd_solve(cfg, tmp_path / "p.csv")
         assert result["C"] == pytest.approx(-248.0 / 225.0, rel=1e-12)
-        assert cfg.resolved_branch().value == "h2_parabolic"
+        assert branch_of(cfg).value == "h2_parabolic"
 
     def test_explicit_branch_checked_against_constant_sign(self):
         ok = PipelineConfig(model="h3", branch="parabolic", k0=0.25, kp0=0.2)
-        assert ok.resolved_branch() is bc.Branch.H2_PARABOLIC
+        assert branch_of(ok) is bc.Branch.H2_PARABOLIC
         bad = PipelineConfig(model="h3", branch="elliptic", k0=0.25, kp0=0.2)
         with pytest.raises(bc.UsageError, match="contradicts the sign"):
-            bad.resolved_branch()
+            branch_of(bad)
+
+    @pytest.mark.parametrize("branch, k0, dk0, code", [
+        ("parabolic", "1", "1", 2), ("elliptic", "0.25", "0.2", 2),
+        ("parabolic", "0.2", "0.21333333333333335", 2), ("parabolic", "0.25", "0.2", 0),
+        ("auto", "0.2", "0.21333333333333335", 0),
+    ])
+    def test_explicit_branch_resolved_before_writing(self, tmp_path, branch, k0, dk0, code):
+        # as surface and profile do, solve refuses a --branch that the sign
+        # of C contradicts before it makes the output directory; auto solves
+        # every C, C = 0 included
+        out = tmp_path / "out" / "s.csv"
+        assert run("solve", "--model", "h3", "--branch", branch, "--k0", k0, "--dk0", dk0,
+                   "--out", str(out)) == code
+        assert out.exists() == (code == 0) == (tmp_path / "out").exists()
 
     def test_drift_column_small(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -54,11 +54,6 @@ def test_row_consistency(tmp_path, monkeypatch, case):
     for branch in ["auto"] + ([family.branch_name] if family.branch_name else []):
         run = dataclasses.replace(cfg, branch=branch).validate()
         assert run._family() is family
-        if family.branch is None:
-            with pytest.raises(bc.UsageError, match="profile branches exist only"):
-                run.resolved_branch()
-        else:
-            assert run.resolved_branch() is family.branch
 
     # the other sign of C is refused with the row's message
     if family.branch is not None:
@@ -75,4 +70,4 @@ def test_explicit_branch_against_the_other_sign(case, other):
     # the sign of C of the other row's data contradicts the row's --branch
     cfg = PipelineConfig(**_DATA[other], branch=FAMILIES[case].branch_name)
     with pytest.raises(bc.UsageError, match=f"auto-resolves to {FAMILIES[other].branch.value}"):
-        cfg.resolved_branch()
+        cfg._family()

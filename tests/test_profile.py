@@ -248,7 +248,7 @@ class TestPolarChart:
             return (f(u + h) - f(u - h)) / (2 * h)
 
         assert np.max(np.abs(diff(prof.sigma) - T)) < 1e-7
-        assert np.max(np.abs(diff(prof.velocity) - (k * n - c * sig))) < 1e-7
+        assert np.max(np.abs(diff(lambda x: prof.state(x)[:, 6:10]) - (k * n - c * sig))) < 1e-7
         plane = prof.C1 - prof.C2 if prof.branch is Branch.H2_PARABOLIC else prof.C2
         for w, want in [(n, 1.0), (sig, 0.0), (T, 0.0), (plane, 0.0)]:
             assert np.max(np.abs(inner(n, w) - want)) < 1e-12

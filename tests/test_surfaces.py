@@ -10,7 +10,51 @@ from biconsurf.mesh import poincare_ball, sample_mesh, stereographic, write_obj,
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 from biconsurf.profile import _amplitude_scale
 from biconsurf import families, surfaces
-from biconsurf.surfaces import circle_radius, expected_circle_radius
+from biconsurf.curvature import kappa2
+from biconsurf.surfaces import _AMPLITUDE, _SIGMA, _grid_size
+
+
+# construction oracles: each measures a built patch by its definition
+
+
+def killing_tangency_check(patch, nu: int = 33, nv: int = 33) -> float:
+    """Max norm of the part of the sweep field not tangent to the patch.
+
+    The field T(r) = <r, C2> C1 - <r, C1> C2 generates the one-parameter
+    isometry group whose orbits the v-curves are claimed to be; at every
+    grid point its component orthogonal to span{Xu, Xv} should vanish.
+    ``nu`` and ``nv`` must be integers >= 2.
+    """
+    if patch.C1 is None or patch.C2 is None:
+        raise bc.UsageError("the tangency check needs a patch with sweep constants")
+    nu, nv = _grid_size(nu, nv)
+    inner = patch.model.inner
+    u = np.linspace(*patch.u_range, nu)
+    v = np.linspace(*patch.v_range, nv)
+    X, Xu, Xv = patch.frame(u[:, None], v[None, :])
+    T = inner(X, patch.C2)[..., None] * patch.C1 - inner(X, patch.C1)[..., None] * patch.C2
+    g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
+    b1, b2 = inner(T, Xu), inner(T, Xv)
+    det = g11 * g22 - g12**2
+    alpha = (g22 * b1 - g12 * b2) / det
+    beta = (g11 * b2 - g12 * b1) / det
+    R = T - alpha[..., None] * Xu - beta[..., None] * Xv
+    return float(np.max(np.sqrt(np.abs(inner(R, R)))))
+
+
+def circle_radius(patch, u, v):
+    """Ambient distance from X(u, v) to the v-circle center sigma - a C1."""
+    if getattr(FAMILIES.get(patch.case), "orbit", None) is not families._circle:
+        raise bc.UsageError("circle radius applies to the circle-swept cases")
+    line = patch.uline(np.asarray(u, float))
+    center = line[_SIGMA[0]] - line[_AMPLITUDE[0]][..., None] * patch.C1
+    diff = patch.at(line, np.asarray(v, float))[0] - center
+    return np.sqrt(np.abs(patch.model.inner(diff, diff)))
+
+
+def expected_circle_radius(patch, u):
+    """1/kappa2 at u, the radius the classification gives the orbit circles."""
+    return 1.0 / kappa2(patch.profile.k(np.asarray(u, float)), patch.C)
 
 
 class TestRevolutionBuilder:
@@ -159,12 +203,12 @@ class TestHyperboloidBuilder:
 class TestKillingField:
     def test_sphere_sweep_invariance(self, s3_pipeline):
         _, _, patch, _ = s3_pipeline
-        assert bc.killing_tangency_check(patch) < 1e-6
+        assert killing_tangency_check(patch) < 1e-6
 
     @pytest.mark.parametrize("fix", ["h3e_pipeline", "h3p_pipeline"])
     def test_hyperbolic_sweep_invariance(self, fix, request):
         _, _, patch, _ = request.getfixturevalue(fix)
-        assert bc.killing_tangency_check(patch) < 1e-6
+        assert killing_tangency_check(patch) < 1e-6
 
     def test_field_at_base_curve_points_along_v(self, s3_pipeline):
         _, prof, patch, _ = s3_pipeline
@@ -188,7 +232,7 @@ class TestKillingField:
     def test_needs_sweep_constants(self, r3_pipeline):
         _, patch, _ = r3_pipeline
         with pytest.raises(bc.UsageError):
-            bc.killing_tangency_check(patch)
+            killing_tangency_check(patch)
 
     @pytest.mark.parametrize("nu, nv", [(0, 33), (1, 33), (2.5, 33), (True, 33), (33, 0),
                                         (33, 1), (33, 2.0), (33, False), (33, None),
@@ -198,12 +242,12 @@ class TestKillingField:
         # and True and 1 were read as one-point grids
         patch = s3_pipeline[2]
         with pytest.raises(bc.UsageError, match="integers nu, nv >= 2"):
-            bc.killing_tangency_check(patch, nu, nv)
+            killing_tangency_check(patch, nu, nv)
 
     def test_numpy_integer_grid_size(self, s3_pipeline):
         patch = s3_pipeline[2]
-        assert bc.killing_tangency_check(patch, np.int64(5), 4) == \
-            bc.killing_tangency_check(patch, 5, 4)
+        assert killing_tangency_check(patch, np.int64(5), 4) == \
+            killing_tangency_check(patch, 5, 4)
 
 
 def _vec(*components):
@@ -422,7 +466,6 @@ class TestMesh:
         m = sample_mesh(patch, 2, 2)
         assert m.vertices.shape == (4, 3)
         assert m.quads.shape == (1, 4)
-        assert m.triangles().shape == (2, 3)
 
     def test_identity_projection_matches_patch(self, r3_pipeline):
         _, patch, _ = r3_pipeline
@@ -641,7 +684,6 @@ class TestExports:
 
     def test_triangle_faces(self, tmp_path):
         m = bc.Mesh(vertices=np.eye(3), quads=[[0, 1, 2]])
-        assert m.triangles().tolist() == [[0, 1, 2]]
         write_obj(m, tmp_path / "m.obj")
         write_ply(m, tmp_path / "m.ply")
         assert (tmp_path / "m.obj").read_text().endswith("\nf 1 2 3\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 import tracemalloc
@@ -41,52 +42,67 @@ def mid(patch):
     )
 
 
+def inner_grid(patch):
+    """u and v of a 3 x 3 grid inside the patch rectangle (u-major, as the verifier's)."""
+    return np.linspace(*patch.u_range, 5)[1:4], np.linspace(*patch.v_range, 5)[1:4]
+
+
+def fundamental_forms(patch, u, v):
+    """The first and second fundamental forms at a point, from the point API."""
+    pg = bc.point_geometry(patch, u, v)
+    return pg.metric, pg.second_form
+
+
+def pde_residual(patch, u, v) -> float:
+    """The signed pde row at a point, read through the point API."""
+    return bc.point_geometry(patch, u, v).residuals["pde"]
+
+
 class TestClassicalFixtures:
     def test_plane(self):
         p = plane_patch()
-        pg = bc.fundamental_forms(p, *mid(p))
+        pg = bc.point_geometry(p, *mid(p))
         assert pg.f == pytest.approx(0.0, abs=1e-12)
         assert pg.K == pytest.approx(0.0, abs=1e-12)
 
     def test_cylinder_oriented_positive(self):
         p = cylinder_patch()
-        pg = bc.fundamental_forms(p, *mid(p))
+        pg = bc.point_geometry(p, *mid(p))
         assert pg.f == pytest.approx(1.0, abs=1e-9)
         assert pg.K == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_sphere(self):
         p = sphere_patch()
-        pg = bc.fundamental_forms(p, *mid(p))
+        pg = bc.point_geometry(p, *mid(p))
         assert pg.f == pytest.approx(2.0, abs=1e-8)
         assert pg.K == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(pg.metric, pg.metric.T)
 
     def test_great_sphere_is_minimal(self):
         p = great_sphere_patch()
-        pg = bc.fundamental_forms(p, *mid(p))
+        pg = bc.point_geometry(p, *mid(p))
         assert pg.f == pytest.approx(0.0, abs=1e-10)
         assert pg.K == pytest.approx(1.0, abs=1e-9)
 
     def test_cmc_biconservative_trivially(self):
         p = sphere_patch()
         pg = bc.point_geometry(p, *mid(p))
-        assert bc.biconservative_residual(pg) < 1e-10
+        assert pg.residuals["biconservative"] < 1e-10
 
     def test_cmc_gates_eigen_checks(self):
         p = cylinder_patch()
         pg = bc.point_geometry(p, *mid(p))
-        rk, ra2, reig = bc.curvature_identity_residuals(pg)
-        assert np.isnan(reig)
-        assert np.isnan(bc.x2f_residual(pg))
+        assert {"principal_values", "x2f"} <= pg.masked
+        assert "biconservative" not in pg.masked
 
     def test_biharmonic_fixture_bitension_vanishes(self):
         p = great_sphere_patch()
         pg = bc.point_geometry(p, *mid(p))
-        assert abs(bc.normal_bitension_residual(pg)) <= 1e-10
+        assert abs(pg.residuals["normal_bitension_min"]) <= 1e-10
 
     def test_normal_is_unit_and_orthogonal(self):
         p = sphere_patch()
-        pg = bc.fundamental_forms(p, *mid(p))
+        pg = bc.point_geometry(p, *mid(p))
         assert np.linalg.norm(pg.normal) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -194,8 +210,9 @@ class TestFiniteDifferences:
         patch = request.getfixturevalue(fix)[-2]
         lo, hi = patch.eval_u_domain
         for u in (lo, hi):
-            assert np.isfinite(bc.point_geometry(patch, u, 1.0).f)
-            assert np.isfinite(bc.pde_residual(patch, u, 1.0))
+            pg = bc.point_geometry(patch, u, 1.0)
+            assert np.isfinite(pg.f)
+            assert np.isfinite(pg.residuals["pde"])
         for u in (lo - 1e-3 * (hi - lo), hi + 1e-3 * (hi - lo), float("nan")):
             with pytest.raises(bc.UsageError, match="outside the evaluable domain"):
                 bc.point_geometry(patch, u, 1.0)
@@ -209,8 +226,8 @@ class TestFiniteDifferences:
             constant(1.0), line_orbit([1, 1, 0]),
             (-1.0, 1.0), (-1.0, 1.0),
         )
-        with pytest.raises((bc.ConditioningError, bc.DegenerateSpanError)):
-            bc.fundamental_forms(sick, 0.0, 0.0)
+        with pytest.raises(bc.ConditioningError):
+            bc.point_geometry(sick, 0.0, 0.0)
 
 
 class TestPointwiseIdentities:
@@ -219,29 +236,30 @@ class TestPointwiseIdentities:
         pg = bc.point_geometry(patch, prof.t_of_rho(8.0), 1.0)
         assert pg.f == pytest.approx(1.0 / 24.0, abs=1e-10)
         assert pg.K == pytest.approx(-1.0 / 768.0, abs=1e-10)
-        r_k, r_a2, r_eig = bc.curvature_identity_residuals(pg)
-        assert r_k < 1e-10
-        assert r_a2 < 1e-10
-        assert r_eig < 1e-10
+        assert not pg.masked
+        for name in ("gauss_identity", "shape_operator_norm", "principal_values"):
+            assert abs(pg.residuals[name]) < 1e-10, name
 
     def test_revolution_x2f_and_biconservative(self, r3_pipeline):
         prof, patch, _ = r3_pipeline
         t5 = prof.t_of_rho(5.0)
         pg = bc.point_geometry(patch, t5, 2.0)
-        assert bc.x2f_residual(pg) < 1e-8
-        assert bc.biconservative_residual(pg) < 1e-8
-        assert bc.pde_residual(patch, t5, 2.0) < 1e-6
+        assert "x2f" not in pg.masked
+        assert pg.residuals["x2f"] < 1e-8
+        assert pg.residuals["biconservative"] < 1e-8
+        assert abs(pg.residuals["pde"]) < 1e-6
 
     def test_sphere_pipeline_point(self, s3_pipeline):
         _, _, patch, _ = s3_pipeline
         pg = bc.point_geometry(patch, 0.4, 2.0)
-        r_k, r_a2, r_eig = bc.curvature_identity_residuals(pg)
-        assert max(r_k, r_a2, r_eig) < 1e-5
-        assert abs(bc.normal_bitension_residual(pg)) > 1e-3
+        assert not pg.masked
+        for name in ("gauss_identity", "shape_operator_norm", "principal_values"):
+            assert abs(pg.residuals[name]) < 1e-5, name
+        assert abs(pg.residuals["normal_bitension_min"]) > 1e-3
 
 
 class TestPointHelpersShareTheGridKernel:
-    """The point helpers evaluate the grid's residual kernel on one point."""
+    """The point API evaluates the grid's residual kernel on one point."""
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
                                      "h3p_pipeline", "sphere_fixture"])
@@ -258,29 +276,41 @@ class TestPointHelpersShareTheGridKernel:
                 got = {
                     "f": pg.f,
                     "K": pg.K,
-                    "biconservative": bc.biconservative_residual(pg),
-                    "bitension": bc.normal_bitension_residual(pg),
+                    "biconservative": pg.residuals["biconservative"],
+                    "bitension": pg.residuals["normal_bitension_min"],
                 }
                 for name, value in got.items():
                     assert value == report.fields[name][i, j], (name, i, j)
 
     @pytest.mark.parametrize("fix", ["sphere_fixture", "s3_pipeline"])
     def test_fundamental_forms_equal_point_geometry(self, fix, request):
-        if fix == "sphere_fixture":
-            patch, (u, v) = sphere_patch(), (1.0, 0.5)
-        else:
-            patch, (u, v) = request.getfixturevalue(fix)[-2], (0.4, 2.0)
-        ff, pg = bc.fundamental_forms(patch, u, v), bc.point_geometry(patch, u, v)
-        for name in [f.name for f in dataclasses.fields(bc.PointGeometry)]:
-            a, b = getattr(ff, name), getattr(pg, name)
-            if isinstance(a, dict):
-                assert a.keys() == b.keys()
-                a, b = list(a.values()), list(b.values())
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
-        for helper in (bc.biconservative_residual, bc.curvature_identity_residuals,
-                       bc.normal_bitension_residual, bc.x2f_residual):
-            a, b = helper(ff), helper(pg)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), helper.__name__
+        # the grid's first and second forms and normal at a point are the
+        # point API's there, bit for bit
+        patch = sphere_patch() if fix == "sphere_fixture" else request.getfixturevalue(fix)[-2]
+        u, v = inner_grid(patch)
+        sh = _shape(_Probe(patch, u, v), normal_sign(patch))
+        for i, (ui, vj) in enumerate(itertools.product(u, v)):
+            metric, second_form = fundamental_forms(patch, ui, vj)
+            assert metric.tolist() == [[sh["g11"][i], sh["g12"][i]], [sh["g12"][i], sh["g22"][i]]]
+            assert second_form.tolist() == [[sh["h11"][i], sh["h12"][i]],
+                                            [sh["h12"][i], sh["h22"][i]]]
+            assert bc.point_geometry(patch, ui, vj).normal.tobytes() == sh["eta"][i].tobytes()
+
+    @pytest.mark.parametrize("fix", ["sphere_fixture", "s3_pipeline"])
+    def test_point_rows_equal_grid_rows(self, fix, request):
+        # every gate row at a point, value and mask, is the grid's row there
+        patch = sphere_patch() if fix == "sphere_fixture" else request.getfixturevalue(fix)[-2]
+        u, v = inner_grid(patch)
+        rows = verify._gate_rows(_field_bundle(_Probe(patch, u, v), normal_sign(patch)),
+                                 patch.model)
+        for i, (ui, vj) in enumerate(itertools.product(u, v)):
+            pg = bc.point_geometry(patch, ui, vj)
+            assert pg.residuals.keys() == rows.keys()
+            for name, (values, mask, _) in rows.items():
+                assert pg.residuals[name] == values[i], (name, i)
+                assert (name in pg.masked) == (mask is not None and not mask[i]), (name, i)
+        with pytest.raises(TypeError):
+            pg.residuals["pde"] = 0.0
 
 
 class TestRevolutionPipelineReport:
@@ -561,8 +591,10 @@ class TestTensorGridProbe:
         u, v = mid(patch)
         want = vars(bc.point_geometry(patch, u, v))
         for name, value in vars(bc.point_geometry(frozen, u, v)).items():
-            if isinstance(value, dict):  # the residuals, floats whose repr is exact
-                assert repr(value) == repr(want[name])
+            if name == "residuals":  # floats whose repr is exact
+                assert repr(dict(value)) == repr(dict(want[name]))
+            elif name == "masked":
+                assert value == want[name]
             else:
                 assert np.asarray(value).tobytes() == np.asarray(want[name]).tobytes(), name
 
@@ -592,8 +624,8 @@ class TestFailClosed:
     @pytest.mark.parametrize("entry", [
         lambda p: bc.verify_patch(p, 8, 8),
         lambda p: bc.point_geometry(p, *mid(p)),
-        lambda p: bc.fundamental_forms(p, *mid(p)),
-        lambda p: bc.pde_residual(p, *mid(p)),
+        lambda p: fundamental_forms(p, *mid(p)),
+        lambda p: pde_residual(p, *mid(p)),
         normal_sign,
     ], ids=["verify_patch", "point_geometry", "fundamental_forms", "pde_residual",
             "normal_sign"])
@@ -624,7 +656,7 @@ class TestFailClosed:
         ("0", 0.0, "u"), (True, 0.0, "u"), (None, 0.0, "u"), (0.5, None, "v"),
         (0.5, [0, 1], "v"), (0.5, "0", "v"), (0.5, True, "v"), (0.5, np.bool_(False), "v"),
     ])
-    @pytest.mark.parametrize("entry", [bc.point_geometry, bc.pde_residual],
+    @pytest.mark.parametrize("entry", [bc.point_geometry, pde_residual],
                              ids=["point_geometry", "pde_residual"])
     def test_point_not_a_real_number_is_usage_error(self, entry, u, v, name):
         # these used to leak TypeError from float(), or to be read as numbers
@@ -633,7 +665,7 @@ class TestFailClosed:
 
     @pytest.mark.parametrize("v", [float("inf"), -float("inf"), float("nan"),
                                    pytest.param(10**400, id="int-beyond-float-range")])
-    @pytest.mark.parametrize("entry", [bc.point_geometry, bc.pde_residual],
+    @pytest.mark.parametrize("entry", [bc.point_geometry, pde_residual],
                              ids=["point_geometry", "pde_residual"])
     def test_point_v_not_finite_is_usage_error(self, entry, v):
         # inf used to reach cos/sin (RuntimeWarnings, then ConditioningError),
