@@ -16,18 +16,22 @@ lines.  A value that path cannot decide (nan, inf, |x| outside
 [1e-280, 1e280], or a fraction within 1e-9 of a rounding tie, where the
 product's error is below 1e-14) is printed by Python's own ``%`` into its
 cell; zeros are printed directly.  A ``Mesh`` formats its vertex and
-channel columns once, on the first write, and the OBJ, sidecar and PLY
-writers take their columns from those cells.
+channel columns once, on the first write, into one table of cells, block
+by block of rows of about ``_CHUNK`` values (the float table is never made
+whole), and the OBJ, sidecar and PLY writers take their columns from those
+cells.
 
 Vertex ids are formatted once per mesh too: ``Mesh._ids`` holds the decimal
 words of the ids 0 to N, digits right-aligned and zero-padded in one 8-byte
 word per id (more once the ids have 8 or more digits).  OBJ faces (ids + 1),
 PLY faces (ids) and the sidecar's index column are gathers from that table.
-Every table, floats and ids alike, is laid out in a ``bytearray`` of words
-and turned into text by one ``translate`` that deletes the zero bytes; the
-writers open their files in binary mode and write those bytes, with their
-short headers encoded as UTF-8.  So the files are ASCII (for ASCII channel
-names) with ``\n`` line ends on every platform.
+Every text pass, of float lines and face lines alike, runs over blocks of
+``_TEXT_ROWS`` rows: a block is laid out in a ``bytearray`` of words, turned
+into text by one ``translate`` that deletes the zero bytes and written
+before the next block is made, so a writer holds one block's words and
+text beside the cells.  The writers open their files in binary mode and
+write those bytes, with their short headers encoded as UTF-8.  So the files
+are ASCII (for ASCII channel names) with ``\n`` line ends on every platform.
 """
 from __future__ import annotations
 
@@ -66,9 +70,14 @@ _WORDS = 4
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _E_LIM = 282
 _SPLIT = 134217729.0  # 2**27 + 1
-# values per kernel pass: its temporaries stay in a core's L2 cache, and
-# numpy's cost per call stays small beside the work per call
-_CHUNK = 16384
+# values per kernel pass: its temporaries (about 1.5 MB) stay in a core's
+# L2 cache and below the verifier's block, and numpy's cost per call stays
+# small beside the work per call
+_CHUNK = 8192
+# rows per block of every text pass: a block's words and text are made and
+# written before the next block's, so a writer holds one block beside the
+# mesh's cells
+_TEXT_ROWS = 2048
 _NO_POINT = 16  # the row of the point table for "no point"
 
 
@@ -246,13 +255,22 @@ def _percent_words(values) -> np.ndarray:
     return np.frombuffer(text, "<u8").reshape(-1, _WORDS)
 
 
-def _float_cells(table) -> np.ndarray:
-    """The cells of a 2-D float table, shape ``table.shape + (_WORDS,)``."""
-    table = np.ascontiguousarray(table, dtype=float)
-    cells = np.empty(table.shape + (_WORDS,), "<u8")
-    flat, out = table.reshape(-1), cells.reshape(-1, _WORDS)
-    for r in range(0, len(flat), _CHUNK):
-        _fill_cells(flat[r:r + _CHUNK], out[r:r + _CHUNK])
+def _float_cells(columns) -> np.ndarray:
+    """The cells of the float table ``np.column_stack(columns)``, shape
+    ``(rows, table columns, _WORDS)``.
+
+    The table is never made whole: each block of rows of about ``_CHUNK``
+    values is stacked on its own and formatted straight into its cells, so
+    a table of few rows still takes one kernel pass, not one per column.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    rows = len(columns[0])
+    width = np.column_stack([column[:0] for column in columns]).shape[1]
+    cells = np.empty((rows, width, _WORDS), "<u8")
+    step = max(1, _CHUNK // width)
+    for r in range(0, rows, step):
+        block = np.column_stack([column[r:r + step] for column in columns])
+        _fill_cells(block.reshape(-1), cells[r:r + step].reshape(-1, _WORDS))
     return cells
 
 
@@ -266,9 +284,12 @@ def _id_words(ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     digits = len(str(int(ids.max(initial=0))))
     text = np.zeros((ids.size, 8 * (digits // 8 + 1)), np.uint8)
-    for j in range(digits):
-        place = 10**j
-        text[:, -1 - j] = np.where((ids >= place) | (place == 1), ids // place % 10 + 48, 0)
+    for r in range(0, ids.size, _CHUNK):  # chunks keep the temporaries small
+        part = ids[r:r + _CHUNK]
+        for j in range(digits):
+            place = 10**j
+            text[r:r + _CHUNK, -1 - j] = np.where((part >= place) | (place == 1),
+                                                  part // place % 10 + 48, 0)
     return text.view("<u8")
 
 
@@ -285,7 +306,7 @@ def _cells_text(cells, sep: str, head: str = "", ids=None) -> bytearray:
 
     A line is ``head``, then (given the id words ``ids`` of the rows, see
     ``_id_words``) the row's id and ``sep``, then the row's values joined by
-    ``sep``.  For ``cells = _float_cells(table)`` that is byte-identical to
+    ``sep``.  For ``cells = _float_cells([table])`` that is byte-identical to
     ``(line * len(table)) % tuple(table.ravel().tolist())`` with ``line`` the
     matching ``%``-template of ``"%.17g"`` fields.
     """
@@ -320,6 +341,13 @@ def _face_text(ids, quads, head: str) -> bytearray:
     faces[..., 0] |= np.uint64(ord(" "))
     last[...] = ord("\n")
     return buf.translate(None, b"\0")
+
+
+def _write_blocks(fh, rows: int, text) -> None:
+    """Write ``text(block)`` for each slice ``block`` of ``_TEXT_ROWS`` of
+    ``rows`` rows, in order, each as soon as it is made."""
+    for r in range(0, rows, _TEXT_ROWS):
+        fh.write(text(slice(r, r + _TEXT_ROWS)))
 
 
 def _sidecar_path(path) -> str:
@@ -389,8 +417,7 @@ class Mesh:
     def _cells(self) -> np.ndarray:
         """The ``%.17g`` cells of the vertex columns, then the channels by name."""
         columns = [self.channels[name] for name in sorted(self.channels)]
-        cells = _float_cells(np.column_stack([self.vertices] + columns))
-        return _read_only(cells)
+        return _read_only(_float_cells([self.vertices] + columns))
 
     @cached_property
     def _ids(self) -> np.ndarray:
@@ -547,15 +574,16 @@ def _grid_mesh(case: str, points: np.ndarray, projection: str, channels: dict | 
 def write_obj(mesh: Mesh, path, sidecar=None) -> list:
     """ASCII OBJ with quad faces; channels go to a CSV sidecar file."""
     path = str(path)
+    cells, ids, quads = mesh._cells, mesh._ids, mesh.quads
     with open(path, "wb") as fh:
-        fh.write(_cells_text(mesh._cells[:, :3], " ", "v "))
-        fh.write(_face_text(mesh._ids[1:], mesh.quads, "f"))
+        _write_blocks(fh, len(cells), lambda b: _cells_text(cells[b, :3], " ", "v "))
+        _write_blocks(fh, len(quads), lambda b: _face_text(ids[1:], quads[b], "f"))
     written = [path]
     if mesh.channels:
         side = str(sidecar) if sidecar is not None else _sidecar_path(path)
         with open(side, "wb") as fh:
             fh.write(("vertex," + ",".join(sorted(mesh.channels)) + "\n").encode())
-            fh.write(_cells_text(mesh._cells[:, 3:], ",", ids=mesh._ids))
+            _write_blocks(fh, len(cells), lambda b: _cells_text(cells[b, 3:], ",", ids=ids[b]))
         written.append(side)
     return written
 
@@ -578,8 +606,9 @@ def write_ply(mesh: Mesh, path) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]
+    cells, ids, quads = mesh._cells, mesh._ids, mesh.quads
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        fh.write(_cells_text(mesh._cells, " "))
-        fh.write(_face_text(mesh._ids, mesh.quads, str(mesh.quads.shape[1])))
+        _write_blocks(fh, len(cells), lambda b: _cells_text(cells[b], " "))
+        _write_blocks(fh, len(quads), lambda b: _face_text(ids, quads[b], str(quads.shape[1])))
     return path

@@ -33,6 +33,7 @@ from .mesh import (
     _float_cells,
     _grid_mesh,
     _sidecar_path,
+    _write_blocks,
     sample_mesh,  # noqa: F401  (perfbench/bench_trace.py wraps pipeline.sample_mesh)
     write_obj,
     write_ply,
@@ -57,7 +58,8 @@ def _write_lines(path, lines, table=None) -> str:
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
         if table is not None:
-            fh.write(_cells_text(_float_cells(np.column_stack(table)), ","))
+            cells = _float_cells(table)
+            _write_blocks(fh, len(cells), lambda b: _cells_text(cells[b], ","))
     return str(path)
 
 
@@ -206,8 +208,10 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
 
 
 def cmd_profile(cfg: PipelineConfig, out) -> dict:
-    """Emit the profile curve as CSV (closed form for r3, the polar chart else)."""
+    """Emit the profile curve as CSV (closed form for r3, the polar chart else).
+    The family is resolved before the output file's directory is made."""
     cfg = cfg.validate()
+    cfg._family()
     out = _output_file(out)
     if cfg.model == "r3":
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
@@ -275,8 +279,10 @@ def cmd_surface(
     write_meshes: bool = True,
     report_path=None,
 ) -> dict:
-    """Full pipeline: build, verify, export meshes and the JSON report."""
+    """Full pipeline: build, verify, export meshes and the JSON report.  The
+    family is resolved before the output directory is made."""
     cfg = cfg.validate()
+    cfg._family()
     out_dir = _output_dir(out_dir)
     target = _output_file(report_path or out_dir / f"{basename}.report.json")
     obj, ply = out_dir / f"{basename}.obj", out_dir / f"{basename}.ply"

@@ -23,7 +23,9 @@ the required ``higher_partials_fd`` residual.  Each grid is read through
 one ``_Probe``, which calls the patch's ``uline`` once for every u offset
 its checks read, so a ``verify_patch`` makes three ``uline`` calls: the
 orientation point, the grid and the sub-grid.  The sub-grid's shifted
-``jet`` and ``jet4`` come from one evaluation per direction.
+``jet`` and ``jet4`` come from one evaluation per direction and block of
+sub-grid u-rows of about ``_HIGHER_BLOCK_POINTS`` = 1024 points, so the
+sub-grids of 64 x 64 and 128 x 128 grids are one block.
 
 The grid's per-point pass (``_shape``, ``_field_bundle``, ``_gate_rows``
 and the frames and kernel of ``second_partials_fd``) runs over blocks of
@@ -33,9 +35,11 @@ about ``_JET_BLOCK_POINTS`` = 2048 points.  A block probe slices the grid
 probe's u-lines and makes no ``uline`` call.  Each block writes its values
 and masks into full-grid arrays, and every reduction (``_summary``, the
 relative floor, the bitension statistics, the gate counts) runs once on
-those, so the block sizes change no output bit; the working set of the
-pass is block-sized.  A grid whose blocks hold different defects raises
-the ``ConditioningError`` of the first such block.
+those, so the block sizes change no output bit.  The working set of the
+pass and of the sub-grid check is block-sized; beside it ``verify_patch``
+holds the full-grid values, masks and kept fields.  A grid whose blocks
+hold different defects raises the ``ConditioningError`` of the first such
+block.
 
 Sign conventions
 ----------------
@@ -140,8 +144,10 @@ def _require_jets(patch: SurfacePatch) -> None:
 # of its closed-form f-derivatives
 _BLOCK_POINTS = 4096
 _JET_BLOCK_POINTS = 2048
-# every this many rows and columns carry the higher_partials_fd cross-check
+# every this many rows and columns carry the higher_partials_fd cross-check,
+# which runs over blocks of sub-grid u-rows of about this many points
 _HIGHER_STRIDE = 4
+_HIGHER_BLOCK_POINTS = 1024
 
 
 class _Probe:
@@ -886,16 +892,19 @@ def verify_patch(
     f = kept["f"]
 
     # the finite-difference cross-check of jet4 on every 4th row and column,
-    # one jet and one jet4 call per direction
+    # one jet and one jet4 call per direction and block of sub-grid rows
     every = slice(None, None, _HIGHER_STRIDE)
     sub = np.zeros((nu, nv), dtype=bool)
     sub[every, every] = True
     steps = _fd_steps(h, 3)
     spr = _Probe(patch, ugrid[every], vgrid[every], (0.0,) + steps)
-    jets = spr.shifted_jets(steps)
     higher = np.full((nu, nv), np.nan)
-    higher[every, every] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3,
-                                           patch.model.ambient.dim)
+    on_sub = higher[every, every]
+    for block, _ in _row_blocks(*spr.shape, _HIGHER_BLOCK_POINTS):
+        jets = spr.block(block).shifted_jets(steps)
+        on_sub[block] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3,
+                                        patch.model.ambient.dim)
+        del jets  # free this block's jets before the next block's are made
     rows["higher_partials_fd"] = _Gate(higher.ravel(), sub.ravel())
 
     # comparisons against builder-declared data

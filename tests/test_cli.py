@@ -95,6 +95,26 @@ class TestSurfaceCommand:
         assert (tmp_path / "surface.obj").exists()
         assert (tmp_path / "surface.ply").exists()
 
+    @pytest.mark.parametrize("command, out", [
+        ("surface", "out"), ("verify", "out"), ("profile", "out/p.csv"),
+    ])
+    def test_contradicted_branch_refused_before_writing(self, tmp_path, capsys, command, out):
+        # C > 0 here: these commands made their output directory before the
+        # build resolved the family, and left it empty when it refused
+        assert run(command, "--model", "h3", "--branch", "parabolic", "--k0", "1",
+                   "--dk0", "1", "--out", str(tmp_path / out)) == 2
+        assert "contradicts the sign" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_records_a_contradicted_branch_per_value(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("sweep", "--model", "h3", "--branch", "parabolic", "--k0", "1",
+                   "--dk0", "1", "--values", "1", "--nu", "8", "--nv", "8",
+                   "--out", str(out)) == 1
+        assert sorted(path.name for path in out.iterdir()) == ["summary.csv"]
+        row = (out / "summary.csv").read_text().splitlines()[1]
+        assert row.startswith("1,0,nan,nan,UsageError: branch 'parabolic' contradicts")
+
     def test_s3_verify_passes(self, tmp_path):
         code = run("verify", "--model", "s3", "--nu", "24", "--nv", "24",
                    "--out", str(tmp_path), "--report", str(tmp_path / "r.json"))

@@ -3,6 +3,7 @@
 Every float the writers export goes through ``mesh._float_cells`` and
 ``mesh._cells_text``; the text must be byte-identical to ``%``.
 """
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from biconsurf.pipeline import PipelineConfig, cmd_profile, cmd_solve, cmd_surfa
 
 def kernel(table, sep=" ", head="", index=False):
     ids = mesh._id_words(np.arange(len(table))) if index else None
-    return mesh._cells_text(mesh._float_cells(table), sep, head, ids).decode("ascii")
+    return mesh._cells_text(mesh._float_cells([table]), sep, head, ids).decode("ascii")
 
 
 def reference(table, sep=" ", head="", index=False):
@@ -144,7 +145,7 @@ def test_id_words_at_digit_and_word_boundaries(top):
     assert mesh._face_text(ids, quads[:, :3], "3").decode("ascii") == faces_reference(
         values, quads[:, :3], "3")
     table = np.linspace(-1.0, 1.0, 2 * len(values)).reshape(-1, 2)
-    text = mesh._cells_text(mesh._float_cells(table), ",", ids=ids).decode("ascii")
+    text = mesh._cells_text(mesh._float_cells([table]), ",", ids=ids).decode("ascii")
     assert text == "".join("%d,%.17g,%.17g\n" % (v, *row) for v, row in zip(values, table.tolist()))
 
 
@@ -183,7 +184,7 @@ def cell_bytes(values, monkeypatch):
         raise AssertionError(f"{values.tolist()} took the % path")
 
     monkeypatch.setattr(mesh, "_percent_words", refused)
-    cells = mesh._float_cells(np.asarray(values, dtype=float)[:, None])
+    cells = mesh._float_cells([values])
     assert cells.shape[-1] == 4  # four words of 8 bytes per value
     return cells.view(np.uint8).reshape(len(values), 32)
 
@@ -225,19 +226,9 @@ def test_seventeenth_digit_moves_into_word_three(monkeypatch, sign):
     assert [chr(c) for c in sci[:, 23]] == ["7", "7"]
 
 
-def test_nominal_s3_mesh_files_match_percent_formatting(tmp_path, monkeypatch):
-    # the OBJ, its channel sidecar and the PLY of the benchmark's nominal s3
-    # surface, each against a writer that formats every number with %
-    meshes = []
-    grid_mesh = pipeline._grid_mesh
-
-    def recorded(*args, **kwargs):
-        meshes.append(grid_mesh(*args, **kwargs))
-        return meshes[-1]
-
-    monkeypatch.setattr(pipeline, "_grid_mesh", recorded)
-    out = cmd_surface(PipelineConfig(model="s3", k0=1.0, kp0=1.0, nu=128, nv=128), tmp_path)
-    (m,) = meshes
+def percent_files(m) -> tuple:
+    """The OBJ, sidecar and PLY bytes of the mesh ``m`` with every number
+    formatted by ``%``."""
     names = sorted(m.channels)
     verts = m.vertices.tolist()
     columns = np.column_stack([m.channels[n] for n in names]).tolist()
@@ -253,8 +244,54 @@ def test_nominal_s3_mesh_files_match_percent_formatting(tmp_path, monkeypatch):
                "end_header"]
     ply = "\n".join(header) + "\n"
     ply += "".join(" ".join("%.17g" % x for x in v + row) + "\n" for v, row in zip(verts, columns))
-    ply += "".join("4" + "".join(" %d" % i for i in q) + "\n" for q in quads)
+    ply += "".join("%d" % len(q) + "".join(" %d" % i for i in q) + "\n" for q in quads)
+    return obj.encode("ascii"), side.encode("ascii"), ply.encode("ascii")
+
+
+def written_files(m, out: Path) -> tuple:
+    out.mkdir()
+    obj, side = mesh.write_obj(m, out / "m.obj")
+    ply = mesh.write_ply(m, out / "m.ply")
+    return tuple(Path(path).read_bytes() for path in (obj, side, ply))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_text_blocks_change_no_byte(tmp_path, monkeypatch, rows):
+    # vertex and face counts of 1, a multiple of the block and one more; at
+    # 1- and 2-row blocks the sidecar ids 9 and 10 lie on either side of a
+    # block edge
+    multiple = -(-12 // rows) * rows
+    counts = (1, multiple, multiple + 1)
+    rng = np.random.default_rng(rows)
+    for n, m_faces in itertools.product(counts, counts):
+        verts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, size=(n, 3))
+        quads = rng.integers(0, n, size=(m_faces, 4))
+        m = mesh.Mesh(vertices=verts, quads=quads,
+                      channels={"f": rng.normal(size=n), "K": -rng.random(n)})
+        case = tmp_path / f"{rows}-{n}-{m_faces}"
+        case.mkdir()
+        whole = written_files(m, case / "whole")
+        with monkeypatch.context() as patched:
+            patched.setattr(mesh, "_TEXT_ROWS", rows)
+            blocked = written_files(m, case / "blocked")
+        assert blocked == whole == percent_files(m), (n, m_faces)
+
+
+def test_nominal_s3_mesh_files_match_percent_formatting(tmp_path, monkeypatch):
+    # the OBJ, its channel sidecar and the PLY of the benchmark's nominal s3
+    # surface, each against a writer that formats every number with %
+    meshes = []
+    grid_mesh = pipeline._grid_mesh
+
+    def recorded(*args, **kwargs):
+        meshes.append(grid_mesh(*args, **kwargs))
+        return meshes[-1]
+
+    monkeypatch.setattr(pipeline, "_grid_mesh", recorded)
+    out = cmd_surface(PipelineConfig(model="s3", k0=1.0, kp0=1.0, nu=128, nv=128), tmp_path)
+    (m,) = meshes
+    obj, side, ply = percent_files(m)
     obj_path, side_path = map(Path, out["written"]["obj"])
-    assert obj_path.read_bytes() == obj.encode("ascii")
-    assert side_path.read_bytes() == side.encode("ascii")
-    assert Path(out["written"]["ply"]).read_bytes() == ply.encode("ascii")
+    assert obj_path.read_bytes() == obj
+    assert side_path.read_bytes() == side
+    assert Path(out["written"]["ply"]).read_bytes() == ply

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biconsurf as bc
-from biconsurf import profile, surfaces, verify
+from biconsurf import mesh, profile, surfaces, verify
 from biconsurf.ambient import Signature
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 from biconsurf.verify import (
@@ -949,7 +949,9 @@ class TestExactFieldDerivatives:
 
     def test_blocks_do_not_change_the_result(self, tmp_path, monkeypatch):
         # the whole pass in 2-row blocks with 1-row f-derivative sub-blocks,
-        # on 25 rows, so the last block is short; r3 has the reference rows
+        # on 25 rows, so the last block is short; the sub-grid cross-check in
+        # blocks of one of its 7 rows (6 points each), and the mesh text in
+        # 7-row blocks; r3 has the reference rows
         def run(cfg, out):
             report = bc.verify_patch(build_pipeline_patch(cfg)[0], cfg.nu, cfg.nv)
             cmd_surface(cfg, out)
@@ -964,6 +966,8 @@ class TestExactFieldDerivatives:
                 whole, whole_files = run(cfg, tmp_path / case / "whole")
                 m.setattr(verify, "_BLOCK_POINTS", 2 * 24)
                 m.setattr(verify, "_JET_BLOCK_POINTS", 24)
+                m.setattr(verify, "_HIGHER_BLOCK_POINTS", 24 // verify._HIGHER_STRIDE)
+                m.setattr(mesh, "_TEXT_ROWS", 7)
                 blocked, blocked_files = run(cfg, tmp_path / case / "blocked")
             references = [name for name in whole.residuals if name.endswith("_vs_reference")]
             assert bool(references) == (case == "r3")
@@ -976,22 +980,42 @@ class TestExactFieldDerivatives:
                                            "surface.ply", "surface.report.json"]
             assert blocked_files == whole_files, case
 
-    def test_traced_peak_of_a_128_grid_is_block_sized(self, s3_pipeline):
-        # one full-grid pass peaked at 19.9 MB here, 16 shifted frames among
-        # its arrays; the block pass measures 8.4 MB
-        patch = s3_pipeline[2]
-        bc.verify_patch(patch, 128, 128)
+    @staticmethod
+    def traced_peak(call):
+        """The traced peak of ``call()`` above what was held before it, after
+        one untraced warm-up call."""
+        call()
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            bc.verify_patch(patch, 128, 128)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            call()
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < 12e6
+
+    def test_traced_peak_of_a_128_grid_is_block_sized(self, s3_pipeline):
+        # one full-grid pass peaked at 19.9 MB here, 16 shifted frames among
+        # its arrays; the block pass measures 8.4 MB
+        patch = s3_pipeline[2]
+        assert self.traced_peak(lambda: bc.verify_patch(patch, 128, 128)) < 12e6
+
+    def test_traced_peak_of_a_256_grid_has_a_block_sized_sub_grid(self, s3_pipeline):
+        # the sub-grid cross-check over its 4,096 points at once peaked at
+        # 33.1 MB; in blocks of 1,024 points the whole verify measures
+        # 16.4 MB, bounded here with a margin of 3.6 MB
+        patch = s3_pipeline[2]
+        assert self.traced_peak(lambda: bc.verify_patch(patch, 256, 256)) < 20e6
+
+    def test_traced_peak_of_a_128_surface_is_the_verifiers(self, tmp_path):
+        # the OBJ and PLY text made whole peaked at 12.0 MB in write_ply;
+        # block by block of rows the writers measure 7.0 MB, below the
+        # verifier's 8.4 MB, which the whole command measures; bounded here
+        # with a margin of 1.6 MB
+        cfg = PipelineConfig(model="s3", k0=1.0, kp0=1.0, nu=128, nv=128)
+        assert self.traced_peak(lambda: cmd_surface(cfg, tmp_path)) < 10e6
 
 
 class TestHigherPartialsCrossCheck:
