@@ -263,7 +263,7 @@ class ProfileCurve:
         """``constraint_residuals`` from already evaluated joint states; the
         family's constraints are <sigma, C1> = s1 a and <sigma, C2> = s2 a."""
         k, sig, vel = st[..., 0], st[..., 2:6], st[..., 6:10]
-        a = _amplitude_scale(self.branch, self.C) * k**-0.75
+        a = _amplitude(self._chart.sc, k, st[..., 1])[0]
         s1, s2 = BY_BRANCH[self.branch].constraint
         inner = self.model.inner
         return {

@@ -24,7 +24,7 @@ from .ambient import SpaceForm
 from .curvature import ode_rhs
 from .errors import DomainError, UsageError, _pair
 from .families import BY_BRANCH, FAMILIES
-from .profile import ProfileCurve, RevolutionProfile, _amplitude, _amplitude_scale
+from .profile import ProfileCurve, RevolutionProfile, _amplitude
 
 __all__ = [
     "SurfacePatch",
@@ -270,7 +270,7 @@ def _sweep_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
         model=prof.model,
         u_range=prof.span,
         v_range=_v_range(v_range),
-        uline=_sweep_uline(prof, _amplitude_scale(prof.branch, prof.C)),
+        uline=_sweep_uline(prof, prof._chart.sc),
         at=at,
         eval_u_domain=prof.span,
         C=prof.C,

@@ -20,26 +20,24 @@ differences, at the step of ``FDScheme`` and with one kernel
 the required ``second_partials_fd`` residual, and every partial of order 3
 or 4 against the partial one order lower, on every 4th row and column, is
 the required ``higher_partials_fd`` residual.  Each grid is read through
-one ``_Probe``, which calls the patch's ``uline`` once for every u offset
-its checks read, so a ``verify_patch`` makes three ``uline`` calls: the
-orientation point, the grid and the sub-grid.  The sub-grid's shifted
-``jet`` and ``jet4`` come from one evaluation per direction and block of
-sub-grid u-rows of about ``_HIGHER_BLOCK_POINTS`` = 1024 points, so the
-sub-grids of 64 x 64 and 128 x 128 grids are one block.
+one ``_Probe``, which calls the patch's ``uline`` once, stacked over the u
+offsets its checks read, so a ``verify_patch`` makes two ``uline`` calls:
+the orientation point and the grid at 0, +-h, +-h/2 and +-h/4, whose every
+4th row and column the sub-grid check reads.
 
 The grid's per-point pass (``_shape``, ``_field_bundle``, ``_gate_rows``
 and the frames and kernel of ``second_partials_fd``) runs over blocks of
 u-rows of about ``_BLOCK_POINTS`` = 4096 points, so a 64 x 64 grid is one
-block; inside a block the closed-form f derivatives go in sub-blocks of
-about ``_JET_BLOCK_POINTS`` = 2048 points.  A block probe slices the grid
-probe's u-lines and makes no ``uline`` call.  Each block writes its values
-and masks into full-grid arrays, and every reduction (``_summary``, the
-relative floor, the bitension statistics, the gate counts) runs once on
-those, so the block sizes change no output bit.  The working set of the
-pass and of the sub-grid check is block-sized; beside it ``verify_patch``
-holds the full-grid values, masks and kept fields.  A grid whose blocks
-hold different defects raises the ``ConditioningError`` of the first such
-block.
+block; the closed-form f derivatives go in sub-blocks of half a block, and
+the sub-grid check in blocks of its u-rows of a quarter block, so the
+sub-grids of 64 x 64 and 128 x 128 grids are one block.  A block probe
+slices the grid probe's u-lines and makes no ``uline`` call.  Each block
+writes its values and masks into full-grid arrays, and every reduction
+(``_summary``, the relative floor, the bitension statistics, the gate
+counts) runs once on those, so the block sizes change no output bit.  The
+working set of each stage is block-sized; beside it ``verify_patch`` holds
+the full-grid values, masks and kept fields.  A grid whose blocks hold
+different defects raises the ``ConditioningError`` of the first such block.
 
 Sign conventions
 ----------------
@@ -140,14 +138,14 @@ def _require_jets(patch: SurfacePatch) -> None:
 # batched geometry
 # ---------------------------------------------------------------------------
 
-# grid points per block of u-rows of the verifier's pass, and per sub-block
-# of its closed-form f-derivatives
+# grid points per block of u-rows of the verifier's pass, about 1.2 kB each
+# (frames, field bundle, gate rows).  The closed-form f-derivatives hold
+# 1.4 kB per point on top of that, so their sub-blocks are half a block; the
+# 13 shifted jets of the higher_partials_fd cross-check hold 5.4 kB per
+# point, so its blocks of sub-grid u-rows are a quarter block
 _BLOCK_POINTS = 4096
-_JET_BLOCK_POINTS = 2048
-# every this many rows and columns carry the higher_partials_fd cross-check,
-# which runs over blocks of sub-grid u-rows of about this many points
+# every this many rows and columns carry the higher_partials_fd cross-check
 _HIGHER_STRIDE = 4
-_HIGHER_BLOCK_POINTS = 1024
 
 
 class _Probe:
@@ -159,8 +157,8 @@ class _Probe:
     SurfacePatch contract allows.  ``at``, ``jet`` and ``jet4`` broadcast a
     piece against a v-row (shape (1, nv)), and their triples come back
     flattened to (nu * nv, dim) in u-major order, the layout of the
-    verifier's grids.  An offset outside ``offsets`` gets a u-line call of
-    its own.  ``block`` gives the probe on a block of u-rows.
+    verifier's grids.  Only the ``offsets`` can be read.  ``block`` gives
+    the probe on a block of u-rows and v-columns.
     """
 
     def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray,
@@ -177,22 +175,15 @@ class _Probe:
             for i, du in enumerate(self.offsets)
         }
 
-    def block(self, rows: slice) -> _Probe:
-        """The probe on the u-rows ``rows`` of this grid.  Its u-lines are
-        this probe's, sliced along their first axis, so it makes no u-line
-        call for an offset this probe holds."""
+    def block(self, rows: slice, cols: slice = slice(None)) -> _Probe:
+        """The probe on the u-rows ``rows`` and v-columns ``cols`` of this grid;
+        its u-lines are this probe's, sliced, so it makes no ``uline`` call."""
         blk = copy.copy(self)
-        blk.u = self.u[rows]
-        blk.shape = (blk.u.shape[0], self.shape[1])
+        blk.u, blk.v = self.u[rows], self.v[:, cols]
+        blk.shape = (blk.u.shape[0], blk.v.shape[1])
         blk._lines = {du: tuple(np.asarray(entry)[rows] for entry in line)
                       for du, line in self._lines.items()}
         return blk
-
-    def line(self, du: float):
-        key = float(du)
-        if key not in self._lines:
-            self._lines[key] = self.patch.uline(self.u + key)
-        return self._lines[key]
 
     def shifted_jets(self, steps) -> dict:
         """{(du, dv): jet + jet4} at the grid shifted by each offset du along u
@@ -209,7 +200,7 @@ class _Probe:
         vrow = np.concatenate([self.v + dv for dv in steps], axis=1)
         out = {}
         for axis, line, v, keys in ((0, stacked, self.v, [(du, 0.0) for du in self.offsets]),
-                                    (1, self.line(0.0), vrow, [(0.0, dv) for dv in steps])):
+                                    (1, self._lines[0.0], vrow, [(0.0, dv) for dv in steps])):
             shape = (nu * len(keys), nv) if axis == 0 else (nu, nv * len(keys))
             parts = [a for name in ("jet", "jet4") for a in self._evaluate(name, line, v, shape)]
             for i, key in enumerate(keys):
@@ -230,7 +221,7 @@ class _Probe:
         return self._grid_eval("jet4", du, dv)
 
     def _grid_eval(self, name: str, du: float, dv: float):
-        out = self._evaluate(name, self.line(du), self.v + dv, self.shape)
+        out = self._evaluate(name, self._lines[du], self.v + dv, self.shape)
         n = self.shape[0] * self.shape[1]
         return tuple(a.reshape(n, a.shape[-1]) for a in out)
 
@@ -492,7 +483,7 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
 
     grad f and the second partials of f are closed-form
     (``_jet_f_derivatives``), evaluated in sub-blocks of u-rows of about
-    ``_JET_BLOCK_POINTS`` points, and Delta f comes from ``_laplacian`` with
+    half ``_BLOCK_POINTS``, and Delta f comes from ``_laplacian`` with
     the Christoffel symbols of the jet; each sub-block takes grad f and
     Delta f from its own ``_metric_tables``.
     """
@@ -501,7 +492,7 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
     nu, nv = pr.shape
     n = nu * nv
     F1, F2, G, lap = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, n)), np.empty(n)
-    for rows, sl in _row_blocks(nu, nv, _JET_BLOCK_POINTS):
+    for rows, sl in _row_blocks(nu, nv, _BLOCK_POINTS // 2):
         gi, gam = _metric_tables(sh, sl, model)
         f1, f2 = _jet_f_derivatives(sh, sl, pr.block(rows).jet4(0.0, 0.0), gi, gam, model)
         F1[:, sl], F2[:, :, sl] = f1, f2
@@ -847,7 +838,7 @@ def verify_patch(
     nu: int = 64,
     nv: int = 64,
     fd: FDScheme | None = None,
-    tolerances: dict | None = None,
+    tolerances: Mapping | None = None,
 ) -> VerificationReport:
     """Verify every identity on a regular grid and summarize residuals.
 
@@ -857,14 +848,22 @@ def verify_patch(
     bound taken from the family's profile in ``TOL_PROFILES``.  The pass
     rules: max <= bound on the kept points; the relative bitension floor,
     applied only on mostly non-CMC grids; and, on h3, x4 > 0 everywhere.  A
-    profile that bounds no residual fails.  ``nu`` and ``nv`` must be
-    integers >= 2.
+    profile that bounds no residual fails.  ``nu``, ``nv`` must be integers
+    >= 2, ``fd`` an ``FDScheme``, ``tolerances`` finite real bounds >= 0.
     """
     nu, nv = _grid_size(nu, nv)
     _require_jets(patch)
-    fd = fd or fd_for_patch(patch)
+    fd = fd_for_patch(patch) if fd is None else fd
+    if not isinstance(fd, FDScheme):
+        raise UsageError(f"fd must be an FDScheme, got {fd!r}")
     if tolerances is None:
         tolerances = TOL_PROFILES.get(patch.case, {})
+    if not isinstance(tolerances, Mapping):
+        raise UsageError(f"tolerances must be a mapping of names to bounds, got {tolerances!r}")
+    for name, bound in tolerances.items():
+        if not (isinstance(name, str) and 0.0 <= _real(bound, f"tolerance {name!r}") < np.inf):
+            raise UsageError(f"tolerance {name!r} must be finite and non-negative, got {bound!r}")
+    tolerances = {name: float(bound) for name, bound in tolerances.items()}
     notes = []
 
     u0, u1 = patch.u_range
@@ -887,7 +886,8 @@ def verify_patch(
 
     h = fd.inner_step
     sign = normal_sign(patch)
-    pr = _Probe(patch, ugrid, vgrid, (0.0,) + _fd_steps(h, 2))
+    steps = _fd_steps(h, 3)
+    pr = _Probe(patch, ugrid, vgrid, (0.0,) + steps)
     rows, kept = _grid_pass(pr, sign, h, ("X", "f", "K", *patch.reference))
     f = kept["f"]
 
@@ -896,12 +896,11 @@ def verify_patch(
     every = slice(None, None, _HIGHER_STRIDE)
     sub = np.zeros((nu, nv), dtype=bool)
     sub[every, every] = True
-    steps = _fd_steps(h, 3)
-    spr = _Probe(patch, ugrid[every], vgrid[every], (0.0,) + steps)
     higher = np.full((nu, nv), np.nan)
     on_sub = higher[every, every]
-    for block, _ in _row_blocks(*spr.shape, _HIGHER_BLOCK_POINTS):
-        jets = spr.block(block).shifted_jets(steps)
+    for block, _ in _row_blocks(*on_sub.shape, _BLOCK_POINTS // 4):
+        on_grid = slice(block.start * _HIGHER_STRIDE, block.stop * _HIGHER_STRIDE, _HIGHER_STRIDE)
+        jets = pr.block(on_grid, every).shifted_jets(steps)
         on_sub[block] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3,
                                         patch.model.ambient.dim)
         del jets  # free this block's jets before the next block's are made

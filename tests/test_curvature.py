@@ -829,6 +829,32 @@ class TestClosedForms:
         assert kp_errors == sorted(kp_errors, reverse=True)
         assert k_errors[-1] < 1e-3 * k_errors[0]
 
+    def test_flat_solutions_keep_their_closed_form_constant(self):
+        # c = 0: w = k^(-3/4) solves w'' = 3 w^(-5/3), with first integral
+        # A = w'^2 + 9 w^(-2/3).  With s = w^(1/3) and t = A s^2 - 9, the
+        # closed form u = u0 + sign(w') (t^(3/2) + 27 t^(1/2)) / A^2 holds
+        # on every solution, through its turning point (w' = 0, t = 0).  Here
+        # C = 12.33, with one turning point at u = -0.520
+        u = np.linspace(-3.0, 3.0, 2001)
+        spreads = []
+        for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12):
+            sol = bc.solve_curvature(0, 0.5, -0.3, (-3.0, 3.0), rel_tol=rel_tol,
+                                     abs_tol=rel_tol / 100)
+            assert not sol.truncated and len(sol.turning_points) == 1
+            state = sol.state(u)
+            k, kp = state[:, 0], state[:, 1]
+            w = k**-0.75
+            wp = -0.75 * w * kp / k
+            A = wp**2 + 9.0 * w ** (-2.0 / 3.0)
+            s = w ** (1.0 / 3.0)
+            t = A * s**2 - 9.0
+            u0 = u - np.sign(wp) * (t**1.5 + 27.0 * np.sqrt(t)) / A**2
+            spreads.append(np.ptp(u0))
+            # measured 0.024, 0.049, 0.16 and 2.4 times rel_tol
+            assert spreads[-1] <= 10.0 * rel_tol
+        assert spreads == sorted(spreads, reverse=True)
+        assert spreads[-1] < 1e-3 * spreads[0]
+
 
 # The array expressions of ode_rhs and prime_poly before their float paths,
 # kept as the references: the solvers used to evaluate them on 0-d arrays, so

@@ -132,8 +132,8 @@ def _second_partials_fd(pr: _Probe, h: float):
 
 def _higher_partials_fd(patch, ugrid, vgrid, fd: FDScheme) -> np.ndarray:
     """Largest Euclidean norm of jet4 minus differences of the order below."""
-    pr = _Probe(patch, ugrid, vgrid)
     h = fd.inner_step
+    pr = _Probe(patch, ugrid, vgrid, (0.0, h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h))
     cache: dict = {}
 
     def jets(du, dv):
@@ -176,11 +176,12 @@ class TestFiniteDifferences:
         report = bc.verify_patch(patch, 24, 24)
         second, higher = fields
         fd = fd_for_patch(patch)
+        h = fd.inner_step
         u, v = report.grid_u, report.grid_v
-        pr = _Probe(patch, u, v)
+        pr = _Probe(patch, u, v, (0.0, h, -h, 0.5 * h, -0.5 * h))
         euclid = Signature(patch.model.ambient.dim)
         ref2 = np.max([euclid.norm(d - e) for d, e in
-                       zip(_second_partials_fd(pr, fd.inner_step), pr.jet(0.0, 0.0))], axis=0)
+                       zip(_second_partials_fd(pr, h), pr.jet(0.0, 0.0))], axis=0)
         ref4 = _higher_partials_fd(patch, u[::4], v[::4], fd)
         assert second.shape == ref2.shape and second.tobytes() == ref2.tobytes()
         assert higher.size == ref4.size and higher.tobytes() == ref4.tobytes()
@@ -508,7 +509,7 @@ class TestTensorGridProbe:
         u = np.linspace(*patch.u_range, 7)
         v = np.linspace(*patch.v_range, 5)
         U, V = np.meshgrid(u, v, indexing="ij")
-        pr = _Probe(patch, u, v)
+        pr = _Probe(patch, u, v, (0.0, 1e-3, -2e-3))
         for du, dv in ((0.0, 0.0), (1e-3, 0.0), (-2e-3, 0.25)):
             want = patch.frame((U + du).ravel(), (V + dv).ravel())
             got = pr.frame(du, dv)
@@ -539,9 +540,10 @@ class TestTensorGridProbe:
         "fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline", "h3p_pipeline"]
     )
     def test_stacked_ulines_equal_separate_calls(self, fix, request, monkeypatch):
-        # the one-point probe of normal_sign, the grid probe and the sub-grid
-        # probe of verify_patch: each offset's piece of the stacked u-line is
-        # the u-line of its own call, byte for byte
+        # the one-point probe of normal_sign and the grid probe of
+        # verify_patch, whose every 4th row and column the sub-grid check
+        # reads: each offset's piece of the stacked u-line is the u-line of
+        # its own call, byte for byte
         patch = request.getfixturevalue(fix)[-2]
         probes = []
 
@@ -553,15 +555,14 @@ class TestTensorGridProbe:
         monkeypatch.setattr(verify, "_Probe", Recorded)
         bc.verify_patch(patch, 24, 24)
         h = fd_for_patch(patch).inner_step
-        steps = (h, -h, 0.5 * h, -0.5 * h)
+        steps = (h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h)
         assert [(pr.shape, pr.offsets) for pr in probes] == [
             ((1, 1), (0.0,)), ((24, 24), (0.0,) + steps),
-            ((6, 6), (0.0,) + steps + (0.25 * h, -0.25 * h)),
         ]
         for pr in probes:
             for du in pr.offsets:
                 want = patch.uline(pr.u + du)
-                got = pr.line(du)
+                got = pr._lines[du]
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -599,8 +600,9 @@ class TestTensorGridProbe:
                 assert np.asarray(value).tobytes() == np.asarray(want[name]).tobytes(), name
 
     def test_verify_calls_uline_once_per_probe(self, s3_pipeline):
-        # normal_sign, the grid and the sub-grid; the points are those of
-        # one call per u offset (1 + 5 * 24 + 7 * 6)
+        # normal_sign and the grid, whose every 4th row and column the
+        # sub-grid check reads; the points are those of one call per u offset
+        # (1 + 7 * 24)
         patch = s3_pipeline[2]
         sizes = []
 
@@ -609,7 +611,7 @@ class TestTensorGridProbe:
             return patch.uline(u)
 
         bc.verify_patch(dataclasses.replace(patch, uline=uline), 24, 24)
-        assert sizes == [1, 5 * 24, 7 * 6]
+        assert sizes == [1, 7 * 24]
 
 
 class TestFailClosed:
@@ -685,6 +687,12 @@ class TestFailClosed:
         report = bc.verify_patch(sphere_patch(), np.int64(4), 4)
         assert json.loads(report.to_json())["grid"]["nu"] == 4
 
+    def test_numpy_bound_serializes(self):
+        # a float32 bound used to pass and then leak TypeError from to_json
+        rep = bc.verify_patch(sphere_patch(), 8, 8,
+                              tolerances={"biconservative": np.float32(0.5)})
+        assert json.loads(rep.to_json())["tolerances"] == {"biconservative": 0.5}
+
     def test_nan_xu_patch_raises(self, r3_pipeline):
         _, patch, _ = r3_pipeline
 
@@ -704,6 +712,28 @@ class TestFailClosed:
 
         with pytest.raises(bc.ConditioningError, match="normal"):
             bc.verify_patch(dataclasses.replace(patch, at=at), 8, 8)
+
+    @pytest.mark.parametrize("options, message", [
+        ({"tolerances": {"pde": None}}, "tolerance 'pde' must be a real number, got None"),
+        ({"tolerances": {"pde": True}}, "tolerance 'pde' must be a real number, got True"),
+        ({"tolerances": {"pde": "x"}}, "tolerance 'pde' must be a real number, got 'x'"),
+        ({"tolerances": {"pde": float("inf")}}, "tolerance 'pde' must be finite and non-negative"),
+        ({"tolerances": {"pde": float("nan")}}, "tolerance 'pde' must be finite and non-negative"),
+        ({"tolerances": {"pde": -1e-9}}, "tolerance 'pde' must be finite and non-negative"),
+        ({"tolerances": {1: 1.0}}, "tolerance 1 must be finite and non-negative, got 1.0"),
+        ({"tolerances": [("pde", 1.0)]}, "tolerances must be a mapping"),
+        ({"fd": 1e-4}, "fd must be an FDScheme"),
+    ], ids=["none", "bool", "str", "inf", "nan", "negative", "int-name", "list", "fd-float"])
+    def test_vacuous_or_malformed_options_are_usage_errors(self, options, message):
+        # None, True and inf used to pass vacuously (True as the bound 1);
+        # the list, the string and the float fd leaked AttributeError or
+        # TypeError.  Each is refused before the patch is evaluated
+        calls = []
+        patch = sphere_patch()
+        probed = dataclasses.replace(patch, uline=lambda u: calls.append(u) or patch.uline(u))
+        with pytest.raises(bc.UsageError, match=re.escape(message)):
+            bc.verify_patch(probed, 8, 8, **options)
+        assert calls == []
 
     def test_required_residual_without_points_fails(self):
         # the cylinder is CMC: the non-CMC mask leaves x2f no points
@@ -948,10 +978,11 @@ class TestExactFieldDerivatives:
         assert bc.verify_patch(_h3_truncation_case(), 20, 20).passed
 
     def test_blocks_do_not_change_the_result(self, tmp_path, monkeypatch):
-        # the whole pass in 2-row blocks with 1-row f-derivative sub-blocks,
-        # on 25 rows, so the last block is short; the sub-grid cross-check in
-        # blocks of one of its 7 rows (6 points each), and the mesh text in
-        # 7-row blocks; r3 has the reference rows
+        # _BLOCK_POINTS set to 24 and to 48 on 25 rows of 24 points, so the
+        # last block is short: 1- and 2-row grid blocks, 1-row f-derivative
+        # sub-blocks both times, and sub-grid blocks of 1 and 2 of its 7 rows
+        # (6 points each).  The mesh text goes in 7-row blocks; r3 has the
+        # reference rows
         def run(cfg, out):
             report = bc.verify_patch(build_pipeline_patch(cfg)[0], cfg.nu, cfg.nv)
             cmd_surface(cfg, out)
@@ -962,23 +993,23 @@ class TestExactFieldDerivatives:
                  "r3": {"model": "r3", "C": 1.0}}
         for case, data in cases.items():
             cfg = PipelineConfig(nu=25, nv=24, **data)
-            with monkeypatch.context() as m:
-                whole, whole_files = run(cfg, tmp_path / case / "whole")
-                m.setattr(verify, "_BLOCK_POINTS", 2 * 24)
-                m.setattr(verify, "_JET_BLOCK_POINTS", 24)
-                m.setattr(verify, "_HIGHER_BLOCK_POINTS", 24 // verify._HIGHER_STRIDE)
-                m.setattr(mesh, "_TEXT_ROWS", 7)
-                blocked, blocked_files = run(cfg, tmp_path / case / "blocked")
+            whole, whole_files = run(cfg, tmp_path / case / "whole")
             references = [name for name in whole.residuals if name.endswith("_vs_reference")]
             assert bool(references) == (case == "r3")
-            assert blocked.to_json() == whole.to_json(), case
-            assert blocked.fields.keys() == whole.fields.keys()
-            for name in whole.fields:
-                assert blocked.fields[name].tobytes() == whole.fields[name].tobytes(), (case, name)
-            assert blocked.grid_X.tobytes() == whole.grid_X.tobytes(), case
             assert sorted(whole_files) == ["surface.obj", "surface.obj.channels.csv",
                                            "surface.ply", "surface.report.json"]
-            assert blocked_files == whole_files, case
+            for points in (24, 48):
+                with monkeypatch.context() as m:
+                    m.setattr(verify, "_BLOCK_POINTS", points)
+                    m.setattr(mesh, "_TEXT_ROWS", 7)
+                    blocked, blocked_files = run(cfg, tmp_path / case / str(points))
+                assert blocked.to_json() == whole.to_json(), (case, points)
+                assert blocked.fields.keys() == whole.fields.keys()
+                for name in whole.fields:
+                    assert blocked.fields[name].tobytes() == whole.fields[name].tobytes(), \
+                        (case, points, name)
+                assert blocked.grid_X.tobytes() == whole.grid_X.tobytes(), (case, points)
+                assert blocked_files == whole_files, (case, points)
 
     @staticmethod
     def traced_peak(call):
@@ -1004,8 +1035,9 @@ class TestExactFieldDerivatives:
 
     def test_traced_peak_of_a_256_grid_has_a_block_sized_sub_grid(self, s3_pipeline):
         # the sub-grid cross-check over its 4,096 points at once peaked at
-        # 33.1 MB; in blocks of 1,024 points the whole verify measures
-        # 16.4 MB, bounded here with a margin of 3.6 MB
+        # 33.1 MB; in blocks of a quarter of _BLOCK_POINTS (1,024 points),
+        # read from the grid probe, the whole verify measures 16.4 MB,
+        # bounded here with a margin of 3.6 MB
         patch = s3_pipeline[2]
         assert self.traced_peak(lambda: bc.verify_patch(patch, 256, 256)) < 20e6
 
