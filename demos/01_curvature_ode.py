@@ -23,10 +23,11 @@ print("=" * 72)
 
 for label, c, k0, kp0 in DATASETS:
     sol = bc.solve_curvature(c, k0, kp0, (-1.0, 1.0))
-    lo, hi = sol.k_interval
+    lo, hi = bc.admissible_interval(sol.C, c)
+    drift = np.max(np.abs(sol.drift(np.linspace(*sol.span, 1001))))
     print(f"\n{label}")
     print(f"  conserved constant C = {sol.C:.15g}")
-    print(f"  drift of C over the span: {sol.drift():.2e}")
+    print(f"  drift of C over the span: {drift:.2e}")
     print(f"  admissible k in [{lo:.6f}, {hi:.6f}]")
     if len(sol.turning_points):
         for ut in sol.turning_points:

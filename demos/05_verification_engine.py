@@ -104,8 +104,8 @@ print(f"  cylinder: biconservative residual {pg.residuals['biconservative']:.1e}
 print("\nBiharmonic test: the normal bitension Delta f - f|A|^2 + 2cf")
 pg = bc.point_geometry(great_sphere, 1.2, 0.7)
 print(f"  great 2-sphere (minimal, biharmonic):   {pg.residuals['normal_bitension_min']:+.1e}")
-sol = bc.solve_curvature(1, 1.0, 1.0, (-1.1, 1.1), rel_tol=1e-12, abs_tol=1e-14)
-patch = bc.build_s3(bc.reconstruct_profile(sol, "s2"))
+patch = bc.build_s3(bc.reconstruct_profile("s2", 1.0, 1.0, (-1.1, 1.1),
+                                           rel_tol=1e-12, abs_tol=1e-14))
 pg = bc.point_geometry(patch, 0.3, 1.0)
 print(f"  constructed sphere-model surface:       {pg.residuals['normal_bitension_min']:+.3f}")
 print("  nonzero: biconservative surfaces need not be biharmonic.")

@@ -45,13 +45,6 @@ class Signature:
         if self.timelike == 1 and self.dim != 4:
             raise UsageError("Lorentz signature is only supported in dimension 4")
 
-    @property
-    def metric(self) -> np.ndarray:
-        eps = np.ones(self.dim)
-        if self.timelike:
-            eps[-1] = -1.0
-        return eps
-
     def _check(self, *vectors) -> None:
         for v in vectors:
             shape = np.shape(v)
@@ -65,9 +58,10 @@ class Signature:
         """Bilinear symmetric product sum(eps_i a_i b_i).
 
         The coordinate products are added left to right starting from +0.0,
-        the order ``np.sum(a * b * self.metric, axis=-1)`` uses, so the
-        result is bit-identical to that reduction (zero signs included; only
-        NaN payload bits may differ).  Besides the result it allocates one
+        the order ``np.sum(a * b * eps, axis=-1)`` uses for the diagonal
+        signs eps = (1, ..., 1, -1 if timelike), so the result is
+        bit-identical to that reduction (zero signs included; only NaN
+        payload bits may differ).  Besides the result it allocates one
         temporary, which holds each product in turn.
         """
         a = np.asarray(a, dtype=float)

@@ -300,8 +300,8 @@ def admissible_interval(C: float, c: int) -> tuple[float, float]:
     Endpoints are located by bracketing and Brent's method (``_brentq``).
     For c in {0, -1} the polynomial is positive down to k = 0 and the lower
     endpoint is returned as 0.0 (open end).  A c other than -1, 0 and +1
-    raises ``UsageError``, a C that is not finite ``DomainError``.  Every
-    solve records it as its ``CurvatureSolution.k_interval``.
+    raises ``UsageError``, a C that is not finite ``DomainError``.  No CLI
+    path calls it: it stays as the paper's quantity the README lists.
     """
     space_form(c)
     C = _real(C, "C")
@@ -426,9 +426,6 @@ _STEPS_PER_UNIT = 40_000
 _BUDGET_SPENT = -2
 # the boundary event of a run that stopped short, by status
 _STOP_KINDS = {-1: "step_underflow", _BUDGET_SPENT: "step_budget"}
-# the most evenly spaced samples ``CurvatureSolution.drift`` takes: its
-# state and C arrays stay within about 100 MB
-_DRIFT_MAX_SAMPLES = 10**6
 
 
 def _norm(x) -> float:
@@ -711,10 +708,9 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
 class CurvatureProblem:
     """Validated initial data of the curvature ODE, not yet integrated.
 
-    ``span`` is the target interval around u = 0.  A
-    :class:`CurvatureSolution` has the same fields, with ``span`` the
-    interval actually covered, so either one can seed
-    :func:`~biconsurf.profile.reconstruct_profile`.
+    ``span`` is the target interval around u = 0.  :func:`solve_curvature`
+    and :func:`~biconsurf.profile.reconstruct_profile` each make one from
+    their arguments and integrate it once.
     """
 
     c: int
@@ -794,8 +790,8 @@ class CurvatureSolution:
 
     It is the record of one two-sided run (``_integrate_two_sided``): the
     2-state run of :func:`solve_curvature` or the (k, k', theta) run of
-    ``reconstruct_profile``, with (k, k') its components 0-1.  ``u``,
-    ``k_samples``, ``kp_samples`` hold the run's accepted steps (sorted by
+    ``reconstruct_profile``, with (k, k') its components 0-1.  ``u`` and
+    ``kp_samples`` hold the run's accepted steps and k' there (sorted by
     u); ``_dense``, one segment table over ``span``, evaluates the whole
     state.  ``turning_points`` are the detected roots of k'; the
     ``boundary_events`` record any early stop (k floor, admissibility exit,
@@ -806,19 +802,13 @@ class CurvatureSolution:
 
     c: int
     C: float
-    k0: float
-    kp0: float
     span: tuple[float, float]
-    requested_span: tuple[float, float]
     u: np.ndarray
-    k_samples: np.ndarray
     kp_samples: np.ndarray
     turning_points: np.ndarray
     boundary_events: list
     truncated: bool
-    k_interval: tuple[float, float]
     rel_tol: float
-    abs_tol: float
     _dense: _Dop853Dense
 
     def state(self, u):
@@ -834,28 +824,15 @@ class CurvatureSolution:
     def kp(self, u):
         return self.state(u)[..., 1]
 
-    def drift(self, n: int = 1001) -> float:
-        """Max |prime_constant(k, k', c) - C| over a dense sample of the span.
-
-        The sample is ``n`` evenly spaced points and the run's steps; ``n``
-        must be an int from 0 to ``_DRIFT_MAX_SAMPLES`` (``UsageError``
-        otherwise, a bool included).  A second formula beside ``cmd_solve``'s
-        drift column, kept until the drift contract (ROADMAP item 3) joins them.
-        """
-        if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
-                                       and 0 <= n <= _DRIFT_MAX_SAMPLES):
-            raise UsageError(
-                f"drift needs an int sample count from 0 to {_DRIFT_MAX_SAMPLES}, got {n!r}"
-            )
-        lo, hi = self.span
-        grid = np.unique(np.concatenate([np.linspace(lo, hi, n), self.u]))
-        st = self.state(grid)
-        return float(np.max(np.abs(prime_constant(st[..., 0], st[..., 1], self.c) - self.C)))
+    def drift(self, u):
+        """prime_constant(k, k', c) - C at u inside the solved span: how far
+        the run has moved off its first integral, the ``C_drift`` column of
+        ``cmd_solve``."""
+        st = self.state(u)
+        return prime_constant(st[..., 0], st[..., 1], self.c) - self.C
 
 
-def _integrate_two_sided(
-    problem: CurvatureProblem | CurvatureSolution, rhs, y0, events
-) -> CurvatureSolution:
+def _integrate_two_sided(problem: CurvatureProblem, rhs, y0, events) -> CurvatureSolution:
     """Integrate ``rhs`` from ``y0`` at u = 0 out to both ends of ``problem.span``.
 
     ``y0`` starts with (k0, kp0), and (k, k') are the state's components
@@ -886,29 +863,19 @@ def _integrate_two_sided(
     covered, runs = tuple(covered), [res for _, res in sides]
     # the steps of both runs in order, u = 0 once (each run's times are strict)
     u, first = np.unique(np.concatenate([res.t for res in runs]), return_index=True)
-    y = np.concatenate([res.y for res in runs], axis=1)[:, first]
+    kp = np.concatenate([res.y[1] for res in runs])[first]
     t_old, h, y_old, y_new, K = map(np.array, zip(*(st for res in runs for st in res.steps)))
     F = _interpolants(rhs, t_old, h, y_old, y_new, K)
-    try:
-        interval = admissible_interval(problem.C, problem.c)
-    except NoSolutionError:
-        interval = (problem.k0, problem.k0)
     return CurvatureSolution(
         c=problem.c,
         C=problem.C,
-        k0=problem.k0,
-        kp0=problem.kp0,
         span=covered,
-        requested_span=problem.span,
         u=u,
-        k_samples=y[0],
-        kp_samples=y[1],
+        kp_samples=kp,
         turning_points=np.array(sorted(roots)),
         boundary_events=boundary,
         truncated=bool(boundary),
-        k_interval=interval,
         rel_tol=problem.rel_tol,
-        abs_tol=problem.abs_tol,
         _dense=_Dop853Dense(u, covered, t_old, h, y_old, F),
     )
 

@@ -73,7 +73,8 @@ class Family:
     branch: Branch | None     # the profile branch
     branch_name: str | None   # the CLI's --branch, where the model has a choice
     C_sign: int               # the sign of the constant C
-    wrong_sign: str | None    # reconstruct_profile's refusal of another sign
+    wrong_sign: str | None    # reconstruct_profile's refusal of another sign; None on
+                              # s3, where all initial data give C > 0
     constants: tuple | None   # (C1, C2) of the sweep, (P, E1, E2) of the profile's chart
     amplitude: float | None   # sc = amplitude / (3 sqrt|C|) in a = sc k^(-3/4)
     constraint: tuple | None  # (s1, s2): <sigma, C1> = s1 a, <sigma, C2> = s2 a
@@ -97,7 +98,7 @@ FAMILIES = MappingProxyType({f.case: f for f in (
            constraint=None, orbit=_rotation, v_range=defaults.V_FULL_TURN,
            projection="identity", builder="build_r3_revolution",
            tolerances=defaults.TOL_CLOSED_FORM),
-    Family("s3", S3, "s3", Branch.S2, None, 1, "branch s2 requires C > 0",
+    Family("s3", S3, "s3", Branch.S2, None, 1, None,
            constants=(_E[2], _E[3], _E[2], _E[0], _E[1]),
            projection="stereographic", builder="build_s3", **_CIRCLE),
     Family("h3_elliptic", H3, "h3", Branch.H2_ELLIPTIC, "elliptic", 1,

@@ -381,7 +381,6 @@ class Mesh:
     vertices: np.ndarray          # (N, 3)
     quads: np.ndarray             # (M, k) int indices, k >= 3 (4 from sample_mesh)
     channels: Mapping[str, np.ndarray] = field(default_factory=dict)
-    grid_shape: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         vertices = _array(self.vertices, "mesh vertices", UsageError).copy()
@@ -568,7 +567,7 @@ def _grid_mesh(case: str, points: np.ndarray, projection: str, channels: dict | 
             raise UsageError(f"channel '{name}' must have shape {(nu, nv)}")
         ch[name] = values.reshape(nu * nv)
 
-    return Mesh(vertices=verts, quads=quads, channels=ch, grid_shape=(nu, nv))
+    return Mesh(vertices=verts, quads=quads, channels=ch)
 
 
 def write_obj(mesh: Mesh, path, sidecar=None) -> list:

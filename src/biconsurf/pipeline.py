@@ -17,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .curvature import (
-    _conserved_constant,
-    _span,
-    curvature_problem,
-    prime_constant,
-    solve_curvature,
-)
+from .curvature import _conserved_constant, _span, solve_curvature
 from .errors import GeometryError, UsageError, _pair, _real
 from .families import Family, model_rows, resolve, select
 from .mesh import (
@@ -146,9 +140,9 @@ def build_pipeline_patch(cfg: PipelineConfig):
     """Run initial data through profile reconstruction to a trimmed patch.
 
     Returns ``(patch, sol)``; ``sol`` is None for r3.  A curved build
-    integrates the ODE once: (k, k') run jointly with the profile's chart
-    angle, and ``sol`` is the record of that run
-    (``patch.profile.curvature``).
+    integrates the ODE once, in ``reconstruct_profile`` over the padded
+    span: (k, k') run jointly with the profile's chart angle, and ``sol``
+    is the record of that run (``patch.profile.curvature``).
     """
     cfg = cfg.validate()
     family = cfg._family()
@@ -157,11 +151,8 @@ def build_pipeline_patch(cfg: PipelineConfig):
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
         return build_r3_revolution(prof, (prof.t_of_rho(cfg.rho_range), v_range)), None
 
-    problem = curvature_problem(
-        family.space.c, cfg.k0, cfg.kp0, _padded_span(cfg, v_range),
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-    )
-    prof = reconstruct_profile(problem, family.branch)
+    prof = reconstruct_profile(family.branch, cfg.k0, cfg.kp0, _padded_span(cfg, v_range),
+                               rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     patch = globals()[family.builder](prof, v_range)
     # declare the requested rectangle; the evaluators keep the padded span
     span = (max(cfg.span[0], prof.span[0]), min(cfg.span[1], prof.span[1]))
@@ -186,8 +177,7 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
     )
     grid = np.linspace(sol.span[0], sol.span[1], cfg.n_csv)
-    st = sol.state(grid)
-    drift = prime_constant(st[..., 0], st[..., 1], cfg.c) - sol.C
+    st, drift = sol.state(grid), sol.drift(grid)
     lines = [
         f"# model={cfg.model} c={cfg.c} k0={_fmt(cfg.k0)} kp0={_fmt(cfg.kp0)} "
         f"C={_fmt(sol.C)} span={_fmt(sol.span[0])}:{_fmt(sol.span[1])} "
@@ -313,28 +303,24 @@ def cmd_surface(
     }
 
 
-def cmd_sweep(cfg: PipelineConfig, values, out_dir, parameter: str = "auto") -> dict:
+def cmd_sweep(cfg: PipelineConfig, values, out_dir) -> dict:
     """One pipeline per parameter value, plus a summary CSV.
 
     For r3 the swept parameter is the profile constant C (also emitting the
-    u(rho) curve per value); for s3/h3 it is k0, or kp0 if asked.  Any other
-    parameter is a UsageError, as is a value that makes an invalid
-    configuration, both raised before anything is written.  A GeometryError
-    at run time is recorded and the sweep continues.
+    u(rho) curve per value); for s3/h3 it is k0.  Each value is read as a
+    real number (``_real``); one that is not, or that makes an invalid
+    configuration, is a UsageError raised before anything is written.  A
+    GeometryError at run time is recorded and the sweep continues.
     """
     cfg = cfg.validate()
     try:
-        values = [float(value) for value in values]
-    except (TypeError, ValueError) as exc:
+        values = [_real(value, "each value") for value in values]
+    except (TypeError, UsageError) as exc:
         raise UsageError(f"sweep values must be numbers ({exc})") from None
     if not values:
         raise UsageError("sweep needs a nonempty list of parameter values")
     closed_form = cfg.model == "r3"
-    swept = ("C",) if closed_form else ("k0", "kp0")
-    parameter = swept[0] if parameter == "auto" else parameter
-    if parameter not in swept:
-        raise UsageError(f"cannot sweep '{parameter}' for model {cfg.model}; "
-                         f"choose 'auto' or {' or '.join(swept)}")
+    parameter = "C" if closed_form else "k0"
     runs = [dataclasses.replace(cfg, **{parameter: value}).validate() for value in values]
     out_dir = _output_dir(out_dir)
 

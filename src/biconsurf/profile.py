@@ -38,15 +38,16 @@ import numpy as np
 
 from .ambient import SpaceForm
 from .curvature import (
-    CurvatureProblem,
     CurvatureSolution,
     _event_functions,
     _integrate_two_sided,
     _run_rhs,
+    curvature_problem,
     # nothing here calls ode_rhs; the name stays because perfbench's tracer
     # patches the attribute profile.ode_rhs
     ode_rhs,  # noqa: F401
 )
+from .defaults import ODE_ATOL, ODE_RTOL
 from .errors import ConstructionError, DomainError, UsageError, _real
 from .families import BY_BRANCH, Branch
 
@@ -275,19 +276,23 @@ class ProfileCurve:
 
 
 def reconstruct_profile(
-    sol: CurvatureProblem | CurvatureSolution,
     branch: Branch | str,
-    C: float | None = None,
+    k0: float,
+    kp0: float,
+    span: tuple[float, float] = (-1.0, 1.0),
+    rel_tol: float = ODE_RTOL,
+    abs_tol: float = ODE_ATOL,
 ) -> ProfileCurve:
-    """Integrate the profile curve whose curvature starts at sol's data.
+    """Integrate the profile curve of ``branch`` whose curvature starts at
+    (k(0), k'(0)) = (k0, kp0).
 
-    Only ``(c, C, k0, kp0, span, rel_tol, abs_tol)`` are read from ``sol``:
-    a :class:`CurvatureProblem` (a pipeline build) or a solved
-    :class:`CurvatureSolution`, whose covered span becomes the target.
-    (k, k') are integrated again, jointly with the chart angle theta and
-    with the events of :func:`solve_curvature`, so the curve may stop where
-    k reaches its floor or leaves the admissible set; the
-    constant-curvature (CMC) check reads that run's k' samples.
+    The data are checked by :func:`~biconsurf.curvature.curvature_problem`
+    on the branch's model, whose c it takes, and C must have the branch's
+    sign.  (k, k') are integrated once, jointly with the chart angle theta
+    and with the events of :func:`~biconsurf.curvature.solve_curvature`,
+    so the curve may stop short of ``span`` where k reaches its floor or
+    leaves the admissible set; ``curvature`` is the record of that run, and
+    the constant-curvature (CMC) check reads its k' samples.
 
     The curve is the canonical representative: theta starts at 0 and grows,
     and n has the sign of <sigma, C1> along C1.  Initial data whose chart
@@ -300,25 +305,19 @@ def reconstruct_profile(
         raise UsageError(f"unknown profile branch {branch!r}; expected one of {names}") from None
     family = BY_BRANCH[branch]
     model = family.space
-    if model.c != sol.c:
-        raise UsageError(
-            f"branch {branch.value} needs a curvature solution with "
-            f"c = {model.c}, got c = {sol.c}"
-        )
-    if C is not None and not abs(_real(C, "C") - sol.C) <= 1e-9 * max(1.0, abs(sol.C)):
-        raise UsageError("supplied constant C disagrees with the solution's")
-    C = sol.C
+    c = model.c
+    problem = curvature_problem(c, k0, kp0, span, rel_tol, abs_tol)
+    C = problem.C
     if not family.admits(C):
         raise UsageError(family.wrong_sign)
-    c = model.c
     chart = _chart(branch, c, C)
-    a0 = _amplitude(chart.sc, sol.k0, sol.kp0)[0]
+    a0 = _amplitude(chart.sc, problem.k0, problem.kp0)[0]
     D0 = float(chart.d0 + chart.d2 * (a0 * a0))
     if not D0 > 0:
         raise ConstructionError(
             f"infeasible start: the chart radius squared D = {D0!r} at u = 0 is not positive"
         )
-    curvature = _integrate_two_sided(sol, chart.rhs, [sol.k0, sol.kp0, 0.0],
+    curvature = _integrate_two_sided(problem, chart.rhs, [problem.k0, problem.kp0, 0.0],
                                      _event_functions(C, c))
     if np.max(np.abs(curvature.kp_samples)) < 1e-14:
         raise UsageError("constant-curvature solution: the surface would be CMC")

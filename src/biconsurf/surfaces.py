@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .ambient import SpaceForm
-from .curvature import ode_rhs
 from .errors import DomainError, UsageError, _pair
 from .families import BY_BRANCH, FAMILIES
 from .profile import ProfileCurve, RevolutionProfile, _amplitude
@@ -90,12 +89,6 @@ class SurfacePatch:
 
     def X(self, u, v):
         return self.frame(u, v)[0]
-
-    def Xu(self, u, v):
-        return self.frame(u, v)[1]
-
-    def Xv(self, u, v):
-        return self.frame(u, v)[2]
 
     @property
     def rect_diagonal(self) -> float:
@@ -232,7 +225,9 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
         sigma''' = k' n - (k^2 + c) T,
         sigma'''' = (k'' - k^3 - c k) n - 3 k k' T + c (k^2 + c) sigma,
 
-    with k'' = ``ode_rhs`` = 1.75 k'^2 / k + (4c/3) k - 4 k^3.  In
+    with k'' = 1.75 k'^2 / k + (4c/3) k - 4 k^3 from the right-hand side of
+    the profile's run (``_Chart.rhs``), which clamps k only below 1e-300,
+    far under the run's ``K_FLOOR`` stop.  In
     w = k^(-3/4) that equation reads w'' + c w = 3 w^(-5/3), and
     w^(-5/3) = k^(5/4), w^(-8/3) = k^2.  So a = sc w has
 
@@ -242,7 +237,7 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
 
     the last two by differentiating the first along the solution.
     """
-    c = prof.model.c
+    c, rhs = prof.model.c, prof._chart.rhs
 
     def uline(u):
         st = prof.state(u)
@@ -254,7 +249,7 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
         Tp = k[..., None] * n - c * sigma
         kc, kpc = k[..., None], kp[..., None]
         sigma3 = kpc * n - (kc**2 + c) * T
-        sigma4 = ((ode_rhs(k, kp, c)[..., None] - kc**3 - c * kc) * n
+        sigma4 = ((rhs(None, (k, kp))[1][..., None] - kc**3 - c * kc) * n
                   - 3.0 * kc * kpc * T + c * (kc**2 + c) * sigma)
         return (sigma, T, a, ap, Tp, app, sigma3, lin * ap, sigma4,
                 lin * app - 10.0 * k * kp * ap)

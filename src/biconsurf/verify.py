@@ -779,8 +779,6 @@ class VerificationReport:
     passed: bool
     notes: list
     fields: dict = field(default_factory=dict, repr=False)
-    grid_u: np.ndarray | None = field(default=None, repr=False)
-    grid_v: np.ndarray | None = field(default=None, repr=False)
     # the position X at every grid point, shape (nu, nv, dim)
     grid_X: np.ndarray | None = field(default=None, repr=False)
     schema: str = REPORT_SCHEMA
@@ -964,7 +962,5 @@ def verify_patch(
         passed=bool(passed),
         notes=notes,
         fields=sampled,
-        grid_u=ugrid,
-        grid_v=vgrid,
         grid_X=kept["X"].reshape(nu, nv, -1),
     )

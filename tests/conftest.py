@@ -30,6 +30,19 @@ def recorded_runs(monkeypatch, build):
     return built, calls
 
 
+def max_drift(sol, n=1001) -> float:
+    """Max |C drift| of a curvature solution over n evenly spaced points of
+    its span and its steps."""
+    u = np.unique(np.concatenate([np.linspace(*sol.span, n), sol.u]))
+    return float(np.max(np.abs(sol.drift(u))))
+
+
+def report_grid(report):
+    """(u, v) of a verification report's grid, rebuilt from its ``grid`` entry."""
+    g = report.grid
+    return np.linspace(*g["u_range"], g["nu"]), np.linspace(*g["v_range"], g["nv"])
+
+
 def scipy_run(rhs, y0, t_bound, rtol, atol, events):
     """scipy's own DOP853 run of a recorded call: the in-house driver's reference."""
     return solve_ivp(rhs, (0.0, t_bound), y0, method="DOP853", dense_output=True,

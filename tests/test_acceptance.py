@@ -13,7 +13,7 @@ from scipy.integrate import quad
 import biconsurf as bc
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_solve, cmd_surface
 
-from conftest import great_sphere_patch, oracle_deviation, plane_patch
+from conftest import great_sphere_patch, max_drift, oracle_deviation, plane_patch
 
 
 def _line(name, ok, detail):
@@ -42,7 +42,7 @@ def test_criterion_1_figure_constants_and_drift():
         sol = bc.solve_curvature(c, k0, kp0, (-1.0, 1.0))
         dt = time.perf_counter() - t0
         worst_rel = max(worst_rel, abs(val - exact) / abs(exact))
-        worst_drift = max(worst_drift, sol.drift() / abs(sol.C))
+        worst_drift = max(worst_drift, max_drift(sol) / abs(sol.C))
         worst_time = max(worst_time, dt)
     ok = worst_rel <= 1e-12 and worst_drift < 1e-8 and worst_time < 0.1
     _line(
@@ -240,6 +240,7 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_turning_point_consistency():
     sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
     assert len(sol.turning_points) >= 1
+    lo, hi = bc.admissible_interval(sol.C, 1)
     worst_poly = 0.0
     worst_end = 0.0
     for ut in sol.turning_points:
@@ -247,7 +248,7 @@ def test_criterion_9_turning_point_consistency():
         worst_poly = max(worst_poly, abs(bc.prime_poly(k, sol.C, 1)))
         worst_end = max(
             worst_end,
-            min(abs(k - sol.k_interval[0]), abs(k - sol.k_interval[1])),
+            min(abs(k - lo), abs(k - hi)),
         )
     ok = worst_poly < 1e-8 and worst_end < 1e-6
     _line(

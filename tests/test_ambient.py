@@ -27,6 +27,14 @@ def _unit(sig, vectors):
     return _unit_normal(_MODEL[sig], (X or [None])[0], Xu, Xv).reshape(np.shape(vectors[0]))
 
 
+def _signs(sig):
+    """The diagonal of the signature's metric: +1, and -1 on the timelike axis."""
+    eps = np.ones(sig.dim)
+    if sig.timelike:
+        eps[-1] = -1.0
+    return eps
+
+
 def _membership(model, p):
     """The verifier's model_membership row at p: <p, p> minus the quadric's value."""
     return model.inner(p, p) - model.quadric_target
@@ -71,7 +79,7 @@ class TestInner:
         # the np.sum reduction the coordinate sum replaced, kept as the
         # reference: equal values, equal zero signs, equal shapes
         def reference(a, b):
-            return np.sum(a * b * sig.metric, axis=-1)
+            return np.sum(a * b * _signs(sig), axis=-1)
 
         d = sig.dim
         rng = np.random.default_rng(5)
@@ -228,7 +236,7 @@ class TestComplement:
                 [(-1.0) ** j * np.linalg.det(mat[..., :, cols != j]) for j in range(4)],
                 axis=-1,
             )
-            return w * sig.metric
+            return w * _signs(sig)
 
         rng = np.random.default_rng(11)
         n = 400
@@ -249,7 +257,7 @@ class TestComplement:
     @pytest.mark.parametrize("sig", [EUCLIDEAN3, EUCLIDEAN4, LORENTZ4])
     def test_in_place_fill_matches_stacked_formula(self, sig):
         # the formula the in-place fill replaced: the minors stacked, then
-        # times sig.metric; equal bits, zero signs included (NaN sign bits
+        # times the signs; equal bits, zero signs included (NaN sign bits
         # may differ, as -(-x) and x differ there only)
         def reference(mat):
             a, b = mat[..., 0, :], mat[..., 1, :]
@@ -266,7 +274,7 @@ class TestComplement:
                               -(c0 * p23 - c2 * p03 + c3 * p02),
                               c0 * p13 - c1 * p03 + c3 * p01,
                               -(c0 * p12 - c1 * p02 + c2 * p01)], axis=-1)
-            return w * sig.metric
+            return w * _signs(sig)
 
         d, k = sig.dim, sig.dim - 1
         rng = np.random.default_rng(13)

@@ -1,11 +1,16 @@
 """The package's public names: each is read by a CLI path, a report field or a
 gate, or is a quantity of the paper that the README documents."""
+import dataclasses
+import inspect
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 import biconsurf as bc
-from biconsurf import ambient, errors, mesh, pipeline, profile, surfaces, verify
+from biconsurf import ambient, curvature, errors, mesh, pipeline, profile, surfaces, verify
+from conftest import recorded_runs
 
 PUBLIC = set("""
     EUCLIDEAN3 EUCLIDEAN4 H3 LORENTZ4 R3 S3 Signature SpaceForm space_form CurvatureSolution
@@ -18,7 +23,8 @@ PUBLIC = set("""
     cmd_sweep
 """.split())
 
-# names only the tests reached (the construction oracles moved to test_surfaces)
+# names only the tests reached (the construction oracles moved to test_surfaces),
+# and the curvature record's fields that nothing outside the tests read
 REMOVED = [(owner, name) for owner, names in [
     (verify, "biconservative_residual curvature_identity_residuals pde_residual "
              "normal_bitension_residual x2f_residual fundamental_forms"),
@@ -26,6 +32,10 @@ REMOVED = [(owner, name) for owner, names in [
     (errors, "DegenerateSpanError"), (mesh.Mesh, "triangles"),
     (profile.ProfileCurve, "normal velocity"), (pipeline.PipelineConfig, "resolved_branch"),
     (surfaces, "killing_tangency_check circle_radius expected_circle_radius"),
+    (surfaces.SurfacePatch, "Xu Xv"), (ambient.Signature, "metric"),
+    (mesh.Mesh, "grid_shape"), (verify.VerificationReport, "grid_u grid_v"),
+    (curvature.CurvatureSolution, "k_interval requested_span k_samples k0 kp0 abs_tol"),
+    (curvature, "_DRIFT_MAX_SAMPLES"),
 ] for name in names.split()]
 
 
@@ -37,5 +47,29 @@ def test_public_names_are_pinned():
 
 @pytest.mark.parametrize("owner, name", REMOVED, ids=[f"{o.__name__}.{n}" for o, n in REMOVED])
 def test_removed_name_stays_removed(owner, name):
-    assert not hasattr(owner, name)
+    # a dataclass field without a default is no class attribute, so fields
+    # are looked up among the dataclass's fields too
+    fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
+    assert not hasattr(owner, name) and name not in fields
     assert not hasattr(bc, name)
+
+
+def test_removed_keywords_stay_removed():
+    # the profile takes initial data only, a sweep sweeps the model's one
+    # parameter, and the drift is read at given points
+    assert list(inspect.signature(bc.reconstruct_profile).parameters) == [
+        "branch", "k0", "kp0", "span", "rel_tol", "abs_tol"]
+    assert list(inspect.signature(bc.cmd_sweep).parameters) == ["cfg", "values", "out_dir"]
+    assert list(inspect.signature(bc.CurvatureSolution.drift).parameters) == ["self", "u"]
+
+
+def test_readme_quickstart_integrates_once(tmp_path, monkeypatch):
+    # the README's library quickstart, run as written: its profile's one
+    # two-sided run of (k, k', theta) is every DOP853 call it makes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    _, calls = recorded_runs(monkeypatch, lambda: exec(compile(block, "README.md", "exec"), {}))
+    assert [(len(args[1]), args[2]) for args, _ in calls] == [(3, 1.0), (3, -1.0)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "surface.obj", "surface.ply", "surface.report.json"]

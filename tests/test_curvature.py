@@ -15,6 +15,7 @@ from biconsurf import curvature, dop853, profile
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from conftest import (
     assert_same_run,
+    max_drift,
     recorded_runs,
     reference_dense,
     scipy_run,
@@ -244,19 +245,17 @@ def test_checked_arguments_keep_their_values():
                           [bc.prime_poly(1.0, 1.0, 1), bc.prime_poly(1.0, 2.0, 1)])
 
 
-@pytest.mark.parametrize("n", [-1, 10**30, 2.5, "3", None, True, np.True_],
-                         ids=["negative", "huge", "float", "str", "None", "True", "np-True"])
-def test_drift_sample_count_is_usage_error(n):
-    # these leaked ValueError or TypeError, and True read as 1
+def test_drift_is_the_first_integral_off_its_constant():
+    # drift(u) is prime_constant at the dense state minus C, point by point
+    # and in u's shape, and the span check of the dense output guards it
     sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
-    with pytest.raises(bc.UsageError, match="drift needs an int sample count"):
-        sol.drift(n)
-
-
-def test_drift_takes_ints():
-    sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
-    assert sol.drift(np.int64(11)) == sol.drift(11)
-    assert 0.0 <= sol.drift(0) <= sol.drift()
+    u = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    st = sol.state(u)
+    want = bc.prime_constant(st[..., 0], st[..., 1], 1) - sol.C
+    assert np.array_equal(sol.drift(u), want)
+    assert sol.drift(0.0) == bc.prime_constant(1.0, 1.0, 1) - sol.C
+    with pytest.raises(bc.DomainError, match="outside the solved span"):
+        sol.drift(1.5)
 
 
 class TestDerivedQuantities:
@@ -311,7 +310,7 @@ class TestSolve:
         ]:
             sol = bc.solve_curvature(c, k0, kp0, (-1.0, 1.0))
             assert abs(sol.C - C_exact) <= 1e-9 * abs(C_exact)
-            assert sol.drift() <= 1e-8 * abs(sol.C)
+            assert max_drift(sol) <= 1e-8 * abs(sol.C)
             assert not sol.truncated
 
     @pytest.mark.parametrize("span", [
@@ -329,10 +328,11 @@ class TestSolve:
 
     def test_samples_positive_and_inside_interval(self):
         sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
-        assert np.all(sol.k_samples > 0)
-        lo, hi = sol.k_interval
-        assert np.all(sol.k_samples >= lo - 1e-9)
-        assert np.all(sol.k_samples <= hi + 1e-9)
+        k = sol.k(sol.u)
+        assert np.all(k > 0)
+        lo, hi = bc.admissible_interval(sol.C, 1)
+        assert np.all(k >= lo - 1e-9)
+        assert np.all(k <= hi + 1e-9)
 
     def test_even_symmetry(self):
         sol = bc.solve_curvature(0, 1.0, 0.0, (-0.4, 0.4))
@@ -343,10 +343,11 @@ class TestSolve:
     def test_turning_points_on_polynomial_roots(self):
         sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
         assert len(sol.turning_points) >= 1
+        lo, hi = bc.admissible_interval(sol.C, 1)
         for ut in sol.turning_points:
             k = float(sol.k(ut))
             assert abs(bc.prime_poly(k, sol.C, 1)) < 1e-8
-            assert min(abs(k - sol.k_interval[0]), abs(k - sol.k_interval[1])) < 1e-6
+            assert min(abs(k - lo), abs(k - hi)) < 1e-6
 
     def test_kappa2_consistency_identity(self):
         # (9/16)(k'/k)^2 + 9k^2 + 1 equals kappa2^2 along sphere solutions
@@ -387,7 +388,7 @@ class TestSolve:
     def test_dense_output_matches_samples(self):
         sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
         st_ = sol.state(sol.u)
-        assert np.max(np.abs(st_[:, 0] - sol.k_samples)) < 1e-12
+        assert np.max(np.abs(st_[:, 1] - sol.kp_samples)) < 1e-12
 
     def test_outside_span_rejected(self):
         sol = bc.solve_curvature(1, 1.0, 1.0, (-1.0, 1.0))
@@ -400,7 +401,7 @@ class TestSolve:
         assert float(right.k(0.0)) == 1.0
         left = bc.solve_curvature(1, 1.0, 1.0, (-0.6, 0.0))
         assert left.span == (-0.6, 0.0)
-        assert left.drift() <= 1e-8 * abs(left.C)
+        assert max_drift(left) <= 1e-8 * abs(left.C)
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from([-1, 0, 1]),
@@ -408,8 +409,8 @@ class TestSolve:
            st.floats(min_value=-2.0, max_value=2.0))
     def test_conservation_fuzz(self, c, k0, kp0):
         sol = bc.solve_curvature(c, k0, kp0, (-0.5, 0.5))
-        assert sol.drift() <= 1e-8 * max(1.0, abs(sol.C))
-        assert np.all(sol.k_samples > 0)
+        assert max_drift(sol) <= 1e-8 * max(1.0, abs(sol.C))
+        assert np.all(sol.k(sol.u) > 0)
 
 
 class TestTolerances:
@@ -682,10 +683,12 @@ class TestBrent:
             assert root == r
 
     @pytest.mark.parametrize("build, kinds", [
-        (lambda: bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)),
+        (lambda: (bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)),
+                  bc.admissible_interval(169.0 / 9.0, 1)),
          ["turning"] * 11 + ["admissible-interval endpoint"] * 2),
-        (lambda: build_pipeline_patch(
+        (lambda: (build_pipeline_patch(
             PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))),
+                  bc.admissible_interval(137.0 / 9.0, -1)),
          ["turning", "k_floor", "k_floor", "admissible-interval endpoint"]),
     ])
     def test_event_roots_on_step_interpolants(self, monkeypatch, build, kinds):
@@ -817,7 +820,7 @@ class TestClosedForms:
         for rel_tol in (1e-6, 1e-8, 1e-10):
             sol = bc.solve_curvature(-1, 0.2, kp0, (-4.0, 4.0), rel_tol=rel_tol)
             assert sol.C == 0.0 and not sol.truncated
-            assert sol.k_interval == (0.0, 1.0 / 3.0)
+            assert bc.admissible_interval(sol.C, -1) == (0.0, 1.0 / 3.0)
             (turning,) = sol.turning_points
             assert abs(turning - u0) <= rel_tol * u0
             state = sol.state(u)
@@ -926,7 +929,7 @@ class TestFloatPaths:
         # the reference (array) right-hand side on the same problem
         def build():
             sol = bc.solve_curvature(c, k0, kp0, (-3.0, 3.0))
-            return sol, bc.reconstruct_profile(sol, branch)
+            return sol, bc.reconstruct_profile(branch, k0, kp0, (-3.0, 3.0))
 
         (sol, prof), calls = recorded_runs(monkeypatch, build)
         assert [len(args[1]) for args, _ in calls] == [2, 2, 3, 3]
@@ -938,7 +941,6 @@ class TestFloatPaths:
         ref_sol = reference_dense([sol_right.sol, sol_left.sol], sol.span)
         ref_prof = reference_dense([prof_right.sol, prof_left.sol], prof.span)
         for got, want in [(sol.u, np.concatenate([sol_left.t[::-1], sol_right.t[1:]])),
-                          (sol.k_samples, np.concatenate([sol_left.y[0, ::-1], sol_right.y[0, 1:]])),
                           (sol.kp_samples, np.concatenate([sol_left.y[1, ::-1], sol_right.y[1, 1:]])),
                           (prof.u, np.concatenate([prof_left.t[::-1], prof_right.t[1:]]))]:
             assert np.array_equal(got, want)
@@ -1000,7 +1002,7 @@ class TestFloatPaths:
             assert type(chart.dtheta(k)) is float
 
     @pytest.mark.parametrize("build", [
-        lambda: bc.reconstruct_profile(bc.solve_curvature(1, 1.0, 1.0, (-10.0, 10.0)), "s2"),
+        lambda: bc.reconstruct_profile("s2", 1.0, 1.0, (-10.0, 10.0)),
         lambda: bc.solve_curvature(-1, 1.0, 1.0, (-20.0, 20.0)),  # stops at k_floor
     ])
     def test_stepping_stays_on_floats(self, monkeypatch, build):

@@ -7,7 +7,6 @@ import pytest
 
 import biconsurf as bc
 from biconsurf import mesh
-from biconsurf.curvature import curvature_problem
 from biconsurf.families import FAMILIES, TOL_PROFILES
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 
@@ -18,11 +17,11 @@ _DATA = {
     "h3_elliptic": dict(model="h3", k0=1.0, kp0=1.0),
     "h3_parabolic": dict(model="h3", k0=0.25, kp0=0.2),
 }
-# reconstruct_profile's refusal of a constant C of the other sign, per row
+# reconstruct_profile's refusal of a constant C of the other sign, per row,
+# with the row whose data have that sign (on s3 every C is positive)
 _WRONG_SIGN = {
-    "s3": "branch s2 requires C > 0",
-    "h3_elliptic": "branch h2_elliptic requires C > 0",
-    "h3_parabolic": "the exponential branch requires C < 0",
+    "h3_elliptic": ("branch h2_elliptic requires C > 0", "h3_parabolic"),
+    "h3_parabolic": ("the exponential branch requires C < 0", "h3_elliptic"),
 }
 
 
@@ -56,11 +55,11 @@ def test_row_consistency(tmp_path, monkeypatch, case):
         assert run._family() is family
 
     # the other sign of C is refused with the row's message
-    if family.branch is not None:
-        problem = curvature_problem(family.space.c, cfg.k0, cfg.kp0, (-1.0, 1.0))
-        flipped = dataclasses.replace(problem, C=-problem.C)
-        with pytest.raises(bc.UsageError, match=re.escape(_WRONG_SIGN[case])):
-            bc.reconstruct_profile(flipped, family.branch)
+    assert family.wrong_sign == (_WRONG_SIGN[case][0] if case in _WRONG_SIGN else None)
+    if case in _WRONG_SIGN:
+        message, other = _WRONG_SIGN[case]
+        with pytest.raises(bc.UsageError, match=re.escape(message)):
+            bc.reconstruct_profile(family.branch, _DATA[other]["k0"], _DATA[other]["kp0"])
 
 
 @pytest.mark.parametrize("case, other", [

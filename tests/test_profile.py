@@ -6,8 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import biconsurf as bc
-from biconsurf.curvature import CurvatureProblem
-from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
+from biconsurf.pipeline import PipelineConfig, _padded_span, build_pipeline_patch
 from biconsurf.profile import Branch
 import conftest
 from conftest import (
@@ -139,27 +138,35 @@ class TestSphereBranch:
         assert np.max(np.abs(k_num - prof.k(u))) < 1e-5
 
     def test_branch_model_mismatch(self):
-        sol = bc.solve_curvature(-1, 1.0, 1.0, (-0.5, 0.5))
-        with pytest.raises(bc.UsageError):
-            bc.reconstruct_profile(sol, "s2")
+        # the branch fixes the model: the same data solve on its c, with
+        # the C of that c
+        for branch, c in [("s2", 1), ("h2_elliptic", -1)]:
+            prof = bc.reconstruct_profile(branch, 1.0, 1.0, (-0.5, 0.5))
+            assert prof.model.c == prof.curvature.c == c
+            assert prof.C == prof.curvature.C == bc.prime_constant(1.0, 1.0, c)
 
     def test_constant_mismatch(self, s3_pipeline):
-        sol, _, _, _ = s3_pipeline
-        with pytest.raises(bc.UsageError):
-            bc.reconstruct_profile(sol, "s2", C=sol.C + 0.5)
+        # the profile's C is that of its initial data, and the run keeps it
+        sol, prof, _, _ = s3_pipeline
+        assert prof.C == sol.C == 169.0 / 9.0
+        assert abs(float(sol.drift(0.0))) <= 1e-12 * sol.C
 
-    @pytest.mark.parametrize("C, message", [
-        # NaN fails every comparison: it used to pass as agreeing
-        (math.nan, "disagrees with the solution's"),
-        (math.inf, "disagrees with the solution's"),
-        ("18.8", "C must be a real number"),
-        (True, "C must be a real number"),
-        pytest.param(10**400, "disagrees with the solution's", id="int-beyond-float-range"),
+    @pytest.mark.parametrize("k0, error, message", [
+        # NaN fails every comparison, so the positivity test is written to
+        # fail closed on it
+        (math.nan, bc.DomainError, "k0 must be positive"),
+        (math.inf, bc.DomainError, "is not finite"),
+        ("18.8", bc.UsageError, "k0 must be a real number"),
+        (True, bc.UsageError, "k0 must be a real number"),
+        pytest.param(10**400, bc.DomainError, "is not finite", id="int-beyond-float-range"),
     ])
-    def test_constant_not_finite_or_not_a_number(self, C, message):
-        problem = bc.curvature.curvature_problem(1, 1.0, 1.0)
-        with pytest.raises(bc.UsageError, match=message):
-            bc.reconstruct_profile(problem, "s2", C=C)
+    def test_initial_data_not_finite_or_not_a_number(self, monkeypatch, k0, error, message):
+        def refuse():
+            with pytest.raises(error, match=message):
+                bc.reconstruct_profile("s2", k0, 1.0)
+
+        _, calls = recorded_runs(monkeypatch, refuse)
+        assert calls == []
 
 
 class TestHyperbolicBranches:
@@ -208,14 +215,12 @@ class TestHyperbolicBranches:
         assert inner(prof.C1, prof.C2) == -1.0
 
     def test_parabolic_needs_negative_constant(self):
-        sol = bc.solve_curvature(-1, 1.0, 1.0, (-0.5, 0.5))  # C = 137/9 > 0
-        with pytest.raises(bc.UsageError):
-            bc.reconstruct_profile(sol, "h2_parabolic")
+        with pytest.raises(bc.UsageError, match="requires C < 0"):  # C = 137/9 > 0
+            bc.reconstruct_profile("h2_parabolic", 1.0, 1.0, (-0.5, 0.5))
 
     def test_elliptic_needs_positive_constant(self):
-        sol = bc.solve_curvature(-1, 0.25, 0.2, (-0.5, 0.5))  # C < 0
-        with pytest.raises(bc.UsageError):
-            bc.reconstruct_profile(sol, "h2_elliptic")
+        with pytest.raises(bc.UsageError, match="requires C > 0"):  # C < 0
+            bc.reconstruct_profile("h2_elliptic", 0.25, 0.2, (-0.5, 0.5))
 
 
 class TestPolarChart:
@@ -256,11 +261,10 @@ class TestPolarChart:
                                    rtol=1e-12)
 
     def test_infeasible_start(self):
-        # a C that does not belong to (k0, k0') puts the start off the chart:
-        # D = 1 - a^2 < 0 at a = 4/3
-        problem = CurvatureProblem(c=1, C=1.0, k0=1.0, kp0=0.0, span=(-1.0, 1.0))
-        with pytest.raises(bc.ConstructionError, match="radius squared"):
-            bc.reconstruct_profile(problem, "s2")
+        # k0 = 1e-9 rounds the chart radius squared D = 1 - a^2 to 0.0 at
+        # u = 0: the start is not on the chart, and nothing is integrated
+        with pytest.raises(bc.ConstructionError, match=r"radius squared D = 0\.0 "):
+            bc.reconstruct_profile("s2", 1e-9, 0.0)
 
 
 class TestVariedInitialData:
@@ -272,10 +276,9 @@ class TestVariedInitialData:
         (-1, 0.3, 0.05, None),
     ])
     def test_constraints_hold_off_the_reference_datasets(self, c, k0, kp0, branch):
-        sol = bc.solve_curvature(c, k0, kp0, (-0.8, 0.8), rel_tol=1e-12, abs_tol=1e-14)
         if branch is None:
-            branch = "h2_elliptic" if sol.C > 0 else "h2_parabolic"
-        prof = bc.reconstruct_profile(sol, branch)
+            branch = "h2_elliptic" if bc.prime_constant(k0, kp0, c) > 0 else "h2_parabolic"
+        prof = bc.reconstruct_profile(branch, k0, kp0, (-0.8, 0.8), rel_tol=1e-12, abs_tol=1e-14)
         u = np.linspace(*prof.span, 101)
         res = prof.constraint_residuals(u)
         for values in res.values():
@@ -285,9 +288,8 @@ class TestVariedInitialData:
 class TestBranchArgument:
     @pytest.mark.parametrize("branch", ["bogus", None, "S2", 1])
     def test_unknown_branch_is_a_usage_error(self, branch):
-        problem = bc.curvature.curvature_problem(1, 1.0, 1.0)
         with pytest.raises(bc.UsageError, match="s2, h2_elliptic, h2_parabolic"):
-            bc.reconstruct_profile(problem, branch)
+            bc.reconstruct_profile(branch, 1.0, 1.0)
 
 
 class TestOracle:
@@ -369,8 +371,8 @@ class TestSingleIntegrationBuild:
 
         # two passes: solve the curvature ODE alone, then integrate
         # (k, k', theta) over the span it reached with a k-floor stop only
-        ref_sol = bc.solve_curvature(cfg.c, k0, kp0, sol.requested_span,
-                                     rel_tol=sol.rel_tol, abs_tol=sol.abs_tol)
+        ref_sol = bc.solve_curvature(cfg.c, k0, kp0, _padded_span(cfg, patch.v_range),
+                                     rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
         (fun, y0, *_), _ = calls[0]
 
         def floor(u, y):
@@ -378,7 +380,7 @@ class TestSingleIntegrationBuild:
 
         floor.terminal = True
         floor.direction = -1.0
-        rtol, atol = _internal_tols(sol.rel_tol, sol.abs_tol)
+        rtol, atol = _internal_tols(cfg.rel_tol, cfg.abs_tol)
         right, left = (
             solve_ivp(fun, (0.0, end), y0, method="DOP853", dense_output=True,
                       rtol=rtol, atol=atol, events=[floor])
@@ -404,7 +406,8 @@ class TestSingleIntegrationBuild:
         patch, sol = build_pipeline_patch(cfg)
         assert sol.truncated
         assert sol.span == patch.profile.span
-        assert sol.requested_span[0] < sol.span[0] < sol.span[1] < sol.requested_span[1]
+        lo, hi = _padded_span(cfg, patch.v_range)
+        assert lo < sol.span[0] < sol.span[1] < hi
         assert [e["kind"] for e in sol.boundary_events] == ["k_floor", "k_floor"]
         assert [e["u"] for e in sol.boundary_events] == list(sol.span)
 
@@ -556,10 +559,8 @@ class TestDenseOutput:
 
     def test_long_runs(self, monkeypatch):
         # many turning points (non-terminal roots) on s3, long steps on h3
-        from biconsurf.curvature import curvature_problem
-
-        problem = curvature_problem(1, 1.0, 1.0, (-10.0, 10.0), rel_tol=1e-12, abs_tol=1e-14)
-        prof, results = self._recorded(monkeypatch, lambda: bc.reconstruct_profile(problem, "s2"))
+        prof, results = self._recorded(monkeypatch, lambda: bc.reconstruct_profile(
+            "s2", 1.0, 1.0, (-10.0, 10.0), rel_tol=1e-12, abs_tol=1e-14))
         turning = prof.curvature.turning_points
         assert np.sum(turning < 0) >= 5 and np.sum(turning > 0) >= 5
         self._check_two_sided(prof.curvature._dense, prof.curvature._dense, results)

@@ -109,7 +109,7 @@ class TestRevolutionBuilder:
 
         def err(h):
             num = (patch.X(u + h, v) - patch.X(u - h, v)) / (2 * h)
-            return np.max(np.abs(num - patch.Xu(u, v)))
+            return np.max(np.abs(num - patch.frame(u, v)[1]))
 
         assert err(1e-3) / err(5e-4) == pytest.approx(4.0, rel=0.2)
 
@@ -217,7 +217,7 @@ class TestKillingField:
         sig = prof.sigma(u)
         T = inner(sig, patch.C2)[..., None] * patch.C1 \
             - inner(sig, patch.C1)[..., None] * patch.C2
-        Xv = patch.Xv(u, np.zeros_like(u))
+        Xv = patch.frame(u, np.zeros_like(u))[2]
         cross = inner(T, T) * inner(Xv, Xv) - inner(T, Xv) ** 2
         scale = inner(T, T) * inner(Xv, Xv)
         assert np.max(np.abs(cross) / scale) < 1e-13  # parallel vectors
@@ -552,8 +552,8 @@ class TestMesh:
         out = cmd_surface(cfg, tmp_path / "surface")
         patch = build_pipeline_patch(cfg)[0]
         report = bc.verify_patch(patch, cfg.nu, cfg.nv)
-        ranges = {"u_range": (float(report.grid_u[0]), float(report.grid_u[-1])),
-                  "v_range": (float(report.grid_v[0]), float(report.grid_v[-1]))}
+        ranges = {"u_range": tuple(report.grid["u_range"]),
+                  "v_range": tuple(report.grid["v_range"])}
         channels = {"f": report.fields["f"], "K": report.fields["K"],
                     "residual": report.fields["biconservative"]}
         sampled = sample_mesh(dataclasses.replace(patch, **ranges), cfg.nu, cfg.nv,
@@ -627,7 +627,7 @@ class TestExports:
             out = tmp_path / f"{with_channels}-{ply_first}"
             out.mkdir()
             channels = {"f": chan, "K": -chan[::-1].copy()} if with_channels else {}
-            m = bc.Mesh(vertices=verts, quads=quads, channels=channels, grid_shape=(4, 3))
+            m = bc.Mesh(vertices=verts, quads=quads, channels=channels)
             if ply_first:
                 ply = write_ply(m, out / "m.ply")
             written = write_obj(m, out / "m.obj")
@@ -695,7 +695,7 @@ class TestExports:
         verts = np.zeros((4, 3))
         chan = np.ones(4)
         m = bc.Mesh(vertices=verts, quads=np.array([[0, 2, 3, 1]]),
-                    channels={"f": chan}, grid_shape=(2, 2))
+                    channels={"f": chan})
         write_obj(m, tmp_path / "m.obj")
         for array in (m.vertices, m.quads, m.channels["f"]):
             with pytest.raises(ValueError):

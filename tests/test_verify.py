@@ -30,6 +30,7 @@ from conftest import (
     great_sphere_patch,
     line_orbit,
     plane_patch,
+    report_grid,
     sphere_patch,
     sweep_patch,
     vectors,
@@ -177,7 +178,7 @@ class TestFiniteDifferences:
         second, higher = fields
         fd = fd_for_patch(patch)
         h = fd.inner_step
-        u, v = report.grid_u, report.grid_v
+        u, v = report_grid(report)
         pr = _Probe(patch, u, v, (0.0, h, -h, 0.5 * h, -0.5 * h))
         euclid = Signature(patch.model.ambient.dim)
         ref2 = np.max([euclid.norm(d - e) for d, e in
@@ -271,9 +272,10 @@ class TestPointHelpersShareTheGridKernel:
         else:
             patch, report = request.getfixturevalue(fix)[-2:]
         nu, nv = report.fields["f"].shape
+        ugrid, vgrid = report_grid(report)
         for i in (0, nu // 2, nu - 1):
             for j in (0, nv // 2, nv - 1):
-                pg = bc.point_geometry(patch, report.grid_u[i], report.grid_v[j])
+                pg = bc.point_geometry(patch, ugrid[i], vgrid[j])
                 got = {
                     "f": pg.f,
                     "K": pg.K,
