@@ -21,13 +21,13 @@ operation, with the tableau of :mod:`biconsurf.dop853` and event roots from
 ``_brentq``, a port of scipy's C ``brentq``, so its steps, states, event
 roots and interpolants are bit-identical to scipy's, and the module imports
 numpy alone.  The three interpolant stages do not feed the stepping, so
-they are computed for all accepted steps of a two-sided run in one batched
-pass at its end; a step with an event gets its own table on demand, which
-``_step_interpolant`` evaluates on floats for the root solves and the state
-at a terminal root.  A two-sided run
-(``_integrate_two_sided``) returns its record, a :class:`CurvatureSolution`:
-the steps, events and covered span, and one dense evaluator
-(``_Dop853Dense``), a table of the segments of both sides in order of u.
+the step loop only tests the signs of the events, and each run builds the
+segment table of all its accepted steps in one batched pass at its end
+(``_interpolants``); the event roots, and the state at a terminal root,
+are then solved on the one-segment ``_Dop853Dense`` of each step with an
+event.  A two-sided run (``_integrate_two_sided``) returns its record, a
+:class:`CurvatureSolution`: the steps, events and covered span, and one
+dense evaluator (``_Dop853Dense``), the tables of both sides in order of u.
 Each side stops after a step budget proportional to its length
 (``_STEPS_PER_UNIT``), so a pole inside the span ends it in seconds.
 
@@ -51,8 +51,9 @@ numpy's value.  Each stage is written into its row of the run's stage
 table through a view held for the run (``row[...] = rhs(...)``).  One numpy
 scalar left in the loop would turn every value after it into numpy-scalar
 arithmetic again, so the float path ends in floats: the events get the
-state as a list, also inside a root solve, and the right-hand sides and
-``prime_poly`` return floats on float input.
+state as a list, also inside a root solve (the segment's values through
+``tolist``), and the right-hand sides and ``prime_poly`` return floats on
+float input.
 
 A run's right-hand side ``rhs(u, y)`` (``_run_rhs``) is bound once per run,
 after c and C are checked, to c, 4c/3 and, for a profile, the chart's
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import dop853
 from .ambient import space_form
-from .defaults import ADMISSIBILITY_SLACK, K_FLOOR, ODE_ATOL, ODE_RTOL
+from .defaults import ADMISSIBILITY_SLACK, K_FLOOR, ODE_ATOL, ODE_RTOL, SPAN_LIMIT
 from .errors import DomainError, NoSolutionError, UsageError, _array, _pair, _real
 
 __all__ = [
@@ -359,8 +360,7 @@ class _Dop853Dense:
     bit-identical to that of the same run under ``solve_ivp``.  A point
     outside ``span`` (beyond a small slack), NaN included, raises
     ``DomainError``; one inside the slack is clipped to ``span``.  The
-    root solves of one step do not build a table: ``_step_interpolant``
-    repeats ``__call__`` and ``at`` on the floats of that step.
+    event roots of a run are solved on the one-segment table of their step.
     """
 
     def __init__(self, u, span, t_old, h, y_old, F):
@@ -499,49 +499,16 @@ class _Dop853Run:
     ``t``, ``y`` (n, len(t)), ``status`` (0 reached the bound, 1 stopped by
     a terminal event, -1 step-size underflow) and ``t_events`` have the
     meaning of the fields of scipy's result; status ``_BUDGET_SPENT`` is a
-    run that spent its step budget short of its bound.  ``steps``
-    keeps each segment's (t_old, h, y_old, y_new, K), K the (16, n) stage
-    table with its first 13 rows filled, for ``_interpolants``.
+    run that spent its step budget short of its bound.  ``table`` is the
+    segment table (t_old, h, y_old, F) of its accepted steps, in the
+    layout of ``_Dop853Dense``.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: int
     t_events: list
-    steps: list
-
-
-def _step_interpolant(rhs, step, t_new: float):
-    """The interpolant of one accepted step, ending at ``t_new``, as a
-    function of a float u that returns the state as a list of floats; the
-    root solves evaluate it inside the step only.
-
-    It takes the step's ``_interpolants`` table once, as float rows, and
-    runs ``_Dop853Dense`` on the one-segment table of the step: the span
-    check and clip of ``__call__`` and the operations of ``at``, in their
-    order, which floats round as numpy does.
-    """
-    t_old, h, y_old, y_new, K = step
-    rows = _interpolants(rhs, np.array([t_old]), np.array([h]), np.array([y_old]),
-                         np.array([y_new]), K[None])[::-1, 0].tolist()
-    lo, hi = (t_old, t_new) if t_old < t_new else (t_new, t_old)
-    slack = 1e-9 * max(1.0, abs(lo), abs(hi))
-
-    def at(u: float) -> list:
-        if not lo - slack <= u <= hi + slack:  # NaN included
-            raise DomainError(f"evaluation point outside the solved span [{lo}, {hi}]")
-        if u < lo:
-            u = lo
-        elif u > hi:
-            u = hi
-        x = (u - t_old) / h
-        one_minus_x = 1 - x
-        y = [0.0] * len(y_old)
-        for row, factor in zip(rows, (x, one_minus_x, x, one_minus_x, x, one_minus_x, x)):
-            y = [(a + b) * factor for a, b in zip(y, row)]
-        return [a + b for a, b in zip(y, y_old)]
-
-    return at
+    table: tuple
 
 
 def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
@@ -566,7 +533,9 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     state (a list), the times, the step sizes, the stage arguments, the
     error scale and quotients and the controller, with the operations of
     scipy's numpy code in its order.  The initial step rule keeps numpy
-    scalars, as scipy's does.
+    scalars, as scipy's does.  The loop only tests the events' signs; one
+    ``_interpolants`` pass then builds the run's table, on whose segments
+    the roots are solved.
     """
     t0, t_bound, rtol, atol = 0.0, float(t_bound), float(rtol), float(atol)
     y = [float(x) for x in y0]
@@ -609,12 +578,13 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
     terminal = np.array([bool(e.terminal) for e in events])
     event_dir = [e.direction for e in events]
     g = [event(t0, y) for event in events]
-    t_events = [[] for _ in events]
-    ts, ys, steps = [t0], [y], []
+    # the step ends, u = 0 first, each step's h and stage table, and the
+    # (step, active events) of each step with an event
+    ts, ys, hs, Ks, fired = [t0], [y], [], [], []
     t = t0
     status = None
     while status is None:
-        if len(steps) == budget:
+        if len(hs) == budget:
             status = _BUDGET_SPENT
             break
         # one accepted step (scipy's RungeKutta._step_impl)
@@ -658,49 +628,61 @@ def _dop853(rhs, y0, t_bound, rtol, atol, events) -> _Dop853Run:
             break
         if direction * (t_new - t_bound) >= 0:
             status = 0
-        step = (t, h, y, y_new, K.copy())
-        steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, f_new
-        t_end, y_end = t, y
+        hs.append(h)
+        Ks.append(K.copy())
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
 
-        # scipy's find_active_events and handle_events
+        # scipy's find_active_events; a terminal event ends the run
         g_new = [event(t, y) for event in events]
         active = [
             i for i, (a, b, d) in enumerate(zip(g, g_new, event_dir))
             if (a <= 0 and b >= 0 and d >= 0) or (a >= 0 and b <= 0 and d <= 0)
         ]
         if active:
-            at = _step_interpolant(rhs, step, t)
-            roots = np.asarray([
-                _brentq(lambda u, event=events[i]: event(u, at(u)), t_old, t,
-                        _EVENT_TOL, events[i].__name__)
-                for i in active
-            ])
-            active = np.asarray(active)
+            fired.append((len(hs) - 1, active))
             if terminal[active].any():
-                order = np.argsort(roots) if t > t_old else np.argsort(-roots)
-                active, roots = active[order], roots[order]
-                last = np.nonzero(terminal[active])[0][0] + 1
-                active, roots = active[:last], roots[:last]
                 status = 1
-                t_end = roots[-1]
-                y_end = at(float(t_end))
-            for i, root in zip(active, roots):
-                t_events[i].append(root)
         g = g_new
 
-        if len(ts) > 1 and ts[-1] == t_end:
-            steps.pop()
-        else:
-            ts.append(t_end)
-            ys.append(y_end)
+    t_steps, y_steps = np.array(ts), np.array(ys)
+    t_old, h, y_old = t_steps[:-1], np.array(hs), y_steps[:-1]
+    F = _interpolants(rhs, t_old, h, y_old, y_steps[1:],
+                      np.array(Ks).reshape(len(hs), _N_STAGES_EXTENDED, n))
+
+    # scipy's handle_events on each step with an event, on its segment
+    t_events = [[] for _ in events]
+    for i, active in fired:
+        ends = np.sort(t_steps[i:i + 2])
+        dense = _Dop853Dense(ends, tuple(ends), t_old[i:i + 1], h[i:i + 1], y_old[i:i + 1],
+                             F[:, i:i + 1])
+        roots = np.asarray([
+            _brentq(lambda u, event=events[e]: event(u, dense(u).tolist()), ts[i], ts[i + 1],
+                    _EVENT_TOL, events[e].__name__)
+            for e in active
+        ])
+        active = np.asarray(active)
+        if terminal[active].any():
+            order = np.argsort(roots) if direction > 0 else np.argsort(-roots)
+            active, roots = active[order], roots[order]
+            last = np.nonzero(terminal[active])[0][0] + 1
+            active, roots = active[:last], roots[:last]
+            # the run ends at the root; one on the last step time drops the step
+            if i > 0 and ts[i] == roots[-1]:
+                t_steps, y_steps = t_steps[:-1], y_steps[:-1]
+                t_old, h, y_old, F = t_old[:-1], h[:-1], y_old[:-1], F[:, :-1]
+            else:
+                t_steps[-1], y_steps[-1] = roots[-1], dense(roots[-1])
+        for e, root in zip(active, roots):
+            t_events[e].append(root)
 
     return _Dop853Run(
-        t=np.array(ts),
-        y=np.array(ys).T,
+        t=t_steps,
+        y=y_steps.T,
         status=status,
         t_events=[np.asarray(te) for te in t_events],
-        steps=steps,
+        table=(t_old, h, y_old, F),
     )
 
 
@@ -724,7 +706,7 @@ class CurvatureProblem:
 
 def _conserved_constant(c: int, k0: float, kp0: float) -> float:
     """C of the initial data; a non-finite C is a DomainError naming the data."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         C = float(prime_constant(_real(k0, "k0"), _real(kp0, "kp0"), c))
     if not math.isfinite(C):
         raise DomainError(
@@ -735,10 +717,12 @@ def _conserved_constant(c: int, k0: float, kp0: float) -> float:
 
 def _span(span) -> tuple[float, float]:
     """(u_min, u_max) of a curvature span as floats: a finite, nondegenerate
-    interval containing 0."""
+    interval containing 0, with both ends within ``SPAN_LIMIT`` of it."""
     u_min, u_max = _pair(span, "span")
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
         raise UsageError(f"span must be finite, got {span!r}")
+    if max(abs(u_min), abs(u_max)) > SPAN_LIMIT:
+        raise UsageError(f"span ends must lie within +-{SPAN_LIMIT:g} of 0, got {span!r}")
     if not (u_min <= 0.0 <= u_max) or u_min == u_max:
         raise UsageError("span must be a nondegenerate interval containing 0")
     return u_min, u_max
@@ -838,11 +822,12 @@ def _integrate_two_sided(problem: CurvatureProblem, rhs, y0, events) -> Curvatur
     ``y0`` starts with (k0, kp0), and (k, k') are the state's components
     0-1.  Each side is one order-8 embedded Runge-Kutta run (``_dop853``),
     stepping below the problem's tolerances (``_internal_tols``); the
-    interpolants of both sides come from one batched pass
-    (``_interpolants``).  A terminal event that fires ends its side early
-    and is recorded in ``boundary_events`` under the event function's name,
-    as is a step-size underflow (``step_underflow``) or a spent step budget
-    (``step_budget``); the roots of the other events are the turning points.
+    segment tables of the two runs, one ``_interpolants`` pass each, are
+    joined into one dense evaluator.  A terminal event that fires ends its
+    side early and is recorded in ``boundary_events`` under the event
+    function's name, as is a step-size underflow (``step_underflow``) or a
+    spent step budget (``step_budget``); the roots of the other events are
+    the turning points.
     """
     rtol, atol = _internal_tols(problem.rel_tol, problem.abs_tol)
     # the right side first; a side of zero length has no run and keeps its
@@ -864,8 +849,8 @@ def _integrate_two_sided(problem: CurvatureProblem, rhs, y0, events) -> Curvatur
     # the steps of both runs in order, u = 0 once (each run's times are strict)
     u, first = np.unique(np.concatenate([res.t for res in runs]), return_index=True)
     kp = np.concatenate([res.y[1] for res in runs])[first]
-    t_old, h, y_old, y_new, K = map(np.array, zip(*(st for res in runs for st in res.steps)))
-    F = _interpolants(rhs, t_old, h, y_old, y_new, K)
+    t_old, h, y_old, F = (np.concatenate(part, axis=axis) for part, axis
+                          in zip(zip(*(res.table for res in runs)), (0, 0, 0, 1)))
     return CurvatureSolution(
         c=problem.c,
         C=problem.C,

@@ -9,6 +9,8 @@ Integration
 pipelines integrate profiles with the tighter ``PIPELINE_RTOL``/``ATOL``:
 the verification stage takes finite differences of dense-output data, and
 its noise floor is set by the interpolation error of the integrator.
+``SPAN_LIMIT`` bounds |u| on every span the curvature ODE is integrated
+over (a build's is padded): an s3 solve over +-1000 takes about 3.5 s.
 
 Finite differencing
 -------------------
@@ -54,6 +56,7 @@ PIPELINE_ATOL = 1e-14
 # curvature solver guards
 K_FLOOR = 1e-8
 ADMISSIBILITY_SLACK = 1e-8
+SPAN_LIMIT = 1e3
 
 # ------------------------------------------------------------------ geometry
 DEFAULT_SPAN = (-1.0, 1.0)

@@ -136,6 +136,13 @@ def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
     return (cfg.span[0] - pad, cfg.span[1] + pad)
 
 
+def _check_build(cfg: PipelineConfig) -> None:
+    """Resolve the family and check the span a curved build integrates."""
+    family = cfg._family()
+    if cfg.model != "r3":
+        _span(_padded_span(cfg, family.v_range if cfg.v_range is None else cfg.v_range))
+
+
 def build_pipeline_patch(cfg: PipelineConfig):
     """Run initial data through profile reconstruction to a trimmed patch.
 
@@ -199,9 +206,9 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
 
 def cmd_profile(cfg: PipelineConfig, out) -> dict:
     """Emit the profile curve as CSV (closed form for r3, the polar chart else).
-    The family is resolved before the output file's directory is made."""
+    The family and span are checked before the output file's directory is made."""
     cfg = cfg.validate()
-    cfg._family()
+    _check_build(cfg)
     out = _output_file(out)
     if cfg.model == "r3":
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
@@ -270,9 +277,9 @@ def cmd_surface(
     report_path=None,
 ) -> dict:
     """Full pipeline: build, verify, export meshes and the JSON report.  The
-    family is resolved before the output directory is made."""
+    family and span are checked before the output directory is made."""
     cfg = cfg.validate()
-    cfg._family()
+    _check_build(cfg)
     out_dir = _output_dir(out_dir)
     target = _output_file(report_path or out_dir / f"{basename}.report.json")
     obj, ply = out_dir / f"{basename}.obj", out_dir / f"{basename}.ply"

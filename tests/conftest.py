@@ -50,13 +50,17 @@ def scipy_run(rhs, y0, t_bound, rtol, atol, events):
 
 
 def assert_same_run(run, res):
-    """An in-house run and scipy's result agree bit for bit."""
+    """An in-house run and scipy's result agree bit for bit, its segment
+    table and the interpolants of scipy's dense output too."""
     assert run.status == res.status
     assert np.array_equal(run.t, res.t)
     assert np.array_equal(run.y, res.y)
     assert len(run.t_events) == len(res.t_events)
     for got, want in zip(run.t_events, res.t_events):
         assert np.array_equal(got, want)
+    assert len(run.table[0]) == len(res.sol.interpolants)
+    for got, want in zip(run.table, stacked_interpolants([res.sol])):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def stacked_interpolants(sols):

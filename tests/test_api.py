@@ -35,7 +35,7 @@ REMOVED = [(owner, name) for owner, names in [
     (surfaces.SurfacePatch, "Xu Xv"), (ambient.Signature, "metric"),
     (mesh.Mesh, "grid_shape"), (verify.VerificationReport, "grid_u grid_v"),
     (curvature.CurvatureSolution, "k_interval requested_span k_samples k0 kp0 abs_tol"),
-    (curvature, "_DRIFT_MAX_SAMPLES"),
+    (curvature, "_DRIFT_MAX_SAMPLES _step_interpolant"), (curvature._Dop853Run, "steps"),
 ] for name in names.split()]
 
 

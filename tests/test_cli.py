@@ -229,6 +229,7 @@ class TestSurfaceCommand:
 
 
 _SPAN_WITHOUT_ZERO = "span must be a nondegenerate interval containing 0"
+_SPAN_BEYOND_LIMIT = "span ends must lie within +-1000 of 0"
 
 
 class TestNonFiniteInput:
@@ -297,6 +298,7 @@ class TestNonFiniteInput:
         ({"v_range": (0, 10**400)}, "v_range must be finite"),
         ({"rel_tol": 10**400}, "rel_tol must be finite"),
         ({"abs_tol": 10**400}, "abs_tol must be finite"),
+        ({"span": (-1e305, 1e305)}, "span ends must lie within +-1000 of 0"),
     ])
     def test_unusable_field_is_usage_error(self, tmp_path, fields, message):
         # each used to leak a builtin exception (TypeError from np.isfinite
@@ -346,10 +348,16 @@ class TestNonFiniteInput:
         (["surface", "--model", "s3", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),
         (["surface", "--model", "s3", "--v-range", "0", "0"], "v_range must have nonzero width"),
         (["sweep", "--model", "h3", "--values", "1", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),
+        (["solve", "--model", "s3", "--span", "-1e305", "1e305"], _SPAN_BEYOND_LIMIT),
+        (["profile", "--model", "s3", "--span", "-1e305", "1"], _SPAN_BEYOND_LIMIT),
+        # the build's span, padded for the verifier's reach over this v range
+        (["surface", "--model", "s3", "--v-range", "0", "1e308", "--nu", "4", "--nv", "4"],
+         _SPAN_BEYOND_LIMIT),
     ])
     def test_cli_exits_two_on_unusable_value(self, tmp_path, capsys, argv, message):
         # a curved span without u = 0 used to be refused only by the build:
-        # surface left an empty output directory, and sweep exited 1
+        # surface left an empty output directory, and sweep exited 1; a
+        # huge span end overflowed the step budget with a traceback
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
