@@ -130,6 +130,12 @@ def _out_path(args, default_name: str) -> str:
     return args.out if args.out else default_name
 
 
+def _print_events(result: dict) -> None:
+    """One line per early stop of a truncated run."""
+    for event in result["boundary_events"]:
+        print(f"  stopped early: {event['kind']} at u={event['u']!r}")
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="biconsurf",
@@ -158,10 +164,12 @@ def main(argv=None) -> int:
             result = cmd_solve(cfg, _out_path(args, "solve.csv"))
             print(f"C={result['C']!r} max_drift={result['max_drift']:.3e} "
                   f"csv={result['csv']}")
+            _print_events(result)
             return EXIT_PASS if result["ok"] else EXIT_VERIFICATION_FAIL
         if args.command == "profile":
             result = cmd_profile(cfg, _out_path(args, "profile.csv"))
             print(f"csv={result['csv']}")
+            _print_events(result)
             return EXIT_PASS if result["ok"] else EXIT_VERIFICATION_FAIL
         if args.command in ("surface", "verify"):
             out_dir = _out_path(args, ".")

@@ -812,7 +812,10 @@ class CurvatureSolution:
         """prime_constant(k, k', c) - C at u inside the solved span: how far
         the run has moved off its first integral, the ``C_drift`` column of
         ``cmd_solve``."""
-        st = self.state(u)
+        return self._drift(self.state(u))
+
+    def _drift(self, st):
+        """``drift`` of already evaluated states (k, k', ...), stacked last."""
         return prime_constant(st[..., 0], st[..., 1], self.c) - self.C
 
 

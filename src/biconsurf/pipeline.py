@@ -3,9 +3,10 @@
 Every pipeline is a pure function of its configuration: no clocks, no
 randomness, fixed field orderings and 17-significant-digit floats, so
 repeated runs produce byte-identical outputs.  The curved pipelines pad the
-integration span by the finite-difference reach so the declared parameter
-rectangle stays fully verifiable, and integrate the curvature ODE once per
-build, jointly with the profile's chart angle.
+integration span by the finite-difference reach (``_span_pad``), which a
+curved verify no longer needs but which keeps their profile and mesh bytes,
+and integrate the curvature ODE once per build, jointly with the profile's
+chart angle.
 """
 from __future__ import annotations
 
@@ -129,18 +130,38 @@ class PipelineConfig:
                        lambda c: _conserved_constant(c, self.k0, self.kp0))
 
 
-def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
-    """Integration span: the requested one padded by the verifier's FD reach."""
+def _span_pad(cfg: PipelineConfig, v_range) -> float:
+    """How far a curved build integrates beyond each end of the requested
+    span: the verifier's FD reach on the rectangle, with a margin."""
     diag = float(np.hypot(cfg.span[1] - cfg.span[0], v_range[1] - v_range[0]))
-    pad = 1.2 * fd_scheme(diag).reach + 0.01
+    return 1.2 * fd_scheme(diag).reach + 0.01
+
+
+def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
+    """Integration span: the requested one padded by ``_span_pad``."""
+    pad = _span_pad(cfg, v_range)
     return (cfg.span[0] - pad, cfg.span[1] + pad)
+
+
+def _check_span(cfg: PipelineConfig, family: Family) -> None:
+    """Check the span a curved build of ``family`` integrates; the refusal
+    names the requested span and the pad."""
+    if cfg.model == "r3":
+        return
+    v_range = family.v_range if cfg.v_range is None else cfg.v_range
+    try:
+        _span(_padded_span(cfg, v_range))
+    except UsageError:
+        raise UsageError(
+            f"span {tuple(cfg.span)!r} is too wide to build: a build pads the span by "
+            f"the verifier's reach, {_span_pad(cfg, v_range):.6g} at each end here, and "
+            f"the padded span ends must lie within +-{defaults.SPAN_LIMIT:g} of 0"
+        ) from None
 
 
 def _check_build(cfg: PipelineConfig) -> None:
     """Resolve the family and check the span a curved build integrates."""
-    family = cfg._family()
-    if cfg.model != "r3":
-        _span(_padded_span(cfg, family.v_range if cfg.v_range is None else cfg.v_range))
+    _check_span(cfg, cfg._family())
 
 
 def build_pipeline_patch(cfg: PipelineConfig):
@@ -184,7 +205,8 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
         rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
     )
     grid = np.linspace(sol.span[0], sol.span[1], cfg.n_csv)
-    st, drift = sol.state(grid), sol.drift(grid)
+    st = sol.state(grid)
+    drift = sol._drift(st)
     lines = [
         f"# model={cfg.model} c={cfg.c} k0={_fmt(cfg.k0)} kp0={_fmt(cfg.kp0)} "
         f"C={_fmt(sol.C)} span={_fmt(sol.span[0])}:{_fmt(sol.span[1])} "
@@ -200,6 +222,7 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
         "max_drift": max_drift,
         "turning_points": sol.turning_points.tolist(),
         "truncated": sol.truncated,
+        "boundary_events": sol.boundary_events,
         "ok": bool(ok),
     }
 
@@ -215,7 +238,7 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
         rho = np.linspace(cfg.rho_range[0], cfg.rho_range[1], cfg.n_csv)
         u = prof.u_of_rho(rho)
         lines = [f"# model=r3 C={_fmt(cfg.C)}", "rho,u"]
-        return {"csv": _write_lines(out, lines, [rho, u]), "ok": True}
+        return {"csv": _write_lines(out, lines, [rho, u]), "boundary_events": [], "ok": True}
 
     patch, sol = build_pipeline_patch(cfg)
     prof = patch.profile
@@ -237,7 +260,8 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
         and float(np.max(np.abs(res["model_membership"]))) <= defaults.MEMBERSHIP_TOL
         and float(np.max(np.abs(res["unit_speed"]))) <= defaults.MEMBERSHIP_TOL
     )
-    return {"csv": path, "worst_residual": worst, "ok": bool(ok)}
+    return {"csv": path, "worst_residual": worst, "boundary_events": sol.boundary_events,
+            "ok": bool(ok)}
 
 
 def _output_dir(path) -> Path:
@@ -316,8 +340,10 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir) -> dict:
     For r3 the swept parameter is the profile constant C (also emitting the
     u(rho) curve per value); for s3/h3 it is k0.  Each value is read as a
     real number (``_real``); one that is not, or that makes an invalid
-    configuration, is a UsageError raised before anything is written.  A
-    GeometryError at run time is recorded and the sweep continues.
+    configuration or a padded build span beyond ``SPAN_LIMIT``, is a
+    UsageError raised before anything is written.  A GeometryError at run
+    time is recorded and the sweep continues, a branch that contradicts
+    the sign of C among them.
     """
     cfg = cfg.validate()
     try:
@@ -329,6 +355,12 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir) -> dict:
     closed_form = cfg.model == "r3"
     parameter = "C" if closed_form else "k0"
     runs = [dataclasses.replace(cfg, **{parameter: value}).validate() for value in values]
+    for run in runs:
+        try:
+            family = run._family()
+        except UsageError:  # a branch the sign of C contradicts is recorded per value
+            continue
+        _check_span(run, family)
     out_dir = _output_dir(out_dir)
 
     rows = []

@@ -14,22 +14,59 @@ evaluable domain.  Its ``PointGeometry`` holds each ``_gate_rows`` row's
 signed value at the point (``residuals``) and the rows whose mask drops the
 point (``masked``), so a point value equals the grid value there bit for bit.
 
-The jets are never trusted unchecked.  ``verify_patch`` alone takes finite
-differences, at the step of ``FDScheme`` and with one kernel
+The jets are never trusted unchecked.  Two kinds of rows certify them.
+
+On a built S3 or H3 patch (one whose ``profile`` is a ``ProfileCurve``) two
+required rows do it with no step.  ``quadric_jet`` differentiates
+<X, X> = 1/c to the orders 1-4 at every grid point (``_quadric_jet``, from
+the tables the f derivatives already form), and ``profile_jet`` checks, on
+the grid's u-line, the profile's constraint chain <sigma^(i), C_j> =
+s_j a^(i), the orders 3 and 4 of its unit-speed chain and its speed before
+``_Chart.state`` normalizes it (``_profile_jet``).  The argument that these
+rows, with the tier-1 tests named, certify the curved jets has four steps:
+
+1. The quadric (the sigma direction), the constraints (C1, and C2 on
+   h3_parabolic) and unit speed (the T direction) fix every sigma^(i) with
+   i >= 2 from sigma, sigma' and a^(i), wherever sigma, sigma' and C1 are
+   independent; on the circle branches the direction of C2 is held by
+   construction, as every sigma^(i) is a combination of sigma, T and n.
+2. sigma' = T is the derivative of sigma(u): the speed row holds
+   alpha^2 + beta^2 = 1 with the theta' that the chart's run integrates,
+   and ``test_theta_is_the_quadrature_of_its_rate`` checks that theta(u) is
+   the integral of that theta' (``test_frame_equations`` differences sigma).
+3. The a^(i) are closed forms in k and k', and k' is the derivative of k:
+   the runs equal scipy's DOP853 bit for bit and meet the k-parameter
+   oracle (tests/conftest.py).
+4. The v-orbit's derivatives are closed forms, and the quadric's pure-v
+   chains check them.
+
+No u-line or chart mutation that the FD rows failed escapes these rows
+(tests/test_verify.py).  What they cannot see is a tangential error in the
+order-4 partials Xuuuv and Xuvvv, which lie along Xv on every sweep: no row
+reads it (the f derivatives read order 4 only through <X_ijkl, eta>), and
+the sweep assembly that forms those partials is shared with r3.
+
+Every other patch -- r3, whose jets are closed forms in t, and patches from
+outside the family table -- has no such identities, and ``verify_patch``
+takes finite differences, at the step of ``FDScheme`` and with one kernel
 (``_fd_cross_check``): the first partials against ``jet`` on the grid are
 the required ``second_partials_fd`` residual, and every partial of order 3
 or 4 against the partial one order lower, on every 4th row and column, is
-the required ``higher_partials_fd`` residual.  Each grid is read through
-one ``_Probe``, which calls the patch's ``uline`` once, stacked over the u
-offsets its checks read, so a ``verify_patch`` makes two ``uline`` calls:
-the orientation point and the grid at 0, +-h, +-h/2 and +-h/4, whose every
-4th row and column the sub-grid check reads.
+the required ``higher_partials_fd`` residual.  A bound on either FD row runs
+them on a curved patch too; without one, a curved verify takes no step, no
+stencil room and no grid shrink.  Each grid is read through one ``_Probe``,
+which calls the patch's ``uline`` once, stacked over the u offsets its
+checks read, so a ``verify_patch`` makes two ``uline`` calls: the
+orientation point and the grid, at 0 alone or, with the FD rows, at 0,
++-h, +-h/2 and +-h/4, whose every 4th row and column the sub-grid check
+reads.
 
 The grid's per-point pass (``_shape``, ``_field_bundle``, ``_gate_rows``
-and the frames and kernel of ``second_partials_fd``) runs over blocks of
-u-rows of about ``_BLOCK_POINTS`` = 4096 points, so a 64 x 64 grid is one
-block; the closed-form f derivatives go in sub-blocks of half a block, and
-the sub-grid check in blocks of its u-rows of a quarter block, so the
+and, where it runs, the frames and kernel of ``second_partials_fd``) runs
+over blocks of u-rows of about ``_BLOCK_POINTS`` = 4096 points, so a
+64 x 64 grid is one block; the closed-form f derivatives and
+``quadric_jet`` go in sub-blocks of half a block, and the sub-grid check
+in blocks of its u-rows of a quarter block, so the
 sub-grids of 64 x 64 and 128 x 128 grids are one block.  A block probe
 slices the grid probe's u-lines and makes no ``uline`` call.  Each block
 writes its values and masks into full-grid arrays, and every reduction
@@ -65,9 +102,9 @@ from .defaults import (
     REPORT_SCHEMA,
 )
 from .errors import ConditioningError, UsageError, _real
-from .families import TOL_PROFILES
+from .families import BY_BRANCH, TOL_PROFILES
 from .profile import ProfileCurve
-from .surfaces import SurfacePatch, _grid_size
+from .surfaces import _AMPLITUDE, _SIGMA, SurfacePatch, _grid_size
 
 __all__ = [
     "FDScheme",
@@ -79,6 +116,12 @@ __all__ = [
     "verify_patch",
     "normal_sign",
 ]
+
+
+# the report's statement of the sign of the Laplacian
+_LAPLACIAN_SIGN = "geometric (minus divergence form)"
+# the rows of the finite-difference cross-checks
+_FD_ROWS = ("second_partials_fd", "higher_partials_fd")
 
 
 @dataclass(frozen=True)
@@ -110,7 +153,7 @@ class FDScheme:
         return {
             "inner_step": self.inner_step,
             "order": 4,
-            "laplacian_sign": "geometric (minus divergence form)",
+            "laplacian_sign": _LAPLACIAN_SIGN,
         }
 
 
@@ -139,10 +182,10 @@ def _require_jets(patch: SurfacePatch) -> None:
 # ---------------------------------------------------------------------------
 
 # grid points per block of u-rows of the verifier's pass, about 1.2 kB each
-# (frames, field bundle, gate rows).  The closed-form f-derivatives hold
-# 1.4 kB per point on top of that, so their sub-blocks are half a block; the
-# 13 shifted jets of the higher_partials_fd cross-check hold 5.4 kB per
-# point, so its blocks of sub-grid u-rows are a quarter block
+# (frames, field bundle, gate rows).  The closed-form f-derivatives and
+# quadric_jet hold 1.4 kB per point on top of that, so their sub-blocks are
+# half a block; the 13 shifted jets of the higher_partials_fd cross-check
+# hold 5.4 kB per point, so its blocks of sub-grid u-rows are a quarter block
 _BLOCK_POINTS = 4096
 # every this many rows and columns carry the higher_partials_fd cross-check
 _HIGHER_STRIDE = 4
@@ -428,9 +471,22 @@ def _laplacian(gi, gam, F1, F2) -> np.ndarray:
     return -np.einsum("kln,kln->n", gi, F2 - np.einsum("mkln,mn->kln", christoffel, F1))
 
 
-def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, gi, gam, model: SpaceForm):
+def _jet_tables(sh: dict, sl: slice, line4: tuple, model: SpaceForm):
+    """(T, Q) at the grid points ``sl``: T[i, j, k, m] = <X_ijk, X_m> and
+    Q[i, j, k, l] = <X_ij, X_kl>, from the inner products of the distinct
+    partials spread over all index tuples; <X_ij, X_kl> is symmetric, so its
+    6 distinct products fill the 3 x 3 table."""
+    X1 = [sh[name][sl] for name in ("Xu", "Xv")]
+    P2 = [sh[name][sl] for name in ("Xuu", "Xuv", "Xvv")]
+    inner = model.inner
+    pairs = {(i, j): inner(P2[i], P2[j]) for i in range(3) for j in range(i, 3)}
+    Q2 = np.array([[pairs[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
+    return _table(model, line4[:4], X1)[_SUM3], Q2[_SUM2[:, :, None, None], _SUM2]
+
+
+def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, tables: tuple, model: SpaceForm):
     """(F1, F2) of the mean curvature at the grid points ``sl``, whose
-    ``_metric_tables`` are (gi, gam).
+    ``_metric_tables`` and ``_jet_tables`` are ``tables`` = (gi, gam, T, Q).
 
     F1[k] = f_k and F2[k, l] = f_kl, indices 0 = u and 1 = v.  From
     identities that hold for any surface in the space form, with
@@ -440,20 +496,10 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, gi, gam, model: SpaceF
     a_,l = g^-1 (h_,l - g_,l a), f_l = tr a_,l, and one more derivative,
     f_kl = tr g^-1 (h_,kl - g_,kl a - g_,l a_,k - g_,k a_,l).
     """
-    X1 = [sh[name][sl] for name in ("Xu", "Xv")]
-    P2 = [sh[name][sl] for name in ("Xuu", "Xuv", "Xvv")]
-    P3, P4 = line4[:4], line4[4:]
+    gi, gam, T, Q = tables
     eta = [sh["eta"][sl]]
-
-    # inner products of the distinct partials, spread over all index tuples;
-    # <X_ij, X_kl> is symmetric, so its 6 distinct products fill the 3 x 3 table
-    inner = model.inner
-    pairs = {(i, j): inner(P2[i], P2[j]) for i in range(3) for j in range(i, 3)}
-    Q2 = np.array([[pairs[min(i, j), max(i, j)] for j in range(3)] for i in range(3)])
-    T = _table(model, P3, X1)[_SUM3]                          # <X_ijk, X_m>
-    Q = Q2[_SUM2[:, :, None, None], _SUM2]                    # <X_ij, X_kl>
-    E3 = _table(model, P3, eta)[_SUM3][..., 0, :]             # <X_ijk, eta>
-    E4 = _table(model, P4, eta)[_SUM4][..., 0, :]             # <X_ijkl, eta>
+    E3 = _table(model, line4[:4], eta)[_SUM3][..., 0, :]      # <X_ijk, eta>
+    E4 = _table(model, line4[4:], eta)[_SUM4][..., 0, :]      # <X_ijkl, eta>
     a = np.array([[sh["a11"][sl], sh["a12"][sl]], [sh["a21"][sl], sh["a22"][sl]]])
 
     es = np.einsum
@@ -478,6 +524,48 @@ def _jet_f_derivatives(sh: dict, sl: slice, line4: tuple, gi, gam, model: SpaceF
     return F1, F2
 
 
+# one index tuple per distinct partial of orders 3 and 4, by the number of v's
+_ORDER3 = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+_ORDER4 = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1))
+
+
+def _quadric_jet(sh: dict, sl: slice, line4: tuple, tables: tuple, model: SpaceForm):
+    """The largest defect of the derivatives of orders 1 to 4 of
+    <X, X> = 1/c at the grid points ``sl``, over the 14 distinct partials,
+    relative to 1 + the largest Euclidean size of the partials of orders 3
+    and 4.  With Gam, T and Q of ``_jet_f_derivatives``'s ``tables``:
+
+        <X_i, X> = 0,   <X_ij, X> + g_ij = 0,
+        <X_ijk, X> + Gam_ij,k + Gam_ik,j + Gam_jk,i = 0,
+        <X_ijkl, X> + T_ijk,l + T_ijl,k + T_ikl,j + T_jkl,i
+                    + Q_ij,kl + Q_ik,jl + Q_il,jk = 0.
+    """
+    _, gam, T, Q = tables
+    inner, X = model.inner, sh["X"][sl]
+    defects = [inner(sh[name][sl], X) for name in ("Xu", "Xv")]
+    for name, g in (("Xuu", "g11"), ("Xuv", "g12"), ("Xvv", "g22")):
+        defects.append(inner(sh[name][sl], X))
+        defects[-1] += sh[g][sl]
+    for P, (i, j, k) in zip(line4[:4], _ORDER3):
+        defects.append(inner(P, X))
+        for term in (gam[i, j, k], gam[i, k, j], gam[j, k, i]):
+            defects[-1] += term
+    for P, (i, j, k, m) in zip(line4[4:], _ORDER4):
+        defects.append(inner(P, X))
+        for term in (T[i, j, k, m], T[i, j, m, k], T[i, k, m, j], T[j, k, m, i],
+                     Q[i, j, k, m], Q[i, k, j, m], Q[i, m, j, k]):
+            defects[-1] += term
+    worst = np.abs(defects[0])
+    for d in defects[1:]:
+        np.maximum(worst, np.abs(d, out=d), out=worst)
+    euclid = Signature(model.ambient.dim)
+    size2 = euclid.inner(line4[0], line4[0])
+    for P in line4[1:]:
+        np.maximum(size2, euclid.inner(P, P), out=size2)
+    worst /= 1.0 + np.sqrt(size2)
+    return worst
+
+
 def _field_bundle(pr: _Probe, sign: float) -> dict:
     """Shape data plus the derivatives of the f-field on the probe's grid.
 
@@ -485,19 +573,25 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
     (``_jet_f_derivatives``), evaluated in sub-blocks of u-rows of about
     half ``_BLOCK_POINTS``, and Delta f comes from ``_laplacian`` with
     the Christoffel symbols of the jet; each sub-block takes grad f and
-    Delta f from its own ``_metric_tables``.
+    Delta f from its own ``_metric_tables``, and, on S3 and H3, the
+    ``quadric_jet`` field from the same tables.
     """
     sh = _shape(pr, sign)
     model = pr.patch.model
     nu, nv = pr.shape
     n = nu * nv
     F1, F2, G, lap = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, n)), np.empty(n)
+    quadric = np.empty(n) if model.c else None
     for rows, sl in _row_blocks(nu, nv, _BLOCK_POINTS // 2):
+        line4 = pr.block(rows).jet4(0.0, 0.0)
         gi, gam = _metric_tables(sh, sl, model)
-        f1, f2 = _jet_f_derivatives(sh, sl, pr.block(rows).jet4(0.0, 0.0), gi, gam, model)
+        tables = (gi, gam) + _jet_tables(sh, sl, line4, model)
+        f1, f2 = _jet_f_derivatives(sh, sl, line4, tables, model)
         F1[:, sl], F2[:, :, sl] = f1, f2
         G[:, sl] = gi[:, 0] * f1[0] + gi[:, 1] * f1[1]
         lap[sl] = _laplacian(gi, gam, f1, f2)
+        if quadric is not None:
+            quadric[sl] = _quadric_jet(sh, sl, line4, tables, model)
 
     grad2 = F1[0] * G[0] + F1[1] * G[1]
     sh.update(
@@ -507,6 +601,8 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
         grad_norm=np.sqrt(np.maximum(grad2, 0.0)),
         laplacian=lap,
     )
+    if quadric is not None:
+        sh["quadric_jet"] = quadric
     return sh
 
 
@@ -569,6 +665,7 @@ def _gate_rows(sh: dict, model: SpaceForm) -> dict:
         rows["x4"] = _Gate(X[..., 3], rule=_positive)
     if c != 0:
         rows["model_membership"] = _Gate(inner(X, X) - model.quadric_target)
+        rows["quadric_jet"] = _Gate(sh["quadric_jet"])
         north = np.maximum(north, np.abs(inner(eta, X)))
     # 2 A(grad f) + f grad f, normalized
     w1 = 2.0 * (sh["a11"] * Gu + sh["a12"] * Gv) + f * Gu
@@ -593,13 +690,50 @@ def _gate_rows(sh: dict, model: SpaceForm) -> dict:
     return rows
 
 
-def _grid_pass(pr: _Probe, sign: float, h: float, keep) -> tuple[dict, dict]:
+def _profile_jet(patch: SurfacePatch, line: tuple, k: np.ndarray) -> np.ndarray:
+    """The largest defect, at each u of the u-line ``line`` of a built curved
+    patch, of the profile's step-free identities; k is the profile's
+    curvature at those u.
+
+    - The constraints <sigma, C_j> = s_j a differentiated, with the C_j of
+      the patch's sweep and the s_j of its family: <sigma^(i), C_j> =
+      s_j a^(i) for i = 0..4, each relative to
+      1 + |sigma^(i)| |C_j| + |s_j a^(i)| (Euclidean sizes).
+    - Unit speed differentiated, at the orders 3 and 4 that the chart's
+      normalization of T leaves open: <sigma3, sigma1> + <sigma2, sigma2> = 0
+      and <sigma4, sigma1> + 3 <sigma3, sigma2> = 0 (sigma^(i) written
+      sigma_i), relative to 1 + the same sums of Euclidean sizes.
+    - The speed before ``_Chart.state`` normalizes it,
+      alpha^2 + beta^2 = v a'^2 / D + D theta'^2 = 1, with the theta' that
+      the chart's run integrates, at k: the first integral
+      D - v a'^2 = 16 sqrt(k) / |C|.
+    """
+    prof = patch.profile
+    chart, inner = prof._chart, patch.model.inner
+    norm = Signature(patch.model.ambient.dim).norm
+    sigma = np.stack([line[i] for i in _SIGMA])
+    amp = np.stack([line[i] for i in _AMPLITUDE])
+    size, size_a = norm(sigma), np.abs(amp)
+    defects = []
+    for C, s in zip((patch.C1, patch.C2), BY_BRANCH[prof.branch].constraint):
+        scale = 1.0 + float(norm(C)) * size + abs(s) * size_a
+        defects.extend((inner(sigma, C) - s * amp) / scale)
+    _, d1, d2, d3, d4 = sigma
+    _, n1, n2, n3, n4 = size
+    defects.append((inner(d3, d1) + inner(d2, d2)) / (1.0 + n3 * n1 + n2 * n2))
+    defects.append((inner(d4, d1) + 3.0 * inner(d3, d2)) / (1.0 + n4 * n1 + 3.0 * n3 * n2))
+    D = chart.d0 + chart.d2 * amp[0] ** 2
+    defects.append(chart.v * amp[1] ** 2 / D + D * chart.dtheta(k.reshape(D.shape)) ** 2 - 1.0)
+    return np.max(np.abs(defects), axis=0).ravel()
+
+
+def _grid_pass(pr: _Probe, sign: float, h: float | None, keep) -> tuple[dict, dict]:
     """(gate table, {name: field}) on the probe's grid: the ``_gate_rows``
-    rows and ``second_partials_fd``, and the ``_field_bundle`` fields named
-    in ``keep``, computed block by block of u-rows (``_BLOCK_POINTS``) into
-    full-grid arrays made at the first block.  The cross-check of ``jet``
-    takes one frame per shift, as frames stacked over the shifts would hold
-    every shift's X, which the check never reads.
+    rows, ``second_partials_fd`` at the step h unless h is None, and the
+    ``_field_bundle`` fields named in ``keep``, computed block by block of
+    u-rows (``_BLOCK_POINTS``) into full-grid arrays made at the first block.
+    The cross-check of ``jet`` takes one frame per shift, as frames stacked
+    over the shifts would hold every shift's X, which the check never reads.
     """
     model = pr.patch.model
     nu, nv = pr.shape
@@ -613,9 +747,11 @@ def _grid_pass(pr: _Probe, sign: float, h: float, keep) -> tuple[dict, dict]:
         blk = pr.block(block)
         sh = _field_bundle(blk, sign)
         gates = _gate_rows(sh, model)
-        gates["second_partials_fd"] = _Gate(_fd_cross_check(
-            {key: blk.frame(*key)[1:] for s in _fd_steps(h, 2) for key in ((s, 0.0), (0.0, s))},
-            (sh["Xuu"], sh["Xuv"], sh["Xvv"]), _SECOND_TABLE, h, 2, model.ambient.dim))
+        if h is not None:
+            gates["second_partials_fd"] = _Gate(_fd_cross_check(
+                {key: blk.frame(*key)[1:] for s in _fd_steps(h, 2)
+                 for key in ((s, 0.0), (0.0, s))},
+                (sh["Xuu"], sh["Xuv"], sh["Xvv"]), _SECOND_TABLE, h, 2, model.ambient.dim))
         if not rows:
             for name in keep:
                 if name not in sh:
@@ -840,14 +976,18 @@ def verify_patch(
 ) -> VerificationReport:
     """Verify every identity on a regular grid and summarize residuals.
 
-    The grid covers the patch rectangle, shrunk in u where the evaluable
-    domain does not leave room for the finite-difference stencils (recorded
-    in the notes).  Each gate is a row of one table (values, mask, rule), its
-    bound taken from the family's profile in ``TOL_PROFILES``.  The pass
-    rules: max <= bound on the kept points; the relative bitension floor,
-    applied only on mostly non-CMC grids; and, on h3, x4 > 0 everywhere.  A
-    profile that bounds no residual fails.  ``nu``, ``nv`` must be integers
-    >= 2, ``fd`` an ``FDScheme``, ``tolerances`` finite real bounds >= 0.
+    The grid covers the patch rectangle.  Where the FD rows run (on every
+    patch but a built curved one, and wherever a bound names one), it is
+    shrunk in u where the evaluable domain does not leave room for their
+    stencils (recorded in the notes), and ``fd`` sets their step; the
+    report's ``fd`` block describes it, or holds only the Laplacian's sign
+    where no FD row ran.  Each gate is a row of one table (values, mask,
+    rule), its bound taken from the family's profile in ``TOL_PROFILES``.
+    The pass rules: max <= bound on the kept points; the relative bitension
+    floor, applied only on mostly non-CMC grids; and, on h3, x4 > 0
+    everywhere.  A profile that bounds no residual fails.  ``nu``, ``nv``
+    must be integers >= 2, ``fd`` an ``FDScheme``, ``tolerances`` finite real
+    bounds >= 0.
     """
     nu, nv = _grid_size(nu, nv)
     _require_jets(patch)
@@ -864,49 +1004,60 @@ def verify_patch(
     tolerances = {name: float(bound) for name, bound in tolerances.items()}
     notes = []
 
+    # a built curved patch carries the step-free jet rows; the FD
+    # cross-checks run on every other patch, and wherever a bound names one
+    step_free = isinstance(patch.profile, ProfileCurve)
+    with_fd = not step_free or any(name in tolerances for name in _FD_ROWS)
     u0, u1 = patch.u_range
-    lo, hi = patch.eval_u_domain
-    reach = 1.02 * fd.reach
-    eff0, eff1 = max(u0, lo + reach), min(u1, hi - reach)
-    if eff0 >= eff1:
-        raise UsageError(
-            "no room for finite-difference stencils inside the evaluable domain"
-        )
-    if (eff0, eff1) != (u0, u1):
-        notes.append(
-            f"u-grid shrunk to [{eff0:.6g}, {eff1:.6g}] to fit stencils"
-        )
+    eff0, eff1 = u0, u1
+    if with_fd:
+        lo, hi = patch.eval_u_domain
+        reach = 1.02 * fd.reach
+        eff0, eff1 = max(u0, lo + reach), min(u1, hi - reach)
+        if eff0 >= eff1:
+            raise UsageError(
+                "no room for finite-difference stencils inside the evaluable domain"
+            )
+        if (eff0, eff1) != (u0, u1):
+            notes.append(
+                f"u-grid shrunk to [{eff0:.6g}, {eff1:.6g}] to fit stencils"
+            )
 
     ugrid = np.linspace(eff0, eff1, nu)
     vgrid = np.linspace(patch.v_range[0], patch.v_range[1], nv)
     UU, VV = np.meshgrid(ugrid, vgrid, indexing="ij")
     U, V = UU.ravel(), VV.ravel()
 
-    h = fd.inner_step
+    h = fd.inner_step if with_fd else None
     sign = normal_sign(patch)
-    steps = _fd_steps(h, 3)
+    steps = _fd_steps(h, 3) if with_fd else ()
     pr = _Probe(patch, ugrid, vgrid, (0.0,) + steps)
     rows, kept = _grid_pass(pr, sign, h, ("X", "f", "K", *patch.reference))
     f = kept["f"]
 
-    # the finite-difference cross-check of jet4 on every 4th row and column,
-    # one jet and one jet4 call per direction and block of sub-grid rows
-    every = slice(None, None, _HIGHER_STRIDE)
-    sub = np.zeros((nu, nv), dtype=bool)
-    sub[every, every] = True
-    higher = np.full((nu, nv), np.nan)
-    on_sub = higher[every, every]
-    for block, _ in _row_blocks(*on_sub.shape, _BLOCK_POINTS // 4):
-        on_grid = slice(block.start * _HIGHER_STRIDE, block.stop * _HIGHER_STRIDE, _HIGHER_STRIDE)
-        jets = pr.block(on_grid, every).shifted_jets(steps)
-        on_sub[block] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3,
-                                        patch.model.ambient.dim)
-        del jets  # free this block's jets before the next block's are made
-    rows["higher_partials_fd"] = _Gate(higher.ravel(), sub.ravel())
+    if with_fd:
+        # the finite-difference cross-check of jet4 on every 4th row and
+        # column, one jet and one jet4 call per direction and block of
+        # sub-grid rows
+        every = slice(None, None, _HIGHER_STRIDE)
+        sub = np.zeros((nu, nv), dtype=bool)
+        sub[every, every] = True
+        higher = np.full((nu, nv), np.nan)
+        on_sub = higher[every, every]
+        for block, _ in _row_blocks(*on_sub.shape, _BLOCK_POINTS // 4):
+            on_grid = slice(block.start * _HIGHER_STRIDE, block.stop * _HIGHER_STRIDE,
+                            _HIGHER_STRIDE)
+            jets = pr.block(on_grid, every).shifted_jets(steps)
+            on_sub[block] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3,
+                                            patch.model.ambient.dim)
+            del jets  # free this block's jets before the next block's are made
+        rows["higher_partials_fd"] = _Gate(higher.ravel(), sub.ravel())
 
-    # comparisons against builder-declared data
-    if isinstance(patch.profile, ProfileCurve):
-        rows["f_vs_profile"] = _Gate(f - 2.0 * np.repeat(patch.profile.k(ugrid), nv))
+    # comparisons against builder-declared data, and the profile's jet rows
+    if step_free:
+        k = patch.profile.k(ugrid)
+        rows["f_vs_profile"] = _Gate(f - 2.0 * np.repeat(k, nv))
+        rows["profile_jet"] = _Gate(np.repeat(_profile_jet(patch, pr._lines[0.0], k), nv))
     for name, ref in patch.reference.items():
         rows[f"{name}_vs_reference"] = _Gate(kept[name] - ref(U, V))
 
@@ -954,7 +1105,7 @@ def verify_patch(
             "u_range": [float(ugrid[0]), float(ugrid[-1])],
             "v_range": [float(vgrid[0]), float(vgrid[-1])],
         },
-        fd=fd.describe(),
+        fd=fd.describe() if with_fd else {"laplacian_sign": _LAPLACIAN_SIGN},
         tolerances=dict(sorted(tolerances.items())),
         residuals=residuals,
         bitension=bitension,

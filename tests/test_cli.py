@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biconsurf import pipeline
+from biconsurf import curvature, pipeline
 from biconsurf.cli import main
 from biconsurf.curvature import prime_constant
 from biconsurf.families import resolve
@@ -84,6 +84,54 @@ class TestSolveCommand:
         assert run("solve", "--model", "s3", "--k0=-1.0",
                    "--out", str(tmp_path / "x.csv")) == 2
 
+    def test_dense_state_evaluated_once_on_the_grid(self, tmp_path, monkeypatch):
+        # the C_drift column reads the states of the k and k' columns; the
+        # file equals the one written from a second evaluation for the drift
+        cfg = PipelineConfig(model="s3", k0=1.0, kp0=1.0, span=(-3.0, 3.0))
+        sizes, exact = [], curvature._Dop853Dense.__call__
+
+        def counted(dense, u):
+            sizes.append(np.size(u))
+            return exact(dense, u)
+
+        monkeypatch.setattr(curvature._Dop853Dense, "__call__", counted)
+        path = cmd_solve(cfg, tmp_path / "s.csv")["csv"]
+        # the run's root solves evaluate one-point segments
+        assert [n for n in sizes if n > 1] == [cfg.n_csv]
+        monkeypatch.undo()
+        sol = bc.solve_curvature(1, 1.0, 1.0, (-3.0, 3.0), rel_tol=cfg.rel_tol,
+                                 abs_tol=cfg.abs_tol)
+        grid = np.linspace(*sol.span, cfg.n_csv)
+        rows = Path(path).read_text().splitlines()[2:]
+        assert [float(r.split(",")[3]) for r in rows] == sol.drift(grid).tolist()
+
+
+class TestBoundaryEvents:
+    """A run that stops early says where and why, in the result and on stdout."""
+
+    # h3 k0 = 0.25, k'0 = 0.2 over +-20 reaches k_floor on both sides
+    ARGS = ("--model", "h3", "--k0", "0.25", "--dk0", "0.2", "--span", "-20", "20")
+
+    @pytest.mark.parametrize("command", [cmd_solve, pipeline.cmd_profile])
+    def test_result_holds_the_events(self, tmp_path, command):
+        cfg = PipelineConfig(model="h3", k0=0.25, kp0=0.2, span=(-20.0, 20.0))
+        events = command(cfg, tmp_path / "out.csv")["boundary_events"]
+        assert [e["kind"] for e in events] == ["k_floor", "k_floor"]
+        assert events[0]["u"] < -12.9 and events[1]["u"] > 14.0
+
+    @pytest.mark.parametrize("command", ["solve", "profile"])
+    def test_cli_prints_one_line_per_event(self, tmp_path, capsys, command):
+        assert run(command, *self.ARGS, "--out", str(tmp_path / "out.csv")) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if "stopped" in line]
+        assert len(lines) == 2
+        assert all(line.startswith("  stopped early: k_floor at u=") for line in lines)
+
+    @pytest.mark.parametrize("command, model", [("solve", "s3"), ("profile", "s3"),
+                                                ("profile", "r3")])
+    def test_full_run_has_none(self, tmp_path, capsys, command, model):
+        assert run(command, "--model", model, "--out", str(tmp_path / "out.csv")) == 0
+        assert "stopped" not in capsys.readouterr().out
+
 
 class TestSurfaceCommand:
     def test_r3_full_pipeline(self, tmp_path):
@@ -115,6 +163,27 @@ class TestSurfaceCommand:
         assert sorted(path.name for path in out.iterdir()) == ["summary.csv"]
         row = (out / "summary.csv").read_text().splitlines()[1]
         assert row.startswith("1,0,nan,nan,UsageError: branch 'parabolic' contradicts")
+
+    def test_sweep_refuses_a_span_it_cannot_build_before_writing(self, tmp_path, capsys):
+        # the padded build span over this v range is far beyond SPAN_LIMIT:
+        # sweep made its directory and recorded the refusal per value, where
+        # surface exits 2 and writes nothing
+        out = tmp_path / "out"
+        assert run("sweep", "--model", "s3", "--v-range", "0", "1e308", "--values", "1",
+                   "--nu", "4", "--nv", "4", "--out", str(out)) == 2
+        assert "is too wide to build" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_span_refusal_names_the_typed_span(self, tmp_path, capsys):
+        # it named the padded span, (-1000.4900023686993, 1000.4900023686993)
+        out = tmp_path / "out"
+        assert run("surface", "--model", "s3", "--span", "-1000", "1000", "--nu", "4",
+                   "--nv", "4", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "span (-1000.0, 1000.0) is too wide to build" in err
+        assert "pads the span by the verifier's reach, 0.490002 at each end" in err
+        assert "1000.49" not in err
+        assert not out.exists()
 
     def test_s3_verify_passes(self, tmp_path):
         code = run("verify", "--model", "s3", "--nu", "24", "--nv", "24",

@@ -262,6 +262,19 @@ class TestPolarChart:
         np.testing.assert_allclose(inner(n, prof.C1), 3.0 * k[:, 0] * inner(sig, prof.C1),
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("fix", FIXTURES)
+    def test_theta_is_the_quadrature_of_its_rate(self, fix, request):
+        # the chart angle of the run is the integral of the theta' that the
+        # verifier's profile_jet reads (chart.dtheta at the run's k): with
+        # the speed row, sigma' = T is the derivative of sigma (the step-free
+        # certification of the curved jets)
+        prof = request.getfixturevalue(fix)[1]
+        dtheta = prof._chart.dtheta
+        for u in np.linspace(*prof.span, 9):
+            want, _ = quad(lambda s: dtheta(float(prof.k(s))), 0.0, u, epsabs=1e-13,
+                           epsrel=1e-13, limit=200)
+            assert abs(float(prof.curvature._dense(u)[2]) - want) <= 1e-10 * (1.0 + abs(want))
+
     def test_infeasible_start(self):
         # k0 = 1e-9 rounds the chart radius squared D = 1 - a^2 to 0.0 at
         # u = 0: the start is not on the chart, and nothing is integrated

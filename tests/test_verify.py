@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import biconsurf as bc
 from biconsurf import mesh, profile, surfaces, verify
 from biconsurf.ambient import Signature
+from biconsurf.families import TOL_PROFILES
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 from biconsurf.verify import (
     FDScheme,
@@ -35,6 +36,20 @@ from conftest import (
     sweep_patch,
     vectors,
 )
+
+
+def with_fd_bounds(patch):
+    """The patch's tolerances with both FD rows bounded (the family's own
+    bounds kept): a bound on an FD row runs the FD cross-checks on a curved
+    patch too."""
+    return {**dict.fromkeys(verify._FD_ROWS, 1e-7), **TOL_PROFILES[patch.case]}
+
+
+def over_bound(report) -> dict:
+    """{row: max / bound} of the bounded rows over their bound."""
+    return {name: report.residuals[name]["max"] / bound
+            for name, bound in report.tolerances.items()
+            if name in report.residuals and report.residuals[name]["max"] > bound}
 
 
 def mid(patch):
@@ -174,7 +189,7 @@ class TestFiniteDifferences:
             return fields[-1]
 
         monkeypatch.setattr(verify, "_fd_cross_check", spy)
-        report = bc.verify_patch(patch, 24, 24)
+        report = bc.verify_patch(patch, 24, 24, tolerances=with_fd_bounds(patch))
         second, higher = fields
         fd = fd_for_patch(patch)
         h = fd.inner_step
@@ -544,7 +559,8 @@ class TestTensorGridProbe:
     def test_stacked_ulines_equal_separate_calls(self, fix, request, monkeypatch):
         # the one-point probe of normal_sign and the grid probe of
         # verify_patch, whose every 4th row and column the sub-grid check
-        # reads: each offset's piece of the stacked u-line is the u-line of
+        # reads on r3 (a curved grid runs no FD row and reads u offset 0
+        # only): each offset's piece of the stacked u-line is the u-line of
         # its own call, byte for byte
         patch = request.getfixturevalue(fix)[-2]
         probes = []
@@ -558,6 +574,8 @@ class TestTensorGridProbe:
         bc.verify_patch(patch, 24, 24)
         h = fd_for_patch(patch).inner_step
         steps = (h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h)
+        if patch.case != "r3_revolution":
+            steps = ()
         assert [(pr.shape, pr.offsets) for pr in probes] == [
             ((1, 1), (0.0,)), ((24, 24), (0.0,) + steps),
         ]
@@ -602,9 +620,10 @@ class TestTensorGridProbe:
                 assert np.asarray(value).tobytes() == np.asarray(want[name]).tobytes(), name
 
     def test_verify_calls_uline_once_per_probe(self, s3_pipeline):
-        # normal_sign and the grid, whose every 4th row and column the
-        # sub-grid check reads; the points are those of one call per u offset
-        # (1 + 7 * 24)
+        # normal_sign and the grid: one u-line point per grid row on a curved
+        # patch, which runs no FD row; with an FD bound, the points of one
+        # call per u offset (1 + 7 * 24), whose every 4th row and column the
+        # sub-grid check reads
         patch = s3_pipeline[2]
         sizes = []
 
@@ -612,7 +631,11 @@ class TestTensorGridProbe:
             sizes.append(np.size(u))
             return patch.uline(u)
 
-        bc.verify_patch(dataclasses.replace(patch, uline=uline), 24, 24)
+        counted = dataclasses.replace(patch, uline=uline)
+        bc.verify_patch(counted, 24, 24)
+        assert sizes == [1, 24]
+        sizes.clear()
+        bc.verify_patch(counted, 24, 24, tolerances=with_fd_bounds(patch))
         assert sizes == [1, 7 * 24]
 
 
@@ -845,23 +868,35 @@ def _mutated(patch, index, change):
     return dataclasses.replace(patch, uline=uline)
 
 
+# the step-free rows that certify the jets of a curved patch
+_JET_ROWS = ("quadric_jet", "profile_jet")
+
+
+def assert_rejected(patch, rows):
+    """The patch's 24 x 24 report fails, every row of ``rows`` over its bound."""
+    rep = bc.verify_patch(patch, 24, 24)
+    assert set(rows) <= over_bound(rep).keys()
+    assert not rep.passed
+
+
 class TestJetCrossCheck:
-    """A builder bug in the second partials must fail the FD cross-check."""
+    """A builder bug in the second partials must fail the FD cross-check on
+    r3, and the step-free jet rows on the curved families."""
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
                                      "h3p_pipeline"])
     def test_jet_matches_differences(self, fix, request):
-        report = request.getfixturevalue(fix)[-1]
+        # a curved report bounds no FD row; bounded, the row runs and passes
+        patch, report = request.getfixturevalue(fix)[-2:]
+        if "second_partials_fd" not in report.tolerances:
+            report = bc.verify_patch(patch, 64, 64, tolerances=with_fd_bounds(patch))
         entry = report.residuals["second_partials_fd"]
         assert entry["count"] == 64 * 64
         assert entry["max"] <= report.tolerances["second_partials_fd"]
 
     @staticmethod
     def assert_rejected(patch):
-        rep = bc.verify_patch(patch, 24, 24)
-        assert rep.residuals["second_partials_fd"]["max"] > \
-            rep.tolerances["second_partials_fd"]
-        assert not rep.passed
+        assert_rejected(patch, ("second_partials_fd",) if patch.model.c == 0 else _JET_ROWS)
 
     def test_scaled_sweep_amplitude_second_derivative(self, s3_pipeline):
         # u-line of every built patch: (sigma, T, a, a', T', a'', sigma''',
@@ -973,8 +1008,8 @@ class TestExactFieldDerivatives:
         rep = bc.verify_patch(make(), n, n)
         assert rep.residuals["pde"]["count"] == n * n
         assert rep.residuals["pde"]["max"] <= 1e-10 < rep.tolerances["pde"]
-        assert rep.residuals["higher_partials_fd"]["max"] <= \
-            rep.tolerances["higher_partials_fd"]
+        for name in _JET_ROWS:
+            assert rep.residuals[name]["max"] <= rep.tolerances[name], name
 
     def test_h3_truncation_case_passes(self):
         assert bc.verify_patch(_h3_truncation_case(), 20, 20).passed
@@ -1053,27 +1088,29 @@ class TestExactFieldDerivatives:
 
 
 class TestHigherPartialsCrossCheck:
-    """A builder bug in the order 3 or 4 partials must fail higher_partials_fd."""
+    """A builder bug in the order 3 or 4 partials must fail higher_partials_fd
+    on r3, and the step-free jet rows on the curved families."""
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
                                      "h3p_pipeline"])
     def test_strided_and_within_tolerance(self, fix, request):
-        report = request.getfixturevalue(fix)[-1]
+        # a curved report bounds no FD row; bounded, the rows run and pass
+        patch, report = request.getfixturevalue(fix)[-2:]
+        if "higher_partials_fd" not in report.tolerances:
+            report = bc.verify_patch(patch, 64, 64, tolerances=with_fd_bounds(patch))
         entry = report.residuals["higher_partials_fd"]
         assert entry["count"] == 16 * 16
         assert entry["max"] <= report.tolerances["higher_partials_fd"]
         assert report.residuals["second_partials_fd"]["count"] == 64 * 64
 
     def test_odd_grid_includes_first_row_and_column(self, s3_pipeline):
-        rep = bc.verify_patch(s3_pipeline[2], 9, 13)
+        patch = s3_pipeline[2]
+        rep = bc.verify_patch(patch, 9, 13, tolerances=with_fd_bounds(patch))
         assert rep.residuals["higher_partials_fd"]["count"] == 3 * 4
 
     @staticmethod
     def assert_rejected(patch):
-        rep = bc.verify_patch(patch, 24, 24)
-        assert rep.residuals["higher_partials_fd"]["max"] > \
-            rep.tolerances["higher_partials_fd"]
-        assert not rep.passed
+        assert_rejected(patch, ("higher_partials_fd",) if patch.model.c == 0 else _JET_ROWS)
 
     @pytest.mark.parametrize("factor", [1 + 1e-3, 1 + 1e-6], ids=["1e-3", "1e-6"])
     @pytest.mark.parametrize("index", [7, 9], ids=["a3", "a4"])
@@ -1152,8 +1189,8 @@ class TestProfileBuildMutations:
             return dataclasses.replace(chart, d2=-chart.d2)
 
         monkeypatch.setattr(profile, "_chart", flipped)
-        self.assert_rejected("s3", ("model_membership", "f_vs_profile", "second_partials_fd",
-                                    "pde"))
+        self.assert_rejected("s3", ("model_membership", "f_vs_profile", "quadric_jet",
+                                    "profile_jet", "pde"))
 
     @pytest.mark.parametrize("case", sorted(_CURVED))
     def test_scaled_sweep_amplitude(self, case, monkeypatch):
@@ -1190,6 +1227,127 @@ class TestProfileBuildMutations:
         Y, Yu, Yv = patch.at(patch.uline(u), -v)
         assert np.array_equal(X, Y) and np.array_equal(Xu, Yu) and np.array_equal(Xv, -Yv)
         assert bc.verify_patch(swapped, 24, 24).passed
+
+
+class TestStepFreeJetRows:
+    """quadric_jet and profile_jet certify the jets of a curved patch with no
+    step, in place of the FD cross-checks, which run only where bound."""
+
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
+                                     "h3p_pipeline"])
+    def test_rows_and_fd_block_by_family(self, fix, request):
+        patch, report = request.getfixturevalue(fix)[-2:]
+        curved = patch.model.c != 0
+        assert (set(_JET_ROWS) <= report.residuals.keys()) == curved
+        assert (set(verify._FD_ROWS) <= report.residuals.keys()) == (not curved)
+        if curved:
+            # the grid takes no stencil room, and the fd block keeps the
+            # statement of the Laplacian's sign alone
+            assert report.fd == {"laplacian_sign": "geometric (minus divergence form)"}
+            assert report.grid["u_range"] == list(patch.u_range)
+            for name in _JET_ROWS:
+                entry = report.residuals[name]
+                assert entry["count"] == 64 * 64
+                # clean floors measured 5e-14 (s3) to 1.1e-12 (h3p) at this
+                # grid: under 2e-3 of the bound, so a rise of the floor shows
+                assert entry["max"] <= 2e-3 * report.tolerances[name], name
+        else:
+            assert report.fd == fd_for_patch(patch).describe()
+
+    def test_point_rows_include_quadric_jet(self, s3_pipeline, r3_pipeline):
+        # quadric_jet is a pointwise gate row; profile_jet reads the u-line
+        s3 = bc.point_geometry(s3_pipeline[2], *mid(s3_pipeline[2])).residuals
+        r3 = bc.point_geometry(r3_pipeline[1], *mid(r3_pipeline[1])).residuals
+        assert "quadric_jet" in s3 and "quadric_jet" not in r3
+        assert "profile_jet" not in s3
+
+    def test_great_sphere_fixture_keeps_the_fd_rows(self):
+        # a patch without a built profile has no profile_jet, so its jets are
+        # still cross-checked by differences; its quadric_jet is computed but
+        # no bound names it
+        rep = bc.verify_patch(great_sphere_patch(), 16, 16)
+        assert set(verify._FD_ROWS) <= rep.residuals.keys()
+        assert rep.residuals["quadric_jet"]["max"] <= 1e-13
+        assert "profile_jet" not in rep.residuals
+
+    @pytest.mark.parametrize("index", [7, 9, 6, 8], ids=["a3", "a4", "sigma3", "sigma4"])
+    @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline"])
+    def test_scaled_jet_fails_a_row_a_hundredfold(self, fix, index, request):
+        # u-line entries 7 and 9 are the third and fourth derivatives of the
+        # amplitude a, 6 and 8 those of sigma; at 1 + 1e-6 the FD rows failed
+        # at only 90-134x their bound, the step-free rows measure 125-3,300x
+        patch = request.getfixturevalue(fix)[2]
+        rep = bc.verify_patch(_mutated(patch, index, lambda line: line[index] * (1 + 1e-6)),
+                              24, 24)
+        ratios = over_bound(rep)
+        assert set(_JET_ROWS) <= ratios.keys()
+        assert max(ratios[name] for name in _JET_ROWS) >= 100.0
+        assert not rep.passed
+
+    @staticmethod
+    def scaled_partial(patch, name, index):
+        """The patch whose evaluator ``name`` returns its partial ``index``
+        scaled by 1 + 1e-6."""
+        evaluate = getattr(patch, name)
+
+        def scaled(line, v):
+            out = list(evaluate(line, v))
+            out[index] = out[index] * (1 + 1e-6)
+            return tuple(out)
+
+        return dataclasses.replace(patch, **{name: scaled})
+
+    @pytest.mark.parametrize("name, index", [("at", 1), ("at", 2)]
+                             + [("jet", i) for i in range(3)]
+                             + [("jet4", i) for i in (0, 1, 2, 3, 4, 6, 8)])
+    @pytest.mark.parametrize("case", sorted(_CURVED))
+    def test_scaled_evaluator_partial_fails_quadric_jet(self, case, name, index):
+        # a partial of orders 1-4 scaled by 1 + 1e-6 where the patch's at,
+        # jet or jet4 returns it; measured 105-13,300x the bound
+        assert_rejected(self.scaled_partial(_built(case), name, index), ("quadric_jet",))
+
+    @pytest.mark.parametrize("index", [5, 7], ids=["Xuuuv", "Xuvvv"])
+    @pytest.mark.parametrize("case", sorted(_CURVED))
+    def test_tangent_order_four_partials_are_read_by_no_row(self, case, index):
+        # on every sweep Xuuuv = a3 S1 and Xuvvv = a1 S3 (a_i and S_j the
+        # derivatives of the amplitude and the orbit) lie along Xv, so
+        # <X_I, X> = <X_I, eta> = 0: the quadric and the f derivatives, which
+        # read order 4 only through <X_ijkl, eta>, cannot see them, and
+        # scaling them moves no residual max and no sampled field; the FD
+        # rows compared the whole vector.  The sweep assembly that forms them
+        # is shared with r3, whose FD rows stay
+        patch = _built(case)
+        base = bc.verify_patch(patch, 24, 24)
+        rep = bc.verify_patch(self.scaled_partial(patch, "jet4", index), 24, 24)
+        assert rep.passed
+        assert {name: e["max"] for name, e in rep.residuals.items()} == \
+            {name: e["max"] for name, e in base.residuals.items()}
+        for name, values in base.fields.items():
+            assert np.array_equal(rep.fields[name], values), name
+
+    @pytest.mark.parametrize("case", sorted(_CURVED))
+    def test_chart_rate_fails_profile_jet(self, case, monkeypatch):
+        # theta' scaled by 1 + 1e-6 in the chart's run and in T: the frame
+        # stays unit speed, as _Chart.state normalizes it, but the speed
+        # before that, alpha^2 + beta^2, moves by about 2e-6 beta^2
+        exact = profile._chart
+
+        def faster(branch, c, C):
+            chart = exact(branch, c, C)
+            return dataclasses.replace(chart, rate=chart.rate * (1 + 1e-6))
+
+        monkeypatch.setattr(profile, "_chart", faster)
+        rep = bc.verify_patch(_built(case), 24, 24)
+        assert over_bound(rep)["profile_jet"] >= 100.0
+        assert not rep.passed
+
+    def test_fd_bound_runs_the_fd_rows_on_a_curved_patch(self, s3_pipeline):
+        patch, report = s3_pipeline[-2:]
+        bounded = bc.verify_patch(patch, 64, 64, tolerances=with_fd_bounds(patch))
+        assert bounded.fd == fd_for_patch(patch).describe()
+        assert bounded.passed
+        for name, entry in report.residuals.items():
+            assert bounded.residuals[name] == entry, name
 
 
 _PROPERTY_SETTINGS = settings(max_examples=8, derandomize=True, deadline=None)
