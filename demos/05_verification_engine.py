@@ -2,15 +2,19 @@
 """Anatomy of the verification engine, exercised on classical surfaces.
 
 The verifier never looks at how a patch was built: it reads the immersion's
-closed-form partials up to order 4 (every patch supplies them, and the
-verifier checks them against finite differences of the partials one order
-lower), assembles metric, normal, shape operator, the mean-curvature field
+closed-form partials up to order 4 (every patch supplies them; on the
+constructed S3 and H3 surfaces the verifier certifies them by identities
+that take no step, and on every other patch, these fixtures among them,
+against finite differences of the partials one order lower), assembles
+metric, normal, shape operator, the mean-curvature field
 and its derivatives, and evaluates every identity the constructed surfaces
 must satisfy.  Classical surfaces make good sanity fixtures because their
 curvatures are known exactly, and each one below is a sweep
 X(u, v) = sigma(u) + a(u) S(v), so its partials come from those of sigma, a
 and S alone.
 """
+import dataclasses
+
 import numpy as np
 
 import biconsurf as bc
@@ -120,3 +124,28 @@ for h in (4e-2, 2e-2, 1e-2):
           f"{report.residuals['second_partials_fd']['max']:.3e}")
 print("  each halving divides it by about sixteen (Richardson, order four);")
 print("  a wrong jet would leave a floor that does not fall.")
+
+print("\nOn the constructed S3 and H3 surfaces the jets are certified with no")
+print("step: every derivative of <X, X> = 1/c up to order 4 (quadric_jet), and")
+print("the profile's constraint and unit-speed chains (profile_jet), hold to")
+print("rounding on the sphere-model surface above:")
+report = bc.verify_patch(patch, 32, 32)
+for name in ("quadric_jet", "profile_jet"):
+    print(f"  {name}: max {report.residuals[name]['max']:.1e} "
+          f"(bound {report.tolerances[name]:.0e})")
+print(f"  no finite differences ran: the fd block is {report.fd}")
+
+
+def scaled_third_derivative(line):
+    """The u-line with the amplitude's third derivative (entry 7) off by 1e-6."""
+    return line[:7] + (line[7] * (1 + 1e-6),) + line[8:]
+
+
+broken = dataclasses.replace(patch, uline=lambda u: scaled_third_derivative(patch.uline(u)))
+report = bc.verify_patch(broken, 32, 32)
+print("  the same surface with the amplitude's third derivative off by one")
+print("  part in a million:")
+for name in ("quadric_jet", "profile_jet"):
+    ratio = report.residuals[name]["max"] / report.tolerances[name]
+    print(f"    {name}: {ratio:,.0f} times its bound")
+print(f"    passed: {report.passed}")

@@ -54,8 +54,8 @@ Euclidean size of the partials of orders 3 and 4; and ``profile_jet``, on
 the u-line, the constraint chain <sigma^(i), C_j> = s_j a^(i) (i = 0..4)
 and the orders 3 and 4 of the unit-speed chain, each relative to 1 + the
 Euclidean sizes of its terms, and the speed before the chart normalizes it
-minus 1.  Their clean floors measure 2.6e-14 (s3), 3.4e-13 (h3 elliptic)
-and 1.1e-12 (h3 parabolic) at 64 x 64, and at most 5.1e-11 over the fuzz
+minus 1.  The larger of their clean floors measures 3.4e-14 (s3),
+3.4e-13 (h3 elliptic) and 1.1e-12 (h3 parabolic) at 64 x 64, and at most 5.1e-11 over the fuzz
 draws of tests/test_fuzz.py; a third or fourth derivative of the profile
 or the amplitude scaled by 1 + 1e-6 raises them 125 to 3,300 times over the
 bound.  With the closed-form f derivatives the ``pde`` residual of the
