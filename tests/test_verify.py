@@ -1329,7 +1329,9 @@ class TestStepFreeJetRows:
     def test_chart_rate_fails_profile_jet(self, case, monkeypatch):
         # theta' scaled by 1 + 1e-6 in the chart's run and in T: the frame
         # stays unit speed, as _Chart.state normalizes it, but the speed
-        # before that, alpha^2 + beta^2, moves by about 2e-6 beta^2
+        # before that, alpha^2 + beta^2, moves by about 2e-6 beta^2, which
+        # reads about 2,000x the bound; the constraint chain alone reads
+        # 151-282x
         exact = profile._chart
 
         def faster(branch, c, C):
@@ -1338,7 +1340,7 @@ class TestStepFreeJetRows:
 
         monkeypatch.setattr(profile, "_chart", faster)
         rep = bc.verify_patch(_built(case), 24, 24)
-        assert over_bound(rep)["profile_jet"] >= 100.0
+        assert over_bound(rep)["profile_jet"] >= 1000.0
         assert not rep.passed
 
     def test_fd_bound_runs_the_fd_rows_on_a_curved_patch(self, s3_pipeline):
