@@ -3,22 +3,20 @@
 
 The verifier never looks at how a patch was built: it reads the immersion's
 closed-form partials up to order 4 (every patch supplies them; on the
-constructed S3 and H3 surfaces the verifier certifies them by identities
-that take no step, and on every other patch, these fixtures among them,
-against finite differences of the partials one order lower), assembles
-metric, normal, shape operator, the mean-curvature field
-and its derivatives, and evaluates every identity the constructed surfaces
-must satisfy.  Classical surfaces make good sanity fixtures because their
-curvatures are known exactly, and each one below is a sweep
-X(u, v) = sigma(u) + a(u) S(v), so its partials come from those of sigma, a
-and S alone.
+constructed surfaces the verifier certifies them by identities that take
+no step, and on every other patch, these fixtures among them, it takes
+them as given and its report says so), assembles metric, normal, shape
+operator, the mean-curvature field and its derivatives, and evaluates
+every identity the constructed surfaces must satisfy.  Classical surfaces
+make good sanity fixtures because their curvatures are known exactly, and
+each one below is a sweep X(u, v) = sigma(u) + a(u) S(v), so its partials
+come from those of sigma, a and S alone.
 """
 import dataclasses
 
 import numpy as np
 
 import biconsurf as bc
-from biconsurf.verify import FDScheme
 
 
 def swept_patch(case, model, sigma, amplitude, orbit, u_range, v_range):
@@ -113,32 +111,36 @@ patch = bc.build_s3(bc.reconstruct_profile("s2", 1.0, 1.0, (-1.1, 1.1),
 pg = bc.point_geometry(patch, 0.3, 1.0)
 print(f"  constructed sphere-model surface:       {pg.residuals['normal_bitension_min']:+.3f}")
 print("  nonzero: biconservative surfaces need not be biharmonic.")
-
-print("\nThe jets are checked, not trusted: differences of the first partials")
-print("against the second partials (second_partials_fd) on the flat surface:")
-prof = bc.revolution_profile(1.0, 12.0)
-rpatch = bc.build_r3_revolution(prof, (prof.t_of_rho([1.5, 8.0]), (0.0, 2 * np.pi)))
-for h in (4e-2, 2e-2, 1e-2):
-    report = bc.verify_patch(rpatch, 16, 16, fd=FDScheme(inner_step=h))
-    print(f"  step {h:.0e}: max |difference - jet| = "
-          f"{report.residuals['second_partials_fd']['max']:.3e}")
-print("  each halving divides it by about sixteen (Richardson, order four);")
-print("  a wrong jet would leave a floor that does not fall.")
-
-print("\nOn the constructed S3 and H3 surfaces the jets are certified with no")
-print("step: every derivative of <X, X> = 1/c up to order 4 (quadric_jet), and")
-print("the profile's constraint and unit-speed chains (profile_jet), hold to")
-print("rounding on the sphere-model surface above:")
-report = bc.verify_patch(patch, 32, 32)
-for name in ("quadric_jet", "profile_jet"):
-    print(f"  {name}: max {report.residuals[name]['max']:.1e} "
-          f"(bound {report.tolerances[name]:.0e})")
-print(f"  no finite differences ran: the fd block is {report.fd}")
-
+print(f"  a fixture's report notes: {bc.verify_patch(cylinder, 8, 8).notes[0]}")
 
 def scaled_third_derivative(line):
     """The u-line with the amplitude's third derivative (entry 7) off by 1e-6."""
     return line[:7] + (line[7] * (1 + 1e-6),) + line[8:]
+
+
+print("\nThe jets are checked, not trusted, and no check takes a step.  On the")
+print("flat surface of revolution, profile_jet holds the closed-form chains of")
+print("the profile in its regular chart t (z'^2 = 9R^2 (1 + t^2) and its")
+print("t-derivatives, rho^(i+1) = t z^(i+1) + i z^(i), 27 R^2 rho = z'^3):")
+prof = bc.revolution_profile(1.0, 12.0)
+rpatch = bc.build_r3_revolution(prof, (prof.t_of_rho([1.5, 8.0]), (0.0, 2 * np.pi)))
+rbroken = dataclasses.replace(rpatch, uline=lambda t: scaled_third_derivative(rpatch.uline(t)))
+for label, surface in (("as built", rpatch), ("rho''' off by 1e-6", rbroken)):
+    report = bc.verify_patch(surface, 32, 32)
+    entry = report.residuals["profile_jet"]
+    print(f"  {label:<18} max {entry['max']:.1e} = "
+          f"{entry['max'] / report.tolerances['profile_jet']:,.4g} times its bound; "
+          f"passed: {report.passed}")
+
+print("\nOn the constructed S3 and H3 surfaces the jets are certified with no")
+print("step as well: every derivative of <X, X> = 1/c up to order 4")
+print("(quadric_jet), and the profile's constraint and unit-speed chains")
+print("(profile_jet), hold to rounding on the sphere-model surface above:")
+report = bc.verify_patch(patch, 32, 32)
+for name in ("quadric_jet", "profile_jet"):
+    print(f"  {name}: max {report.residuals[name]['max']:.1e} "
+          f"(bound {report.tolerances[name]:.0e})")
+print(f"  the fd block states the Laplacian's sign alone: {report.fd}")
 
 
 broken = dataclasses.replace(patch, uline=lambda u: scaled_third_derivative(patch.uline(u)))

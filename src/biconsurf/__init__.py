@@ -52,13 +52,6 @@ from .surfaces import (
     build_r3_revolution,
     build_s3,
 )
-from .verify import (
-    FDScheme,
-    PointGeometry,
-    VerificationReport,
-    fd_for_patch,
-    point_geometry,
-    verify_patch,
-)
+from .verify import PointGeometry, VerificationReport, point_geometry, verify_patch
 
 __version__ = "0.1.0"

@@ -183,6 +183,7 @@ def main(argv=None) -> int:
             for name, entry in sorted(result["residuals"].items()):
                 if entry["max"] is not None:
                     print(f"  {name}: max={entry['max']:.3e}")
+            _print_events(result)
             return EXIT_PASS if result["pass"] else EXIT_VERIFICATION_FAIL
         if args.command == "sweep":
             result = cmd_sweep(cfg, args.values, _out_path(args, "sweep_out"))

@@ -6,26 +6,10 @@ so tests can pin them.  Values are grouped by the stage that consumes them.
 Integration
 -----------
 ``ODE_RTOL``/``ODE_ATOL`` are the defaults of :func:`solve_curvature`.  The
-pipelines integrate profiles with the tighter ``PIPELINE_RTOL``/``ATOL``:
-the verification stage takes finite differences of dense-output data, and
-its noise floor is set by the interpolation error of the integrator.
+pipelines integrate profiles with the tighter ``PIPELINE_RTOL``/``ATOL``,
+which set the noise floor of the integrated families' identity residuals.
 ``SPAN_LIMIT`` bounds |u| on every span the curvature ODE is integrated
-over (a build's is padded): an s3 solve over +-1000 takes about 3.5 s.
-
-Finite differencing
--------------------
-The verifier takes every partial of X up to order 4, and so the mean
-curvature field and its derivatives, from the patch's closed-form ``jet``
-and ``jet4``, so the point API takes no step.  On S3 and H3 the jets are
-certified with no step either (``quadric_jet``, ``profile_jet``).  Only
-``verify_patch`` on r3 and on patches from outside the family table (or
-wherever a bound names an FD row) takes finite differences: one step,
-``FD_INNER_REL`` times the parameter rectangle diagonal, and one kernel
-take Richardson-extrapolated central differences of the analytic first
-partials and of the jets of orders 2 and 3, the cross-checks the jets must
-match.  Its stencil reach, twice the step, sets the grid shrink of those
-verifies and the span padding of the curved pipelines, which keep it so
-that their profile and mesh bytes do not move.
+over: an s3 solve over +-1000 takes about 3.5 s.
 
 Tolerance profiles
 ------------------
@@ -38,15 +22,6 @@ The floor, ``normal_bitension_min``, is min |bitension| > bound * max
 |bitension|, scaled with the field (it decays toward the flat family's
 outer radius, for example).
 
-The flat family's jets are cross-checked by differences.
-``second_partials_fd`` bounds the largest Euclidean norm, over Xuu, Xuv and
-Xvv, of inner-step differences minus the patch's analytic jet on the grid,
-and ``higher_partials_fd`` the largest Euclidean norm of each order 3 and 4
-partial of ``jet4`` minus the inner-step difference of the partial one
-order lower (Xuuu and Xuuuu in u, the others in v; Richardson over h, h/2
-and h/4, sixth order), on every 4th row and column of the grid; both at
-1e-8.
-
 The curved families' jets are certified by identities with no step, each
 bounded by 1e-9: ``quadric_jet``, the derivatives of orders 1-4 of
 <X, X> = 1/c over the 14 distinct partials, relative to 1 + the largest
@@ -55,12 +30,22 @@ the u-line, the constraint chain <sigma^(i), C_j> = s_j a^(i) (i = 0..4)
 and the orders 3 and 4 of the unit-speed chain, each relative to 1 + the
 Euclidean sizes of its terms, and the speed before the chart normalizes it
 minus 1.  The larger of their clean floors measures 3.4e-14 (s3),
-3.4e-13 (h3 elliptic) and 1.1e-12 (h3 parabolic) at 64 x 64, and at most 5.1e-11 over the fuzz
-draws of tests/test_fuzz.py; a third or fourth derivative of the profile
-or the amplitude scaled by 1 + 1e-6 raises them 125 to 3,300 times over the
-bound.  With the closed-form f derivatives the ``pde`` residual of the
+3.4e-13 (h3 elliptic) and 1.1e-12 (h3 parabolic) at 64 x 64, and at most
+3.5e-11 over the fuzz draws of tests/test_fuzz.py; a third or fourth
+derivative of the profile or the amplitude scaled by 1 + 1e-6 raises them
+125 to 3,300 times over the bound.  With the closed-form f derivatives the ``pde`` residual of the
 built families sits near 1e-11, far below its tolerance; tightening the
 curved tolerances is left open.
+
+The flat family's jets are certified with no step by ``profile_jet``, bounded
+by 1e-12: the closed-form chains of its profile in the chart t, with
+R = C^(-3/2) (z'^2 = 9 R^2 (1 + t^2) and its t-derivatives of orders 1-3,
+rho^(i+1) = t z^(i+1) + i z^(i), 27 R^2 rho = z'^3 with rho > 0, and sigma on
+the rotation axis), the entries in units of R and each chain relative to
+1 + the sum of the sizes of its terms.  The clean floor measures at most
+4.3e-16 over the fuzz draws, at 20 x 20 and 128 x 128; any u-line entry but
+the height scaled by 1 + 1e-6 raises it at least 760 times over the bound
+(rho'''' at C = 31.6, the weakest).
 """
 from __future__ import annotations
 
@@ -82,9 +67,6 @@ DEFAULT_GRID = 64
 V_FULL_TURN = (0.0, 6.283185307179586)  # [0, 2*pi]
 V_PARABOLIC = (-1.0, 1.0)
 
-# ------------------------------------------------------- finite differencing
-FD_INNER_REL = 1e-4
-
 # gates used by the verifier
 NONCMC_GATE = 1e-6        # |grad f| > gate * (1 + |f|) marks a non-CMC point
 EIGEN_DEGENERACY = 1e-7   # |lam1 - lam2| below this skips direction-based checks
@@ -102,8 +84,7 @@ TOL_CLOSED_FORM = {
     "f_vs_reference": 1e-8,
     "K_vs_reference": 1e-8,
     "normal_orthogonality": 1e-10,
-    "second_partials_fd": 1e-8,
-    "higher_partials_fd": 1e-8,
+    "profile_jet": 1e-12,
     "normal_bitension_min": 1e-3,
 }
 TOL_INTEGRATED = {

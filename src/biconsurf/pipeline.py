@@ -2,11 +2,9 @@
 
 Every pipeline is a pure function of its configuration: no clocks, no
 randomness, fixed field orderings and 17-significant-digit floats, so
-repeated runs produce byte-identical outputs.  The curved pipelines pad the
-integration span by the finite-difference reach (``_span_pad``), which a
-curved verify no longer needs but which keeps their profile and mesh bytes,
-and integrate the curvature ODE once per build, jointly with the profile's
-chart angle.
+repeated runs produce byte-identical outputs.  The curved pipelines
+integrate the curvature ODE once per build, over the requested span,
+jointly with the profile's chart angle.
 """
 from __future__ import annotations
 
@@ -37,7 +35,7 @@ from .profile import reconstruct_profile, revolution_profile
 # the curved builders are called through this module's namespace, by the
 # names their family rows give, so a caller may wrap them here
 from .surfaces import _grid_size, _v_range, build_h3, build_r3_revolution, build_s3  # noqa: F401
-from .verify import fd_scheme, verify_patch
+from .verify import verify_patch
 
 __all__ = ["PipelineConfig", "cmd_solve", "cmd_profile", "cmd_surface", "cmd_sweep"]
 
@@ -130,47 +128,14 @@ class PipelineConfig:
                        lambda c: _conserved_constant(c, self.k0, self.kp0))
 
 
-def _span_pad(cfg: PipelineConfig, v_range) -> float:
-    """How far a curved build integrates beyond each end of the requested
-    span: the verifier's FD reach on the rectangle, with a margin."""
-    diag = float(np.hypot(cfg.span[1] - cfg.span[0], v_range[1] - v_range[0]))
-    return 1.2 * fd_scheme(diag).reach + 0.01
-
-
-def _padded_span(cfg: PipelineConfig, v_range) -> tuple:
-    """Integration span: the requested one padded by ``_span_pad``."""
-    pad = _span_pad(cfg, v_range)
-    return (cfg.span[0] - pad, cfg.span[1] + pad)
-
-
-def _check_span(cfg: PipelineConfig, family: Family) -> None:
-    """Check the span a curved build of ``family`` integrates; the refusal
-    names the requested span and the pad."""
-    if cfg.model == "r3":
-        return
-    v_range = family.v_range if cfg.v_range is None else cfg.v_range
-    try:
-        _span(_padded_span(cfg, v_range))
-    except UsageError:
-        raise UsageError(
-            f"span {tuple(cfg.span)!r} is too wide to build: a build pads the span by "
-            f"the verifier's reach, {_span_pad(cfg, v_range):.6g} at each end here, and "
-            f"the padded span ends must lie within +-{defaults.SPAN_LIMIT:g} of 0"
-        ) from None
-
-
-def _check_build(cfg: PipelineConfig) -> None:
-    """Resolve the family and check the span a curved build integrates."""
-    _check_span(cfg, cfg._family())
-
-
 def build_pipeline_patch(cfg: PipelineConfig):
-    """Run initial data through profile reconstruction to a trimmed patch.
+    """Run initial data through profile reconstruction to a patch.
 
     Returns ``(patch, sol)``; ``sol`` is None for r3.  A curved build
-    integrates the ODE once, in ``reconstruct_profile`` over the padded
+    integrates the ODE once, in ``reconstruct_profile`` over the requested
     span: (k, k') run jointly with the profile's chart angle, and ``sol``
-    is the record of that run (``patch.profile.curvature``).
+    is the record of that run (``patch.profile.curvature``).  The patch's
+    rectangle is the span the run covered.
     """
     cfg = cfg.validate()
     family = cfg._family()
@@ -179,12 +144,9 @@ def build_pipeline_patch(cfg: PipelineConfig):
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
         return build_r3_revolution(prof, (prof.t_of_rho(cfg.rho_range), v_range)), None
 
-    prof = reconstruct_profile(family.branch, cfg.k0, cfg.kp0, _padded_span(cfg, v_range),
+    prof = reconstruct_profile(family.branch, cfg.k0, cfg.kp0, cfg.span,
                                rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     patch = globals()[family.builder](prof, v_range)
-    # declare the requested rectangle; the evaluators keep the padded span
-    span = (max(cfg.span[0], prof.span[0]), min(cfg.span[1], prof.span[1]))
-    patch = dataclasses.replace(patch, u_range=span)
     return patch, prof.curvature
 
 
@@ -229,9 +191,9 @@ def cmd_solve(cfg: PipelineConfig, out) -> dict:
 
 def cmd_profile(cfg: PipelineConfig, out) -> dict:
     """Emit the profile curve as CSV (closed form for r3, the polar chart else).
-    The family and span are checked before the output file's directory is made."""
+    The family is resolved before the output file's directory is made."""
     cfg = cfg.validate()
-    _check_build(cfg)
+    cfg._family()
     out = _output_file(out)
     if cfg.model == "r3":
         prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
@@ -301,16 +263,18 @@ def cmd_surface(
     report_path=None,
 ) -> dict:
     """Full pipeline: build, verify, export meshes and the JSON report.  The
-    family and span are checked before the output directory is made."""
+    family is resolved before the output directory is made.  The result's
+    ``boundary_events`` are the early stops of the build's run (none on
+    r3), so a truncated build, which is verified out to its stop, says so."""
     cfg = cfg.validate()
-    _check_build(cfg)
+    cfg._family()
     out_dir = _output_dir(out_dir)
     target = _output_file(report_path or out_dir / f"{basename}.report.json")
     obj, ply = out_dir / f"{basename}.obj", out_dir / f"{basename}.ply"
     if write_meshes:
         for path in (obj, _sidecar_path(obj), ply):
             _output_file(path)
-    patch, _ = build_pipeline_patch(cfg)
+    patch, sol = build_pipeline_patch(cfg)
     report = verify_patch(patch, cfg.nu, cfg.nv)
 
     written = {}
@@ -331,6 +295,7 @@ def cmd_surface(
         "pass": report.passed,
         "case": report.case,
         "residuals": report.residuals,
+        "boundary_events": [] if sol is None else sol.boundary_events,
     }
 
 
@@ -340,10 +305,9 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir) -> dict:
     For r3 the swept parameter is the profile constant C (also emitting the
     u(rho) curve per value); for s3/h3 it is k0.  Each value is read as a
     real number (``_real``); one that is not, or that makes an invalid
-    configuration or a padded build span beyond ``SPAN_LIMIT``, is a
-    UsageError raised before anything is written.  A GeometryError at run
-    time is recorded and the sweep continues, a branch that contradicts
-    the sign of C among them.
+    configuration, is a UsageError raised before anything is written.  A
+    GeometryError at run time is recorded and the sweep continues, a branch
+    that contradicts the sign of C among them.
     """
     cfg = cfg.validate()
     try:
@@ -355,12 +319,6 @@ def cmd_sweep(cfg: PipelineConfig, values, out_dir) -> dict:
     closed_form = cfg.model == "r3"
     parameter = "C" if closed_form else "k0"
     runs = [dataclasses.replace(cfg, **{parameter: value}).validate() for value in values]
-    for run in runs:
-        try:
-            family = run._family()
-        except UsageError:  # a branch the sign of C contradicts is recorded per value
-            continue
-        _check_span(run, family)
     out_dir = _output_dir(out_dir)
 
     rows = []

@@ -39,9 +39,9 @@ class SurfacePatch:
 
     ``u_range`` x ``v_range`` is the declared parameter rectangle;
     ``eval_u_domain`` is the (possibly larger) interval on which the
-    evaluators remain valid, which finite-difference consumers may use for
-    stencil points.  The v direction is valid everywhere for every built
-    patch (trigonometric or exponential dependence).
+    evaluators remain valid, which must hold ``u_range``.  The v direction
+    is valid everywhere for every built patch (trigonometric or exponential
+    dependence).
 
     Broadcasting contract: ``at(uline(u), v)`` broadcasts the u-line against
     ``v`` by numpy rules and returns (X, Xu, Xv), each of shape
@@ -55,12 +55,10 @@ class SurfacePatch:
     ``jet4(uline(u), v)`` the partials of orders 3 and 4, ordered by the
     number of v derivatives: (Xuuu, Xuuv, Xuvv, Xvvv, Xuuuu, Xuuuv,
     Xuuvv, Xuvvv, Xvvvv).  The verifier takes the mean curvature and its
-    derivatives from them in closed form and keeps finite differences only
-    as cross-checks.  It evaluates one u-line on a column stacked over the
-    u offsets of its checks and cuts it into per-offset pieces, and it
-    evaluates ``at``, ``jet`` and ``jet4`` in blocks of u-rows, both by
-    slicing each u-line entry along its first axis, so every entry of a
-    u-line has u's first axis.
+    derivatives from them in closed form.  It evaluates one u-line on the
+    grid's column and evaluates ``at``, ``jet`` and ``jet4`` in blocks of
+    u-rows by slicing each u-line entry along its first axis, so every
+    entry of a u-line has u's first axis.
 
     A built patch's u-line is (sigma, T, a, a', T', a'', sigma''', a''',
     sigma'''', a''''), T = sigma': the profile, the sweep amplitude and
@@ -89,12 +87,6 @@ class SurfacePatch:
 
     def X(self, u, v):
         return self.frame(u, v)[0]
-
-    @property
-    def rect_diagonal(self) -> float:
-        du = self.u_range[1] - self.u_range[0]
-        dv = self.v_range[1] - self.v_range[0]
-        return float(np.hypot(du, dv))
 
 
 def _grid_size(nu, nv) -> tuple[int, int]:

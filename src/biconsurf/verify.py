@@ -4,7 +4,8 @@ Everything here is computed from the patch evaluators alone (position,
 analytic first partials and the analytic partials of orders 2 to 4 of the
 patch's ``jet`` and ``jet4``, which every patch must have); how the patch
 was built never enters except when comparing against its declared
-reference channels.  A patch without ``jet`` or ``jet4`` is a UsageError.
+reference channels and its family's profile.  A patch without ``jet`` or
+``jet4`` is a UsageError.
 
 The mean curvature f, grad f and Delta f are closed-form at each point
 (from the Weingarten equation and the derivatives of the metric and second
@@ -14,16 +15,17 @@ evaluable domain.  Its ``PointGeometry`` holds each ``_gate_rows`` row's
 signed value at the point (``residuals``) and the rows whose mask drops the
 point (``masked``), so a point value equals the grid value there bit for bit.
 
-The jets are never trusted unchecked.  Two kinds of rows certify them.
+The jets are never trusted unchecked.  On every patch of the family table
+required rows certify them, and none of them takes a step.
 
-On a built S3 or H3 patch (one whose ``profile`` is a ``ProfileCurve``) two
-required rows do it with no step.  ``quadric_jet`` differentiates
-<X, X> = 1/c to the orders 1-4 at every grid point (``_quadric_jet``, from
-the tables the f derivatives already form), and ``profile_jet`` checks, on
-the grid's u-line, the profile's constraint chain <sigma^(i), C_j> =
-s_j a^(i), the orders 3 and 4 of its unit-speed chain and its speed before
-``_Chart.state`` normalizes it (``_profile_jet``).  The argument that these
-rows, with the tier-1 tests named, certify the curved jets has four steps:
+On a built S3 or H3 patch (one whose ``profile`` is a ``ProfileCurve``)
+``quadric_jet`` differentiates <X, X> = 1/c to the orders 1-4 at every grid
+point (``_quadric_jet``, from the tables the f derivatives already form),
+and ``profile_jet`` checks, on the grid's u-line, the profile's constraint
+chain <sigma^(i), C_j> = s_j a^(i), the orders 3 and 4 of its unit-speed
+chain and its speed before ``_Chart.state`` normalizes it
+(``_profile_jet``).  The argument that these rows, with the tier-1 tests
+named, certify the curved jets has four steps:
 
 1. The quadric (the sigma direction), the constraints (C1, and C2 on
    h3_parabolic) and unit speed (the T direction) fix every sigma^(i) with
@@ -40,41 +42,53 @@ rows, with the tier-1 tests named, certify the curved jets has four steps:
 4. The v-orbit's derivatives are closed forms, and the quadric's pure-v
    chains check them.
 
-No u-line or chart mutation that the FD rows failed escapes these rows
-(tests/test_verify.py).  What they cannot see is a tangential error in the
-order-4 partials Xuuuv and Xuvvv, which lie along Xv on every sweep: no row
-reads it (the f derivatives read order 4 only through <X_ijkl, eta>), and
-the sweep assembly that forms those partials is shared with r3.
+On r3 (``profile`` a ``RevolutionProfile``) ``profile_jet`` checks the
+closed-form chains of the u-line in the profile's regular chart t, with
+R = C^(-3/2) and sigma = (0, 0, z) (``_revolution_jet``): sigma^(i) on the
+rotation axis; z'^2 = 9 R^2 (1 + t^2) and its t-derivatives of orders 1-3,
+z' z'' = 9 R^2 t, z' z''' + z''^2 = 9 R^2 and z' z'''' + 3 z'' z''' = 0;
+rho^(i+1) = t z^(i+1) + i z^(i) for i = 0..3; and 27 R^2 rho = z'^3 with
+rho > 0.  The argument that they certify the r3 jets has four steps as
+well:
 
-Every other patch -- r3, whose jets are closed forms in t, and patches from
-outside the family table -- has no such identities, and ``verify_patch``
-takes finite differences, at the step of ``FDScheme`` and with one kernel
-(``_fd_cross_check``): the first partials against ``jet`` on the grid are
-the required ``second_partials_fd`` residual, and every partial of order 3
-or 4 against the partial one order lower, on every 4th row and column, is
-the required ``higher_partials_fd`` residual.  A bound on either FD row runs
-them on a curved patch too; without one, a curved verify takes no step, no
-stencil room and no grid shrink.  Each grid is read through one ``_Probe``,
-which calls the patch's ``uline`` once, stacked over the u offsets its
-checks read, so a ``verify_patch`` makes two ``uline`` calls: the
-orientation point and the grid, at 0 alone or, with the FD rows, at 0,
-+-h, +-h/2 and +-h/4, whose every 4th row and column the sub-grid check
-reads.
+1. z'^2 = 9 R^2 (1 + t^2), 27 R^2 rho = z'^3 and rho > 0 fix
+   z' = 3 R sqrt(1 + t^2), which is at least 3R, so the z chain fixes z''
+   to z'''' from z', and the rho rows fix rho to rho'''' from z' to z''''.
+   Each row of a chain is the t-derivative of the one before it, so the
+   entries are the t-derivatives of z' and of rho = z'^3 / (27 R^2).
+2. z' is the derivative of the height z(t):
+   ``test_height_is_the_quadrature_of_its_rate``.
+3. The rotation orbit's derivatives are closed forms:
+   ``test_rotation_orbit_derivatives`` checks S' = J S, S'' = -S,
+   S''' = -S' and S'''' = S.
+4. The sweep assembly X_(u^i v^j) = sigma^(i) [j = 0] + a^(i) S^(j) is the
+   curved families', whose ``quadric_jet`` checks it.
 
-The grid's per-point pass (``_shape``, ``_field_bundle``, ``_gate_rows``
-and, where it runs, the frames and kernel of ``second_partials_fd``) runs
-over blocks of u-rows of about ``_BLOCK_POINTS`` = 4096 points, so a
-64 x 64 grid is one block; the closed-form f derivatives and
-``quadric_jet`` go in sub-blocks of half a block, and the sub-grid check
-in blocks of its u-rows of a quarter block, so the
-sub-grids of 64 x 64 and 128 x 128 grids are one block.  A block probe
-slices the grid probe's u-lines and makes no ``uline`` call.  Each block
-writes its values and masks into full-grid arrays, and every reduction
-(``_summary``, the relative floor, the bitension statistics, the gate
-counts) runs once on those, so the block sizes change no output bit.  The
-working set of each stage is block-sized; beside it ``verify_patch`` holds
-the full-grid values, masks and kept fields.  A grid whose blocks hold
-different defects raises the ``ConditioningError`` of the first such block.
+Every u-line and chart mutation of tests/test_verify.py fails these rows,
+each entry of an r3 u-line but the height scaled by 1 + 1e-6 among them.
+What they cannot see is a tangential error in the order-4 partials Xuuuv
+and Xuvvv, which lie along Xv on every sweep: no row reads it (the f
+derivatives read order 4 only through <X_ijkl, eta>).
+
+A patch from outside the family table (a hand-written one, say) gets no jet
+row, and its report says so in a note: its jets are the caller's contract,
+as its first partials are.  tests/test_verify.py keeps a finite-difference
+oracle of the builders' closed-form jets.
+
+Each grid is read through one ``_Probe``, which calls the patch's ``uline``
+once, so a ``verify_patch`` makes two ``uline`` calls: the orientation
+point and the grid.  The grid's per-point pass (``_shape``,
+``_field_bundle`` and ``_gate_rows``) runs over blocks of u-rows of about
+``_BLOCK_POINTS`` = 4096 points, so a 64 x 64 grid is one block; the
+closed-form f derivatives and ``quadric_jet`` go in sub-blocks of half a
+block.  A block probe slices the grid probe's u-line and makes no
+``uline`` call.  Each block writes its values and masks into full-grid
+arrays, and every reduction (``_summary``, the relative floor, the
+bitension statistics, the gate counts) runs once on those, so the block
+sizes change no output bit.  The working set of each stage is block-sized;
+beside it ``verify_patch`` holds the full-grid values, masks and kept
+fields.  A grid whose blocks hold different defects raises the
+``ConditioningError`` of the first such block.
 
 Sign conventions
 ----------------
@@ -95,21 +109,13 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .ambient import Signature, SpaceForm, _cofactor_complement
-from .defaults import (
-    EIGEN_DEGENERACY,
-    FD_INNER_REL,
-    NONCMC_GATE,
-    REPORT_SCHEMA,
-)
+from .defaults import EIGEN_DEGENERACY, NONCMC_GATE, REPORT_SCHEMA
 from .errors import ConditioningError, UsageError, _real
 from .families import BY_BRANCH, TOL_PROFILES
-from .profile import ProfileCurve
+from .profile import ProfileCurve, RevolutionProfile
 from .surfaces import _AMPLITUDE, _SIGMA, SurfacePatch, _grid_size
 
 __all__ = [
-    "FDScheme",
-    "fd_scheme",
-    "fd_for_patch",
     "PointGeometry",
     "point_geometry",
     "VerificationReport",
@@ -120,50 +126,6 @@ __all__ = [
 
 # the report's statement of the sign of the Laplacian
 _LAPLACIAN_SIGN = "geometric (minus divergence form)"
-# the rows of the finite-difference cross-checks
-_FD_ROWS = ("second_partials_fd", "higher_partials_fd")
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """The step of the finite-difference cross-checks of the jets.
-
-    ``inner_step`` differences the analytic partials of X with Richardson
-    extrapolation (steps h and h/2, fourth order): the first partials are
-    the ``second_partials_fd`` cross-check of ``jet``, and the partials of
-    orders 2 and 3 that of ``jet4`` (one level more, sixth order).  The
-    stencils reach ``2 * inner_step`` beyond a grid point, and the grid is
-    kept that far inside the evaluable domain.
-    """
-
-    inner_step: float
-
-    def __post_init__(self):
-        step = _real(self.inner_step, "FDScheme inner_step")
-        if not (np.isfinite(step) and step > 0):
-            raise UsageError(
-                f"FDScheme inner_step must be finite and positive, got {self.inner_step!r}"
-            )
-
-    @property
-    def reach(self) -> float:
-        return 2.0 * self.inner_step
-
-    def describe(self) -> dict:
-        return {
-            "inner_step": self.inner_step,
-            "order": 4,
-            "laplacian_sign": _LAPLACIAN_SIGN,
-        }
-
-
-def fd_scheme(diagonal: float) -> FDScheme:
-    """The default step on a rectangle with the given diagonal."""
-    return FDScheme(inner_step=float(FD_INNER_REL * diagonal))
-
-
-def fd_for_patch(patch: SurfacePatch) -> FDScheme:
-    return fd_scheme(patch.rect_diagonal)
 
 
 def _require_jets(patch: SurfacePatch) -> None:
@@ -184,105 +146,66 @@ def _require_jets(patch: SurfacePatch) -> None:
 # grid points per block of u-rows of the verifier's pass, about 1.2 kB each
 # (frames, field bundle, gate rows).  The closed-form f-derivatives and
 # quadric_jet hold 1.4 kB per point on top of that, so their sub-blocks are
-# half a block; the 13 shifted jets of the higher_partials_fd cross-check
-# hold 5.4 kB per point, so its blocks of sub-grid u-rows are a quarter block
+# half a block
 _BLOCK_POINTS = 4096
-# every this many rows and columns carry the higher_partials_fd cross-check
-_HIGHER_STRIDE = 4
 
 
 class _Probe:
-    """Tensor-grid evaluation with the u-lines of all u offsets in one call.
+    """Tensor-grid evaluation with the grid's u-line in one call.
 
-    ``uline`` runs once, on the column u + du (shape (len(offsets) * nu, 1))
-    stacked over the ``offsets`` the probe's checks read, and each u-line
-    entry is cut into per-offset pieces along its first axis, as the
-    SurfacePatch contract allows.  ``at``, ``jet`` and ``jet4`` broadcast a
-    piece against a v-row (shape (1, nv)), and their triples come back
-    flattened to (nu * nv, dim) in u-major order, the layout of the
-    verifier's grids.  Only the ``offsets`` can be read.  ``block`` gives
-    the probe on a block of u-rows and v-columns.
+    ``uline`` runs once, on the column u (shape (nu, 1)).  ``at``, ``jet``
+    and ``jet4`` broadcast it against the v-row (shape (1, nv)), and their
+    triples come back flattened to (nu * nv, dim) in u-major order, the
+    layout of the verifier's grids.  ``block`` gives the probe on a block of
+    u-rows, its u-line cut along the first axis, as the SurfacePatch
+    contract allows.
     """
 
-    def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray,
-                 offsets=(0.0,)):
+    def __init__(self, patch: SurfacePatch, ugrid: np.ndarray, vgrid: np.ndarray):
         self.patch = patch
         self.u = np.asarray(ugrid, dtype=float)[:, None]
         self.v = np.asarray(vgrid, dtype=float)[None, :]
         self.shape = (self.u.shape[0], self.v.shape[1])
-        self.offsets = tuple(float(du) for du in offsets)
-        nu = self.shape[0]
-        stacked = patch.uline(np.concatenate([self.u + du for du in self.offsets]))
-        self._lines = {
-            du: tuple(np.asarray(entry)[i * nu:(i + 1) * nu] for entry in stacked)
-            for i, du in enumerate(self.offsets)
-        }
+        self.line = tuple(patch.uline(self.u))
 
-    def block(self, rows: slice, cols: slice = slice(None)) -> _Probe:
-        """The probe on the u-rows ``rows`` and v-columns ``cols`` of this grid;
-        its u-lines are this probe's, sliced, so it makes no ``uline`` call."""
+    def block(self, rows: slice) -> _Probe:
+        """The probe on the u-rows ``rows`` of this grid; its u-line is this
+        probe's, sliced, so it makes no ``uline`` call."""
         blk = copy.copy(self)
-        blk.u, blk.v = self.u[rows], self.v[:, cols]
-        blk.shape = (blk.u.shape[0], blk.v.shape[1])
-        blk._lines = {du: tuple(np.asarray(entry)[rows] for entry in line)
-                      for du, line in self._lines.items()}
+        blk.u = self.u[rows]
+        blk.shape = (blk.u.shape[0], self.shape[1])
+        blk.line = tuple(np.asarray(entry)[rows] for entry in self.line)
         return blk
 
-    def shifted_jets(self, steps) -> dict:
-        """{(du, dv): jet + jet4} at the grid shifted by each offset du along u
-        and by each of ``steps`` along v, each partial of shape (nu, nv, dim).
+    def frame(self):
+        """(X, Xu, Xv) on the grid."""
+        return self._grid_eval("at")
 
-        One ``jet`` and one ``jet4`` call take the u-line pieces of the
-        ``offsets`` stacked again against the v-row, and one more of each the
-        unshifted u-line against the v-row stacked over ``steps``; the
-        partials are views of their results.
-        """
-        nu, nv = self.shape
-        stacked = tuple(np.concatenate(entries)
-                        for entries in zip(*(self._lines[du] for du in self.offsets)))
-        vrow = np.concatenate([self.v + dv for dv in steps], axis=1)
-        out = {}
-        for axis, line, v, keys in ((0, stacked, self.v, [(du, 0.0) for du in self.offsets]),
-                                    (1, self._lines[0.0], vrow, [(0.0, dv) for dv in steps])):
-            shape = (nu * len(keys), nv) if axis == 0 else (nu, nv * len(keys))
-            parts = [a for name in ("jet", "jet4") for a in self._evaluate(name, line, v, shape)]
-            for i, key in enumerate(keys):
-                cut = np.s_[i * nu:(i + 1) * nu] if axis == 0 else np.s_[:, i * nv:(i + 1) * nv]
-                out[key] = tuple(p[cut] for p in parts)
-        return out
+    def jet(self):
+        """(Xuu, Xuv, Xvv) on the grid."""
+        return self._grid_eval("jet")
 
-    def frame(self, du: float, dv: float):
-        """(X, Xu, Xv) at the grid shifted by (du, dv)."""
-        return self._grid_eval("at", du, dv)
+    def jet4(self):
+        """The nine partials of orders 3 and 4 on the grid."""
+        return self._grid_eval("jet4")
 
-    def jet(self, du: float, dv: float):
-        """(Xuu, Xuv, Xvv) at the grid shifted by (du, dv)."""
-        return self._grid_eval("jet", du, dv)
-
-    def jet4(self, du: float, dv: float):
-        """The nine partials of orders 3 and 4 at the shifted grid."""
-        return self._grid_eval("jet4", du, dv)
-
-    def _grid_eval(self, name: str, du: float, dv: float):
-        out = self._evaluate(name, self._lines[du], self.v + dv, self.shape)
+    def _grid_eval(self, name: str):
+        """``name``(line, v), whose entries must have shape ``shape`` + (dim,),
+        flattened to (nu * nv, dim)."""
+        try:
+            out = getattr(self.patch, name)(self.line, self.v)
+        except ValueError as exc:
+            raise self._contract_error(name, f"numpy said: {exc}") from exc
+        if any(np.shape(a)[:-1] != self.shape for a in out):
+            raise self._contract_error(name, f"got shapes {[np.shape(a) for a in out]}")
         n = self.shape[0] * self.shape[1]
         return tuple(a.reshape(n, a.shape[-1]) for a in out)
 
-    def _evaluate(self, name: str, line, v, shape: tuple) -> tuple:
-        """``name``(line, v), whose entries must have shape ``shape`` + (dim,)."""
-        try:
-            out = getattr(self.patch, name)(line, v)
-        except ValueError as exc:
-            raise self._contract_error(name, shape, f"numpy said: {exc}") from exc
-        if any(np.shape(a)[:-1] != shape for a in out):
-            raise self._contract_error(name, shape, f"got shapes {[np.shape(a) for a in out]}")
-        return out
-
-    def _contract_error(self, name: str, shape: tuple, detail: str) -> UsageError:
+    def _contract_error(self, name: str, detail: str) -> UsageError:
         return UsageError(
             f"patch '{self.patch.case}' breaks the SurfacePatch broadcasting "
             f"contract: {name}(uline(u), v) must broadcast a (nu, 1) u-line "
-            f"against a (1, nv) v-row to {shape} + (dim,); {detail}"
+            f"against a (1, nv) v-row to {self.shape} + (dim,); {detail}"
         )
 
 
@@ -293,68 +216,6 @@ def _row_blocks(nu: int, nv: int, points: int):
     for r0 in range(0, nu, step):
         r1 = min(r0 + step, nu)
         yield slice(r0, r1), slice(r0 * nv, r1 * nv)
-
-
-def _fd_steps(h: float, levels: int) -> tuple:
-    """The signed steps of ``_fd_cross_check``'s shifts: +-h, +-h/2 and, at
-    3 levels, +-h/4."""
-    return tuple(s for step in (h, 0.5 * h, 0.25 * h)[:levels] for s in (step, -step))
-
-
-def _fd_cross_check(shifted: dict, exact, table, h: float, levels: int, dim: int):
-    """Per-point largest Euclidean norm of analytic partials minus differences,
-    over the points of ``exact`` in its layout.
-
-    A ``table`` entry (i, j, along_u) compares ``exact[i]``, a partial on the
-    grid, with the central difference along u or v of ``shifted[du, dv][j]``,
-    the partial one order lower on the shifted grid; two entries sharing an i
-    are averaged first.  ``shifted`` holds every grid the kernel reads, the
-    shifts (s, 0.0) and (0.0, s) for s in ``_fd_steps(h, levels)``.
-    Richardson extrapolation takes ``levels`` steps: 2 (h and h/2, fourth
-    order) or 3 (h, h/2 and h/4, sixth order; the truncation error grows
-    with the order of the partials).
-    """
-
-    def extrapolate(fine, coarse, k):
-        """(k fine - coarse) / (k - 1), in place in the fresh ``fine``."""
-        fine *= k
-        fine -= coarse
-        fine /= k - 1.0
-        return fine
-
-    def rich(j, along_u, step):
-        def f(s):
-            return shifted[(s, 0.0) if along_u else (0.0, s)][j]
-
-        d_h = f(step) - f(-step)
-        d_h /= 2.0 * step
-        d_h2 = f(0.5 * step) - f(-0.5 * step)
-        d_h2 /= step
-        return extrapolate(d_h2, d_h, 4.0)
-
-    diffs: dict = {}
-    for i, j, along_u in table:
-        d = rich(j, along_u, h)
-        if levels == 3:
-            d = extrapolate(rich(j, along_u, 0.5 * h), d, 16.0)
-        if i in diffs:
-            d += diffs[i]
-            d *= 0.5
-        diffs[i] = d
-    euclid = Signature(dim)
-    norms = []
-    for i, d in diffs.items():
-        d -= exact[i]
-        norms.append(euclid.norm(d))
-    return np.max(norms, axis=0)
-
-
-# (partial, lower partial, along u): Xuu, Xuv and Xvv against (Xu, Xv), Xuv the
-# mean of Xu along v and Xv along u; jet4 against jet + jet4 (orders 2, 3 and 4
-# by the number of v's), Xuuu and Xuuuu in u and every other one in v
-_SECOND_TABLE = ((0, 0, True), (1, 0, False), (1, 1, True), (2, 1, False))
-_HIGHER_TABLE = ((0, 0, True), (4, 3, True), (1, 0, False), (2, 1, False), (3, 2, False),
-                 (5, 3, False), (6, 4, False), (7, 5, False), (8, 6, False))
 
 
 def _unit_normal(model: SpaceForm, X, Xu, Xv):
@@ -372,8 +233,8 @@ def _shape(pr: _Probe, sign: float) -> dict:
     inner = model.inner
     c = model.c
 
-    X, Xu, Xv = pr.frame(0.0, 0.0)
-    Xuu, Xuv, Xvv = pr.jet(0.0, 0.0)
+    X, Xu, Xv = pr.frame()
+    Xuu, Xuv, Xvv = pr.jet()
 
     g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
     det = g11 * g22 - g12**2
@@ -583,7 +444,7 @@ def _field_bundle(pr: _Probe, sign: float) -> dict:
     F1, F2, G, lap = np.empty((2, n)), np.empty((2, 2, n)), np.empty((2, n)), np.empty(n)
     quadric = np.empty(n) if model.c else None
     for rows, sl in _row_blocks(nu, nv, _BLOCK_POINTS // 2):
-        line4 = pr.block(rows).jet4(0.0, 0.0)
+        line4 = pr.block(rows).jet4()
         gi, gam = _metric_tables(sh, sl, model)
         tables = (gi, gam) + _jet_tables(sh, sl, line4, model)
         f1, f2 = _jet_f_derivatives(sh, sl, line4, tables, model)
@@ -727,13 +588,44 @@ def _profile_jet(patch: SurfacePatch, line: tuple, k: np.ndarray) -> np.ndarray:
     return np.max(np.abs(defects), axis=0).ravel()
 
 
-def _grid_pass(pr: _Probe, sign: float, h: float | None, keep) -> tuple[dict, dict]:
+def _revolution_jet(R: float, t: np.ndarray, line: tuple) -> np.ndarray:
+    """The largest defect, at each t of the u-line ``line`` of an r3 patch,
+    of the closed-form chains of its profile in the chart t, with
+    R = C^(-3/2), sigma = (0, 0, z) and the amplitude rho.
+
+    The entries are taken in units of R, so that every chain is free of R,
+    and each chain, a sum of terms that vanishes, is relative to 1 + the sum
+    of the sizes of its terms:
+
+    - sigma^(i) on the rotation axis: its first two components vanish;
+    - z'^2 = 9 R^2 (1 + t^2), z' z'' = 9 R^2 t, z' z''' + z''^2 = 9 R^2 and
+      z' z'''' + 3 z'' z''' = 0, the first and its t-derivatives;
+    - rho^(i+1) = t z^(i+1) + i z^(i) for i = 0..3, the t-derivatives of
+      rho' = t z';
+    - 27 R^2 rho = z'^3 with rho > 0, which fixes the sign of z'.
+    """
+    sigma = np.stack([line[i] for i in _SIGMA]) / R
+    z, rho = sigma[..., 2], np.stack([line[i] for i in _AMPLITUDE]) / R
+    t = t.reshape(z.shape[1:])
+    chains = [(sigma[i, ..., j],) for i in range(5) for j in (0, 1)]
+    chains += [
+        (z[1] * z[1], -9.0 * (1.0 + t * t)),
+        (z[1] * z[2], -9.0 * t),
+        (z[1] * z[3], z[2] * z[2], -9.0),
+        (z[1] * z[4], 3.0 * z[2] * z[3]),
+        (27.0 * rho[0], -z[1] ** 3),
+        (np.minimum(rho[0], 0.0),),
+    ]
+    chains += [(rho[i + 1], -t * z[i + 1], -i * z[i]) for i in range(4)]
+    defects = [np.abs(sum(terms)) / (1.0 + sum(np.abs(x) for x in terms)) for terms in chains]
+    return np.max(defects, axis=0).ravel()
+
+
+def _grid_pass(pr: _Probe, sign: float, keep) -> tuple[dict, dict]:
     """(gate table, {name: field}) on the probe's grid: the ``_gate_rows``
-    rows, ``second_partials_fd`` at the step h unless h is None, and the
-    ``_field_bundle`` fields named in ``keep``, computed block by block of
-    u-rows (``_BLOCK_POINTS``) into full-grid arrays made at the first block.
-    The cross-check of ``jet`` takes one frame per shift, as frames stacked
-    over the shifts would hold every shift's X, which the check never reads.
+    rows and the ``_field_bundle`` fields named in ``keep``, computed block
+    by block of u-rows (``_BLOCK_POINTS``) into full-grid arrays made at the
+    first block.
     """
     model = pr.patch.model
     nu, nv = pr.shape
@@ -744,14 +636,8 @@ def _grid_pass(pr: _Probe, sign: float, h: float | None, keep) -> tuple[dict, di
 
     rows, kept = {}, {}
     for block, sl in _row_blocks(nu, nv, _BLOCK_POINTS):
-        blk = pr.block(block)
-        sh = _field_bundle(blk, sign)
+        sh = _field_bundle(pr.block(block), sign)
         gates = _gate_rows(sh, model)
-        if h is not None:
-            gates["second_partials_fd"] = _Gate(_fd_cross_check(
-                {key: blk.frame(*key)[1:] for s in _fd_steps(h, 2)
-                 for key in ((s, 0.0), (0.0, s))},
-                (sh["Xuu"], sh["Xuv"], sh["Xvv"]), _SECOND_TABLE, h, 2, model.ambient.dim))
         if not rows:
             for name in keep:
                 if name not in sh:
@@ -971,29 +857,22 @@ def verify_patch(
     patch: SurfacePatch,
     nu: int = 64,
     nv: int = 64,
-    fd: FDScheme | None = None,
     tolerances: Mapping | None = None,
 ) -> VerificationReport:
     """Verify every identity on a regular grid and summarize residuals.
 
-    The grid covers the patch rectangle.  Where the FD rows run (on every
-    patch but a built curved one, and wherever a bound names one), it is
-    shrunk in u where the evaluable domain does not leave room for their
-    stencils (recorded in the notes), and ``fd`` sets their step; the
-    report's ``fd`` block describes it, or holds only the Laplacian's sign
-    where no FD row ran.  Each gate is a row of one table (values, mask,
-    rule), its bound taken from the family's profile in ``TOL_PROFILES``.
-    The pass rules: max <= bound on the kept points; the relative bitension
-    floor, applied only on mostly non-CMC grids; and, on h3, x4 > 0
-    everywhere.  A profile that bounds no residual fails.  ``nu``, ``nv``
-    must be integers >= 2, ``fd`` an ``FDScheme``, ``tolerances`` finite real
-    bounds >= 0.
+    The grid covers the patch rectangle, which must lie inside the evaluable
+    domain.  Each gate is a row of one table (values, mask, rule), its bound
+    taken from the family's profile in ``TOL_PROFILES``; a patch of the
+    family table adds its step-free jet rows, and a patch from outside it
+    gets none and a note that says so.  The pass rules: max <= bound on the
+    kept points; the relative bitension floor, applied only on mostly
+    non-CMC grids; and, on h3, x4 > 0 everywhere.  A bound that names no
+    row fails, and so does a profile that bounds no residual.  ``nu``,
+    ``nv`` must be integers >= 2, ``tolerances`` finite real bounds >= 0.
     """
     nu, nv = _grid_size(nu, nv)
     _require_jets(patch)
-    fd = fd_for_patch(patch) if fd is None else fd
-    if not isinstance(fd, FDScheme):
-        raise UsageError(f"fd must be an FDScheme, got {fd!r}")
     if tolerances is None:
         tolerances = TOL_PROFILES.get(patch.case, {})
     if not isinstance(tolerances, Mapping):
@@ -1002,62 +881,33 @@ def verify_patch(
         if not (isinstance(name, str) and 0.0 <= _real(bound, f"tolerance {name!r}") < np.inf):
             raise UsageError(f"tolerance {name!r} must be finite and non-negative, got {bound!r}")
     tolerances = {name: float(bound) for name, bound in tolerances.items()}
+    (u0, u1), (lo, hi) = patch.u_range, patch.eval_u_domain
+    if not (lo <= u0 <= hi and lo <= u1 <= hi):
+        raise UsageError(f"the u range [{u0}, {u1}] of patch '{patch.case}' is not inside "
+                         f"its evaluable domain [{lo}, {hi}]")
     notes = []
 
-    # a built curved patch carries the step-free jet rows; the FD
-    # cross-checks run on every other patch, and wherever a bound names one
-    step_free = isinstance(patch.profile, ProfileCurve)
-    with_fd = not step_free or any(name in tolerances for name in _FD_ROWS)
-    u0, u1 = patch.u_range
-    eff0, eff1 = u0, u1
-    if with_fd:
-        lo, hi = patch.eval_u_domain
-        reach = 1.02 * fd.reach
-        eff0, eff1 = max(u0, lo + reach), min(u1, hi - reach)
-        if eff0 >= eff1:
-            raise UsageError(
-                "no room for finite-difference stencils inside the evaluable domain"
-            )
-        if (eff0, eff1) != (u0, u1):
-            notes.append(
-                f"u-grid shrunk to [{eff0:.6g}, {eff1:.6g}] to fit stencils"
-            )
-
-    ugrid = np.linspace(eff0, eff1, nu)
+    ugrid = np.linspace(u0, u1, nu)
     vgrid = np.linspace(patch.v_range[0], patch.v_range[1], nv)
     UU, VV = np.meshgrid(ugrid, vgrid, indexing="ij")
     U, V = UU.ravel(), VV.ravel()
 
-    h = fd.inner_step if with_fd else None
     sign = normal_sign(patch)
-    steps = _fd_steps(h, 3) if with_fd else ()
-    pr = _Probe(patch, ugrid, vgrid, (0.0,) + steps)
-    rows, kept = _grid_pass(pr, sign, h, ("X", "f", "K", *patch.reference))
+    pr = _Probe(patch, ugrid, vgrid)
+    rows, kept = _grid_pass(pr, sign, ("X", "f", "K", *patch.reference))
     f = kept["f"]
 
-    if with_fd:
-        # the finite-difference cross-check of jet4 on every 4th row and
-        # column, one jet and one jet4 call per direction and block of
-        # sub-grid rows
-        every = slice(None, None, _HIGHER_STRIDE)
-        sub = np.zeros((nu, nv), dtype=bool)
-        sub[every, every] = True
-        higher = np.full((nu, nv), np.nan)
-        on_sub = higher[every, every]
-        for block, _ in _row_blocks(*on_sub.shape, _BLOCK_POINTS // 4):
-            on_grid = slice(block.start * _HIGHER_STRIDE, block.stop * _HIGHER_STRIDE,
-                            _HIGHER_STRIDE)
-            jets = pr.block(on_grid, every).shifted_jets(steps)
-            on_sub[block] = _fd_cross_check(jets, jets[0.0, 0.0][3:], _HIGHER_TABLE, h, 3,
-                                            patch.model.ambient.dim)
-            del jets  # free this block's jets before the next block's are made
-        rows["higher_partials_fd"] = _Gate(higher.ravel(), sub.ravel())
-
-    # comparisons against builder-declared data, and the profile's jet rows
-    if step_free:
-        k = patch.profile.k(ugrid)
+    # the profile's jet rows, and comparisons against builder-declared data
+    prof = patch.profile
+    if isinstance(prof, ProfileCurve):
+        k = prof.k(ugrid)
         rows["f_vs_profile"] = _Gate(f - 2.0 * np.repeat(k, nv))
-        rows["profile_jet"] = _Gate(np.repeat(_profile_jet(patch, pr._lines[0.0], k), nv))
+        rows["profile_jet"] = _Gate(np.repeat(_profile_jet(patch, pr.line, k), nv))
+    elif isinstance(prof, RevolutionProfile):
+        rows["profile_jet"] = _Gate(np.repeat(_revolution_jet(prof.rho_min, ugrid, pr.line), nv))
+    else:
+        notes.append(f"no jet rows: patch '{patch.case}' has no profile of the family "
+                     "table, so its jets are taken as given")
     for name, ref in patch.reference.items():
         rows[f"{name}_vs_reference"] = _Gate(kept[name] - ref(U, V))
 
@@ -1105,7 +955,7 @@ def verify_patch(
             "u_range": [float(ugrid[0]), float(ugrid[-1])],
             "v_range": [float(vgrid[0]), float(vgrid[-1])],
         },
-        fd=fd.describe() if with_fd else {"laplacian_sign": _LAPLACIAN_SIGN},
+        fd={"laplacian_sign": _LAPLACIAN_SIGN},
         tolerances=dict(sorted(tolerances.items())),
         residuals=residuals,
         bitension=bitension,

@@ -109,7 +109,7 @@ class TestInner:
                 assert np.array_equal(np.signbit(got[got == 0]),
                                       np.signbit(want[want == 0]))
             if not sig.timelike:
-                # the verifier's second_partials_fd takes Euclidean norms so
+                # the verifier's jet rows take Euclidean sizes so
                 for a in (rand, spec_a):
                     assert np.array_equal(sig.norm(a), np.linalg.norm(a, axis=-1),
                                           equal_nan=True)

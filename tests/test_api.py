@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import biconsurf as bc
-from biconsurf import ambient, curvature, errors, mesh, pipeline, profile, surfaces, verify
+from biconsurf import (
+    ambient, curvature, defaults, errors, mesh, pipeline, profile, surfaces, verify,
+)
 from conftest import recorded_runs
 
 PUBLIC = set("""
@@ -18,9 +20,8 @@ PUBLIC = set("""
     ConditioningError ConstructionError DomainError GeometryError NoSolutionError
     ProjectionError UsageError Branch ProfileCurve RevolutionProfile reconstruct_profile
     revolution_profile SurfacePatch build_h3 build_r3_revolution build_s3 Mesh poincare_ball
-    sample_mesh stereographic write_obj write_ply FDScheme PointGeometry VerificationReport
-    fd_for_patch point_geometry verify_patch PipelineConfig cmd_profile cmd_solve cmd_surface
-    cmd_sweep
+    sample_mesh stereographic write_obj write_ply PointGeometry VerificationReport
+    point_geometry verify_patch PipelineConfig cmd_profile cmd_solve cmd_surface cmd_sweep
 """.split())
 
 # names only the tests reached (the construction oracles moved to test_surfaces),
@@ -36,6 +37,12 @@ REMOVED = [(owner, name) for owner, names in [
     (mesh.Mesh, "grid_shape"), (verify.VerificationReport, "grid_u grid_v"),
     (curvature.CurvatureSolution, "k_interval requested_span k_samples k0 kp0 abs_tol"),
     (curvature, "_DRIFT_MAX_SAMPLES _step_interpolant"), (curvature._Dop853Run, "steps"),
+    # the finite-difference cross-checks, their step and the build span's pad
+    (verify, "FDScheme fd_scheme fd_for_patch _FD_ROWS _fd_steps _fd_cross_check "
+             "_SECOND_TABLE _HIGHER_TABLE _HIGHER_STRIDE"),
+    (verify._Probe, "shifted_jets"), (defaults, "FD_INNER_REL"),
+    (surfaces.SurfacePatch, "rect_diagonal"),
+    (pipeline, "_span_pad _padded_span _check_span _check_build"),
 ] for name in names.split()]
 
 
@@ -61,6 +68,9 @@ def test_removed_keywords_stay_removed():
         "branch", "k0", "kp0", "span", "rel_tol", "abs_tol"]
     assert list(inspect.signature(bc.cmd_sweep).parameters) == ["cfg", "values", "out_dir"]
     assert list(inspect.signature(bc.CurvatureSolution.drift).parameters) == ["self", "u"]
+    # the verifier takes no step, so it takes no finite-difference scheme
+    assert list(inspect.signature(bc.verify_patch).parameters) == [
+        "patch", "nu", "nv", "tolerances"]
 
 
 def test_readme_quickstart_integrates_once(tmp_path, monkeypatch):

@@ -112,24 +112,27 @@ class TestBoundaryEvents:
     # h3 k0 = 0.25, k'0 = 0.2 over +-20 reaches k_floor on both sides
     ARGS = ("--model", "h3", "--k0", "0.25", "--dk0", "0.2", "--span", "-20", "20")
 
-    @pytest.mark.parametrize("command", [cmd_solve, pipeline.cmd_profile])
+    @pytest.mark.parametrize("command", [cmd_solve, pipeline.cmd_profile, cmd_surface])
     def test_result_holds_the_events(self, tmp_path, command):
-        cfg = PipelineConfig(model="h3", k0=0.25, kp0=0.2, span=(-20.0, 20.0))
-        events = command(cfg, tmp_path / "out.csv")["boundary_events"]
+        # cmd_surface verifies the build out to its stops and returns them
+        cfg = PipelineConfig(model="h3", k0=0.25, kp0=0.2, span=(-20.0, 20.0), nu=16, nv=16)
+        events = command(cfg, tmp_path / "out")["boundary_events"]
         assert [e["kind"] for e in events] == ["k_floor", "k_floor"]
         assert events[0]["u"] < -12.9 and events[1]["u"] > 14.0
 
-    @pytest.mark.parametrize("command", ["solve", "profile"])
+    @pytest.mark.parametrize("command", ["solve", "profile", "surface", "verify"])
     def test_cli_prints_one_line_per_event(self, tmp_path, capsys, command):
-        assert run(command, *self.ARGS, "--out", str(tmp_path / "out.csv")) == 1
+        # the surface of this build fails pde near 1e7 at its stops
+        assert run(command, *self.ARGS, "--out", str(tmp_path / "out")) == 1
         lines = [line for line in capsys.readouterr().out.splitlines() if "stopped" in line]
         assert len(lines) == 2
         assert all(line.startswith("  stopped early: k_floor at u=") for line in lines)
 
     @pytest.mark.parametrize("command, model", [("solve", "s3"), ("profile", "s3"),
-                                                ("profile", "r3")])
+                                                ("profile", "r3"), ("verify", "s3"),
+                                                ("verify", "r3")])
     def test_full_run_has_none(self, tmp_path, capsys, command, model):
-        assert run(command, "--model", model, "--out", str(tmp_path / "out.csv")) == 0
+        assert run(command, "--model", model, "--out", str(tmp_path / "out")) == 0
         assert "stopped" not in capsys.readouterr().out
 
 
@@ -165,24 +168,23 @@ class TestSurfaceCommand:
         assert row.startswith("1,0,nan,nan,UsageError: branch 'parabolic' contradicts")
 
     def test_sweep_refuses_a_span_it_cannot_build_before_writing(self, tmp_path, capsys):
-        # the padded build span over this v range is far beyond SPAN_LIMIT:
-        # sweep made its directory and recorded the refusal per value, where
-        # surface exits 2 and writes nothing
+        # a span beyond SPAN_LIMIT: sweep once made its directory and
+        # recorded the refusal per value, where surface exits 2 and writes
+        # nothing
         out = tmp_path / "out"
-        assert run("sweep", "--model", "s3", "--v-range", "0", "1e308", "--values", "1",
+        assert run("sweep", "--model", "s3", "--span", "-1000.5", "1", "--values", "1",
                    "--nu", "4", "--nv", "4", "--out", str(out)) == 2
-        assert "is too wide to build" in capsys.readouterr().err
+        assert _SPAN_BEYOND_LIMIT in capsys.readouterr().err
         assert not out.exists()
 
     def test_span_refusal_names_the_typed_span(self, tmp_path, capsys):
-        # it named the padded span, (-1000.4900023686993, 1000.4900023686993)
+        # a build integrates the span as typed, so the refusal names it; it
+        # once named the span padded by the finite-difference reach
         out = tmp_path / "out"
-        assert run("surface", "--model", "s3", "--span", "-1000", "1000", "--nu", "4",
+        assert run("surface", "--model", "s3", "--span", "-1000.5", "1000", "--nu", "4",
                    "--nv", "4", "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "span (-1000.0, 1000.0) is too wide to build" in err
-        assert "pads the span by the verifier's reach, 0.490002 at each end" in err
-        assert "1000.49" not in err
+        assert "span ends must lie within +-1000 of 0, got (-1000.5, 1000.0)" in err
         assert not out.exists()
 
     def test_s3_verify_passes(self, tmp_path):
@@ -336,7 +338,7 @@ class TestNonFiniteInput:
         assert not (tmp_path / "out.csv").exists()
 
     def test_config_file_fd_step_is_an_unknown_key(self, tmp_path, capsys):
-        # the finite-difference step is the verifier's own (fd_scheme)
+        # the verifier takes no finite-difference step
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"model": "s3", "fd_step": 1e-3}))
         assert run("verify", "--config", str(cfgfile), "--out", str(tmp_path / "out")) == 2
@@ -419,8 +421,7 @@ class TestNonFiniteInput:
         (["sweep", "--model", "h3", "--values", "1", "--span", "0.5", "1"], _SPAN_WITHOUT_ZERO),
         (["solve", "--model", "s3", "--span", "-1e305", "1e305"], _SPAN_BEYOND_LIMIT),
         (["profile", "--model", "s3", "--span", "-1e305", "1"], _SPAN_BEYOND_LIMIT),
-        # the build's span, padded for the verifier's reach over this v range
-        (["surface", "--model", "s3", "--v-range", "0", "1e308", "--nu", "4", "--nv", "4"],
+        (["sweep", "--model", "s3", "--values", "1", "--span", "-1e305", "1"],
          _SPAN_BEYOND_LIMIT),
     ])
     def test_cli_exits_two_on_unusable_value(self, tmp_path, capsys, argv, message):

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import biconsurf as bc
-from biconsurf.pipeline import PipelineConfig, _padded_span, build_pipeline_patch
+from biconsurf.pipeline import PipelineConfig, build_pipeline_patch
 from biconsurf.profile import Branch
 import conftest
 from conftest import (
@@ -386,7 +386,7 @@ class TestSingleIntegrationBuild:
 
         # two passes: solve the curvature ODE alone, then integrate
         # (k, k', theta) over the span it reached with a k-floor stop only
-        ref_sol = bc.solve_curvature(cfg.c, k0, kp0, _padded_span(cfg, patch.v_range),
+        ref_sol = bc.solve_curvature(cfg.c, k0, kp0, cfg.span,
                                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
         (fun, y0, *_), _ = calls[0]
 
@@ -420,8 +420,8 @@ class TestSingleIntegrationBuild:
         cfg = PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))
         patch, sol = build_pipeline_patch(cfg)
         assert sol.truncated
-        assert sol.span == patch.profile.span
-        lo, hi = _padded_span(cfg, patch.v_range)
+        assert sol.span == patch.profile.span == patch.u_range == patch.eval_u_domain
+        lo, hi = cfg.span
         assert lo < sol.span[0] < sol.span[1] < hi
         assert [e["kind"] for e in sol.boundary_events] == ["k_floor", "k_floor"]
         assert [e["u"] for e in sol.boundary_events] == list(sol.span)

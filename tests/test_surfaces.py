@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import biconsurf as bc
 from biconsurf.families import FAMILIES
@@ -73,6 +74,32 @@ class TestRevolutionBuilder:
         a = patch.X(t, np.zeros_like(t))
         b = patch.X(t, np.full_like(t, 2 * np.pi))
         assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize("C", [0.8, 1.0, 2.4, 31.6])
+    def test_height_is_the_quadrature_of_its_rate(self, C):
+        # the height z(t) of the u-line is the integral of its rate
+        # z' = 3R sqrt(1 + t^2), the z' that the verifier's profile_jet
+        # fixes: with it, z' is the derivative of z (the step-free
+        # certification of the r3 jets)
+        prof = bc.revolution_profile(C, 12.0)
+        R = prof.rho_min
+        for t in np.linspace(-prof.t_max, prof.t_max, 9):
+            want, _ = quad(lambda s: 3.0 * R * np.sqrt(1.0 + s * s), 0.0, t,
+                           epsabs=1e-13, epsrel=1e-13)
+            got = float(prof.height(t) - prof.height(0.0))
+            assert abs(got - want) <= 1e-13 * (R + abs(want))
+
+    def test_rotation_orbit_derivatives(self):
+        # the rotation orbit S = (cos v, sin v, 0) that sweeps r3 has
+        # S' = J S (J the quarter turn about the axis), S'' = -S, S''' = -S'
+        # and S'''' = S, bit for bit, on any v
+        v = np.concatenate([np.linspace(-20.0, 20.0, 101), [0.0, -0.0, np.pi / 2]])
+        S, S1, S2, S3, S4 = families._rotation(v)
+        J = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(S1, S @ J.T)
+        assert np.array_equal(S2, -S) and np.array_equal(S3, -S1) and np.array_equal(S4, S)
+        assert np.array_equal(S[:, :2], np.stack([np.cos(v), np.sin(v)], axis=-1))
+        assert np.all(S[:, 2] == 0.0)
 
     def test_boundary_rect_rejected(self):
         prof = bc.revolution_profile(1.0, 12.0)

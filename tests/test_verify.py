@@ -11,17 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import biconsurf as bc
 from biconsurf import mesh, profile, surfaces, verify
-from biconsurf.ambient import Signature
-from biconsurf.families import TOL_PROFILES
 from biconsurf.pipeline import PipelineConfig, build_pipeline_patch, cmd_surface
 from biconsurf.verify import (
-    FDScheme,
     _field_bundle,
     _laplacian,
     _metric_tables,
     _Probe,
     _shape,
-    fd_for_patch,
     normal_sign,
 )
 
@@ -38,11 +34,9 @@ from conftest import (
 )
 
 
-def with_fd_bounds(patch):
-    """The patch's tolerances with both FD rows bounded (the family's own
-    bounds kept): a bound on an FD row runs the FD cross-checks on a curved
-    patch too."""
-    return {**dict.fromkeys(verify._FD_ROWS, 1e-7), **TOL_PROFILES[patch.case]}
+# the note of a report on a patch from outside the family table
+NO_JET_ROWS = ("no jet rows: patch '{}' has no profile of the family table, so its jets "
+               "are taken as given")
 
 
 def over_bound(report) -> dict:
@@ -122,8 +116,39 @@ class TestClassicalFixtures:
         assert np.linalg.norm(pg.normal) == pytest.approx(1.0, abs=1e-12)
 
 
-# The two cross-checks as separate implementations, the reference that the
-# shared kernel verify._fd_cross_check must reproduce bit for bit.
+# The finite-difference oracle of the builders' closed-form jets: the jets
+# are compared with Richardson-extrapolated central differences of the
+# partials one order lower, each shifted grid evaluated through the patch's
+# own ``frame``, ``jet`` and ``jet4``.  Its truncation error falls at the
+# scheme's order, so it is a test of the builders, not a verifier row.
+_FD_REL = 1e-4
+
+
+def rect_diagonal(patch) -> float:
+    """The diagonal of the patch's parameter rectangle."""
+    (u0, u1), (v0, v1) = patch.u_range, patch.v_range
+    return float(np.hypot(u1 - u0, v1 - v0))
+
+
+def fd_step(patch) -> float:
+    """The oracle's default step: 1e-4 times the rectangle's diagonal."""
+    return _FD_REL * rect_diagonal(patch)
+
+
+def fd_grid(patch, n: int, h: float):
+    """u and v of an n x n grid over the rectangle, kept 2.04 h inside the
+    evaluable domain in u, so that every stencil point is evaluable."""
+    lo, hi = patch.eval_u_domain
+    reach = 1.02 * 2.0 * h
+    u0, u1 = max(patch.u_range[0], lo + reach), min(patch.u_range[1], hi - reach)
+    return np.linspace(u0, u1, n), np.linspace(*patch.v_range, n)
+
+
+def _evaluate(patch, name, u, v):
+    """The patch's ``name`` ("jet" or "jet4") on the tensor grid u x v."""
+    return getattr(patch, name)(patch.uline(u[:, None]), v[None, :])
+
+
 def _rich1(f, h: float):
     """Richardson-extrapolated central difference of f at 0 (steps h and h/2)."""
     d_h = (f(h) - f(-h)) / (2.0 * h)
@@ -131,33 +156,36 @@ def _rich1(f, h: float):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def _second_partials_fd(pr: _Probe, h: float):
-    """(Xuu, Xuv, Xvv) on the grid by differencing the first partials."""
+def _second_partials_fd(patch, u, v, h: float) -> np.ndarray:
+    """Largest Euclidean norm, at each point of the grid u x v, of the jet's
+    (Xuu, Xuv, Xvv) minus differences of the first partials."""
     frames: dict = {}
 
     def frame(du, dv):
         if (du, dv) not in frames:
-            frames[du, dv] = pr.frame(du, dv)
+            frames[du, dv] = patch.frame((u + du)[:, None], (v + dv)[None, :])
         return frames[du, dv]
 
     Xuu = _rich1(lambda s: frame(s, 0.0)[1], h)
     Xvv = _rich1(lambda s: frame(0.0, s)[2], h)
     Xuv = 0.5 * (_rich1(lambda s: frame(0.0, s)[1], h) + _rich1(lambda s: frame(s, 0.0)[2], h))
-    return Xuu, Xuv, Xvv
+    exact = _evaluate(patch, "jet", u, v)
+    return np.max([np.linalg.norm(d - e, axis=-1)
+                   for d, e in zip((Xuu, Xuv, Xvv), exact)], axis=0)
 
 
-def _higher_partials_fd(patch, ugrid, vgrid, fd: FDScheme) -> np.ndarray:
-    """Largest Euclidean norm of jet4 minus differences of the order below."""
-    h = fd.inner_step
-    pr = _Probe(patch, ugrid, vgrid, (0.0, h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h))
+def _higher_partials_fd(patch, u, v, h: float) -> np.ndarray:
+    """Largest Euclidean norm, at each point of the grid u x v, of jet4 minus
+    differences of the partials one order lower (Xuuu and Xuuuu along u,
+    the rest along v; Richardson over h, h/2 and h/4, sixth order)."""
     cache: dict = {}
 
     def jets(du, dv):
         # orders 2, 3 and 4 by the number of v's: indices 0-2, 3-6, 7-11
-        key = (float(du), float(dv))
-        if key not in cache:
-            cache[key] = pr.jet(du, dv) + pr.jet4(du, dv)
-        return cache[key]
+        if (du, dv) not in cache:
+            cache[du, dv] = (_evaluate(patch, "jet", u + du, v + dv)
+                             + _evaluate(patch, "jet4", u + du, v + dv))
+        return cache[du, dv]
 
     def diff(i, along_u):
         def shifted(s):
@@ -170,56 +198,27 @@ def _higher_partials_fd(patch, ugrid, vgrid, fd: FDScheme) -> np.ndarray:
     pairs += [(i, i - 4, False) for i in (4, 5, 6)]
     pairs += [(i, i - 5, False) for i in (8, 9, 10, 11)]
     exact = jets(0.0, 0.0)
-    euclid = Signature(patch.model.ambient.dim)
-    worst = np.max(
-        [euclid.norm(diff(j, along_u) - exact[i]) for i, j, along_u in pairs], axis=0
-    )
-    return worst.reshape(pr.shape)
+    return np.max([np.linalg.norm(diff(j, along_u) - exact[i], axis=-1)
+                   for i, j, along_u in pairs], axis=0)
 
 
 class TestFiniteDifferences:
-    @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline",
-                                     "r3_pipeline"])
-    def test_kernel_equals_the_separate_cross_checks(self, fix, request, monkeypatch):
-        patch = request.getfixturevalue(fix)[-2]
-        kernel, fields = verify._fd_cross_check, []
-
-        def spy(*args):
-            fields.append(kernel(*args))
-            return fields[-1]
-
-        monkeypatch.setattr(verify, "_fd_cross_check", spy)
-        report = bc.verify_patch(patch, 24, 24, tolerances=with_fd_bounds(patch))
-        second, higher = fields
-        fd = fd_for_patch(patch)
-        h = fd.inner_step
-        u, v = report_grid(report)
-        pr = _Probe(patch, u, v, (0.0, h, -h, 0.5 * h, -0.5 * h))
-        euclid = Signature(patch.model.ambient.dim)
-        ref2 = np.max([euclid.norm(d - e) for d, e in
-                       zip(_second_partials_fd(pr, h), pr.jet(0.0, 0.0))], axis=0)
-        ref4 = _higher_partials_fd(patch, u[::4], v[::4], fd)
-        assert second.shape == ref2.shape and second.tobytes() == ref2.tobytes()
-        assert higher.size == ref4.size and higher.tobytes() == ref4.tobytes()
-        assert report.residuals["second_partials_fd"]["max"] == np.max(ref2)
-        assert report.residuals["higher_partials_fd"]["max"] == np.max(ref4)
-
     def test_cross_checks_fall_at_their_order(self, r3_pipeline):
-        # against an exact jet the discrepancy is truncation alone: each
-        # halving of the step divides it by 2^4 (second_partials_fd, fourth
-        # order) or 2^6 (higher_partials_fd, sixth order); measured 15.88-15.99
-        # and 63.5-64.8, while a wrong jet would leave a floor that does not
-        # fall.  Below these steps higher_partials_fd reaches rounding (2e-12);
-        # the largest keeps the grid unshrunk.
+        # against an exact jet the oracle's discrepancy is truncation alone:
+        # each halving of the step divides it by 2^4 (second partials,
+        # fourth order) or 2^6 (orders 3 and 4, sixth order); measured
+        # 15.88-15.99 and 63.5-64.8, while a wrong jet would leave a floor
+        # that does not fall.  Below these steps the higher partials reach
+        # rounding (2e-12); the largest step's stencils fit the chart
         patch = r3_pipeline[1]
+        u, v = np.linspace(*patch.u_range, 16), np.linspace(*patch.v_range, 16)
+        assert patch.eval_u_domain[0] < u[0] - 0.32 and u[-1] + 0.32 < patch.eval_u_domain[1]
         steps = (1.6e-1, 8e-2, 4e-2, 2e-2)
-        reports = [bc.verify_patch(patch, 16, 16, fd=FDScheme(h)) for h in steps]
-        assert all(r.notes == [] for r in reports)
-        for name, lo, hi in (("second_partials_fd", 15.5, 17.0),
-                             ("higher_partials_fd", 60.0, 72.0)):
-            maxima = np.array([r.residuals[name]["max"] for r in reports])
+        for oracle, lo, hi in ((_second_partials_fd, 15.5, 17.0),
+                               (_higher_partials_fd, 60.0, 72.0)):
+            maxima = np.array([np.max(oracle(patch, u, v, h)) for h in steps])
             ratios = maxima[:-1] / maxima[1:]
-            assert np.all((lo < ratios) & (ratios < hi)), (name, ratios)
+            assert np.all((lo < ratios) & (ratios < hi)), (oracle.__name__, ratios)
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline"])
     def test_point_api_evaluates_to_the_domain_edge(self, fix, request):
@@ -454,8 +453,8 @@ class TestReportSerialization:
             assert key in data
         entry = data["residuals"]["biconservative"]
         assert set(entry) >= {"max", "mean", "argmax"}
-        assert data["fd"]["laplacian_sign"].startswith("geometric")
-        assert set(data["fd"]) == {"inner_step", "order", "laplacian_sign"}
+        # the fd block states the Laplacian's sign alone: no row takes a step
+        assert data["fd"] == {"laplacian_sign": "geometric (minus divergence form)"}
 
     def test_json_deterministic(self, r3_pipeline):
         prof, patch, report = r3_pipeline
@@ -526,12 +525,13 @@ class TestTensorGridProbe:
         u = np.linspace(*patch.u_range, 7)
         v = np.linspace(*patch.v_range, 5)
         U, V = np.meshgrid(u, v, indexing="ij")
-        pr = _Probe(patch, u, v, (0.0, 1e-3, -2e-3))
-        for du, dv in ((0.0, 0.0), (1e-3, 0.0), (-2e-3, 0.25)):
-            want = patch.frame((U + du).ravel(), (V + dv).ravel())
-            got = pr.frame(du, dv)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        pr = _Probe(patch, u, v)
+        want = patch.frame(U.ravel(), V.ravel())
+        for g, w in zip(pr.frame(), want):
+            assert np.array_equal(g, w)
+        # a block of u-rows 2-4 is those rows' points, 5 per row
+        for g, w in zip(pr.block(slice(2, 5)).frame(), want):
+            assert np.array_equal(g, w[10:25])
 
     def test_non_broadcasting_at_is_usage_error(self):
         # u is the first coordinate of the plane's sigma = (u, 0, 0)
@@ -558,10 +558,8 @@ class TestTensorGridProbe:
     )
     def test_stacked_ulines_equal_separate_calls(self, fix, request, monkeypatch):
         # the one-point probe of normal_sign and the grid probe of
-        # verify_patch, whose every 4th row and column the sub-grid check
-        # reads on r3 (a curved grid runs no FD row and reads u offset 0
-        # only): each offset's piece of the stacked u-line is the u-line of
-        # its own call, byte for byte
+        # verify_patch, each one u-line on its column of u (no row reads a
+        # shifted u): the u-line is that of a call of its own, byte for byte
         patch = request.getfixturevalue(fix)[-2]
         probes = []
 
@@ -572,20 +570,12 @@ class TestTensorGridProbe:
 
         monkeypatch.setattr(verify, "_Probe", Recorded)
         bc.verify_patch(patch, 24, 24)
-        h = fd_for_patch(patch).inner_step
-        steps = (h, -h, 0.5 * h, -0.5 * h, 0.25 * h, -0.25 * h)
-        if patch.case != "r3_revolution":
-            steps = ()
-        assert [(pr.shape, pr.offsets) for pr in probes] == [
-            ((1, 1), (0.0,)), ((24, 24), (0.0,) + steps),
-        ]
+        assert [pr.shape for pr in probes] == [(1, 1), (24, 24)]
         for pr in probes:
-            for du in pr.offsets:
-                want = patch.uline(pr.u + du)
-                got = pr._lines[du]
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            want = patch.uline(pr.u)
+            assert len(pr.line) == len(want)
+            for g, w in zip(pr.line, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline"])
     def test_verify_never_writes_into_patch_data(self, fix, request):
@@ -619,24 +609,19 @@ class TestTensorGridProbe:
             else:
                 assert np.asarray(value).tobytes() == np.asarray(want[name]).tobytes(), name
 
-    def test_verify_calls_uline_once_per_probe(self, s3_pipeline):
-        # normal_sign and the grid: one u-line point per grid row on a curved
-        # patch, which runs no FD row; with an FD bound, the points of one
-        # call per u offset (1 + 7 * 24), whose every 4th row and column the
-        # sub-grid check reads
-        patch = s3_pipeline[2]
-        sizes = []
+    def test_verify_calls_uline_once_per_probe(self, s3_pipeline, r3_pipeline):
+        # normal_sign and the grid, on every patch: the rectangle's midpoint
+        # and one u-line point per grid row, at no offset
+        for patch in (s3_pipeline[2], r3_pipeline[1], sphere_patch()):
+            calls = []
 
-        def uline(u):
-            sizes.append(np.size(u))
-            return patch.uline(u)
+            def uline(u, patch=patch):
+                calls.append(np.array(u).ravel())
+                return patch.uline(u)
 
-        counted = dataclasses.replace(patch, uline=uline)
-        bc.verify_patch(counted, 24, 24)
-        assert sizes == [1, 24]
-        sizes.clear()
-        bc.verify_patch(counted, 24, 24, tolerances=with_fd_bounds(patch))
-        assert sizes == [1, 7 * 24]
+            bc.verify_patch(dataclasses.replace(patch, uline=uline), 24, 24)
+            assert [c.tolist() for c in calls] == [[mid(patch)[0]],
+                                                   np.linspace(*patch.u_range, 24).tolist()]
 
 
 class TestFailClosed:
@@ -660,24 +645,6 @@ class TestFailClosed:
         patch = dataclasses.replace(sphere_patch(), **dict.fromkeys(missing))
         with pytest.raises(bc.UsageError, match=f"has no {' or '.join(missing)}:"):
             entry(patch)
-
-    @pytest.mark.parametrize("step", [
-        0.0, -1e-3, float("nan"), float("inf"), pytest.param(10**400, id="int-beyond-float-range"),
-    ])
-    def test_step_not_finite_and_positive_is_usage_error(self, step):
-        patch = sphere_patch()
-        message = re.escape(f"inner_step must be finite and positive, got {step!r}")
-        with pytest.raises(bc.UsageError, match=message):
-            FDScheme(step)
-        with pytest.raises(bc.UsageError, match=message):
-            bc.verify_patch(patch, 8, 8, fd=FDScheme(step))
-
-    @pytest.mark.parametrize("step", [True, "1e-3", None])
-    def test_step_not_a_number_is_usage_error(self, step):
-        # True used to be read as a step of 1, the others to leak TypeError
-        message = re.escape(f"FDScheme inner_step must be a real number, got {step!r}")
-        with pytest.raises(bc.UsageError, match=message):
-            FDScheme(step)
 
     @pytest.mark.parametrize("u, v, name", [
         ("0", 0.0, "u"), (True, 0.0, "u"), (None, 0.0, "u"), (0.5, None, "v"),
@@ -747,12 +714,11 @@ class TestFailClosed:
         ({"tolerances": {"pde": -1e-9}}, "tolerance 'pde' must be finite and non-negative"),
         ({"tolerances": {1: 1.0}}, "tolerance 1 must be finite and non-negative, got 1.0"),
         ({"tolerances": [("pde", 1.0)]}, "tolerances must be a mapping"),
-        ({"fd": 1e-4}, "fd must be an FDScheme"),
-    ], ids=["none", "bool", "str", "inf", "nan", "negative", "int-name", "list", "fd-float"])
+    ], ids=["none", "bool", "str", "inf", "nan", "negative", "int-name", "list"])
     def test_vacuous_or_malformed_options_are_usage_errors(self, options, message):
         # None, True and inf used to pass vacuously (True as the bound 1);
-        # the list, the string and the float fd leaked AttributeError or
-        # TypeError.  Each is refused before the patch is evaluated
+        # the list and the string leaked AttributeError or TypeError.  Each
+        # is refused before the patch is evaluated
         calls = []
         patch = sphere_patch()
         probed = dataclasses.replace(patch, uline=lambda u: calls.append(u) or patch.uline(u))
@@ -769,8 +735,25 @@ class TestFailClosed:
     def test_required_residual_never_computed_fails(self):
         rep = bc.verify_patch(cylinder_patch(), 8, 8, tolerances={"f_vs_profile": 1.0})
         assert "f_vs_profile" not in rep.residuals
-        assert rep.notes == ["required residual 'f_vs_profile' was not evaluated"]
+        assert rep.notes == [NO_JET_ROWS.format("fixture_cylinder"),
+                             "required residual 'f_vs_profile' was not evaluated"]
         assert not rep.passed
+
+    @pytest.mark.parametrize("u_range", [(-1.0, 2.0), (-2.0, 1.0), (-0.5, float("nan"))])
+    def test_u_range_outside_the_evaluable_domain_is_usage_error(self, u_range):
+        # the verifier evaluates the whole rectangle, so it must be evaluable;
+        # refused before the patch is evaluated, as point_geometry refuses a u
+        calls = []
+        patch = dataclasses.replace(plane_patch(), eval_u_domain=(-1.5, 1.5), u_range=u_range)
+        probed = dataclasses.replace(patch, uline=lambda u: calls.append(u) or patch.uline(u))
+        message = (f"the u range [{u_range[0]}, {u_range[1]}] of patch 'fixture_plane' is "
+                   "not inside its evaluable domain [-1.5, 1.5]")
+        with pytest.raises(bc.UsageError, match=re.escape(message)):
+            bc.verify_patch(probed, 8, 8)
+        assert calls == []
+        # the domain's own ends are inside it
+        edge = dataclasses.replace(patch, u_range=(-1.5, 1.5))
+        assert bc.verify_patch(edge, 8, 8).grid["u_range"] == [-1.5, 1.5]
 
     @pytest.mark.parametrize("tolerances", [None, {}, {"normal_bitension_min": 1e-3}],
                              ids=["case-without-profile", "empty", "bitension-only"])
@@ -794,7 +777,8 @@ class TestFailClosed:
         tol = {"biconservative": 1e-8, "normal_bitension_min": 1e-3}
         rep = bc.verify_patch(cylinder_patch(), 8, 8, tolerances=tol)
         assert rep.gates["non_cmc_points"] == 0
-        assert rep.notes == ["'normal_bitension_min' skipped: 0 of 64 points are non-CMC"]
+        assert rep.notes == [NO_JET_ROWS.format("fixture_cylinder"),
+                             "'normal_bitension_min' skipped: 0 of 64 points are non-CMC"]
         assert rep.passed
         # on a mostly non-CMC grid the floor applies, and no note is written
         report = s3_pipeline[-1]
@@ -879,24 +863,38 @@ def assert_rejected(patch, rows):
     assert not rep.passed
 
 
-class TestJetCrossCheck:
-    """A builder bug in the second partials must fail the FD cross-check on
-    r3, and the step-free jet rows on the curved families."""
+# the classical fixtures, patches from outside the family table
+_FIXTURES = {"plane": plane_patch, "cylinder": cylinder_patch, "sphere": sphere_patch,
+             "great_sphere": great_sphere_patch}
+# every family's patch and the fixtures: the finite-difference oracle's cases
+_ORACLE_CASES = ["r3_pipeline", "s3_pipeline", "h3e_pipeline", "h3p_pipeline", *_FIXTURES]
 
-    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
-                                     "h3p_pipeline"])
+
+def oracle_case(fix, request, n=64):
+    """(patch, u, v, h, bound) of an oracle case: the n x n ``fd_grid`` at
+    the default step, and the bound the verifier's FD rows held, 1e-8 flat
+    and 1e-7 curved."""
+    patch = _FIXTURES[fix]() if fix in _FIXTURES else request.getfixturevalue(fix)[-2]
+    h = fd_step(patch)
+    return (patch, *fd_grid(patch, n, h), h, 1e-8 if patch.model.c == 0 else 1e-7)
+
+
+class TestJetCrossCheck:
+    """The builders' second partials match the finite-difference oracle, and
+    a builder bug in them fails the step-free jet rows."""
+
+    @pytest.mark.parametrize("fix", _ORACLE_CASES)
     def test_jet_matches_differences(self, fix, request):
-        # a curved report bounds no FD row; bounded, the row runs and passes
-        patch, report = request.getfixturevalue(fix)[-2:]
-        if "second_partials_fd" not in report.tolerances:
-            report = bc.verify_patch(patch, 64, 64, tolerances=with_fd_bounds(patch))
-        entry = report.residuals["second_partials_fd"]
-        assert entry["count"] == 64 * 64
-        assert entry["max"] <= report.tolerances["second_partials_fd"]
+        # measured 7.5e-12 (r3) to 1.3e-10 (h3p), and at most 1.7e-12 on
+        # the fixtures
+        patch, u, v, h, bound = oracle_case(fix, request)
+        worst = _second_partials_fd(patch, u, v, h)
+        assert worst.shape == (64, 64) and np.all(np.isfinite(worst))
+        assert np.max(worst) <= bound
 
     @staticmethod
     def assert_rejected(patch):
-        assert_rejected(patch, ("second_partials_fd",) if patch.model.c == 0 else _JET_ROWS)
+        assert_rejected(patch, ("profile_jet",) if patch.model.c == 0 else _JET_ROWS)
 
     def test_scaled_sweep_amplitude_second_derivative(self, s3_pipeline):
         # u-line of every built patch: (sigma, T, a, a', T', a'', sigma''',
@@ -951,7 +949,7 @@ def _differenced_f_partials(patch, n=12):
     Central differences of f (Richardson over the steps H and H/2), and the
     Laplacian from them with the Christoffel symbols of the jet.
     """
-    H = _F_FIELD_REL[patch.case] * patch.rect_diagonal / 8
+    H = _F_FIELD_REL[patch.case] * rect_diagonal(patch) / 8
     u = np.linspace(*patch.u_range, n + 2)[1:-1]
     v = np.linspace(*patch.v_range, n)
     sign = normal_sign(patch)
@@ -1016,10 +1014,9 @@ class TestExactFieldDerivatives:
 
     def test_blocks_do_not_change_the_result(self, tmp_path, monkeypatch):
         # _BLOCK_POINTS set to 24 and to 48 on 25 rows of 24 points, so the
-        # last block is short: 1- and 2-row grid blocks, 1-row f-derivative
-        # sub-blocks both times, and sub-grid blocks of 1 and 2 of its 7 rows
-        # (6 points each).  The mesh text goes in 7-row blocks; r3 has the
-        # reference rows
+        # last block is short: 1- and 2-row grid blocks and 1-row
+        # f-derivative sub-blocks both times.  The mesh text goes in 7-row
+        # blocks; r3 has the reference rows
         def run(cfg, out):
             report = bc.verify_patch(build_pipeline_patch(cfg)[0], cfg.nu, cfg.nv)
             cmd_surface(cfg, out)
@@ -1088,29 +1085,23 @@ class TestExactFieldDerivatives:
 
 
 class TestHigherPartialsCrossCheck:
-    """A builder bug in the order 3 or 4 partials must fail higher_partials_fd
-    on r3, and the step-free jet rows on the curved families."""
+    """The builders' partials of orders 3 and 4 match the finite-difference
+    oracle, and a builder bug in them fails the step-free jet rows:
+    profile_jet on r3, and both rows on the curved families."""
 
-    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
-                                     "h3p_pipeline"])
+    @pytest.mark.parametrize("fix", _ORACLE_CASES)
     def test_strided_and_within_tolerance(self, fix, request):
-        # a curved report bounds no FD row; bounded, the rows run and pass
-        patch, report = request.getfixturevalue(fix)[-2:]
-        if "higher_partials_fd" not in report.tolerances:
-            report = bc.verify_patch(patch, 64, 64, tolerances=with_fd_bounds(patch))
-        entry = report.residuals["higher_partials_fd"]
-        assert entry["count"] == 16 * 16
-        assert entry["max"] <= report.tolerances["higher_partials_fd"]
-        assert report.residuals["second_partials_fd"]["count"] == 64 * 64
-
-    def test_odd_grid_includes_first_row_and_column(self, s3_pipeline):
-        patch = s3_pipeline[2]
-        rep = bc.verify_patch(patch, 9, 13, tolerances=with_fd_bounds(patch))
-        assert rep.residuals["higher_partials_fd"]["count"] == 3 * 4
+        # on every 4th row and column of the 64 x 64 grid, the first ones
+        # included; measured 1.4e-11 (r3) to 2.5e-10 (h3p), and at most
+        # 4.1e-12 on the fixtures
+        patch, u, v, h, bound = oracle_case(fix, request)
+        worst = _higher_partials_fd(patch, u[::4], v[::4], h)
+        assert worst.shape == (16, 16) and np.all(np.isfinite(worst))
+        assert np.max(worst) <= bound
 
     @staticmethod
     def assert_rejected(patch):
-        assert_rejected(patch, ("higher_partials_fd",) if patch.model.c == 0 else _JET_ROWS)
+        assert_rejected(patch, ("profile_jet",) if patch.model.c == 0 else _JET_ROWS)
 
     @pytest.mark.parametrize("factor", [1 + 1e-3, 1 + 1e-6], ids=["1e-3", "1e-6"])
     @pytest.mark.parametrize("index", [7, 9], ids=["a3", "a4"])
@@ -1230,29 +1221,29 @@ class TestProfileBuildMutations:
 
 
 class TestStepFreeJetRows:
-    """quadric_jet and profile_jet certify the jets of a curved patch with no
-    step, in place of the FD cross-checks, which run only where bound."""
+    """profile_jet, and quadric_jet on S3 and H3, certify the jets of every
+    patch of the family table with no step."""
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline", "h3e_pipeline",
                                      "h3p_pipeline"])
     def test_rows_and_fd_block_by_family(self, fix, request):
         patch, report = request.getfixturevalue(fix)[-2:]
-        curved = patch.model.c != 0
-        assert (set(_JET_ROWS) <= report.residuals.keys()) == curved
-        assert (set(verify._FD_ROWS) <= report.residuals.keys()) == (not curved)
-        if curved:
-            # the grid takes no stencil room, and the fd block keeps the
-            # statement of the Laplacian's sign alone
-            assert report.fd == {"laplacian_sign": "geometric (minus divergence form)"}
-            assert report.grid["u_range"] == list(patch.u_range)
-            for name in _JET_ROWS:
-                entry = report.residuals[name]
-                assert entry["count"] == 64 * 64
-                # clean floors measured 5e-14 (s3) to 1.1e-12 (h3p) at this
-                # grid: under 2e-3 of the bound, so a rise of the floor shows
-                assert entry["max"] <= 2e-3 * report.tolerances[name], name
-        else:
-            assert report.fd == fd_for_patch(patch).describe()
+        rows = _JET_ROWS if patch.model.c != 0 else ("profile_jet",)
+        assert set(rows) <= report.tolerances.keys() & report.residuals.keys()
+        assert ("quadric_jet" in report.residuals) == (patch.model.c != 0)
+        assert not {"second_partials_fd", "higher_partials_fd"} & report.residuals.keys()
+        # the grid is the rectangle, and the fd block keeps the statement of
+        # the Laplacian's sign alone
+        assert report.fd == {"laplacian_sign": "geometric (minus divergence form)"}
+        assert report.grid["u_range"] == list(patch.u_range)
+        assert report.notes == []
+        for name in rows:
+            entry = report.residuals[name]
+            assert entry["count"] == 64 * 64
+            # clean floors measured 3e-16 (r3, against 1e-12) and 5e-14 (s3)
+            # to 1.1e-12 (h3p, against 1e-9) at this grid: under 2e-3 of
+            # the bound, so a rise of the floor shows
+            assert entry["max"] <= 2e-3 * report.tolerances[name], name
 
     def test_point_rows_include_quadric_jet(self, s3_pipeline, r3_pipeline):
         # quadric_jet is a pointwise gate row; profile_jet reads the u-line
@@ -1261,14 +1252,14 @@ class TestStepFreeJetRows:
         assert "quadric_jet" in s3 and "quadric_jet" not in r3
         assert "profile_jet" not in s3
 
-    def test_great_sphere_fixture_keeps_the_fd_rows(self):
-        # a patch without a built profile has no profile_jet, so its jets are
-        # still cross-checked by differences; its quadric_jet is computed but
-        # no bound names it
+    def test_great_sphere_fixture_gets_no_jet_rows(self):
+        # a patch from outside the family table has no profile_jet, and its
+        # report says that its jets are taken as given; its quadric_jet is
+        # computed but no bound names it
         rep = bc.verify_patch(great_sphere_patch(), 16, 16)
-        assert set(verify._FD_ROWS) <= rep.residuals.keys()
-        assert rep.residuals["quadric_jet"]["max"] <= 1e-13
         assert "profile_jet" not in rep.residuals
+        assert rep.residuals["quadric_jet"]["max"] <= 1e-13
+        assert rep.notes[0] == NO_JET_ROWS.format("fixture_great_sphere")
 
     @pytest.mark.parametrize("index", [7, 9, 6, 8], ids=["a3", "a4", "sigma3", "sigma4"])
     @pytest.mark.parametrize("fix", ["s3_pipeline", "h3e_pipeline", "h3p_pipeline"])
@@ -1313,9 +1304,9 @@ class TestStepFreeJetRows:
         # derivatives of the amplitude and the orbit) lie along Xv, so
         # <X_I, X> = <X_I, eta> = 0: the quadric and the f derivatives, which
         # read order 4 only through <X_ijkl, eta>, cannot see them, and
-        # scaling them moves no residual max and no sampled field; the FD
-        # rows compared the whole vector.  The sweep assembly that forms them
-        # is shared with r3, whose FD rows stay
+        # scaling them moves no residual max and no sampled field; the
+        # retired FD rows compared the whole vector.  The sweep assembly that
+        # forms them is shared with r3
         patch = _built(case)
         base = bc.verify_patch(patch, 24, 24)
         rep = bc.verify_patch(self.scaled_partial(patch, "jet4", index), 24, 24)
@@ -1343,13 +1334,56 @@ class TestStepFreeJetRows:
         assert over_bound(rep)["profile_jet"] >= 1000.0
         assert not rep.passed
 
-    def test_fd_bound_runs_the_fd_rows_on_a_curved_patch(self, s3_pipeline):
-        patch, report = s3_pipeline[-2:]
-        bounded = bc.verify_patch(patch, 64, 64, tolerances=with_fd_bounds(patch))
-        assert bounded.fd == fd_for_patch(patch).describe()
-        assert bounded.passed
-        for name, entry in report.residuals.items():
-            assert bounded.residuals[name] == entry, name
+    @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline"])
+    def test_fd_bound_fails_closed(self, fix, request):
+        # no row takes finite differences: a bound on a retired FD row names
+        # no row, so the report fails and says so; every row is as before
+        patch, report = request.getfixturevalue(fix)[-2:]
+        bounds = {**report.tolerances, "second_partials_fd": 1e-7, "higher_partials_fd": 1e-7}
+        bounded = bc.verify_patch(patch, 64, 64, tolerances=bounds)
+        assert not bounded.passed
+        assert bounded.notes == [f"required residual '{name}' was not evaluated"
+                                 for name in ("second_partials_fd", "higher_partials_fd")]
+        assert bounded.residuals == report.residuals
+
+    @pytest.mark.parametrize("index", range(1, 10))
+    @pytest.mark.parametrize("C, rho_range", [
+        (0.8, (1.5, 8.0)), (1.0, (1.5, 8.0)), (2.4, (1.5, 8.0)), (31.6, (1.5, 8.0)),
+        (1.0, (1.0, 8.0)),
+    ], ids=["C0.8", "C1", "C2.4", "C31.6", "C1-waist"])
+    def test_scaled_revolution_entry_fails_profile_jet_a_hundredfold(self, C, rho_range,
+                                                                      index):
+        # every u-line entry of r3 but the height (entries 1-9) scaled by
+        # 1 + 1e-6 fails profile_jet at least 100x over its bound of 1e-12,
+        # also on the range that starts at the waist t = 0, where z'', rho'
+        # and rho''' vanish; the weakest, rho'''' at C = 31.6, measured 760x
+        # at 128 u points, against a clean floor under 4e-16
+        prof = bc.revolution_profile(C, 1.5 * rho_range[1])
+        patch = bc.build_r3_revolution(prof, (prof.t_of_rho(rho_range), (0.0, 2 * np.pi)))
+        rep = bc.verify_patch(_mutated(patch, index, lambda line: line[index] * (1 + 1e-6)),
+                              24, 24)
+        assert over_bound(rep)["profile_jet"] >= 100.0
+        assert not rep.passed
+
+    @pytest.mark.parametrize("mutation", ["negated", "off-axis"])
+    def test_revolution_frame_mutation_fails_profile_jet(self, r3_pipeline, mutation):
+        # entries 1-9 negated together satisfy every chain but rho > 0 (the
+        # frame of the mirror image z -> -z, the sweep's points kept, as
+        # rho S(v) = -rho S(v + pi)); sigma''' tilted off the rotation axis
+        # by 1e-6 of its size leaves every z and rho entry as it is.  No
+        # other row reads either
+        patch = r3_pipeline[1]
+
+        def uline(u):
+            line = list(patch.uline(u))
+            if mutation == "negated":
+                return (line[0],) + tuple(-entry for entry in line[1:])
+            line[6] = line[6] + 1e-6 * np.abs(line[6][..., 2:]) * np.array([1.0, 0.0, 0.0])
+            return tuple(line)
+
+        rep = bc.verify_patch(dataclasses.replace(patch, uline=uline), 24, 24)
+        assert set(over_bound(rep)) == {"profile_jet"}
+        assert not rep.passed
 
 
 _PROPERTY_SETTINGS = settings(max_examples=8, derandomize=True, deadline=None)
