@@ -33,14 +33,16 @@ print(f"The chart covers t in [-{prof.t_max:.4f}, {prof.t_max:.4f}] (rho up to 1
       f"the patch takes t in [-1.5, 1.5], rho up to {float(patch.uline(1.5)[2]):.4f}.\n")
 
 t8 = prof.t_of_rho(8.0)
-print(f"Reference curvatures carried by the builder at rho = 8 (t = {float(t8):.6f}):")
-print(f"  mean curvature  f = {float(patch.reference['f'](t8, 0)):.9f}  (= 1/24)")
-print(f"  Gauss curvature K = {float(patch.reference['K'](t8, 0)):.9f}  (= -1/768)")
+k8 = float(prof.k(t8))
+print(f"The meridian's curvature at rho = 8 (t = {float(t8):.6f}) is k = {k8:.9f} (= 1/48):")
+print(f"  mean curvature  f = 2k = {2 * k8:.9f}  (= 1/24)")
+print(f"  Gauss curvature K = -3/4 f^2 = {-0.75 * (2 * k8) ** 2:.9f}  (= -1/768)")
 
 report = bc.verify_patch(patch, 64, 64)
-print("\nVerification on a 64 x 64 grid (all computed from the immersion alone):")
-for name in ("biconservative", "gauss_identity", "f_vs_reference",
-             "K_vs_reference", "principal_values", "pde"):
+print("\nVerification on a 64 x 64 grid (all computed from the immersion alone;")
+print("f_vs_profile is f - 2k, gauss_identity K + 3/4 f^2):")
+for name in ("biconservative", "gauss_identity", "f_vs_profile",
+             "principal_values", "pde"):
     print(f"  {name:<22} max residual {report.residuals[name]['max']:.2e}")
 print(f"  overall: {'PASS' if report.passed else 'FAIL'}")
 

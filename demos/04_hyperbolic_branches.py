@@ -26,9 +26,9 @@ for label, k0, kp0 in [("elliptic", 1.0, 1.0), ("parabolic", 0.25, 0.2)]:
     print(f"  C = {sol.C:+.9f},  W(0) = {W0:+.6f}  (signs agree)")
     print(f"  k(0) = {float(prof.k(0.0)):g}, k'(0) = {float(prof.kp(0.0)):g} on the curve's own "
           f"run; C drifts by at most {np.max(np.abs(sol.drift(np.linspace(-1.0, 1.0, 257)))):.1e}")
-    print(f"  constant vectors: <C1,C1> = {float(patch.model.inner(patch.C1, patch.C1)):+g}, "
-          f"<C2,C2> = {float(patch.model.inner(patch.C2, patch.C2)):+g}, "
-          f"<C1,C2> = {float(patch.model.inner(patch.C1, patch.C2)):+g}")
+    print(f"  constant vectors: <C1,C1> = {float(patch.model.inner(prof.C1, prof.C1)):+g}, "
+          f"<C2,C2> = {float(patch.model.inner(prof.C2, prof.C2)):+g}, "
+          f"<C1,C2> = {float(patch.model.inner(prof.C1, prof.C2)):+g}")
 
     u = np.linspace(-1.0, 1.0, 257)
     v = np.linspace(*patch.v_range, 65)

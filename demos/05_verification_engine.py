@@ -40,8 +40,7 @@ def swept_patch(case, model, sigma, amplitude, orbit, u_range, v_range):
 
     return bc.SurfacePatch(
         case=case, model=model, u_range=u_range, v_range=v_range,
-        uline=uline, eval_u_domain=(-1e9, 1e9),
-        at=partials((0, 0), (1, 0), (0, 1)),
+        uline=uline, at=partials((0, 0), (1, 0), (0, 1)),
         jet=partials((2, 0), (1, 1), (0, 2)),
         jet4=partials((3, 0), (2, 1), (1, 2), (0, 3),
                       (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)),

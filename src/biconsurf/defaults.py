@@ -18,9 +18,12 @@ each family names one.  The pass rules: max <= bound on the kept points; the
 relative bitension floor, applied only on mostly non-CMC grids; and, on h3,
 x4 > 0 everywhere.  The closed-form flat family is held to 1e-8, the
 integrated curved ones to 1e-5 (1e-4 for the second-order PDE residual).
-The floor, ``normal_bitension_min``, is min |bitension| > bound * max
-|bitension|, scaled with the field (it decays toward the flat family's
-outer radius, for example).
+Both bound ``f_vs_profile``, f - 2k with k the profile's curvature: on the
+flat family the meridian's closed form, which with ``gauss_identity`` also
+fixes K = -(3/4) f^2, so no row of its own bounds K.  The floor,
+``normal_bitension_min``, is min |bitension| > bound * max |bitension|,
+scaled with the field (it decays toward the flat family's outer radius,
+for example).
 
 The curved families' jets are certified by identities with no step, each
 bounded by 1e-9: ``quadric_jet``, the derivatives of orders 1-4 of
@@ -81,8 +84,7 @@ TOL_CLOSED_FORM = {
     "principal_values": 1e-8,
     "x2f": 1e-8,
     "pde": 1e-6,
-    "f_vs_reference": 1e-8,
-    "K_vs_reference": 1e-8,
+    "f_vs_profile": 1e-8,
     "normal_orthogonality": 1e-10,
     "profile_jet": 1e-12,
     "normal_bitension_min": 1e-3,

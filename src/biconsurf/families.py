@@ -51,10 +51,13 @@ def _circle(v, C1, C2):
 
 
 def _exponential(v, C1, C2):
-    """The same for the exponential orbit S = C1 (e^v - 1) + C2 (e^-v - 1)."""
-    ev, emv = np.exp(v)[..., None], np.exp(-v)[..., None]
-    S = C1 * (ev - 1.0) + C2 * (emv - 1.0)
-    S1, S2 = C1 * ev - C2 * emv, C1 * ev + C2 * emv
+    """The same for the exponential orbit S = C1 (e^v - 1) + C2 (e^-v - 1).
+    Where e^|v| overflows the values are not finite, without a warning: the
+    verifier refuses them with a ConditioningError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev, emv = np.exp(v)[..., None], np.exp(-v)[..., None]
+        S = C1 * (ev - 1.0) + C2 * (emv - 1.0)
+        S1, S2 = C1 * ev - C2 * emv, C1 * ev + C2 * emv
     return S, S1, S2, S1, S2
 
 

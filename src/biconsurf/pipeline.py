@@ -141,7 +141,7 @@ def build_pipeline_patch(cfg: PipelineConfig):
     family = cfg._family()
     v_range = family.v_range if cfg.v_range is None else tuple(cfg.v_range)
     if cfg.model == "r3":
-        prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
+        prof = revolution_profile(cfg.C, cfg.rho_range[1])
         return build_r3_revolution(prof, (prof.t_of_rho(cfg.rho_range), v_range)), None
 
     prof = reconstruct_profile(family.branch, cfg.k0, cfg.kp0, cfg.span,
@@ -196,7 +196,7 @@ def cmd_profile(cfg: PipelineConfig, out) -> dict:
     cfg._family()
     out = _output_file(out)
     if cfg.model == "r3":
-        prof = revolution_profile(cfg.C, cfg.rho_range[1] * 1.5)
+        prof = revolution_profile(cfg.C, cfg.rho_range[1])
         rho = np.linspace(cfg.rho_range[0], cfg.rho_range[1], cfg.n_csv)
         u = prof.u_of_rho(rho)
         lines = [f"# model=r3 C={_fmt(cfg.C)}", "rho,u"]

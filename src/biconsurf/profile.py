@@ -112,6 +112,11 @@ class RevolutionProfile:
     def u_of_rho(self, rho):
         return self.height(self.t_of_rho(rho))
 
+    def k(self, t):
+        """The meridian's curvature at t, (1/3) C^(3/2) / (1 + t^2)^2; the
+        surface's mean curvature is f = 2k."""
+        return (1.0 / 3.0) * self.C**1.5 / (1.0 + np.asarray(t) ** 2) ** 2
+
 
 def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:
     # NaN fails every comparison, so each test is written to fail closed
@@ -124,7 +129,8 @@ def revolution_profile(C: float, rho_max: float) -> RevolutionProfile:
     if not math.isfinite(_real(rho_max, "rho_max")):
         raise DomainError(f"rho_max must be finite, got {rho_max!r}")
     if not rho_max > waist:
-        raise DomainError("rho_max must exceed the waist radius C^(-3/2)")
+        raise DomainError(f"rho_max must exceed the waist radius C^(-3/2) = {waist!r}, "
+                          f"got {rho_max!r}")
     return RevolutionProfile(C=float(C), rho_max=float(rho_max))
 
 

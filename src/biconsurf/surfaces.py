@@ -15,12 +15,13 @@ that probe many v values per u can reuse the dense-output evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .ambient import SpaceForm
+from .defaults import SPAN_LIMIT
 from .errors import DomainError, UsageError, _pair
 from .families import BY_BRANCH, FAMILIES
 from .profile import ProfileCurve, RevolutionProfile, _amplitude
@@ -37,11 +38,13 @@ __all__ = [
 class SurfacePatch:
     """Evaluable parametrization with analytic partials up to order 4.
 
-    ``u_range`` x ``v_range`` is the declared parameter rectangle;
-    ``eval_u_domain`` is the (possibly larger) interval on which the
-    evaluators remain valid, which must hold ``u_range``.  The v direction
-    is valid everywhere for every built patch (trigonometric or exponential
-    dependence).
+    ``u_range`` x ``v_range`` is the parameter rectangle and the evaluable
+    domain: the verifier's grid and the point API read the patch there
+    alone.  A built patch's v range has both ends within ``SPAN_LIMIT`` of
+    0; on h3_parabolic the orbit's e^v overflows before that bound, which
+    the verifier meets as a ``ConditioningError``.  ``profile`` is the
+    profile swept, which holds C and the sweep constants; it is None on a
+    patch from outside the family table.
 
     Broadcasting contract: ``at(uline(u), v)`` broadcasts the u-line against
     ``v`` by numpy rules and returns (X, Xu, Xv), each of shape
@@ -49,16 +52,15 @@ class SurfacePatch:
     passing u of shape (nu, 1) and v of shape (1, nv), so the u-dependent
     part (dense output of the profile) runs once per distinct u.
 
-    ``jet`` and ``jet4`` are required: the verifier raises UsageError for a
-    patch without either.  Both follow the same contract:
-    ``jet(uline(u), v)`` returns the second partials (Xuu, Xuv, Xvv) and
-    ``jet4(uline(u), v)`` the partials of orders 3 and 4, ordered by the
-    number of v derivatives: (Xuuu, Xuuv, Xuvv, Xvvv, Xuuuu, Xuuuv,
-    Xuuvv, Xuvvv, Xvvvv).  The verifier takes the mean curvature and its
-    derivatives from them in closed form.  It evaluates one u-line on the
-    grid's column and evaluates ``at``, ``jet`` and ``jet4`` in blocks of
-    u-rows by slicing each u-line entry along its first axis, so every
-    entry of a u-line has u's first axis.
+    ``jet`` and ``jet4`` follow the same contract: ``jet(uline(u), v)``
+    returns the second partials (Xuu, Xuv, Xvv) and ``jet4(uline(u), v)``
+    the partials of orders 3 and 4, ordered by the number of v derivatives:
+    (Xuuu, Xuuv, Xuvv, Xvvv, Xuuuu, Xuuuv, Xuuvv, Xuvvv, Xvvvv).  The
+    verifier takes the mean curvature and its derivatives from them in
+    closed form.  It evaluates one u-line on the grid's column and
+    evaluates ``at``, ``jet`` and ``jet4`` in blocks of u-rows by slicing
+    each u-line entry along its first axis, so every entry of a u-line has
+    u's first axis.
 
     A built patch's u-line is (sigma, T, a, a', T', a'', sigma''', a''',
     sigma'''', a''''), T = sigma': the profile, the sweep amplitude and
@@ -72,14 +74,9 @@ class SurfacePatch:
     v_range: tuple[float, float]
     uline: Callable[[np.ndarray], tuple]
     at: Callable[[tuple, np.ndarray], tuple]
-    eval_u_domain: tuple[float, float]
-    C: float | None = None
-    C1: np.ndarray | None = None
-    C2: np.ndarray | None = None
+    jet: Callable[[tuple, np.ndarray], tuple]
+    jet4: Callable[[tuple, np.ndarray], tuple]
     profile: object = None
-    reference: dict = field(default_factory=dict)
-    jet: Callable[[tuple, np.ndarray], tuple] | None = None
-    jet4: Callable[[tuple, np.ndarray], tuple] | None = None
 
     def frame(self, u, v):
         """(X, Xu, Xv) at parameter arrays that broadcast against each other."""
@@ -98,10 +95,13 @@ def _grid_size(nu, nv) -> tuple[int, int]:
 
 
 def _v_range(v_range) -> tuple[float, float]:
-    """(v0, v1) of a sweep's v range as floats: a finite pair of nonzero width."""
+    """(v0, v1) of a sweep's v range as floats: a finite pair of nonzero
+    width, with both ends within ``SPAN_LIMIT`` of 0, as a span's."""
     v0, v1 = _pair(v_range, "v_range")
     if not (math.isfinite(v0) and math.isfinite(v1)):
         raise UsageError(f"v_range must be finite, got {v_range!r}")
+    if max(abs(v0), abs(v1)) > SPAN_LIMIT:
+        raise UsageError(f"v_range ends must lie within +-{SPAN_LIMIT:g} of 0, got {v_range!r}")
     if v0 == v1:
         raise UsageError(f"v_range must have nonzero width, got {v_range!r}")
     return v0, v1
@@ -114,11 +114,7 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     the rotation orbit (cos v, sin v, 0), in the profile's regular chart t
     (see ``RevolutionProfile``): rho = R s^3 and z' = 3 R s with
     R = C^(-3/2), s = sqrt(1 + t^2), so every t-derivative is closed form.
-    The chart is valid on [-t_max, t_max], waist t = 0 included.  The
-    reference channels carry the closed-form mean and Gauss curvature of the
-    family, f = 2/(3 sqrt(C) rho^(4/3)) = (2/3) C^(3/2) / s^4 and
-    K = -1/(3 C rho^(8/3)) = -C^3 / (3 s^8), for the verifier to compare
-    against.
+    The chart is valid on [-t_max, t_max], waist t = 0 included.
     """
     (t0, t1), v_range = rect
     if not t0 < t1:
@@ -126,9 +122,7 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
     t_max = prof.t_max
     if t0 < -t_max or t1 > t_max:
         raise DomainError(f"t range exceeds the profile's chart [-{t_max}, {t_max}]")
-    v_range = _v_range(v_range)
-    C, R = prof.C, prof.rho_min
-    family = FAMILIES["r3_revolution"]
+    R = prof.rho_min
 
     def uline(t):
         t = np.asarray(t, dtype=float)
@@ -146,28 +140,7 @@ def build_r3_revolution(prof: RevolutionProfile, rect) -> SurfacePatch:
                 axis(3.0 * R / s3), 3.0 * R * t * (3.0 + 2.0 * t * t) / s3,
                 axis(-9.0 * R * t / s5), 9.0 * R / s5)
 
-    at, jet, jet4 = _sweep_evaluators(family.orbit)
-
-    def f_ref(t, v):
-        return (2.0 / 3.0) * C**1.5 / (1.0 + np.asarray(t, float) ** 2) ** 2
-
-    def K_ref(t, v):
-        return -(C**3) / (3.0 * (1.0 + np.asarray(t, float) ** 2) ** 4)
-
-    return SurfacePatch(
-        case=family.case,
-        model=family.space,
-        u_range=(float(t0), float(t1)),
-        v_range=v_range,
-        uline=uline,
-        at=at,
-        eval_u_domain=(-t_max, t_max),
-        C=C,
-        profile=prof,
-        reference={"f": f_ref, "K": K_ref},
-        jet=jet,
-        jet4=jet4,
-    )
+    return _sweep_patch(prof, "r3_revolution", (float(t0), float(t1)), v_range, uline)
 
 
 # u-line positions of sigma^(i) and a^(i), i = 0..4
@@ -249,24 +222,15 @@ def _sweep_uline(prof: ProfileCurve, sc: float):
     return uline
 
 
-def _sweep_patch(prof: ProfileCurve, case: str, v_range) -> SurfacePatch:
-    """The profile swept along the orbits of the family ``case``."""
-    at, jet, jet4 = _sweep_evaluators(FAMILIES[case].orbit, prof.C1, prof.C2)
-    return SurfacePatch(
-        case=case,
-        model=prof.model,
-        u_range=prof.span,
-        v_range=_v_range(v_range),
-        uline=_sweep_uline(prof, prof._chart.sc),
-        at=at,
-        eval_u_domain=prof.span,
-        C=prof.C,
-        C1=prof.C1,
-        C2=prof.C2,
-        profile=prof,
-        jet=jet,
-        jet4=jet4,
-    )
+def _sweep_patch(prof, case: str, u_range, v_range, uline, *constants) -> SurfacePatch:
+    """The profile ``prof`` swept along the orbits of the family ``case``
+    over ``u_range`` x ``v_range``, with the u-line ``uline`` and the
+    orbit's ``constants``."""
+    family = FAMILIES[case]
+    at, jet, jet4 = _sweep_evaluators(family.orbit, *constants)
+    return SurfacePatch(case=case, model=family.space, u_range=u_range,
+                        v_range=_v_range(v_range), uline=uline, at=at, jet=jet, jet4=jet4,
+                        profile=prof)
 
 
 def _build_sweep(prof: ProfileCurve, v_range, builder: str, kind: str) -> SurfacePatch:
@@ -275,7 +239,9 @@ def _build_sweep(prof: ProfileCurve, v_range, builder: str, kind: str) -> Surfac
     family = BY_BRANCH[prof.branch]
     if family.builder != builder:
         raise UsageError(f"{builder} needs a {kind}-branch profile")
-    return _sweep_patch(prof, family.case, family.v_range if v_range is None else v_range)
+    return _sweep_patch(prof, family.case, prof.span,
+                        family.v_range if v_range is None else v_range,
+                        _sweep_uline(prof, prof._chart.sc), prof.C1, prof.C2)
 
 
 def build_s3(prof: ProfileCurve, v_range=None) -> SurfacePatch:

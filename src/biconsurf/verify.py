@@ -2,18 +2,22 @@
 
 Everything here is computed from the patch evaluators alone (position,
 analytic first partials and the analytic partials of orders 2 to 4 of the
-patch's ``jet`` and ``jet4``, which every patch must have); how the patch
-was built never enters except when comparing against its declared
-reference channels and its family's profile.  A patch without ``jet`` or
-``jet4`` is a UsageError.
+patch's ``jet`` and ``jet4``); how the patch was built never enters except
+through its family's profile.  On every patch of the family table the
+row ``f_vs_profile`` reads f = 2k, k the profile's curvature, one formula
+for every family: the geodesic curvature of the S3 and H3 profiles, and
+on r3 the meridian's, (1/3) C^(3/2) / (1 + t^2)^2 in the chart t, which
+``test_meridian_curvature_meets_the_flat_first_integral`` ties to the
+flat curvature ODE.  With ``gauss_identity`` it fixes K = -(3/4) f^2 + c.
 
 The mean curvature f, grad f and Delta f are closed-form at each point
 (from the Weingarten equation and the derivatives of the metric and second
 form, see ``_jet_f_derivatives``).  So the single-point interface takes no
 step: it runs the grid path once on a one-point grid anywhere in the
-evaluable domain.  Its ``PointGeometry`` holds each ``_gate_rows`` row's
-signed value at the point (``residuals``) and the rows whose mask drops the
-point (``masked``), so a point value equals the grid value there bit for bit.
+patch's rectangle, the evaluable domain.  Its ``PointGeometry`` holds each
+``_gate_rows`` row's signed value at the point (``residuals``) and the
+rows whose mask drops the point (``masked``), so a point value equals the
+grid value there bit for bit.
 
 The jets are never trusted unchecked.  On every patch of the family table
 required rows certify them, and none of them takes a step.
@@ -70,9 +74,10 @@ What they cannot see is a tangential error in the order-4 partials Xuuuv
 and Xuvvv, which lie along Xv on every sweep: no row reads it (the f
 derivatives read order 4 only through <X_ijkl, eta>).
 
-A patch from outside the family table (a hand-written one, say) gets no jet
-row, and its report says so in a note: its jets are the caller's contract,
-as its first partials are.  tests/test_verify.py keeps a finite-difference
+A patch from outside the family table (a hand-written one, say) has no
+profile, so it gets neither ``f_vs_profile`` nor a jet row, and its report
+says so in a note: its jets are the caller's contract, as its first
+partials are.  tests/test_verify.py keeps a finite-difference
 oracle of the builders' closed-form jets.
 
 Each grid is read through one ``_Probe``, which calls the patch's ``uline``
@@ -126,17 +131,6 @@ __all__ = [
 
 # the report's statement of the sign of the Laplacian
 _LAPLACIAN_SIGN = "geometric (minus divergence form)"
-
-
-def _require_jets(patch: SurfacePatch) -> None:
-    """UsageError naming what is missing when the patch lacks ``jet`` or ``jet4``."""
-    missing = [name for name in ("jet", "jet4") if getattr(patch, name) is None]
-    if missing:
-        raise UsageError(
-            f"patch '{patch.case}' has no {' or '.join(missing)}: the verifier "
-            "takes the partials of orders 2 to 4 from the closed-form jet and "
-            "jet4 of the SurfacePatch contract"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +230,11 @@ def _shape(pr: _Probe, sign: float) -> dict:
     X, Xu, Xv = pr.frame()
     Xuu, Xuv, Xvv = pr.jet()
 
-    g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
-    det = g11 * g22 - g12**2
+    # partials too large to square (h3_parabolic's e^v at a wide v, say)
+    # make det non-finite, which is refused, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
+        det = g11 * g22 - g12**2
     if not np.all(np.isfinite(det)):
         raise ConditioningError("metric determinant is not finite on the grid")
     if np.any(det <= 1e-12 * np.maximum(np.abs(g11 * g22), 1e-300)):
@@ -285,7 +282,6 @@ def _shape(pr: _Probe, sign: float) -> dict:
 
 def normal_sign(patch: SurfacePatch) -> float:
     """Per-patch orientation: +1/-1 so the reference-point f is positive."""
-    _require_jets(patch)
     u = 0.5 * (patch.u_range[0] + patch.u_range[1])
     v = 0.5 * (patch.v_range[0] + patch.v_range[1])
     pr = _Probe(patch, np.array([u]), np.array([v]))
@@ -576,7 +572,7 @@ def _profile_jet(patch: SurfacePatch, line: tuple, k: np.ndarray) -> np.ndarray:
     amp = np.stack([line[i] for i in _AMPLITUDE])
     size, size_a = norm(sigma), np.abs(amp)
     defects = []
-    for C, s in zip((patch.C1, patch.C2), BY_BRANCH[prof.branch].constraint):
+    for C, s in zip((prof.C1, prof.C2), BY_BRANCH[prof.branch].constraint):
         scale = 1.0 + float(norm(C)) * size + abs(s) * size_a
         defects.extend((inner(sigma, C) - s * amp) / scale)
     _, d1, d2, d3, d4 = sigma
@@ -621,10 +617,10 @@ def _revolution_jet(R: float, t: np.ndarray, line: tuple) -> np.ndarray:
     return np.max(defects, axis=0).ravel()
 
 
-def _grid_pass(pr: _Probe, sign: float, keep) -> tuple[dict, dict]:
+def _grid_pass(pr: _Probe, sign: float) -> tuple[dict, dict]:
     """(gate table, {name: field}) on the probe's grid: the ``_gate_rows``
-    rows and the ``_field_bundle`` fields named in ``keep``, computed block
-    by block of u-rows (``_BLOCK_POINTS``) into full-grid arrays made at the
+    rows and the ``_field_bundle`` fields X, f and K, computed block by
+    block of u-rows (``_BLOCK_POINTS``) into full-grid arrays made at the
     first block.
     """
     model = pr.patch.model
@@ -639,11 +635,8 @@ def _grid_pass(pr: _Probe, sign: float, keep) -> tuple[dict, dict]:
         sh = _field_bundle(pr.block(block), sign)
         gates = _gate_rows(sh, model)
         if not rows:
-            for name in keep:
-                if name not in sh:
-                    raise UsageError(f"no verifier field named '{name}' to compare against")
             rows = {name: _Gate(grid(g.values), grid(g.mask), g.rule) for name, g in gates.items()}
-            kept = {name: grid(sh[name]) for name in keep}
+            kept = {name: grid(sh[name]) for name in ("X", "f", "K")}
         for name, (values, mask, _) in gates.items():
             rows[name].values[sl] = values
             if mask is not None:
@@ -696,15 +689,16 @@ class PointGeometry:
 def point_geometry(patch: SurfacePatch, u: float, v: float) -> PointGeometry:
     """Full geometric bundle at one point, including grad f and Delta f.
 
-    Closed form from the jets, so any u of the evaluable domain will do; a
-    u outside it, or NaN, is a UsageError, and so are a v that is not
-    finite and a u or v that is not a real number (a bool or a string, say).
+    Closed form from the jets, so any u of the patch's ``u_range`` will do,
+    its ends included; a u outside it, or NaN, is a UsageError, and so are
+    a v that is not finite and a u or v that is not a real number (a bool
+    or a string, say).
     """
-    _require_jets(patch)
     u, v = _real(u, "point u"), _real(v, "point v")
-    lo, hi = patch.eval_u_domain
+    lo, hi = patch.u_range
     if not lo <= u <= hi:
-        raise UsageError(f"point u={u} is outside the evaluable domain [{lo}, {hi}]")
+        raise UsageError(f"point u={u} is outside the u range [{lo}, {hi}] of patch "
+                         f"'{patch.case}'")
     if not np.isfinite(v):
         raise UsageError(f"point v={v} is not finite")
     sign = normal_sign(patch)
@@ -861,18 +855,18 @@ def verify_patch(
 ) -> VerificationReport:
     """Verify every identity on a regular grid and summarize residuals.
 
-    The grid covers the patch rectangle, which must lie inside the evaluable
-    domain.  Each gate is a row of one table (values, mask, rule), its bound
-    taken from the family's profile in ``TOL_PROFILES``; a patch of the
-    family table adds its step-free jet rows, and a patch from outside it
-    gets none and a note that says so.  The pass rules: max <= bound on the
+    The grid covers the patch rectangle.  Each gate is a row of one table
+    (values, mask, rule), its bound taken from the family's profile in
+    ``TOL_PROFILES``; a patch of the family table adds its rows
+    ``f_vs_profile`` and ``profile_jet``, and a patch from outside it gets
+    none and a note that says so.  The pass rules: max <= bound on the
     kept points; the relative bitension floor, applied only on mostly
     non-CMC grids; and, on h3, x4 > 0 everywhere.  A bound that names no
     row fails, and so does a profile that bounds no residual.  ``nu``,
-    ``nv`` must be integers >= 2, ``tolerances`` finite real bounds >= 0.
+    ``nv`` must be integers >= 2, ``tolerances`` finite real bounds >= 0,
+    and the rectangle finite.
     """
     nu, nv = _grid_size(nu, nv)
-    _require_jets(patch)
     if tolerances is None:
         tolerances = TOL_PROFILES.get(patch.case, {})
     if not isinstance(tolerances, Mapping):
@@ -881,35 +875,32 @@ def verify_patch(
         if not (isinstance(name, str) and 0.0 <= _real(bound, f"tolerance {name!r}") < np.inf):
             raise UsageError(f"tolerance {name!r} must be finite and non-negative, got {bound!r}")
     tolerances = {name: float(bound) for name, bound in tolerances.items()}
-    (u0, u1), (lo, hi) = patch.u_range, patch.eval_u_domain
-    if not (lo <= u0 <= hi and lo <= u1 <= hi):
-        raise UsageError(f"the u range [{u0}, {u1}] of patch '{patch.case}' is not inside "
-                         f"its evaluable domain [{lo}, {hi}]")
+    if not np.all(np.isfinite([*patch.u_range, *patch.v_range])):
+        raise UsageError(f"the rectangle {patch.u_range} x {patch.v_range} of patch "
+                         f"'{patch.case}' is not finite")
     notes = []
 
-    ugrid = np.linspace(u0, u1, nu)
+    ugrid = np.linspace(patch.u_range[0], patch.u_range[1], nu)
     vgrid = np.linspace(patch.v_range[0], patch.v_range[1], nv)
     UU, VV = np.meshgrid(ugrid, vgrid, indexing="ij")
     U, V = UU.ravel(), VV.ravel()
 
     sign = normal_sign(patch)
     pr = _Probe(patch, ugrid, vgrid)
-    rows, kept = _grid_pass(pr, sign, ("X", "f", "K", *patch.reference))
+    rows, kept = _grid_pass(pr, sign)
     f = kept["f"]
 
-    # the profile's jet rows, and comparisons against builder-declared data
+    # the profile's rows: f = 2k, and the jet rows
     prof = patch.profile
-    if isinstance(prof, ProfileCurve):
+    if isinstance(prof, (ProfileCurve, RevolutionProfile)):
         k = prof.k(ugrid)
         rows["f_vs_profile"] = _Gate(f - 2.0 * np.repeat(k, nv))
-        rows["profile_jet"] = _Gate(np.repeat(_profile_jet(patch, pr.line, k), nv))
-    elif isinstance(prof, RevolutionProfile):
-        rows["profile_jet"] = _Gate(np.repeat(_revolution_jet(prof.rho_min, ugrid, pr.line), nv))
+        jet = (_profile_jet(patch, pr.line, k) if isinstance(prof, ProfileCurve)
+               else _revolution_jet(prof.rho_min, ugrid, pr.line))
+        rows["profile_jet"] = _Gate(np.repeat(jet, nv))
     else:
         notes.append(f"no jet rows: patch '{patch.case}' has no profile of the family "
                      "table, so its jets are taken as given")
-    for name, ref in patch.reference.items():
-        rows[f"{name}_vs_reference"] = _Gate(kept[name] - ref(U, V))
 
     # fail closed: a bound that names no row fails, and so does a profile
     # that bounds no residual

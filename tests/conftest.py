@@ -256,7 +256,6 @@ def sweep_patch(case, model, sigma, amplitude, orbit, u_range, v_range):
         v_range=v_range,
         uline=uline,
         at=at,
-        eval_u_domain=(-1e9, 1e9),
         jet=jet,
         jet4=jet4,
     )

@@ -70,7 +70,7 @@ def test_criterion_2_r3_closed_form_pipeline():
     checks = {
         "biconservative": res["biconservative"]["max"] < 1e-8,
         "gauss": res["gauss_identity"]["max"] < 1e-8,
-        "f_ref": res["f_vs_reference"]["max"] < 1e-8,
+        "f_vs_2k": res["f_vs_profile"]["max"] < 1e-8,
         "profile_ode": ode_res < 1e-8,
         "runtime": dt < 1.0,
     }
@@ -78,7 +78,7 @@ def test_criterion_2_r3_closed_form_pipeline():
         "criterion 2 (flat closed-form pipeline)",
         all(checks.values()),
         f"bicons {res['biconservative']['max']:.1e}, gauss "
-        f"{res['gauss_identity']['max']:.1e}, f_ref {res['f_vs_reference']['max']:.1e}, "
+        f"{res['gauss_identity']['max']:.1e}, f_vs_2k {res['f_vs_profile']['max']:.1e}, "
         f"ode {ode_res:.1e} (all < 1e-8), time {dt:.2f} s < 1 s",
     )
 

@@ -43,6 +43,9 @@ REMOVED = [(owner, name) for owner, names in [
     (verify._Probe, "shifted_jets"), (defaults, "FD_INNER_REL"),
     (surfaces.SurfacePatch, "rect_diagonal"),
     (pipeline, "_span_pad _padded_span _check_span _check_build"),
+    # a patch is its profile's sweep: the rectangle is the evaluable domain,
+    # C and the sweep constants are the profile's, f = 2k is a profile row
+    (surfaces.SurfacePatch, "eval_u_domain C C1 C2 reference"), (verify, "_require_jets"),
 ] for name in names.split()]
 
 
@@ -59,6 +62,17 @@ def test_removed_name_stays_removed(owner, name):
     fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
     assert not hasattr(owner, name) and name not in fields
     assert not hasattr(bc, name)
+
+
+def test_surface_patch_fields_are_a_sweep():
+    # what a sweep of a profile needs, and no more: the jets are required,
+    # and a patch from outside the family table has no profile
+    fields = dataclasses.fields(bc.SurfacePatch)
+    assert [f.name for f in fields] == [
+        "case", "model", "u_range", "v_range", "uline", "at", "jet", "jet4", "profile"]
+    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING
+                or f.default_factory is not dataclasses.MISSING}
+    assert defaults == {"profile": None}
 
 
 def test_removed_keywords_stay_removed():

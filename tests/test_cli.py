@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,29 @@ class TestSurfaceCommand:
         assert "span ends must lie within +-1000 of 0, got (-1000.5, 1000.0)" in err
         assert not out.exists()
 
+    def test_v_range_beyond_the_span_limit_is_refused_before_writing(self, tmp_path, capsys):
+        # v ends are bound as span ends are; this once passed on s3, with v
+        # samples about 3e307 apart
+        out = tmp_path / "out"
+        assert run("verify", "--model", "s3", "--k0", "1", "--dk0", "1", "--v-range", "0",
+                   "1e308", "--nu", "4", "--nv", "4", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "v_range ends must lie within +-1000 of 0, got (0.0, 1e+308)" in err
+        assert not out.exists()
+
+    def test_overflowing_exponential_orbit_is_one_conditioning_error(self, tmp_path, capsys):
+        # e^v at the orientation point v = 500 overflows the metric of the
+        # h3-parabolic patch: exit 3 with the one ConditioningError line,
+        # where numpy's RuntimeWarnings once came first (and, as errors, a
+        # traceback)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("surface", "--model", "h3", "--k0", "0.25", "--dk0", "0.2",
+                       "--v-range", "0", "1000", "--nu", "4", "--nv", "4",
+                       "--out", str(tmp_path)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: ConditioningError: metric determinant is not finite on the grid"]
+
     def test_s3_verify_passes(self, tmp_path):
         code = run("verify", "--model", "s3", "--nu", "24", "--nv", "24",
                    "--out", str(tmp_path), "--report", str(tmp_path / "r.json"))
@@ -213,10 +237,17 @@ class TestSurfaceCommand:
         assert run("surface", "--model", "h3", "--branch", "parabolic",
                    "--k0", "1", "--dk0", "1", "--out", str(tmp_path)) == 2
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        # rho range reaching below the waist radius is a numerical domain error
-        assert run("surface", "--model", "r3", "--C", "1",
-                   "--rho-range", "0.5", "8", "--out", str(tmp_path)) == 3
+    @pytest.mark.parametrize("C, rho_range, message", [
+        ("1", ("0.5", "8"), "rho outside the profile domain [1.0, 8.0]"),
+        ("2", ("0.1", "0.3"),
+         "rho_max must exceed the waist radius C^(-3/2) = 0.3535533905932738, got 0.3"),
+    ], ids=["below-the-waist", "all-below-the-waist"])
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, C, rho_range, message):
+        # rho range reaching below the waist radius is a numerical domain
+        # error, which names the profile's domain up to R1 = rho_max
+        assert run("surface", "--model", "r3", "--C", C,
+                   "--rho-range", *rho_range, "--out", str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
 
     def test_r3_range_from_the_waist(self, tmp_path):
         # rho = 1 = C^(-3/2) is the waist, t = 0 in the regular chart

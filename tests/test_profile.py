@@ -420,7 +420,7 @@ class TestSingleIntegrationBuild:
         cfg = PipelineConfig(model="h3", k0=1.0, kp0=1.0, span=(-20.0, 20.0))
         patch, sol = build_pipeline_patch(cfg)
         assert sol.truncated
-        assert sol.span == patch.profile.span == patch.u_range == patch.eval_u_domain
+        assert sol.span == patch.profile.span == patch.u_range
         lo, hi = cfg.span
         assert lo < sol.span[0] < sol.span[1] < hi
         assert [e["kind"] for e in sol.boundary_events] == ["k_floor", "k_floor"]

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,15 @@ def killing_tangency_check(patch, nu: int = 33, nv: int = 33) -> float:
     grid point its component orthogonal to span{Xu, Xv} should vanish.
     ``nu`` and ``nv`` must be integers >= 2.
     """
-    if patch.C1 is None or patch.C2 is None:
+    prof = patch.profile
+    if not isinstance(prof, bc.ProfileCurve):
         raise bc.UsageError("the tangency check needs a patch with sweep constants")
     nu, nv = _grid_size(nu, nv)
     inner = patch.model.inner
     u = np.linspace(*patch.u_range, nu)
     v = np.linspace(*patch.v_range, nv)
     X, Xu, Xv = patch.frame(u[:, None], v[None, :])
-    T = inner(X, patch.C2)[..., None] * patch.C1 - inner(X, patch.C1)[..., None] * patch.C2
+    T = inner(X, prof.C2)[..., None] * prof.C1 - inner(X, prof.C1)[..., None] * prof.C2
     g11, g12, g22 = inner(Xu, Xu), inner(Xu, Xv), inner(Xv, Xv)
     b1, b2 = inner(T, Xu), inner(T, Xv)
     det = g11 * g22 - g12**2
@@ -48,25 +50,44 @@ def circle_radius(patch, u, v):
     if getattr(FAMILIES.get(patch.case), "orbit", None) is not families._circle:
         raise bc.UsageError("circle radius applies to the circle-swept cases")
     line = patch.uline(np.asarray(u, float))
-    center = line[_SIGMA[0]] - line[_AMPLITUDE[0]][..., None] * patch.C1
+    center = line[_SIGMA[0]] - line[_AMPLITUDE[0]][..., None] * patch.profile.C1
     diff = patch.at(line, np.asarray(v, float))[0] - center
     return np.sqrt(np.abs(patch.model.inner(diff, diff)))
 
 
 def expected_circle_radius(patch, u):
     """1/kappa2 at u, the radius the classification gives the orbit circles."""
-    return 1.0 / kappa2(patch.profile.k(np.asarray(u, float)), patch.C)
+    return 1.0 / kappa2(patch.profile.k(np.asarray(u, float)), patch.profile.C)
 
 
 class TestRevolutionBuilder:
-    def test_reference_channels(self, r3_pipeline):
-        prof, patch, _ = r3_pipeline
-        t8 = prof.t_of_rho(8.0)
-        f8 = float(patch.reference["f"](t8, 0.0))
-        K8 = float(patch.reference["K"](t8, 0.0))
-        assert f8 == pytest.approx(1.0 / 24.0, rel=1e-14)
-        assert K8 == pytest.approx(-1.0 / 768.0, rel=1e-14)
-        assert K8 == pytest.approx(-0.75 * f8**2, rel=1e-14)
+    @pytest.mark.parametrize("C", [0.8, 1.0, 2.4, 31.6])
+    def test_meridian_curvature_meets_the_flat_first_integral(self, C):
+        # k(t) solves the curvature ODE of R3, the one `solve --model r3`
+        # integrates, through its first integral k_u^2 + 16 k^4 =
+        # C_flat k^(7/2) in the meridian's arclength u, du/dt = 3R(1 + t^2),
+        # with C_flat = 16 C^(3/4) / sqrt(3); so the f = 2k of the
+        # f_vs_profile row is the paper's.  k_t is the complex-step
+        # derivative of k itself; measured at most 7e-16
+        prof = bc.revolution_profile(C, 12.0)
+        t = np.linspace(-prof.t_max, prof.t_max, 41)
+        k = prof.k(t)
+        k_u = prof.k(t + 1e-30j).imag / 1e-30 / (3.0 * prof.rho_min * (1.0 + t * t))
+        C_flat = 16.0 * C**0.75 / np.sqrt(3.0)
+        first_integral = C_flat * k**3.5
+        assert np.max(np.abs(k_u**2 + 16.0 * k**4 - first_integral) / first_integral) <= 1e-13
+
+    def test_meridian_curvature_at_rho_8(self, r3_pipeline):
+        # at C = 1 and rho = 8, the grid's last row, k = 1/48: f = 2k = 1/24
+        # within f_vs_profile, and K = -(3/4) f^2 = -1/768 within
+        # gauss_identity and the f row's share, (3/4) (2/24) |f - 1/24|
+        prof, _, report = r3_pipeline
+        assert float(prof.k(prof.t_of_rho(8.0))) == pytest.approx(1.0 / 48.0, rel=1e-14)
+        res = report.residuals
+        f, K = report.fields["f"][-1], report.fields["K"][-1]
+        assert np.max(np.abs(f - 1.0 / 24.0)) <= res["f_vs_profile"]["max"]
+        assert np.max(np.abs(K + 1.0 / 768.0)) <= (res["gauss_identity"]["max"]
+                                                  + res["f_vs_profile"]["max"] / 16.0)
 
     def test_rotation_period(self, r3_pipeline):
         prof, patch, _ = r3_pipeline
@@ -114,7 +135,7 @@ class TestRevolutionBuilder:
             bc.build_r3_revolution(prof, ((1.0, 1.0), (0.0, 1.0)))
         # the whole chart, both halves glued at the waist, is a patch
         whole = bc.build_r3_revolution(prof, ((-t_max, t_max), (0.0, 1.0)))
-        assert whole.u_range == whole.eval_u_domain == (-t_max, t_max)
+        assert whole.u_range == (-t_max, t_max)
 
     @pytest.mark.parametrize("v_range, message", [
         ((0.0, 0.0), "v_range must have nonzero width"),
@@ -123,6 +144,7 @@ class TestRevolutionBuilder:
         ((-np.inf, 1.0), "v_range must be finite"),
         ((0.0, 1.0, 5.0), "v_range must be a pair"),
         ((1.0,), "v_range must be a pair"),
+        ((0.0, 1e308), "v_range ends must lie within"),
     ])
     def test_unusable_v_range_rejected(self, r3_pipeline, v_range, message):
         # a zero-width rectangle would verify vacuously
@@ -185,6 +207,8 @@ class TestSphereBuilder:
     ((0.0, np.inf), "v_range must be finite"),
     ((0.0, 1.0, 5.0), "v_range must be a pair"),
     pytest.param((0, 10**400), "v_range must be finite", id="int-beyond-float-range"),
+    ((0.0, 1e308), "v_range ends must lie within"),
+    ((-1000.5, 0.0), "v_range ends must lie within"),
     # empty or falsy ranges are refused, not read as "the default"
     ([], "v_range must be a pair"),
     ((), "v_range must be a pair"),
@@ -207,6 +231,24 @@ def test_sweep_builders_take_a_numpy_pair(request, fix, build):
     patch = build(prof, np.array([-0.5, 0.75]))
     assert patch.v_range == (-0.5, 0.75)
     assert build(prof).v_range == build(prof, None).v_range == FAMILIES[patch.case].v_range
+
+
+def test_overflowing_exponential_orbit_is_a_conditioning_error(h3p_pipeline):
+    # e^v overflows past v = 709.8: the orbit's values are then not finite,
+    # with no warning, and verify_patch refuses the patch with the
+    # ConditioningError of its metric, at v = 1000 and also at the
+    # orientation point v = 500, whose partials are finite but not their
+    # squares
+    _, prof, _, _ = h3p_pipeline
+    C1, C2 = FAMILIES["h3_parabolic"].constants[:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = families._exponential(np.array([-1000.0, 500.0, 1000.0]), C1, C2)
+        assert not np.isfinite(S[0][0]).all() and np.isfinite(S[0][1]).all()
+        assert not np.isfinite(S[0][2]).all()
+        for v_range in ((-1000.0, 1000.0), (0.0, 1000.0)):
+            with pytest.raises(bc.ConditioningError, match="metric determinant is not finite"):
+                bc.verify_patch(bc.build_h3(prof, v_range), 5, 5)
 
 
 class TestHyperboloidBuilder:
@@ -242,18 +284,17 @@ class TestKillingField:
         inner = patch.model.inner
         u = np.linspace(-0.8, 0.8, 9)
         sig = prof.sigma(u)
-        T = inner(sig, patch.C2)[..., None] * patch.C1 \
-            - inner(sig, patch.C1)[..., None] * patch.C2
+        T = inner(sig, prof.C2)[..., None] * prof.C1 - inner(sig, prof.C1)[..., None] * prof.C2
         Xv = patch.frame(u, np.zeros_like(u))[2]
         cross = inner(T, T) * inner(Xv, Xv) - inner(T, Xv) ** 2
         scale = inner(T, T) * inner(Xv, Xv)
         assert np.max(np.abs(cross) / scale) < 1e-13  # parallel vectors
 
     def test_vanishing_locus(self, s3_pipeline):
-        _, _, patch, _ = s3_pipeline
-        inner = patch.model.inner
+        _, prof, _, _ = s3_pipeline
+        inner = prof.model.inner
         p = np.array([1.0, 0.0, 0.0, 0.0])  # orthogonal to both constants
-        T = inner(p, patch.C2) * patch.C1 - inner(p, patch.C1) * patch.C2
+        T = inner(p, prof.C2) * prof.C1 - inner(p, prof.C1) * prof.C2
         assert np.all(T == 0.0)
 
     def test_needs_sweep_constants(self, r3_pipeline):
@@ -342,9 +383,9 @@ def _reference_exponential(C1, C2):
 
 _FAMILIES = {
     "r3_pipeline": lambda patch: _reference_revolution,
-    "s3_pipeline": lambda patch: _reference_circle(patch.C1, patch.C2),
-    "h3e_pipeline": lambda patch: _reference_circle(patch.C1, patch.C2),
-    "h3p_pipeline": lambda patch: _reference_exponential(patch.C1, patch.C2),
+    "s3_pipeline": lambda patch: _reference_circle(patch.profile.C1, patch.profile.C2),
+    "h3e_pipeline": lambda patch: _reference_circle(patch.profile.C1, patch.profile.C2),
+    "h3p_pipeline": lambda patch: _reference_exponential(patch.profile.C1, patch.profile.C2),
 }
 
 

@@ -136,12 +136,12 @@ def fd_step(patch) -> float:
 
 
 def fd_grid(patch, n: int, h: float):
-    """u and v of an n x n grid over the rectangle, kept 2.04 h inside the
-    evaluable domain in u, so that every stencil point is evaluable."""
-    lo, hi = patch.eval_u_domain
+    """u and v of an n x n grid over the rectangle, kept 2.04 h inside it,
+    so that every stencil point lies in the rectangle, the evaluable
+    domain."""
     reach = 1.02 * 2.0 * h
-    u0, u1 = max(patch.u_range[0], lo + reach), min(patch.u_range[1], hi - reach)
-    return np.linspace(u0, u1, n), np.linspace(*patch.v_range, n)
+    return tuple(np.linspace(lo + reach, hi - reach, n)
+                 for lo, hi in (patch.u_range, patch.v_range))
 
 
 def _evaluate(patch, name, u, v):
@@ -209,11 +209,15 @@ class TestFiniteDifferences:
         # fourth order) or 2^6 (orders 3 and 4, sixth order); measured
         # 15.88-15.99 and 63.5-64.8, while a wrong jet would leave a floor
         # that does not fall.  Below these steps the higher partials reach
-        # rounding (2e-12); the largest step's stencils fit the chart
-        patch = r3_pipeline[1]
-        u, v = np.linspace(*patch.u_range, 16), np.linspace(*patch.v_range, 16)
-        assert patch.eval_u_domain[0] < u[0] - 0.32 and u[-1] + 0.32 < patch.eval_u_domain[1]
+        # rounding (2e-12).  The grid is the fixture's, on a patch of its
+        # profile whose rectangle holds the largest step's stencils
+        prof, patch, _ = r3_pipeline
+        (u0, u1), (v0, v1) = patch.u_range, patch.v_range
         steps = (1.6e-1, 8e-2, 4e-2, 2e-2)
+        u, v = np.linspace(u0, u1, 16), np.linspace(v0, v1, 16)
+        reach = 2.04 * steps[0]
+        patch = bc.build_r3_revolution(prof, ((u0 - reach, u1 + reach),
+                                              (v0 - reach, v1 + reach)))
         for oracle, lo, hi in ((_second_partials_fd, 15.5, 17.0),
                                (_higher_partials_fd, 60.0, 72.0)):
             maxima = np.array([np.max(oracle(patch, u, v, h)) for h in steps])
@@ -221,16 +225,18 @@ class TestFiniteDifferences:
             assert np.all((lo < ratios) & (ratios < hi)), (oracle.__name__, ratios)
 
     @pytest.mark.parametrize("fix", ["r3_pipeline", "s3_pipeline"])
-    def test_point_api_evaluates_to_the_domain_edge(self, fix, request):
-        # the point API takes no step, so it needs no stencil margin
+    def test_point_api_evaluates_to_the_rectangle_edge(self, fix, request):
+        # the point API takes no step, so it needs no stencil margin; the
+        # rectangle is the evaluable domain
         patch = request.getfixturevalue(fix)[-2]
-        lo, hi = patch.eval_u_domain
+        lo, hi = patch.u_range
         for u in (lo, hi):
             pg = bc.point_geometry(patch, u, 1.0)
             assert np.isfinite(pg.f)
             assert np.isfinite(pg.residuals["pde"])
         for u in (lo - 1e-3 * (hi - lo), hi + 1e-3 * (hi - lo), float("nan")):
-            with pytest.raises(bc.UsageError, match="outside the evaluable domain"):
+            with pytest.raises(bc.UsageError, match=re.escape(
+                    f"point u={u} is outside the u range [{lo}, {hi}] of patch '{patch.case}'")):
                 bc.point_geometry(patch, u, 1.0)
 
     def test_degenerate_metric_detected(self):
@@ -336,8 +342,7 @@ class TestRevolutionPipelineReport:
         res = report.residuals
         assert res["biconservative"]["max"] < 1e-8
         assert res["gauss_identity"]["max"] < 1e-8
-        assert res["f_vs_reference"]["max"] < 1e-8
-        assert res["K_vs_reference"]["max"] < 1e-8
+        assert res["f_vs_profile"]["max"] < 1e-8
         assert res["shape_operator_norm"]["max"] < 1e-8
         assert res["principal_values"]["max"] < 1e-8
         assert res["x2f"]["max"] < 1e-8
@@ -631,21 +636,6 @@ class TestFailClosed:
         with pytest.raises(bc.UsageError, match="integers nu, nv >= 2"):
             bc.verify_patch(sphere_patch(), nu, nv)
 
-    @pytest.mark.parametrize("missing", [("jet",), ("jet4",), ("jet", "jet4")],
-                             ids="-".join)
-    @pytest.mark.parametrize("entry", [
-        lambda p: bc.verify_patch(p, 8, 8),
-        lambda p: bc.point_geometry(p, *mid(p)),
-        lambda p: fundamental_forms(p, *mid(p)),
-        lambda p: pde_residual(p, *mid(p)),
-        normal_sign,
-    ], ids=["verify_patch", "point_geometry", "fundamental_forms", "pde_residual",
-            "normal_sign"])
-    def test_patch_without_jets_is_usage_error(self, entry, missing):
-        patch = dataclasses.replace(sphere_patch(), **dict.fromkeys(missing))
-        with pytest.raises(bc.UsageError, match=f"has no {' or '.join(missing)}:"):
-            entry(patch)
-
     @pytest.mark.parametrize("u, v, name", [
         ("0", 0.0, "u"), (True, 0.0, "u"), (None, 0.0, "u"), (0.5, None, "v"),
         (0.5, [0, 1], "v"), (0.5, "0", "v"), (0.5, True, "v"), (0.5, np.bool_(False), "v"),
@@ -739,21 +729,29 @@ class TestFailClosed:
                              "required residual 'f_vs_profile' was not evaluated"]
         assert not rep.passed
 
-    @pytest.mark.parametrize("u_range", [(-1.0, 2.0), (-2.0, 1.0), (-0.5, float("nan"))])
-    def test_u_range_outside_the_evaluable_domain_is_usage_error(self, u_range):
-        # the verifier evaluates the whole rectangle, so it must be evaluable;
-        # refused before the patch is evaluated, as point_geometry refuses a u
+    def test_grid_is_the_rectangle(self):
+        # the rectangle is the evaluable domain: the grid reaches its ends,
+        # and the point API refuses a u beyond them
+        patch = dataclasses.replace(plane_patch(), u_range=(-1.5, 1.5))
+        assert bc.verify_patch(patch, 8, 8).grid["u_range"] == [-1.5, 1.5]
+        for u in (-1.5 - 1e-9, 1.5 + 1e-9):
+            with pytest.raises(bc.UsageError, match="outside the u range"):
+                bc.point_geometry(patch, u, 0.0)
+
+    @pytest.mark.parametrize("rect", [((-0.5, float("nan")), (-1.0, 1.0)),
+                                      ((float("inf"), 1.0), (-1.0, 1.0)),
+                                      ((-1.0, 1.0), (0.0, -float("inf")))])
+    def test_rectangle_not_finite_is_usage_error(self, rect):
+        # a hand-written patch's rectangle is refused before the patch is
+        # evaluated, where a NaN grid would raise ConditioningError and an
+        # infinite end leak numpy's RuntimeWarning from linspace
         calls = []
-        patch = dataclasses.replace(plane_patch(), eval_u_domain=(-1.5, 1.5), u_range=u_range)
+        patch = dataclasses.replace(plane_patch(), u_range=rect[0], v_range=rect[1])
         probed = dataclasses.replace(patch, uline=lambda u: calls.append(u) or patch.uline(u))
-        message = (f"the u range [{u_range[0]}, {u_range[1]}] of patch 'fixture_plane' is "
-                   "not inside its evaluable domain [-1.5, 1.5]")
+        message = f"the rectangle {rect[0]} x {rect[1]} of patch 'fixture_plane' is not finite"
         with pytest.raises(bc.UsageError, match=re.escape(message)):
             bc.verify_patch(probed, 8, 8)
         assert calls == []
-        # the domain's own ends are inside it
-        edge = dataclasses.replace(patch, u_range=(-1.5, 1.5))
-        assert bc.verify_patch(edge, 8, 8).grid["u_range"] == [-1.5, 1.5]
 
     @pytest.mark.parametrize("tolerances", [None, {}, {"normal_bitension_min": 1e-3}],
                              ids=["case-without-profile", "empty", "bitension-only"])
@@ -762,13 +760,24 @@ class TestFailClosed:
         assert not rep.passed
         assert "no residual tolerance applies to case 'fixture_cylinder'" in rep.notes
 
-    def test_nonfinite_unmasked_residual_fails(self):
-        ref = {"f": lambda u, v: np.where(u > 3.0, np.nan, 1.0)}
-        patch = dataclasses.replace(cylinder_patch(), reference=ref)
-        tol = {"f_vs_reference": 1e-6}
-        rep = bc.verify_patch(patch, 8, 8, tolerances=tol)
-        entry = rep.residuals["f_vs_reference"]
-        assert 0 < entry["count"] < 64 and entry["max"] <= tol["f_vs_reference"]
+    def test_nonfinite_unmasked_residual_fails(self, r3_pipeline):
+        # a profile whose k is NaN on the upper half of the rectangle: the
+        # f_vs_profile row, whose mask keeps every point, is within its bound
+        # where it is finite and fails the report where it is not
+        prof, patch, _ = r3_pipeline
+        cut = 0.5 * sum(patch.u_range)
+
+        class Holed(type(prof)):
+            def k(self, t):
+                return np.where(t > cut, np.nan, super().k(t))
+
+        holed = dataclasses.replace(patch, profile=Holed(prof.C, prof.rho_max))
+        tol = {"f_vs_profile": 1e-8}
+        rep = bc.verify_patch(holed, 8, 8, tolerances=tol)
+        entry = rep.residuals["f_vs_profile"]
+        assert entry["count"] == 32 and entry["max"] <= tol["f_vs_profile"]
+        assert rep.notes == ["required residual 'f_vs_profile' is not finite at 32 "
+                             "unmasked points"]
         assert not rep.passed
 
     def test_skipped_relative_floor_is_noted(self, s3_pipeline):
@@ -1016,7 +1025,7 @@ class TestExactFieldDerivatives:
         # _BLOCK_POINTS set to 24 and to 48 on 25 rows of 24 points, so the
         # last block is short: 1- and 2-row grid blocks and 1-row
         # f-derivative sub-blocks both times.  The mesh text goes in 7-row
-        # blocks; r3 has the reference rows
+        # blocks; every case has the f_vs_profile and profile_jet rows
         def run(cfg, out):
             report = bc.verify_patch(build_pipeline_patch(cfg)[0], cfg.nu, cfg.nv)
             cmd_surface(cfg, out)
@@ -1028,8 +1037,7 @@ class TestExactFieldDerivatives:
         for case, data in cases.items():
             cfg = PipelineConfig(nu=25, nv=24, **data)
             whole, whole_files = run(cfg, tmp_path / case / "whole")
-            references = [name for name in whole.residuals if name.endswith("_vs_reference")]
-            assert bool(references) == (case == "r3")
+            assert {"f_vs_profile", "profile_jet"} <= whole.residuals.keys()
             assert sorted(whole_files) == ["surface.obj", "surface.obj.channels.csv",
                                            "surface.ply", "surface.report.json"]
             for points in (24, 48):
@@ -1195,14 +1203,14 @@ class TestProfileBuildMutations:
         ("h3e", bc.ConditioningError),
     ])
     def test_swapped_circle_constants(self, case, failing, monkeypatch):
-        exact = surfaces._sweep_patch
+        # the profile's C1 and C2 swapped where the builder reads them, so
+        # the orbit and profile_jet's constraints take the swapped pair
+        exact = surfaces._build_sweep
 
-        def swapped(prof, case, v_range):
-            if case != "h3_parabolic":
-                prof = dataclasses.replace(prof, C1=prof.C2, C2=prof.C1)
-            return exact(prof, case, v_range)
+        def swapped(prof, *args):
+            return exact(dataclasses.replace(prof, C1=prof.C2, C2=prof.C1), *args)
 
-        monkeypatch.setattr(surfaces, "_sweep_patch", swapped)
+        monkeypatch.setattr(surfaces, "_build_sweep", swapped)
         self.assert_rejected(case, failing)
 
     def test_swapped_parabolic_constants_reverse_v(self):
